@@ -3,7 +3,8 @@
 
 Runs the benchmark harness (``benchmarks/harness.py``) and compares the
 tracked kernel medians against the committed ``BENCH_*.json`` baseline
-(the newest non-seed file, falling back to ``BENCH_seed.json``).
+(the most recently committed non-seed file, falling back to
+``BENCH_seed.json``).
 
 Tracked kernels (``harness.TRACKED_KERNELS``): ``coal_bott``,
 ``model_step_r1``, ``model_step_r4``, ``model_step_multirank`` (the
@@ -11,8 +12,8 @@ multiprocess rank engine at a fixed 2-worker workload),
 ``model_step_members4`` (the member-batched ensemble engine stepping 4
 perturbed scenarios in one fused sweep, with interleaved sequential
 solo runs for the ``speedup_vs_solo`` extra), ``transport_fused``,
-``transport_members4``, ``sedimentation``, ``cond_remap``, and
-``coal_apply_batched``. Gate one in isolation with e.g.
+``transport_members4``, ``sedimentation``, and ``cond_remap``. Gate
+one in isolation with e.g.
 ``--kernel model_step_multirank``. ``--members N`` (repeatable) adds
 informational ensemble sweep entries (``model_step_membersN``) beyond
 the tracked 4-member point — sweep entries ride along in the payload

@@ -94,9 +94,8 @@ class _Emitter:
     def addr(self, array: str, index: tuple[Expr, ...]) -> str:
         param = self.arrays.get(array)
         if param is None:
-            # Stack-local array: single subscript, unit stride.
-            (elem,) = index
-            return f"{array}[{self.expr(elem)}]"
+            # Stack-local array or tile: one C subscript per dimension.
+            return array + "".join(f"[{self.expr(e)}]" for e in index)
         base = param.name
         subs = index
         if param.ptr_table:
@@ -129,7 +128,8 @@ class _Emitter:
                 f"{self.expr(stmt.value)};"
             )
         elif isinstance(stmt, LocalArray):
-            self.lines.append(f"{pad}{stmt.ctype} {stmt.name}[{stmt.size}];")
+            lanes = f"[{stmt.lanes}]" if stmt.lanes else ""
+            self.lines.append(f"{pad}{stmt.ctype} {stmt.name}[{stmt.size}]{lanes};")
         elif isinstance(stmt, If):
             self.lines.append(f"{pad}if ({self.expr(stmt.cond)}) {{")
             for s in stmt.body:

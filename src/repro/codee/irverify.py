@@ -291,7 +291,7 @@ def _check_ir_stack(
         first: LocalArray | None = None
         for stmt in walk_ir_stmts(nest.body):
             if isinstance(stmt, LocalArray):
-                frame += stmt.size * _CTYPE_BYTES.get(stmt.ctype, 8)
+                frame += stmt.elements * _CTYPE_BYTES.get(stmt.ctype, 8)
                 first = first or stmt
         if first is None or frame <= config.stack_bytes:
             continue

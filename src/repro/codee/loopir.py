@@ -265,11 +265,21 @@ class Store:
 
 @dataclass
 class LocalArray:
-    """Fixed-size stack-local array (the automatic-array analog)."""
+    """Fixed-size stack-local array (the automatic-array analog).
+
+    With ``lanes`` set the array is a 2-D ``[size][lanes]`` tile
+    addressed by two subscripts, ``(row, lane)`` — the layout that lets
+    an innermost loop run over grid points stored side by side.
+    """
 
     name: str
     size: int
     ctype: str = "double"
+    lanes: int = 0
+
+    @property
+    def elements(self) -> int:
+        return self.size * (self.lanes or 1)
 
 
 @dataclass

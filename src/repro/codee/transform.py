@@ -21,6 +21,7 @@ pass                        stage whose transformation it mechanizes
 ``collapse``                ``offload_collapse2`` / ``offload_collapse3``
 ``hoist_automatic_arrays``  ``offload_collapse3`` (Listing 8 temp_arrays)
 ``simd_innermost``          ``offload_collapse2`` (inner ``!$omp simd``)
+``simd_lanes``              ``offload_collapse2`` (lane loops of serial nests)
 ==========================  =============================================
 
 :func:`plan_offload` drives the sequence under a
@@ -136,7 +137,8 @@ class TransformPolicy:
     #: Nests shallower than this stay serial — the parallel-region
     #: overhead floor (a depth-1 scatter loop is not worth a fork).
     min_parallel_depth: int = 2
-    #: Vectorize provably independent innermost loops of parallel nests.
+    #: Vectorize provably independent innermost loops of parallel nests
+    #: and the fixed-width lane loops inside serial ones.
     simd: bool = True
     #: Attempt loop fission on multi-statement nest bodies.
     fission: bool = True
@@ -152,6 +154,9 @@ class TransformPlan:
     passes: list[PassResult] = field(default_factory=list)
     #: Top-level nest variable -> its dependence report.
     reports: dict[str, NestReport] = field(default_factory=dict)
+    #: Serial top-level nest variable -> reports of every loop inside
+    #: it, in preorder (see :func:`analyze_inner_loops`).
+    inner: dict[str, list[NestReport]] = field(default_factory=dict)
 
     def summary(self) -> str:
         lines = [f"transform plan for kernel {self.kernel.name!r}:"]
@@ -164,6 +169,18 @@ class TransformPlan:
             )
             lines.append(f"  nest over {var!r}: {verdict}")
             lines.extend(f"    - {r}" for r in rep.reasons)
+            by_var: dict[str, list[NestReport]] = {}
+            for inner in self.inner.get(var, []):
+                by_var.setdefault(inner.nest.var, []).append(inner)
+            for ivar, reps in by_var.items():
+                proven = sum(1 for r in reps if r.parallel_depth)
+                lines.append(
+                    f"    inner loops over {ivar!r}: {proven} of {len(reps)} "
+                    "proven independent"
+                )
+                refused = [r for r in reps if not r.parallel_depth]
+                why = dict.fromkeys(r.reasons[0] for r in refused if r.reasons)
+                lines.extend(f"      refused: {w}" for w in why)
         return "\n".join(lines)
 
 
@@ -250,7 +267,7 @@ def analyze_nest(kernel: Kernel, nest: Loop) -> NestReport:
             private_scalars.add(stmt.name)
         elif isinstance(stmt, LocalArray):
             private_arrays.add(stmt.name)
-            stack_bytes += stmt.size * _CTYPE_BYTES.get(stmt.ctype, 8)
+            stack_bytes += stmt.elements * _CTYPE_BYTES.get(stmt.ctype, 8)
 
     reasons: list[str] = []
     blocked: dict[str, list[str]] = {v: [] for v in chain_vars}
@@ -695,10 +712,12 @@ def hoist_automatic_arrays(
         temp_name = f"{arr.name}_temp"
         strides: list[Expr] = []
         for d in range(len(chain_vars)):
-            stride: Expr = Const(arr.size)
+            stride: Expr = Const(arr.elements)
             for later in extents[d + 1 :]:
                 stride = Bin("*", stride, later)
             strides.append(stride)
+        if arr.lanes:
+            strides.append(Const(arr.lanes))
         strides.append(Const(1))
         kernel.params = (
             *kernel.params,
@@ -846,6 +865,52 @@ def simd_innermost(
     )
 
 
+def analyze_inner_loops(kernel: Kernel, nest: Loop) -> list[NestReport]:
+    """Dependence reports of every loop nested inside ``nest``.
+
+    A serial outer loop says nothing about the loops it contains: the
+    collision kernel's interaction loop carries the species-sum cascade,
+    yet the loops over the grid points inside each interaction are
+    independent. Each inner loop is analyzed as a nest of its own, with
+    the enclosing loop variables held fixed, in preorder.
+    """
+    return [
+        analyze_nest(kernel, s)
+        for s in walk_ir_stmts(nest.body)
+        if isinstance(s, Loop)
+    ]
+
+
+def simd_lanes(policy: TransformPolicy, inner: list[NestReport]) -> PassResult:
+    """Vectorize the fixed-width point loops inside a serial nest.
+
+    A leaf loop with a constant trip count whose own analysis proves it
+    independent is a lane loop: the points of a ``(bin, lane)`` tile
+    side by side. Marking it ``simd`` keeps the compiler from
+    vectorizing an enclosing bin loop instead (which would turn each
+    lane's sum into an in-order vector reduction). Loops with runtime
+    bounds are left to the compiler, as in every other serial kernel.
+    """
+    stage = Stage.OFFLOAD_COLLAPSE2.value
+    if not policy.simd:
+        return PassResult("simd_lanes", stage, False, "policy: no simd")
+    marked = 0
+    for rep in inner:
+        loop = rep.nest
+        leaf = not any(isinstance(s, Loop) for s in walk_ir_stmts(loop.body))
+        if isinstance(loop.stop, Const) and rep.parallel_depth and leaf:
+            loop.simd = True
+            marked += 1
+    return PassResult(
+        "simd_lanes",
+        stage,
+        bool(marked),
+        f"simd on {marked} fixed-width lane loop(s)"
+        if marked
+        else "no fixed-width independent leaf loops",
+    )
+
+
 def plan_offload(
     kernel: Kernel, policy: TransformPolicy | None = None
 ) -> TransformPlan:
@@ -854,7 +919,10 @@ def plan_offload(
     Every annotation on the returned plan's kernel is justified by a
     :class:`NestReport`; the reports and per-pass outcomes are kept on
     the plan so ``codee transform`` can show the derivation and the
-    verifier gate can re-check it.
+    verifier gate can re-check it. A nest that stays serial also gets
+    its inner loops analyzed (:func:`analyze_inner_loops`), so the plan
+    shows which loops inside it are independent even when the outer
+    one is not.
     """
     policy = policy or TransformPolicy()
     plan = TransformPlan(kernel=kernel, policy=policy)
@@ -868,4 +936,7 @@ def plan_offload(
         plan.passes.append(collapse_nest(kernel, nest, policy, report))
         plan.passes.append(hoist_automatic_arrays(kernel, nest, report))
         plan.passes.append(simd_innermost(kernel, nest, policy))
+        if not nest.parallel:
+            plan.inner[nest.var] = analyze_inner_loops(kernel, nest)
+            plan.passes.append(simd_lanes(policy, plan.inner[nest.var]))
     return plan

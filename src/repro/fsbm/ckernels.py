@@ -10,9 +10,9 @@ host-side analog, built on the shared :mod:`repro.core.cjit`
 infrastructure (source-hash-cached ``.so``, ``-ffp-contract=off``,
 transparent numpy fallback).
 
-Since PR 6 both kernels are defined as `repro.codee.loopir` kernels
-(:func:`build_sed_sweep_ir`, :func:`build_remap_scatter_ir`) rather
-than hand-written C strings: the transformation engine
+Every kernel here is defined as a `repro.codee.loopir` kernel
+(:func:`build_sed_sweep_ir`, :func:`build_remap_scatter_ir`,
+:func:`build_coal_bott_new_ir`) rather than a hand-written C string: the transformation engine
 (`repro.codee.transform`) analyzes them, the static verifier
 (`repro.codee.irverify`) checks the result, and `repro.codee.cgen`
 emits the C that :mod:`repro.core.cjit` compiles. The analysis is
@@ -22,10 +22,10 @@ provably *non*-parallelizable, and the remap's depth-1 nest is below
 the parallel-overhead floor — so both are emitted serial, exactly like
 their hand-written predecessors, and their arithmetic (expressed in
 the IR with the reference's operation order) stays bit-identical. The
-member-batched ``sed_sweep_members`` (PR 10) has a provably
-independent member loop but is *policy*-serial (`_plan_serial`):
-rank-level threads/processes own the cores, so every fsbm kernel
-stays an `omp`-free translation unit.
+member-batched ``sed_sweep_members`` has a provably independent member
+loop but is *policy*-serial (`_plan_serial`), as is ``coal_bott_new``:
+rank-level threads/processes own the cores, so the fsbm translation
+unit holds no ``omp parallel`` region (only ``omp simd`` lane loops).
 
 Equivalence to the numpy references (asserted by
 ``tests/fsbm/test_native_kernels.py``):
@@ -46,6 +46,16 @@ Equivalence to the numpy references (asserted by
   ``bincount`` accumulates sequentially in flat index order, which the
   per-point ``lo``/``hi`` accumulators reproduce exactly, so the remap
   is **bit-identical** to the double-``bincount`` reference.
+* ``coal_bott_new`` — every collision interaction of a step in one
+  call (:func:`build_coal_bott_new_ir`). The interaction loop is
+  serial; the points inside it run in lane blocks whose ``(bin,
+  lane)`` tiles put the loop over grid points innermost, where the
+  transformation engine proves it independent and marks it ``simd``.
+  It agrees with the numpy sparse engine of `repro.fsbm.coal_bott` to
+  1e-12 of each point's largest bin (only summation order and the
+  per-entry pressure interpolation differ), and a point's result does
+  not depend on the other points of its call, so member and rank
+  batching stay bit-identical.
 
 ``REPRO_DISABLE_CPHYS=1`` (this module) or ``REPRO_DISABLE_CJIT=1``
 (all compiled kernels) forces the numpy fallback.
@@ -71,6 +81,7 @@ from repro.codee.loopir import (
     LocalArray,
     Loop,
     ScalarParam,
+    Select,
     Store,
     Sym,
 )
@@ -446,6 +457,389 @@ def build_remap_scatter_ir() -> Kernel:
     )
 
 
+#: Grid points per lane block of ``coal_bott_new``: every tile sweep's
+#: innermost loop runs over this many points side by side.
+COAL_LANES = 8
+
+
+def build_coal_bott_new_ir() -> Kernel:
+    """The whole collision step, all interactions, as loop IR.
+
+    ``dists[sp]`` points at species ``sp``'s gathered ``(npts, nkr)``
+    rows. The interaction loop is outermost and serial: interaction
+    ``ix`` selects the points where its temperature gate (``gate[ix]``)
+    holds and both species' running sums (``sums``) exceed ``nmin``,
+    and the rows it updates change the sums later interactions test —
+    the ``CoalSelection.fork``/``refresh`` cascade. Within one member
+    segment (``seg[s] = (start, stop)``) the selected points are
+    compacted into ``pts`` and share the occupied rectangle
+    ``(na, nb)``, the maximum pre-step occupancy (``occ``) over them.
+
+    The selected points then run in blocks of :data:`COAL_LANES`. Each
+    block gathers its rows into ``(bin, lane)`` tiles, so every bin
+    loop keeps a lane loop innermost: the loop over grid points, the
+    one the paper collapses, is the vector loop. Every kernel entry is
+    interpolated per lane, ``K500 + w (K750 - K500)``, as the scalar
+    code's ``get_cw`` does. Per block:
+
+    * losses — row sums ``K b`` and column sums ``a K`` over the
+      rectangle;
+    * limiter — a lane that binds (some bin would lose more than it
+      holds) scales its bins by ``f = min(1, n / loss)`` and the block
+      recomputes its losses; a lane that does not bind keeps ``f = 1``
+      and so its unlimited values, bit for bit;
+    * gain — the Kovetz-Olund split folded in on the fly from
+      ``w_lo``/``w_hi``: the strict lower triangle deposits in the row
+      bin and the next one, the strict upper triangle in the column bin
+      and the next one, the diagonal in the next bin (the top bin keeps
+      its own overflow);
+    * scatter — the new rows go back through ``pts`` and the touched
+      species' sums are refreshed.
+
+    A lane's arithmetic never reads another lane, so a point's result
+    does not depend on which points share its block or its call. Every
+    sum runs in a fixed serial order; that order and the per-entry
+    interpolation are all that differ from the numpy sparse engine's
+    BLAS contractions.
+    """
+    ix, s, p, blk = Sym("ix"), Sym("s"), Sym("p"), Sym("blk")
+    i, j, k, r, ln = Sym("i"), Sym("j"), Sym("k"), Sym("r"), Sym("lane")
+    nkr, dt = Sym("nkr"), Sym("dt")
+    ca, cb, cp, selfc = Sym("ca"), Sym("cb"), Sym("cp"), Sym("selfc")
+    na, nb, nl, half = Sym("na"), Sym("nb"), Sym("nl"), Sym("half")
+    w = Load("W", (ln,))
+
+    def lanes(body: list) -> Loop:
+        return Loop("lane", Const(0), Const(COAL_LANES), body)
+
+    def at(tile: str, row) -> Load:
+        return Load(tile, (row, ln))
+
+    def vec(name: str) -> Load:
+        return Load(name, (ln,))
+
+    def smax(a, b):
+        return Select(a.gt(b), a, b)
+
+    def smin(a, b):
+        return Select(a.lt(b), a, b)
+
+    def clip0(x):
+        # np.maximum(x, 0.0): keeps NaN and -0.0, like the reference.
+        return Select(x.lt(Const(0.0)), Const(0.0), x)
+
+    def clear(*tiles: str) -> Loop:
+        return Loop("k", Const(0), nkr, [
+            lanes([Store(t, (k, ln), Const(0.0)) for t in tiles])
+        ])
+
+    def accumulate(outer: Sym, stop_o, inner: Sym, start_i, stop_i, src: str,
+                   tiles: tuple, row_first: bool) -> Loop:
+        """Per-bin sums of the kernel at each lane's pressure against
+        ``src[outer]``, into ``tiles[0]`` — or, with two tiles, split
+        into their ``w_lo`` and ``w_hi`` shares.
+
+        The kernel entry is interpolated per lane first,
+        ``K500 + w (K750 - K500)``, as the scalar code's ``get_cw``
+        does. The summed-over bin is the *outer* loop, so each tile row
+        is updated once per outer step: every lane's sum runs in
+        ascending order of that bin, and no iteration of the inner loop
+        waits on the one before it.
+        """
+        row, col = (inner, outer) if row_first else (outer, inner)
+        split = len(tiles) == 2
+        entries = [
+            Let("k5", Load("k500", (ix, row, col))),
+            Let("kd", Load("kdel", (ix, row, col))),
+        ]
+        if split:
+            entries += [
+                Let("wl", Load("w_lo", (row, col))),
+                Let("wh", Load("w_hi", (row, col))),
+            ]
+        kp = Sym("k5") + w * Sym("kd")
+        if split:
+            update = [
+                Let("t", kp * at(src, outer)),
+                Store(tiles[0], (inner, ln), Sym("wl") * Sym("t"), "+="),
+                Store(tiles[1], (inner, ln), Sym("wh") * Sym("t"), "+="),
+            ]
+        else:
+            update = [Store(tiles[0], (inner, ln), kp * at(src, outer), "+=")]
+        return Loop(outer.name, Const(0), stop_o, [
+            Loop(inner.name, start_i, stop_i, [*entries, lanes(update)])
+        ])
+
+    def losses() -> list:
+        """Row losses RS (na) and column losses CS (nb) of tiles A, B."""
+        return [
+            clear("T0", "T1"),
+            # Row sums of K against B, summed over j ascending.
+            accumulate(j, nb, i, Const(0), na, "B", ("T0",), row_first=True),
+            # Column sums of K against A, summed over i ascending.
+            accumulate(i, na, j, Const(0), nb, "A", ("T1",), row_first=False),
+            Loop("i", Const(0), na, [
+                lanes([
+                    Store("RS", (i, ln), ((half * at("A", i)) * at("T0", i)) * dt)
+                ])
+            ]),
+            Loop("j", Const(0), nb, [
+                lanes([
+                    Store("CS", (j, ln), ((half * at("B", j)) * at("T1", j)) * dt)
+                ])
+            ]),
+        ]
+
+    def side_loss(tile: str, row) -> Select:
+        """The loss the limiter compares against ``tile[row]``."""
+        own = at("RS", row) if tile == "A" else at("CS", row)
+        return Select(selfc.ne(Const(0)), at("RS", row) + at("CS", row), own)
+
+    def flag_binding(tile: str, row: Sym, stop: Sym) -> Loop:
+        return Loop(row.name, Const(0), stop, [
+            lanes([
+                Store(
+                    "BIND",
+                    (ln,),
+                    Select(
+                        side_loss(tile, row).gt(at(tile, row)),
+                        Const(1.0),
+                        vec("BIND"),
+                    ),
+                )
+            ])
+        ])
+
+    def limit(tile: str, row: Sym, stop: Sym) -> Loop:
+        return Loop(row.name, Const(0), stop, [
+            lanes([
+                Let("nv", at(tile, row)),
+                Let("loss", side_loss(tile, row)),
+                Let(
+                    "q",
+                    Sym("nv") / smax(Sym("loss"), Const(1e-30)),
+                ),
+                Store(
+                    tile,
+                    (row, ln),
+                    Select(
+                        vec("BIND").ne(Const(0.0)),
+                        Sym("nv") * smin(Sym("q"), Const(1.0)),
+                        Sym("nv"),
+                    ),
+                ),
+            ])
+        ])
+
+    def triangle(t_out: str, out: Sym, stop_o, t_in: str, inn: Sym, stop_i):
+        """One strict triangle's two deposit families into G.
+
+        Pairs with the ``t_out`` bin ``out`` above the ``t_in`` bin
+        ``inn`` deposit their ``w_lo`` share in bin ``out`` and their
+        ``w_hi`` share in ``out + 1`` (the top bin has no ``w_hi``
+        share). The per-bin sums run over ``inn`` ascending.
+        """
+        return [
+            clear("T0", "T1"),
+            accumulate(inn, stop_i, out, inn + 1, stop_o, t_in, ("T0", "T1"),
+                       row_first=t_out == "A"),
+            Loop(out.name, Const(0), stop_o, [
+                lanes([
+                    Store("G", (out, ln), at(t_out, out) * at("T0", out), "+=")
+                ]),
+                If((out + 1).lt(nkr), [
+                    lanes([
+                        Store(
+                            "G", (out + 1, ln), at(t_out, out) * at("T1", out), "+="
+                        )
+                    ])
+                ]),
+            ]),
+        ]
+
+    def refresh_sums() -> Loop:
+        """Re-sum the collector, collected and product rows of point p."""
+        return Loop("r", Const(0), Const(3), [
+            Let(
+                "sp",
+                Select(r.eq(Const(0)), ca, Select(r.eq(Const(1)), cb, cp)),
+                ctype="long",
+            ),
+            Decl("acc", "double", Const(0.0)),
+            Loop("k", Const(0), nkr, [
+                Assign("acc", Sym("acc") + Load("dists", (Sym("sp"), p, k)))
+            ]),
+            Store("sums", (Sym("sp"), p), Sym("acc")),
+        ])
+
+    def scatter(row_body: list) -> Loop:
+        return Loop("lane", Const(0), nl, [
+            Let("p", Load("pts", (Sym("base") + ln,)), ctype="long"),
+            Loop("k", Const(0), nkr, row_body),
+            refresh_sums(),
+        ])
+
+    g_k = at("G", k)
+    scatter_self = scatter([
+        Let("a_old", Load("dists", (ca, p, k))),
+        Let(
+            "a_new",
+            Select(
+                k.lt(na),
+                clip0((Sym("a_old") - at("RS", k)) - at("CS", k)),
+                Sym("a_old"),
+            ),
+        ),
+        If(
+            cp.eq(ca),
+            [Store("dists", (ca, p, k), clip0(Sym("a_new") + g_k))],
+            [
+                Store("dists", (ca, p, k), Sym("a_new")),
+                Store("dists", (cp, p, k), g_k, "+="),
+            ],
+        ),
+    ])
+    scatter_pair = scatter([
+        Let("a_old", Load("dists", (ca, p, k))),
+        Let("b_old", Load("dists", (cb, p, k))),
+        Let(
+            "a_new",
+            Select(k.lt(na), clip0(Sym("a_old") - at("RS", k)), Sym("a_old")),
+        ),
+        Let(
+            "b_new",
+            Select(k.lt(nb), clip0(Sym("b_old") - at("CS", k)), Sym("b_old")),
+        ),
+        Store("dists", (ca, p, k), Select(cp.eq(ca), Sym("a_new") + g_k, Sym("a_new"))),
+        Store("dists", (cb, p, k), Select(cp.eq(cb), Sym("b_new") + g_k, Sym("b_new"))),
+        If(cp.ne(ca).logical_and(cp.ne(cb)), [Store("dists", (cp, p, k), g_k, "+=")]),
+    ])
+
+    block = [
+        Let("base", Sym("s0") + blk * COAL_LANES, ctype="long"),
+        Let("nl", smin(Sym("cnt") - blk * COAL_LANES, Const(COAL_LANES)), ctype="long"),
+        *(LocalArray(t, MAX_NKR, lanes=COAL_LANES)
+          for t in ("A", "B", "RS", "CS", "G", "T0", "T1")),
+        *(LocalArray(v, COAL_LANES) for v in ("W", "BIND")),
+        # Gather: a short block repeats its last point in the spare
+        # lanes, which compute but are never scattered.
+        lanes([
+            Let("q", Load("pts", (Sym("base") + smin(ln, nl - 1),)), ctype="long"),
+            Store("W", (ln,), Load("ws", (Sym("q"),))),
+            Loop("i", Const(0), na, [
+                Store("A", (i, ln), Load("dists", (ca, Sym("q"), i)))
+            ]),
+            Loop("j", Const(0), nb, [
+                Store("B", (j, ln), Load("dists", (cb, Sym("q"), j)))
+            ]),
+        ]),
+        *losses(),
+        lanes([Store("BIND", (ln,), Const(0.0))]),
+        flag_binding("A", i, na),
+        flag_binding("B", j, nb),
+        Decl("binding", "double", Const(0.0)),
+        lanes([Assign("binding", Sym("binding") + vec("BIND"))]),
+        If(Sym("binding").gt(Const(0.0)), [
+            limit("A", i, na),
+            limit("B", j, nb),
+            *losses(),
+        ]),
+        clear("G"),
+        *triangle("A", i, na, "B", j, nb),
+        *triangle("B", j, nb, "A", i, na),
+        Loop("i", Const(0), smin(na, nb), [
+            Let("wl", Load("w_lo", (i, i))),
+            Let("k5", Load("k500", (ix, i, i))),
+            Let("kd", Load("kdel", (ix, i, i))),
+            Let("dst", Select((i + 1).lt(nkr), i + 1, nkr - 1), ctype="long"),
+            lanes([
+                Store(
+                    "G",
+                    (Sym("dst"), ln),
+                    (at("A", i) * at("B", i))
+                    * (Sym("wl") * (Sym("k5") + w * Sym("kd"))),
+                    "+=",
+                )
+            ]),
+        ]),
+        Loop("k", Const(0), nkr, [
+            lanes([Store("G", (k, ln), g_k * Sym("hdt"))])
+        ]),
+        If(selfc.ne(Const(0)), [scatter_self], [scatter_pair]),
+    ]
+
+    select = Loop("p", Sym("s0"), Sym("s1"), [
+        If(
+            Load("gate", (ix, p))
+            .ne(Const(0))
+            .logical_and(Load("sums", (ca, p)).gt(Sym("nmin")))
+            .logical_and(Load("sums", (cb, p)).gt(Sym("nmin"))),
+            [
+                Store("pts", (Sym("s0") + Sym("cnt"),), p),
+                Assign("occ_a", smax(Load("occ", (ca, p)), Sym("occ_a"))),
+                Assign("occ_b", smax(Load("occ", (cb, p)), Sym("occ_b"))),
+                Assign("cnt", Sym("cnt") + 1),
+            ],
+        )
+    ])
+
+    segment = [
+        Let("s0", Load("seg", (s, Const(0))), ctype="long"),
+        Let("s1", Load("seg", (s, Const(1))), ctype="long"),
+        Decl("cnt", "long", Const(0)),
+        Decl("occ_a", "long", Const(0)),
+        Decl("occ_b", "long", Const(0)),
+        select,
+        Let("na", smax(Sym("occ_a"), Const(1)), ctype="long"),
+        Let("nb", smax(Sym("occ_b"), Const(1)), ctype="long"),
+        Loop("blk", Const(0), (Sym("cnt") + (COAL_LANES - 1)) / COAL_LANES, block),
+    ]
+
+    interaction = Loop("ix", Const(0), Sym("nix"), [
+        Let("ca", Load("ixinfo", (ix, Const(0))), ctype="long"),
+        Let("cb", Load("ixinfo", (ix, Const(1))), ctype="long"),
+        Let("cp", Load("ixinfo", (ix, Const(2))), ctype="long"),
+        Let("selfc", Load("ixinfo", (ix, Const(3))), ctype="long"),
+        Let("half", Select(selfc.ne(Const(0)), Const(0.5), Const(1.0))),
+        Let("hdt", half * dt),
+        Loop("s", Const(0), Sym("nseg"), segment),
+    ])
+
+    npts = Sym("npts")
+    return Kernel(
+        name="coal_bott_new",
+        params=(
+            ArrayParam(
+                "dists", strides=(nkr, Const(1)), intent="inout", ptr_table=True
+            ),
+            ArrayParam("sums", strides=(npts, Const(1)), intent="inout"),
+            ArrayParam("occ", strides=(npts, Const(1)), ctype="long"),
+            ArrayParam("gate", strides=(npts, Const(1)), ctype="unsigned char"),
+            ArrayParam("ws", strides=(Const(1),)),
+            ArrayParam("k500", strides=(nkr * nkr, nkr, Const(1))),
+            ArrayParam("kdel", strides=(nkr * nkr, nkr, Const(1))),
+            ArrayParam("w_lo", strides=(nkr, Const(1))),
+            ArrayParam("w_hi", strides=(nkr, Const(1))),
+            ArrayParam("ixinfo", strides=(Const(4), Const(1)), ctype="long"),
+            ArrayParam("seg", strides=(Const(2), Const(1)), ctype="long"),
+            ArrayParam("pts", strides=(Const(1),), ctype="long", intent="scratch"),
+            ScalarParam("nix", "long"),
+            ScalarParam("nseg", "long"),
+            ScalarParam("npts", "long"),
+            ScalarParam("nkr", "long"),
+            ScalarParam("dt"),
+            ScalarParam("nmin"),
+        ),
+        body=[interaction],
+        doc=(
+            "coal_bott_new: every interaction over the gathered collision "
+            "points, interactions serial (selection cascade), points in "
+            "lane blocks held as (bin, lane) tiles so the innermost loop "
+            "runs over grid points."
+        ),
+    )
+
+
 loopir.register_kernel(
     loopir.KernelSpec(
         name="sed_sweep",
@@ -483,8 +877,16 @@ loopir.register_kernel(
         transform=transform.plan_offload,
     )
 )
+loopir.register_kernel(
+    loopir.KernelSpec(
+        name="coal_bott_new",
+        build=build_coal_bott_new_ir,
+        transform=_plan_serial,
+    )
+)
 
 _c_double_p = ctypes.POINTER(ctypes.c_double)
+_c_long_p = ctypes.POINTER(ctypes.c_long)
 
 
 def _declare(lib: ctypes.CDLL) -> None:
@@ -521,6 +923,20 @@ def _declare(lib: ctypes.CDLL) -> None:
         _c_double_p,
         ctypes.c_long, ctypes.c_long,
     ]
+    lib.coal_bott_new.restype = None
+    lib.coal_bott_new.argtypes = [
+        ctypes.POINTER(_c_double_p),  # dists
+        _c_double_p,  # sums
+        _c_long_p,  # occ
+        ctypes.POINTER(ctypes.c_ubyte),  # gate
+        _c_double_p,  # ws
+        _c_double_p, _c_double_p,  # k500, kdel
+        _c_double_p, _c_double_p,  # w_lo, w_hi
+        _c_long_p, _c_long_p, _c_long_p,  # ixinfo, seg, pts
+        ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long,
+        # nix, nseg, npts, nkr
+        ctypes.c_double, ctypes.c_double,  # dt, nmin
+    ]
 
 
 # Derive annotations, verify, and emit the C source; an illegal
@@ -532,14 +948,15 @@ _module = cgen.build_module(
         transform.plan_offload(build_sed_sweep_ir()).kernel,
         _plan_serial(build_sed_sweep_members_ir()).kernel,
         transform.plan_offload(build_remap_scatter_ir()).kernel,
+        _plan_serial(build_coal_bott_new_ir()).kernel,
     ],
     disable_env=DISABLE_ENV,
     build_dir=Path(__file__).resolve().parent / "_cbuild",
     setup=_declare,
     banner=(
-        "Generated by repro.codee.cgen from the sed_sweep/remap_scatter "
-        "loop IR; annotations derived by repro.codee.transform. Do not "
-        "edit."
+        "Generated by repro.codee.cgen from the sed_sweep/remap_scatter/"
+        "coal_bott_new loop IR; annotations derived by "
+        "repro.codee.transform. Do not edit."
     ),
 )
 
@@ -695,3 +1112,91 @@ def remap_scatter(
         _dptr(out),
         npts, nkr,
     )
+
+
+def _fits(arr: np.ndarray, shape: tuple, dtype) -> bool:
+    return arr.shape == shape and arr.dtype == dtype and arr.flags.c_contiguous
+
+
+def coal_bott_new(
+    lib: ctypes.CDLL,
+    dists: list[np.ndarray],
+    sums: np.ndarray,
+    occ: np.ndarray,
+    gate: np.ndarray,
+    ws: np.ndarray,
+    k500: np.ndarray,
+    kdel: np.ndarray,
+    w_lo: np.ndarray,
+    w_hi: np.ndarray,
+    ixinfo: np.ndarray,
+    seg: np.ndarray,
+    dt: float,
+    nmin: float,
+) -> bool:
+    """Run every interaction of one collision step in place.
+
+    ``dists`` holds each species' C-contiguous float64 ``(npts, nkr)``
+    rows; ``sums`` (``(nsp, npts)``, updated in place) the running
+    species sums the selection tests; ``occ`` the pre-step occupied-bin
+    counts (``(nsp, npts)`` int64); ``gate`` the ``(nix, npts)``
+    temperature gates; ``ws`` the pressure weights; ``k500``/``kdel``
+    the ``(nix, nkr, nkr)`` kernel tables; ``w_lo``/``w_hi`` the
+    ``(nkr, nkr)`` split tables; ``ixinfo`` rows ``(collector,
+    collected, product, self)`` as species indices; ``seg`` the
+    ``(nseg, 2)`` member segments, ordered and disjoint. Returns
+    ``False`` (nothing touched) when the distributions' layout is
+    unsupported and the caller must use numpy; raises ``ValueError``
+    on malformed tables, indices or segments.
+    """
+    npts, nkr = dists[0].shape
+    if nkr > MAX_NKR or not all(_fits(d, (npts, nkr), np.float64) for d in dists):
+        return False
+    nsp, nix, nseg = len(dists), len(ixinfo), len(seg)
+    expected = (
+        (sums, (nsp, npts), np.float64),
+        (occ, (nsp, npts), np.int64),
+        (gate, (nix, npts), np.uint8),
+        (ws, (npts,), np.float64),
+        (k500, (nix, nkr, nkr), np.float64),
+        (kdel, (nix, nkr, nkr), np.float64),
+        (w_lo, (nkr, nkr), np.float64),
+        (w_hi, (nkr, nkr), np.float64),
+        (ixinfo, (nix, 4), np.int64),
+        (seg, (nseg, 2), np.int64),
+    )
+    # The kernel indexes its stack tiles by occupancy and the species
+    # table by ixinfo, and compacts each segment's points in place.
+    if not (
+        all(_fits(*e) for e in expected)
+        and (npts == 0 or 0 <= occ.min() and occ.max() <= nkr)
+        and (nix == 0 or 0 <= ixinfo[:, :3].min() and ixinfo[:, :3].max() < nsp)
+        and (nseg == 0 or (0 <= seg[:, 0]).all() and (seg[:, 0] <= seg[:, 1]).all()
+             and (seg[:, 1] <= npts).all()
+             and (seg[1:, 0] >= seg[:-1, 1]).all())
+    ):
+        raise ValueError("coal_bott_new: malformed kernel inputs")
+    ptrs = (_c_double_p * len(dists))(*[_dptr(d) for d in dists])
+    # Per-call scratch: concurrent callers (thread ranks) never share it.
+    pts = np.empty(max(npts, 1), dtype=np.int64)
+
+    def lptr(arr: np.ndarray):
+        return arr.ctypes.data_as(_c_long_p)
+
+    lib.coal_bott_new(
+        ptrs,
+        _dptr(sums),
+        lptr(occ),
+        gate.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
+        _dptr(ws),
+        _dptr(k500),
+        _dptr(kdel),
+        _dptr(w_lo),
+        _dptr(w_hi),
+        lptr(ixinfo),
+        lptr(seg),
+        lptr(pts),
+        nix, nseg, npts, nkr,
+        dt, nmin,
+    )
+    return True

@@ -12,14 +12,18 @@ coalesced mass ``x_i + x_j`` on the product grid, split over two bins
 so number and mass are conserved exactly. A per-bin limiter scales the
 event tensor so no bin loses more than it holds.
 
-Two contraction engines share these semantics:
+Three engines share these semantics:
 
-* The **dense** engine (``use_sparse=False``) materializes the pair
-  tensor ``E[p, i, j]`` per point and contracts it against the dense
-  ``(nkr, nkr, nkr)`` Kovetz–Olund split tensor — a direct vectorized
-  transcription of the scalar triple loop.
-* The **sparse** engine (the default) never materializes ``E``. Because
-  the split weights are separable from the limiter
+* The **compiled** engine — every float64 call while the physics
+  kernels load — runs all interactions in one call of the loop-IR
+  ``coal_bott_new`` kernel (:mod:`repro.fsbm.ckernels`): the
+  interaction loop serial, the points in lane blocks with the loop
+  over grid points innermost. A point's result depends only on its
+  own row and its member segment's occupied rectangle.
+* The **sparse** numpy engine (the fallback under a kill switch or
+  without a compiler, the engine of the float32 device-precision
+  stages, and the compiled kernel's 1e-12 oracle) never materializes
+  ``E``. Because the split weights are separable from the limiter
   (``E' = Kp * (f_a a) x (f_b b)``) and every pair's destination bins
   follow the triangular structure of the mass-doubling ladder
   (``k_lo = max(i, j)`` off the diagonal, ``k_lo = i + 1`` on it, and
@@ -28,9 +32,13 @@ Two contraction engines share these semantics:
   matmuls against precomputed operators that fold the split weights
   into the kernel tables. The operators are sliced to the occupied
   rectangle, so the work scales with ``na * nb`` like the scalar
-  code's occupied-bin bounds. :func:`_pair_split` verifies the
-  triangular structure and the step silently falls back to the dense
-  engine if a grid ever violates it.
+  code's occupied-bin bounds.
+* The **dense** engine (``use_sparse=False``) materializes the pair
+  tensor ``E[p, i, j]`` per point and contracts it against the dense
+  ``(nkr, nkr, nkr)`` Kovetz–Olund split tensor — a direct vectorized
+  transcription of the scalar triple loop, kept as the sparse engine's
+  oracle. :func:`_pair_split` verifies the triangular structure and
+  the step falls back to the dense engine if a grid ever violates it.
 
 The pressure dependence of the kernel is handled with the rank-2
 identity ``K(p) = K500 + w(p) * (K750 - K500)`` so per-point kernel
@@ -43,19 +51,20 @@ stage (full 20-table ``kernals_ks`` precompute for the baseline versus
 occupied-bin on-demand entries after the lookup optimization). The GPU
 stages call it *before* launching so the cost model can price the
 kernel; :func:`coal_bott_step` calls the same function so reported
-stats always match what was charged. Both engines report identical
-stats: they model the *scalar* code's work, not the vectorized form.
+stats always match what was charged. All engines report identical
+stats: they model the *scalar* code's work, not the vectorized form;
+only ``CoalWorkStats.engine`` names the engine that ran.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.constants import KERNEL_P_HIGH_MB, KERNEL_P_LOW_MB
 from repro.core.cache import cached, get_cache
+from repro.fsbm import ckernels
 from repro.fsbm.bins import BinGrid
 from repro.fsbm.collision_kernels import FLOPS_PER_ENTRY, KernelTables, tables_token
 from repro.fsbm.species import Interaction, Species
@@ -207,6 +216,10 @@ class CoalWorkStats:
     pair_entries: float = 0.0
     #: (interaction, point) pairs actually exercised, for reports.
     interactions_used: float = 0.0
+    #: Engine that applied the collisions: ``"compiled"`` (the loop-IR
+    #: ``coal_bott_new`` kernel), ``"numpy"``, or ``"none"`` (no call
+    #: applied any; predictions also read ``"none"``).
+    engine: str = "none"
 
     @property
     def flops(self) -> float:
@@ -225,6 +238,8 @@ class CoalWorkStats:
         self.kernel_entries += other.kernel_entries
         self.pair_entries += other.pair_entries
         self.interactions_used += other.interactions_used
+        if other.engine != "none":
+            self.engine = other.engine
 
 
 #: Number concentration below which a species does not participate in
@@ -311,6 +326,14 @@ class CoalSelection:
             {sp: s.copy() for sp, s in self._sums.items()},
             self._gates,
         )
+
+    def stacked_sums(self, species: list[Species]) -> np.ndarray:
+        """A ``(nsp, npts)`` copy of the sums, rows in ``species`` order.
+
+        The compiled kernel's working copy: it refreshes the rows it
+        updates in place, as the numpy loop does on a :meth:`fork`.
+        """
+        return np.stack([self._sums[sp] for sp in species])
 
     def refresh(
         self,
@@ -607,257 +630,121 @@ def _apply_sparse(
             dists[ix.product][idx] += gain
 
 
-class CoalWorkspace:
-    """Persistent buffers for the batched collision engine.
+@dataclass(frozen=True)
+class CoalTableBlock:
+    """Every interaction's kernel tables in the compiled kernel's layout.
 
-    The per-interaction apply used to allocate its matmul results and
-    the gain accumulator fresh on every call — at 56 interaction
-    applications per three-step collision cadence, allocator traffic
-    showed up in the profile. This is the collision analog of the
-    Fortran ``*_temp`` preallocation (and of
-    :class:`repro.wrf.transport.TransportWorkspace`): named buffers
-    grow to the high-water mark during warm-up and are reused
-    thereafter, so steady-state steps perform **zero** workspace
-    allocations (asserted by the native-kernel tests via
-    :attr:`allocations`).
+    ``k500[n]`` and ``kdel[n]`` hold interaction ``n``'s full
+    ``(nkr, nkr)`` 500 mb table and its ``K750 - K500`` delta (the same
+    subtraction :func:`_build_coal_operators` performs); ``w_lo`` and
+    ``w_hi`` are the shared split weights of :func:`_pair_split`. The
+    kernel folds the weights into the entries it visits, so one block
+    serves every occupied rectangle.
     """
 
-    def __init__(self, dtype: np.dtype | type = np.float64):
-        self.dtype = np.dtype(dtype)
-        self._pools: dict[str, np.ndarray] = {}
-        #: Buffer (re)allocations performed so far; stable after warm-up.
-        self.allocations = 0
-
-    def buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """A ``shape`` view of the named pool, grown if needed."""
-        size = int(np.prod(shape))
-        pool = self._pools.get(name)
-        if pool is None or pool.size < size:
-            pool = np.empty(size, dtype=self.dtype)
-            self._pools[name] = pool
-            self.allocations += 1
-        return pool[:size].reshape(shape)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(p.nbytes for p in self._pools.values())
+    k500: np.ndarray
+    kdel: np.ndarray
+    w_lo: np.ndarray
+    w_hi: np.ndarray
 
 
-_coal_ws_cache = get_cache(
-    "fsbm.coal_workspace", maxsize=32, sizeof=lambda ws: ws.nbytes
-)
+def _coal_table_block(
+    tables: KernelTables, interactions: tuple[Interaction, ...], nkr: int
+) -> CoalTableBlock:
+    """The cached table block for one (tables, interaction list, grid)."""
+    cache = get_cache("fsbm.coal_operators", maxsize=256)
+    key = (tables_token(tables), tuple(ix.name for ix in interactions), nkr)
 
-
-def get_coal_workspace(
-    dtype: np.dtype | type = np.float64, owner: object | None = None
-) -> CoalWorkspace:
-    """The registered workspace for ``(dtype, owner)``.
-
-    ``owner`` defaults to the calling thread, so batched rank execution
-    (which runs per-rank physics on a thread pool) never shares scratch
-    buffers between concurrently executing ranks.
-    """
-    key = (np.dtype(dtype).str, owner if owner is not None else threading.get_ident())
-    return _coal_ws_cache.get_or_build(key, lambda: CoalWorkspace(dtype))
-
-
-def _batched_operators(
-    tables: KernelTables, name: str, nkr: int, na: int, nb: int, dtype: np.dtype
-) -> tuple:
-    """Stacked sparse operators for the batched engine.
-
-    The per-point pressure interpolation ``M @ Op500 + ws * (M @ OpDel)``
-    is folded into the GEMM itself by stacking the 500-mb and delta
-    operators vertically and widening the point matrix to
-    ``[m | ws * m]``: one GEMM per (side, role) instead of two GEMMs
-    plus three elementwise passes. The two gain operators of each side
-    (low deposit, high deposit) are additionally stacked horizontally,
-    so a full interaction needs four GEMMs — loss and gain per side —
-    against:
-
-    * ``BT = [[K5^T], [Kd^T]]``      (2 nb, na)   row losses
-    * ``AT = [[K5], [Kd]]``          (2 na, nb)   column losses
-    * ``BG = [[L5^T | Lh5^T], [Ld^T | Lhd^T]]``  (2 nb, 2 na) row gains
-    * ``AG = [[U5 | Uh5], [Ud | Uhd]]``          (2 na, 2 nb) col gains
-
-    The fused inner dimension reorders the interpolation dot products
-    (~1e-15 relative vs the reference's add-after-matmul), which is why
-    the batched engine is property tested at ≤1e-12 rather than
-    bitwise.
-    """
-    cache = get_cache("fsbm.coal_batched_operators", maxsize=256)
-    key = (tables_token(tables), name, nkr, na, nb, dtype.str)
-
-    def build() -> tuple:
-        ops_500, ops_del = _coal_operators(tables, name, nkr, na, nb, dtype)
-        k5t, k5, l5t, lh5t, u5, uh5, d5 = ops_500
-        kdt, kd, ldt, lhdt, ud, uhd, dd = ops_del
-        return (
-            np.ascontiguousarray(np.vstack([k5t, kdt])),
-            np.ascontiguousarray(np.vstack([k5, kd])),
-            np.ascontiguousarray(
-                np.vstack([np.hstack([l5t, lh5t]), np.hstack([ldt, lhdt])])
-            ),
-            np.ascontiguousarray(
-                np.vstack([np.hstack([u5, uh5]), np.hstack([ud, uhd])])
-            ),
-            d5,
-            dd,
+    def build() -> CoalTableBlock:
+        ps = _pair_split(nkr)
+        k500 = [tables.tables_500[ix.name][:nkr, :nkr] for ix in interactions]
+        kdel = [
+            (tables.tables_750[ix.name] - tables.tables_500[ix.name])[:nkr, :nkr]
+            for ix in interactions
+        ]
+        return CoalTableBlock(
+            k500=np.ascontiguousarray(np.stack(k500), dtype=np.float64),
+            kdel=np.ascontiguousarray(np.stack(kdel), dtype=np.float64),
+            w_lo=np.ascontiguousarray(ps.w_lo, dtype=np.float64),
+            w_hi=np.ascontiguousarray(ps.w_hi, dtype=np.float64),
         )
 
     return cache.get_or_build(key, build)
 
 
-def _apply_sparse_batched(
+def _compiled_kernels(dtype: np.dtype, use_sparse: bool, nkr: int):
+    """The compiled kernels when this call may use them, else ``None``.
+
+    The float32 device-precision stages, the dense oracle
+    (``use_sparse=False``) and grids off the mass-doubling ladder stay
+    on numpy, as does every call under a kill switch or without a
+    compiler.
+    """
+    if dtype != np.float64 or not use_sparse or not _pair_split(nkr).triangular:
+        return None
+    return ckernels.load_kernels()
+
+
+def _apply_compiled(
+    lib,
     dists: dict[Species, np.ndarray],
-    ix: Interaction,
-    idx: np.ndarray,
-    a_full: np.ndarray,
-    b_full: np.ndarray,
-    na: int,
-    nb: int,
-    ws: np.ndarray,
+    selection: CoalSelection,
+    interactions: tuple[Interaction, ...],
+    occupied: dict[Species, np.ndarray] | None,
+    w_full: np.ndarray,
     dt: float,
-    dtype: np.dtype,
     tables: KernelTables,
     nkr: int,
-    work: CoalWorkspace,
-) -> None:
-    """One interaction's update via batched GEMMs over the workspace.
+    segments: list[tuple[int, int]],
+) -> bool:
+    """Every interaction through the compiled ``coal_bott_new`` kernel.
 
-    Numerically this follows :func:`_apply_sparse` operation for
-    operation — same loss/limiter/gain sequence, with the pressure
-    interpolation fused into the GEMM inner dimension (see
-    :func:`_batched_operators`, agreement ~1e-15) and the scalar
-    prefactor applied as one ``half * dt`` product (``half`` is a power
-    of two, so the reordering is exact). All matmul outputs, the
-    widened point matrices, and the gain accumulator live in the
-    persistent ``work`` buffers, so steady-state calls perform no
-    workspace allocations. In self-collection ``a`` and ``b`` hold the
-    same values, so the ``a``-side GEMM serves the reference's
-    ``b @ K`` column losses verbatim.
+    The kernel works on a copy of the selection's sums (the
+    :meth:`CoalSelection.fork` of the numpy loop), so ``selection``
+    stays pristine. Returns ``False`` without touching ``dists`` when
+    the kernel refuses the layout.
     """
-    n_a = dists[ix.collector]
-    n_b = dists[ix.collected]
-    if a_full.dtype == dtype:
-        a = a_full[:, :na]
-        b = b_full[:, :nb]
+    species = list(dists)
+    slot = {sp: n for n, sp in enumerate(species)}
+    npts = w_full.shape[0]
+    block = _coal_table_block(tables, interactions, nkr)
+    if occupied is not None:
+        occ = np.stack([occupied[sp] for sp in species]).astype(np.int64)
     else:
-        a = a_full[:, :na].astype(dtype)
-        b = b_full[:, :nb].astype(dtype)
-    bt, at, bg, ag, d5, dd = _batched_operators(tables, ix.name, nkr, na, nb, dtype)
-    half = dtype.type(0.5) if ix.self_collection else dtype.type(1.0)
-    scale = half * dtype.type(dt)
-    wsc = ws[:, None]
-    npts = len(idx)
+        occ = np.full((len(species), npts), nkr, dtype=np.int64)
+    gate = np.stack([selection.gate(ix) for ix in interactions]).astype(np.uint8)
+    ixinfo = np.array(
+        [
+            (slot[ix.collector], slot[ix.collected], slot[ix.product],
+             int(ix.self_collection))
+            for ix in interactions
+        ],
+        dtype=np.int64,
+    )
+    return ckernels.coal_bott_new(
+        lib,
+        [dists[sp] for sp in species],
+        selection.stacked_sums(species),
+        occ,
+        gate,
+        np.ascontiguousarray(w_full, dtype=np.float64),
+        block.k500,
+        block.kdel,
+        block.w_lo,
+        block.w_hi,
+        ixinfo,
+        np.asarray(segments, dtype=np.int64).reshape(-1, 2),
+        dt,
+        COAL_N_MIN,
+    )
 
-    def widen(name: str, m: np.ndarray, n: int) -> np.ndarray:
-        """``[m | ws * m]`` in a persistent buffer (the GEMM left side)."""
-        m2 = work.buffer(name, (npts, 2 * n))
-        m2[:, :n] = m
-        np.multiply(m, wsc, out=m2[:, n:])
-        return m2
 
-    a2 = widen("a2", a, na)
-    b2 = widen("b2", b, nb)
-    lb = work.buffer("lb", (npts, na))
-    la = work.buffer("la", (npts, nb))
-    rs = work.buffer("rs", (npts, na))
-    cs = work.buffer("cs", (npts, nb))
-
-    def losses(ap_: np.ndarray, bp_: np.ndarray) -> None:
-        np.matmul(b2, bt, out=lb)
-        np.multiply(ap_, lb, out=rs)
-        np.multiply(rs, scale, out=rs)
-        np.matmul(a2, at, out=la)
-        np.multiply(bp_, la, out=cs)
-        np.multiply(cs, scale, out=cs)
-
-    losses(a, b if not ix.self_collection else a)
-    if ix.self_collection:
-        loss = rs + cs
-        if np.all(loss <= a):
-            # Limiter never binds: a' == a exactly (zero bins have zero
-            # loss), so the pre-limit losses are already final.
-            ap = a
-            bp = a
-        else:
-            f = np.minimum(1.0, a / np.maximum(loss, 1e-30)).astype(dtype)
-            ap = a * f
-            bp = ap
-            widen("a2", ap, na)
-            widen("b2", bp, nb)
-            losses(ap, bp)
-    else:
-        if np.all(rs <= a) and np.all(cs <= b):
-            ap = a
-            bp = b
-        else:
-            f_a = np.minimum(1.0, a / np.maximum(rs, 1e-30)).astype(dtype)
-            f_b = np.minimum(1.0, b / np.maximum(cs, 1e-30)).astype(dtype)
-            ap = a * f_a
-            bp = b * f_b
-            widen("a2", ap, na)
-            widen("b2", bp, nb)
-            losses(ap, bp)
-
-    nd = min(na, nb)
-    gb = work.buffer("gb", (npts, 2 * na))
-    ga = work.buffer("ga", (npts, 2 * nb))
-    np.matmul(b2, bg, out=gb)
-    np.matmul(a2, ag, out=ga)
-    g = work.buffer("g", (npts, nkr))
-    g[:] = 0.0
-    t = work.buffer("t", (npts, max(na, nb)))
-    ta = t[:, :na]
-    tb = t[:, :nb]
-    ha = min(na, nkr - 1)
-    hb = min(nb, nkr - 1)
-    hd = min(nd, nkr - 1)
-    np.multiply(ap, gb[:, :na], out=ta)
-    g[:, :na] += ta
-    np.multiply(bp, ga[:, :nb], out=tb)
-    g[:, :nb] += tb
-    np.multiply(ap, gb[:, na:], out=ta)
-    g[:, 1 : ha + 1] += ta[:, :ha]
-    np.multiply(bp, ga[:, nb:], out=tb)
-    g[:, 1 : hb + 1] += tb[:, :hb]
-    dg = work.buffer("dg", (npts, nd))
-    dw = work.buffer("dw", (npts, nd))
-    np.multiply(ap[:, :nd], bp[:, :nd], out=dg)
-    np.multiply(dd, wsc, out=dw)
-    dw += d5
-    dg *= dw
-    g[:, 1 : hd + 1] += dg[:, :hd]
-    if nd == nkr:
-        # Top diagonal pair overflows into the top bin itself.
-        g[:, nkr - 1] += dg[:, nkr - 1]
-    g *= scale
-    gain = g
-
-    if ix.self_collection:
-        a_new = a_full.copy()
-        a_new[:, :na] = np.maximum(a - rs - cs, 0.0)
-        if ix.product is ix.collector:
-            n_a[idx] = np.maximum(a_new + gain, 0.0)
-        else:
-            n_a[idx] = a_new
-            dists[ix.product][idx] += gain
-    else:
-        a_new = a_full.copy()
-        b_new = b_full.copy()
-        a_new[:, :na] = np.maximum(a - rs, 0.0)
-        b_new[:, :nb] = np.maximum(b - cs, 0.0)
-        if ix.product is ix.collector:
-            n_a[idx] = a_new + gain
-            n_b[idx] = b_new
-        elif ix.product is ix.collected:
-            n_a[idx] = a_new
-            n_b[idx] = b_new + gain
-        else:
-            n_a[idx] = a_new
-            n_b[idx] = b_new
-            dists[ix.product][idx] += gain
+def _pressure_weights(pressure_mb: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """``w(p)`` of the rank-2 identity ``K(p) = K500 + w (K750 - K500)``."""
+    return (
+        (np.asarray(pressure_mb) - KERNEL_P_LOW_MB)
+        / (KERNEL_P_HIGH_MB - KERNEL_P_LOW_MB)
+    ).astype(dtype)
 
 
 def coal_bott_step(
@@ -872,8 +759,6 @@ def coal_bott_step(
     dtype: np.dtype | type = np.float64,
     selection: CoalSelection | None = None,
     use_sparse: bool = True,
-    use_batched: bool = False,
-    workspace: CoalWorkspace | None = None,
 ) -> CoalWorkStats:
     """Advance all distributions by one collision step, in place.
 
@@ -884,13 +769,12 @@ def coal_bott_step(
 
     ``selection`` shares a pre-built :class:`CoalSelection` (the
     collision stage builds it once per step for both the work
-    prediction and the update). ``use_sparse`` picks the contraction
-    engine; both produce the same physics, with relative differences
-    only at the float-associativity level (~1e-14 in float64).
-    ``use_batched`` (sparse engine only) runs each interaction through
-    the stacked-GEMM apply over a persistent :class:`CoalWorkspace`
-    (``workspace``, defaulting to the calling thread's registered
-    instance) — same physics to ≤1e-12.
+    prediction and the update). float64 calls run the compiled
+    ``coal_bott_new`` kernel when it is available; otherwise
+    ``use_sparse`` picks the numpy contraction engine. All engines
+    produce the same physics, with relative differences only at the
+    float-associativity level (~1e-14 in float64). The returned stats
+    name the engine that ran.
     """
     npts = temperature.shape[0]
     if selection is None and npts:
@@ -904,14 +788,18 @@ def coal_bott_step(
 
     nkr = next(iter(dists.values())).shape[1]
     dtype = np.dtype(dtype)
-    w_full = (
-        (np.asarray(pressure_mb) - KERNEL_P_LOW_MB)
-        / (KERNEL_P_HIGH_MB - KERNEL_P_LOW_MB)
-    ).astype(dtype)
+    w_full = _pressure_weights(pressure_mb, dtype)
+    lib = _compiled_kernels(dtype, use_sparse, nkr)
+    if lib is not None and _apply_compiled(
+        lib, dists, selection, interactions, occupied, w_full, dt, tables,
+        nkr, [(0, npts)],
+    ):
+        stats.engine = "compiled"
+        return stats
+
+    stats.engine = "numpy"
     use_sparse = use_sparse and _pair_split(nkr).triangular
     g_split = None if use_sparse else _split_tensor(nkr)
-    if use_sparse and use_batched and workspace is None:
-        workspace = get_coal_workspace(dtype)
     live = selection.fork()
 
     for ix in interactions:
@@ -932,12 +820,7 @@ def coal_bott_step(
             na = nb = nkr
         ws = w_full[idx]
 
-        if use_sparse and use_batched:
-            _apply_sparse_batched(
-                dists, ix, idx, a_full, b_full, na, nb, ws, dt, dtype, tables,
-                nkr, workspace,
-            )
-        elif use_sparse:
+        if use_sparse:
             _apply_sparse(
                 dists, ix, idx, a_full, b_full, na, nb, ws, dt, dtype, tables, nkr
             )
@@ -964,8 +847,6 @@ def coal_bott_step_members(
     dtype: np.dtype | type = np.float64,
     selection: CoalSelection | None = None,
     use_sparse: bool = True,
-    use_batched: bool = False,
-    workspace: CoalWorkspace | None = None,
 ) -> list[CoalWorkStats]:
     """One collision step over member-concatenated points, in place.
 
@@ -974,19 +855,22 @@ def coal_bott_step_members(
     the per-member work stats a solo :func:`coal_bott_step` of each
     member would report.
 
-    What is shared across members is everything row-local: the
-    temperature-gate cache, the per-row sums, the interaction masks,
-    ``flatnonzero``, the pressure weights, and the post-apply
-    ``refresh`` — one Python sweep over the interaction list instead of
-    N. The operator applications themselves stay per member: BLAS
-    GEMM/GEMV results for a given row depend on the call's total row
-    count (kernel/blocking selection), so concatenating members' rows
-    into one apply would perturb rows at the ulp level — and the
-    occupied-bin rectangle ``(na, nb)`` is member-specific anyway (the
-    solo step takes the *member's* max, and the rectangle sets the BLAS
-    inner dimension). Each member's apply therefore runs on exactly its
-    own rows at exactly its solo rectangle, which reproduces the solo
-    update bit-for-bit; members write disjoint row sets, so their order
+    The compiled kernel takes every member in one call: ``segments``
+    become its member segments, each with its own occupied rectangle
+    (the solo step takes the *member's* max), and no lane block
+    straddles two members. A point's arithmetic depends only on its
+    own row and its segment's rectangle, so each member's update is
+    bit-for-bit its solo update.
+
+    On the numpy engine what is shared across members is everything
+    row-local: the temperature-gate cache, the per-row sums, the
+    interaction masks, ``flatnonzero``, the pressure weights, and the
+    post-apply ``refresh``. The operator applications stay per member:
+    BLAS GEMM/GEMV results for a given row depend on the call's total
+    row count (kernel/blocking selection), so concatenating members'
+    rows into one apply would perturb rows at the ulp level. Each
+    member's apply therefore runs on exactly its own rows at exactly
+    its solo rectangle; members write disjoint row sets, so their order
     is immaterial.
     """
     npts = temperature.shape[0]
@@ -1001,14 +885,21 @@ def coal_bott_step_members(
 
     nkr = next(iter(dists.values())).shape[1]
     dtype = np.dtype(dtype)
-    w_full = (
-        (np.asarray(pressure_mb) - KERNEL_P_LOW_MB)
-        / (KERNEL_P_HIGH_MB - KERNEL_P_LOW_MB)
-    ).astype(dtype)
+    w_full = _pressure_weights(pressure_mb, dtype)
+    lib = _compiled_kernels(dtype, use_sparse, nkr)
+    engine = "numpy"
+    if lib is not None and _apply_compiled(
+        lib, dists, selection, interactions, occupied, w_full, dt, tables,
+        nkr, segments,
+    ):
+        engine = "compiled"
+    for st in stats:
+        st.engine = engine
+    if engine == "compiled":
+        return stats
+
     use_sparse = use_sparse and _pair_split(nkr).triangular
     g_split = None if use_sparse else _split_tensor(nkr)
-    if use_sparse and use_batched and workspace is None:
-        workspace = get_coal_workspace(dtype)
     live = selection.fork()
     starts = np.asarray([s for s, _ in segments])
     stops = np.asarray([e for _, e in segments])
@@ -1035,12 +926,7 @@ def coal_bott_step_members(
             a_full = dists[ix.collector][rows]
             b_full = dists[ix.collected][rows]
             ws = w_full[rows]
-            if use_sparse and use_batched:
-                _apply_sparse_batched(
-                    dists, ix, rows, a_full, b_full, na, nb, ws, dt, dtype,
-                    tables, nkr, workspace,
-                )
-            elif use_sparse:
+            if use_sparse:
                 _apply_sparse(
                     dists, ix, rows, a_full, b_full, na, nb, ws, dt, dtype,
                     tables, nkr,

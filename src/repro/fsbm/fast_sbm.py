@@ -117,7 +117,6 @@ class FastSBM:
         offload_condensation: bool = False,
         autocompare: bool = False,
         use_native_physics: bool = True,
-        use_batched_coal: bool = False,
     ):
         self.stage = stage
         self.spec: StageSpec = STAGE_SPECS[stage]
@@ -137,8 +136,6 @@ class FastSBM:
         #: Route sedimentation/condensation through the compiled kernels
         #: of :mod:`repro.fsbm.ckernels` (numpy fallback is automatic).
         self.use_native_physics = use_native_physics
-        #: Route collisions through the batched-GEMM workspace engine.
-        self.use_batched_coal = use_batched_coal
         self.temp_arrays: TempArrays | None = None
         if stage.uses_gpu and engine is None:
             raise ConfigurationError(f"stage {stage} requires an offload engine")
@@ -429,7 +426,6 @@ class FastSBM:
                 occupied=occupied,
                 on_demand=self.stage.on_demand_kernels,
                 selection=selection,
-                use_batched=self.use_batched_coal,
             )
             self._charge_cpu(
                 work.flops, work.bytes_moved, iterations=int(work.pair_entries)
@@ -497,9 +493,8 @@ class FastSBM:
                     on_demand=True,
                     dtype=np.float64,
                     selection=selection,
-                    use_batched=self.use_batched_coal,
                 )
-            coal_bott_step(
+            ran = coal_bott_step(
                 c_dists,
                 c_t,
                 c_p,
@@ -510,8 +505,8 @@ class FastSBM:
                 on_demand=True,
                 dtype=device_dtype,
                 selection=selection,
-                use_batched=self.use_batched_coal,
             )
+            work.engine = ran.engine
             if shadow is not None:
                 from repro.core.autocompare import autocompare_region
 
@@ -855,7 +850,7 @@ def step_members(
                     c_dists, c_t, c_p, dt, lead.tables, INTERACTIONS,
                     coal_segments, occupied=occupied,
                     on_demand=lead.stage.on_demand_kernels,
-                    selection=selection, use_batched=lead.use_batched_coal,
+                    selection=selection,
                 )
                 for sp in g_dists:
                     g_dists[sp][cidx] = c_dists[sp]

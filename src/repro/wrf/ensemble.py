@@ -231,6 +231,14 @@ def build_rank_ensemble(
 # is what keeps all execution modes bit-identical.
 
 
+def _coal_engine(stats: list[SbmStepStats]) -> str:
+    """The collision engine of a member-batched step (one call serves
+    every member, so the members agree; ``"none"`` if none collided)."""
+    return next(
+        (s.coal.engine for s in stats if s.coal.engine != "none"), "none"
+    )
+
+
 def physics_rank_members(
     namelist: Namelist, ens: RankEnsemble
 ) -> list[SbmStepStats]:
@@ -254,6 +262,7 @@ def physics_rank_members(
                 members=len(stats),
                 mp_points=sum(s.mp_points for s in stats),
                 coal_points=sum(s.coal_points for s in stats),
+                coal_engine=_coal_engine(stats),
             )
     return stats
 

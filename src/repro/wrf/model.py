@@ -143,7 +143,6 @@ def build_rank_sbm(
         precision=namelist.device_precision,
         offload_condensation=namelist.offload_condensation,
         use_native_physics=namelist.use_native_physics,
-        use_batched_coal=namelist.use_batched_coal,
     )
 
 
@@ -167,7 +166,11 @@ def physics_rank(namelist: Namelist, fields: WrfFields, sbm: FastSBM) -> SbmStep
             dz_cm=namelist.domain.dz * 100.0,
         )
         if sp is not None:
-            sp.set(mp_points=stats.mp_points, coal_points=stats.coal_points)
+            sp.set(
+                mp_points=stats.mp_points,
+                coal_points=stats.coal_points,
+                coal_engine=stats.coal.engine,
+            )
     return stats
 
 

@@ -68,14 +68,6 @@ class Namelist:
     #: reference transparently (also forced by ``REPRO_DISABLE_CPHYS``
     #: or ``REPRO_DISABLE_CJIT``). Results are bit-identical.
     use_native_physics: bool = True
-    #: Batch the sparse collision interactions into stacked GEMMs over
-    #: a persistent :class:`repro.fsbm.coal_bott.CoalWorkspace` instead
-    #: of per-operator matvecs. Agrees with the unbatched path to BLAS
-    #: blocking differences (~1e-12 relative after the cascade).
-    #: Measured neutral-to-slightly-slower on a single core at CONUS
-    #: scale (the widened-operand traffic offsets the dispatch savings)
-    #: so it defaults off; threaded BLAS favors the fewer, wider GEMMs.
-    use_batched_coal: bool = False
     #: Execute per-rank CPU stages on a thread pool between halo
     #: exchanges. Ranks are independent within a stage (physics and
     #: transport each touch only their own patch, clock, and FSBM

@@ -12,6 +12,7 @@ from repro.codee.loopir import (
     Kernel,
     Let,
     Load,
+    LocalArray,
     Loop,
     ScalarParam,
     Store,
@@ -84,6 +85,24 @@ class TestEmission:
         assert "#pragma omp parallel for schedule(static)" in text
         assert "reduction(+:acc)" in text
 
+    def test_lane_tiles_are_two_dimensional(self):
+        lane = Sym("lane")
+        k = Kernel(
+            "tile",
+            (ArrayParam("out", strides=(Const(8), Const(1)), intent="out"),),
+            [
+                LocalArray("t", 4, lanes=8),
+                Loop("lane", Const(0), Const(8), [
+                    Store("t", (Const(3), lane), Const(1.0)),
+                    Store("out", (Const(0), lane), Load("t", (Const(3), lane))),
+                ], simd=True),
+            ],
+        )
+        text = cgen.emit_kernel(k)
+        assert "double t[4][8];" in text
+        assert "t[3][lane] = 1.0;" in text
+        assert "#pragma omp simd" in text
+
     def test_serial_kernel_has_no_pragmas(self):
         assert "#pragma" not in cgen.emit_kernel(_elementwise())
 
@@ -154,4 +173,5 @@ class TestProductionSources:
 
         assert "sed_sweep" in ckernels.C_SOURCE
         assert "remap_scatter" in ckernels.C_SOURCE
+        assert "coal_bott_new" in ckernels.C_SOURCE
         assert "#pragma omp parallel" not in ckernels.C_SOURCE

@@ -343,6 +343,60 @@ class TestPasses:
         assert nest.body[0].simd
 
 
+def _cascade(lanes_stop):
+    """A serial outer loop (``acc`` carries across ``t``) around a
+    lane tile whose innermost loop over points is independent."""
+    t, b, lane = Sym("t"), Sym("b"), Sym("lane")
+    nest = Loop("t", Const(0), Sym("nt"), [
+        LocalArray("tile", 8, lanes=8),
+        Loop("b", Const(0), Sym("nb"), [
+            Loop("lane", Const(0), lanes_stop, [
+                Store("tile", (b, lane), Load("src", (t, b, lane)) * 2.0),
+            ]),
+        ]),
+        Loop("lane", Const(0), lanes_stop, [
+            Store("acc", (lane,), Load("tile", (Const(0), lane)), "+="),
+        ]),
+    ])
+    return Kernel(
+        name="cascade",
+        params=(
+            ArrayParam("src", strides=(Const(64), Const(8), Const(1))),
+            ArrayParam("acc", strides=(Const(1),), intent="inout"),
+            ScalarParam("nt", "long"),
+            ScalarParam("nb", "long"),
+        ),
+        body=[nest],
+    )
+
+
+class TestInnerLoops:
+    def test_serial_nest_reports_its_independent_inner_loops(self):
+        plan = plan_offload(_cascade(Const(8)))
+        assert plan.reports["t"].parallel_depth == 0
+        by_var = {}
+        for rep in plan.inner["t"]:
+            by_var.setdefault(rep.nest.var, []).append(rep.parallel_depth)
+        assert by_var == {"b": [2], "lane": [1, 1]}
+        assert "inner loops over 'lane': 2 of 2 proven independent" in (
+            plan.summary()
+        )
+
+    def test_fixed_width_lane_loops_get_simd(self):
+        plan = plan_offload(_cascade(Const(8)))
+        lanes = [r.nest for r in plan.inner["t"] if r.nest.var == "lane"]
+        assert all(lp.simd for lp in lanes)
+        assert not any(r.nest.simd for r in plan.inner["t"] if r.nest.var == "b")
+
+    def test_runtime_bounds_are_left_to_the_compiler(self):
+        plan = plan_offload(_cascade(Sym("nl")))
+        assert not any(r.nest.simd for r in plan.inner["t"])
+
+    def test_parallel_nests_get_no_inner_report(self):
+        plan = plan_offload(_copy2d())
+        assert plan.inner == {}
+
+
 class TestProductionDerivations:
     """The engine's verdicts on the real kernels must match the
     hand-written predecessors' annotations."""

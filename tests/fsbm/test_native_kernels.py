@@ -2,22 +2,28 @@
 
 The contract of :mod:`repro.fsbm.ckernels` (see its module docstring):
 the fused sedimentation sweep and the KO-remap scatter are **bit
-identical** to the numpy paths; the batched collision engine agrees to
-the ~1e-12 level (its fused GEMM inner dimension reorders the pressure
-interpolation); every compiled path degrades to numpy under
+identical** to the numpy paths; the ``coal_bott_new`` collision kernel
+agrees with the numpy sparse engine to 1e-12 per row (only the order of
+its dot products differs) and is bitwise independent of how points are
+grouped into calls; every compiled path degrades to numpy under
 ``REPRO_DISABLE_CPHYS``.
 """
 
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.constants import T_0
 from repro.fsbm import ckernels
-from repro.fsbm.coal_bott import (
-    CoalWorkspace,
-    coal_bott_step,
-    get_coal_workspace,
-)
+from repro.fsbm.coal_bott import coal_bott_step, coal_bott_step_members
 from repro.fsbm.collision_kernels import get_tables
+from repro.fsbm.reference import coal_bott_reference_point
 from repro.fsbm.condensation import _remap_spectrum
 from repro.fsbm.sedimentation import _courant_tables, sedimentation_step
 from repro.fsbm.species import INTERACTIONS, Species, species_bins
@@ -182,103 +188,271 @@ class TestRemapScatter:
         np.testing.assert_array_equal(e_nat, e_off)
 
 
-# --- batched collision engine ------------------------------------------------
+# --- compiled collision kernel ----------------------------------------------
 
 
-def _coal_run(dists, t=280.0, dt=5.0, batched=False, workspace=None):
+@contextmanager
+def _numpy_engine():
+    """Force the numpy collision engine (the kill switch) for a block."""
+    old = os.environ.get(ckernels.DISABLE_ENV)
+    os.environ[ckernels.DISABLE_ENV] = "1"
+    try:
+        yield
+    finally:
+        if old is None:
+            os.environ.pop(ckernels.DISABLE_ENV, None)
+        else:
+            os.environ[ckernels.DISABLE_ENV] = old
+
+
+def _occupied(dists):
+    out = {}
+    for sp, d in dists.items():
+        present = d > 1e-12
+        first = np.argmax(present[:, ::-1], axis=1)
+        out[sp] = np.where(present.any(axis=1), d.shape[1] - first, 0)
+    return out
+
+
+def _coal_run(dists, t=280.0, dt=5.0, p=700.0, occupied=True):
+    """One in-place collision step at uniform (or per-point) t and p."""
     npts = next(iter(dists.values())).shape[0]
     return coal_bott_step(
         dists,
-        np.full(npts, t),
-        np.full(npts, 700.0),
+        np.broadcast_to(np.asarray(t, dtype=float), (npts,)).copy(),
+        np.broadcast_to(np.asarray(p, dtype=float), (npts,)).copy(),
         dt,
         get_tables(),
         INTERACTIONS,
-        use_batched=batched,
-        workspace=workspace,
+        occupied=_occupied(dists) if occupied else None,
+        on_demand=True,
     )
 
 
-def _assert_dists_close(got, want, rtol=1e-12):
+def _both_engines(dists, **kw):
+    """Point-scaled difference of the compiled and numpy engines.
+
+    A grid point's collisions move number between its species, so the
+    rounding of every bin is relative to the point's largest bin: each
+    difference is divided by the largest magnitude of its point (all
+    species, before or after the step). A row the limiter drains to
+    rounding residue (~1e-18 of a value ~30), or a product row that
+    only receives cancellation residue, is thus compared at the size
+    of the point it came from. Returns ``(difference, compiled dists)``.
+    """
+    comp = {sp: d.copy() for sp, d in dists.items()}
+    ref = {sp: d.copy() for sp, d in dists.items()}
+    assert _coal_run(comp, **kw).engine == "compiled"
+    with _numpy_engine():
+        assert _coal_run(ref, **kw).engine == "numpy"
+    scale = np.zeros(next(iter(dists.values())).shape[0])
     for sp in Species:
-        scale = float(np.abs(want[sp]).max()) or 1.0
-        np.testing.assert_allclose(
-            got[sp], want[sp], rtol=rtol, atol=rtol * scale, err_msg=str(sp)
-        )
+        scale = np.maximum(scale, np.abs(dists[sp]).max(axis=1))
+        scale = np.maximum(scale, np.abs(ref[sp]).max(axis=1))
+    scale = np.where(scale > 0, scale, 1.0)[:, None]
+    worst = max(
+        float((np.abs(comp[sp] - ref[sp]) / scale).max(initial=0.0))
+        for sp in Species
+    )
+    return worst, comp
 
 
-class TestBatchedCoal:
-    def test_matches_unbatched_warm_rain(self):
-        a = make_liquid_dists(24, seed=3)
-        b = {sp: d.copy() for sp, d in a.items()}
-        _coal_run(a)
-        _coal_run(b, batched=True, workspace=CoalWorkspace())
-        _assert_dists_close(b, a)
+def _random_state(npts, seed, boost=1.0, regime="mixed"):
+    """Random spectra, occupancies and thermal regimes per point."""
+    rng = np.random.default_rng(seed)
+    dists = {sp: np.zeros((npts, NKR)) for sp in Species}
+    for sp in Species:
+        present = rng.random(npts) < (0.9 if sp is Species.LIQUID else 0.5)
+        lo = rng.integers(0, 12, npts)
+        hi = lo + rng.integers(1, NKR - 8, npts)
+        for n in np.flatnonzero(present):
+            dists[sp][n, lo[n] : min(hi[n], NKR)] = boost * rng.uniform(
+                0.0, 3.0, min(hi[n], NKR) - lo[n]
+            )
+    # Temperatures straddle every gate: warm, T_0 - 5, T_0 - 10.
+    warm = rng.uniform(T_0 + 1.0, T_0 + 15.0, npts)
+    cold = rng.uniform(T_0 - 25.0, T_0 - 1.0, npts)
+    t = {"warm": warm, "cold": cold}.get(
+        regime, np.where(rng.random(npts) < 0.5, warm, cold)
+    )
+    p = rng.uniform(450.0, 1000.0, npts)
+    return dists, t, p
 
-    def test_matches_unbatched_mixed_phase(self):
+
+def test_coal_kernel_is_ir_emitted_and_serial():
+    """coal_bott_new is generated from loop IR, with vector lane loops
+    and no parallel region (rank threads/processes own the cores)."""
+    src = ckernels.C_SOURCE
+    assert "void coal_bott_new(" in src
+    assert "#pragma omp parallel" not in src
+    body = src[src.index("void coal_bott_new(") :]
+    assert "#pragma omp simd" in body
+    assert "double A[64][8];" in body
+
+
+class TestCompiledCoal:
+    def test_matches_numpy_warm_rain(self):
+        dev, _ = _both_engines(make_liquid_dists(24, seed=3))
+        assert dev <= 1e-12
+
+    def test_matches_numpy_mixed_phase(self):
         rng = np.random.default_rng(4)
         a = {sp: np.zeros((16, NKR)) for sp in Species}
         for sp in (Species.LIQUID, Species.SNOW, Species.GRAUPEL,
                    Species.ICE_PLA):
             a[sp][:, 4:20] = rng.uniform(0.0, 2.0, (16, 16))
-        b = {sp: d.copy() for sp, d in a.items()}
-        _coal_run(a, t=258.0)
-        _coal_run(b, t=258.0, batched=True, workspace=CoalWorkspace())
-        _assert_dists_close(b, a)
+        dev, _ = _both_engines(a, t=258.0)
+        assert dev <= 1e-12
 
-    def test_matches_unbatched_when_limiter_binds(self):
+    def test_matches_numpy_when_limiter_binds(self):
         # 100x concentrations at a large dt force the positivity
-        # limiter's rescale branch in nearly every interaction.
+        # limiter in nearly every interaction.
         a = make_liquid_dists(12, seed=9, lo_bin=10, hi_bin=25)
         a[Species.LIQUID] *= 100.0
-        b = {sp: d.copy() for sp, d in a.items()}
-        _coal_run(a, dt=60.0)
-        _coal_run(b, dt=60.0, batched=True, workspace=CoalWorkspace())
-        _assert_dists_close(b, a)
-        assert (b[Species.LIQUID] >= 0).all()
+        dev, comp = _both_engines(a, dt=60.0)
+        assert dev <= 1e-12
+        assert (comp[Species.LIQUID] >= 0).all()
 
     def test_mass_conserved(self):
         dists = make_liquid_dists(20, seed=2)
         before = total_mass(dists)
-        _coal_run(dists, batched=True, workspace=CoalWorkspace())
+        assert _coal_run(dists).engine == "compiled"
         assert total_mass(dists) == pytest.approx(before, rel=1e-10)
 
     def test_empty_state_short_circuits(self):
         dists = {sp: np.zeros((8, NKR)) for sp in Species}
-        ws = CoalWorkspace()
-        stats = _coal_run(dists, batched=True, workspace=ws)
+        stats = _coal_run(dists)
         assert stats.pair_entries == 0
-        assert ws.allocations == 0  # no interaction ever applied
         assert total_mass(dists) == 0.0
 
+    def test_float32_stays_on_numpy(self):
+        dists = make_liquid_dists(6, seed=1)
+        stats = coal_bott_step(
+            dists, np.full(6, 280.0), np.full(6, 700.0), 5.0, get_tables(),
+            INTERACTIONS, dtype=np.float32,
+        )
+        assert stats.engine == "numpy"
 
-class TestCoalWorkspace:
-    def test_zero_allocations_after_warmup(self):
-        initial = make_liquid_dists(32, seed=6)
-        ws = CoalWorkspace()
-        _coal_run({sp: d.copy() for sp, d in initial.items()},
-                  batched=True, workspace=ws)
-        assert ws.allocations > 0
-        assert ws.nbytes > 0
-        warm = ws.allocations
-        for _ in range(3):
-            _coal_run({sp: d.copy() for sp, d in initial.items()},
-                      batched=True, workspace=ws)
-        assert ws.allocations == warm  # steady state reuses every buffer
+    def test_kill_switch_falls_back_to_numpy(self):
+        dists, t, p = _random_state(40, seed=21, boost=30.0)
+        dev, _ = _both_engines(dists, t=t, p=p, dt=20.0)
+        assert dev <= 1e-12
 
-    def test_buffers_grow_monotonically(self):
-        ws = CoalWorkspace()
-        a = ws.buffer("x", (4, 8))
-        assert a.shape == (4, 8) and ws.allocations == 1
-        # Smaller request reuses the pool; larger one grows it.
-        ws.buffer("x", (2, 8))
-        assert ws.allocations == 1
-        ws.buffer("x", (8, 8))
-        assert ws.allocations == 2
+    @pytest.mark.parametrize(
+        "case",
+        [
+            ({Species.LIQUID: (5, 18, 5.0, 0)}, 285.0, 750.0),
+            (
+                {Species.LIQUID: (4, 12, 3.0, 1), Species.SNOW: (8, 16, 1.0, 1),
+                 Species.GRAUPEL: (10, 20, 0.5, 1)},
+                260.0,
+                550.0,
+            ),
+            ({sp: (3, 25, 0.5, 2) for sp in Species}, 250.0, 500.0),
+        ],
+        ids=["warm", "mixed", "cold"],
+    )
+    def test_matches_scalar_reference(self, case):
+        spec, t, p = case
+        point = {sp: np.zeros(NKR) for sp in Species}
+        for sp, (lo, hi, amp, seed) in spec.items():
+            point[sp][lo:hi] = np.random.default_rng(seed).uniform(0, amp, hi - lo)
+        ref = coal_bott_reference_point(point, t, p, 5.0, get_tables(), INTERACTIONS)
+        vec = {sp: d[None, :].copy() for sp, d in point.items()}
+        assert _coal_run(vec, t=t, p=p, occupied=False).engine == "compiled"
+        for sp in Species:
+            np.testing.assert_allclose(
+                vec[sp][0], ref[sp], rtol=1e-9, atol=1e-18, err_msg=str(sp)
+            )
 
-    def test_registry_keyed_by_owner(self):
-        ws1 = get_coal_workspace(owner="test-owner-a")
-        ws2 = get_coal_workspace(owner="test-owner-a")
-        ws3 = get_coal_workspace(owner="test-owner-b")
-        assert ws1 is ws2
-        assert ws1 is not ws3
+
+class TestCompiledCoalProperties:
+    @given(
+        npts=st.integers(1, 40),
+        seed=st.integers(0, 10_000),
+        regime=st.sampled_from(["warm", "cold", "mixed"]),
+        boost=st.sampled_from([1.0, 30.0, 300.0]),
+        dt=st.floats(0.5, 60.0),
+        occupied=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_numpy_sparse_engine(
+        self, npts, seed, regime, boost, dt, occupied
+    ):
+        dists, t, p = _random_state(npts, seed, boost, regime)
+        dev, _ = _both_engines(dists, t=t, p=p, dt=dt, occupied=occupied)
+        assert dev <= 1e-12
+
+    @given(
+        sizes=st.lists(st.integers(0, 21), min_size=1, max_size=5),
+        seed=st.integers(0, 10_000),
+        boost=st.sampled_from([1.0, 100.0]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_member_call_equals_solo_calls_bitwise(self, sizes, seed, boost):
+        npts = sum(sizes)
+        dists, t, p = _random_state(max(npts, 1), seed, boost)
+        dists = {sp: d[:npts].copy() for sp, d in dists.items()}
+        t, p = t[:npts].copy(), p[:npts].copy()
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        segments = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+
+        batched = {sp: d.copy() for sp, d in dists.items()}
+        stats = coal_bott_step_members(
+            batched, t, p, 5.0, get_tables(), INTERACTIONS, segments,
+            occupied=_occupied(batched), on_demand=True,
+        )
+        for m, (a, b) in enumerate(segments):
+            solo = {sp: d[a:b].copy() for sp, d in dists.items()}
+            want = _coal_run(solo, t=t[a:b], p=p[a:b])
+            got = stats[m]
+            assert (got.pair_entries, got.kernel_entries) == (
+                want.pair_entries, want.kernel_entries,
+            )
+            for sp in Species:
+                np.testing.assert_array_equal(batched[sp][a:b], solo[sp])
+        if npts:
+            assert {s.engine for s in stats} == {"compiled"}
+
+    def test_concurrent_calls_match_serial_calls(self):
+        """Thread ranks call the kernel concurrently with the GIL
+        released: no call may see another's scratch."""
+        states = [_random_state(37, seed=s, boost=50.0) for s in range(6)]
+
+        def run(state):
+            dists, t, p = state
+            out = {sp: d.copy() for sp, d in dists.items()}
+            _coal_run(out, t=t, p=p, dt=30.0)
+            return out
+
+        serial = [run(s) for s in states]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(run, states * 3, timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        for n, got in enumerate(threaded):
+            for sp in Species:
+                np.testing.assert_array_equal(got[sp], serial[n % 6][sp])
+
+
+def test_kernel_refuses_overlapping_segments():
+    """Segments compact their points in place: overlap is refused
+    before any pointer reaches C."""
+    lib = ckernels.load_kernels()
+    if lib is None:
+        pytest.skip(ckernels.load_error)
+    npts, nix = 4, len(INTERACTIONS)
+    dists = [np.zeros((npts, NKR)) for _ in Species]
+    zeros = np.zeros((len(dists), npts))
+    with pytest.raises(ValueError, match="malformed"):
+        ckernels.coal_bott_new(
+            lib, dists, zeros, zeros.astype(np.int64),
+            np.zeros((nix, npts), dtype=np.uint8), np.zeros(npts),
+            np.zeros((nix, NKR, NKR)), np.zeros((nix, NKR, NKR)),
+            np.zeros((NKR, NKR)), np.zeros((NKR, NKR)),
+            np.zeros((nix, 4), dtype=np.int64),
+            np.array([[0, 3], [2, 4]], dtype=np.int64), 5.0, 1e-8,
+        )

@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ProcPoolError
+from repro.fsbm import ckernels
 from repro.obs import export, metrics, tracer
 from repro.wrf.model import WrfModel
 from repro.wrf.namelist import conus12km_namelist
@@ -114,6 +115,38 @@ class TestModesRecordSameSpans:
             assert "roofline_pct" in e.attrs and "gb_s" in e.attrs
         halos = [e for e in events if e.name == "halo_exchange"]
         assert halos and all("bw_pct" in e.attrs for e in halos)
+
+
+class TestCoalEngineAttr:
+    """The physics span names the collision engine that actually ran."""
+
+    def _engines(self, members: int) -> set:
+        from repro.wrf.ensemble import EnsembleModel
+
+        nl = conus12km_namelist(
+            scale=0.05, num_ranks=2, trace=True, members=members,
+            rank_batching=False, use_process_ranks=False,
+        )
+        model = (EnsembleModel if members > 1 else WrfModel)(nl)
+        try:
+            model.run(num_steps=1)
+        finally:
+            model.close()
+        events = tracer.drain()
+        spans = [e for e in events if e.ph == "X" and e.name == "physics"]
+        assert any(e.attrs.get("coal_points") for e in spans), "no collisions"
+        return {e.attrs["coal_engine"] for e in spans if e.attrs.get("coal_points")}
+
+    @pytest.mark.parametrize("members", [1, 2])
+    def test_compiled_when_kernels_load(self, members):
+        if ckernels.load_kernels() is None:
+            pytest.skip(f"physics kernels unavailable: {ckernels.load_error}")
+        assert self._engines(members=members) == {"compiled"}
+
+    @pytest.mark.parametrize("members", [1, 2])
+    def test_numpy_under_kill_switch(self, monkeypatch, members):
+        monkeypatch.setenv(ckernels.DISABLE_ENV, "1")
+        assert self._engines(members=members) == {"numpy"}
 
 
 class TestTracingIsInert:
