@@ -10,7 +10,8 @@ performance is checkable:
   paper's ``coal_bott_new``), in its default, dense-contraction, and
   sparse-scatter variants;
 * ``model_step_rN`` — one full :meth:`repro.wrf.model.WrfModel.step`
-  at N ranks (physics + halo exchange + transport);
+  of a plain (one-member) run at N ranks (physics + halo exchange +
+  transport);
 * ``model_step_multirank`` — the same full step with ranks as real
   worker processes (``use_process_ranks``: shared-memory superblocks,
   pull-model halo exchange), at a fixed 2-worker workload so quick and
@@ -19,18 +20,18 @@ performance is checkable:
   engine (``repro bench --workers N ...``), informational: fixed
   CONUS-like domain split across 1/2/4/8 workers with ``cpu_count``
   and ``speedup_vs_w1`` recorded per entry;
-* ``model_step_membersN`` / ``transport_membersN`` — the member-batched
-  ensemble engine (PR 10): N perturbed scenarios stepped in one fused
-  sweep over a ``(N, ni, nk, nj, nscalar)`` superblock, compared
-  against N sequential solo runs (``per_member_ms``,
-  ``speedup_vs_solo`` in the extras). ``model_step_members4`` and
-  ``transport_members4`` are gated; ``repro bench --members N`` adds
-  informational sweep entries at other member counts;
+* ``model_step_membersN`` / ``transport_membersN`` — the member axis:
+  N perturbed scenarios stepped in one fused sweep over a
+  ``(N, ni, nk, nj, nscalar)`` superblock, compared against N
+  separate one-member runs (``per_member_ms``, ``speedup_vs_solo`` in
+  the extras). ``model_step_members4`` and ``transport_members4`` are
+  gated; ``repro bench --members N`` adds informational sweep entries
+  at other member counts;
 * ``transport_fused`` / ``transport_per_field`` — the scalar-advection
-  engine in isolation on a fixed-size 234-scalar superblock: the fused
-  path (pack + single fused kernel + unpack) against the per-field
-  reference loop, at the same shape in quick and full mode so the
-  numbers stay comparable;
+  engine in isolation on a fixed-size 234-scalar superblock: the
+  model's one-member path (the fused kernel on the resident block)
+  against the per-field reference loop, at the same shape in quick and
+  full mode so the numbers stay comparable;
 * ``sedimentation`` / ``cond_remap`` — the native physics layer: the
   fused compiled sedimentation sweep and the compiled condensation
   KO-remap scatter, each at fixed workload shapes in quick
@@ -248,7 +249,6 @@ def bench_model_step(
     scale: float = 0.08,
     reps: int = 5,
     seed: int = 2024,
-    rank_batching: str | None = None,
 ) -> KernelBench:
     """Time full ``WrfModel.step`` calls at one rank count.
 
@@ -260,17 +260,9 @@ def bench_model_step(
     from repro.wrf.model import WrfModel
     from repro.wrf.namelist import conus12km_namelist
 
-    kw: dict = dict(num_ranks=num_ranks, stage=Stage.LOOKUP, seed=seed)
-    if rank_batching is not None:
-        try:
-            nl = conus12km_namelist(
-                scale=scale, rank_batching=rank_batching, **kw
-            )
-        except TypeError:  # seed code has no rank_batching field
-            nl = conus12km_namelist(scale=scale, **kw)
-    else:
-        nl = conus12km_namelist(scale=scale, **kw)
-
+    nl = conus12km_namelist(
+        scale=scale, num_ranks=num_ranks, stage=Stage.LOOKUP, seed=seed
+    )
     model = WrfModel(nl)
     try:
         model.step()  # warmup
@@ -291,7 +283,6 @@ def bench_model_step(
             # the old hasattr fallback would have emitted a different
             # axis order if one were ever added.
             "grid": [nl.domain.nx, nl.domain.nz, nl.domain.ny],
-            "rank_batching": getattr(nl, "rank_batching", "serial"),
         },
     )
 
@@ -370,17 +361,17 @@ def bench_model_step_members(
     seed: int = 2024,
     name: str | None = None,
 ) -> KernelBench:
-    """Time member-batched ensemble steps against sequential solo runs.
+    """Time N-member steps against N separate one-member runs.
 
     One ``EnsembleModel`` holds ``members`` perturbed scenarios in a
     single ``(N, ni, nk, nj, nscalar)`` superblock and steps them in one
     fused sweep; the reference is the same scenarios run one after
-    another through solo ``WrfModel`` instances. Extras record
-    ``per_member_ms`` for both paths and ``speedup_vs_solo`` (batched
-    step vs the summed solo steps) — the amortization the member axis
-    buys from shared tables, one transport kernel invocation, and one
-    pass over the step machinery. The workload is fixed regardless of
-    ``--quick`` so quick and full gate runs compare like with like.
+    another as ``members=1`` ``WrfModel`` instances. Extras record
+    ``per_member_ms`` for both and ``speedup_vs_solo`` (the N-member
+    step vs the summed one-member steps) — the amortization the member
+    axis buys from shared tables, one transport kernel invocation, and
+    one pass over the step machinery. The workload is fixed regardless
+    of ``--quick`` so quick and full gate runs compare like with like.
     """
     from repro.optim.stages import Stage
     from repro.wrf.ensemble import EnsembleModel
@@ -397,7 +388,6 @@ def bench_model_step_members(
     )
 
     ens = EnsembleModel(nl)
-    batched = getattr(ens, "_solo", None) is None
     solos = [WrfModel(member_namelist(nl, m)) for m in range(members)]
     try:
         # Interleave batched and solo reps: on a shared host, frequency
@@ -428,7 +418,6 @@ def bench_model_step_members(
         "members": members,
         "scale": scale,
         "grid": [nl.domain.nx, nl.domain.nz, nl.domain.ny],
-        "batched": batched,
         "per_member_ms": bench.median_s / members * 1e3,
         "solo_per_member_ms": solo_total / members * 1e3,
         "solo_total_s": solo_total,
@@ -448,13 +437,12 @@ def bench_transport_members(
     seed: int = 2024,
     name: str | None = None,
 ) -> KernelBench:
-    """Time the member-batched advection kernel against a member loop.
+    """Time the advection kernel on a member stack against a member loop.
 
-    One stacked ``(N, ni, nk, nj, nscalar)`` superblock advected by
-    ``fused_euler_advect_members`` (single kernel invocation, member
-    loop inside the compiled stencil) versus the same work issued as
-    ``N`` separate ``fused_euler_advect`` calls. Fixed shape regardless
-    of ``--quick``.
+    One stacked ``(N, ni, nk, nj, nscalar)`` superblock advected by one
+    ``fused_euler_advect`` call (the members' rows folded into the
+    compiled stencil's row loop) versus the same work issued as ``N``
+    one-member calls. Fixed shape regardless of ``--quick``.
     """
     from repro.fsbm.species import Species
     from repro.wrf.dynamics import (
@@ -465,7 +453,6 @@ def bench_transport_members(
     from repro.wrf.transport import (
         ScalarLayout,
         fused_euler_advect,
-        fused_euler_advect_members,
         get_workspace,
     )
 
@@ -503,14 +490,14 @@ def bench_transport_members(
     clip_slices = layout.clip_slices(no_clip=("t", "w"))
     split = WindSplit.build(u, v, w, 12000.0, 500.0)
     member_splits = [
-        WindSplit.build(u[m], v[m], w[m], 12000.0, 500.0)
+        WindSplit.build(u[m : m + 1], v[m : m + 1], w[m : m + 1], 12000.0, 500.0)
         for m in range(members)
     ]
     ws = get_workspace(
         (members, *shape), ns, owner="bench_transport_members"
     )
     member_ws = get_workspace(
-        shape, ns, owner="bench_transport_members_solo"
+        (1, *shape), ns, owner="bench_transport_members_solo"
     )
 
     batched_block = block.copy()
@@ -518,9 +505,7 @@ def bench_transport_members(
 
     def run_batched() -> float:
         t0 = time.perf_counter()
-        result = fused_euler_advect_members(
-            batched_block, split, dt, ws, clip_slices
-        )
+        result = fused_euler_advect(batched_block, split, dt, ws, clip_slices)
         if result is not batched_block:
             batched_block[...] = result
         return time.perf_counter() - t0
@@ -528,11 +513,12 @@ def bench_transport_members(
     def run_solo() -> float:
         t0 = time.perf_counter()
         for m in range(members):
+            one = solo_block[m : m + 1]
             result = fused_euler_advect(
-                solo_block[m], member_splits[m], dt, member_ws, clip_slices
+                one, member_splits[m], dt, member_ws, clip_slices
             )
-            if result is not solo_block[m]:
-                solo_block[m][...] = result
+            if result is not one:
+                one[...] = result
         return time.perf_counter() - t0
 
     run_batched()  # warmup: compiled stencil, workspace pools
@@ -550,8 +536,8 @@ def bench_transport_members(
         "shape": list(shape),
         "nscalars": ns,
         "compiled_stencil": load_stencil() is not None,
-        "ir_kernel": "advect_stage_members",
-        "ir_registered": _ir_registered("advect_stage_members"),
+        "ir_kernel": "advect_stage",
+        "ir_registered": _ir_registered("advect_stage"),
         "per_member_ms": bench.median_s / members * 1e3,
         "solo_per_member_ms": solo_median / members * 1e3,
         "speedup_vs_solo": (
@@ -609,9 +595,9 @@ def bench_transport(
 ) -> KernelBench:
     """Time the scalar-transport engine in isolation at a fixed shape.
 
-    ``mode="fused"`` measures what the model's default path pays end to
-    end — packing all 234 scalars into the workspace superblock, one
-    fused Euler advection, unpacking — while ``mode="per_field"``
+    ``mode="fused"`` measures what the model's one-member path pays —
+    one fused Euler advection of the resident ``(1, ni, nk, nj, 234)``
+    superblock and the copy back into it — while ``mode="per_field"``
     measures the reference loop (one ``rk_scalar_tend`` + update per
     field). The shape is fixed regardless of ``--quick`` so quick and
     full runs of the gate compare like with like.
@@ -627,8 +613,6 @@ def bench_transport(
         ScalarLayout,
         fused_euler_advect,
         get_workspace,
-        pack_superblock,
-        unpack_superblock,
     )
 
     nkr = 33
@@ -652,16 +636,24 @@ def bench_transport(
     u = rng.uniform(-20.0, 20.0, shape)
     v = rng.uniform(-20.0, 20.0, shape)
     split = WindSplit.build(u, v, fields["w"], 12000.0, 500.0)
+    # The model's resident layout: a one-member stack of every field.
+    block = np.empty((1, *shape, layout.nscalars))
+    for name, sl in layout.slices().items():
+        block[0, ..., sl] = fields[name].reshape(*shape, -1)
+    stacked = WindSplit(
+        pos=tuple(p[None] for p in split.pos),
+        neg=tuple(n[None] for n in split.neg),
+    )
     dt = 30.0
-    ws = get_workspace(shape, layout.nscalars, owner="bench_transport")
+    ws = get_workspace((1, *shape), layout.nscalars, owner="bench_transport")
     clip_slices = layout.clip_slices(no_clip=("t", "w"))
 
     def run_once() -> float:
         if mode == "fused":
             t0 = time.perf_counter()
-            block = pack_superblock(fields, layout, ws)
-            result = fused_euler_advect(block, split, dt, ws, clip_slices)
-            unpack_superblock(result, fields, layout)
+            result = fused_euler_advect(block, stacked, dt, ws, clip_slices)
+            if result is not block:
+                block[...] = result
             return time.perf_counter() - t0
         t0 = time.perf_counter()
         for name, arr in fields.items():

@@ -75,7 +75,7 @@ def main() -> None:
         raise SystemExit("ensemble engine violated its exactness contract")
 
     print(
-        "\nThe member axis amortizes Python dispatch, packing, and table\n"
+        "\nThe member axis amortizes Python dispatch and table\n"
         "lookups; the per-member arithmetic (including per-member BLAS\n"
         "calls, which exact equality requires) is unchanged. See\n"
         "`repro bench --members 4` for the tracked measurement."

@@ -9,9 +9,9 @@ tracked kernel medians against the committed ``BENCH_*.json`` baseline
 Tracked kernels (``harness.TRACKED_KERNELS``): ``coal_bott``,
 ``model_step_r1``, ``model_step_r4``, ``model_step_multirank`` (the
 multiprocess rank engine at a fixed 2-worker workload),
-``model_step_members4`` (the member-batched ensemble engine stepping 4
-perturbed scenarios in one fused sweep, with interleaved sequential
-solo runs for the ``speedup_vs_solo`` extra), ``transport_fused``,
+``model_step_members4`` (the model stepping 4 perturbed members in one
+fused sweep, with interleaved one-member runs for the
+``speedup_vs_solo`` extra), ``transport_fused``,
 ``transport_members4``, ``sedimentation``, and ``cond_remap``. Gate
 one in isolation with e.g.
 ``--kernel model_step_multirank``. ``--members N`` (repeatable) adds

@@ -16,22 +16,23 @@ Every kernel here is defined as a `repro.codee.loopir` kernel
 (`repro.codee.transform`) analyzes them, the static verifier
 (`repro.codee.irverify`) checks the result, and `repro.codee.cgen`
 emits the C that :mod:`repro.core.cjit` compiles. The analysis is
-honest about these loops — the sedimentation nest's ``k``-carried flux
-recurrence and its ``active``/``precip`` accumulations make it
-provably *non*-parallelizable, and the remap's depth-1 nest is below
-the parallel-overhead floor — so both are emitted serial, exactly like
+honest about these loops — within one ensemble member the
+sedimentation nest's ``k``-carried flux recurrence and its
+``active``/``precip`` accumulations make it provably
+*non*-parallelizable, and the remap's depth-1 nest is below the
+parallel-overhead floor — so both are emitted serial, exactly like
 their hand-written predecessors, and their arithmetic (expressed in
-the IR with the reference's operation order) stays bit-identical. The
-member-batched ``sed_sweep_members`` has a provably independent member
-loop but is *policy*-serial (`_plan_serial`), as is ``coal_bott_new``:
-rank-level threads/processes own the cores, so the fsbm translation
-unit holds no ``omp parallel`` region (only ``omp simd`` lane loops).
+the IR with the reference's operation order) stays bit-identical.
+``sed_sweep``'s member loop is provably independent but *policy*-serial
+(`_plan_serial`), as is ``coal_bott_new``: rank-level
+threads/processes own the cores, so the fsbm translation unit holds no
+``omp parallel`` region (only ``omp simd`` lane loops).
 
 Equivalence to the numpy references (asserted by
 ``tests/fsbm/test_native_kernels.py``):
 
 * ``sed_sweep`` — the fused all-species sedimentation loop nest over
-  ``(species, i, j, k, bin)``. Per element it performs exactly the
+  ``(member, i, k, j, species, bin)``. Per element it performs exactly the
   reference's ``flux = n*c``; ``n -= flux``; ``n[:, :-1] += flux[:, 1:]``
   sequence (flux of a level is always computed before that level
   receives the carry from above), so the distributions match **bit for
@@ -99,153 +100,36 @@ def build_sed_sweep_ir() -> Kernel:
     """The fused all-species upwind sedimentation sweep as loop IR.
 
     ``dists`` is a pointer table: ``dists[sp]`` points at that
-    species' ``(ni, nk, nj, nkr)`` view; all species share the element
-    strides ``(si, sk, sj)`` and a unit bin stride. ``courant`` is
-    ``(nsp, nk, nkr)`` and ``masses`` ``(nsp, nkr)``, both contiguous;
-    ``precip`` is a strided ``(ni, nj)`` view with element strides
-    ``(psi, psj)``.
+    species' member-stacked ``(nm, ni, nk, nj, nkr)`` view; all species
+    share the element strides ``(sm, si, sk, sj)`` and a unit bin
+    stride. ``courant`` is ``(nsp, nk, nkr)`` and ``masses``
+    ``(nsp, nkr)``, both contiguous and shared by every member;
+    ``precip`` is a strided ``(nm, ni, nj)`` view with element strides
+    ``(pm, psi, psj)``.
 
-    The loops run in memory-layout order (i, k, j, species): when the
-    species views are slices of one (i, k, j, scalar) superblock, the
-    inner j/species loops walk the block's trailing axis contiguously.
-    The k recurrence is preserved because each row's update is local:
-    level k's flux is computed from its pre-update row, the row is
-    decremented, and the flux is carried to level k - 1 (already
-    decremented during the previous k iteration) — or, at k == 0, its
-    mass is accumulated into precip. Every element sees
-    subtract-then-add, the exact operation order of the numpy
+    Each member's rows run in memory-layout order (i, k, j, species):
+    when the species views are slices of one (i, k, j, scalar)
+    superblock, the inner j/species loops walk the block's trailing
+    axis contiguously. The k recurrence is preserved because each
+    row's update is local: level k's flux is computed from its
+    pre-update row, the row is decremented, and the flux is carried to
+    level k - 1 (already decremented during the previous k iteration)
+    — or, at k == 0, its mass is accumulated into precip. Every element
+    sees subtract-then-add, the exact operation order of the numpy
     reference. Rows with all-zero flux skip their stores, so absent
-    species are read-only; ``active[sp]`` reports whether any
-    pre-update value of the species was nonzero.
+    species are read-only; ``active[m, sp]`` reports whether any
+    pre-update value of the species was nonzero in member ``m``, which
+    is what keeps each member's work stats (and so its clock charges)
+    those of a one-member run.
 
-    That recurrence is precisely what the dependence analysis sees:
-    the ``k - 1`` accumulation, the ``active``/``precip`` updates, and
-    the conditional row writes each carry a dependence, so
-    `repro.codee.transform` derives ``parallel depth 0`` and the
-    emitted nest is serial — matching the hand-written kernel, which
-    relied on streaming memory order rather than threads.
-    """
-    i, k, j, sp, b = Sym("i"), Sym("k"), Sym("j"), Sym("sp"), Sym("b")
-    nkr = Sym("nkr")
-
-    def dist_at(kk):
-        return (sp, i, kk, j, b)
-
-    bin_loop = lambda body: Loop("b", Const(0), nkr, body)
-
-    flux_fill = bin_loop(
-        [
-            Let("nv", Load("dists", dist_at(k))),
-            Store("flux", (b,), Sym("nv") * Load("courant", (sp, k, b))),
-            If(Sym("nv").ne(Const(0.0)), [Assign("rownz", Const(1))]),
-        ]
-    )
-    subtract = bin_loop([Store("dists", dist_at(k), Load("flux", (b,)), "-=")])
-    to_precip = [
-        Decl("acc", "double", Const(0.0)),
-        bin_loop(
-            [
-                Assign(
-                    "acc",
-                    Sym("acc") + Load("flux", (b,)) * Load("masses", (sp, b)),
-                )
-            ]
-        ),
-        Store("precip", (i, j), Sym("acc"), "+="),
-    ]
-    to_below = [
-        bin_loop([Store("dists", dist_at(k - 1), Load("flux", (b,)), "+=")])
-    ]
-
-    per_row = [
-        LocalArray("flux", MAX_NKR),
-        Decl("rownz", "int", Const(0)),
-        flux_fill,
-        If(
-            Sym("rownz"),
-            [
-                Store("active", (sp,), Const(1)),
-                subtract,
-                If(k.eq(Const(0)), to_precip, to_below),
-            ],
-        ),
-    ]
-
-    main = Loop(
-        "i",
-        Const(0),
-        Sym("ni"),
-        [
-            Loop(
-                "k",
-                Const(0),
-                Sym("nk"),
-                [
-                    Loop(
-                        "j",
-                        Const(0),
-                        Sym("nj"),
-                        [Loop("sp", Const(0), Sym("nsp"), per_row)],
-                    )
-                ],
-            )
-        ],
-    )
-
-    return Kernel(
-        name="sed_sweep",
-        params=(
-            ArrayParam(
-                "dists",
-                strides=(Sym("si"), Sym("sk"), Sym("sj"), Const(1)),
-                intent="inout",
-                ptr_table=True,
-            ),
-            ArrayParam("courant", strides=(Sym("nk") * nkr, nkr, Const(1))),
-            ArrayParam("masses", strides=(nkr, Const(1))),
-            ArrayParam("precip", strides=(Sym("psi"), Sym("psj")), intent="inout"),
-            ScalarParam("nsp", "long"),
-            ScalarParam("ni", "long"),
-            ScalarParam("nk", "long"),
-            ScalarParam("nj", "long"),
-            ScalarParam("nkr", "long"),
-            ScalarParam("si", "long"),
-            ScalarParam("sk", "long"),
-            ScalarParam("sj", "long"),
-            ScalarParam("psi", "long"),
-            ScalarParam("psj", "long"),
-            ArrayParam(
-                "active",
-                strides=(Const(1),),
-                ctype="unsigned char",
-                intent="out",
-            ),
-        ),
-        body=[
-            Loop("sp", Const(0), Sym("nsp"), [Store("active", (sp,), Const(0))]),
-            main,
-        ],
-        doc=(
-            "Fused all-species upwind sedimentation sweep in memory-layout "
-            "order (i, k, j, species); level k's flux is subtracted from "
-            "its row then carried to k - 1 (or precip at the surface), the "
-            "reference's exact operation order."
-        ),
-    )
-
-
-def build_sed_sweep_members_ir() -> Kernel:
-    """The sedimentation sweep batched over ensemble members.
-
-    Identical arithmetic to :func:`build_sed_sweep_ir` wrapped in one
-    outer member loop: ``dists[sp]`` now points at a
-    ``(nm, ni, nk, nj, nkr)`` view (member element stride ``sm``),
-    ``precip`` is ``(nm, ni, nj)``, and the presence flags become
-    per-member — ``active[m, sp]`` — which is what keeps the per-member
-    work stats (and therefore the per-member clock charges) identical
-    to a solo run of each member. The k-carried flux recurrence is
-    member-local, so the member loop adds no new dependences; the nest
-    stays serial for the same reasons the solo kernel does.
+    That recurrence is precisely what the dependence analysis sees
+    inside a member: the ``k - 1`` accumulation, the ``active`` and
+    ``precip`` updates, and the conditional row writes each carry a
+    dependence, so `repro.codee.transform` proves only the member loop
+    independent (parallel depth 1). The kernel is registered
+    policy-serial (:func:`_plan_serial`), so the emitted nest is serial
+    — matching the hand-written kernel, which relied on streaming
+    memory order rather than threads.
     """
     m, i, k, j, sp, b = Sym("m"), Sym("i"), Sym("k"), Sym("j"), Sym("sp"), Sym("b")
     nkr = Sym("nkr")
@@ -322,7 +206,7 @@ def build_sed_sweep_members_ir() -> Kernel:
     )
 
     return Kernel(
-        name="sed_sweep_members",
+        name="sed_sweep",
         params=(
             ArrayParam(
                 "dists",
@@ -374,9 +258,12 @@ def build_sed_sweep_members_ir() -> Kernel:
             main,
         ],
         doc=(
-            "Fused sedimentation sweep over a member-stacked superblock "
-            "(m, i, k, j, species); arithmetic identical to sed_sweep per "
-            "member, with per-member active flags."
+            "Fused all-species upwind sedimentation sweep over a "
+            "member-stacked superblock, each member in memory-layout order "
+            "(i, k, j, species); level k's flux is subtracted from its row "
+            "then carried to k - 1 (or precip at the surface), the "
+            "reference's exact operation order, with per-member active "
+            "flags."
         ),
     )
 
@@ -840,18 +727,11 @@ def build_coal_bott_new_ir() -> Kernel:
     )
 
 
-loopir.register_kernel(
-    loopir.KernelSpec(
-        name="sed_sweep",
-        build=build_sed_sweep_ir,
-        transform=transform.plan_offload,
-    )
-)
 def _plan_serial(kernel):
     """Offload derivation with parallel annotations off.
 
-    The member loop of ``sed_sweep_members`` is provably independent,
-    but fsbm physics kernels are emitted serial by convention: the
+    The member loop of ``sed_sweep`` is provably independent, but fsbm
+    physics kernels are emitted serial by convention: the
     model's parallelism lives at the rank level (threads in 8.3,
     processes in 8.8), and an ``omp parallel`` region inside every
     rank's physics would oversubscribe the very cores the ranks own.
@@ -865,8 +745,8 @@ def _plan_serial(kernel):
 
 loopir.register_kernel(
     loopir.KernelSpec(
-        name="sed_sweep_members",
-        build=build_sed_sweep_members_ir,
+        name="sed_sweep",
+        build=build_sed_sweep_ir,
         transform=_plan_serial,
     )
 )
@@ -892,18 +772,6 @@ _c_long_p = ctypes.POINTER(ctypes.c_long)
 def _declare(lib: ctypes.CDLL) -> None:
     lib.sed_sweep.restype = None
     lib.sed_sweep.argtypes = [
-        ctypes.POINTER(_c_double_p),  # dists
-        _c_double_p,  # courant
-        _c_double_p,  # masses
-        _c_double_p,  # precip
-        ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-        ctypes.c_long,  # nsp, ni, nk, nj, nkr
-        ctypes.c_long, ctypes.c_long, ctypes.c_long,  # si, sk, sj
-        ctypes.c_long, ctypes.c_long,  # psi, psj
-        ctypes.POINTER(ctypes.c_ubyte),  # active
-    ]
-    lib.sed_sweep_members.restype = None
-    lib.sed_sweep_members.argtypes = [
         ctypes.POINTER(_c_double_p),  # dists
         _c_double_p,  # courant
         _c_double_p,  # masses
@@ -945,8 +813,7 @@ def _declare(lib: ctypes.CDLL) -> None:
 _module = cgen.build_module(
     "fsbm_kernels",
     [
-        transform.plan_offload(build_sed_sweep_ir()).kernel,
-        _plan_serial(build_sed_sweep_members_ir()).kernel,
+        _plan_serial(build_sed_sweep_ir()).kernel,
         transform.plan_offload(build_remap_scatter_ir()).kernel,
         _plan_serial(build_coal_bott_new_ir()).kernel,
     ],
@@ -1001,62 +868,16 @@ def sed_sweep(
     masses: np.ndarray,
     precip: np.ndarray,
 ) -> np.ndarray | None:
-    """Run the fused sedimentation sweep in place; per-species presence.
+    """Run the fused sedimentation sweep in place; per-member presence.
 
-    ``dists`` holds every species' ``(ni, nk, nj, nkr)`` array (views
-    are fine as long as the bin axis is unit-stride and all species
-    share strides); ``courant`` is ``(nsp, nk, nkr)`` and ``masses``
-    ``(nsp, nkr)``, both C-contiguous float64. Returns the per-species
+    ``dists`` holds every species' member-stacked ``(nm, ni, nk, nj,
+    nkr)`` view (views are fine as long as the bin axis is unit-stride
+    and all species share shapes and strides); ``precip`` is the
+    ``(nm, ni, nj)`` float64 surface accumulator; ``courant`` is
+    ``(nsp, nk, nkr)`` and ``masses`` ``(nsp, nkr)``, both C-contiguous
+    float64 and shared by every member. Returns the ``(nm, nsp)``
     ``active`` flags, or ``None`` when the layout is unsupported and
     the caller must take the numpy path.
-    """
-    nsp = len(dists)
-    ref = dists[0]
-    ni, nk, nj, nkr = ref.shape
-    itemsize = ref.itemsize
-    if (
-        nkr > MAX_NKR
-        or ref.dtype != np.float64
-        or precip.dtype != np.float64
-        or ref.strides[3] != itemsize
-        or any(d.shape != ref.shape or d.strides != ref.strides for d in dists)
-    ):
-        return None
-    ptrs = (_c_double_p * nsp)(*[_dptr(d) for d in dists])
-    active = np.zeros(nsp, dtype=np.uint8)
-    lib.sed_sweep(
-        ptrs,
-        _dptr(courant),
-        _dptr(masses),
-        _dptr(precip),
-        nsp, ni, nk, nj, nkr,
-        ref.strides[0] // itemsize,
-        ref.strides[1] // itemsize,
-        ref.strides[2] // itemsize,
-        precip.strides[0] // itemsize,
-        precip.strides[1] // itemsize,
-        active.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
-    )
-    return active
-
-
-def sed_sweep_members(
-    lib: ctypes.CDLL,
-    dists: list[np.ndarray],
-    courant: np.ndarray,
-    masses: np.ndarray,
-    precip: np.ndarray,
-) -> np.ndarray | None:
-    """Member-batched sedimentation sweep; per-(member, species) flags.
-
-    ``dists`` holds every species' ``(nm, ni, nk, nj, nkr)`` view into
-    the member-stacked superblock (all species must share shapes and
-    strides, bin axis unit-stride); ``precip`` is ``(nm, ni, nj)``
-    float64. Tables are the same step-invariant ``(nsp, nk, nkr)`` /
-    ``(nsp, nkr)`` stacks the solo sweep uses — shared across members.
-    Returns the ``(nm, nsp)`` ``active`` flags, or ``None`` when the
-    layout is unsupported and the caller must fall back to per-member
-    sweeps.
     """
     nsp = len(dists)
     ref = dists[0]
@@ -1075,7 +896,7 @@ def sed_sweep_members(
     active = np.zeros((nm, nsp), dtype=np.uint8)
     # Policy-serial emission (_plan_serial) keeps the per-row flux
     # LocalArray on the stack — no hoisted scratch param.
-    lib.sed_sweep_members(
+    lib.sed_sweep(
         ptrs,
         _dptr(courant),
         _dptr(masses),

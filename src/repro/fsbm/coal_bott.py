@@ -359,42 +359,11 @@ def predict_coal_work(
     on_demand: bool,
     selection: CoalSelection | None = None,
 ) -> CoalWorkStats:
-    """Count the scalar-code work one collision call performs.
-
-    Baseline: ``kernals_ks`` fills all 20 full tables at every active
-    point up front. On-demand: one interpolated entry per pair the
-    collection loops actually touch (bounded by occupied bins).
-
-    ``selection`` lets a caller that already built the per-step
-    :class:`CoalSelection` (the collision stage predicts work and then
-    runs the step on the same state) share it instead of recomputing
-    every mask.
-    """
-    npts = temperature.shape[0]
-    nkr = next(iter(dists.values())).shape[1]
-    stats = CoalWorkStats(active_points=npts)
-    if npts == 0:
-        return stats
-    if selection is None:
-        selection = CoalSelection.build(dists, temperature)
-    if not on_demand:
-        stats.kernel_entries += float(npts) * tables.baseline_entry_count()
-    for ix in interactions:
-        sel = selection.mask(ix)
-        count = int(sel.sum())
-        if count == 0:
-            continue
-        if occupied is not None:
-            occ_a = occupied[ix.collector][sel]
-            occ_b = occupied[ix.collected][sel]
-            touched = float((occ_a * occ_b).sum())
-        else:
-            touched = float(count) * nkr * nkr
-        stats.pair_entries += touched
-        stats.interactions_used += float(count)
-        if on_demand:
-            stats.kernel_entries += touched
-    return stats
+    """One member's work counts (see :func:`predict_coal_work_members`)."""
+    return predict_coal_work_members(
+        dists, temperature, tables, interactions, occupied, on_demand,
+        [(0, temperature.shape[0])], selection=selection,
+    )[0]
 
 
 def predict_coal_work_members(
@@ -407,14 +376,21 @@ def predict_coal_work_members(
     segments: list[tuple[int, int]],
     selection: CoalSelection | None = None,
 ) -> list[CoalWorkStats]:
-    """Per-member work counts for one member-concatenated collision call.
+    """Count the scalar-code work one collision call performs, per member.
 
-    ``segments[m]`` is member ``m``'s row range in the concatenated
-    point arrays. Masks are row-local (temperature gate and per-row
-    sums), so slicing the shared mask to a member's segment equals the
-    mask a solo :func:`predict_coal_work` of that member computes; the
-    per-member sums and counts below therefore accumulate exactly the
-    solo numbers, in the solo interaction order.
+    Baseline: ``kernals_ks`` fills all 20 full tables at every active
+    point up front. On-demand: one interpolated entry per pair the
+    collection loops actually touch (bounded by occupied bins).
+
+    ``segments[m]`` is member ``m``'s row range in the member-
+    concatenated point arrays. Masks are row-local (temperature gate
+    and per-row sums), so slicing the shared mask to a member's segment
+    equals the mask of a one-member call on that member's rows; the
+    per-member counts therefore are exactly that call's numbers.
+    ``selection`` lets a caller that already built the per-step
+    :class:`CoalSelection` (the collision stage predicts work and then
+    runs the step on the same state) share it instead of recomputing
+    every mask.
     """
     nkr = next(iter(dists.values())).shape[1]
     out = [
@@ -760,78 +736,13 @@ def coal_bott_step(
     selection: CoalSelection | None = None,
     use_sparse: bool = True,
 ) -> CoalWorkStats:
-    """Advance all distributions by one collision step, in place.
-
-    ``dists`` maps species to ``(npts, nkr)`` arrays (already gathered
-    to active points). ``dtype`` selects the arithmetic precision: the
-    offloaded stages pass ``float32`` to reproduce device arithmetic,
-    which is what the Sec. VII-B digit comparison measures.
-
-    ``selection`` shares a pre-built :class:`CoalSelection` (the
-    collision stage builds it once per step for both the work
-    prediction and the update). float64 calls run the compiled
-    ``coal_bott_new`` kernel when it is available; otherwise
-    ``use_sparse`` picks the numpy contraction engine. All engines
-    produce the same physics, with relative differences only at the
-    float-associativity level (~1e-14 in float64). The returned stats
-    name the engine that ran.
-    """
-    npts = temperature.shape[0]
-    if selection is None and npts:
-        selection = CoalSelection.build(dists, temperature)
-    stats = predict_coal_work(
-        dists, temperature, tables, interactions, occupied, on_demand,
-        selection=selection,
-    )
-    if npts == 0:
-        return stats
-
-    nkr = next(iter(dists.values())).shape[1]
-    dtype = np.dtype(dtype)
-    w_full = _pressure_weights(pressure_mb, dtype)
-    lib = _compiled_kernels(dtype, use_sparse, nkr)
-    if lib is not None and _apply_compiled(
-        lib, dists, selection, interactions, occupied, w_full, dt, tables,
-        nkr, [(0, npts)],
-    ):
-        stats.engine = "compiled"
-        return stats
-
-    stats.engine = "numpy"
-    use_sparse = use_sparse and _pair_split(nkr).triangular
-    g_split = None if use_sparse else _split_tensor(nkr)
-    live = selection.fork()
-
-    for ix in interactions:
-        sel = live.mask(ix)
-        if not sel.any():
-            continue
-        idx = np.flatnonzero(sel)
-        a_full = dists[ix.collector][idx]
-        b_full = dists[ix.collected][idx]
-
-        # Restrict the pair loops to occupied bins: empty bins contribute
-        # exact zeros, so the result is bitwise identical while the work
-        # shrinks to what the scalar code's occupied-bin bounds would do.
-        if occupied is not None:
-            na = max(1, int(occupied[ix.collector][idx].max()))
-            nb = max(1, int(occupied[ix.collected][idx].max()))
-        else:
-            na = nb = nkr
-        ws = w_full[idx]
-
-        if use_sparse:
-            _apply_sparse(
-                dists, ix, idx, a_full, b_full, na, nb, ws, dt, dtype, tables, nkr
-            )
-        else:
-            _apply_dense(
-                dists, ix, idx, a_full, b_full, na, nb, ws, dt, dtype, tables,
-                nkr, g_split,
-            )
-        live.refresh(dists, {ix.collector, ix.collected, ix.product}, idx)
-
-    return stats
+    """One member's collision step, in place (see
+    :func:`coal_bott_step_members`)."""
+    return coal_bott_step_members(
+        dists, temperature, pressure_mb, dt, tables, interactions,
+        [(0, temperature.shape[0])], occupied=occupied, on_demand=on_demand,
+        dtype=dtype, selection=selection, use_sparse=use_sparse,
+    )[0]
 
 
 def coal_bott_step_members(
@@ -848,30 +759,38 @@ def coal_bott_step_members(
     selection: CoalSelection | None = None,
     use_sparse: bool = True,
 ) -> list[CoalWorkStats]:
-    """One collision step over member-concatenated points, in place.
+    """Advance all distributions by one collision step, in place.
 
-    ``dists`` holds every member's active points concatenated
-    member-major; ``segments[m]`` is member ``m``'s row range. Returns
-    the per-member work stats a solo :func:`coal_bott_step` of each
-    member would report.
+    ``dists`` maps species to ``(npts, nkr)`` arrays, every member's
+    active points concatenated member-major; ``segments[m]`` is member
+    ``m``'s row range. ``dtype`` selects the arithmetic precision: the
+    offloaded stages pass ``float32`` to reproduce device arithmetic,
+    which is what the Sec. VII-B digit comparison measures.
+    ``selection`` shares a pre-built :class:`CoalSelection` (the
+    collision stage builds it once per step for both the work
+    prediction and the update). Returns each member's work stats,
+    which name the engine that ran.
 
-    The compiled kernel takes every member in one call: ``segments``
-    become its member segments, each with its own occupied rectangle
-    (the solo step takes the *member's* max), and no lane block
-    straddles two members. A point's arithmetic depends only on its
-    own row and its segment's rectangle, so each member's update is
-    bit-for-bit its solo update.
+    float64 calls run the compiled ``coal_bott_new`` kernel when it is
+    available, every member in one call: ``segments`` become its member
+    segments, each with its own occupied rectangle (the member's max),
+    and no lane block straddles two members. A point's arithmetic
+    depends only on its own row and its segment's rectangle, so each
+    member's update is bit-for-bit that of a one-member call.
 
-    On the numpy engine what is shared across members is everything
-    row-local: the temperature-gate cache, the per-row sums, the
-    interaction masks, ``flatnonzero``, the pressure weights, and the
-    post-apply ``refresh``. The operator applications stay per member:
-    BLAS GEMM/GEMV results for a given row depend on the call's total
-    row count (kernel/blocking selection), so concatenating members'
-    rows into one apply would perturb rows at the ulp level. Each
-    member's apply therefore runs on exactly its own rows at exactly
-    its solo rectangle; members write disjoint row sets, so their order
-    is immaterial.
+    Otherwise ``use_sparse`` picks the numpy contraction engine. What
+    it shares across members is everything row-local: the
+    temperature-gate cache, the per-row sums, the interaction masks,
+    ``flatnonzero``, the pressure weights, and the post-apply
+    ``refresh``. The operator applications stay per member: BLAS
+    GEMM/GEMV results for a given row depend on the call's total row
+    count (kernel/blocking selection), so concatenating members' rows
+    into one apply would perturb rows at the ulp level. Each member's
+    apply therefore runs on exactly its own rows at exactly its own
+    rectangle; members write disjoint row sets, so their order is
+    immaterial. All engines produce the same physics, with relative
+    differences only at the float-associativity level (~1e-14 in
+    float64).
     """
     npts = temperature.shape[0]
     if selection is None and npts:
@@ -918,6 +837,10 @@ def coal_bott_step_members(
             if hi == lo:
                 continue
             rows = idx[lo:hi]
+            # Restrict the pair loops to occupied bins: empty bins
+            # contribute exact zeros, so the result is bitwise identical
+            # while the work shrinks to what the scalar code's
+            # occupied-bin bounds would do.
             if occ_a is not None:
                 na = max(1, int(occ_a[rows].max()))
                 nb = max(1, int(occ_b[rows].max()))

@@ -67,7 +67,7 @@ class CondWorkStats:
 
 
 def _remap_spectrum(
-    n: np.ndarray, new_mass: np.ndarray, grid: BinGrid, native: bool = True
+    n: np.ndarray, new_mass: np.ndarray, grid: BinGrid
 ) -> tuple[np.ndarray, np.ndarray]:
     """KO-remap numbers ``n`` at perturbed masses onto the mass ladder.
 
@@ -76,9 +76,9 @@ def _remap_spectrum(
     is returned so callers can credit the CCN reservoir).
 
     The ladder indices and split weights are always derived in numpy
-    (``log2`` rounding must not depend on the libm in play); with
-    ``native`` the two full-size ``bincount`` deposits are replaced by
-    the compiled per-point scatter of
+    (``log2`` rounding must not depend on the libm in play); while the
+    physics kernels load, the two full-size ``bincount`` deposits are
+    replaced by the compiled per-point scatter of
     :func:`repro.fsbm.ckernels.remap_scatter`, which is bit-identical
     (bincount accumulates in the same flat order).
     """
@@ -93,7 +93,7 @@ def _remap_spectrum(
     w_hi = np.clip((m - x[k]) / (x[k + 1] - x[k]), 0.0, 1.0)
 
     n_live = np.where(live, n, 0.0)
-    lib = ckernels.load_kernels() if native else None
+    lib = ckernels.load_kernels()
     if lib is not None and nkr <= ckernels.MAX_NKR:
         acc = np.empty((npts, nkr))
         ckernels.remap_scatter(lib, n_live, w_hi, k, acc)
@@ -111,7 +111,7 @@ def _remap_spectrum(
 
 
 def _segmented_rowdot(
-    a: np.ndarray, v: np.ndarray, segments: list[tuple[int, int]] | None
+    a: np.ndarray, v: np.ndarray, segments: list[tuple[int, int]]
 ) -> np.ndarray:
     """Row-wise ``a @ v``, issued one BLAS call per row segment.
 
@@ -119,11 +119,9 @@ def _segmented_rowdot(
     many other rows share the call (kernel/blocking selection depends on
     the row count), so batching several members' rows into one ``a @ v``
     can perturb single rows at the ulp level. Splitting the call at
-    member boundaries reproduces each member's solo contraction
-    bit-for-bit; with ``segments=None`` this is exactly ``a @ v``.
+    member boundaries reproduces each member's one-member contraction
+    bit-for-bit; one segment covering every row is exactly ``a @ v``.
     """
-    if segments is None:
-        return a @ v
     out = np.empty(a.shape[0], dtype=np.result_type(a, v))
     for s, e in segments:
         if e > s:
@@ -138,16 +136,14 @@ def _grow_species(
     growth_coeff: np.ndarray,
     dt: float,
     grid: BinGrid,
-    native: bool = True,
-    row_segments: list[tuple[int, int]] | None = None,
+    row_segments: list[tuple[int, int]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One species' growth step.
 
     Returns ``(n_new, dmass_per_point, evaporated_number)`` with
     ``dmass`` the condensate mass change [g/cm^3] (positive while
     condensing). ``row_segments`` splits the mass contractions at
-    member boundaries when the rows are an ensemble concatenation (see
-    :func:`_segmented_rowdot`).
+    member boundaries (see :func:`_segmented_rowdot`).
     """
     r = grid.radii
     factor = _HABIT_FACTOR.get(sp, 1.0)
@@ -164,7 +160,7 @@ def _grow_species(
     )
     old_mass_content = _segmented_rowdot(n, grid.masses, row_segments)
     new_mass = grid.masses[None, :] + dm
-    n_new, evap = _remap_spectrum(n, new_mass, grid, native=native)
+    n_new, evap = _remap_spectrum(n, new_mass, grid)
     dmass = _segmented_rowdot(n_new, grid.masses, row_segments) - old_mass_content
     return n_new, dmass, evap
 
@@ -179,68 +175,10 @@ def _condensation_core(
     rho_air: np.ndarray,
     ccn: np.ndarray,
     dt: float,
-    native: bool = True,
-    species_present: dict[Species, bool] | None = None,
-) -> CondWorkStats:
-    """Shared growth driver for onecond1/onecond2 (updates in place).
-
-    ``species_present`` lets the caller pass a conservative per-species
-    presence flag (False only when the species is identically zero in
-    the parent arrays); absent species then skip their occupancy probe
-    entirely — the probe would have been False anyway, so the result is
-    unchanged.
-    """
-    npts = temperature.shape[0]
-    stats = CondWorkStats(points=npts)
-    if npts == 0:
-        return stats
-    grids = species_bins()
-    g_coeff = condensational_growth_coefficient(temperature, pressure_mb)
-
-    for sp in species:
-        n = dists[sp]
-        if species_present is not None and not species_present.get(sp, True):
-            continue
-        if not (n.sum(axis=1) > N_EPS).any():
-            continue
-        qs = saturation_mixing_ratio(temperature, pressure_mb, over[sp])
-        s = qv / qs - 1.0
-        # Limit condensation so vapor cannot be driven below saturation
-        # (nor evaporation above it) in a single explicit step.
-        n_new, dmass, evap = _grow_species(
-            n, sp, s, g_coeff, dt, grids[sp], native=native
-        )
-        dq = dmass / rho_air  # condensate increment in mixing ratio
-        room = np.where(dq >= 0.0, np.maximum(qv - qs, 0.0), np.maximum(qs - qv, 0.0))
-        scale = np.where(np.abs(dq) > room, room / np.maximum(np.abs(dq), 1e-300), 1.0)
-        scale = np.clip(scale, 0.0, 1.0)
-        blended = n + scale[:, None] * (n_new - n)
-        dmass = (blended - n) @ grids[sp].masses
-        dq = dmass / rho_air
-        dists[sp][...] = blended
-        qv -= dq
-        process = "condensation" if sp is Species.LIQUID else "deposition"
-        temperature += latent_heating(dq, process)
-        ccn += scale * evap if sp is Species.LIQUID else 0.0
-        stats.bin_updates += float(npts * n.shape[1])
-    return stats
-
-
-def _condensation_core_members(
-    dists: dict[Species, np.ndarray],
-    species: tuple[Species, ...],
-    over: dict[Species, str],
-    temperature: np.ndarray,
-    pressure_mb: np.ndarray,
-    qv: np.ndarray,
-    rho_air: np.ndarray,
-    ccn: np.ndarray,
-    dt: float,
     segments: list[tuple[int, int]],
     species_present: list[dict[Species, bool]] | None = None,
-    native: bool = True,
 ) -> list[CondWorkStats]:
-    """Member-batched growth driver; per-member bit-identical to solo.
+    """Shared growth driver for onecond1/onecond2 (updates in place).
 
     The call arrays are per-member gathers concatenated member-major;
     ``segments[m]`` is member ``m``'s ``(start, stop)`` row range (empty
@@ -249,17 +187,19 @@ def _condensation_core_members(
     concatenation and produce each member's rows bit-for-bit. The
     ``n @ masses`` contractions are the exception — BLAS matvec results
     depend on the call's row count — so those are issued one BLAS call
-    per member segment (:func:`_segmented_rowdot`), matching each solo
-    contraction exactly.
+    per member segment (:func:`_segmented_rowdot`), matching each
+    one-member contraction exactly.
 
-    The one member-sensitive part is the per-species skip logic: solo
-    runs skip a species when the member's presence flag is off or none
-    of its rows exceed ``N_EPS``, and a skipped species must not touch
-    that member's rows (they may hold tiny sub-threshold values a grow
-    step would perturb) nor its work stats. Each species therefore
-    processes only the row ranges of members that pass their own gates,
-    and per-member ``bin_updates`` accumulate only for those members —
-    exactly the solo accounting.
+    The one member-sensitive part is the per-species skip logic: a
+    species is skipped for a member whose presence flag
+    (``species_present[m]``, a conservative flag that is False only when
+    the species is identically zero in the member's parent arrays) is
+    off or none of whose rows exceed ``N_EPS``, and a skipped species
+    must not touch that member's rows (they may hold tiny sub-threshold
+    values a grow step would perturb) nor its work stats. Each species
+    therefore processes only the row ranges of members that pass their
+    own gates, and per-member ``bin_updates`` accumulate only for those
+    members — exactly a one-member call's accounting.
     """
     nm = len(segments)
     stats = [
@@ -308,9 +248,10 @@ def _condensation_core_members(
 
         qs = saturation_mixing_ratio(t_s, p_s, over[sp])
         s_sat = qv_s / qs - 1.0
+        # Limit condensation so vapor cannot be driven below saturation
+        # (nor evaporation above it) in a single explicit step.
         n_new, dmass, evap = _grow_species(
-            nn, sp, s_sat, gc_s, dt, grids[sp], native=native,
-            row_segments=sub_segments,
+            nn, sp, s_sat, gc_s, dt, grids[sp], sub_segments
         )
         dq = dmass / rho_s
         room = np.where(
@@ -354,23 +295,14 @@ def onecond1(
     rho_air: np.ndarray,
     ccn: np.ndarray,
     dt: float,
-    native: bool = True,
     species_present: dict[Species, bool] | None = None,
 ) -> CondWorkStats:
-    """Liquid-only condensation/evaporation (warm grid points)."""
-    return _condensation_core(
-        dists,
-        (Species.LIQUID,),
-        {Species.LIQUID: "water"},
-        temperature,
-        pressure_mb,
-        qv,
-        rho_air,
-        ccn,
-        dt,
-        native=native,
-        species_present=species_present,
-    )
+    """Liquid-only condensation/evaporation of one member's points."""
+    return onecond1_members(
+        dists, temperature, pressure_mb, qv, rho_air, ccn, dt,
+        [(0, temperature.shape[0])],
+        species_present=None if species_present is None else [species_present],
+    )[0]
 
 
 def onecond2(
@@ -381,16 +313,14 @@ def onecond2(
     rho_air: np.ndarray,
     ccn: np.ndarray,
     dt: float,
-    native: bool = True,
     species_present: dict[Species, bool] | None = None,
 ) -> CondWorkStats:
-    """Mixed-phase condensation/deposition (liquid + all ice species)."""
-    species = (Species.LIQUID, *ICE_HABITS, Species.SNOW, Species.GRAUPEL, Species.HAIL)
-    over = {sp: ("water" if sp is Species.LIQUID else "ice") for sp in species}
-    return _condensation_core(
-        dists, species, over, temperature, pressure_mb, qv, rho_air, ccn, dt,
-        native=native, species_present=species_present,
-    )
+    """Mixed-phase condensation/deposition of one member's points."""
+    return onecond2_members(
+        dists, temperature, pressure_mb, qv, rho_air, ccn, dt,
+        [(0, temperature.shape[0])],
+        species_present=None if species_present is None else [species_present],
+    )[0]
 
 
 def onecond1_members(
@@ -403,10 +333,9 @@ def onecond1_members(
     dt: float,
     segments: list[tuple[int, int]],
     species_present: list[dict[Species, bool]] | None = None,
-    native: bool = True,
 ) -> list[CondWorkStats]:
-    """Member-batched :func:`onecond1` (liquid-only, warm points)."""
-    return _condensation_core_members(
+    """Liquid-only condensation/evaporation (warm grid points)."""
+    return _condensation_core(
         dists,
         (Species.LIQUID,),
         {Species.LIQUID: "water"},
@@ -418,7 +347,6 @@ def onecond1_members(
         dt,
         segments,
         species_present=species_present,
-        native=native,
     )
 
 
@@ -432,12 +360,11 @@ def onecond2_members(
     dt: float,
     segments: list[tuple[int, int]],
     species_present: list[dict[Species, bool]] | None = None,
-    native: bool = True,
 ) -> list[CondWorkStats]:
-    """Member-batched :func:`onecond2` (mixed-phase points)."""
+    """Mixed-phase condensation/deposition (liquid + all ice species)."""
     species = (Species.LIQUID, *ICE_HABITS, Species.SNOW, Species.GRAUPEL, Species.HAIL)
     over = {sp: ("water" if sp is Species.LIQUID else "ice") for sp in species}
-    return _condensation_core_members(
+    return _condensation_core(
         dists, species, over, temperature, pressure_mb, qv, rho_air, ccn, dt,
-        segments, species_present=species_present, native=native,
+        segments, species_present=species_present,
     )

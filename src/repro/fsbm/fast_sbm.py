@@ -1,9 +1,12 @@
 """The ``fast_sbm`` driver: Listing 1's grid loops, stage by stage.
 
-One :class:`FastSBM` instance advances a patch's microphysics by one
-model step: nucleation -> condensation (``onecond1``/``onecond2``) ->
-freezing/melting -> collision–coalescence -> sedimentation, with the
-collision part dispatched per optimization stage:
+:func:`step_members` advances the microphysics of every ensemble
+member of a patch by one model step in one sweep: nucleation ->
+condensation (``onecond1``/``onecond2``) -> freezing/melting ->
+collision–coalescence -> sedimentation. Each member has its own
+:class:`FastSBM` (its clock and stage switches), and a plain run is
+the one-member case (:meth:`FastSBM.step`). The collision part is
+dispatched per optimization stage:
 
 * CPU stages charge the scalar-loop work to the rank clock through the
   Milan cost model;
@@ -39,7 +42,11 @@ from repro.fsbm.coal_bott import (
     predict_coal_work,
 )
 from repro.fsbm.collision_kernels import KernelTables, get_tables
-from repro.fsbm.condensation import (
+# The one-member names (``onecond1``/``onecond2``,
+# ``sedimentation_step``) are wrappers over the member implementations
+# this module calls; they stay importable from here, where the
+# benchmark's layer probes look every physics entry point up.
+from repro.fsbm.condensation import (  # noqa: F401
     CondWorkStats,
     onecond1,
     onecond1_members,
@@ -48,13 +55,14 @@ from repro.fsbm.condensation import (
 )
 from repro.fsbm.freezing import FreezeWorkStats, freezing_melting_step
 from repro.fsbm.nucleation import NuclWorkStats, jernucl01_ks
-from repro.fsbm.sedimentation import (
+from repro.fsbm.sedimentation import (  # noqa: F401
     SedWorkStats,
     sedimentation_step,
     sedimentation_step_members,
 )
 from repro.fsbm.species import INTERACTIONS, Species
 from repro.fsbm.state import MicroState, N_EPS
+from repro.fsbm.thermo import saturation_mixing_ratio
 from repro.fsbm.temp_arrays import (
     FRAME_SWEEPS,
     TempArrays,
@@ -83,25 +91,6 @@ class SbmStepStats:
     fast_sbm_seconds: float = 0.0
 
 
-def _gather(arrays: dict[Species, np.ndarray], mask: np.ndarray):
-    """Gather per-species patch arrays to (npts, nkr) working copies.
-
-    Boolean-mask indexing is used (rather than flat indices) so the
-    patch arrays may be views into halo-extended allocations.
-    """
-    return {sp: arr[mask] for sp, arr in arrays.items()}
-
-
-def _scatter(
-    arrays: dict[Species, np.ndarray],
-    gathered: dict[Species, np.ndarray],
-    mask: np.ndarray,
-) -> None:
-    """Write gathered working copies back into the patch arrays."""
-    for sp, arr in arrays.items():
-        arr[mask] = gathered[sp]
-
-
 class FastSBM:
     """Stage-dispatching FSBM microphysics for one rank's patch."""
 
@@ -116,7 +105,6 @@ class FastSBM:
         precision: str = "fp32",
         offload_condensation: bool = False,
         autocompare: bool = False,
-        use_native_physics: bool = True,
     ):
         self.stage = stage
         self.spec: StageSpec = STAGE_SPECS[stage]
@@ -133,9 +121,6 @@ class FastSBM:
         #: on the host in fp64 and record the per-step agreement.
         self.autocompare = autocompare
         self.autocompare_reports: list = []
-        #: Route sedimentation/condensation through the compiled kernels
-        #: of :mod:`repro.fsbm.ckernels` (numpy fallback is automatic).
-        self.use_native_physics = use_native_physics
         self.temp_arrays: TempArrays | None = None
         if stage.uses_gpu and engine is None:
             raise ConfigurationError(f"stage {stage} requires an offload engine")
@@ -162,138 +147,27 @@ class FastSBM:
         rho_air: np.ndarray,
         dz_cm: float,
     ) -> SbmStepStats:
-        """Advance the patch microphysics by ``dt`` (all arrays in place)."""
-        stats = SbmStepStats()
-        ni, nk, nj = state.shape
-        nkr = state.nkr
-        npatch = ni * nk * nj
-        step_start = self.clock.total
+        """Advance the patch microphysics by ``dt`` (all arrays in place).
 
-        with self.clock.region("fast_sbm"):
-            # The i,k,j scan of Listing 1 (conditional tests at every cell).
-            self._charge_cpu(2.0 * npatch, 8.0 * npatch, iterations=npatch)
-
-            # Cells the microphysics touches: warm enough, and either
-            # carrying condensate or saturated enough to form some. (The
-            # Fortran scans every cell — charged above — but only these
-            # do real work inside the conditionals.)
-            from repro.fsbm.thermo import saturation_mixing_ratio
-
-            qs = saturation_mixing_ratio(temperature, pressure_mb)
-            condensate = state.total_condensate_mass()
-            mp_mask = (temperature > T_FREEZE_CUTOFF) & (
-                (condensate > N_EPS) | (qv > 0.98 * qs)
-            )
-            stats.mp_points = int(mp_mask.sum())
-            if stats.mp_points:
-                g_dists = _gather(state.dists, mp_mask)
-                g_t = temperature[mp_mask]
-                g_p = pressure_mb[mp_mask]
-                g_qv = qv[mp_mask]
-                g_rho = rho_air[mp_mask]
-                g_ccn = state.ccn[mp_mask]
-
-                # --- nucleation (jernucl01_ks) ------------------------------
-                with self.clock.region("jernucl01_ks"):
-                    stats.nucl = jernucl01_ks(
-                        g_dists, g_t, g_p, g_qv, g_rho, g_ccn, self.dt
-                    )
-                    self._charge_cpu(stats.nucl.flops, stats.nucl.bytes_moved)
-
-                # --- condensation (onecond1 / onecond2) ----------------------
-                with self.clock.region("onecond"):
-                    # One cheap presence scan per species (post-
-                    # nucleation): an all-zero species contributes
-                    # nothing to the ice gate and can skip every
-                    # per-subset occupancy probe inside the
-                    # condensation core, exactly.
-                    sp_present = {sp: bool(g_dists[sp].any()) for sp in Species}
-                    ice_present = np.zeros(g_t.shape[0], dtype=bool)
-                    for sp in Species:
-                        if sp is not Species.LIQUID and sp_present[sp]:
-                            ice_present |= g_dists[sp].sum(axis=1) > N_EPS
-                    warm = (g_t > T_0 - 5.0) & ~ice_present
-                    if self.offload_condensation:
-                        stats.cond = self._condensation_offloaded(
-                            state, g_dists, g_t, g_p, g_qv, g_rho, g_ccn, warm
-                        )
-                    else:
-                        stats.cond = self._condensation(
-                            g_dists, g_t, g_p, g_qv, g_rho, g_ccn, warm,
-                            species_present=sp_present,
-                        )
-                        self._charge_cpu(stats.cond.flops, stats.cond.bytes_moved)
-
-                # --- freezing / melting --------------------------------------
-                with self.clock.region("freezing"):
-                    stats.freeze = freezing_melting_step(
-                        g_dists, g_t, g_rho, self.dt
-                    )
-                    self._charge_cpu(stats.freeze.flops, stats.freeze.bytes_moved)
-
-                # --- collision–coalescence (coal_bott_new) --------------------
-                with self.clock.region("coal_bott_new"):
-                    before = self.clock.total
-                    stats.coal, stats.coal_points, stats.coal_record = (
-                        self._collisions(state, g_dists, g_t, g_p)
-                    )
-                    stats.coal_seconds = self.clock.total - before
-
-                _scatter(state.dists, g_dists, mp_mask)
-                temperature[mp_mask] = g_t
-                qv[mp_mask] = g_qv
-                state.ccn[mp_mask] = g_ccn
-
-            # --- sedimentation (full field) ----------------------------------
-            with self.clock.region("sedimentation"):
-                p_levels = pressure_mb.mean(axis=(0, 2))
-                stats.sed = sedimentation_step(
-                    state, p_levels, dz_cm, self.dt,
-                    native=self.use_native_physics,
-                )
-                self._charge_cpu(stats.sed.flops, stats.sed.bytes_moved)
-
-        stats.fast_sbm_seconds = self.clock.total - step_start
+        The one-member case of :func:`step_members`; the sedimentation
+        fall speeds see the patch's mean pressure per level.
+        """
+        (stats,) = step_members(
+            [self],
+            [state],
+            {sp: d[None] for sp, d in state.dists.items()},
+            state.ccn[None],
+            state.precip[None],
+            temperature[None],
+            pressure_mb[None],
+            qv[None],
+            rho_air[None],
+            dz_cm,
+            pressure_mb.mean(axis=(0, 2)),
+        )
         return stats
 
-    # --- condensation dispatch ------------------------------------------------
-
-    def _condensation(
-        self,
-        g_dists: dict[Species, np.ndarray],
-        g_t: np.ndarray,
-        g_p: np.ndarray,
-        g_qv: np.ndarray,
-        g_rho: np.ndarray,
-        g_ccn: np.ndarray,
-        warm: np.ndarray,
-        species_present: dict[Species, bool] | None = None,
-    ) -> CondWorkStats:
-        """Route warm points to onecond1 and mixed-phase to onecond2."""
-        total = CondWorkStats()
-        for mask, routine in ((warm, onecond1), (~warm, onecond2)):
-            idx = np.flatnonzero(mask)
-            if idx.size == 0:
-                continue
-            sub = {sp: d[idx] for sp, d in g_dists.items()}
-            st, sp_, sq, sr, sc = (
-                g_t[idx],
-                g_p[idx],
-                g_qv[idx],
-                g_rho[idx],
-                g_ccn[idx],
-            )
-            total.merge(
-                routine(
-                    sub, st, sp_, sq, sr, sc, self.dt,
-                    native=self.use_native_physics,
-                    species_present=species_present,
-                )
-            )
-            for sp in g_dists:
-                g_dists[sp][idx] = sub[sp]
-            g_t[idx], g_qv[idx], g_ccn[idx] = st, sq, sc
-        return total
+    # --- offloaded loops (one member: GPU stages) -----------------------------
 
     def _condensation_offloaded(
         self,
@@ -305,6 +179,7 @@ class FastSBM:
         g_rho: np.ndarray,
         g_ccn: np.ndarray,
         warm: np.ndarray,
+        species_present: dict[Species, bool],
     ) -> CondWorkStats:
         """Offload the condensation loops (the Sec. VIII extension).
 
@@ -356,7 +231,10 @@ class FastSBM:
             loop_extents=(nj, nk, ni),
             resources=resources,
             body=lambda: result.append(
-                self._condensation(g_dists, g_t, g_p, g_qv, g_rho, g_ccn, warm)
+                _condensation(
+                    g_dists, g_t, g_p, g_qv, g_rho, g_ccn, warm, self.dt,
+                    [(0, npts)], [species_present],
+                )[0]
             ),
         )
         directive = TargetTeamsDistributeParallelDo(
@@ -382,74 +260,6 @@ class FastSBM:
             from_names=tuple(to_arrays),
         )
         return result[0] if result else CondWorkStats()
-
-    # --- collision dispatch ------------------------------------------------------
-
-    def _collisions(
-        self,
-        state: MicroState,
-        g_dists: dict[Species, np.ndarray],
-        g_t: np.ndarray,
-        g_p: np.ndarray,
-    ) -> tuple[CoalWorkStats, int, KernelRecord | None]:
-        """Run coal_bott_new per the active stage."""
-        # Per-species row sums serve both the condensate predicate and
-        # the interaction selection below — row sums are row-independent
-        # so slicing them to the called points is bitwise identical to
-        # CoalSelection.build on the gathered copies.
-        sums = {sp: d.sum(axis=1) for sp, d in g_dists.items()}
-        condensate = np.zeros(g_t.shape)
-        for s in sums.values():
-            condensate += s
-        # The paper's predicate array call_coal_bott_new(i,k,j).
-        call_coal = (g_t > T_COAL_CUTOFF) & (condensate > N_EPS)
-        cidx = np.flatnonzero(call_coal)
-        if cidx.size == 0:
-            return CoalWorkStats(), 0, None
-
-        c_dists = {sp: d[cidx] for sp, d in g_dists.items()}
-        c_t = g_t[cidx]
-        c_p = g_p[cidx]
-        occupied = self._occupied(c_dists)
-        # One selection for the whole step: the work prediction and the
-        # update (and its fp64 shadow) all test the same pre-step state.
-        selection = CoalSelection(c_t, {sp: s[cidx] for sp, s in sums.items()}, {})
-
-        if not self.stage.uses_gpu:
-            work = coal_bott_step(
-                c_dists,
-                c_t,
-                c_p,
-                self.dt,
-                self.tables,
-                INTERACTIONS,
-                occupied=occupied,
-                on_demand=self.stage.on_demand_kernels,
-                selection=selection,
-            )
-            self._charge_cpu(
-                work.flops, work.bytes_moved, iterations=int(work.pair_entries)
-            )
-            record = None
-        else:
-            work, record = self._collisions_offloaded(
-                state, c_dists, c_t, c_p, occupied, selection
-            )
-        for sp in g_dists:
-            g_dists[sp][cidx] = c_dists[sp]
-        return work, int(cidx.size), record
-
-    def _occupied(
-        self, dists: dict[Species, np.ndarray]
-    ) -> dict[Species, np.ndarray]:
-        """Occupied-bin counts per species for the gathered points."""
-        out: dict[Species, np.ndarray] = {}
-        for sp, d in dists.items():
-            present = d > N_EPS
-            rev = present[:, ::-1]
-            first = np.argmax(rev, axis=1)
-            out[sp] = np.where(present.any(axis=1), d.shape[1] - first, 0)
-        return out
 
     def _collisions_offloaded(
         self,
@@ -610,27 +420,27 @@ def coal_kernel_resources(
     )
 
 
-# --- ensemble member batching -------------------------------------------------
+# --- the sweep -----------------------------------------------------------------
 #
 # One fused microphysics sweep over N members resident in one stacked
-# block. The batching discipline, derived from what is and is not
-# bitwise row-stable on this host:
+# block (N = 1 for a plain run). The batching discipline, derived from
+# what is and is not bitwise row-stable on this host:
 #
-# * elementwise ufuncs, boolean-mask gathers/scatters in C order, and
+# * elementwise ufuncs, integer-tuple gathers/scatters in C order, and
 #   per-row ``sum(axis=1)`` reductions run once over the member
 #   concatenation (each member's rows come out bit-for-bit);
 # * anything BLAS (`@`) and any branch whose predicate spans rows runs
 #   per member (see ``coal_bott_step_members`` /
-#   ``_condensation_core_members`` for the per-phase argument);
-# * the compiled C kernels (sedimentation sweep) carry an explicit
-#   member loop, which only moves the base pointer per member.
+#   ``condensation._condensation_core`` for the per-phase argument);
+# * the compiled C kernels (collisions, sedimentation) take every
+#   member in one call with member-local segments or strides.
 #
-# Per-member ``SimClock`` charges replicate the solo step's region keys
-# and amounts exactly: a ``region`` context that charges nothing leaves
-# no trace, so only charge placement matters.
+# Per-member ``SimClock`` charges replicate a one-member step's region
+# keys and amounts exactly: a ``region`` context that charges nothing
+# leaves no trace, so only charge placement matters.
 
 
-def _occupied_rows(dists: dict[Species, np.ndarray]) -> dict[Species, np.ndarray]:
+def _occupied(dists: dict[Species, np.ndarray]) -> dict[Species, np.ndarray]:
     """Occupied-bin counts per species (row-local; any member mix)."""
     out: dict[Species, np.ndarray] = {}
     for sp, d in dists.items():
@@ -641,8 +451,7 @@ def _occupied_rows(dists: dict[Species, np.ndarray]) -> dict[Species, np.ndarray
     return out
 
 
-def _condensation_members(
-    sbms: list[FastSBM],
+def _condensation(
     g_dists: dict[Species, np.ndarray],
     g_t: np.ndarray,
     g_p: np.ndarray,
@@ -650,18 +459,17 @@ def _condensation_members(
     g_rho: np.ndarray,
     g_ccn: np.ndarray,
     warm: np.ndarray,
+    dt: float,
     segments: list[tuple[int, int]],
     sp_present: list[dict[Species, bool]],
 ) -> list[CondWorkStats]:
-    """Warm/mixed-phase routing over the member concatenation.
+    """Route warm points to onecond1 and mixed-phase to onecond2.
 
-    Mirrors :meth:`FastSBM._condensation`: the warm and cold subsets
-    are gathered over all members at once (member-major order is
-    preserved by ``flatnonzero``), and the member-batched onecond cores
-    handle the per-member gates and BLAS splits.
+    The warm and cold subsets are gathered over all members at once
+    (``flatnonzero`` preserves the member-major order), and the onecond
+    cores handle the per-member gates and BLAS splits.
     """
-    nm = len(segments)
-    totals = [CondWorkStats() for _ in range(nm)]
+    totals = [CondWorkStats() for _ in segments]
     starts = [s for s, _ in segments]
     stops = [e for _, e in segments]
     for mask, routine in ((warm, onecond1_members), (~warm, onecond2_members)):
@@ -680,16 +488,95 @@ def _condensation_members(
             g_ccn[idx],
         )
         part = routine(
-            sub, st, sp_, sq, sr, sc, sbms[0].dt, sub_segments,
+            sub, st, sp_, sq, sr, sc, dt, sub_segments,
             species_present=sp_present,
-            native=sbms[0].use_native_physics,
         )
-        for m in range(nm):
-            totals[m].merge(part[m])
+        for total, stats in zip(totals, part):
+            total.merge(stats)
         for sp in g_dists:
             g_dists[sp][idx] = sub[sp]
         g_t[idx], g_qv[idx], g_ccn[idx] = st, sq, sc
     return totals
+
+
+def _collisions(
+    sbms: list[FastSBM],
+    states: list[MicroState],
+    g_dists: dict[Species, np.ndarray],
+    g_t: np.ndarray,
+    g_p: np.ndarray,
+    segments: list[tuple[int, int]],
+    stats_list: list[SbmStepStats],
+) -> None:
+    """coal_bott_new per the active stage, over every member's points.
+
+    CPU stages apply every member in one call and charge the scalar-
+    loop work to each member's clock; GPU stages (one member) launch
+    the fissioned loop on the device, which charges the clock itself.
+    """
+    lead = sbms[0]
+    # Per-species row sums serve both the condensate predicate and the
+    # interaction selection below — row sums are row-independent, so
+    # slicing them to the called points is bitwise identical to
+    # CoalSelection.build on the gathered copies.
+    sums = {sp: d.sum(axis=1) for sp, d in g_dists.items()}
+    condensate = np.zeros(g_t.shape)
+    for s_arr in sums.values():
+        condensate += s_arr
+    # The paper's predicate array call_coal_bott_new(i,k,j).
+    call_coal = (g_t > T_COAL_CUTOFF) & (condensate > N_EPS)
+    cidx = np.flatnonzero(call_coal)
+    clos = np.searchsorted(cidx, [s for s, _ in segments])
+    chis = np.searchsorted(cidx, [e for _, e in segments])
+    coal_segments = [(int(lo), int(hi)) for lo, hi in zip(clos, chis)]
+    works = None
+    if cidx.size:
+        c_dists = {sp: d[cidx] for sp, d in g_dists.items()}
+        c_t = g_t[cidx]
+        c_p = g_p[cidx]
+        occupied = _occupied(c_dists)
+        # One selection for the whole step: the work prediction and the
+        # update (and its fp64 shadow) all test the same pre-step state.
+        selection = CoalSelection(
+            c_t, {sp: s_arr[cidx] for sp, s_arr in sums.items()}, {}
+        )
+        if not lead.stage.uses_gpu:
+            args = (c_dists, c_t, c_p, lead.dt, lead.tables, INTERACTIONS)
+            kwargs = dict(
+                occupied=occupied,
+                on_demand=lead.stage.on_demand_kernels,
+                selection=selection,
+            )
+            if len(segments) == 1:
+                # A plain run enters through the one-member name (the
+                # same code), which is what callers that wrap or patch
+                # ``coal_bott_step`` expect a plain run to call.
+                works = [coal_bott_step(*args, **kwargs)]
+            else:
+                works = coal_bott_step_members(*args, coal_segments, **kwargs)
+    for m, ((s, e), (lo, hi)) in enumerate(zip(segments, coal_segments)):
+        if e == s:
+            continue
+        sbm, stats = sbms[m], stats_list[m]
+        with sbm.clock.region("coal_bott_new"):
+            before = sbm.clock.total
+            if hi > lo:
+                stats.coal_points = hi - lo
+                if works is not None:
+                    stats.coal = works[m]
+                    sbm._charge_cpu(
+                        stats.coal.flops,
+                        stats.coal.bytes_moved,
+                        iterations=int(stats.coal.pair_entries),
+                    )
+                else:
+                    stats.coal, stats.coal_record = sbm._collisions_offloaded(
+                        states[m], c_dists, c_t, c_p, occupied, selection
+                    )
+            stats.coal_seconds = sbm.clock.total - before
+    if cidx.size:
+        for sp in g_dists:
+            g_dists[sp][cidx] = c_dists[sp]
 
 
 def step_members(
@@ -703,41 +590,42 @@ def step_members(
     qv: np.ndarray,
     rho_air: np.ndarray,
     dz_cm: float,
-    pressure_levels: list[np.ndarray] | None = None,
+    pressure_levels: np.ndarray,
 ) -> list[SbmStepStats]:
     """Advance N ensemble members' microphysics in one fused sweep.
 
     ``sbms[m]``/``states[m]`` are member ``m``'s driver (own clock) and
     micro state; the stacked arrays are ``(nm, ...)`` member-major
-    views whose slice ``[m]`` aliases that member's patch arrays.
-    ``pressure_levels`` optionally supplies each member's base-state
-    pressure column exactly as the solo step derives it (callers whose
-    stacked ``pressure_mb`` is a materialized copy should pass it so
-    the column mean is taken over the member's own layout).
+    views whose slice ``[m]`` aliases that member's patch arrays (all
+    updated in place). ``pressure_levels`` is the ``(nk,)`` base-state
+    pressure column the members share (sedimentation fall speeds).
 
-    Member ``m``'s fields, work stats, and per-rank clock charges are
-    bit-identical to a solo :meth:`FastSBM.step` of that member.
+    Member ``m``'s fields, work stats, and clock charges are
+    bit-identical to a one-member step of that member alone. GPU
+    stages and condensation offload step one member: their ranks share
+    the simulated GPU pool.
     """
     nm = len(sbms)
     lead = sbms[0]
-    if any(s.stage.uses_gpu or s.offload_condensation for s in sbms):
-        raise ConfigurationError(
-            "ensemble member batching supports CPU stages only"
-        )
+    if nm > 1 and lead.stage.uses_gpu:
+        raise ConfigurationError("members > 1 supports CPU stages only")
     ni, nk, nj = states[0].shape
     npatch = ni * nk * nj
     dt = lead.dt
     stats_list = [SbmStepStats() for _ in range(nm)]
     step_start = [sbm.clock.total for sbm in sbms]
 
-    from repro.fsbm.thermo import saturation_mixing_ratio
-
     with ExitStack() as stack:
         for sbm in sbms:
             stack.enter_context(sbm.clock.region("fast_sbm"))
+        # The i,k,j scan of Listing 1 (conditional tests at every cell).
         for sbm in sbms:
             sbm._charge_cpu(2.0 * npatch, 8.0 * npatch, iterations=npatch)
 
+        # Cells the microphysics touches: warm enough, and either
+        # carrying condensate or saturated enough to form some. (The
+        # Fortran scans every cell — charged above — but only these do
+        # real work inside the conditionals.)
         qs = saturation_mixing_ratio(temperature, pressure_mb)
         condensate = np.empty(temperature.shape)
         for m, state in enumerate(states):
@@ -754,12 +642,12 @@ def step_members(
             stats_list[m].mp_points = int(counts[m])
 
         if total_pts:
-            # Integer-tuple indexing: one np.nonzero, then every gather and
-            # scatter fans out from the precomputed coordinate arrays.  On
-            # the strided superblock views this measures ~1.3x faster than
-            # repeated boolean masking (which re-scans the mask per field)
-            # and yields bit-identical results: same elements, same
-            # member-major C order.
+            # Integer-tuple indexing: one np.nonzero, then every gather
+            # and scatter fans out from the precomputed coordinate
+            # arrays. On the strided superblock views this measures
+            # ~1.3x faster than repeated boolean masking (which re-scans
+            # the mask per field) and yields the same elements in the
+            # same member-major C order.
             midx = np.nonzero(mp_mask)
             g_dists = {
                 sp: dists_stacked[sp][midx] for sp in states[0].dists
@@ -770,7 +658,7 @@ def step_members(
             g_rho = rho_air[midx]
             g_ccn = ccn_stacked[midx]
 
-            # --- nucleation (one elementwise pass over all members) ----
+            # --- nucleation (jernucl01_ks, elementwise) ----------------
             jernucl01_ks(g_dists, g_t, g_p, g_qv, g_rho, g_ccn, dt)
             for m, (s, e) in enumerate(segments):
                 if e == s:
@@ -782,7 +670,11 @@ def step_members(
                         stats_list[m].nucl.bytes_moved,
                     )
 
-            # --- condensation ------------------------------------------
+            # --- condensation (onecond1 / onecond2) ---------------------
+            # One cheap presence scan per species and member (post-
+            # nucleation): an all-zero species contributes nothing to
+            # the ice gate and can skip every per-subset occupancy probe
+            # inside the condensation core, exactly.
             sp_present = [
                 {sp: bool(g_dists[sp][s:e].any()) for sp in Species}
                 for (s, e) in segments
@@ -798,18 +690,25 @@ def step_members(
                             hot = g_dists[sp].sum(axis=1) > N_EPS
                         ice_present[s:e] |= hot[s:e]
             warm = (g_t > T_0 - 5.0) & ~ice_present
-            cond_list = _condensation_members(
-                sbms, g_dists, g_t, g_p, g_qv, g_rho, g_ccn, warm,
-                segments, sp_present,
-            )
-            for m, (s, e) in enumerate(segments):
-                if e == s:
-                    continue
-                stats_list[m].cond = cond_list[m]
-                with sbms[m].clock.region("onecond"):
-                    sbms[m]._charge_cpu(
-                        cond_list[m].flops, cond_list[m].bytes_moved
+            if lead.offload_condensation:
+                with lead.clock.region("onecond"):
+                    stats_list[0].cond = lead._condensation_offloaded(
+                        states[0], g_dists, g_t, g_p, g_qv, g_rho, g_ccn,
+                        warm, sp_present[0],
                     )
+            else:
+                cond_list = _condensation(
+                    g_dists, g_t, g_p, g_qv, g_rho, g_ccn, warm, dt,
+                    segments, sp_present,
+                )
+                for m, (s, e) in enumerate(segments):
+                    if e == s:
+                        continue
+                    stats_list[m].cond = cond_list[m]
+                    with sbms[m].clock.region("onecond"):
+                        sbms[m]._charge_cpu(
+                            cond_list[m].flops, cond_list[m].bytes_moved
+                        )
 
             # --- freezing / melting (cross-row gates: per member) ------
             for m, (s, e) in enumerate(segments):
@@ -825,50 +724,8 @@ def step_members(
                         stats_list[m].freeze.bytes_moved,
                     )
 
-            # --- collision–coalescence ---------------------------------
-            sums = {sp: d.sum(axis=1) for sp, d in g_dists.items()}
-            condensate_g = np.zeros(total_pts)
-            for s_arr in sums.values():
-                condensate_g += s_arr
-            call_coal = (g_t > T_COAL_CUTOFF) & (condensate_g > N_EPS)
-            cidx = np.flatnonzero(call_coal)
-            clos = np.searchsorted(cidx, [s for s, _ in segments])
-            chis = np.searchsorted(cidx, [e for _, e in segments])
-            works = None
-            if cidx.size:
-                c_dists = {sp: d[cidx] for sp, d in g_dists.items()}
-                c_t = g_t[cidx]
-                c_p = g_p[cidx]
-                occupied = _occupied_rows(c_dists)
-                selection = CoalSelection(
-                    c_t, {sp: s_arr[cidx] for sp, s_arr in sums.items()}, {}
-                )
-                coal_segments = [
-                    (int(lo), int(hi)) for lo, hi in zip(clos, chis)
-                ]
-                works = coal_bott_step_members(
-                    c_dists, c_t, c_p, dt, lead.tables, INTERACTIONS,
-                    coal_segments, occupied=occupied,
-                    on_demand=lead.stage.on_demand_kernels,
-                    selection=selection,
-                )
-                for sp in g_dists:
-                    g_dists[sp][cidx] = c_dists[sp]
-            for m, (s, e) in enumerate(segments):
-                if e == s:
-                    continue
-                clock = sbms[m].clock
-                with clock.region("coal_bott_new"):
-                    before = clock.total
-                    if works is not None and chis[m] > clos[m]:
-                        w = works[m]
-                        stats_list[m].coal = w
-                        stats_list[m].coal_points = int(chis[m] - clos[m])
-                        sbms[m]._charge_cpu(
-                            w.flops, w.bytes_moved,
-                            iterations=int(w.pair_entries),
-                        )
-                    stats_list[m].coal_seconds = clock.total - before
+            # --- collision–coalescence (coal_bott_new) -----------------
+            _collisions(sbms, states, g_dists, g_t, g_p, segments, stats_list)
 
             for sp in g_dists:
                 dists_stacked[sp][midx] = g_dists[sp]
@@ -876,40 +733,16 @@ def step_members(
             qv[midx] = g_qv
             ccn_stacked[midx] = g_ccn
 
-        # --- sedimentation (full field, compiled member loop) ----------
-        if pressure_levels is None:
-            pressure_levels = [
-                pressure_mb[m].mean(axis=(0, 2)) for m in range(nm)
-            ]
-        shared_col = all(
-            np.array_equal(pressure_levels[0], pl)
-            for pl in pressure_levels[1:]
-        )
-        if shared_col and lead.use_native_physics:
-            with ExitStack() as sed_stack:
-                for sbm in sbms:
-                    sed_stack.enter_context(sbm.clock.region("sedimentation"))
-                sed_list = sedimentation_step_members(
-                    states, dists_stacked, precip_stacked,
-                    pressure_levels[0], dz_cm, dt, native=True,
-                )
-                for m, sbm in enumerate(sbms):
-                    stats_list[m].sed = sed_list[m]
-                    sbm._charge_cpu(
-                        sed_list[m].flops, sed_list[m].bytes_moved
-                    )
-        else:
-            # Divergent base-state columns: per-member solo sweeps (the
-            # courant table is column-specific).
+        # --- sedimentation (full field, every member in one sweep) -----
+        with ExitStack() as sed_stack:
+            for sbm in sbms:
+                sed_stack.enter_context(sbm.clock.region("sedimentation"))
+            sed_list = sedimentation_step_members(
+                dists_stacked, precip_stacked, pressure_levels, dz_cm, dt
+            )
             for m, sbm in enumerate(sbms):
-                with sbm.clock.region("sedimentation"):
-                    stats_list[m].sed = sedimentation_step(
-                        states[m], pressure_levels[m], dz_cm, dt,
-                        native=sbm.use_native_physics,
-                    )
-                    sbm._charge_cpu(
-                        stats_list[m].sed.flops, stats_list[m].sed.bytes_moved
-                    )
+                stats_list[m].sed = sed_list[m]
+                sbm._charge_cpu(sed_list[m].flops, sed_list[m].bytes_moved)
 
     for m, sbm in enumerate(sbms):
         stats_list[m].fast_sbm_seconds = sbm.clock.total - step_start[m]

@@ -16,11 +16,11 @@ Two step-invariant costs are hoisted out of the loop:
   ``fsbm.sed_courant`` :class:`~repro.core.cache.CountingCache` rather
   than re-deriving ~4k ``terminal_velocity`` evaluations per step;
 * with the compiled path (:mod:`repro.fsbm.ckernels`, default on) the
-  whole sweep — all species, flux build, shifted carry, precipitation
-  dot — runs as one C loop nest with no full-field temporaries,
-  bit-identical to the numpy reference (see the kernel module's
-  equivalence notes). ``native=False`` or ``REPRO_DISABLE_CPHYS=1``
-  forces the numpy path.
+  whole sweep — every member, all species, flux build, shifted carry,
+  precipitation dot — runs as one C loop nest with no full-field
+  temporaries, bit-identical to the numpy reference (see the kernel
+  module's equivalence notes). ``REPRO_DISABLE_CPHYS=1`` or
+  ``REPRO_DISABLE_CJIT=1`` forces the numpy path.
 """
 
 from __future__ import annotations
@@ -112,105 +112,78 @@ def sedimentation_step(
     pressure_mb_levels: np.ndarray,
     dz_cm: float,
     dt: float,
-    native: bool = True,
 ) -> SedWorkStats:
-    """Advance all species by one upwind sedimentation step, in place.
-
-    ``pressure_mb_levels`` has shape ``(nk,)`` (base-state column) and
-    sets the fall-speed density correction per level. ``native``
-    selects the compiled fused sweep when available (transparently
-    falling back to numpy otherwise).
-    """
-    stats = SedWorkStats()
-    tables = _courant_tables(pressure_mb_levels, dz_cm, dt)
-
-    lib = ckernels.load_kernels() if native else None
-    if lib is not None and tables["stack"].shape[2] == state.nkr:
-        # The kernel touches only rows with nonzero number, so the CFL
-        # guard need only fire for species that are both violating and
-        # present — same observable behavior as the per-species loop.
-        for sp in tables["species"]:
-            if tables["cmax"][sp] > 1.0 and state.dists[sp].any():
-                _check_cfl(sp, tables["cmax"][sp])
-        dists = [state.dists[sp] for sp in tables["species"]]
-        active = ckernels.sed_sweep(
-            lib, dists, tables["stack"], tables["masses"], state.precip
-        )
-        if active is not None:
-            for isp, sp in enumerate(tables["species"]):
-                if active[isp]:
-                    stats.cell_bins += float(state.dists[sp].size)
-            return stats
-        # Unsupported layout (dtype/stride mismatch): numpy path below.
-
-    for sp in tables["species"]:
-        n = state.dists[sp]
-        if not n.any():
-            continue
-        _check_cfl(sp, tables["cmax"][sp])
-        courant = tables["courant"][sp]
-        flux = n * courant[None, :, None, :]  # number leaving each cell downward
-        n -= flux
-        n[:, :-1, :, :] += flux[:, 1:, :, :]
-        # Lowest level's flux reaches the ground as precipitation mass.
-        state.precip += flux[:, 0, :, :] @ species_bins()[sp].masses
-        stats.cell_bins += float(n.size)
+    """One member's sedimentation step, in place (see
+    :func:`sedimentation_step_members`)."""
+    dists = {sp: d[None] for sp, d in state.dists.items()}
+    (stats,) = sedimentation_step_members(
+        dists, state.precip[None], pressure_mb_levels, dz_cm, dt
+    )
     return stats
 
 
 def sedimentation_step_members(
-    states: list[MicroState],
     dists_stacked: dict[Species, np.ndarray],
     precip_stacked: np.ndarray,
     pressure_mb_levels: np.ndarray,
     dz_cm: float,
     dt: float,
-    native: bool = True,
 ) -> list[SedWorkStats]:
-    """One sedimentation sweep over every ensemble member, in place.
+    """Advance every member's species by one upwind step, in place.
 
     ``dists_stacked[sp]`` is the member-stacked ``(nm, ni, nk, nj,
     nkr)`` view of each species (all members resident in one
     superblock) and ``precip_stacked`` the ``(nm, ni, nj)`` surface
-    accumulator whose member rows are the states' ``precip`` arrays.
-    The courant/fall-speed tables are step-invariant and shared across
-    members through the ``fsbm.sed_courant`` cache, so N members pay
-    for one table build. Per-member stats come from the kernel's
-    per-(member, species) ``active`` flags and are identical to what a
-    solo :func:`sedimentation_step` of each member reports; the sweep
-    itself is bit-identical per member (the member loop only changes
-    the base pointer). Falls back to per-member solo sweeps when the
-    compiled kernel is unavailable or the stacked layout is
-    unsupported.
+    accumulator. ``pressure_mb_levels`` has shape ``(nk,)`` (the
+    base-state column every member shares) and sets the fall-speed
+    density correction per level; the courant tables built from it are
+    step-invariant and cached in ``fsbm.sed_courant``, so N members pay
+    for one build. The compiled sweep takes every member in one call;
+    the numpy path (kill switch, no compiler, unsupported layout) runs
+    member by member. Either way member ``m``'s update and stats are
+    those of a one-member call on its own arrays.
     """
-    nm = len(states)
     tables = _courant_tables(pressure_mb_levels, dz_cm, dt)
+    species = tables["species"]
+    nkr = dists_stacked[species[0]].shape[-1]
+    stats = [SedWorkStats() for _ in range(precip_stacked.shape[0])]
 
-    lib = ckernels.load_kernels() if native else None
-    if lib is not None and tables["stack"].shape[2] == states[0].nkr:
-        for sp in tables["species"]:
-            if tables["cmax"][sp] > 1.0 and any(
-                st.dists[sp].any() for st in states
-            ):
+    lib = ckernels.load_kernels()
+    if lib is not None and tables["stack"].shape[2] == nkr:
+        # The kernel touches only rows with nonzero number, so the CFL
+        # guard need only fire for species that are both violating and
+        # present — same observable behavior as the per-species loop.
+        for sp in species:
+            if tables["cmax"][sp] > 1.0 and dists_stacked[sp].any():
                 _check_cfl(sp, tables["cmax"][sp])
-        dists = [dists_stacked[sp] for sp in tables["species"]]
-        active = ckernels.sed_sweep_members(
-            lib, dists, tables["stack"], tables["masses"], precip_stacked
+        active = ckernels.sed_sweep(
+            lib,
+            [dists_stacked[sp] for sp in species],
+            tables["stack"],
+            tables["masses"],
+            precip_stacked,
         )
         if active is not None:
-            out = []
-            for m, state in enumerate(states):
-                stats = SedWorkStats()
-                for isp, sp in enumerate(tables["species"]):
+            for m, st in enumerate(stats):
+                for isp, sp in enumerate(species):
                     if active[m, isp]:
-                        stats.cell_bins += float(state.dists[sp].size)
-                out.append(stats)
-            return out
-        # Unsupported stacked layout: per-member solo sweeps below.
+                        st.cell_bins += float(dists_stacked[sp][m].size)
+            return stats
+        # Unsupported layout (dtype/stride mismatch): numpy path below.
 
-    return [
-        sedimentation_step(
-            state, pressure_mb_levels, dz_cm, dt, native=native
-        )
-        for state in states
-    ]
+    # Per member: the presence skips span the member's rows, and the
+    # precipitation contraction is a BLAS call that must see only them.
+    for m, st in enumerate(stats):
+        for sp in species:
+            n = dists_stacked[sp][m]
+            if not n.any():
+                continue
+            _check_cfl(sp, tables["cmax"][sp])
+            courant = tables["courant"][sp]
+            flux = n * courant[None, :, None, :]  # number leaving each cell downward
+            n -= flux
+            n[:, :-1, :, :] += flux[:, 1:, :, :]
+            # Lowest level's flux reaches the ground as precipitation mass.
+            precip_stacked[m] += flux[:, 0, :, :] @ species_bins()[sp].masses
+            st.cell_bins += float(n.size)
+    return stats

@@ -61,30 +61,6 @@ class HaloExchangePlan:
         """Total bytes over the wire for one exchange of ``nfields`` fields."""
         return sum(s.num_points for s in self.segments) * itemsize * nfields
 
-    def apply_pull(self, rank: int, blocks: list[np.ndarray]) -> int:
-        """Fill ``rank``'s halo by pulling from neighbor arrays.
-
-        ``blocks[r]`` is rank ``r``'s local array (3D field or 4D
-        superblock) at memory extents. Executes only the segments whose
-        destination is ``rank`` — the pull half of the exchange — and
-        returns the grid points copied. Because every source region is
-        inside its owner's *owned* box and every destination region is
-        inside the puller's halo, concurrent pulls by different ranks
-        touch disjoint memory: this is what lets the multiprocess rank
-        engine run the exchange as direct strided copies between
-        neighboring ranks' shared-memory superblocks, barriered before
-        (all owners finished writing) and after (all halos filled).
-        """
-        patches = self.decomposition.patches
-        points = 0
-        for seg in self.segments:
-            if seg.dst != rank:
-                continue
-            src = blocks[seg.src][seg.src_slices(patches[seg.src])]
-            blocks[rank][seg.dst_slices(patches[rank])] = src
-            points += seg.num_points
-        return points
-
     def apply(self, fields: list[np.ndarray]) -> None:
         """Execute the exchange on per-rank local arrays (test helper).
 

@@ -62,13 +62,20 @@ DISABLE_ENV = "REPRO_DISABLE_CSTENCIL"
 def build_advect_ir() -> Kernel:
     """The donor-cell stage ``out = base + f * tend(s)`` as loop IR.
 
-    One stage over the whole ``(ni, nk, nj, ns)`` superblock with
-    zero-gradient edges: each neighbor index is clamped, so the
-    clamped term is ``s - s = 0``, reproducing the reference's edge
-    handling exactly. Euler passes ``base == s`` and ``f == dt``; an
-    RK3 stage passes ``base == phi0`` and ``f == dt * frac``.
-    ``clip[n]`` marks scalars clamped at zero after the update (only
-    on the stage that ``do_clip`` enables).
+    One stage over the member-stacked ``(nm, ni, nk, nj, ns)``
+    superblock with zero-gradient edges. The stack is C-contiguous, so
+    its members' i-rows line up as ``nm * ni`` consecutive rows: the
+    nest runs over rows ``r = m * ni + i``, exactly a one-member stencil's
+    ``(i, k, j)`` nest with ``ni`` replaced by ``nm * ni``, and
+    `repro.codee.transform` derives the same ``collapse(2)`` over
+    ``(r, k)``. The member-local row ``i = r % ni`` drives the i-edge
+    clamp, so no neighbor read crosses a member boundary: each clamped
+    term is ``s - s = 0``, reproducing the reference's edge handling
+    exactly, and member ``m`` of the result equals a one-member sweep
+    of that member bit for bit. Euler passes ``base == s`` and
+    ``f == dt``; an RK3 stage passes ``base == phi0`` and
+    ``f == dt * frac``. ``clip[n]`` marks scalars clamped at zero after
+    the update (only on the stage that ``do_clip`` enables).
 
     The tendency accumulates axis i, then k, then j with the same
     expression grouping as the numpy reference (three negated upwind
@@ -77,37 +84,40 @@ def build_advect_ir() -> Kernel:
     OpenMP annotation on the compiled kernel is derived by
     `repro.codee.transform` from its dependence analysis.
     """
-    ni, nk, nj, ns = Sym("ni"), Sym("nk"), Sym("nj"), Sym("ns")
-    i, k, j, n = Sym("i"), Sym("k"), Sym("j"), Sym("n")
+    nm, ni, nk, nj, ns = (
+        Sym("nm"), Sym("ni"), Sym("nk"), Sym("nj"), Sym("ns")
+    )
+    r, i, k, j, n = Sym("r"), Sym("i"), Sym("k"), Sym("j"), Sym("n")
     sv = Sym("sv")
 
     s4 = (nk * nj * ns, nj * ns, ns, Const(1))
     c3 = (nk * nj, nj, Const(1))
 
-    def s_at(ii, kk, jj):
-        return Load("s", (ii, kk, jj, n))
+    def s_at(rr, kk, jj):
+        return Load("s", (rr, kk, jj, n))
 
     # One negated upwind pair per axis: -(pos*(sv - s[lo]) + neg*(s[hi] - sv)),
     # accumulated i, then k, then j — the reference's grouping.
     tend = None
     for pos, neg, lo, hi in (
         ("up", "un", s_at(Sym("im"), k, j), s_at(Sym("ip"), k, j)),
-        ("wp", "wn", s_at(i, Sym("km"), j), s_at(i, Sym("kp"), j)),
-        ("vp", "vn", s_at(i, k, Sym("jm")), s_at(i, k, Sym("jp"))),
+        ("wp", "wn", s_at(r, Sym("km"), j), s_at(r, Sym("kp"), j)),
+        ("vp", "vn", s_at(r, k, Sym("jm")), s_at(r, k, Sym("jp"))),
     ):
         pair = -(Sym(pos) * (sv - lo) + Sym(neg) * (hi - sv))
         tend = pair if tend is None else tend + pair
 
     clamp = loopir.Select
     body_j = [
-        Let("up", Load("pos_i", (i, k, j))),
-        Let("un", Load("neg_i", (i, k, j))),
-        Let("wp", Load("pos_k", (i, k, j))),
-        Let("wn", Load("neg_k", (i, k, j))),
-        Let("vp", Load("pos_j", (i, k, j))),
-        Let("vn", Load("neg_j", (i, k, j))),
-        Let("im", clamp(i.gt(0), i - 1, i), ctype="long"),
-        Let("ip", clamp(i.lt(ni - 1), i + 1, i), ctype="long"),
+        Let("up", Load("pos_i", (r, k, j))),
+        Let("un", Load("neg_i", (r, k, j))),
+        Let("wp", Load("pos_k", (r, k, j))),
+        Let("wn", Load("neg_k", (r, k, j))),
+        Let("vp", Load("pos_j", (r, k, j))),
+        Let("vn", Load("neg_j", (r, k, j))),
+        Let("i", r - (r / ni) * ni, ctype="long"),
+        Let("im", clamp(i.gt(0), r - 1, r), ctype="long"),
+        Let("ip", clamp(i.lt(ni - 1), r + 1, r), ctype="long"),
         Let("km", clamp(k.gt(0), k - 1, k), ctype="long"),
         Let("kp", clamp(k.lt(nk - 1), k + 1, k), ctype="long"),
         Let("jm", clamp(j.gt(0), j - 1, j), ctype="long"),
@@ -117,12 +127,12 @@ def build_advect_ir() -> Kernel:
             Const(0),
             ns,
             [
-                Let("sv", s_at(i, k, j)),
+                Let("sv", s_at(r, k, j)),
                 Let("t", tend),
                 Store(
                     "out",
-                    (i, k, j, n),
-                    Sym("f") * Sym("t") + Load("base", (i, k, j, n)),
+                    (r, k, j, n),
+                    Sym("f") * Sym("t") + Load("base", (r, k, j, n)),
                 ),
             ],
         ),
@@ -136,9 +146,9 @@ def build_advect_ir() -> Kernel:
                     [
                         If(
                             Load("clip", (n,)).logical_and(
-                                Load("out", (i, k, j, n)).lt(Const(0.0))
+                                Load("out", (r, k, j, n)).lt(Const(0.0))
                             ),
-                            [Store("out", (i, k, j, n), Const(0.0))],
+                            [Store("out", (r, k, j, n), Const(0.0))],
                         )
                     ],
                 )
@@ -147,9 +157,9 @@ def build_advect_ir() -> Kernel:
     ]
 
     nest = Loop(
-        "i",
+        "r",
         Const(0),
-        ni,
+        nm * ni,
         [Loop("k", Const(0), nk, [Loop("j", Const(0), nj, body_j)])],
     )
 
@@ -166,133 +176,6 @@ def build_advect_ir() -> Kernel:
             ArrayParam("pos_j", strides=c3),
             ArrayParam("neg_j", strides=c3),
             ScalarParam("f", "double"),
-            ScalarParam("ni", "long"),
-            ScalarParam("nk", "long"),
-            ScalarParam("nj", "long"),
-            ScalarParam("ns", "long"),
-            ArrayParam("clip", strides=(Const(1),), ctype="unsigned char"),
-            ScalarParam("do_clip", "int"),
-        ),
-        body=[nest],
-        doc=(
-            "One donor-cell stage out = base + f * tend(s) over the "
-            "(ni, nk, nj, ns) superblock with zero-gradient (clamped) "
-            "edges; tendency accumulated axis i, then k, then j in the "
-            "reference's grouping."
-        ),
-    )
-
-
-def build_advect_members_ir() -> Kernel:
-    """The donor-cell stage over an ensemble-stacked superblock.
-
-    Identical per-point arithmetic to :func:`build_advect_ir` wrapped
-    in an explicit outer member loop: the block is ``(nm, ni, nk, nj,
-    ns)`` member-major and the winds ``(nm, ni, nk, nj)``, so iteration
-    ``m`` reads and writes exactly member ``m``'s arrays with member-
-    local edge clamps (the i/k/j Select clamps never cross a member
-    boundary because ``m`` is a separate index, not folded into ``i``).
-    Every output element is written exactly once by a deterministic
-    scalar expression, so each member's slice is bit-identical to a
-    solo :func:`build_advect_ir` sweep of that member — regardless of
-    how the derived OpenMP annotations schedule the loops.
-    """
-    nm, ni, nk, nj, ns = (
-        Sym("nm"), Sym("ni"), Sym("nk"), Sym("nj"), Sym("ns")
-    )
-    m, i, k, j, n = Sym("m"), Sym("i"), Sym("k"), Sym("j"), Sym("n")
-    sv = Sym("sv")
-
-    s5 = (ni * nk * nj * ns, nk * nj * ns, nj * ns, ns, Const(1))
-    c4 = (ni * nk * nj, nk * nj, nj, Const(1))
-
-    def s_at(ii, kk, jj):
-        return Load("s", (m, ii, kk, jj, n))
-
-    tend = None
-    for pos, neg, lo, hi in (
-        ("up", "un", s_at(Sym("im"), k, j), s_at(Sym("ip"), k, j)),
-        ("wp", "wn", s_at(i, Sym("km"), j), s_at(i, Sym("kp"), j)),
-        ("vp", "vn", s_at(i, k, Sym("jm")), s_at(i, k, Sym("jp"))),
-    ):
-        pair = -(Sym(pos) * (sv - lo) + Sym(neg) * (hi - sv))
-        tend = pair if tend is None else tend + pair
-
-    clamp = loopir.Select
-    body_j = [
-        Let("up", Load("pos_i", (m, i, k, j))),
-        Let("un", Load("neg_i", (m, i, k, j))),
-        Let("wp", Load("pos_k", (m, i, k, j))),
-        Let("wn", Load("neg_k", (m, i, k, j))),
-        Let("vp", Load("pos_j", (m, i, k, j))),
-        Let("vn", Load("neg_j", (m, i, k, j))),
-        Let("im", clamp(i.gt(0), i - 1, i), ctype="long"),
-        Let("ip", clamp(i.lt(ni - 1), i + 1, i), ctype="long"),
-        Let("km", clamp(k.gt(0), k - 1, k), ctype="long"),
-        Let("kp", clamp(k.lt(nk - 1), k + 1, k), ctype="long"),
-        Let("jm", clamp(j.gt(0), j - 1, j), ctype="long"),
-        Let("jp", clamp(j.lt(nj - 1), j + 1, j), ctype="long"),
-        Loop(
-            "n",
-            Const(0),
-            ns,
-            [
-                Let("sv", s_at(i, k, j)),
-                Let("t", tend),
-                Store(
-                    "out",
-                    (m, i, k, j, n),
-                    Sym("f") * Sym("t") + Load("base", (m, i, k, j, n)),
-                ),
-            ],
-        ),
-        If(
-            Sym("do_clip"),
-            [
-                Loop(
-                    "n",
-                    Const(0),
-                    ns,
-                    [
-                        If(
-                            Load("clip", (n,)).logical_and(
-                                Load("out", (m, i, k, j, n)).lt(Const(0.0))
-                            ),
-                            [Store("out", (m, i, k, j, n), Const(0.0))],
-                        )
-                    ],
-                )
-            ],
-        ),
-    ]
-
-    nest = Loop(
-        "m",
-        Const(0),
-        nm,
-        [
-            Loop(
-                "i",
-                Const(0),
-                ni,
-                [Loop("k", Const(0), nk, [Loop("j", Const(0), nj, body_j)])],
-            )
-        ],
-    )
-
-    return Kernel(
-        name="advect_stage_members",
-        params=(
-            ArrayParam("s", strides=s5),
-            ArrayParam("base", strides=s5),
-            ArrayParam("out", strides=s5, intent="out"),
-            ArrayParam("pos_i", strides=c4),
-            ArrayParam("neg_i", strides=c4),
-            ArrayParam("pos_k", strides=c4),
-            ArrayParam("neg_k", strides=c4),
-            ArrayParam("pos_j", strides=c4),
-            ArrayParam("neg_j", strides=c4),
-            ScalarParam("f", "double"),
             ScalarParam("nm", "long"),
             ScalarParam("ni", "long"),
             ScalarParam("nk", "long"),
@@ -303,10 +186,11 @@ def build_advect_members_ir() -> Kernel:
         ),
         body=[nest],
         doc=(
-            "One donor-cell stage out = base + f * tend(s) over an "
-            "ensemble-stacked (nm, ni, nk, nj, ns) superblock; the "
-            "member loop only rebases the pointers, so each member's "
-            "slice matches a solo advect_stage sweep bit for bit."
+            "One donor-cell stage out = base + f * tend(s) over the "
+            "member-stacked (nm, ni, nk, nj, ns) superblock, its members' "
+            "rows folded into nm * ni rows, with zero-gradient edges "
+            "clamped at each member's own rows; tendency accumulated "
+            "axis i, then k, then j in the reference's grouping."
         ),
     )
 
@@ -315,14 +199,6 @@ loopir.register_kernel(
     loopir.KernelSpec(
         name="advect_stage",
         build=build_advect_ir,
-        transform=transform.plan_offload,
-    )
-)
-
-loopir.register_kernel(
-    loopir.KernelSpec(
-        name="advect_stage_members",
-        build=build_advect_members_ir,
         transform=transform.plan_offload,
     )
 )
@@ -340,14 +216,6 @@ def _declare(lib: ctypes.CDLL) -> None:
     bp = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
     lib.advect_stage.restype = None
     lib.advect_stage.argtypes = [
-        dp, dp, dp,  # s, base, out
-        dp, dp, dp, dp, dp, dp,  # pos/neg per axis
-        ctypes.c_double,
-        ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-        bp, ctypes.c_int,
-    ]
-    lib.advect_stage_members.restype = None
-    lib.advect_stage_members.argtypes = [
         dp, dp, dp,  # s, base, out (member-stacked)
         dp, dp, dp, dp, dp, dp,  # pos/neg per axis (member-stacked)
         ctypes.c_double,
@@ -362,10 +230,7 @@ def _declare(lib: ctypes.CDLL) -> None:
 # before any C exists — loud by design.
 _module = cgen.build_module(
     "stencil",
-    [
-        transform.plan_offload(build_advect_ir()).kernel,
-        transform.plan_offload(build_advect_members_ir()).kernel,
-    ],
+    [transform.plan_offload(build_advect_ir()).kernel],
     cflags=CFLAGS,
     disable_env=DISABLE_ENV,
     build_dir=Path(__file__).resolve().parent / "_cbuild",
@@ -418,36 +283,14 @@ def advect_stage(
     clip_mask: np.ndarray,
     do_clip: bool,
 ) -> None:
-    """One fused stage ``out = base + f * tend(s)`` on the superblock."""
-    ni, nk, nj, ns = s.shape
-    lib.advect_stage(
-        s, base, out,
-        pos[0], neg[0], pos[1], neg[1], pos[2], neg[2],
-        float(f), ni, nk, nj, ns,
-        clip_mask, 1 if do_clip else 0,
-    )
+    """One fused stage ``out = base + f * tend(s)`` on the member stack.
 
-
-def advect_stage_members(
-    lib: ctypes.CDLL,
-    s: np.ndarray,
-    base: np.ndarray,
-    out: np.ndarray,
-    pos: tuple[np.ndarray, np.ndarray, np.ndarray],
-    neg: tuple[np.ndarray, np.ndarray, np.ndarray],
-    f: float,
-    clip_mask: np.ndarray,
-    do_clip: bool,
-) -> None:
-    """One fused stage over the ``(nm, ni, nk, nj, ns)`` member stack.
-
-    ``pos``/``neg`` are the member-stacked ``(nm, ni, nk, nj)`` wind
-    decompositions. One C call advances every member; each member's
-    slice of ``out`` equals a solo :func:`advect_stage` call bit for
-    bit.
+    ``s``/``base``/``out`` are ``(nm, ni, nk, nj, ns)`` and
+    ``pos``/``neg`` the member-stacked ``(nm, ni, nk, nj)`` wind
+    decompositions; one C call advances every member.
     """
     nm, ni, nk, nj, ns = s.shape
-    lib.advect_stage_members(
+    lib.advect_stage(
         s, base, out,
         pos[0], neg[0], pos[1], neg[1], pos[2], neg[2],
         float(f), nm, ni, nk, nj, ns,

@@ -1,14 +1,20 @@
-"""The WRF model driver: ranks, time loop, transport, physics, history.
+"""The WRF model driver: ranks, members, time loop, transport, physics.
 
 One :class:`WrfModel` owns the whole simulated job: the decomposition,
-one set of fields + FSBM driver per rank, the per-rank clocks, devices
-for offloaded stages, and the BSP step scheduler. Within a step, the
-per-rank CPU stages (physics, transport) are independent between halo
-exchanges and by default execute batched on a thread pool
-(``namelist.rank_batching``); GPU stages run ranks sequentially because
-they contend for the shared simulated GPU pool. Either way the
-*simulated* times overlap per the scheduler's rules and the per-rank
-charges are identical.
+one resident member-stacked superblock + FSBM drivers per rank, the
+per-(member, rank) clocks, devices for offloaded stages, and the BSP
+step scheduler. ``namelist.members`` ensemble members step together —
+each rank holds one ``(N, ni, nk, nj, nscalar)`` block, and a plain run
+is ``N = 1`` — through the same kernels, and member ``m`` of an
+``N``-member run is bit-identical to a one-member run of that member
+(:func:`repro.wrf.namelist.member_namelist`).
+
+Within a step, the per-rank CPU stages (physics, transport) are
+independent between halo exchanges and run on a thread pool whenever
+a CPU stage has two or more in-process ranks; GPU stages run ranks
+sequentially because they contend for the shared simulated GPU pool.
+Either way the *simulated* times overlap per the scheduler's rules and
+the per-rank charges are identical.
 
 Numerics note (documented substitution): transport integrates donor-
 cell upwind with a single Euler stage, while the *cost* charged to
@@ -22,7 +28,8 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,9 +37,12 @@ from repro.core.clock import SimClock, TimeBucket
 from repro.core.costmodel import CpuCostModel
 from repro.core.engine import OffloadEngine
 from repro.obs import tracer
-from repro.fsbm.fast_sbm import FastSBM, SbmStepStats
+from repro.fsbm.fast_sbm import FastSBM, SbmStepStats, step_members
+from repro.fsbm.species import Species
+from repro.fsbm.state import MicroState
 from repro.grid.decomposition import Decomposition, decompose_domain
 from repro.grid.halo import HaloExchangePlan, build_halo_plan
+from repro.grid.indexing import owned_slice
 from repro.hardware.specs import EPYC_MILAN, PERLMUTTER_CPU_NODE
 from repro.mpi.costmodel import CommCostModel
 from repro.mpi.gpu_sharing import GpuPool
@@ -45,18 +55,14 @@ from repro.wrf.dynamics import (
     RK3_FRACTIONS,
     WindSplit,
     buoyancy_w_update,
-    rk3_advect,
-    rk_scalar_tend,
 )
-from repro.wrf.namelist import Namelist
-from repro.wrf.state import WrfFields
+from repro.wrf.namelist import Namelist, member_namelist
+from repro.wrf.state import WrfFields, superblock_scalar_count
 from repro.wrf.transport import (
     TransportWorkspace,
     fused_euler_advect,
     fused_rk3_advect,
     get_workspace,
-    pack_superblock,
-    unpack_superblock,
 )
 
 #: Acoustic substeps per RK3 stage in WRF's split-explicit solver —
@@ -71,14 +77,14 @@ ACOUSTIC_FIELDS = 5
 IO_BANDWIDTH = 0.5e9
 
 
-# --- per-rank stage functions -------------------------------------------------
+# --- per-rank state and stage functions --------------------------------------
 #
 # Each stage below touches exactly one rank's state, so the same code
-# runs in three execution modes: serial, batched on the thread pool,
-# and inside a persistent worker process (repro.wrf.procpool). Keeping
-# them module-level (not methods) is what lets the process workers
-# reuse them verbatim — the bit-exactness of the multiprocess path
-# against the thread path rests on all modes running these exact
+# runs in both execution modes: in-process ranks (serial or on the
+# thread pool) and persistent worker processes (repro.wrf.procpool).
+# Keeping them module-level (not methods) is what lets the process
+# workers reuse them verbatim — the bit-exactness of the multiprocess
+# path against in-process ranks rests on both running these exact
 # functions in the same per-rank order.
 
 
@@ -142,100 +148,218 @@ def build_rank_sbm(
         engine=engine,
         precision=namelist.device_precision,
         offload_condensation=namelist.offload_condensation,
-        use_native_physics=namelist.use_native_physics,
     )
 
 
-def physics_rank(namelist: Namelist, fields: WrfFields, sbm: FastSBM) -> SbmStepStats:
-    """Run the microphysics on one rank's *owned* cells (the tile).
+@dataclass
+class RankState:
+    """One rank's ensemble members, resident in one stacked superblock.
+
+    The stacked ``block`` is the only storage for the advected scalars;
+    each member's :class:`~repro.wrf.state.WrfFields` is bound into its
+    ``block[m]`` slab, so the per-member views a one-member run would
+    see are exactly the slab's columns. Non-advected per-member arrays
+    (winds, CCN, precip) live in member-stacked side arrays with the
+    member fields rebound as views, which is what lets transport build
+    one stacked :class:`~repro.wrf.dynamics.WindSplit` and microphysics
+    gather all members with one mask. The ``*_o`` arrays are the
+    owned-region (halo-free) views the physics sweep works on.
+    """
+
+    rank: int
+    block: np.ndarray
+    fields: list[WrfFields]
+    clocks: list[SimClock]
+    sbms: list[FastSBM]
+    workspace: TransportWorkspace
+    u: np.ndarray
+    v: np.ndarray
+    states: list[MicroState]
+    dists_o: dict[Species, np.ndarray]
+    t_o: np.ndarray
+    qv_o: np.ndarray
+    ccn_o: np.ndarray
+    precip_o: np.ndarray
+    p_o: np.ndarray
+    rho_o: np.ndarray
+    #: The base-state pressure column the members share (sedimentation
+    #: fall speeds), computed once.
+    pressure_levels: np.ndarray
+    w_start: int
+    clip_slices: tuple
+
+
+def build_rank_state(
+    namelist: Namelist,
+    rank: int,
+    patch,
+    block: np.ndarray,
+    clocks: list[SimClock],
+    cpu_cost: CpuCostModel,
+    engine: OffloadEngine | None = None,
+) -> RankState:
+    """Construct one rank's member-stacked state inside ``block``.
+
+    ``block`` is the rank's ``(N, ni, nk, nj, nscalar)`` superblock
+    (driver-allocated, or a view over the rank's shared-memory segment
+    under process ranks) and ``clocks[m]`` member ``m``'s clock. Member
+    ``m``'s fields are built from its perturbed case and bound into
+    ``block[m]``.
+    """
+    nm = namelist.members
+    shape = patch.shape
+    fields: list[WrfFields] = []
+    u = np.empty((nm, *shape))
+    v = np.empty((nm, *shape))
+    ccn = np.empty((nm, *shape))
+    precip = np.empty((nm, shape[0], shape[2]))
+    for m in range(nm):
+        f = build_rank_fields(namelist, rank, patch, member=m)
+        f.bind_block(buffer=block[m])
+        # Rebind the non-advected per-member arrays as views into the
+        # member-stacked side arrays (values unchanged — plain copies).
+        u[m] = f.u
+        f.u = u[m]
+        v[m] = f.v
+        f.v = v[m]
+        ccn[m] = f.micro.ccn
+        f.micro.ccn = ccn[m]
+        precip[m] = f.micro.precip
+        f.micro.precip = precip[m]
+        fields.append(f)
+    sl = owned_slice(patch)
+    every = (slice(None), *sl)
+    slices = fields[0].layout.slices()
+    p_one = fields[0].pressure_mb[sl]
+    rho_one = fields[0].rho[sl]
+    return RankState(
+        rank=rank,
+        block=block,
+        fields=fields,
+        clocks=clocks,
+        sbms=[build_rank_sbm(namelist, clock, cpu_cost, engine) for clock in clocks],
+        workspace=get_workspace(
+            (nm, *shape), fields[0].scalar_count(), fields[0].t.dtype, owner=rank
+        ),
+        u=u,
+        v=v,
+        states=[f.micro.view(sl) for f in fields],
+        dists_o={
+            sp: block[(*every, slices[f"bin_{sp.value}"])] for sp in Species
+        },
+        t_o=block[(*every, slices["t"].start)],
+        qv_o=block[(*every, slices["qv"].start)],
+        ccn_o=ccn[every],
+        precip_o=precip[:, sl[0], sl[2]],
+        p_o=np.broadcast_to(p_one[None], (nm, *p_one.shape)),
+        rho_o=np.broadcast_to(rho_one[None], (nm, *rho_one.shape)),
+        pressure_levels=p_one.mean(axis=(0, 2)),
+        w_start=slices["w"].start,
+        clip_slices=fields[0].layout.clip_slices(no_clip=("t", "w")),
+    )
+
+
+def physics_rank(namelist: Namelist, rs: RankState) -> list[SbmStepStats]:
+    """Run every member's microphysics on one rank's *owned* cells.
 
     Halo cells are excluded — WRF's physics run on tiles inside the
     patch; halos are refreshed by the exchange afterwards.
     """
-    from repro.grid.indexing import owned_slice
-
-    f = fields
-    sl = owned_slice(f.patch)
     with tracer.span("physics", cat="physics") as sp:
-        stats = sbm.step(
-            state=f.micro.view(sl),
-            temperature=f.t[sl],
-            pressure_mb=f.pressure_mb[sl],
-            qv=f.qv[sl],
-            rho_air=f.rho[sl],
-            dz_cm=namelist.domain.dz * 100.0,
+        stats = step_members(
+            rs.sbms,
+            rs.states,
+            rs.dists_o,
+            rs.ccn_o,
+            rs.precip_o,
+            rs.t_o,
+            rs.p_o,
+            rs.qv_o,
+            rs.rho_o,
+            namelist.domain.dz * 100.0,
+            rs.pressure_levels,
         )
         if sp is not None:
             sp.set(
-                mp_points=stats.mp_points,
-                coal_points=stats.coal_points,
-                coal_engine=stats.coal.engine,
+                members=len(stats),
+                mp_points=sum(s.mp_points for s in stats),
+                coal_points=sum(s.coal_points for s in stats),
+                # One call serves every member, so they agree; "none"
+                # if no member collided.
+                coal_engine=next(
+                    (s.coal.engine for s in stats if s.coal.engine != "none"),
+                    "none",
+                ),
             )
     return stats
 
 
-def pack_rank(
-    fields: WrfFields,
-    workspace: TransportWorkspace,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Pack one rank's advected fields into its superblock buffer.
+def exchange_halos_rank(
+    plan: HaloExchangePlan, rank: int, blocks: list[np.ndarray]
+) -> None:
+    """Fill one rank's halos from its neighbors' owned cells.
 
-    Runs batched after physics; the halo exchange and the fused
-    transport then operate on the packed block, which is unpacked back
-    into the per-field arrays at the end of transport. With resident
-    fields (``bind_block``) packing is handing out the block; ``out``
-    targets an explicit buffer (the worker processes pass their
-    shared-memory block so non-resident runs still exchange halos
-    through shared memory).
+    ``blocks[r]`` is rank ``r``'s stacked ``(N, ni, nk, nj, nscalar)``
+    superblock; each incoming segment is one strided copy that moves
+    every member and every scalar at once. Halo writes are disjoint
+    (owned regions partition the domain, so each halo point has exactly
+    one source) and reads touch only owned regions, so ranks may pull
+    concurrently — between two barriers in the worker processes — and
+    the result never depends on the order.
     """
-    if fields.block is not None:
-        # Fields are resident in the persistent superblock; physics
-        # already wrote into it, so packing is handing out the block.
-        return fields.block
-    with tracer.span("pack") as sp:
-        block = pack_superblock(
-            fields.advected_fields(), fields.layout, workspace, out=out
-        )
+    patches = plan.decomposition.patches
+    incoming = plan.segments_to(rank)
+    dst = blocks[rank]
+    with tracer.span("halo_exchange", cat="mpi") as sp:
+        for seg in incoming:
+            src_sl = seg.src_slices(patches[seg.src])
+            dst_sl = seg.dst_slices(patches[rank])
+            dst[(slice(None), *dst_sl)] = blocks[seg.src][(slice(None), *src_sl)]
         if sp is not None:
-            sp.set(bytes=block.nbytes)
-    return block
+            nm, *_, nscalars = dst.shape
+            sp.set(
+                bytes=nm
+                * sum(s.num_points * nscalars * dst.itemsize for s in incoming),
+                segments=len(incoming),
+                members=nm,
+            )
 
 
-def charge_halo_mpi(
+def charge_halos_rank(
     plan: HaloExchangePlan,
     comm_cost: CommCostModel,
-    clock: SimClock,
-    rank: int,
-    nscalars: int,
-    itemsize: int,
+    rs: RankState,
     num_ranks: int,
 ) -> None:
-    """Charge one rank's MPI time for a full halo refresh.
+    """Charge each member's MPI time on one rank for a full halo refresh.
 
-    Walks the plan in global segment order charging every segment the
-    rank participates in (either end pays the p2p time), then the
-    acoustic-substep traffic WRF's split-explicit solver would add plus
-    per-step sync noise. The per-clock advance sequence is identical
-    whether the driver charges all ranks in one pass (thread path) or
-    each worker process charges only itself, so the accumulated floats
-    are bit-equal across execution modes.
+    Per member clock: walks the plan in global segment order charging
+    every segment the rank participates in (either end pays the p2p
+    time for all of the block's scalars), then the acoustic-substep
+    traffic WRF's split-explicit solver would add plus per-step sync
+    noise. The per-clock advance sequence is identical whether the
+    driver charges all ranks in one pass (thread path) or each worker
+    process charges only itself, so the accumulated floats are
+    bit-equal across execution modes.
     """
-    for seg in plan.segments:
-        if seg.src != rank and seg.dst != rank:
-            continue
-        nbytes = seg.num_points * nscalars * itemsize
-        t = comm_cost.p2p_time(seg.src, seg.dst, nbytes)
-        clock.advance(TimeBucket.MPI, t)
-    # Acoustic-substep halo traffic and per-step sync noise
-    # (charged, not simulated).
-    noise = comm_cost.step_sync_noise(num_ranks)
-    per_exchange = sum(
-        comm_cost.p2p_time(s.src, s.dst, s.num_points * 4)
-        for s in plan.segments_from(rank)
-    )
-    n_exchanges = len(RK3_FRACTIONS) * ACOUSTIC_SUBSTEPS * ACOUSTIC_FIELDS
-    clock.advance(TimeBucket.MPI, per_exchange * n_exchanges + noise)
+    nscalars = rs.block.shape[-1]
+    itemsize = rs.block.itemsize
+    for clock in rs.clocks:
+        for seg in plan.segments:
+            if seg.src != rs.rank and seg.dst != rs.rank:
+                continue
+            nbytes = seg.num_points * nscalars * itemsize
+            t = comm_cost.p2p_time(seg.src, seg.dst, nbytes)
+            clock.advance(TimeBucket.MPI, t)
+        # Acoustic-substep halo traffic and per-step sync noise
+        # (charged, not simulated).
+        noise = comm_cost.step_sync_noise(num_ranks)
+        per_exchange = sum(
+            comm_cost.p2p_time(s.src, s.dst, s.num_points * 4)
+            for s in plan.segments_from(rs.rank)
+        )
+        n_exchanges = len(RK3_FRACTIONS) * ACOUSTIC_SUBSTEPS * ACOUSTIC_FIELDS
+        clock.advance(TimeBucket.MPI, per_exchange * n_exchanges + noise)
 
 
 def transport_charges(
@@ -268,93 +392,59 @@ def transport_charges(
     return work
 
 
-def transport_numerics(
-    namelist: Namelist,
-    fields: WrfFields,
-    workspace: TransportWorkspace,
-    block: np.ndarray,
-) -> None:
-    """Traced wrapper over :func:`_transport_numerics`.
+def transport_numerics(namelist: Namelist, rs: RankState) -> None:
+    """Advect every member's scalars; apply the buoyancy updates.
+
+    Numerics: one donor-cell sweep of the whole stacked block — single
+    Euler stage (default) or full RK3 (``use_rk3_numerics``) — over one
+    stacked wind decomposition, hoisted out of the scalar loop. Both
+    are elementwise in the member axis, so member ``m``'s result is
+    bitwise a one-member sweep's. The trailing buoyancy update stays
+    per member: it contracts each member's packed bins (a BLAS call,
+    which must not see other members' rows).
 
     The span mirrors the ``rk_scalar_tend``/``rk_update_scalar`` clock
-    regions' work under one measured name; ``flops`` counts the single
-    Euler donor-cell stage actually executed (tendency + update per
-    cell-scalar) and ``bytes`` the superblock's minimum traffic (one
-    read + one write), the same accounting the benchmark harness
-    records for ``transport_fused``.
+    regions' work under one measured name; ``flops`` counts the stages
+    actually executed (tendency + update per cell-scalar) and ``bytes``
+    the superblock's minimum traffic (one read + one write per stage).
     """
+    block = rs.block
+    dt = namelist.dt
     with tracer.span("transport", cat="transport") as sp:
-        _transport_numerics(namelist, fields, workspace, block)
+        # The freshly exchanged w halo lives in the block; advect with
+        # that wind.
+        split = WindSplit.build(
+            rs.u, rs.v, block[..., rs.w_start],
+            namelist.domain.dx, namelist.domain.dz,
+        )
+        advect = fused_rk3_advect if namelist.use_rk3_numerics else fused_euler_advect
+        result = advect(block, split, dt, rs.workspace, rs.clip_slices)
+        if result is not block:
+            # One block-to-block copy (the numpy fallback already
+            # advected the block in place).
+            block[...] = result
+        for f in rs.fields:
+            condensate = f.micro.total_condensate_mass()
+            buoyancy_w_update(f.w, f.t, f.t_base_col, condensate, f.rho, dt)
         if sp is not None:
-            ni, nk, nj = fields.shape
-            cell_scalars = float(ni * nk * nj * block.shape[-1])
+            cell_scalars = float(block.size)
             stages = len(RK3_FRACTIONS) if namelist.use_rk3_numerics else 1
             sp.set(
                 flops=cell_scalars
                 * stages
                 * (FLOPS_PER_CELL_TEND + FLOPS_PER_CELL_UPDATE),
                 bytes=2.0 * stages * cell_scalars * block.itemsize,
-                fused=namelist.use_fused_transport,
+                members=block.shape[0],
             )
 
 
-def _transport_numerics(
-    namelist: Namelist,
-    fields: WrfFields,
-    workspace: TransportWorkspace,
-    block: np.ndarray,
+def transport_rank(
+    namelist: Namelist, cpu_cost: CpuCostModel, rs: RankState
 ) -> None:
-    """Advect one rank's scalars and apply the buoyancy update.
-
-    Numerics: donor-cell update of every field, with the wind
-    decomposition hoisted out of the scalar loop. The namelist selects
-    single-Euler-stage (default, fast) or full RK3, and fused
-    superblock advection (default) or the per-field reference loop; all
-    four combinations agree to ~1e-14. The exchanged halos live in the
-    packed superblock, so both paths start from it: the fused kernels
-    advect the block directly and unpack the result, while the
-    reference path unpacks first and then walks the per-field dict
-    exactly as the seed did.
-    """
-    f = fields
-    ws = workspace
-    dt = namelist.dt
-    dx = namelist.domain.dx
-    dz = namelist.domain.dz
-    if namelist.use_fused_transport:
-        # The freshly exchanged w halo lives in the block; advect
-        # with that wind, exactly as the reference path sees it.
-        w_col = block[..., f.layout.slices()["w"].start]
-        split = WindSplit.build(f.u, f.v, w_col, dx, dz)
-        clip_slices = f.layout.clip_slices(no_clip=("t", "w"))
-        if namelist.use_rk3_numerics:
-            result = fused_rk3_advect(block, split, dt, ws, clip_slices)
-        else:
-            result = fused_euler_advect(block, split, dt, ws, clip_slices)
-        if f.block is block:
-            # Resident fields: one block-to-block copy replaces the
-            # per-field unpack (no-op when the numpy fallback
-            # already advected the block in place).
-            if result is not block:
-                block[...] = result
-        else:
-            unpack_superblock(result, f.advected_fields(), f.layout)
-    else:
-        if f.block is not block:
-            unpack_superblock(block, f.advected_fields(), f.layout)
-        split = WindSplit.build(f.u, f.v, f.w, dx, dz)
-        for name, arr in f.advected_fields().items():
-            clip = name != "t" and name != "w"
-            if namelist.use_rk3_numerics:
-                rk3_advect(arr, split, dt, clip_negative=clip, workspace=ws)
-            else:
-                tend = rk_scalar_tend(arr, split)
-                arr += dt * tend
-                if clip:
-                    np.maximum(arr, 0.0, out=arr)
-
-    condensate = f.micro.total_condensate_mass()
-    buoyancy_w_update(f.w, f.t, f.t_base_col, condensate, f.rho, dt)
+    """Charge each member's CPU-path RK3 cost, then run the numerics."""
+    for f, clock in zip(rs.fields, rs.clocks):
+        transport_charges(namelist, cpu_cost, f, clock)
+    transport_numerics(namelist, rs)
 
 
 def rank_output_frame(fields: WrfFields) -> dict[str, np.ndarray]:
@@ -429,47 +519,49 @@ class RunResult:
 
 
 class WrfModel:
-    """A configured, runnable WRF job."""
+    """A configured, runnable WRF job of ``namelist.members`` members.
+
+    ``clocks``, ``fields``, ``workspaces`` and ``scheduler`` are member
+    0's, per rank — a plain run's only member; ``member_clocks[m]`` and
+    ``schedulers[m]`` hold every member's. :meth:`step` and :meth:`run`
+    report member 0; :class:`repro.wrf.ensemble.EnsembleModel` is the
+    view that returns every member's.
+    """
 
     def __init__(self, namelist: Namelist):
-        if namelist.members > 1:
-            from repro.errors import ConfigurationError
-
-            raise ConfigurationError(
-                "members > 1 runs through repro.wrf.ensemble.EnsembleModel"
-            )
         self.namelist = namelist
+        nm = namelist.members
+        num_ranks = namelist.num_ranks
         if namelist.trace:
             # Before the worker fork below, so driver-side spans from
             # construction (JIT builds, cache warms) are captured too.
             tracer.enable()
-        self.decomposition = decompose_domain(namelist.domain, namelist.num_ranks)
+        self.decomposition = decompose_domain(namelist.domain, num_ranks)
         self.halo_plan: HaloExchangePlan = build_halo_plan(self.decomposition)
-        self.clocks = [SimClock() for _ in range(namelist.num_ranks)]
+        #: ``member_clocks[m][rank]`` — one authoritative clock per
+        #: (member, rank).
+        self.member_clocks = [
+            [SimClock() for _ in range(num_ranks)] for _ in range(nm)
+        ]
+        self.clocks = self.member_clocks[0]
         self.comm_cost, self.cpu_cost = cost_models(namelist)
 
         # Multiprocess rank execution: forked before any heavyweight
-        # driver-side state exists, so workers stay lean. Falls back to
-        # the thread pool for GPU/offload stages (ranks contend for the
-        # shared simulated GPU pool) and under REPRO_DISABLE_PROCPOOL.
+        # driver-side state exists, so workers stay lean. GPU stages
+        # stay in process (ranks contend for the shared simulated GPU
+        # pool), as does everything under REPRO_DISABLE_PROCPOOL.
         self._pool = None
-        if (
-            namelist.use_process_ranks
-            and not namelist.stage.uses_gpu
-            and not namelist.offload_advection
-        ):
+        if namelist.use_process_ranks and not namelist.stage.uses_gpu:
             from repro.wrf import procpool
 
             if procpool.procpool_disabled() is None:
-                self._pool = procpool.ProcRankPool(
-                    namelist, self.decomposition
-                )
+                self._pool = procpool.ProcRankPool(namelist, self.decomposition)
 
         self.gpu_pool: GpuPool | None = None
-        self.engines: list[OffloadEngine | None] = [None] * namelist.num_ranks
+        self.engines: list[OffloadEngine | None] = [None] * num_ranks
         if namelist.stage.uses_gpu:
             self.gpu_pool = GpuPool(num_gpus=namelist.num_gpus)
-            devices = self.gpu_pool.bind(namelist.num_ranks)
+            devices = self.gpu_pool.bind(num_ranks)
             dev_dtype = np.dtype(
                 np.float32 if namelist.device_precision == "fp32" else np.float64
             )
@@ -482,59 +574,52 @@ class WrfModel:
                 )
                 for dev, clk in zip(devices, self.clocks)
             ]
-
-        self.scheduler = StepScheduler(
-            nranks=namelist.num_ranks, gpu_pool=self.gpu_pool
-        )
-
-        self.fields: list[WrfFields] = [
-            build_rank_fields(namelist, patch.rank, patch)
-            for patch in self.decomposition.patches
+        self.schedulers = [
+            StepScheduler(nranks=num_ranks, gpu_pool=self.gpu_pool)
+            for _ in range(nm)
         ]
-        if namelist.use_superblock_fields:
-            # Persistent residency: the advected fields become views
-            # into one per-rank superblock, so the per-step pack below
-            # degenerates to handing out that block. Under process
-            # ranks the block is the rank's shared-memory segment, so
-            # the driver's views stay live mirrors of worker state.
-            for rank, f in enumerate(self.fields):
-                f.bind_block(
-                    buffer=self._pool.block_view(rank)
-                    if self._pool is not None
-                    else None
+        self.scheduler = self.schedulers[0]
+
+        # Resident fields: the advected scalars of every member live in
+        # one persistent per-rank superblock (the host analog of keeping
+        # data mapped on the device between kernels). Under process
+        # ranks the block is the rank's shared-memory segment, so the
+        # driver's views stay live mirrors of worker state.
+        nscalars = superblock_scalar_count()
+        self.ranks: list[RankState] = []
+        for rank, patch in enumerate(self.decomposition.patches):
+            if self._pool is not None:
+                block = self._pool.block_view(rank)
+            else:
+                block = np.empty((nm, *patch.shape, nscalars))
+            self.ranks.append(
+                build_rank_state(
+                    namelist,
+                    rank,
+                    patch,
+                    block,
+                    [row[rank] for row in self.member_clocks],
+                    self.cpu_cost,
+                    self.engines[rank],
                 )
+            )
+        self.fields: list[WrfFields] = [rs.fields[0] for rs in self.ranks]
         # Transport workspaces: preallocated once per rank (the host
         # analog of `target enter data map(alloc:)`), keyed by (shape,
-        # nscalars, dtype, rank) so batched ranks never share buffers
-        # while same-shaped models reuse them across instantiations.
-        # Each rank's packed superblock lives in its workspace; the
-        # per-step pack stage fills it and records it here.
+        # nscalars, dtype, rank) so concurrent ranks never share
+        # buffers while same-shaped models reuse them.
         self.workspaces: list[TransportWorkspace] = [
-            get_workspace(f.shape, f.scalar_count(), f.t.dtype, owner=rank)
-            for rank, f in enumerate(self.fields)
+            rs.workspace for rs in self.ranks
         ]
-        self._blocks: list[np.ndarray | None] = [None] * namelist.num_ranks
-        self.sbm: list[FastSBM] = [
-            build_rank_sbm(
-                namelist, self.clocks[r], self.cpu_cost, self.engines[r]
-            )
-            for r in range(namelist.num_ranks)
-        ]
-        # Batched rank execution: per-rank CPU stages share nothing
-        # mutable (fields, FSBM driver, and clock are all per-rank, and
-        # the precompute caches are thread-safe), so they can run
-        # concurrently between the halo-exchange barriers. GPU stages
-        # must stay serial — ranks contend for the shared GpuPool.
+        # In-process ranks share nothing mutable within a stage (fields,
+        # FSBM drivers and clocks are per rank, and the precompute
+        # caches are thread-safe), so two or more of them run on a
+        # thread pool between the halo-exchange barriers. GPU stages
+        # stay serial: ranks contend for the shared GpuPool.
         self._executor: ThreadPoolExecutor | None = None
-        if (
-            self._pool is None
-            and namelist.rank_batching
-            and namelist.num_ranks > 1
-            and not namelist.stage.uses_gpu
-            and not namelist.offload_advection
-        ):
+        if self._pool is None and num_ranks > 1 and not namelist.stage.uses_gpu:
             self._executor = ThreadPoolExecutor(
-                max_workers=min(namelist.num_ranks, os.cpu_count() or 1),
+                max_workers=min(num_ranks, os.cpu_count() or 1),
                 thread_name_prefix="rank",
             )
 
@@ -544,97 +629,49 @@ class WrfModel:
 
     # --- pieces of one step ------------------------------------------------------
 
-    def _pack(self, rank: int) -> None:
-        """Pack one rank's advected fields into its superblock buffer."""
+    def _physics(self, rank: int) -> list[SbmStepStats]:
+        """One rank's microphysics, inside its tracer scope (the same
+        stage function the worker processes run)."""
         with tracer.rank_scope(rank):
-            self._blocks[rank] = pack_rank(
-                self.fields[rank], self.workspaces[rank]
-            )
+            return physics_rank(self.namelist, self.ranks[rank])
 
     def _exchange_halos(self) -> None:
-        """Refresh halos of every advected field; charge MPI per rank.
+        """Refresh every member's halos; charge MPI per (member, rank).
 
-        Performs the real copies through the halo plan and charges each
-        rank the p2p time of the segments it sends plus the acoustic-
+        Copies run per destination rank, attributing each rank's halo
+        fill to its own trace timeline exactly like the worker
+        processes' pull loops; each rank's clocks are then charged the
+        p2p time of the segments it takes part in plus the acoustic-
         substep traffic WRF's split-explicit solver would add.
-
-        Every advected scalar sits in the rank's packed superblock, so
-        each segment is one strided ``(di, dk, dj, nscalar)`` copy
-        instead of a walk over per-field dicts rebuilt on every call;
-        the byte count (points x scalars x itemsize) is identical to
-        the old per-field sum, so the MPI charges are unchanged bit
-        for bit.
         """
-        patches = self.decomposition.patches
-        blocks = self._blocks
-        nscalars = blocks[0].shape[-1]
-        itemsize = blocks[0].itemsize
-        # Segments are grouped by destination rank: halo writes are
-        # disjoint (owned regions partition the domain, so each halo
-        # point has exactly one source) and reads touch only owned
-        # regions, making per-rank grouping bit-identical to plan
-        # order — while attributing each rank's halo fill to its own
-        # trace timeline, exactly like the worker processes' pull loops.
+        blocks = [rs.block for rs in self.ranks]
         for rank in range(self.namelist.num_ranks):
-            incoming = self.halo_plan.segments_to(rank)
             with tracer.rank_scope(rank):
-                with tracer.span("halo_exchange", cat="mpi") as sp:
-                    for seg in incoming:
-                        src_sl = seg.src_slices(patches[seg.src])
-                        dst_sl = seg.dst_slices(patches[rank])
-                        blocks[rank][dst_sl] = blocks[seg.src][src_sl]
-                    if sp is not None:
-                        sp.set(
-                            bytes=sum(
-                                s.num_points * nscalars * itemsize
-                                for s in incoming
-                            ),
-                            segments=len(incoming),
-                        )
-        for rank in range(self.namelist.num_ranks):
-            charge_halo_mpi(
-                self.halo_plan,
-                self.comm_cost,
-                self.clocks[rank],
-                rank,
-                nscalars,
-                itemsize,
-                self.namelist.num_ranks,
+                exchange_halos_rank(self.halo_plan, rank, blocks)
+        for rs in self.ranks:
+            charge_halos_rank(
+                self.halo_plan, self.comm_cost, rs, self.namelist.num_ranks
             )
 
     def _transport(self, rank: int) -> None:
         """Advect all scalars on one rank's patch; charge RK3 cost."""
-        f = self.fields[rank]
+        rs = self.ranks[rank]
         with tracer.rank_scope(rank):
-            if (
-                self.namelist.offload_advection
-                and self.engines[rank] is not None
-            ):
-                ni, nk, nj = f.shape
-                nscalars = f.scalar_count()
-                work = DynWorkStats(
-                    cell_scalar_stages=float(
-                        ni * nk * nj * nscalars * len(RK3_FRACTIONS)
-                    )
-                )
-                self._transport_offloaded(rank, work, nscalars)
+            if self.namelist.offload_advection:
+                self._transport_offloaded(rank)
+                transport_numerics(self.namelist, rs)
             else:
-                transport_charges(
-                    self.namelist, self.cpu_cost, f, self.clocks[rank]
-                )
-            transport_numerics(
-                self.namelist, f, self.workspaces[rank], self._blocks[rank]
-            )
+                transport_rank(self.namelist, self.cpu_cost, rs)
 
-    def _transport_offloaded(
-        self, rank: int, work: DynWorkStats, nscalars: int
-    ) -> None:
+    def _transport_offloaded(self, rank: int) -> None:
         """Offload the RK3 scalar loops (the Sec. VIII 'next target').
 
-        Advection is regular and coalesced: one thread per cell sweeping
-        all scalars — high occupancy, bandwidth-bound, no automatic
-        arrays. The bin fields already live on the device (mapped once
-        by ``target enter data``), so only winds move per step.
+        Charge only (a GPU stage: one member): the numerics run on the
+        host path as usual. Advection is regular and coalesced: one
+        thread per cell sweeping all scalars — high occupancy,
+        bandwidth-bound, no automatic arrays. The bin fields already
+        live on the device (mapped once by ``target enter data``), so
+        only winds move per step.
         """
         from repro.core.directives import (
             Map,
@@ -648,7 +685,11 @@ class WrfModel:
         assert engine is not None
         f = self.fields[rank]
         ni, nk, nj = f.shape
-        clock = self.clocks[rank]
+        work = DynWorkStats(
+            cell_scalar_stages=float(
+                ni * nk * nj * f.scalar_count() * len(RK3_FRACTIONS)
+            )
+        )
         resources = KernelResources(
             registers_per_thread=48,
             automatic_array_bytes=0,
@@ -669,32 +710,20 @@ class WrfModel:
             name="rk_scalar_tend_loop",
             loop_extents=(nj, nk, ni),
             resources=resources,
-            body=None,  # numerics run below on the host path as usual
+            body=None,  # numerics run on the host path as usual
         )
         directive = TargetTeamsDistributeParallelDo(
             collapse=3, maps=(Map(MapType.TO, ("u", "v", "w")),)
         )
-        with clock.region("rk_scalar_tend"):
+        with self.clocks[rank].region("rk_scalar_tend"):
             engine.launch(
                 kernel,
                 directive,
                 to_arrays={"u": f.u, "v": f.v, "w": f.w},
             )
 
-    def _physics(self, rank: int) -> SbmStepStats:
-        """Run the microphysics on one rank's *owned* cells (the tile).
-
-        Delegates to the shared :func:`physics_rank` stage — the same
-        function the worker processes run — inside this rank's tracer
-        scope, so all three execution modes record identical spans.
-        """
-        with tracer.rank_scope(rank):
-            return physics_rank(
-                self.namelist, self.fields[rank], self.sbm[rank]
-            )
-
-    def _charge_io(self, charges: list[list[float]]) -> None:
-        """Apply per-rank ordered I/O charges on the authoritative clocks.
+    def _charge_io(self, member: int, charges: list[list[float]]) -> None:
+        """Apply one member's per-rank ordered I/O charges.
 
         ``charges[rank]`` is the ordered list of seconds to advance that
         rank's ``IO`` bucket by. Under process ranks the workers own the
@@ -703,17 +732,24 @@ class WrfModel:
         totals — the per-clock advance sequence (and therefore the float
         accumulation) is identical to applying them locally.
         """
+        clocks = self.member_clocks[member]
         if self._pool is not None:
-            states = self._pool.charge_io(charges)
-            for clock, state in zip(self.clocks, states):
+            states = self._pool.charge_io(charges, member)
+            for clock, state in zip(clocks, states):
                 clock.restore(*state)
             return
-        for clock, rank_charges in zip(self.clocks, charges):
+        for clock, rank_charges in zip(clocks, charges):
             for seconds in rank_charges:
                 clock.advance(TimeBucket.IO, seconds)
 
-    def _maybe_history(self, force: bool = False) -> dict[str, np.ndarray] | None:
-        """Write history if due; charges I/O time and returns the frame."""
+    def _maybe_history(
+        self, force: bool = False
+    ) -> list[dict[str, np.ndarray]] | None:
+        """Write every member's history if due; charges per-member I/O.
+
+        Files are ``wrfout_d01_<step>``, with a ``_mem<m>`` suffix when
+        the run has more than one member.
+        """
         interval = self.namelist.history_interval
         due = force or (
             interval > 0.0 and self._sim_time - self._last_history >= interval
@@ -721,39 +757,48 @@ class WrfModel:
         if not due:
             return None
         self._last_history = self._sim_time
-        with tracer.span("history_io", cat="io") as sp:
-            frame = self.gather_output()
-            if self.namelist.history_path is not None:
-                from repro.wrf.io import write_wrfout
+        nm = self.namelist.members
+        num_ranks = self.namelist.num_ranks
+        frames: list[dict[str, np.ndarray]] = []
+        for m in range(nm):
+            with tracer.span("history_io", cat="io") as sp:
+                frame = self.gather_output(m)
+                if self.namelist.history_path is not None:
+                    from repro.wrf.io import write_wrfout
 
-                write_wrfout(
-                    f"{self.namelist.history_path}/wrfout_d01_{self.steps_done:06d}",
-                    frame,
-                    attrs={
+                    name = f"wrfout_d01_{self.steps_done:06d}"
+                    attrs = {
                         "title": "repro CONUS-12km",
                         "sim_seconds": self._sim_time,
                         "stage": self.namelist.stage.value,
                         "dx": self.namelist.domain.dx,
-                    },
-                )
-            nbytes = sum(a.nbytes for a in frame.values())
-            if sp is not None:
-                sp.set(
-                    bytes=nbytes,
-                    on_disk=self.namelist.history_path is not None,
-                )
-        # Patches funnel to rank 0, which writes.
-        local = int(nbytes / self.namelist.num_ranks)
-        charges = [
-            [self.comm_cost.p2p_time(rank, 0, local)]
-            for rank in range(self.namelist.num_ranks)
-        ]
-        charges[0].append(nbytes / IO_BANDWIDTH)
-        self._charge_io(charges)
-        return frame
+                    }
+                    if nm > 1:
+                        name += f"_mem{m:02d}"
+                        attrs["member"] = m
+                    write_wrfout(
+                        f"{self.namelist.history_path}/{name}", frame, attrs=attrs
+                    )
+                nbytes = sum(a.nbytes for a in frame.values())
+                if sp is not None:
+                    sp.set(
+                        bytes=nbytes,
+                        on_disk=self.namelist.history_path is not None,
+                        member=m,
+                    )
+            # Patches funnel to rank 0, which writes.
+            local = int(nbytes / num_ranks)
+            charges = [
+                [self.comm_cost.p2p_time(rank, 0, local)]
+                for rank in range(num_ranks)
+            ]
+            charges[0].append(nbytes / IO_BANDWIDTH)
+            self._charge_io(m, charges)
+            frames.append(frame)
+        return frames
 
-    def gather_output(self) -> dict[str, np.ndarray]:
-        """Assemble domain-wide output fields from the patches."""
+    def gather_output(self, member: int = 0) -> dict[str, np.ndarray]:
+        """Assemble one member's domain-wide output fields."""
         dom = self.namelist.domain
         out = {
             "T": np.zeros((dom.nx, dom.nz, dom.ny)),
@@ -765,9 +810,9 @@ class WrfModel:
         if self._pool is not None:
             # Workers own the authoritative state (precip accumulates in
             # their address space); they ship owned-region frames back.
-            frames = self._pool.gather()
+            frames = self._pool.gather(member)
         else:
-            frames = [rank_output_frame(f) for f in self.fields]
+            frames = [rank_output_frame(rs.fields[member]) for rs in self.ranks]
         for patch, frame in zip(self.decomposition.patches, frames):
             sl = (
                 patch.i.to_slice(1),
@@ -784,10 +829,10 @@ class WrfModel:
     # --- the loop -------------------------------------------------------------
 
     def _run_ranks(self, stage_fn) -> list:
-        """Apply a per-rank stage to every rank, batched when enabled.
+        """Apply a per-rank stage to every rank, on the thread pool if any.
 
-        Results come back in rank order either way, and each worker
-        touches only its own rank's state, so serial and batched
+        Results come back in rank order either way, and each stage call
+        touches only its own rank's state, so serial and pooled
         execution are interchangeable.
         """
         ranks = range(self.namelist.num_ranks)
@@ -795,84 +840,110 @@ class WrfModel:
             return [stage_fn(rank) for rank in ranks]
         return list(self._executor.map(stage_fn, ranks))
 
-    def step(self) -> StepTiming:
-        """Advance the whole job by one model step."""
-        before = [c.snapshot() for c in self.clocks]
+    def step_members(self) -> list[StepTiming]:
+        """Advance every member by one model step; per-member timings."""
+        nm = self.namelist.members
+        before = [[c.snapshot() for c in row] for row in self.member_clocks]
         with tracer.span("solve_em", attrs=None) as sp:
             if sp is not None:
-                sp.set(step=self.steps_done + 1)
+                sp.set(step=self.steps_done + 1, members=nm)
             if self._pool is not None:
                 sbm_stats = self._step_procs()
             else:
-                with_regions = [c.region("solve_em") for c in self.clocks]
-                for ctx in with_regions:
-                    ctx.__enter__()
-                try:
-                    sbm_stats = self._run_ranks(self._physics)
-                    self._run_ranks(self._pack)
+                with ExitStack() as stack:
+                    for row in self.member_clocks:
+                        for clock in row:
+                            stack.enter_context(clock.region("solve_em"))
+                    by_rank = self._run_ranks(self._physics)
                     self._exchange_halos()
                     self._run_ranks(self._transport)
-                finally:
-                    for ctx in reversed(with_regions):
-                        ctx.__exit__(None, None, None)
+                sbm_stats = [[stats[m] for stats in by_rank] for m in range(nm)]
         self._sim_time += self.namelist.dt
         self.steps_done += 1
         self._maybe_history()
 
-        after = [c.snapshot() for c in self.clocks]
-        charges = [
-            RankStepCharge.from_clock_delta(b, a) for b, a in zip(before, after)
-        ]
-        elapsed = self.scheduler.commit_step(charges)
-        return StepTiming(
-            step=self.steps_done, elapsed=elapsed, charges=charges, sbm_stats=sbm_stats
-        )
+        timings: list[StepTiming] = []
+        for m in range(nm):
+            after = [c.snapshot() for c in self.member_clocks[m]]
+            charges = [
+                RankStepCharge.from_clock_delta(b, a)
+                for b, a in zip(before[m], after)
+            ]
+            timings.append(
+                StepTiming(
+                    step=self.steps_done,
+                    elapsed=self.schedulers[m].commit_step(charges),
+                    charges=charges,
+                    sbm_stats=sbm_stats[m],
+                )
+            )
+        return timings
 
-    def _step_procs(self) -> list[SbmStepStats]:
+    def step(self) -> StepTiming:
+        """Advance the whole job by one model step (member 0's timing)."""
+        return self.step_members()[0]
+
+    def _step_procs(self) -> list[list[SbmStepStats]]:
         """One step across the worker processes (the multiprocess path).
 
         Each worker runs the identical per-rank stage sequence
-        (physics, pack, pull-model halo exchange through the shared
-        superblocks, transport) under its authoritative clock, then
-        ships back its step stats and clock totals; the driver-side
-        mirror clocks adopt the totals verbatim, so every downstream
-        consumer (scheduler charges, profilers, history I/O) sees
-        bit-identical simulated time.
+        (physics, pull-model halo exchange through the shared
+        superblocks, transport) under its authoritative clocks, then
+        ships back every member's step stats and clock totals; the
+        driver-side mirror clocks adopt the totals verbatim, so every
+        downstream consumer (scheduler charges, profilers, history I/O)
+        sees bit-identical simulated time.
         """
         assert self._pool is not None
-        results = self._pool.step()
-        stats: list[SbmStepStats] = []
-        for clock, (rank_stats, buckets, regions) in zip(self.clocks, results):
-            clock.restore(buckets, regions)
-            stats.append(rank_stats)
-        return stats
+        sbm_stats: list[list[SbmStepStats]] = [
+            [] for _ in range(self.namelist.members)
+        ]
+        for rank, payloads in enumerate(self._pool.step()):
+            for m, (stats, buckets, regions) in enumerate(payloads):
+                self.member_clocks[m][rank].restore(buckets, regions)
+                sbm_stats[m].append(stats)
+        return sbm_stats
+
+    def run_members(
+        self, num_steps: int | None = None, final_history: bool = False
+    ) -> list[RunResult]:
+        """Run ``num_steps`` (default: the namelist's full count); one
+        :class:`RunResult` per member."""
+        steps = num_steps if num_steps is not None else self.namelist.num_steps
+        nm = self.namelist.members
+        timings: list[list[StepTiming]] = [[] for _ in range(nm)]
+        histories: list[list[dict[str, np.ndarray]]] = [[] for _ in range(nm)]
+        for _ in range(steps):
+            for m, timing in enumerate(self.step_members()):
+                timings[m].append(timing)
+        if final_history:
+            for m, frame in enumerate(self._maybe_history(force=True) or ()):
+                histories[m].append(frame)
+        return [
+            RunResult(
+                namelist=(
+                    member_namelist(self.namelist, m) if nm > 1 else self.namelist
+                ),
+                decomposition=self.decomposition,
+                steps_run=steps,
+                elapsed=self.schedulers[m].elapsed,
+                step_timings=timings[m],
+                rank_clocks=self.member_clocks[m],
+                scheduler=self.schedulers[m],
+                kernel_records=[
+                    e.records if e is not None else [] for e in self.engines
+                ],
+                history=histories[m],
+            )
+            for m in range(nm)
+        ]
 
     def run(
         self, num_steps: int | None = None, final_history: bool = False
     ) -> RunResult:
-        """Run ``num_steps`` (default: the namelist's full count)."""
-        steps = num_steps if num_steps is not None else self.namelist.num_steps
-        timings: list[StepTiming] = []
-        history: list[dict[str, np.ndarray]] = []
-        for _ in range(steps):
-            timings.append(self.step())
-        if final_history:
-            frame = self._maybe_history(force=True)
-            if frame is not None:
-                history.append(frame)
-        return RunResult(
-            namelist=self.namelist,
-            decomposition=self.decomposition,
-            steps_run=steps,
-            elapsed=self.scheduler.elapsed,
-            step_timings=timings,
-            rank_clocks=self.clocks,
-            scheduler=self.scheduler,
-            kernel_records=[
-                e.records if e is not None else [] for e in self.engines
-            ],
-            history=history,
-        )
+        """Run ``num_steps`` (default: the namelist's full count);
+        member 0's result."""
+        return self.run_members(num_steps, final_history)[0]
 
     def close(self) -> None:
         """Release device contexts, the rank executor, and the worker pool."""

@@ -46,36 +46,6 @@ class Namelist:
     #: instead of the default single-Euler-stage numerics. The charged
     #: cost is RK3 either way; this flag affects only the numerics.
     use_rk3_numerics: bool = False
-    #: Advect all scalars through the fused superblock engine
-    #: (:mod:`repro.wrf.transport`): one sliced in-place stencil sweep
-    #: over the stacked ``(ni, nk, nj, nscalar)`` block using
-    #: preallocated workspace buffers — the host analog of the paper's
-    #: stage-3 ``map(alloc:)`` + full-``collapse`` transformation.
-    #: ``False`` keeps the per-field reference loop; the two agree to
-    #: ~1e-14 and charge identical simulated cost.
-    use_fused_transport: bool = True
-    #: Keep the advected scalars resident in one persistent per-rank
-    #: superblock (:meth:`repro.wrf.state.WrfFields.bind_block`): the
-    #: fields become views into the ``(ni, nk, nj, nscalar)`` block, so
-    #: the per-step transport pack is a no-op and moment reductions
-    #: contract all species at once — the host analog of keeping data
-    #: mapped on the device between kernels. ``False`` keeps per-field
-    #: storage with an explicit pack/unpack each step.
-    use_superblock_fields: bool = True
-    #: Run the physics hot loops through the compiled C kernels of
-    #: :mod:`repro.fsbm.ckernels` (fused sedimentation sweep, remap
-    #: scatter) when a C compiler is available; falls back to the numpy
-    #: reference transparently (also forced by ``REPRO_DISABLE_CPHYS``
-    #: or ``REPRO_DISABLE_CJIT``). Results are bit-identical.
-    use_native_physics: bool = True
-    #: Execute per-rank CPU stages on a thread pool between halo
-    #: exchanges. Ranks are independent within a stage (physics and
-    #: transport each touch only their own patch, clock, and FSBM
-    #: driver, and numpy releases the GIL in the hot kernels), so the
-    #: numerics and the per-rank simulated-time charges are identical
-    #: to serial execution — only host wall-clock changes. GPU stages
-    #: always run serial because ranks share the simulated GPU pool.
-    rank_batching: bool = True
     #: Promote ranks to real OS processes: each rank becomes a
     #: persistent worker owning its patch of a shared-memory superblock
     #: pool (:mod:`repro.wrf.procpool`), stepped in lockstep over a
@@ -85,11 +55,11 @@ class Namelist:
     #: bit-identical to the thread-pool path; only host wall-clock
     #: changes (CPU stages actually run concurrently across cores
     #: instead of time-slicing one interpreter). GPU/offload stages
-    #: fall back to the thread path (ranks share the simulated GPU
+    #: fall back to in-process ranks (ranks share the simulated GPU
     #: pool), as does ``REPRO_DISABLE_PROCPOOL=1``.
     use_process_ranks: bool = False
     #: Record wall-clock spans into the :mod:`repro.obs` tracer
-    #: (physics/pack/halo/transport per rank, JIT builds, history I/O),
+    #: (physics/halo/transport per rank, JIT builds, history I/O),
     #: mirroring the SimClock region names so simulated and measured
     #: time line up. Off by default; ``REPRO_TRACE=1`` also enables it
     #: process-wide. Tracing never touches numerics or simulated
@@ -101,12 +71,12 @@ class Namelist:
     history_path: str | None = None
     #: Random seed for the synthetic case (shared by all ranks).
     seed: int = 2024
-    #: Ensemble members stepped together. ``1`` is a plain run;
-    #: ``N > 1`` runs through :class:`repro.wrf.ensemble.EnsembleModel`,
-    #: which stacks all members into one per-rank ``(N, ni, nk, nj,
-    #: nscalar)`` superblock and sweeps them in fused member-batched
-    #: kernels. Member ``m`` of a batched run is bit-identical to a
-    #: solo run of :func:`member_namelist`\ ``(nl, m)``.
+    #: Ensemble members stepped together. Every run holds its members
+    #: in one per-rank ``(N, ni, nk, nj, nscalar)`` superblock and
+    #: sweeps them in the same kernels; ``1`` is a plain run. Member
+    #: ``m`` of an ``N``-member run is bit-identical to a ``members=1``
+    #: run of :func:`member_namelist`\ ``(nl, m)``. CPU stages only:
+    #: ranks of a GPU stage share the simulated GPU pool.
     members: int = 1
     #: Per-member scenario perturbations: entry ``m`` is a tuple of
     #: ``(name, value)`` pairs applied to member ``m``'s synthetic case
@@ -146,6 +116,11 @@ class Namelist:
         ):
             raise ConfigurationError(
                 "condensation/advection offload requires a GPU stage"
+            )
+        if self.members > 1 and self.stage.uses_gpu:
+            raise ConfigurationError(
+                "members > 1 supports CPU stages only (no GPU stage or "
+                "offload flag)"
             )
 
     @property

@@ -1,38 +1,39 @@
 """True multiprocess rank execution over shared-memory superblocks.
 
-The thread-pool rank batching in :mod:`repro.wrf.model` time-slices one
+The in-process rank threads of :mod:`repro.wrf.model` time-slice one
 interpreter: numpy releases the GIL in the hot kernels, but the pure-
 Python glue between them serializes, so host wall-clock barely improves
 past two ranks. This module promotes ranks to real OS processes:
 
-* each rank's transport superblock lives in a
+* each rank's member-stacked transport superblock lives in a
   ``multiprocessing.shared_memory`` segment created (and later
-  unlinked) by the driver — one ``(ni, nk, nj, nscalar)`` float64 block
-  per rank, registered with the ``"wrf.shared_superblocks"``
-  :class:`~repro.core.cache.CountingCache` so its footprint is
-  observable like every other pinned buffer;
+  unlinked) by the driver — one ``(members, ni, nk, nj, nscalar)``
+  float64 block per rank, registered with the
+  ``"wrf.shared_superblocks"`` :class:`~repro.core.cache.CountingCache`
+  so its footprint is observable like every other pinned buffer;
 * each rank is a persistent worker process (forked before any
   heavyweight driver state exists) that builds its own fields, FSBM
-  driver, and authoritative :class:`~repro.core.clock.SimClock`, binds
-  its resident fields directly into its shared segment, and then steps
-  in lockstep with its peers;
+  drivers, and authoritative clocks (one
+  :class:`~repro.core.clock.SimClock` per member), binds its resident
+  fields directly into its shared segment, and then steps all its
+  members in lockstep with its peers;
 * the per-step halo exchange is the pull half of the
   :class:`~repro.grid.halo.HaloExchangePlan` executed as direct strided
   copies between neighboring ranks' shared blocks — no serialization,
-  no driver round-trip — barriered before (all owners packed) and
-  after (all halos filled);
+  no driver round-trip — barriered before (all owners done with
+  physics) and after (all halos filled);
 * the driver talks to workers over one command pipe per rank
-  (``step`` / ``charge_io`` / ``gather`` / ``close``) and mirrors each
-  worker's clock totals wholesale after every command, so scheduler
-  charges, profilers, and history I/O see simulated time bit-identical
-  to the thread path.
+  (``step`` / ``charge_io`` / ``gather`` / ``close``; the last two
+  name a member) and mirrors each worker's clock totals wholesale
+  after every command, so scheduler charges, profilers, and history
+  I/O see simulated time bit-identical to in-process ranks.
 
 Bit-exactness: workers run the *same* module-level per-rank stage
-functions as the serial and thread paths (physics, pack, halo-MPI
+functions as in-process ranks (physics, halo exchange, halo-MPI
 charging, transport), in the same per-rank order, against
 deterministically reconstructed cost models — so both the numerics and
-every per-clock float accumulation sequence are identical across all
-three execution modes.
+every per-clock float accumulation sequence are identical across
+execution modes.
 
 Failure containment: any worker crash, timeout, or protocol error
 tears down the whole pool — remaining workers are terminated and every
@@ -40,7 +41,7 @@ shared segment is unlinked — before :class:`~repro.errors.ProcPoolError`
 reaches the caller. Segments that somehow survive (e.g. the driver was
 SIGKILLed between create and unlink) are reaped by an ``atexit`` hook,
 and ``REPRO_DISABLE_PROCPOOL=1`` disables the pool entirely (the model
-falls back to thread batching).
+falls back to in-process ranks).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ import math
 import os
 import time
 import traceback
+from contextlib import ExitStack
 from multiprocessing import get_context
 from multiprocessing.shared_memory import SharedMemory
 from threading import BrokenBarrierError
@@ -65,20 +67,21 @@ from repro.grid.decomposition import Decomposition
 from repro.grid.halo import build_halo_plan
 from repro.obs import metrics, tracer
 from repro.wrf import cstencil
+
+# The benchmark's layer probes patch the case builder under this
+# module's name as well; workers build it through repro.wrf.model.
+from repro.wrf.model import build_rank_fields  # noqa: F401
 from repro.wrf.model import (
-    build_rank_fields,
-    build_rank_sbm,
-    charge_halo_mpi,
+    build_rank_state,
+    charge_halos_rank,
     cost_models,
-    pack_rank,
+    exchange_halos_rank,
     physics_rank,
     rank_output_frame,
-    transport_charges,
-    transport_numerics,
+    transport_rank,
 )
 from repro.wrf.namelist import Namelist
 from repro.wrf.state import superblock_scalar_count
-from repro.wrf.transport import get_workspace
 
 #: Default seconds a pool waits on a worker reply or a halo barrier
 #: before declaring the step dead (``REPRO_PROCPOOL_TIMEOUT`` overrides).
@@ -93,8 +96,8 @@ def procpool_disabled() -> str | None:
     """Why process ranks are disabled in this environment, or ``None``.
 
     ``REPRO_DISABLE_PROCPOOL`` is the kill switch: any non-empty value
-    makes every model fall back to the thread-pool rank path (numerics
-    and simulated time are identical either way).
+    makes every model fall back to in-process ranks (numerics and
+    simulated time are identical either way).
     """
     if os.environ.get("REPRO_DISABLE_PROCPOOL", ""):
         return "REPRO_DISABLE_PROCPOOL is set"
@@ -146,13 +149,11 @@ atexit.register(_reap_leaked)
 class SharedSuperblocks:
     """Driver-owned pool of per-rank shared-memory superblock segments.
 
-    One float64 ``(ni, nk, nj, nscalar)`` segment per rank, created at
-    construction and destroyed by :meth:`unlink` (idempotent — double
-    unlink and unlink-after-reap are no-ops). Workers attach by name
-    and only ever ``close()`` their mapping; the driver is the sole
-    owner of segment lifetime. ``members > 1`` sizes each segment for
-    an ensemble's member-stacked ``(members, ni, nk, nj, nscalar)``
-    block instead (the solo shape is unchanged at ``members=1``).
+    One float64 ``(members, ni, nk, nj, nscalar)`` segment per rank,
+    created at construction and destroyed by :meth:`unlink`
+    (idempotent — double unlink and unlink-after-reap are no-ops).
+    Workers attach by name and only ever ``close()`` their mapping; the
+    driver is the sole owner of segment lifetime.
     """
 
     def __init__(
@@ -171,9 +172,7 @@ class SharedSuperblocks:
         cache = get_cache(SEGMENT_CACHE, sizeof=lambda shm: shm.size)
         try:
             for patch in decomposition.patches:
-                shape = (*patch.shape, nscalars)
-                if members > 1:
-                    shape = (members, *shape)
+                shape = (members, *patch.shape, nscalars)
                 size = math.prod(shape) * self.dtype.itemsize
                 shm = SharedMemory(create=True, size=size)
                 self._shms.append(shm)
@@ -220,10 +219,8 @@ def _preload_compiled(namelist: Namelist) -> None:
     fork instead of racing to compile them (the cjit build is atomic,
     so a race is safe — just slow).
     """
-    if namelist.use_fused_transport:
-        cstencil.load_stencil()
-    if namelist.use_native_physics:
-        ckernels.load_kernels()
+    cstencil.load_stencil()
+    ckernels.load_kernels()
     get_tables()
 
 
@@ -231,7 +228,12 @@ def _preload_compiled(namelist: Namelist) -> None:
 
 
 class _RankContext:
-    """Everything one worker process owns for its rank."""
+    """Everything one worker process owns for its rank's members.
+
+    The rank's shared segment holds the stacked ``(N, ni, nk, nj,
+    nscalar)`` block, all members step together through the shared
+    stage functions, and the gather/charge commands name one member.
+    """
 
     def __init__(
         self,
@@ -251,7 +253,7 @@ class _RankContext:
         # Re-arm the tracer for this process: clear fork-inherited
         # driver events, stamp this rank on everything recorded here.
         tracer.configure_worker(rank, trace=namelist.trace)
-        self.clock = SimClock()
+        self.clocks = [SimClock() for _ in range(namelist.members)]
         self.comm_cost, self.cpu_cost = cost_models(namelist)
         self.plan = build_halo_plan(decomposition)
         # Attach (never create, never unlink) every rank's segment: the
@@ -259,72 +261,57 @@ class _RankContext:
         self._shms = [SharedMemory(name=n) for n in seg_names]
         self.blocks = [
             np.ndarray(
-                (*patch.shape, nscalars), dtype=np.float64, buffer=shm.buf
+                (namelist.members, *patch.shape, nscalars),
+                dtype=np.float64,
+                buffer=shm.buf,
             )
             for patch, shm in zip(decomposition.patches, self._shms)
         ]
-        self.fields = build_rank_fields(
-            namelist, rank, decomposition.patches[rank]
+        self.state = build_rank_state(
+            namelist,
+            rank,
+            decomposition.patches[rank],
+            self.blocks[rank],
+            self.clocks,
+            self.cpu_cost,
         )
-        if namelist.use_superblock_fields:
-            self.fields.bind_block(buffer=self.blocks[rank])
-        self.workspace = get_workspace(
-            self.fields.shape, nscalars, np.dtype(np.float64), owner=rank
-        )
-        self.sbm = build_rank_sbm(namelist, self.clock, self.cpu_cost)
 
     def step(self):
-        """One model step for this rank; peers step concurrently.
+        """One step of every member on this rank; peers step concurrently.
 
         Identical stage sequence (and so identical per-clock charge
-        order) to the serial/thread paths: physics, pack, halo MPI
-        charges, transport. The two barriers bracket the shared-memory
-        exchange: the first guarantees every owner finished packing its
-        owned box before anyone pulls, the second that every halo is
-        filled before anyone's transport starts mutating its block.
+        order) to in-process ranks: physics, halo MPI charges,
+        transport. The two barriers bracket the shared-memory exchange:
+        the first guarantees every owner finished writing its owned box
+        before anyone pulls, the second that every halo is filled before
+        anyone's transport starts mutating its block.
         """
-        with self.clock.region("solve_em"):
-            stats = physics_rank(self.namelist, self.fields, self.sbm)
-            block = pack_rank(
-                self.fields, self.workspace, out=self.blocks[self.rank]
+        with ExitStack() as stack:
+            for clock in self.clocks:
+                stack.enter_context(clock.region("solve_em"))
+            stats = physics_rank(self.namelist, self.state)
+            self.barrier.wait(self.timeout)
+            exchange_halos_rank(self.plan, self.rank, self.blocks)
+            charge_halos_rank(
+                self.plan, self.comm_cost, self.state, self.num_ranks
             )
             self.barrier.wait(self.timeout)
-            with tracer.span("halo_exchange", cat="mpi") as sp:
-                points = self.plan.apply_pull(self.rank, self.blocks)
-                if sp is not None:
-                    sp.set(
-                        bytes=points * block.shape[-1] * block.itemsize,
-                        pull=True,
-                    )
-            charge_halo_mpi(
-                self.plan,
-                self.comm_cost,
-                self.clock,
-                self.rank,
-                nscalars=block.shape[-1],
-                itemsize=block.itemsize,
-                num_ranks=self.num_ranks,
-            )
-            self.barrier.wait(self.timeout)
-            transport_charges(
-                self.namelist, self.cpu_cost, self.fields, self.clock
-            )
-            transport_numerics(
-                self.namelist, self.fields, self.workspace, block
-            )
+            transport_rank(self.namelist, self.cpu_cost, self.state)
         # Per-step cache snapshots ride the trace as counter tracks
         # (no-op while tracing is off).
         metrics.emit_cache_counters(self.rank)
-        return (stats, *self.clock.state())
+        return [(st, *clock.state()) for st, clock in zip(stats, self.clocks)]
 
-    def charge_io(self, charges: list[float]):
-        """Apply ordered I/O charges; return the updated clock totals."""
+    def charge_io(self, charges: list[float], member: int):
+        """Apply one member's ordered I/O charges; return its totals."""
+        clock = self.clocks[member]
         for seconds in charges:
-            self.clock.advance(TimeBucket.IO, seconds)
-        return self.clock.state()
+            clock.advance(TimeBucket.IO, seconds)
+        return clock.state()
 
-    def gather(self) -> dict[str, np.ndarray]:
-        return rank_output_frame(self.fields)
+    def gather(self, member: int) -> dict[str, np.ndarray]:
+        """One member's owned output frame."""
+        return rank_output_frame(self.state.fields[member])
 
     def close(self) -> None:
         for shm in self._shms:
@@ -357,13 +344,7 @@ def _worker_main(
     """
     ctx = None
     try:
-        if namelist.members > 1:
-            # Ensemble runs: the rank's segment holds the member-
-            # stacked block and the worker steps all members batched.
-            from repro.wrf.ensemble import EnsembleRankContext as ctx_cls
-        else:
-            ctx_cls = _RankContext
-        ctx = ctx_cls(
+        ctx = _RankContext(
             rank, namelist, decomposition, seg_names, nscalars, barrier, timeout
         )
         conn.send(("ready", rank, tracer.drain_state()))
@@ -538,32 +519,24 @@ class ProcRankPool:
     # -- commands --
 
     def step(self) -> list:
-        """Step every rank once; returns per-rank
+        """Step every rank once; returns per rank a per-member list of
         ``(SbmStepStats, clock_buckets, clock_regions)``."""
         replies = self._command([("step",)] * self.num_ranks)
         return [r[1] for r in replies]
 
-    def charge_io(
-        self, charges: list[list[float]], member: int | None = None
-    ) -> list:
-        """Apply per-rank ordered I/O charges on the worker clocks;
-        returns every rank's updated ``(buckets, regions)`` totals.
-        ``member`` selects which ensemble member's clock to charge
-        (ensemble pools only)."""
-        extra = () if member is None else (member,)
+    def charge_io(self, charges: list[list[float]], member: int = 0) -> list:
+        """Apply per-rank ordered I/O charges on one member's worker
+        clocks; returns every rank's updated ``(buckets, regions)``
+        totals."""
         replies = self._command(
-            [("charge_io", charges[r], *extra) for r in range(self.num_ranks)]
+            [("charge_io", charges[r], member) for r in range(self.num_ranks)]
         )
         return [r[1] for r in replies]
 
-    def gather(self, member: int | None = None) -> list[dict[str, np.ndarray]]:
-        """Every rank's owned-region output frame, in rank order.
-
-        ``member`` slices one ensemble member's frames out of the
-        workers' stacked state over the same pipes (ensemble pools
-        only; solo pools take no member argument)."""
-        payload = ("gather",) if member is None else ("gather", member)
-        replies = self._command([payload] * self.num_ranks)
+    def gather(self, member: int = 0) -> list[dict[str, np.ndarray]]:
+        """One member's owned-region output frame from every rank, in
+        rank order."""
+        replies = self._command([("gather", member)] * self.num_ranks)
         return [r[1] for r in replies]
 
     def crash(self, rank: int) -> None:

@@ -5,13 +5,14 @@ Arrays are allocated at *memory* extents ``(ims:ime, kms:kme, jms:jme)``
 fields. Scalar advection reads the halo; microphysics operates on the
 owned interior through views.
 
-Each named field keeps its own contiguous array (physics kernels sweep
-them flat); the fused transport engine packs them into a per-rank
-``(ni, nk, nj, nscalar)`` *superblock* workspace buffer once per step
-(see :mod:`repro.wrf.transport`). :attr:`WrfFields.layout` records the
-trailing-axis packing, and :meth:`advected_fields` hands out a dict
-built once at construction — the entries are the live arrays, so the
-halo exchange and the pack/unpack never rebuild it.
+The case builders fill each named field as its own array; the model
+then moves every advected field into its member's slab of the rank's
+resident ``(N, ni, nk, nj, nscalar)`` *superblock*
+(:meth:`WrfFields.bind_block`), where the halo exchange and the fused
+transport kernels (see :mod:`repro.wrf.transport`) see all scalars as
+one block. :attr:`WrfFields.layout` records the trailing-axis packing,
+and :meth:`advected_fields` hands out a dict built once at construction
+— the entries are the live arrays, never rebuilt.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ class WrfFields:
     micro: MicroState = field(default=None)  # type: ignore[assignment]
     #: Trailing-axis packing of the transport superblock.
     layout: ScalarLayout = field(init=False, repr=False, default=None)  # type: ignore[assignment]
-    #: Persistent superblock the advected fields live in after
-    #: :meth:`bind_block` (``None`` = per-field storage).
+    #: Persistent superblock slab the advected fields live in after
+    #: :meth:`bind_block` (``None`` until bound).
     block: np.ndarray = field(init=False, repr=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -134,9 +135,9 @@ class WrfFields:
             )
         )
         # Built once; the entries are the live arrays (physics mutates
-        # them in place, never rebinds), so every later consumer — halo
-        # exchange, superblock pack/unpack, per-field transport — walks
-        # this same dict instead of rebuilding it per call.
+        # them in place; only bind_block rebinds them, into the
+        # superblock), so consumers walk this same dict instead of
+        # rebuilding it per call.
         self._advected: dict[str, np.ndarray] = {
             "t": self.t,
             "qv": self.qv,
@@ -145,48 +146,35 @@ class WrfFields:
         for sp, dist in self.micro.dists.items():
             self._advected[f"bin_{sp.value}"] = dist
 
-    def bind_block(self, buffer: np.ndarray | None = None) -> np.ndarray:
+    def bind_block(self, buffer: np.ndarray) -> np.ndarray:
         """Move the advected fields into one persistent superblock.
 
-        Allocates a dedicated ``(ni, nk, nj, nscalar)`` block (NOT a
-        shared workspace buffer — two live models of the same shape must
-        never alias storage), copies the current field values in, and
-        rebinds ``t``/``qv``/``w``/all bin distributions as views into
-        it. From then on the transport pack step is a no-op: the fields
-        *are* the superblock columns, so physics writes land directly in
+        ``buffer`` is the float64 ``(ni, nk, nj, nscalar)`` slab the
+        fields will live in — this member's slice of the rank's
+        member-stacked block, itself a view over the rank's
+        ``multiprocessing.shared_memory`` segment under process ranks.
+        The current field values are copied in and ``t``/``qv``/``w``/
+        all bin distributions rebound as views into it, so the fields
+        *are* the superblock columns: physics writes land directly in
         transport's input (the resident-data analog of keeping fields
-        mapped on the device between kernels). The contiguous bin region
-        is also registered with :meth:`MicroState.bind_packed` so moment
-        reductions contract all species at once. Idempotent.
-
-        ``buffer`` supplies external storage of the exact block shape
-        instead of a fresh allocation — the multiprocess rank engine
-        passes a view over the rank's ``multiprocessing.shared_memory``
-        segment here, so the resident fields live directly in shared
-        memory and neighboring worker processes can pull halos out of
-        them without any serialization.
+        mapped on the device between kernels), and neighboring worker
+        processes pull halos straight out of it without any
+        serialization. The contiguous bin region is also registered
+        with :meth:`MicroState.bind_packed` so moment reductions
+        contract all species at once.
         """
-        shape = self.patch.shape
-        expected = (*shape, self.layout.nscalars)
+        expected = (*self.patch.shape, self.layout.nscalars)
         if self.block is not None:
-            if buffer is not None and buffer is not self.block:
-                raise ConfigurationError(
-                    "fields are already bound to a different superblock"
-                )
-            return self.block
-        if buffer is None:
-            block = np.empty(expected)
-        else:
-            if buffer.shape != expected or buffer.dtype != np.float64:
-                raise ConfigurationError(
-                    f"superblock buffer must be float64 {expected}, got "
-                    f"{buffer.dtype} {buffer.shape}"
-                )
-            block = buffer
+            raise ConfigurationError("fields are already bound to a superblock")
+        if buffer.shape != expected or buffer.dtype != np.float64:
+            raise ConfigurationError(
+                f"superblock buffer must be float64 {expected}, got "
+                f"{buffer.dtype} {buffer.shape}"
+            )
         slices = self.layout.slices()
         for name, arr in list(self._advected.items()):
             sl = slices[name]
-            view = block[..., sl.start] if arr.ndim == 3 else block[..., sl]
+            view = buffer[..., sl.start] if arr.ndim == 3 else buffer[..., sl]
             view[...] = arr
             self._advected[name] = view
         self.t = self._advected["t"]
@@ -199,9 +187,9 @@ class WrfFields:
             bin_names.append(name)
         start = slices[bin_names[0]].start
         stop = slices[bin_names[-1]].stop
-        self.micro.bind_packed(block[..., start:stop])
-        self.block = block
-        return block
+        self.micro.bind_packed(buffer[..., start:stop])
+        self.block = buffer
+        return buffer
 
     @property
     def shape(self) -> tuple[int, int, int]:

