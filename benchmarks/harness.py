@@ -7,8 +7,7 @@ performance is checkable:
 
 * ``coal_bott`` — one :func:`repro.fsbm.coal_bott.coal_bott_step` call
   on a realistic mixed-phase state (the repo's hot loop, mirroring the
-  paper's ``coal_bott_new``), in its default, dense-contraction, and
-  sparse-scatter variants;
+  paper's ``coal_bott_new``);
 * ``model_step_rN`` — one full :meth:`repro.wrf.model.WrfModel.step`
   of a plain (one-member) run at N ranks (physics + halo exchange +
   transport);
@@ -65,7 +64,6 @@ file.
 
 from __future__ import annotations
 
-import inspect
 import json
 import os
 import socket
@@ -185,19 +183,12 @@ def _occupied_counts(dists: dict) -> dict:
 
 
 def bench_coal_bott(
-    mode: str = "default",
     npts: int = 1024,
     reps: int = 7,
     dt: float = 5.0,
     seed: int = 2024,
 ) -> KernelBench:
-    """Time one collision step; ``mode`` selects the contraction path.
-
-    ``"dense"``/``"sparse"`` force the split-tensor contraction variant
-    through ``coal_bott_step``'s ``use_sparse`` flag when the installed
-    code has one; on code that predates the flag (the seed) both fall
-    back to the default path and record ``mode_supported: false``.
-    """
+    """Time one collision step on the engine the model runs."""
     from repro.fsbm.coal_bott import coal_bott_step
     from repro.fsbm.collision_kernels import get_tables
     from repro.fsbm.species import INTERACTIONS
@@ -206,21 +197,14 @@ def bench_coal_bott(
     occupied = _occupied_counts(dists)
     tables = get_tables()
 
-    kwargs = dict(occupied=occupied, on_demand=True)
-    supported = True
-    if mode != "default":
-        if "use_sparse" in inspect.signature(coal_bott_step).parameters:
-            kwargs["use_sparse"] = mode == "sparse"
-        else:
-            supported = False
-
     stats_holder = {}
 
     def run_once() -> float:
         work = {sp: d.copy() for sp, d in dists.items()}
         t0 = time.perf_counter()
         stats = coal_bott_step(
-            work, temperature, pressure_mb, dt, tables, INTERACTIONS, **kwargs
+            work, temperature, pressure_mb, dt, tables, INTERACTIONS,
+            occupied=occupied, on_demand=True,
         )
         elapsed = time.perf_counter() - t0
         stats_holder["stats"] = stats
@@ -230,12 +214,10 @@ def bench_coal_bott(
     samples = [run_once() for _ in range(reps)]
     stats = stats_holder["stats"]
     return _summarize(
-        f"coal_bott_{mode}" if mode != "default" else "coal_bott",
+        "coal_bott",
         samples,
         extra={
             "npts": npts,
-            "mode": mode,
-            "mode_supported": supported,
             "pair_entries": stats.pair_entries,
             "kernel_entries": stats.kernel_entries,
             "interactions_used": stats.interactions_used,
@@ -300,9 +282,9 @@ def bench_model_step_multirank(
     shared-memory superblocks, pull-model halo exchange, command-pipe
     lockstep. The workload shape and rep count are fixed regardless of
     ``--quick`` so quick and full gate runs compare like with like. On
-    code that predates the engine (or under ``REPRO_DISABLE_PROCPOOL``)
-    the model falls back to thread batching and ``process_ranks`` in
-    the extras records which path actually ran.
+    code that predates the engine the model falls back to thread
+    batching, and ``process_ranks`` in the extras records which path
+    actually ran.
     """
     import os
 
@@ -838,11 +820,7 @@ def collect(
         return wanted is None or name in wanted
 
     if want("coal_bott"):
-        results.append(bench_coal_bott("default", npts=npts, reps=reps))
-    if want("coal_bott_dense"):
-        results.append(bench_coal_bott("dense", npts=npts, reps=reps))
-    if want("coal_bott_sparse"):
-        results.append(bench_coal_bott("sparse", npts=npts, reps=reps))
+        results.append(bench_coal_bott(npts=npts, reps=reps))
     for ranks in (1, 4):
         name = f"model_step_r{ranks}"
         if want(name):

@@ -27,14 +27,19 @@ pass                        stage whose transformation it mechanizes
 :func:`plan_offload` drives the sequence under a
 :class:`TransformPolicy` and returns a :class:`TransformPlan` whose
 annotated kernel is what `repro.codee.cgen` emits. The derivations are
-honest about the production kernels: the transport stencil comes out
-``parallel for collapse(2)`` + inner ``simd`` (the innermost spatial
-loop stays serial per thread for neighbor-row locality, the paper's
-collapse(2) stage), while the sedimentation sweep is *refused* a
-parallel annotation — its ``k``-carried flux recurrence and the
-``active``/``precip`` accumulations are exactly what the analysis is
-for — and the KO-remap's depth-1 nest falls under the launch-overhead
-floor, so both stay serial like their hand-written predecessors.
+honest about the production kernels: under the default policy the
+transport stencil comes out ``parallel for collapse(2)`` + inner
+``simd`` (the innermost spatial loop stays serial per thread for
+neighbor-row locality, the paper's collapse(2) stage), while the
+sedimentation sweep's ``k``-carried flux recurrence and
+``active``/``precip`` accumulations are refused — exactly what the
+analysis is for — and the KO-remap's depth-1 nest falls under the
+launch-overhead floor.
+
+The host compiles every production kernel under :func:`plan_host`,
+the same derivation with parallel annotations off: the model's ranks
+own the cores, as the paper's CPU runs keep one OpenMP tile per MPI
+rank and save ``parallel`` for the GPU.
 """
 
 from __future__ import annotations
@@ -940,3 +945,18 @@ def plan_offload(
             plan.inner[nest.var] = analyze_inner_loops(kernel, nest)
             plan.passes.append(simd_lanes(policy, plan.inner[nest.var]))
     return plan
+
+
+def plan_host(kernel: Kernel) -> TransformPlan:
+    """The derivation every production kernel is compiled under.
+
+    :func:`plan_offload` with parallel annotations off. The model's
+    parallelism lives at the rank level (threads or forked processes),
+    so an ``omp parallel`` region inside a rank would oversubscribe the
+    cores the ranks own, and a thread pool started in the parent
+    process does not survive the fork of process ranks. The analysis
+    still runs in full — the reports keep every proven parallel depth —
+    and the fixed-width lane loops of serial nests still get
+    ``omp simd``.
+    """
+    return plan_offload(kernel, TransformPolicy(parallel=False))

@@ -1,7 +1,7 @@
 """Explicit, inspectable caches for precomputed hot-path data.
 
 The FSBM hot loops lean on precomputed lookup data — the collision
-kernel tables, the Kovetz–Olund split tensor, and the sparse collision
+kernel tables, the Kovetz–Olund pair split, and the sparse collision
 operators derived from both. These used to hide behind anonymous
 ``functools.lru_cache`` wrappers; this module replaces them with named
 :class:`CountingCache` instances collected in a process-wide registry,
@@ -18,10 +18,10 @@ Usage::
 
     from repro.core.cache import cached, cache_stats
 
-    @cached("fsbm.split_tensor", maxsize=4)
-    def _split_tensor(nkr): ...
+    @cached("fsbm.pair_split", maxsize=4)
+    def _pair_split(nkr): ...
 
-    cache_stats()["fsbm.split_tensor"].hits
+    cache_stats()["fsbm.pair_split"].hits
 """
 
 from __future__ import annotations

@@ -15,10 +15,13 @@ the paper's stage-3 discipline:
 * every kernel is compiled with ``-ffp-contract=off`` so no FMA
   contraction reorders the rounding — compiled paths stay bit-stable
   against their numpy references (see each module's equivalence notes);
-* every failure mode — no compiler, read-only filesystem, missing
-  OpenMP runtime — degrades to ``None`` and callers take their numpy
-  fallback; nothing outside the owning module needs to know which path
-  ran.
+* every kernel is compiled with ``-fopenmp-simd``, which honors the
+  ``omp simd`` pragmas and nothing else: no kernel links or starts the
+  OpenMP runtime, so the ranks own the cores and a forked process rank
+  never inherits a thread pool;
+* every failure mode — no compiler, read-only filesystem — degrades to
+  ``None`` and callers take their numpy fallback; nothing outside the
+  owning module needs to know which path ran.
 
 Kill switches: ``REPRO_DISABLE_CJIT=1`` disables **every** compiled
 kernel in the process; each :class:`CJitModule` may additionally name
@@ -46,14 +49,15 @@ DISABLE_ALL_ENV = "REPRO_DISABLE_CJIT"
 #: Default compile flags. ``-ffp-contract=off`` keeps the compiler from
 #: fusing multiply-adds, which would change rounding relative to the
 #: numpy references. -O3 alone never reassociates floating-point math
-#: in gcc/clang; ``-fopenmp`` enables the ``omp simd`` pragmas.
+#: in gcc/clang; ``-fopenmp-simd`` enables the ``omp simd`` pragmas
+#: without the OpenMP runtime.
 DEFAULT_CFLAGS = (
     "-O3",
     "-march=native",
     "-std=c99",
     "-fPIC",
     "-shared",
-    "-fopenmp",
+    "-fopenmp-simd",
     "-ffp-contract=off",
 )
 

@@ -20,13 +20,14 @@ honest about these loops — within one ensemble member the
 sedimentation nest's ``k``-carried flux recurrence and its
 ``active``/``precip`` accumulations make it provably
 *non*-parallelizable, and the remap's depth-1 nest is below the
-parallel-overhead floor — so both are emitted serial, exactly like
-their hand-written predecessors, and their arithmetic (expressed in
-the IR with the reference's operation order) stays bit-identical.
-``sed_sweep``'s member loop is provably independent but *policy*-serial
-(`_plan_serial`), as is ``coal_bott_new``: rank-level
-threads/processes own the cores, so the fsbm translation unit holds no
-``omp parallel`` region (only ``omp simd`` lane loops).
+parallel-overhead floor — and their arithmetic (expressed in the IR
+with the reference's operation order) stays bit-identical to their
+hand-written predecessors. Every kernel is registered under the host
+plan (:func:`repro.codee.transform.plan_host`), like the transport
+stencil: ``sed_sweep``'s member loop is provably independent but
+emitted serial, because rank-level threads/processes own the cores, so
+the fsbm translation unit holds no ``omp parallel`` region (only
+``omp simd`` lane loops).
 
 Equivalence to the numpy references (asserted by
 ``tests/fsbm/test_native_kernels.py``):
@@ -126,9 +127,9 @@ def build_sed_sweep_ir() -> Kernel:
     inside a member: the ``k - 1`` accumulation, the ``active`` and
     ``precip`` updates, and the conditional row writes each carry a
     dependence, so `repro.codee.transform` proves only the member loop
-    independent (parallel depth 1). The kernel is registered
-    policy-serial (:func:`_plan_serial`), so the emitted nest is serial
-    — matching the hand-written kernel, which relied on streaming
+    independent (parallel depth 1). The kernel is registered under the
+    serial host plan (:func:`repro.codee.transform.plan_host`) —
+    matching the hand-written kernel, which relied on streaming
     memory order rather than threads.
     """
     m, i, k, j, sp, b = Sym("m"), Sym("i"), Sym("k"), Sym("j"), Sym("sp"), Sym("b")
@@ -727,43 +728,18 @@ def build_coal_bott_new_ir() -> Kernel:
     )
 
 
-def _plan_serial(kernel):
-    """Offload derivation with parallel annotations off.
-
-    The member loop of ``sed_sweep`` is provably independent, but fsbm
-    physics kernels are emitted serial by convention: the
-    model's parallelism lives at the rank level (threads in 8.3,
-    processes in 8.8), and an ``omp parallel`` region inside every
-    rank's physics would oversubscribe the very cores the ranks own.
-    The rest of the derivation (normalize, fission, automatic-array
-    hoisting) still runs.
-    """
-    return transform.plan_offload(
-        kernel, transform.TransformPolicy(parallel=False)
+_specs = [
+    loopir.register_kernel(
+        loopir.KernelSpec(
+            name=name, build=build, transform=transform.plan_host
+        )
     )
-
-
-loopir.register_kernel(
-    loopir.KernelSpec(
-        name="sed_sweep",
-        build=build_sed_sweep_ir,
-        transform=_plan_serial,
+    for name, build in (
+        ("sed_sweep", build_sed_sweep_ir),
+        ("remap_scatter", build_remap_scatter_ir),
+        ("coal_bott_new", build_coal_bott_new_ir),
     )
-)
-loopir.register_kernel(
-    loopir.KernelSpec(
-        name="remap_scatter",
-        build=build_remap_scatter_ir,
-        transform=transform.plan_offload,
-    )
-)
-loopir.register_kernel(
-    loopir.KernelSpec(
-        name="coal_bott_new",
-        build=build_coal_bott_new_ir,
-        transform=_plan_serial,
-    )
-)
+]
 
 _c_double_p = ctypes.POINTER(ctypes.c_double)
 _c_long_p = ctypes.POINTER(ctypes.c_long)
@@ -812,11 +788,7 @@ def _declare(lib: ctypes.CDLL) -> None:
 # any C exists — loud by design.
 _module = cgen.build_module(
     "fsbm_kernels",
-    [
-        _plan_serial(build_sed_sweep_ir()).kernel,
-        transform.plan_offload(build_remap_scatter_ir()).kernel,
-        _plan_serial(build_coal_bott_new_ir()).kernel,
-    ],
+    [spec.final_kernel() for spec in _specs],
     disable_env=DISABLE_ENV,
     build_dir=Path(__file__).resolve().parent / "_cbuild",
     setup=_declare,
@@ -894,7 +866,7 @@ def sed_sweep(
         return None
     ptrs = (_c_double_p * nsp)(*[_dptr(d) for d in dists])
     active = np.zeros((nm, nsp), dtype=np.uint8)
-    # Policy-serial emission (_plan_serial) keeps the per-row flux
+    # Serial emission (transform.plan_host) keeps the per-row flux
     # LocalArray on the stack — no hoisted scratch param.
     lib.sed_sweep(
         ptrs,

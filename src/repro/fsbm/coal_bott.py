@@ -12,7 +12,7 @@ coalesced mass ``x_i + x_j`` on the product grid, split over two bins
 so number and mass are conserved exactly. A per-bin limiter scales the
 event tensor so no bin loses more than it holds.
 
-Three engines share these semantics:
+Two engines share these semantics:
 
 * The **compiled** engine — every float64 call while the physics
   kernels load — runs all interactions in one call of the loop-IR
@@ -33,12 +33,11 @@ Three engines share these semantics:
   into the kernel tables. The operators are sliced to the occupied
   rectangle, so the work scales with ``na * nb`` like the scalar
   code's occupied-bin bounds.
-* The **dense** engine (``use_sparse=False``) materializes the pair
-  tensor ``E[p, i, j]`` per point and contracts it against the dense
-  ``(nkr, nkr, nkr)`` Kovetz–Olund split tensor — a direct vectorized
-  transcription of the scalar triple loop, kept as the sparse engine's
-  oracle. :func:`_pair_split` verifies the triangular structure and
-  the step falls back to the dense engine if a grid ever violates it.
+
+Both rely on the triangular structure, which :func:`_pair_split`
+verifies; a grid that violates it is refused. The dense pair-tensor
+contraction — a direct transcription of the scalar triple loop — is
+the sparse engine's oracle in the tests.
 
 The pressure dependence of the kernel is handled with the rank-2
 identity ``K(p) = K500 + w(p) * (K750 - K500)`` so per-point kernel
@@ -51,7 +50,7 @@ stage (full 20-table ``kernals_ks`` precompute for the baseline versus
 occupied-bin on-demand entries after the lookup optimization). The GPU
 stages call it *before* launching so the cost model can price the
 kernel; :func:`coal_bott_step` calls the same function so reported
-stats always match what was charged. All engines report identical
+stats always match what was charged. Both engines report identical
 stats: they model the *scalar* code's work, not the vectorized form;
 only ``CoalWorkStats.engine`` names the engine that ran.
 """
@@ -64,6 +63,7 @@ import numpy as np
 
 from repro.constants import KERNEL_P_HIGH_MB, KERNEL_P_LOW_MB
 from repro.core.cache import cached, get_cache
+from repro.errors import ConfigurationError
 from repro.fsbm import ckernels
 from repro.fsbm.bins import BinGrid
 from repro.fsbm.collision_kernels import FLOPS_PER_ENTRY, KernelTables, tables_token
@@ -81,7 +81,7 @@ class PairSplit:
     Pair ``(i, j)`` deposits number fraction ``w_lo[i, j]`` in bin
     ``k_lo[i, j]`` and ``w_hi[i, j]`` in ``k_hi[i, j]``.
     ``triangular`` records whether the destinations follow the
-    mass-doubling-ladder structure the sparse engine relies on.
+    mass-doubling-ladder structure both engines rely on.
     """
 
     k_lo: np.ndarray
@@ -98,9 +98,9 @@ def _pair_split(nkr: int) -> PairSplit:
     On the mass-doubling ladder ``x_{k+1} = 2 x_k`` the coalesced mass
     ``x_i + x_j`` always lands between ``x_max(i,j)`` and
     ``x_max(i,j)+1`` (equal bins land exactly on ``x_{i+1}``), which
-    gives the triangular destination structure the sparse operators
-    exploit. The check is cheap and cached; any grid that breaks it
-    simply routes through the dense engine.
+    gives the triangular destination structure both engines exploit.
+    The check is cheap and cached; :func:`coal_bott_step_members`
+    refuses any grid that breaks it.
     """
     grid = BinGrid(nkr=nkr)
     k_lo, k_hi, w_lo, w_hi = grid.pair_coalescence_table(grid, grid)
@@ -121,24 +121,6 @@ def _pair_split(nkr: int) -> PairSplit:
         and not w_hi[:, nkr - 1].any()
     )
     return PairSplit(k_lo=k_lo, k_hi=k_hi, w_lo=w_lo, w_hi=w_hi, triangular=triangular)
-
-
-@cached("fsbm.split_tensor", maxsize=4)
-def _split_tensor(nkr: int) -> np.ndarray:
-    """``G[k, i, j]``: number-fraction of pair (i, j) landing in bin k.
-
-    Slices of the tensor sum to 1 over ``k`` inside the grid; top-bin
-    overflow conserves mass with a reduced number weight. Shared by all
-    interactions because every species grid uses the same mass ladder.
-    Only the dense engine contracts against this tensor; the sparse
-    engine uses the factored operators of :func:`_coal_operators`.
-    """
-    ps = _pair_split(nkr)
-    g = np.zeros((nkr, nkr * nkr))
-    flat = np.arange(nkr * nkr)
-    np.add.at(g, (ps.k_lo.ravel(), flat), ps.w_lo.ravel())
-    np.add.at(g, (ps.k_hi.ravel(), flat), ps.w_hi.ravel())
-    return g.reshape(nkr, nkr, nkr)
 
 
 def _build_coal_operators(
@@ -426,79 +408,6 @@ def predict_coal_work_members(
     return out
 
 
-def _apply_dense(
-    dists: dict[Species, np.ndarray],
-    ix: Interaction,
-    idx: np.ndarray,
-    a_full: np.ndarray,
-    b_full: np.ndarray,
-    na: int,
-    nb: int,
-    ws: np.ndarray,
-    dt: float,
-    dtype: np.dtype,
-    tables: KernelTables,
-    nkr: int,
-    g_split: np.ndarray,
-) -> None:
-    """One interaction's update via the dense pair-tensor contraction."""
-    n_a = dists[ix.collector]
-    n_b = dists[ix.collected]
-    a = a_full[:, :na].astype(dtype)
-    b = b_full[:, :nb].astype(dtype)
-
-    k500 = tables.tables_500[ix.name][:na, :nb].ravel().astype(dtype)
-    kdel = (
-        (tables.tables_750[ix.name] - tables.tables_500[ix.name])[:na, :nb]
-        .ravel()
-        .astype(dtype)
-    )
-    g_sub = g_split[:, :na, :nb].reshape(nkr, na * nb).astype(dtype)
-
-    # Pair-event rates E[p, i*nb+j] at each point's pressure.
-    outer = (a[:, :, None] * b[:, None, :]).reshape(len(idx), na * nb)
-    events = outer * k500[None, :] + (outer * ws[:, None]) * kdel[None, :]
-    if ix.self_collection:
-        events *= dtype.type(0.5)
-
-    ev = events.reshape(len(idx), na, nb)
-    if ix.self_collection:
-        loss = ev.sum(axis=2) * dt
-        loss = loss + ev.sum(axis=1) * dt
-        f_a = np.minimum(1.0, a / np.maximum(loss, 1e-30)).astype(dtype)
-        ev = ev * (f_a[:, :, None] * f_a[:, None, :])
-        loss = (ev.sum(axis=2) + ev.sum(axis=1)) * dt
-        gain = (ev.reshape(len(idx), na * nb) @ g_sub.T) * dt
-        a_new = a_full.copy()
-        a_new[:, :na] = np.maximum(a - loss, 0.0)
-        if ix.product is ix.collector:
-            n_a[idx] = np.maximum(a_new + gain, 0.0)
-        else:
-            n_a[idx] = a_new
-            dists[ix.product][idx] += gain
-    else:
-        loss_a = ev.sum(axis=2) * dt
-        loss_b = ev.sum(axis=1) * dt
-        f_a = np.minimum(1.0, a / np.maximum(loss_a, 1e-30)).astype(dtype)
-        f_b = np.minimum(1.0, b / np.maximum(loss_b, 1e-30)).astype(dtype)
-        ev = ev * (f_a[:, :, None] * f_b[:, None, :])
-        gain = (ev.reshape(len(idx), na * nb) @ g_sub.T) * dt
-        a_new = a_full.copy()
-        b_new = b_full.copy()
-        a_new[:, :na] = np.maximum(a - ev.sum(axis=2) * dt, 0.0)
-        b_new[:, :nb] = np.maximum(b - ev.sum(axis=1) * dt, 0.0)
-        if ix.product is ix.collector:
-            n_a[idx] = a_new + gain
-            n_b[idx] = b_new
-        elif ix.product is ix.collected:
-            n_a[idx] = a_new
-            n_b[idx] = b_new + gain
-        else:
-            n_a[idx] = a_new
-            n_b[idx] = b_new
-            dists[ix.product][idx] += gain
-
-
 def _apply_sparse(
     dists: dict[Species, np.ndarray],
     ix: Interaction,
@@ -648,19 +557,6 @@ def _coal_table_block(
     return cache.get_or_build(key, build)
 
 
-def _compiled_kernels(dtype: np.dtype, use_sparse: bool, nkr: int):
-    """The compiled kernels when this call may use them, else ``None``.
-
-    The float32 device-precision stages, the dense oracle
-    (``use_sparse=False``) and grids off the mass-doubling ladder stay
-    on numpy, as does every call under a kill switch or without a
-    compiler.
-    """
-    if dtype != np.float64 or not use_sparse or not _pair_split(nkr).triangular:
-        return None
-    return ckernels.load_kernels()
-
-
 def _apply_compiled(
     lib,
     dists: dict[Species, np.ndarray],
@@ -734,14 +630,13 @@ def coal_bott_step(
     on_demand: bool = False,
     dtype: np.dtype | type = np.float64,
     selection: CoalSelection | None = None,
-    use_sparse: bool = True,
 ) -> CoalWorkStats:
     """One member's collision step, in place (see
     :func:`coal_bott_step_members`)."""
     return coal_bott_step_members(
         dists, temperature, pressure_mb, dt, tables, interactions,
         [(0, temperature.shape[0])], occupied=occupied, on_demand=on_demand,
-        dtype=dtype, selection=selection, use_sparse=use_sparse,
+        dtype=dtype, selection=selection,
     )[0]
 
 
@@ -757,7 +652,6 @@ def coal_bott_step_members(
     on_demand: bool = False,
     dtype: np.dtype | type = np.float64,
     selection: CoalSelection | None = None,
-    use_sparse: bool = True,
 ) -> list[CoalWorkStats]:
     """Advance all distributions by one collision step, in place.
 
@@ -778,19 +672,22 @@ def coal_bott_step_members(
     depends only on its own row and its segment's rectangle, so each
     member's update is bit-for-bit that of a one-member call.
 
-    Otherwise ``use_sparse`` picks the numpy contraction engine. What
-    it shares across members is everything row-local: the
-    temperature-gate cache, the per-row sums, the interaction masks,
-    ``flatnonzero``, the pressure weights, and the post-apply
-    ``refresh``. The operator applications stay per member: BLAS
-    GEMM/GEMV results for a given row depend on the call's total row
-    count (kernel/blocking selection), so concatenating members' rows
-    into one apply would perturb rows at the ulp level. Each member's
-    apply therefore runs on exactly its own rows at exactly its own
-    rectangle; members write disjoint row sets, so their order is
-    immaterial. All engines produce the same physics, with relative
-    differences only at the float-associativity level (~1e-14 in
-    float64).
+    Otherwise the numpy sparse engine runs. What it shares across
+    members is everything row-local: the temperature-gate cache, the
+    per-row sums, the interaction masks, ``flatnonzero``, the pressure
+    weights, and the post-apply ``refresh``. The operator applications
+    stay per member: BLAS GEMM/GEMV results for a given row depend on
+    the call's total row count (kernel/blocking selection), so
+    concatenating members' rows into one apply would perturb rows at
+    the ulp level. Each member's apply therefore runs on exactly its
+    own rows at exactly its own rectangle; members write disjoint row
+    sets, so their order is immaterial. Both engines produce the same
+    physics, with relative differences only at the float-associativity
+    level (~1e-14 in float64).
+
+    Both engines need the mass-doubling ladder's triangular pair
+    destinations; a grid without them raises
+    :class:`~repro.errors.ConfigurationError`.
     """
     npts = temperature.shape[0]
     if selection is None and npts:
@@ -803,9 +700,16 @@ def coal_bott_step_members(
         return stats
 
     nkr = next(iter(dists.values())).shape[1]
+    if not _pair_split(nkr).triangular:
+        raise ConfigurationError(
+            f"the {nkr}-bin grid is off the mass-doubling ladder: its pair "
+            "destinations are not triangular"
+        )
     dtype = np.dtype(dtype)
     w_full = _pressure_weights(pressure_mb, dtype)
-    lib = _compiled_kernels(dtype, use_sparse, nkr)
+    # The float32 device-precision stages stay on numpy, as does every
+    # call under a kill switch or without a compiler.
+    lib = ckernels.load_kernels() if dtype == np.float64 else None
     engine = "numpy"
     if lib is not None and _apply_compiled(
         lib, dists, selection, interactions, occupied, w_full, dt, tables,
@@ -817,8 +721,6 @@ def coal_bott_step_members(
     if engine == "compiled":
         return stats
 
-    use_sparse = use_sparse and _pair_split(nkr).triangular
-    g_split = None if use_sparse else _split_tensor(nkr)
     live = selection.fork()
     starts = np.asarray([s for s, _ in segments])
     stops = np.asarray([e for _, e in segments])
@@ -848,17 +750,10 @@ def coal_bott_step_members(
                 na = nb = nkr
             a_full = dists[ix.collector][rows]
             b_full = dists[ix.collected][rows]
-            ws = w_full[rows]
-            if use_sparse:
-                _apply_sparse(
-                    dists, ix, rows, a_full, b_full, na, nb, ws, dt, dtype,
-                    tables, nkr,
-                )
-            else:
-                _apply_dense(
-                    dists, ix, rows, a_full, b_full, na, nb, ws, dt, dtype,
-                    tables, nkr, g_split,
-                )
+            _apply_sparse(
+                dists, ix, rows, a_full, b_full, na, nb, w_full[rows], dt,
+                dtype, tables, nkr,
+            )
         live.refresh(dists, {ix.collector, ix.collected, ix.product}, idx)
 
     return stats

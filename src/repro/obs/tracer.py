@@ -319,7 +319,7 @@ def counter(name: str, values: dict, rank: int | None = None) -> None:
     """Record a counter sample (one Perfetto counter track per name).
 
     ``values`` maps series name to a number, e.g.
-    ``counter("cache/fsbm.split_tensor", {"hits": 10, "misses": 2})``.
+    ``counter("cache/fsbm.pair_split", {"hits": 10, "misses": 2})``.
     """
     if not _enabled:
         return

@@ -8,27 +8,28 @@ host-side version of the paper's final step: collapse the whole
 donor-cell update into *one* loop nest with no temporaries, so each
 advected value is read once and written once.
 
-Since PR 6 the kernel is no longer a hand-written C string: it is
-defined as a `repro.codee.loopir` kernel (:func:`build_advect_ir`),
-annotated by the dependence-driven transformation engine
-(`repro.codee.transform` derives the ``parallel for collapse(2)`` +
-inner ``simd`` that used to be typed by hand), statically verified
-(`repro.codee.irverify` — an illegal annotation refuses to compile),
-and emitted by `repro.codee.cgen`. The arithmetic is expressed in the
+The kernel is defined as a `repro.codee.loopir` kernel
+(:func:`build_advect_ir`), derived by `repro.codee.transform`,
+statically verified (`repro.codee.irverify` — an illegal annotation
+refuses to compile), and emitted by `repro.codee.cgen`. The analysis
+proves the nest parallel to depth 3 and, under the default policy,
+derives the paper's ``parallel for collapse(2)`` + inner ``simd``
+(``codee transform advect_stage`` shows it). The host compiles it
+under :func:`repro.codee.transform.plan_host`, serial like every other
+production kernel: the ranks own the cores, and the compiler
+auto-vectorizes the scalar loops. The arithmetic is expressed in the
 IR with the reference's exact operation grouping and emitted fully
 parenthesized, which — together with the shared ``-ffp-contract=off``
 flag — keeps the compiled kernel bitwise identical to the per-field
-numpy path up to the sign of floating-point zeros, exactly as the
-hand-written source was.
+numpy path up to the sign of floating-point zeros.
 
-Build, caching, and fallback behavior are unchanged: the generated
-source goes through :mod:`repro.core.cjit` (source-hash-cached ``.so``
-under ``_cbuild/``, loaded through :mod:`ctypes`). If no compiler is
-available — or ``REPRO_DISABLE_CSTENCIL=1`` (this module) /
-``REPRO_DISABLE_CJIT=1`` (every compiled kernel) is set —
-:func:`load_stencil` returns ``None`` and callers fall back to the
-sliced numpy kernels. Nothing outside this module needs to know which
-path ran.
+The generated source goes through :mod:`repro.core.cjit`
+(source-hash-cached ``.so`` under ``_cbuild/``, loaded through
+:mod:`ctypes`). If no compiler is available — or
+``REPRO_DISABLE_CSTENCIL=1`` (this module) / ``REPRO_DISABLE_CJIT=1``
+(every compiled kernel) is set — :func:`load_stencil` returns ``None``
+and callers fall back to the sliced numpy kernels. Nothing outside
+this module needs to know which path ran.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from repro.codee.loopir import (
     Store,
     Sym,
 )
-from repro.core import cjit
 from repro.obs import tracer
 
 #: Environment switch forcing the numpy fallback (used by the
@@ -67,12 +67,13 @@ def build_advect_ir() -> Kernel:
     its members' i-rows line up as ``nm * ni`` consecutive rows: the
     nest runs over rows ``r = m * ni + i``, exactly a one-member stencil's
     ``(i, k, j)`` nest with ``ni`` replaced by ``nm * ni``, and
-    `repro.codee.transform` derives the same ``collapse(2)`` over
-    ``(r, k)``. The member-local row ``i = r % ni`` drives the i-edge
-    clamp, so no neighbor read crosses a member boundary: each clamped
-    term is ``s - s = 0``, reproducing the reference's edge handling
-    exactly, and member ``m`` of the result equals a one-member sweep
-    of that member bit for bit. Euler passes ``base == s`` and
+    `repro.codee.transform` proves the same depth-3 independence
+    (``collapse(2)`` over ``(r, k)`` under the default policy). The
+    member-local row ``i = r % ni`` drives the i-edge clamp, so no
+    neighbor read crosses a member boundary: each clamped term is
+    ``s - s = 0``, reproducing the reference's edge handling exactly,
+    and member ``m`` of the result equals a one-member sweep of that
+    member bit for bit. Euler passes ``base == s`` and
     ``f == dt``; an RK3 stage passes ``base == phi0`` and
     ``f == dt * frac``. ``clip[n]`` marks scalars clamped at zero after
     the update (only on the stage that ``do_clip`` enables).
@@ -81,8 +82,8 @@ def build_advect_ir() -> Kernel:
     expression grouping as the numpy reference (three negated upwind
     pairs summed left to right), so results match it bit for bit
     modulo signed zeros. The loop nest is defined *bare* — every
-    OpenMP annotation on the compiled kernel is derived by
-    `repro.codee.transform` from its dependence analysis.
+    annotation is derived by `repro.codee.transform` from its
+    dependence analysis.
     """
     nm, ni, nk, nj, ns = (
         Sym("nm"), Sym("ni"), Sym("nk"), Sym("nj"), Sym("ns")
@@ -195,17 +196,13 @@ def build_advect_ir() -> Kernel:
     )
 
 
-loopir.register_kernel(
+_spec = loopir.register_kernel(
     loopir.KernelSpec(
         name="advect_stage",
         build=build_advect_ir,
-        transform=transform.plan_offload,
+        transform=transform.plan_host,
     )
 )
-
-#: Compile flags (the shared defaults; see :mod:`repro.core.cjit` for
-#: why ``-ffp-contract=off`` is load-bearing).
-CFLAGS = cjit.DEFAULT_CFLAGS
 
 #: Why the stencil is unavailable ("" while it is); for diagnostics.
 load_error: str = ""
@@ -225,13 +222,12 @@ def _declare(lib: ctypes.CDLL) -> None:
     ]
 
 
-# Derive the OpenMP annotations, verify them, and emit the C source.
-# An illegal transformation raises IRVerificationError here, at import,
+# Derive the annotations, verify them, and emit the C source. An
+# illegal transformation raises IRVerificationError here, at import,
 # before any C exists — loud by design.
 _module = cgen.build_module(
     "stencil",
-    [transform.plan_offload(build_advect_ir()).kernel],
-    cflags=CFLAGS,
+    [_spec.final_kernel()],
     disable_env=DISABLE_ENV,
     build_dir=Path(__file__).resolve().parent / "_cbuild",
     setup=_declare,
@@ -253,8 +249,8 @@ def load_stencil() -> ctypes.CDLL | None:
 
     Compilation happens once per process (and the shared object is
     cached on disk across processes); every failure mode — no
-    compiler, sandboxed filesystem, missing OpenMP runtime — degrades
-    to ``None`` so callers take the numpy path. The underlying
+    compiler, sandboxed filesystem, a kill switch — degrades to
+    ``None`` so callers take the numpy path. The underlying
     :class:`~repro.core.cjit.CJitModule` records the one-time
     ``cjit.compile``/``cjit.load`` spans; a single instant event here
     marks which path (compiled vs numpy) the transport resolved to.

@@ -549,13 +549,12 @@ class WrfModel:
         # Multiprocess rank execution: forked before any heavyweight
         # driver-side state exists, so workers stay lean. GPU stages
         # stay in process (ranks contend for the shared simulated GPU
-        # pool), as does everything under REPRO_DISABLE_PROCPOOL.
+        # pool).
         self._pool = None
         if namelist.use_process_ranks and not namelist.stage.uses_gpu:
             from repro.wrf import procpool
 
-            if procpool.procpool_disabled() is None:
-                self._pool = procpool.ProcRankPool(namelist, self.decomposition)
+            self._pool = procpool.ProcRankPool(namelist, self.decomposition)
 
         self.gpu_pool: GpuPool | None = None
         self.engines: list[OffloadEngine | None] = [None] * num_ranks

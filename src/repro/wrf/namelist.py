@@ -47,16 +47,17 @@ class Namelist:
     #: cost is RK3 either way; this flag affects only the numerics.
     use_rk3_numerics: bool = False
     #: Promote ranks to real OS processes: each rank becomes a
-    #: persistent worker owning its patch of a shared-memory superblock
-    #: pool (:mod:`repro.wrf.procpool`), stepped in lockstep over a
-    #: command-pipe/barrier protocol, with halo exchange performed as
-    #: strided copies directly between neighboring ranks' shared
-    #: blocks. Numerics and per-rank simulated-clock charges are
-    #: bit-identical to the thread-pool path; only host wall-clock
-    #: changes (CPU stages actually run concurrently across cores
-    #: instead of time-slicing one interpreter). GPU/offload stages
-    #: fall back to in-process ranks (ranks share the simulated GPU
-    #: pool), as does ``REPRO_DISABLE_PROCPOOL=1``.
+    #: persistent forked worker owning its patch of a shared-memory
+    #: superblock pool (:mod:`repro.wrf.procpool`), stepped in lockstep
+    #: over a command-pipe/barrier protocol, with halo exchange
+    #: performed as strided copies directly between neighboring ranks'
+    #: shared blocks. Numerics and per-rank simulated-clock charges are
+    #: bit-identical to the thread-pool path (``False``); only host
+    #: wall-clock changes (CPU stages actually run concurrently across
+    #: cores instead of time-slicing one interpreter). Either way the
+    #: ranks own the cores: no compiled kernel starts a thread of its
+    #: own. GPU/offload stages stay in-process (ranks share the
+    #: simulated GPU pool).
     use_process_ranks: bool = False
     #: Record wall-clock spans into the :mod:`repro.obs` tracer
     #: (physics/halo/transport per rank, JIT builds, history I/O),

@@ -35,13 +35,17 @@ deterministically reconstructed cost models — so both the numerics and
 every per-clock float accumulation sequence are identical across
 execution modes.
 
+Fork safety: workers are always forked. No compiled kernel starts a
+thread (:func:`repro.codee.transform.plan_host`, built with
+``-fopenmp-simd``), so a parent process that has already stepped
+in-process ranks holds no OpenMP thread pool a child could deadlock
+on.
+
 Failure containment: any worker crash, timeout, or protocol error
 tears down the whole pool — remaining workers are terminated and every
 shared segment is unlinked — before :class:`~repro.errors.ProcPoolError`
 reaches the caller. Segments that somehow survive (e.g. the driver was
-SIGKILLed between create and unlink) are reaped by an ``atexit`` hook,
-and ``REPRO_DISABLE_PROCPOOL=1`` disables the pool entirely (the model
-falls back to in-process ranks).
+SIGKILLed between create and unlink) are reaped by an ``atexit`` hook.
 """
 
 from __future__ import annotations
@@ -90,18 +94,6 @@ DEFAULT_TIMEOUT = 120.0
 #: Cache registering the live shared segments (value = SharedMemory, so
 #: ``cache_stats()`` reports the pool's /dev/shm footprint in bytes).
 SEGMENT_CACHE = "wrf.shared_superblocks"
-
-
-def procpool_disabled() -> str | None:
-    """Why process ranks are disabled in this environment, or ``None``.
-
-    ``REPRO_DISABLE_PROCPOOL`` is the kill switch: any non-empty value
-    makes every model fall back to in-process ranks (numerics and
-    simulated time are identical either way).
-    """
-    if os.environ.get("REPRO_DISABLE_PROCPOOL", ""):
-        return "REPRO_DISABLE_PROCPOOL is set"
-    return None
 
 
 def _pool_timeout() -> float:
@@ -212,7 +204,7 @@ class SharedSuperblocks:
                 pass
 
 
-def _preload_compiled(namelist: Namelist) -> None:
+def _preload_compiled() -> None:
     """Build the compiled kernels and lookup tables before forking.
 
     Workers inherit the loaded shared objects and warm caches through
@@ -421,12 +413,11 @@ class ProcRankPool:
         self._procs: list = []
         self._conns: list = []
         nscalars = superblock_scalar_count()
-        _preload_compiled(namelist)
+        _preload_compiled()
         self.blocks = SharedSuperblocks(
             decomposition, nscalars, members=namelist.members
         )
-        start = os.environ.get("REPRO_PROCPOOL_START", "") or "fork"
-        ctx = get_context(start)
+        ctx = get_context("fork")
         self._barrier = ctx.Barrier(self.num_ranks)
         try:
             for rank in range(self.num_ranks):

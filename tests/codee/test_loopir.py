@@ -18,6 +18,7 @@ from repro.codee.loopir import (
     expr_syms,
     subst,
     walk_ir,
+    walk_ir_stmts,
 )
 
 
@@ -123,9 +124,19 @@ class TestRegistry:
         assert "advect_stage" in gated
 
     def test_final_kernel_applies_the_transform(self):
-        spec = loopir.registered_kernels()["advect_stage"]
-        kernel = spec.final_kernel()
-        assert any(lp.parallel for lp in kernel.loops())
+        # The host plan is serial; what it does annotate is the
+        # fixed-width lane loops of coal_bott_new, which the bare build
+        # leaves unmarked.
+        spec = loopir.registered_kernels()["coal_bott_new"]
+
+        def simd_loops(kernel):
+            return [
+                s for s in walk_ir_stmts(kernel.body)
+                if isinstance(s, Loop) and s.simd
+            ]
+
+        assert not simd_loops(spec.build())
+        assert simd_loops(spec.final_kernel())
 
     def test_fixture_spec_is_fixed(self):
         spec = loopir.registered_kernels()["broken_offload_ir"]

@@ -417,6 +417,17 @@ class TestProductionDerivations:
         ]
         assert leaves, "inner n-loops vectorized"
 
+    def test_host_plan_is_serial_and_keeps_the_depth3_proof(self):
+        from repro.codee import loopir
+
+        # What `codee transform advect_stage` prints: the registered
+        # host plan emits no parallel loop, yet reports the nest
+        # provably independent to depth 3.
+        plan = loopir.registered_kernels()["advect_stage"].plan()
+        assert not any(lp.parallel for lp in plan.kernel.loops())
+        assert plan.reports["r"].parallel_depth == 3
+        assert "nest over 'r': parallel depth 3" in plan.summary()
+
     def test_sed_sweep_parallel_only_across_members(self):
         from repro.codee import loopir
         from repro.fsbm.ckernels import build_sed_sweep_ir

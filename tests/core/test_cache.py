@@ -131,21 +131,21 @@ class TestFsbmCachesRegistered:
         assert "fsbm.kernel_tables" in stats
         assert stats["fsbm.kernel_tables"].hits >= 1
 
-    def test_split_tensor_cache_counts_and_invalidates_by_nkr(self):
-        from repro.fsbm.coal_bott import _split_tensor
+    def test_pair_split_cache_counts_and_invalidates_by_nkr(self):
+        from repro.fsbm.coal_bott import _pair_split
 
-        _split_tensor.cache_clear()
-        before = _split_tensor.cache_info()
-        g33 = _split_tensor(33)
-        g33_again = _split_tensor(33)
-        g17 = _split_tensor(17)
-        after = _split_tensor.cache_info()
-        assert g33 is g33_again
-        assert g33.shape == (33, 33, 33)
-        assert g17.shape == (17, 17, 17)
+        _pair_split.cache_clear()
+        before = _pair_split.cache_info()
+        s33 = _pair_split(33)
+        s33_again = _pair_split(33)
+        s17 = _pair_split(17)
+        after = _pair_split.cache_info()
+        assert s33 is s33_again
+        assert s33.k_lo.shape == (33, 33)
+        assert s17.k_lo.shape == (17, 17)
         assert after.misses - before.misses == 2  # one per nkr
         assert after.hits - before.hits == 1
-        assert set(_split_tensor.cache.keys()) >= {(33,), (17,)}
+        assert set(_pair_split.cache.keys()) >= {(33,), (17,)}
 
     def test_coal_operator_cache_keys_on_rectangle(self):
         import numpy as np

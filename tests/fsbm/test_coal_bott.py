@@ -1,10 +1,16 @@
 """Collision–coalescence invariants: the heart of the reproduction."""
 
+import dataclasses
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
+from repro.fsbm import ckernels, coal_bott
 from repro.fsbm.coal_bott import (
     CoalSelection,
     _interaction_selection,
@@ -14,6 +20,7 @@ from repro.fsbm.coal_bott import (
 )
 from repro.fsbm.species import INTERACTIONS, Species, species_bins
 from tests.conftest import make_liquid_dists, total_mass
+from tests.fsbm.coal_oracle import dense_coal_step
 
 
 def _occupied(dists, eps=1e-10):
@@ -213,34 +220,44 @@ def _max_rel_dev(got, ref):
 
 
 class TestSparseEngine:
-    """The factored sparse contraction against the dense reference."""
+    """The factored sparse contraction against the dense oracle.
+
+    Every engine a step can run is held to the oracle
+    (``tests/fsbm/coal_oracle.py``): the default call (the compiled
+    kernel whenever it loads) and the numpy sparse engine the kill
+    switch forces.
+    """
 
     def _both(self, dists, t, p, dt=5.0, occupied="auto", dtype=np.float64):
         from repro.fsbm.collision_kernels import get_tables
 
         occ = _occupied(dists) if occupied == "auto" else occupied
         dense = {sp: d.copy() for sp, d in dists.items()}
-        sparse = {sp: d.copy() for sp, d in dists.items()}
-        kw = dict(occupied=occ, on_demand=True, dtype=dtype)
-        coal_bott_step(
-            dense, t, p, dt, get_tables(), INTERACTIONS, use_sparse=False, **kw
-        )
-        coal_bott_step(
-            sparse, t, p, dt, get_tables(), INTERACTIONS, use_sparse=True, **kw
-        )
-        return sparse, dense
+        dense_coal_step(dense, t, p, dt, occ, dtype=dtype)
+        engines = []
+        for env in ({}, {ckernels.DISABLE_ENV: "1"}):
+            work = {sp: d.copy() for sp, d in dists.items()}
+            with mock.patch.dict(os.environ, env):
+                coal_bott_step(
+                    work, t, p, dt, get_tables(), INTERACTIONS,
+                    occupied=occ, on_demand=True, dtype=dtype,
+                )
+            engines.append(work)
+        return engines, dense
 
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=10, deadline=None)
     def test_sparse_matches_dense_to_1e12(self, seed):
         dists, t, p = _mixed_state(48, seed)
-        sparse, dense = self._both(dists, t, p)
-        assert _max_rel_dev(sparse, dense) < 1e-12
+        engines, dense = self._both(dists, t, p)
+        for got in engines:
+            assert _max_rel_dev(got, dense) < 1e-12
 
     def test_sparse_matches_dense_without_occupied(self):
         dists, t, p = _mixed_state(32, seed=7)
-        sparse, dense = self._both(dists, t, p, occupied=None)
-        assert _max_rel_dev(sparse, dense) < 1e-12
+        engines, dense = self._both(dists, t, p, occupied=None)
+        for got in engines:
+            assert _max_rel_dev(got, dense) < 1e-12
 
     @given(seed=st.integers(0, 500), dt=st.floats(10.0, 120.0))
     @settings(max_examples=10, deadline=None)
@@ -248,31 +265,50 @@ class TestSparseEngine:
         # Large concentrations + long dt force the limiter to bind,
         # exercising the sparse engine's slow (re-contraction) path.
         dists, t, p = _mixed_state(32, seed, boost=100.0)
-        sparse, dense = self._both(dists, t, p, dt=dt)
-        assert _max_rel_dev(sparse, dense) < 1e-12
+        engines, dense = self._both(dists, t, p, dt=dt)
+        for got in engines:
+            assert _max_rel_dev(got, dense) < 1e-12
 
     def test_sparse_float32_matches_dense_float32(self):
         dists, t, p = _mixed_state(32, seed=11)
-        sparse, dense = self._both(dists, t, p, dtype=np.float32)
-        for sp in Species:
-            np.testing.assert_allclose(sparse[sp], dense[sp], rtol=2e-4, atol=1e-10)
+        engines, dense = self._both(dists, t, p, dtype=np.float32)
+        for got in engines:
+            for sp in Species:
+                np.testing.assert_allclose(
+                    got[sp], dense[sp], rtol=2e-4, atol=1e-10
+                )
 
     def test_sparse_conserves_mass(self):
         dists, t, p = _mixed_state(24, seed=3)
         before = total_mass(dists)
         from repro.fsbm.collision_kernels import get_tables
 
-        coal_bott_step(
-            dists, t, p, 5.0, get_tables(), INTERACTIONS,
-            occupied=_occupied(dists), on_demand=True, use_sparse=True,
-        )
+        with mock.patch.dict(os.environ, {ckernels.DISABLE_ENV: "1"}):
+            stats = coal_bott_step(
+                dists, t, p, 5.0, get_tables(), INTERACTIONS,
+                occupied=_occupied(dists), on_demand=True,
+            )
+        assert stats.engine == "numpy"
         assert total_mass(dists) == pytest.approx(before, rel=1e-10)
 
     def test_pair_split_structure_is_triangular(self):
-        """The mass-doubling ladder satisfies the sparse engine's
-        destination structure (otherwise it falls back to dense)."""
+        """The mass-doubling ladder satisfies the engines' destination
+        structure (otherwise the step refuses the grid)."""
         assert _pair_split(33).triangular
         assert _pair_split(17).triangular
+
+    def test_grid_off_the_ladder_is_refused(self, monkeypatch):
+        from repro.fsbm.collision_kernels import get_tables
+
+        ladder = coal_bott._pair_split
+        monkeypatch.setattr(
+            coal_bott,
+            "_pair_split",
+            lambda nkr: dataclasses.replace(ladder(nkr), triangular=False),
+        )
+        dists, t, p = _mixed_state(8, seed=1)
+        with pytest.raises(ConfigurationError, match="mass-doubling ladder"):
+            coal_bott_step(dists, t, p, 5.0, get_tables(), INTERACTIONS)
 
 
 class TestCoalSelection:

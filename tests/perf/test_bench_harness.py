@@ -53,22 +53,15 @@ def _quick_gate_skip_reason() -> str | None:
 
 @pytest.fixture(scope="module")
 def coal_bench():
-    return harness.bench_coal_bott("default", npts=64, reps=2)
+    return harness.bench_coal_bott(npts=64, reps=2)
 
 
 class TestHarness:
     def test_coal_bott_bench_payload(self, coal_bench):
         assert coal_bench.name == "coal_bott"
         assert 0 < coal_bench.min_s <= coal_bench.median_s <= coal_bench.max_s
+        assert coal_bench.extra["npts"] == 64
         assert coal_bench.extra["pair_entries"] > 0
-        assert coal_bench.extra["mode_supported"] is True
-
-    def test_sparse_and_dense_modes_supported(self):
-        sparse = harness.bench_coal_bott("sparse", npts=64, reps=1)
-        dense = harness.bench_coal_bott("dense", npts=64, reps=1)
-        assert sparse.extra["mode_supported"] and dense.extra["mode_supported"]
-        # Same workload, same scalar-code work stats on both engines.
-        assert sparse.extra["pair_entries"] == dense.extra["pair_entries"]
 
     def test_seed_baseline_is_committed(self):
         seed = harness.REPO_ROOT / "BENCH_seed.json"

@@ -4,20 +4,26 @@ Failure containment is the contract under test: a worker crash or a
 driven-after-close pool must raise :class:`~repro.errors.ProcPoolError`
 *after* tearing everything down — workers dead, every shared segment
 unlinked — and a driver that dies between create and unlink must still
-be covered by the atexit reaper. ``REPRO_DISABLE_PROCPOOL`` must drop
-the model back onto the thread path.
+be covered by the atexit reaper. Forking workers must stay safe after
+the parent process has run compiled kernels itself.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from multiprocessing.shared_memory import SharedMemory
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.codee import loopir
+from repro.codee.loopir import Loop, walk_ir_stmts
 from repro.errors import ProcPoolError
 from repro.grid.decomposition import decompose_domain
 from repro.wrf import procpool
-from repro.wrf.model import WrfModel
 from repro.wrf.namelist import conus12km_namelist
 
 
@@ -109,18 +115,54 @@ class TestLeakProtection:
         assert cache_stats()[procpool.SEGMENT_CACHE].currsize == 0
 
 
-class TestKillSwitch:
-    def test_disable_env_falls_back_to_threads(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_PROCPOOL", "1")
-        assert procpool.procpool_disabled() is not None
-        model = WrfModel(_namelist())
-        try:
-            assert model._pool is None
-            assert model._executor is not None
-            model.step()
-        finally:
-            model.close()
+#: Steps a 1-rank in-process model, then a 2-process-rank model, in one
+#: interpreter. An OpenMP thread pool started by the first model's
+#: kernels would not survive the fork of the second model's workers.
+_STEP_THEN_FORK = """
+from repro.wrf.model import WrfModel
+from repro.wrf.namelist import conus12km_namelist
 
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_PROCPOOL", raising=False)
-        assert procpool.procpool_disabled() is None
+serial = WrfModel(conus12km_namelist(scale=0.05, num_ranks=1))
+serial.step()
+serial.close()
+forked = WrfModel(
+    conus12km_namelist(scale=0.05, num_ranks=2, use_process_ranks=True)
+)
+try:
+    assert forked._pool is not None
+    forked.step()
+finally:
+    forked.close()
+print("both models stepped")
+"""
+
+
+class TestForkSafety:
+    def test_process_ranks_fork_after_an_in_process_step(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(
+            os.environ,
+            OMP_NUM_THREADS="2",
+            REPRO_PROCPOOL_TIMEOUT="30",
+            PYTHONPATH=os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p
+            ),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _STEP_THEN_FORK],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "both models stepped" in proc.stdout
+
+    def test_no_production_kernel_has_a_parallel_loop(self):
+        for name, spec in loopir.gate_kernels().items():
+            kernel = spec.final_kernel()
+            parallel = [
+                s.var for s in walk_ir_stmts(kernel.body)
+                if isinstance(s, Loop) and s.parallel
+            ]
+            assert not parallel, f"{name} opens a parallel region"
