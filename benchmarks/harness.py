@@ -32,10 +32,10 @@ performance is checkable:
   against the per-field reference loop, at the same shape in quick and
   full mode so the numbers stay comparable;
 * ``sedimentation`` / ``cond_remap`` — the native physics layer: the
-  fused compiled sedimentation sweep and the compiled condensation
-  KO-remap scatter, each at fixed workload shapes in quick
-  and full mode. (``coal_bott`` runs the compiled collision kernel
-  whenever the physics kernels load.)
+  fused compiled sedimentation sweep and one compiled condensation
+  growth step (``onecond``: growth, KO remap, limiter), each at fixed
+  workload shapes in quick and full mode. (``coal_bott`` runs the
+  compiled collision kernel whenever the physics kernels load.)
 
 Since PR 6 the compiled transport stencil and fsbm kernels are emitted
 from the loop IR (``repro.codee.loopir`` → ``cgen``) rather than
@@ -731,16 +731,18 @@ def bench_cond_remap(
     reps: int = 7,
     seed: int = 2024,
 ) -> KernelBench:
-    """Time the condensation KO-remap at a fixed point count.
+    """Time one condensation growth step at a fixed point count.
 
-    Perturbs a seeded liquid spectrum by a smooth growth increment and
-    times ``_remap_spectrum`` (compiled scatter by default, two-pass
-    ``bincount`` fallback under the kill switches). Fixed ``npts``
-    regardless of ``--quick``.
+    Seeded liquid spectra in mixed sub- and supersaturation, grown by
+    ``onecond1``: the compiled ``onecond`` kernel (growth, KO remap,
+    saturation limiter) by default, the numpy engine under the kill
+    switches. Each sample grows a fresh copy of the same inputs. Fixed
+    ``npts`` regardless of ``--quick``.
     """
     from repro.fsbm import ckernels
-    from repro.fsbm.condensation import _remap_spectrum
+    from repro.fsbm.condensation import onecond1
     from repro.fsbm.species import Species, species_bins
+    from repro.fsbm.thermo import saturation_mixing_ratio
 
     grid = species_bins()[Species.LIQUID]
     nkr = grid.masses.shape[0]
@@ -750,13 +752,20 @@ def bench_cond_remap(
         rng.uniform(0.0, 3.0, (npts, nkr)),
         0.0,
     )
-    # Mixed growth/evaporation perturbation, a few points off-ladder.
-    factor = rng.uniform(0.45, 2.2, (npts, 1))
-    new_mass = grid.masses[None, :] * factor
+    t = rng.uniform(275.0, 295.0, npts)
+    p = rng.uniform(500.0, 1000.0, npts)
+    qv = saturation_mixing_ratio(t, p) * rng.uniform(0.5, 1.05, npts)
+    rho = np.full(npts, 1.0e-3)
+    ccn = np.full(npts, 100.0)
+    stats = None
 
     def run_once() -> float:
+        nonlocal stats
+        dists = {sp: np.zeros_like(n) for sp in Species}
+        dists[Species.LIQUID] = n.copy()
+        args = (t.copy(), p, qv.copy(), rho, ccn.copy())
         t0 = time.perf_counter()
-        _remap_spectrum(n, new_mass, grid)
+        stats = onecond1(dists, *args, 5.0)
         return time.perf_counter() - t0
 
     run_once()  # warmup
@@ -767,9 +776,9 @@ def bench_cond_remap(
         extra={
             "npts": npts,
             "nkr": nkr,
-            "compiled": ckernels.load_kernels() is not None,
-            "ir_kernel": "remap_scatter",
-            "ir_registered": _ir_registered("remap_scatter"),
+            "compiled": stats.engine == "compiled",
+            "ir_kernel": "onecond",
+            "ir_registered": _ir_registered("onecond"),
         },
     )
 

@@ -530,7 +530,9 @@ def _loads_of(stmt: Stmt, array: str) -> list[Load]:
     return out
 
 
-def _fission_conflict(a: Stmt, b: Stmt, param_arrays: set[str]) -> bool:
+def _fission_conflict(
+    a: Stmt, b: Stmt, param_arrays: set[str], effects: dict[int, tuple]
+) -> bool:
     """Must ``a`` and ``b`` stay in the same loop?
 
     Conservative: a name defined on either side that the other touches
@@ -541,10 +543,11 @@ def _fission_conflict(a: Stmt, b: Stmt, param_arrays: set[str]) -> bool:
     loop-independent dependences, which fission preserves; anything
     else could be carried either direction). Names both sides merely
     *read* — the fissioned loop's variable, shared scalar parameters —
-    do not conflict.
+    do not conflict. ``effects`` maps ``id(stmt)`` to its
+    :func:`_stmt_effects`, computed once per statement.
     """
-    wa, ra, da, na = _stmt_effects(a)
-    wb, rb, db, nb = _stmt_effects(b)
+    wa, ra, da, na = effects[id(a)]
+    wb, rb, db, nb = effects[id(b)]
     # Non-parameter (stack-local) arrays live in the name namespace:
     # a store counts as defining, a load as reading.
     da = da | {x for x in wa if x not in param_arrays}
@@ -592,9 +595,10 @@ def fission_loop(kernel: Kernel, loop: Loop) -> PassResult:
             x = comp[x]
         return x
 
+    effects = {id(stmt): _stmt_effects(stmt) for stmt in loop.body}
     for a in range(count):
         for b in range(a + 1, count):
-            if _fission_conflict(loop.body[a], loop.body[b], param_arrays):
+            if _fission_conflict(loop.body[a], loop.body[b], param_arrays, effects):
                 comp[find(a)] = find(b)
     by_comp: dict[int, list[Stmt]] = {}
     for idx, stmt in enumerate(loop.body):

@@ -1,35 +1,40 @@
-"""Runtime-compiled C kernels for the FSBM physics column hot spots.
+"""Runtime-compiled C kernels for the FSBM physics hot spots.
 
 After the fused transport engine (PR 3), profiling shows the numpy
 physics path dominating the model step: the per-species sedimentation
-sweep materializes a full-field ``flux`` temporary per species, and the
-condensation KO-remap runs two full-size ``np.bincount`` passes per
-growth call. Both are the kind of fragmented, temporary-heavy loop the
-paper's stage-3 transformation collapses; this module is their
-host-side analog, built on the shared :mod:`repro.core.cjit`
-infrastructure (source-hash-cached ``.so``, ``-ffp-contract=off``,
-transparent numpy fallback).
+sweep materializes a full-field ``flux`` temporary per species, the
+condensation growth runs its remap and limiter as a chain of
+full-size temporaries per species, and the collision apply is a
+sequence of small BLAS calls. They are the kind of fragmented,
+temporary-heavy loop the paper's stage-3 transformation collapses; this
+module is their host-side analog, built on the shared
+:mod:`repro.core.cjit` infrastructure (source-hash-cached ``.so``,
+``-ffp-contract=off``, transparent numpy fallback).
 
 Every kernel here is defined as a `repro.codee.loopir` kernel
-(:func:`build_sed_sweep_ir`, :func:`build_remap_scatter_ir`,
-:func:`build_coal_bott_new_ir`) rather than a hand-written C string: the transformation engine
+(:func:`build_sed_sweep_ir`, :func:`build_onecond_ir`,
+:func:`build_freeze_melt_ir`, :func:`build_coal_bott_new_ir`) rather
+than a hand-written C string: the transformation engine
 (`repro.codee.transform`) analyzes them, the static verifier
 (`repro.codee.irverify`) checks the result, and `repro.codee.cgen`
 emits the C that :mod:`repro.core.cjit` compiles. The analysis is
 honest about these loops — within one ensemble member the
 sedimentation nest's ``k``-carried flux recurrence and its
 ``active``/``precip`` accumulations make it provably
-*non*-parallelizable, and the remap's depth-1 nest is below the
-parallel-overhead floor — and their arithmetic (expressed in the IR
-with the reference's operation order) stays bit-identical to their
-hand-written predecessors. Every kernel is registered under the host
+*non*-parallelizable, and the condensation and freezing row loops
+store through a row list or a species table and sit below the
+parallel-overhead floor. Every kernel is registered under the host
 plan (:func:`repro.codee.transform.plan_host`), like the transport
 stencil: ``sed_sweep``'s member loop is provably independent but
 emitted serial, because rank-level threads/processes own the cores, so
 the fsbm translation unit holds no ``omp parallel`` region (only
-``omp simd`` lane loops).
+``omp simd`` lane loops). No kernel keeps static scratch: thread ranks
+call them concurrently.
 
-Equivalence to the numpy references (asserted by
+The condensation, freezing and collision kernels take species rows at
+any row stride with unit-stride bins, so they run in place on the
+sweep's packed gather (every species a column slice of one
+point-major buffer). Equivalence to the numpy references (asserted by
 ``tests/fsbm/test_native_kernels.py``):
 
 * ``sed_sweep`` — the fused all-species sedimentation loop nest over
@@ -44,10 +49,19 @@ Equivalence to the numpy references (asserted by
   pass and no stores — this is what lets the caller drop its
   per-species ``n.any()`` prescan on the compiled path (the kernel
   reports per-species presence in ``active``).
-* ``remap_scatter`` — the Kovetz–Olund two-bin deposit. numpy's
-  ``bincount`` accumulates sequentially in flat index order, which the
-  per-point ``lo``/``hi`` accumulators reproduce exactly, so the remap
-  is **bit-identical** to the double-``bincount`` reference.
+* ``onecond`` — one species' condensational growth over a list of
+  rows (:func:`build_onecond_ir`): growth, a comparison search on the
+  doubling ladder, the Kovetz–Olund deposit, the saturation limiter
+  and the blend, with the vapor, heat and CCN updates. It agrees with
+  the numpy engine of `repro.fsbm.condensation` to 1e-12 of each row's
+  largest bin: the kernel sums serially in ascending bin order where
+  the numpy engine reduces pairwise within rows, and a mass within
+  rounding of a ladder bin may split where ``log2`` puts it in one
+  bin.
+* ``freeze_melt`` — freezing and melting of every row
+  (:func:`build_freeze_melt_ir`); a row whose gate is off is left
+  untouched, and only the latent-heat sums' order differs from the
+  numpy engine of `repro.fsbm.freezing`.
 * ``coal_bott_new`` — every collision interaction of a step in one
   call (:func:`build_coal_bott_new_ir`). The interaction loop is
   serial; the points inside it run in lane blocks whose ``(bin,
@@ -55,9 +69,10 @@ Equivalence to the numpy references (asserted by
   transformation engine proves it independent and marks it ``simd``.
   It agrees with the numpy sparse engine of `repro.fsbm.coal_bott` to
   1e-12 of each point's largest bin (only summation order and the
-  per-entry pressure interpolation differ), and a point's result does
-  not depend on the other points of its call, so member and rank
-  batching stay bit-identical.
+  per-entry pressure interpolation differ).
+
+A row's result never depends on the other rows of its call, so member
+and rank batching stay bit-identical on every kernel.
 
 ``REPRO_DISABLE_CPHYS=1`` (this module) or ``REPRO_DISABLE_CJIT=1``
 (all compiled kernels) forces the numpy fallback.
@@ -269,81 +284,273 @@ def build_sed_sweep_ir() -> Kernel:
     )
 
 
-def build_remap_scatter_ir() -> Kernel:
-    """The Kovetz-Olund two-bin deposit as loop IR.
+#: Halvings that locate any mass on a ladder of up to ``MAX_NKR`` bins.
+LADDER_STEPS = (MAX_NKR - 2).bit_length()
 
-    Deposits ``n_live[p, b]`` split between ladder bins ``k_idx[p, b]``
-    (weight ``1 - w_hi``) and ``k_idx[p, b] + 1`` (weight ``w_hi``),
-    writing the ``(npts, nkr)`` result to ``acc``. Matches the
-    two-bincount numpy reference bit for bit: bincount accumulates
-    sequentially in flat order (here: b ascending per point), and the
-    final ``acc`` is the elementwise ``lo + hi`` sum, exactly as the
-    reference's second ``bincount`` pass.
 
-    The analysis keeps it serial twice over: the scatter through
-    ``k_idx`` is an indirect store (iterations cannot be proven
-    disjoint bin-wise), and the point nest is depth 1 — below the
-    parallel-overhead floor even though the ``p`` loop itself is
-    independent.
+def _clip(x, lo, hi) -> Select:
+    """``np.clip(x, lo, hi)`` for ordered values (NaN passes through)."""
+    return Select(x.lt(lo), lo, Select(x.gt(hi), hi, x))
+
+
+def _nonneg(x) -> Select:
+    """``np.maximum(x, 0.0)``: keeps NaN and -0.0, like the reference."""
+    return Select(x.lt(Const(0.0)), Const(0.0), x)
+
+
+def build_onecond_ir() -> Kernel:
+    """One species' condensational growth step as loop IR, in place.
+
+    ``n`` holds the species' ``(npts, nkr)`` rows at row stride ``rs``
+    (a column slice of the packed gather, or a contiguous array);
+    ``rows`` lists the rows to grow, and ``gc``/``qs`` (the growth
+    coefficient and the saturation mixing ratio) are aligned with that
+    list. ``rho``/``qv``/``t``/``ccn`` are per-row arrays; the last
+    three are updated. ``cr`` is the per-bin growth prefactor
+    ``4 pi rho_p f r`` and ``masses`` the ladder. Per listed row, in
+    the numpy reference's operation order:
+
+    1. the growth ``dm = ((cr gc) s) dt`` with ``s = qv / qs - 1``;
+    2. a particle whose new mass falls below half the smallest bin
+       mass evaporates (its number is summed into ``evap``); any other
+       positive bin finds its ladder interval by comparison search —
+       :data:`LADDER_STEPS` branch-free halvings, so no ``log2``
+       rounding decides a bin — and splits Kovetz–Olund between the
+       interval's two bins (``w_hi`` clipped to ``[0, 1]``);
+    3. the two-bin deposit accumulates per bin into ``lo``/``hi``
+       (bins ascending), and the remapped row is ``lo + hi``;
+    4. the remap's mass change ``sum_b (n_new - n) x_b``;
+    5. the saturation limiter ``scale``: condensation may not take the
+       vapor below saturation, nor evaporation above it;
+    6. the blend ``n + scale (n_new - n)`` is stored;
+    7. the blended mass change gives ``dq``: ``qv -= dq``,
+       ``t += lcp dq``, and with ``credit`` set, ``ccn += scale evap``.
+
+    Every sum runs serially over ascending bins, so a row's result
+    depends on nothing but its own inputs. The mass changes are summed
+    per bin, not as the difference of the old and new row masses: the
+    two masses nearly cancel, and their difference would carry the
+    rounding of the whole row's mass into the limiter.
     """
-    p, b = Sym("p"), Sym("b")
-    nkr = Sym("nkr")
+    q, b, it = Sym("q"), Sym("b"), Sym("it")
+    p, nkr = Sym("p"), Sym("nkr")
+    x = lambda k: Load("masses", (k,))  # noqa: E731
+    nv = Sym("nv")
 
-    body_p = [
+    search = [
+        Let("mc", _clip(Sym("nm"), x(Const(0)), x(nkr - 1))),
+        Decl("kl", "long", Const(0)),
+        Decl("kh", "long", nkr - 1),
+        Loop("it", Const(0), Const(LADDER_STEPS), [
+            Let("mid", (Sym("kl") + Sym("kh")) / 2, ctype="long"),
+            Let("up", Sym("mc").ge(x(Sym("mid"))), ctype="int"),
+            Assign("kl", Select(Sym("up"), Sym("mid"), Sym("kl"))),
+            Assign("kh", Select(Sym("up"), Sym("kh"), Sym("mid"))),
+        ]),
+        Let("wr", (Sym("mc") - x(Sym("kl"))) / (x(Sym("kl") + 1) - x(Sym("kl")))),
+        Let("wh", _clip(Sym("wr"), Const(0.0), Const(1.0))),
+        Store("lo", (Sym("kl"),), nv * (Const(1.0) - Sym("wh")), "+="),
+        Store("hi", (Sym("kl") + 1,), nv * Sym("wh"), "+="),
+    ]
+    grow = Loop("b", Const(0), nkr, [
+        Let("nv", Load("n", (p, b))),
+        Let("nm", x(b) + (((Load("cr", (b,)) * Sym("g")) * Sym("s")) * Sym("dt"))),
+        If(
+            Sym("nm").lt(Sym("xcut")),
+            [Assign("evap", Sym("evap") + nv)],
+            [If(nv.gt(Const(0.0)), search)],
+        ),
+    ])
+    remapped = Loop("b", Const(0), nkr, [
+        Let("nn", Load("lo", (b,)) + Load("hi", (b,))),
+        Store("lo", (b,), Sym("nn")),
+        Assign("dmass0", Sym("dmass0") + (Sym("nn") - Load("n", (p, b))) * x(b)),
+    ])
+    dq0, adq = Sym("dq0"), Sym("adq")
+    limiter = [
+        Let("dq0", Sym("dmass0") / Load("rho", (p,))),
+        Let(
+            "room",
+            Select(
+                dq0.ge(Const(0.0)),
+                _nonneg(Sym("qvp") - Sym("qsat")),
+                _nonneg(Sym("qsat") - Sym("qvp")),
+            ),
+        ),
+        Let("adq", Select(dq0.lt(Const(0.0)), -dq0, dq0)),
+        Let(
+            "sc",
+            Select(
+                adq.gt(Sym("room")),
+                Sym("room") / Select(adq.lt(Const(1e-300)), Const(1e-300), adq),
+                Const(1.0),
+            ),
+        ),
+        Let("scale", _clip(Sym("sc"), Const(0.0), Const(1.0))),
+    ]
+    blend = Loop("b", Const(0), nkr, [
+        Let("nv", Load("n", (p, b))),
+        Let("bl", nv + Sym("scale") * (Load("lo", (b,)) - nv)),
+        Store("n", (p, b), Sym("bl")),
+        Assign("dmass", Sym("dmass") + (Sym("bl") - nv) * x(b)),
+    ])
+    per_row = [
+        Let("p", Load("rows", (q,)), ctype="long"),
+        Let("g", Load("gc", (q,))),
+        Let("qsat", Load("qs", (q,))),
+        Let("qvp", Load("qv", (p,))),
+        Let("s", (Sym("qvp") / Sym("qsat")) - Const(1.0)),
         LocalArray("lo", MAX_NKR),
         LocalArray("hi", MAX_NKR),
-        Loop(
-            "b",
-            Const(0),
-            nkr,
-            [Store("lo", (b,), Const(0.0)), Store("hi", (b,), Const(0.0))],
-        ),
-        Loop(
-            "b",
-            Const(0),
-            nkr,
-            [
-                Let("kk", Load("k_idx", (p, b)), ctype="long"),
-                Store(
-                    "lo",
-                    (Sym("kk"),),
-                    Load("n_live", (p, b)) * (Const(1.0) - Load("w_hi", (p, b))),
-                    "+=",
-                ),
-                Store(
-                    "hi",
-                    (Sym("kk") + 1,),
-                    Load("n_live", (p, b)) * Load("w_hi", (p, b)),
-                    "+=",
-                ),
-            ],
-        ),
-        Loop(
-            "b",
-            Const(0),
-            nkr,
-            [Store("acc", (p, b), Load("lo", (b,)) + Load("hi", (b,)))],
-        ),
+        Loop("b", Const(0), nkr, [
+            Store("lo", (b,), Const(0.0)), Store("hi", (b,), Const(0.0))
+        ]),
+        Decl("evap", "double", Const(0.0)),
+        grow,
+        Decl("dmass0", "double", Const(0.0)),
+        remapped,
+        *limiter,
+        Decl("dmass", "double", Const(0.0)),
+        blend,
+        Let("dq", Sym("dmass") / Load("rho", (p,))),
+        Store("qv", (p,), Sym("qvp") - Sym("dq")),
+        Store("t", (p,), Load("t", (p,)) + Sym("lcp") * Sym("dq")),
+        If(Sym("credit").ne(Const(0)), [
+            Store("ccn", (p,), Load("ccn", (p,)) + Sym("scale") * Sym("evap"))
+        ]),
     ]
-
+    one = (Const(1),)
     return Kernel(
-        name="remap_scatter",
+        name="onecond",
         params=(
-            ArrayParam("n_live", strides=(nkr, Const(1))),
-            ArrayParam("w_hi", strides=(nkr, Const(1))),
-            ArrayParam("k_idx", strides=(nkr, Const(1)), ctype="long"),
-            ArrayParam("acc", strides=(nkr, Const(1)), intent="out"),
-            ScalarParam("npts", "long"),
+            ArrayParam("n", strides=(Sym("rs"), Const(1)), intent="inout"),
+            ArrayParam("rows", strides=one, ctype="long"),
+            ArrayParam("gc", strides=one),
+            ArrayParam("qs", strides=one),
+            ArrayParam("rho", strides=one),
+            ArrayParam("qv", strides=one, intent="inout"),
+            ArrayParam("t", strides=one, intent="inout"),
+            ArrayParam("ccn", strides=one, intent="inout"),
+            ArrayParam("cr", strides=one),
+            ArrayParam("masses", strides=one),
+            ScalarParam("nq", "long"),
             ScalarParam("nkr", "long"),
+            ScalarParam("rs", "long"),
+            ScalarParam("dt"),
+            ScalarParam("xcut"),
+            ScalarParam("lcp"),
+            ScalarParam("credit", "long"),
         ),
-        body=[Loop("p", Const(0), Sym("npts"), body_p)],
+        body=[Loop("q", Const(0), Sym("nq"), per_row)],
         doc=(
-            "Kovetz-Olund remap scatter: two-bin deposit of n_live between "
-            "ladder bins k_idx and k_idx + 1, accumulated in the reference "
-            "bincount's flat order."
+            "onecond: one species' condensational growth over a list of "
+            "rows, in place: growth, ladder search and Kovetz-Olund "
+            "deposit, saturation limiter, blend; serial sums over "
+            "ascending bins."
         ),
     )
 
+
+def build_freeze_melt_ir() -> Kernel:
+    """Freezing and melting of every row as loop IR, in place.
+
+    ``dists[sp]`` points at species ``sp``'s ``(npts, nkr)`` rows, all
+    at row stride ``rs``. Per row, in the numpy reference's order:
+
+    * freezing — where ``frac`` (the per-row frozen fraction, zero
+      where the gate is off) is nonzero, that fraction of every liquid
+      bin moves to the plate bin (below ``hail_bin``) or the hail bin
+      of the same mass, and ``t`` gains the latent heat of the frozen
+      mass;
+    * melting — where the post-freezing ``t`` exceeds ``t0``, each
+      melting species ``msp[s]`` loses the fraction ``mfrac[s]`` of
+      every bin to the liquid bin of the same mass, and ``t`` loses the
+      latent heat of each species' melted mass in turn.
+      ``melted[p, s]`` records whether any of that moved number was
+      nonzero (the reference's per-species skip test).
+
+    A row whose gate is off is left untouched, so running every row
+    equals the reference's member-level gating. Mass sums run serially
+    over ascending bins.
+    """
+    p, b, s = Sym("p"), Sym("b"), Sym("s")
+    nkr, liq = Sym("nkr"), Sym("liq")
+    mass_b = Load("masses", (b,))
+    t_p = Load("t", (p,))
+    latent = Sym("lcp") * (Sym("acc") / Load("rho", (p,)))
+
+    freeze = [
+        Decl("acc", "double", Const(0.0)),
+        Loop("b", Const(0), nkr, [
+            Let("f", Load("dists", (liq, p, b)) * Sym("fr")),
+            Let("dst", Select(b.lt(Sym("hail_bin")), Sym("pla"), Sym("hail")),
+                ctype="long"),
+            Store("dists", (Sym("dst"), p, b), Sym("f"), "+="),
+            Store("dists", (liq, p, b), Sym("f"), "-="),
+            Assign("acc", Sym("acc") + Sym("f") * mass_b),
+        ]),
+        Store("t", (p,), t_p + latent),
+    ]
+    melt_one = [
+        Let("sp", Load("msp", (s,)), ctype="long"),
+        Let("mf", Load("mfrac", (s,))),
+        Decl("acc", "double", Const(0.0)),
+        Decl("nz", "int", Const(0)),
+        Loop("b", Const(0), nkr, [
+            Let("md", Load("dists", (Sym("sp"), p, b)) * Sym("mf")),
+            Store("dists", (Sym("sp"), p, b), Sym("md"), "-="),
+            Store("dists", (liq, p, b), Sym("md"), "+="),
+            Assign("acc", Sym("acc") + Sym("md") * mass_b),
+            If(Sym("md").ne(Const(0.0)), [Assign("nz", Const(1))]),
+        ]),
+        Store("t", (p,), t_p - latent),
+        Store("melted", (p, s), Sym("nz")),
+    ]
+    per_row = [
+        Let("fr", Load("frac", (p,))),
+        If(Sym("fr").ne(Const(0.0)), freeze),
+        Let("warm", t_p.gt(Sym("t0")), ctype="int"),
+        Loop("s", Const(0), Sym("nmelt"), [
+            Store("melted", (p, s), Const(0)),
+            If(Sym("warm"), melt_one),
+        ]),
+    ]
+    one = (Const(1),)
+    return Kernel(
+        name="freeze_melt",
+        params=(
+            ArrayParam(
+                "dists", strides=(Sym("rs"), Const(1)), intent="inout",
+                ptr_table=True,
+            ),
+            ArrayParam("frac", strides=one),
+            ArrayParam("t", strides=one, intent="inout"),
+            ArrayParam("rho", strides=one),
+            ArrayParam("masses", strides=one),
+            ArrayParam("msp", strides=one, ctype="long"),
+            ArrayParam("mfrac", strides=one),
+            ArrayParam(
+                "melted", strides=(Sym("nmelt"), Const(1)),
+                ctype="unsigned char", intent="out",
+            ),
+            ScalarParam("npts", "long"),
+            ScalarParam("nkr", "long"),
+            ScalarParam("rs", "long"),
+            ScalarParam("nmelt", "long"),
+            ScalarParam("liq", "long"),
+            ScalarParam("pla", "long"),
+            ScalarParam("hail", "long"),
+            ScalarParam("hail_bin", "long"),
+            ScalarParam("t0"),
+            ScalarParam("lcp"),
+        ),
+        body=[Loop("p", Const(0), Sym("npts"), per_row)],
+        doc=(
+            "freeze_melt: per-row freezing of liquid to plates/hail and "
+            "melting of every ice species to liquid, in place, with "
+            "latent heating and per-species melt flags."
+        ),
+    )
 
 #: Grid points per lane block of ``coal_bott_new``: every tile sweep's
 #: innermost loop runs over this many points side by side.
@@ -354,7 +561,8 @@ def build_coal_bott_new_ir() -> Kernel:
     """The whole collision step, all interactions, as loop IR.
 
     ``dists[sp]`` points at species ``sp``'s gathered ``(npts, nkr)``
-    rows. The interaction loop is outermost and serial: interaction
+    rows, all at row stride ``rs`` (the packed gather's ``nsp * nkr``,
+    or ``nkr`` for contiguous arrays). The interaction loop is outermost and serial: interaction
     ``ix`` selects the points where its temperature gate (``gate[ix]``)
     holds and both species' running sums (``sums``) exceed ``nmin``,
     and the rows it updates change the sums later interactions test —
@@ -411,10 +619,6 @@ def build_coal_bott_new_ir() -> Kernel:
 
     def smin(a, b):
         return Select(a.lt(b), a, b)
-
-    def clip0(x):
-        # np.maximum(x, 0.0): keeps NaN and -0.0, like the reference.
-        return Select(x.lt(Const(0.0)), Const(0.0), x)
 
     def clear(*tiles: str) -> Loop:
         return Loop("k", Const(0), nkr, [
@@ -574,13 +778,13 @@ def build_coal_bott_new_ir() -> Kernel:
             "a_new",
             Select(
                 k.lt(na),
-                clip0((Sym("a_old") - at("RS", k)) - at("CS", k)),
+                _nonneg((Sym("a_old") - at("RS", k)) - at("CS", k)),
                 Sym("a_old"),
             ),
         ),
         If(
             cp.eq(ca),
-            [Store("dists", (ca, p, k), clip0(Sym("a_new") + g_k))],
+            [Store("dists", (ca, p, k), _nonneg(Sym("a_new") + g_k))],
             [
                 Store("dists", (ca, p, k), Sym("a_new")),
                 Store("dists", (cp, p, k), g_k, "+="),
@@ -592,11 +796,11 @@ def build_coal_bott_new_ir() -> Kernel:
         Let("b_old", Load("dists", (cb, p, k))),
         Let(
             "a_new",
-            Select(k.lt(na), clip0(Sym("a_old") - at("RS", k)), Sym("a_old")),
+            Select(k.lt(na), _nonneg(Sym("a_old") - at("RS", k)), Sym("a_old")),
         ),
         Let(
             "b_new",
-            Select(k.lt(nb), clip0(Sym("b_old") - at("CS", k)), Sym("b_old")),
+            Select(k.lt(nb), _nonneg(Sym("b_old") - at("CS", k)), Sym("b_old")),
         ),
         Store("dists", (ca, p, k), Select(cp.eq(ca), Sym("a_new") + g_k, Sym("a_new"))),
         Store("dists", (cb, p, k), Select(cp.eq(cb), Sym("b_new") + g_k, Sym("b_new"))),
@@ -698,7 +902,8 @@ def build_coal_bott_new_ir() -> Kernel:
         name="coal_bott_new",
         params=(
             ArrayParam(
-                "dists", strides=(nkr, Const(1)), intent="inout", ptr_table=True
+                "dists", strides=(Sym("rs"), Const(1)), intent="inout",
+                ptr_table=True,
             ),
             ArrayParam("sums", strides=(npts, Const(1)), intent="inout"),
             ArrayParam("occ", strides=(npts, Const(1)), ctype="long"),
@@ -715,6 +920,7 @@ def build_coal_bott_new_ir() -> Kernel:
             ScalarParam("nseg", "long"),
             ScalarParam("npts", "long"),
             ScalarParam("nkr", "long"),
+            ScalarParam("rs", "long"),
             ScalarParam("dt"),
             ScalarParam("nmin"),
         ),
@@ -736,7 +942,8 @@ _specs = [
     )
     for name, build in (
         ("sed_sweep", build_sed_sweep_ir),
-        ("remap_scatter", build_remap_scatter_ir),
+        ("onecond", build_onecond_ir),
+        ("freeze_melt", build_freeze_melt_ir),
         ("coal_bott_new", build_coal_bott_new_ir),
     )
 ]
@@ -760,12 +967,30 @@ def _declare(lib: ctypes.CDLL) -> None:
         ctypes.c_long, ctypes.c_long, ctypes.c_long,  # pm, psi, psj
         ctypes.POINTER(ctypes.c_ubyte),  # active
     ]
-    lib.remap_scatter.restype = None
-    lib.remap_scatter.argtypes = [
-        _c_double_p, _c_double_p,
-        ctypes.POINTER(ctypes.c_long),
-        _c_double_p,
-        ctypes.c_long, ctypes.c_long,
+    lib.onecond.restype = None
+    lib.onecond.argtypes = [
+        _c_double_p,  # n
+        _c_long_p,  # rows
+        _c_double_p, _c_double_p,  # gc, qs
+        _c_double_p, _c_double_p, _c_double_p, _c_double_p,
+        # rho, qv, t, ccn
+        _c_double_p, _c_double_p,  # cr, masses
+        ctypes.c_long, ctypes.c_long, ctypes.c_long,  # nq, nkr, rs
+        ctypes.c_double, ctypes.c_double, ctypes.c_double,  # dt, xcut, lcp
+        ctypes.c_long,  # credit
+    ]
+    lib.freeze_melt.restype = None
+    lib.freeze_melt.argtypes = [
+        ctypes.POINTER(_c_double_p),  # dists
+        _c_double_p, _c_double_p, _c_double_p, _c_double_p,
+        # frac, t, rho, masses
+        _c_long_p, _c_double_p,  # msp, mfrac
+        ctypes.POINTER(ctypes.c_ubyte),  # melted
+        ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long,
+        # npts, nkr, rs, nmelt
+        ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long,
+        # liq, pla, hail, hail_bin
+        ctypes.c_double, ctypes.c_double,  # t0, lcp
     ]
     lib.coal_bott_new.restype = None
     lib.coal_bott_new.argtypes = [
@@ -778,7 +1003,7 @@ def _declare(lib: ctypes.CDLL) -> None:
         _c_double_p, _c_double_p,  # w_lo, w_hi
         _c_long_p, _c_long_p, _c_long_p,  # ixinfo, seg, pts
         ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-        # nix, nseg, npts, nkr
+        ctypes.c_long,  # nix, nseg, npts, nkr, rs
         ctypes.c_double, ctypes.c_double,  # dt, nmin
     ]
 
@@ -793,8 +1018,8 @@ _module = cgen.build_module(
     build_dir=Path(__file__).resolve().parent / "_cbuild",
     setup=_declare,
     banner=(
-        "Generated by repro.codee.cgen from the sed_sweep/remap_scatter/"
-        "coal_bott_new loop IR; annotations derived by "
+        "Generated by repro.codee.cgen from the sed_sweep/onecond/"
+        "freeze_melt/coal_bott_new loop IR; annotations derived by "
         "repro.codee.transform. Do not edit."
     ),
 )
@@ -886,29 +1111,159 @@ def sed_sweep(
     return active
 
 
-def remap_scatter(
-    lib: ctypes.CDLL,
-    n_live: np.ndarray,
-    w_hi: np.ndarray,
-    k_idx: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    """KO-remap deposit of ``(npts, nkr)`` spectra into ``out``."""
-    npts, nkr = n_live.shape
-    n_live = np.ascontiguousarray(n_live, dtype=np.float64)
-    w_hi = np.ascontiguousarray(w_hi, dtype=np.float64)
-    k_idx = np.ascontiguousarray(k_idx, dtype=np.int64)
-    lib.remap_scatter(
-        _dptr(n_live),
-        _dptr(w_hi),
-        k_idx.ctypes.data_as(ctypes.POINTER(ctypes.c_long)),
-        _dptr(out),
-        npts, nkr,
-    )
-
-
 def _fits(arr: np.ndarray, shape: tuple, dtype) -> bool:
     return arr.shape == shape and arr.dtype == dtype and arr.flags.c_contiguous
+
+
+def _row_stride(rows: list[np.ndarray], shape: tuple) -> int | None:
+    """The row stride, in elements, that every array of ``rows`` shares.
+
+    Each array must be a float64 ``(npts, nkr)`` view with unit-stride
+    bins: a contiguous array (stride ``nkr``) or a species' column slice
+    of the packed gather (stride ``nsp * nkr``). ``None`` when they are
+    not, or when ``nkr`` exceeds the kernels' stack buffers.
+    """
+    npts, nkr = shape
+    if nkr > MAX_NKR:
+        return None
+    strides = set()
+    for arr in rows:
+        if (
+            arr.shape != shape
+            or arr.dtype != np.float64
+            or arr.strides[1] != arr.itemsize
+            or arr.strides[0] % arr.itemsize
+        ):
+            return None
+        strides.add(arr.strides[0] // arr.itemsize)
+    if npts <= 1:
+        return nkr  # a single row: its stride is never used
+    if len(strides) != 1:
+        return None
+    rs = strides.pop()
+    return rs if rs >= nkr else None
+
+
+def onecond(
+    lib: ctypes.CDLL,
+    n: np.ndarray,
+    rows: np.ndarray,
+    gc: np.ndarray,
+    qs: np.ndarray,
+    rho: np.ndarray,
+    qv: np.ndarray,
+    t: np.ndarray,
+    ccn: np.ndarray,
+    cr: np.ndarray,
+    masses: np.ndarray,
+    dt: float,
+    xcut: float,
+    lcp: float,
+    credit: bool,
+) -> bool:
+    """Grow one species' listed rows in place (:func:`build_onecond_ir`).
+
+    ``n`` is the species' float64 ``(npts, nkr)`` rows at any row
+    stride with unit-stride bins; ``rho``/``qv``/``t``/``ccn`` are
+    contiguous ``(npts,)`` arrays (the last three updated); ``rows``
+    lists the rows to grow, strictly increasing, with ``gc`` and ``qs``
+    aligned to it; ``cr`` and ``masses`` are ``(nkr,)``. Returns
+    ``False`` (nothing touched) when the layout is unsupported and the
+    caller must use numpy; raises ``ValueError`` on malformed rows or
+    per-row inputs.
+    """
+    npts, nkr = n.shape
+    rs = _row_stride([n], (npts, nkr))
+    if rs is None or not all(
+        _fits(a, (npts,), np.float64) for a in (rho, qv, t, ccn)
+    ):
+        return False
+    nq = len(rows)
+    if not (
+        _fits(rows, (nq,), np.int64)
+        and all(_fits(a, (nq,), np.float64) for a in (gc, qs))
+        and all(_fits(a, (nkr,), np.float64) for a in (cr, masses))
+        and (nq == 0 or (0 <= rows[0] and rows[-1] < npts))
+        and (nq < 2 or bool((rows[1:] > rows[:-1]).all()))
+    ):
+        raise ValueError("onecond: malformed kernel inputs")
+    lib.onecond(
+        _dptr(n),
+        rows.ctypes.data_as(_c_long_p),
+        _dptr(gc),
+        _dptr(qs),
+        _dptr(rho),
+        _dptr(qv),
+        _dptr(t),
+        _dptr(ccn),
+        _dptr(cr),
+        _dptr(masses),
+        nq, nkr, rs,
+        dt, xcut, lcp,
+        int(credit),
+    )
+    return True
+
+
+def freeze_melt(
+    lib: ctypes.CDLL,
+    dists: list[np.ndarray],
+    frac: np.ndarray,
+    t: np.ndarray,
+    rho: np.ndarray,
+    masses: np.ndarray,
+    msp: np.ndarray,
+    mfrac: np.ndarray,
+    liq: int,
+    pla: int,
+    hail: int,
+    hail_bin: int,
+    t0: float,
+    lcp: float,
+) -> np.ndarray | None:
+    """Freeze and melt every row in place (:func:`build_freeze_melt_ir`).
+
+    ``dists`` holds every species' float64 ``(npts, nkr)`` rows at one
+    shared row stride; ``frac``/``t``/``rho`` are contiguous ``(npts,)``
+    arrays (``t`` updated); ``liq``/``pla``/``hail`` and ``msp`` (the
+    melting species, with melt fractions ``mfrac``) index ``dists``.
+    Returns the ``(npts, len(msp))`` melt flags, or ``None`` (nothing
+    touched) when the layout is unsupported and the caller must use
+    numpy; raises ``ValueError`` on malformed species indices or
+    tables.
+    """
+    npts, nkr = dists[0].shape
+    rs = _row_stride(dists, (npts, nkr))
+    if rs is None or not all(
+        _fits(a, (npts,), np.float64) for a in (frac, t, rho)
+    ):
+        return None
+    nsp, nmelt = len(dists), len(msp)
+    if not (
+        _fits(masses, (nkr,), np.float64)
+        and _fits(msp, (nmelt,), np.int64)
+        and _fits(mfrac, (nmelt,), np.float64)
+        and all(0 <= v < nsp for v in (liq, pla, hail))
+        and (nmelt == 0 or (0 <= msp.min() and msp.max() < nsp))
+        and 0 <= hail_bin <= nkr
+    ):
+        raise ValueError("freeze_melt: malformed kernel inputs")
+    melted = np.zeros((npts, nmelt), dtype=np.uint8)
+    ptrs = (_c_double_p * nsp)(*[_dptr(d) for d in dists])
+    lib.freeze_melt(
+        ptrs,
+        _dptr(frac),
+        _dptr(t),
+        _dptr(rho),
+        _dptr(masses),
+        msp.ctypes.data_as(_c_long_p),
+        _dptr(mfrac),
+        melted.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
+        npts, nkr, rs, nmelt,
+        liq, pla, hail, hail_bin,
+        t0, lcp,
+    )
+    return melted
 
 
 def coal_bott_new(
@@ -929,8 +1284,8 @@ def coal_bott_new(
 ) -> bool:
     """Run every interaction of one collision step in place.
 
-    ``dists`` holds each species' C-contiguous float64 ``(npts, nkr)``
-    rows; ``sums`` (``(nsp, npts)``, updated in place) the running
+    ``dists`` holds each species' float64 ``(npts, nkr)`` rows, all at
+    one row stride with unit-stride bins; ``sums`` (``(nsp, npts)``, updated in place) the running
     species sums the selection tests; ``occ`` the pre-step occupied-bin
     counts (``(nsp, npts)`` int64); ``gate`` the ``(nix, npts)``
     temperature gates; ``ws`` the pressure weights; ``k500``/``kdel``
@@ -943,7 +1298,8 @@ def coal_bott_new(
     on malformed tables, indices or segments.
     """
     npts, nkr = dists[0].shape
-    if nkr > MAX_NKR or not all(_fits(d, (npts, nkr), np.float64) for d in dists):
+    rs = _row_stride(dists, (npts, nkr))
+    if rs is None:
         return False
     nsp, nix, nseg = len(dists), len(ixinfo), len(seg)
     expected = (
@@ -989,7 +1345,7 @@ def coal_bott_new(
         lptr(ixinfo),
         lptr(seg),
         lptr(pts),
-        nix, nseg, npts, nkr,
+        nix, nseg, npts, nkr, rs,
         dt, nmin,
     )
     return True

@@ -656,8 +656,10 @@ def coal_bott_step_members(
     """Advance all distributions by one collision step, in place.
 
     ``dists`` maps species to ``(npts, nkr)`` arrays, every member's
-    active points concatenated member-major; ``segments[m]`` is member
-    ``m``'s row range. ``dtype`` selects the arithmetic precision: the
+    active points concatenated member-major — contiguous arrays, or
+    the column slices of one packed point-major buffer, which the
+    compiled kernel updates in place through their shared row stride;
+    ``segments[m]`` is member ``m``'s row range. ``dtype`` selects the arithmetic precision: the
     offloaded stages pass ``float32`` to reproduce device arithmetic,
     which is what the Sec. VII-B digit comparison measures.
     ``selection`` shares a pre-built :class:`CoalSelection` (the

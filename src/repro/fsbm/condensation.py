@@ -4,14 +4,29 @@
 treats mixed-phase points, growing liquid against water saturation and
 ice species against ice saturation. Bin masses grow by
 ``dm = 4 pi rho_p r G S dt`` and the spectrum is remapped onto the mass
-ladder with the Kovetz–Olund two-bin split (vectorized scatter). Vapor
-and temperature are updated from the exact remapped mass change, so
-water mass and moist enthalpy are conserved to rounding.
+ladder with the Kovetz–Olund two-bin split. Vapor and temperature are
+updated from the exact remapped mass change, so water mass and moist
+enthalpy are conserved to rounding.
+
+Two engines grow a species, with the same arithmetic per row:
+
+* the **compiled** ``onecond`` kernel (:mod:`repro.fsbm.ckernels`) —
+  every call while the physics kernels load — grows a list of rows in
+  place, on any row stride (the sweep's packed gather), summing each
+  row serially in ascending bin order;
+* the **numpy** engine (the fallback under a kill switch, without a
+  compiler or beyond ``ckernels.MAX_NKR`` bins, and the compiled
+  kernel's 1e-12 oracle in the tests) reduces within rows.
+
+They differ only in summation order and in how a mass at a ladder
+bin's edge picks its bin (a comparison search vs ``log2``), both at
+the rounding level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +36,7 @@ from repro.fsbm.species import ICE_HABITS, Species, species_bins
 from repro.fsbm.state import N_EPS
 from repro.fsbm.thermo import (
     condensational_growth_coefficient,
+    latent_heat_factor,
     latent_heating,
     saturation_mixing_ratio,
 )
@@ -52,6 +68,10 @@ class CondWorkStats:
 
     points: int = 0
     bin_updates: float = 0.0
+    #: Engine that grew the spectra: ``"compiled"`` (the loop-IR
+    #: ``onecond`` kernel), ``"numpy"``, or ``"none"`` (no species
+    #: passed its gates).
+    engine: str = "none"
 
     @property
     def flops(self) -> float:
@@ -64,6 +84,8 @@ class CondWorkStats:
     def merge(self, other: "CondWorkStats") -> None:
         self.points += other.points
         self.bin_updates += other.bin_updates
+        if other.engine != "none":
+            self.engine = other.engine
 
 
 def _remap_spectrum(
@@ -73,14 +95,9 @@ def _remap_spectrum(
 
     Returns ``(n_new, evaporated_number)`` where particles shrinking
     below half the smallest bin mass evaporate completely (their number
-    is returned so callers can credit the CCN reservoir).
-
-    The ladder indices and split weights are always derived in numpy
-    (``log2`` rounding must not depend on the libm in play); while the
-    physics kernels load, the two full-size ``bincount`` deposits are
-    replaced by the compiled per-point scatter of
-    :func:`repro.fsbm.ckernels.remap_scatter`, which is bit-identical
-    (bincount accumulates in the same flat order).
+    is returned so callers can credit the CCN reservoir). The numpy
+    engine's remap; the compiled ``onecond`` kernel performs the same
+    deposit with a comparison search for the ladder index.
     """
     npts, nkr = n.shape
     x = grid.masses
@@ -93,11 +110,6 @@ def _remap_spectrum(
     w_hi = np.clip((m - x[k]) / (x[k + 1] - x[k]), 0.0, 1.0)
 
     n_live = np.where(live, n, 0.0)
-    lib = ckernels.load_kernels()
-    if lib is not None and nkr <= ckernels.MAX_NKR:
-        acc = np.empty((npts, nkr))
-        ckernels.remap_scatter(lib, n_live, w_hi, k, acc)
-        return acc, evap_number
     rows = np.arange(npts)[:, None] * nkr
     flat_lo = (rows + k).ravel()
     flat_hi = (rows + k + 1).ravel()
@@ -110,59 +122,67 @@ def _remap_spectrum(
     return acc.reshape(npts, nkr), evap_number
 
 
-def _segmented_rowdot(
-    a: np.ndarray, v: np.ndarray, segments: list[tuple[int, int]]
-) -> np.ndarray:
-    """Row-wise ``a @ v``, issued one BLAS call per row segment.
+def _mass_content(n: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Per-row mass ``sum_b n[:, b] x_b``, reduced within each row.
 
-    BLAS matvec results for a given row are *not* independent of how
-    many other rows share the call (kernel/blocking selection depends on
-    the row count), so batching several members' rows into one ``a @ v``
-    can perturb single rows at the ulp level. Splitting the call at
-    member boundaries reproduces each member's one-member contraction
-    bit-for-bit; one segment covering every row is exactly ``a @ v``.
+    A row-local reduction (not a BLAS matvec, whose rounding depends on
+    how many rows share the call), so a row's value never depends on
+    which other rows are in the array.
     """
-    out = np.empty(a.shape[0], dtype=np.result_type(a, v))
-    for s, e in segments:
-        if e > s:
-            out[s:e] = a[s:e] @ v
-    return out
+    return (n * masses).sum(axis=1)
 
 
-def _grow_species(
+@lru_cache(maxsize=None)
+def _growth_prefactor(sp: Species) -> np.ndarray:
+    """``4 pi rho_p f r`` per bin: ``dm = prefactor * G * S * dt``."""
+    grid = species_bins()[sp]
+    return 4.0 * np.pi * grid.density * _HABIT_FACTOR.get(sp, 1.0) * grid.radii
+
+
+def _grow_numpy(
     n: np.ndarray,
+    rows: np.ndarray,
     sp: Species,
-    supersat: np.ndarray,
-    growth_coeff: np.ndarray,
+    gc: np.ndarray,
+    qs: np.ndarray,
+    temperature: np.ndarray,
+    qv: np.ndarray,
+    rho_air: np.ndarray,
+    ccn: np.ndarray,
     dt: float,
-    grid: BinGrid,
-    row_segments: list[tuple[int, int]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One species' growth step.
+) -> None:
+    """The numpy engine's growth step of ``n``'s listed rows, in place.
 
-    Returns ``(n_new, dmass_per_point, evaporated_number)`` with
-    ``dmass`` the condensate mass change [g/cm^3] (positive while
-    condensing). ``row_segments`` splits the mass contractions at
-    member boundaries (see :func:`_segmented_rowdot`).
+    Same arithmetic as the compiled ``onecond`` kernel, row by row: the
+    growth, the KO remap, the saturation limiter (vapor cannot be
+    driven below saturation, nor evaporation above it, in a single
+    explicit step), the blend, and the vapor/heat/CCN updates. Mass
+    changes are summed per bin (``(n_new - n) x``), never as the
+    difference of two nearly equal row masses.
     """
-    r = grid.radii
-    factor = _HABIT_FACTOR.get(sp, 1.0)
+    grid = species_bins()[sp]
+    masses = grid.masses
+    nn, qv_s, rho_s = n[rows], qv[rows], rho_air[rows]
+    s_sat = qv_s / qs - 1.0
     # dm/dt = 4 pi rho_p r^2 dr/dt = 4 pi rho_p r G S
-    dm = (
-        4.0
-        * np.pi
-        * grid.density
-        * factor
-        * r[None, :]
-        * growth_coeff[:, None]
-        * supersat[:, None]
-        * dt
+    dm = _growth_prefactor(sp)[None, :] * gc[:, None] * s_sat[:, None] * dt
+    n_new, evap = _remap_spectrum(nn, masses[None, :] + dm, grid)
+    dq = _mass_content(n_new - nn, masses) / rho_s
+    room = np.where(
+        dq >= 0.0, np.maximum(qv_s - qs, 0.0), np.maximum(qs - qv_s, 0.0)
     )
-    old_mass_content = _segmented_rowdot(n, grid.masses, row_segments)
-    new_mass = grid.masses[None, :] + dm
-    n_new, evap = _remap_spectrum(n, new_mass, grid)
-    dmass = _segmented_rowdot(n_new, grid.masses, row_segments) - old_mass_content
-    return n_new, dmass, evap
+    scale = np.where(
+        np.abs(dq) > room, room / np.maximum(np.abs(dq), 1e-300), 1.0
+    )
+    scale = np.clip(scale, 0.0, 1.0)
+    blended = nn + scale[:, None] * (n_new - nn)
+    dq = _mass_content(blended - nn, masses) / rho_s
+    n[rows] = blended
+    qv[rows] = qv_s - dq
+    process = "condensation" if sp is Species.LIQUID else "deposition"
+    temperature[rows] += latent_heating(dq, process)
+    if sp is Species.LIQUID:
+        ccn[rows] += scale * evap
 
 
 def _condensation_core(
@@ -177,113 +197,78 @@ def _condensation_core(
     dt: float,
     segments: list[tuple[int, int]],
     species_present: list[dict[Species, bool]] | None = None,
+    rows: np.ndarray | None = None,
 ) -> list[CondWorkStats]:
     """Shared growth driver for onecond1/onecond2 (updates in place).
 
-    The call arrays are per-member gathers concatenated member-major;
-    ``segments[m]`` is member ``m``'s ``(start, stop)`` row range (empty
-    ranges allowed). Elementwise thermodynamics and the per-point
-    KO-remap scatter are row-local, so they run once over the
-    concatenation and produce each member's rows bit-for-bit. The
-    ``n @ masses`` contractions are the exception — BLAS matvec results
-    depend on the call's row count — so those are issued one BLAS call
-    per member segment (:func:`_segmented_rowdot`), matching each
-    one-member contraction exactly.
+    ``rows`` lists the points of the call arrays this routine treats
+    (every point when omitted), member-major; ``segments[m]`` is member
+    ``m``'s ``(start, stop)`` range of that list (empty ranges allowed).
+    The species loop runs here, in Python, because temperature changes
+    after every species: each species' saturation mixing ratio is
+    computed from the temperature the previous one left. The growth
+    coefficient is computed once, from the temperature on entry.
 
     The one member-sensitive part is the per-species skip logic: a
     species is skipped for a member whose presence flag
     (``species_present[m]``, a conservative flag that is False only when
-    the species is identically zero in the member's parent arrays) is
-    off or none of whose rows exceed ``N_EPS``, and a skipped species
+    no row of the member can exceed ``N_EPS``) is off or none of whose
+    rows exceed ``N_EPS``, and a skipped species
     must not touch that member's rows (they may hold tiny sub-threshold
     values a grow step would perturb) nor its work stats. Each species
-    therefore processes only the row ranges of members that pass their
-    own gates, and per-member ``bin_updates`` accumulate only for those
-    members — exactly a one-member call's accounting.
+    therefore grows only the rows of members that pass their own gates
+    — an index list, no spectrum is copied for it — and per-member
+    ``bin_updates`` accumulate only for those members: exactly a
+    one-member call's accounting.
+
+    Everything else is row-local. The compiled ``onecond`` kernel sums
+    each row serially in ascending bin order and the numpy engine
+    reduces within rows, so each member's rows come out bit-for-bit
+    those of a one-member call on either engine.
     """
-    nm = len(segments)
     stats = [
         CondWorkStats(points=(e - s)) if e > s else CondWorkStats()
         for (s, e) in segments
     ]
-    npts = temperature.shape[0]
-    if npts == 0:
+    if rows is None:
+        rows = np.arange(temperature.shape[0])
+    if rows.size == 0:
         return stats
-    grids = species_bins()
-    g_coeff = condensational_growth_coefficient(temperature, pressure_mb)
+    g_coeff = condensational_growth_coefficient(temperature[rows], pressure_mb[rows])
+    lib = ckernels.load_kernels()
 
     for sp in species:
         n = dists[sp]
         nkr = n.shape[1]
-        rowsum_hot = n.sum(axis=1) > N_EPS
-        passing = []
-        for m, (s, e) in enumerate(segments):
-            if e == s:
-                continue
-            if species_present is not None and not species_present[m].get(
-                sp, True
-            ):
-                continue
-            if not rowsum_hot[s:e].any():
-                continue
-            passing.append(m)
+        candidates = [
+            m
+            for m, (s, e) in enumerate(segments)
+            if e > s
+            and (species_present is None or species_present[m].get(sp, True))
+        ]
+        if not candidates:
+            continue
+        hot = n[rows].sum(axis=1) > N_EPS
+        passing = [m for m in candidates if hot[slice(*segments[m])].any()]
         if not passing:
             continue
-        seg_pass = [segments[m] for m in passing]
-        # Segment boundaries within the subset rows (for the per-member
-        # BLAS splits below).
-        sub_segments, off = [], 0
-        for s, e in seg_pass:
-            sub_segments.append((off, off + (e - s)))
-            off += e - s
-        if off == npts:
-            idx = None
-            nn, t_s, p_s = n, temperature, pressure_mb
-            qv_s, rho_s, ccn_s, gc_s = qv, rho_air, ccn, g_coeff
-        else:
-            idx = np.concatenate([np.arange(s, e) for s, e in seg_pass])
-            nn, t_s, p_s = n[idx], temperature[idx], pressure_mb[idx]
-            qv_s, rho_s, ccn_s = qv[idx], rho_air[idx], ccn[idx]
-            gc_s = g_coeff[idx]
-
-        qs = saturation_mixing_ratio(t_s, p_s, over[sp])
-        s_sat = qv_s / qs - 1.0
-        # Limit condensation so vapor cannot be driven below saturation
-        # (nor evaporation above it) in a single explicit step.
-        n_new, dmass, evap = _grow_species(
-            nn, sp, s_sat, gc_s, dt, grids[sp], sub_segments
-        )
-        dq = dmass / rho_s
-        room = np.where(
-            dq >= 0.0, np.maximum(qv_s - qs, 0.0), np.maximum(qs - qv_s, 0.0)
-        )
-        scale = np.where(
-            np.abs(dq) > room, room / np.maximum(np.abs(dq), 1e-300), 1.0
-        )
-        scale = np.clip(scale, 0.0, 1.0)
-        blended = nn + scale[:, None] * (n_new - nn)
-        dmass = _segmented_rowdot(blended - nn, grids[sp].masses, sub_segments)
-        dq = dmass / rho_s
+        pos = np.concatenate([np.arange(*segments[m]) for m in passing])
+        sub, gc = rows[pos], g_coeff[pos]
+        qs = saturation_mixing_ratio(temperature[sub], pressure_mb[sub], over[sp])
+        grid = species_bins()[sp]
         process = "condensation" if sp is Species.LIQUID else "deposition"
-        if idx is None:
-            dists[sp][...] = blended
-            qv -= dq
-            temperature += latent_heating(dq, process)
-            ccn += scale * evap if sp is Species.LIQUID else 0.0
-        else:
-            dists[sp][idx] = blended
-            qv_s -= dq
-            qv[idx] = qv_s
-            t_s += latent_heating(dq, process)
-            temperature[idx] = t_s
-            if sp is Species.LIQUID:
-                ccn_s += scale * evap
-                ccn[idx] = ccn_s
-            # Non-liquid species add an exact scalar 0.0 to ccn in the
-            # reference — a bitwise no-op on the non-negative reservoir.
+        engine = "compiled"
+        if lib is None or not ckernels.onecond(
+            lib, n, sub, gc, qs, rho_air, qv, temperature, ccn,
+            _growth_prefactor(sp), grid.masses, dt, 0.5 * grid.masses[0],
+            latent_heat_factor(process), sp is Species.LIQUID,
+        ):
+            _grow_numpy(n, sub, sp, gc, qs, temperature, qv, rho_air, ccn, dt)
+            engine = "numpy"
         for m in passing:
             s, e = segments[m]
             stats[m].bin_updates += float((e - s) * nkr)
+            stats[m].engine = engine
     return stats
 
 
@@ -333,6 +318,7 @@ def onecond1_members(
     dt: float,
     segments: list[tuple[int, int]],
     species_present: list[dict[Species, bool]] | None = None,
+    rows: np.ndarray | None = None,
 ) -> list[CondWorkStats]:
     """Liquid-only condensation/evaporation (warm grid points)."""
     return _condensation_core(
@@ -347,6 +333,7 @@ def onecond1_members(
         dt,
         segments,
         species_present=species_present,
+        rows=rows,
     )
 
 
@@ -360,11 +347,12 @@ def onecond2_members(
     dt: float,
     segments: list[tuple[int, int]],
     species_present: list[dict[Species, bool]] | None = None,
+    rows: np.ndarray | None = None,
 ) -> list[CondWorkStats]:
     """Mixed-phase condensation/deposition (liquid + all ice species)."""
     species = (Species.LIQUID, *ICE_HABITS, Species.SNOW, Species.GRAUPEL, Species.HAIL)
     over = {sp: ("water" if sp is Species.LIQUID else "ice") for sp in species}
     return _condensation_core(
         dists, species, over, temperature, pressure_mb, qv, rho_air, ccn, dt,
-        segments, species_present=species_present,
+        segments, species_present=species_present, rows=rows,
     )

@@ -150,12 +150,17 @@ class FastSBM:
         """Advance the patch microphysics by ``dt`` (all arrays in place).
 
         The one-member case of :func:`step_members`; the sedimentation
-        fall speeds see the patch's mean pressure per level.
+        fall speeds see the patch's mean pressure per level. A state
+        without a packed view (:meth:`MicroState.bind_packed`) steps on
+        a packed copy of its bins, copied back afterwards.
         """
+        bins = state.packed
+        if bins is None:
+            bins = np.concatenate([state.dists[sp] for sp in Species], axis=-1)
         (stats,) = step_members(
             [self],
             [state],
-            {sp: d[None] for sp, d in state.dists.items()},
+            bins[None],
             state.ccn[None],
             state.precip[None],
             temperature[None],
@@ -165,6 +170,9 @@ class FastSBM:
             dz_cm,
             pressure_mb.mean(axis=(0, 2)),
         )
+        if state.packed is None:
+            for sp, cols in species_columns(bins).items():
+                state.dists[sp][...] = cols
         return stats
 
     # --- offloaded loops (one member: GPU stages) -----------------------------
@@ -423,32 +431,54 @@ def coal_kernel_resources(
 # --- the sweep -----------------------------------------------------------------
 #
 # One fused microphysics sweep over N members resident in one stacked
-# block (N = 1 for a plain run). The batching discipline, derived from
-# what is and is not bitwise row-stable on this host:
+# block (N = 1 for a plain run). The active points' bins are gathered
+# once, with one fancy index on the packed all-species view, into a
+# point-major buffer in which each species is a column slice at row
+# stride ``nsp * nkr``; every layer works on that buffer, and one
+# scatter writes it back. The batching discipline is that a member's
+# rows never depend on the other rows of a call:
 #
 # * elementwise ufuncs, integer-tuple gathers/scatters in C order, and
-#   per-row ``sum(axis=1)`` reductions run once over the member
-#   concatenation (each member's rows come out bit-for-bit);
-# * anything BLAS (`@`) and any branch whose predicate spans rows runs
-#   per member (see ``coal_bott_step_members`` /
-#   ``condensation._condensation_core`` for the per-phase argument);
-# * the compiled C kernels (collisions, sedimentation) take every
-#   member in one call with member-local segments or strides.
+#   row-local reductions (``sum(axis=1)``) run once over the member
+#   concatenation;
+# * the compiled kernels (condensation, freezing/melting, collisions,
+#   sedimentation) sum each row serially in a fixed order and take
+#   every member in one call, with member-local segments where a gate
+#   or a selection spans rows;
+# * branches whose predicate spans rows run per member (the
+#   condensation species gates, freezing's work counts), and so do the
+#   numpy fallbacks' BLAS calls (the collision apply of
+#   ``coal_bott_step_members``, sedimentation's precipitation dot),
+#   whose rounding depends on the call's row count.
 #
 # Per-member ``SimClock`` charges replicate a one-member step's region
 # keys and amounts exactly: a ``region`` context that charges nothing
 # leaves no trace, so only charge placement matters.
 
 
-def _occupied(dists: dict[Species, np.ndarray]) -> dict[Species, np.ndarray]:
-    """Occupied-bin counts per species (row-local; any member mix)."""
-    out: dict[Species, np.ndarray] = {}
-    for sp, d in dists.items():
-        present = d > N_EPS
-        rev = present[:, ::-1]
-        first = np.argmax(rev, axis=1)
-        out[sp] = np.where(present.any(axis=1), d.shape[1] - first, 0)
-    return out
+def species_columns(bins: np.ndarray) -> dict[Species, np.ndarray]:
+    """Every species' bins as a column slice of a packed bins array.
+
+    ``bins`` has a trailing axis of ``nsp * nkr`` bins, species in
+    :class:`Species` order; the slices are views.
+    """
+    nkr = bins.shape[-1] // len(Species)
+    return {
+        sp: bins[..., n * nkr : (n + 1) * nkr] for n, sp in enumerate(Species)
+    }
+
+
+def _species_axis(bins: np.ndarray) -> np.ndarray:
+    """Packed ``(npts, nsp * nkr)`` rows viewed as ``(npts, nsp, nkr)``."""
+    return bins.reshape(bins.shape[0], len(Species), -1)
+
+
+def _occupied(bins: np.ndarray) -> dict[Species, np.ndarray]:
+    """Occupied-bin counts per species of packed rows (row-local)."""
+    present = _species_axis(bins) > N_EPS
+    last = np.argmax(present[:, :, ::-1], axis=2)
+    occ = np.where(present.any(axis=2), present.shape[2] - last, 0)
+    return {sp: occ[:, n] for n, sp in enumerate(Species)}
 
 
 def _condensation(
@@ -465,9 +495,10 @@ def _condensation(
 ) -> list[CondWorkStats]:
     """Route warm points to onecond1 and mixed-phase to onecond2.
 
-    The warm and cold subsets are gathered over all members at once
-    (``flatnonzero`` preserves the member-major order), and the onecond
-    cores handle the per-member gates and BLAS splits.
+    The warm and cold subsets are index lists over all members
+    (``flatnonzero`` preserves the member-major order); the onecond
+    cores grow those rows of the gathered arrays in place and handle
+    the per-member gates.
     """
     totals = [CondWorkStats() for _ in segments]
     starts = [s for s, _ in segments]
@@ -479,30 +510,19 @@ def _condensation(
         los = np.searchsorted(idx, starts)
         his = np.searchsorted(idx, stops)
         sub_segments = [(int(lo), int(hi)) for lo, hi in zip(los, his)]
-        sub = {sp: d[idx] for sp, d in g_dists.items()}
-        st, sp_, sq, sr, sc = (
-            g_t[idx],
-            g_p[idx],
-            g_qv[idx],
-            g_rho[idx],
-            g_ccn[idx],
-        )
         part = routine(
-            sub, st, sp_, sq, sr, sc, dt, sub_segments,
-            species_present=sp_present,
+            g_dists, g_t, g_p, g_qv, g_rho, g_ccn, dt, sub_segments,
+            species_present=sp_present, rows=idx,
         )
         for total, stats in zip(totals, part):
             total.merge(stats)
-        for sp in g_dists:
-            g_dists[sp][idx] = sub[sp]
-        g_t[idx], g_qv[idx], g_ccn[idx] = st, sq, sc
     return totals
 
 
 def _collisions(
     sbms: list[FastSBM],
     states: list[MicroState],
-    g_dists: dict[Species, np.ndarray],
+    g_bins: np.ndarray,
     g_t: np.ndarray,
     g_p: np.ndarray,
     segments: list[tuple[int, int]],
@@ -510,16 +530,19 @@ def _collisions(
 ) -> None:
     """coal_bott_new per the active stage, over every member's points.
 
-    CPU stages apply every member in one call and charge the scalar-
-    loop work to each member's clock; GPU stages (one member) launch
-    the fissioned loop on the device, which charges the clock itself.
+    The called points' rows are one packed gather of ``g_bins``,
+    scattered back once. CPU stages apply every member in one call and
+    charge the scalar-loop work to each member's clock; GPU stages (one
+    member) launch the fissioned loop on the device, which charges the
+    clock itself.
     """
     lead = sbms[0]
     # Per-species row sums serve both the condensate predicate and the
     # interaction selection below — row sums are row-independent, so
     # slicing them to the called points is bitwise identical to
     # CoalSelection.build on the gathered copies.
-    sums = {sp: d.sum(axis=1) for sp, d in g_dists.items()}
+    rowsums = _species_axis(g_bins).sum(axis=2)
+    sums = {sp: rowsums[:, n] for n, sp in enumerate(Species)}
     condensate = np.zeros(g_t.shape)
     for s_arr in sums.values():
         condensate += s_arr
@@ -531,10 +554,11 @@ def _collisions(
     coal_segments = [(int(lo), int(hi)) for lo, hi in zip(clos, chis)]
     works = None
     if cidx.size:
-        c_dists = {sp: d[cidx] for sp, d in g_dists.items()}
+        c_bins = g_bins[cidx]
+        c_dists = species_columns(c_bins)
         c_t = g_t[cidx]
         c_p = g_p[cidx]
-        occupied = _occupied(c_dists)
+        occupied = _occupied(c_bins)
         # One selection for the whole step: the work prediction and the
         # update (and its fp64 shadow) all test the same pre-step state.
         selection = CoalSelection(
@@ -575,14 +599,13 @@ def _collisions(
                     )
             stats.coal_seconds = sbm.clock.total - before
     if cidx.size:
-        for sp in g_dists:
-            g_dists[sp][cidx] = c_dists[sp]
+        g_bins[cidx] = c_bins
 
 
 def step_members(
     sbms: list[FastSBM],
     states: list[MicroState],
-    dists_stacked: dict[Species, np.ndarray],
+    bins_stacked: np.ndarray,
     ccn_stacked: np.ndarray,
     precip_stacked: np.ndarray,
     temperature: np.ndarray,
@@ -597,8 +620,11 @@ def step_members(
     ``sbms[m]``/``states[m]`` are member ``m``'s driver (own clock) and
     micro state; the stacked arrays are ``(nm, ...)`` member-major
     views whose slice ``[m]`` aliases that member's patch arrays (all
-    updated in place). ``pressure_levels`` is the ``(nk,)`` base-state
-    pressure column the members share (sedimentation fall speeds).
+    updated in place). ``bins_stacked`` is the packed ``(nm, ni, nk,
+    nj, nsp * nkr)`` view of every species' bins, species in
+    :class:`Species` order (:func:`species_columns`). ``pressure_levels``
+    is the ``(nk,)`` base-state pressure column the members share
+    (sedimentation fall speeds).
 
     Member ``m``'s fields, work stats, and clock charges are
     bit-identical to a one-member step of that member alone. GPU
@@ -644,14 +670,12 @@ def step_members(
         if total_pts:
             # Integer-tuple indexing: one np.nonzero, then every gather
             # and scatter fans out from the precomputed coordinate
-            # arrays. On the strided superblock views this measures
-            # ~1.3x faster than repeated boolean masking (which re-scans
-            # the mask per field) and yields the same elements in the
-            # same member-major C order.
+            # arrays, in member-major C order. The bins move as one
+            # packed gather (every species of a point in one contiguous
+            # run) and come back as one scatter.
             midx = np.nonzero(mp_mask)
-            g_dists = {
-                sp: dists_stacked[sp][midx] for sp in states[0].dists
-            }
+            g_bins = bins_stacked[midx]
+            g_dists = species_columns(g_bins)
             g_t = temperature[midx]
             g_p = pressure_mb[midx]
             g_qv = qv[midx]
@@ -671,24 +695,19 @@ def step_members(
                     )
 
             # --- condensation (onecond1 / onecond2) ---------------------
-            # One cheap presence scan per species and member (post-
-            # nucleation): an all-zero species contributes nothing to
-            # the ice gate and can skip every per-subset occupancy probe
-            # inside the condensation core, exactly.
+            # Every species' post-nucleation row sums, in one reduction
+            # over the packed rows. A species none of whose rows in a
+            # member has a nonzero sum can pass no N_EPS gate there, so
+            # the condensation core skips it for that member without
+            # probing its rows; a point with an ice species above
+            # N_EPS is mixed-phase.
+            rowsums = _species_axis(g_bins).sum(axis=2)
             sp_present = [
-                {sp: bool(g_dists[sp][s:e].any()) for sp in Species}
+                dict(zip(Species, (rowsums[s:e] != 0.0).any(axis=0).tolist()))
                 for (s, e) in segments
             ]
-            ice_present = np.zeros(total_pts, dtype=bool)
-            for sp in Species:
-                if sp is Species.LIQUID:
-                    continue
-                hot = None
-                for m, (s, e) in enumerate(segments):
-                    if e > s and sp_present[m][sp]:
-                        if hot is None:
-                            hot = g_dists[sp].sum(axis=1) > N_EPS
-                        ice_present[s:e] |= hot[s:e]
+            is_ice = [sp.is_ice for sp in Species]
+            ice_present = (rowsums[:, is_ice] > N_EPS).any(axis=1)
             warm = (g_t > T_0 - 5.0) & ~ice_present
             if lead.offload_condensation:
                 with lead.clock.region("onecond"):
@@ -710,7 +729,7 @@ def step_members(
                             cond_list[m].flops, cond_list[m].bytes_moved
                         )
 
-            # --- freezing / melting (cross-row gates: per member) ------
+            # --- freezing / melting (work counts gated per member) -----
             for m, (s, e) in enumerate(segments):
                 if e == s:
                     continue
@@ -725,10 +744,9 @@ def step_members(
                     )
 
             # --- collision–coalescence (coal_bott_new) -----------------
-            _collisions(sbms, states, g_dists, g_t, g_p, segments, stats_list)
+            _collisions(sbms, states, g_bins, g_t, g_p, segments, stats_list)
 
-            for sp in g_dists:
-                dists_stacked[sp][midx] = g_dists[sp]
+            bins_stacked[midx] = g_bins
             temperature[midx] = g_t
             qv[midx] = g_qv
             ccn_stacked[midx] = g_ccn
@@ -738,7 +756,8 @@ def step_members(
             for sbm in sbms:
                 sed_stack.enter_context(sbm.clock.region("sedimentation"))
             sed_list = sedimentation_step_members(
-                dists_stacked, precip_stacked, pressure_levels, dz_cm, dt
+                species_columns(bins_stacked), precip_stacked,
+                pressure_levels, dz_cm, dt,
             )
             for m, sbm in enumerate(sbms):
                 stats_list[m].sed = sed_list[m]

@@ -67,10 +67,8 @@ def condensational_growth_coefficient(
     return diff / heat
 
 
-def latent_heating(
-    dq_cond: np.ndarray, process: str = "condensation"
-) -> np.ndarray:
-    """Temperature increment [K] from a condensate increment [g/g]."""
+def latent_heat_factor(process: str = "condensation") -> float:
+    """``L / c_p`` [K per g/g] of one phase change."""
     if process == "condensation":
         latent = L_V
     elif process == "deposition":
@@ -79,4 +77,11 @@ def latent_heating(
         latent = L_F
     else:
         raise ValueError(f"unknown process {process!r}")
-    return (latent / C_P) * np.asarray(dq_cond)
+    return latent / C_P
+
+
+def latent_heating(
+    dq_cond: np.ndarray, process: str = "condensation"
+) -> np.ndarray:
+    """Temperature increment [K] from a condensate increment [g/g]."""
+    return latent_heat_factor(process) * np.asarray(dq_cond)

@@ -175,15 +175,17 @@ class RankState:
     u: np.ndarray
     v: np.ndarray
     states: list[MicroState]
-    dists_o: dict[Species, np.ndarray]
+    #: Every species' bins, packed ``(nm, ni, nk, nj, nsp * nkr)``.
+    bins_o: np.ndarray
     t_o: np.ndarray
     qv_o: np.ndarray
     ccn_o: np.ndarray
     precip_o: np.ndarray
     p_o: np.ndarray
     rho_o: np.ndarray
-    #: The base-state pressure column the members share (sedimentation
-    #: fall speeds), computed once.
+    #: The base-state pressure column of the owned levels, which the
+    #: members share (sedimentation fall speeds): the same bits on every
+    #: rank of every decomposition.
     pressure_levels: np.ndarray
     w_start: int
     clip_slices: tuple
@@ -230,6 +232,7 @@ def build_rank_state(
     sl = owned_slice(patch)
     every = (slice(None), *sl)
     slices = fields[0].layout.slices()
+    bins = [slices[f"bin_{sp.value}"] for sp in Species]
     p_one = fields[0].pressure_mb[sl]
     rho_one = fields[0].rho[sl]
     return RankState(
@@ -244,19 +247,22 @@ def build_rank_state(
         u=u,
         v=v,
         states=[f.micro.view(sl) for f in fields],
-        dists_o={
-            sp: block[(*every, slices[f"bin_{sp.value}"])] for sp in Species
-        },
+        bins_o=block[(*every, slice(bins[0].start, bins[-1].stop))],
         t_o=block[(*every, slices["t"].start)],
         qv_o=block[(*every, slices["qv"].start)],
         ccn_o=ccn[every],
         precip_o=precip[:, sl[0], sl[2]],
         p_o=np.broadcast_to(p_one[None], (nm, *p_one.shape)),
         rho_o=np.broadcast_to(rho_one[None], (nm, *rho_one.shape)),
-        pressure_levels=p_one.mean(axis=(0, 2)),
+        pressure_levels=fields[0].p_mb_col[sl[1]],
         w_start=slices["w"].start,
         clip_slices=fields[0].layout.clip_slices(no_clip=("t", "w")),
     )
+
+
+def _engine(works) -> str:
+    """The engine a layer's work stats name: the first that ran one."""
+    return next((w.engine for w in works if w.engine != "none"), "none")
 
 
 def physics_rank(namelist: Namelist, rs: RankState) -> list[SbmStepStats]:
@@ -269,7 +275,7 @@ def physics_rank(namelist: Namelist, rs: RankState) -> list[SbmStepStats]:
         stats = step_members(
             rs.sbms,
             rs.states,
-            rs.dists_o,
+            rs.bins_o,
             rs.ccn_o,
             rs.precip_o,
             rs.t_o,
@@ -285,11 +291,10 @@ def physics_rank(namelist: Namelist, rs: RankState) -> list[SbmStepStats]:
                 mp_points=sum(s.mp_points for s in stats),
                 coal_points=sum(s.coal_points for s in stats),
                 # One call serves every member, so they agree; "none"
-                # if no member collided.
-                coal_engine=next(
-                    (s.coal.engine for s in stats if s.coal.engine != "none"),
-                    "none",
-                ),
+                # if no member ran the layer.
+                coal_engine=_engine(s.coal for s in stats),
+                cond_engine=_engine(s.cond for s in stats),
+                freeze_engine=_engine(s.freeze for s in stats),
             )
     return stats
 

@@ -171,7 +171,6 @@ class TestProductionSources:
     def test_fsbm_source_is_ir_emitted_and_serial(self):
         from repro.fsbm import ckernels
 
-        assert "sed_sweep" in ckernels.C_SOURCE
-        assert "remap_scatter" in ckernels.C_SOURCE
-        assert "coal_bott_new" in ckernels.C_SOURCE
+        for name in ("sed_sweep", "onecond", "freeze_melt", "coal_bott_new"):
+            assert f"void {name}(" in ckernels.C_SOURCE
         assert "#pragma omp parallel" not in ckernels.C_SOURCE

@@ -115,7 +115,9 @@ class TestKernel:
 class TestRegistry:
     def test_production_kernels_registered(self):
         names = set(loopir.registered_kernels())
-        assert {"advect_stage", "sed_sweep", "remap_scatter"} <= names
+        assert {
+            "advect_stage", "sed_sweep", "onecond", "freeze_melt", "coal_bott_new"
+        } <= names
         assert "broken_offload_ir" in names
 
     def test_fixture_excluded_from_gate(self):

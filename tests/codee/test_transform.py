@@ -445,11 +445,17 @@ class TestProductionDerivations:
         final = loopir.registered_kernels()["sed_sweep"].final_kernel()
         assert not any(lp.parallel for lp in final.loops())
 
-    def test_remap_scatter_stays_serial_under_the_depth_floor(self):
-        from repro.fsbm.ckernels import build_remap_scatter_ir
+    def test_onecond_is_serial_under_the_depth_floor(self):
+        from repro.fsbm.ckernels import build_onecond_ir
 
-        plan = plan_offload(build_remap_scatter_ir())
+        # One row loop: below the parallel-overhead floor, and its
+        # stores go through the row list, which no analysis can prove
+        # disjoint.
+        plan = plan_offload(build_onecond_ir())
         assert not any(lp.parallel for lp in plan.kernel.loops())
+        collapse = next(p for p in plan.passes if p.name == "collapse")
+        assert "below the parallel-overhead floor" in collapse.detail
+        assert plan.reports["q"].parallel_depth == 0
 
     def test_summary_renders_the_derivation(self):
         from repro.wrf.cstencil import build_advect_ir

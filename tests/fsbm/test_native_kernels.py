@@ -1,18 +1,18 @@
 """Compiled physics kernels vs their numpy references.
 
 The contract of :mod:`repro.fsbm.ckernels` (see its module docstring):
-the fused sedimentation sweep and the KO-remap scatter are **bit
-identical** to the numpy paths; the ``coal_bott_new`` collision kernel
-agrees with the numpy sparse engine to 1e-12 per row (only the order of
-its dot products differs) and is bitwise independent of how points are
-grouped into calls; every compiled path degrades to numpy under
-``REPRO_DISABLE_CPHYS``.
+the fused sedimentation sweep is **bit identical** to the numpy path;
+the ``onecond`` condensation, ``freeze_melt`` and ``coal_bott_new``
+kernels agree with their numpy engines to 1e-12 of each row's largest
+bin (only the order of their sums differs) and are bitwise independent
+of how points are grouped into calls; every compiled path degrades to
+numpy under ``REPRO_DISABLE_CPHYS``.
 """
 
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -23,11 +23,14 @@ from repro.constants import T_0
 from repro.fsbm import ckernels
 from repro.fsbm.coal_bott import coal_bott_step, coal_bott_step_members
 from repro.fsbm.collision_kernels import get_tables
-from repro.fsbm.reference import coal_bott_reference_point
 from repro.fsbm.condensation import _remap_spectrum
+from repro.fsbm.fast_sbm import _condensation, species_columns
+from repro.fsbm.freezing import freezing_melting_step
+from repro.fsbm.reference import coal_bott_reference_point
 from repro.fsbm.sedimentation import _courant_tables, sedimentation_step
 from repro.fsbm.species import INTERACTIONS, Species, species_bins
-from repro.fsbm.state import MicroState
+from repro.fsbm.state import N_EPS, MicroState
+from repro.fsbm.thermo import saturation_mixing_ratio
 from tests.conftest import make_liquid_dists, total_mass
 
 NKR = 33
@@ -36,7 +39,10 @@ SPLIST = list(Species)
 
 def test_kernels_compile_in_ci():
     """The compiled path must actually be exercised by this suite."""
-    assert ckernels.load_kernels() is not None, ckernels.load_error
+    lib = ckernels.load_kernels()
+    assert lib is not None, ckernels.load_error
+    for name in ("sed_sweep", "onecond", "freeze_melt", "coal_bott_new"):
+        assert hasattr(lib, name), name
 
 
 # --- sedimentation -----------------------------------------------------------
@@ -155,59 +161,337 @@ class TestSedimentation:
         np.testing.assert_array_equal(state.precip, ref.precip)
 
 
-# --- condensation KO-remap ---------------------------------------------------
+# --- condensation and freezing/melting kernels ------------------------------
+
+#: Temperature regimes the point draws mix: homogeneous freezing (below
+#: -38 C), Bigg freezing, cold but not freezing, and warm (melting).
+REGIMES = (T_0 - 50.0, T_0 - 20.0, T_0 - 3.0, T_0 + 8.0)
 
 
-class TestRemapScatter:
-    def _workload(self, npts=32, seed=11):
-        grid = species_bins()[Species.LIQUID]
-        rng = np.random.default_rng(seed)
-        n = rng.uniform(0.0, 3.0, (npts, NKR))
-        factor = rng.uniform(0.45, 2.2, (npts, 1))
-        return grid, n, grid.masses[None, :] * factor
+def _micro_points(npts, seed, top=False):
+    """Packed point rows (every species a column slice at row stride
+    ``7 * NKR``, the sweep's gather) with physically sized spectra:
+    ``(packed, t, p, qv, rho, ccn)``. Some rows stay all zero; with
+    ``top`` every liquid spectrum reaches the top bin."""
+    rng = np.random.default_rng(seed)
+    packed = np.zeros((npts, len(SPLIST) * NKR))
+    dists = species_columns(packed)
+    for sp in SPLIST:
+        x = species_bins()[sp].masses
+        present = rng.random(npts) < (0.8 if sp is Species.LIQUID else 0.4)
+        for n in np.flatnonzero(present):
+            lo = int(rng.integers(0, NKR - 1))
+            hi = NKR if top and sp is Species.LIQUID else int(rng.integers(lo + 1, NKR + 1))
+            shape = rng.uniform(0.01, 1.0, hi - lo)
+            mass = 10.0 ** rng.uniform(-10.0, -5.5)
+            dists[sp][n, lo:hi] = shape * (mass / (shape @ x[lo:hi]))
+    t = rng.choice(REGIMES, npts) + rng.uniform(-4.0, 4.0, npts)
+    p = rng.uniform(450.0, 1000.0, npts)
+    qv = saturation_mixing_ratio(t, p) * rng.uniform(0.3, 1.1, npts)
+    rho = rng.uniform(0.4e-3, 1.2e-3, npts)
+    ccn = rng.uniform(10.0, 300.0, npts)
+    return packed, t, p, qv, rho, ccn
 
-    def test_native_bitwise_matches_bincount(self, monkeypatch):
-        grid, n, new_mass = self._workload()
-        n_nat, e_nat = _remap_spectrum(n, new_mass, grid)
-        with monkeypatch.context() as mp:
-            mp.setenv(ckernels.DISABLE_ENV, "1")
-            n_ref, e_ref = _remap_spectrum(n, new_mass, grid)
-        np.testing.assert_array_equal(n_nat, n_ref)
-        np.testing.assert_array_equal(e_nat, e_ref)
-        assert e_nat.sum() > 0  # the 0.45x tail does evaporate particles
 
-    def test_evaporation_boundary_is_strict(self, monkeypatch):
-        """The evaporation cut is ``new_mass < 0.5 * x[0]``: a particle
-        exactly at half the smallest bin mass survives; one ULP below
-        evaporates."""
-        grid = species_bins()[Species.LIQUID]
-        n = np.ones((2, NKR))
-        new_mass = np.tile(grid.masses, (2, 1))
-        boundary = 0.5 * grid.masses[0]
-        new_mass[0, 0] = boundary  # exactly at the cut: survives
-        new_mass[1, 0] = np.nextafter(boundary, 0.0)  # below: evaporates
-        for native in (True, False):
-            with monkeypatch.context() as mp:
-                if not native:
-                    mp.setenv(ckernels.DISABLE_ENV, "1")
-                n_new, evap = _remap_spectrum(n, new_mass, grid)
-            assert evap[0] == 0.0
-            assert evap[1] == 1.0
-            # The surviving boundary particle deposits in the lowest bin
-            # (clipped onto the ladder), the evaporated one nowhere.
-            assert n_new[0].sum() == pytest.approx(n[0].sum(), rel=1e-12)
-            assert n_new[1].sum() == pytest.approx(
-                n[1].sum() - 1.0, rel=1e-12
+def _engine_context(engine):
+    return _numpy_engine() if engine == "numpy" else nullcontext()
+
+
+def _condense(state, dt, segments, engine="compiled"):
+    """The sweep's condensation stage on a copy of ``state``: the
+    presence flags and warm/cold routing as ``step_members`` derives
+    them. Returns ``((packed, t, qv, ccn), per-member stats)``."""
+    packed, t, p, qv, rho, ccn = (a.copy() for a in state)
+    rowsums = packed.reshape(len(t), len(SPLIST), NKR).sum(axis=2)
+    sp_present = [
+        dict(zip(SPLIST, (rowsums[s:e] != 0.0).any(axis=0).tolist()))
+        for s, e in segments
+    ]
+    ice = (rowsums[:, [sp.is_ice for sp in SPLIST]] > N_EPS).any(axis=1)
+    warm = (t > T_0 - 5.0) & ~ice
+    with _engine_context(engine):
+        stats = _condensation(
+            species_columns(packed), t, p, qv, rho, ccn, warm, dt, segments,
+            sp_present,
+        )
+    return (packed, t, qv, ccn), stats
+
+
+def _freeze(state, dt, engine="compiled"):
+    packed, t, _, _, rho, _ = (a.copy() for a in state)
+    with _engine_context(engine):
+        stats = freezing_melting_step(species_columns(packed), t, rho, dt)
+    return (packed, t), stats
+
+
+def _bins_deviation(before, a, b):
+    """Largest ``|a - b|`` of a bin over its row's largest magnitude
+    (before or after the step): each species row of each point."""
+    shape = (before.shape[0], len(SPLIST), NKR)
+    scale = np.maximum(
+        np.abs(before).reshape(shape).max(axis=2),
+        np.abs(b).reshape(shape).max(axis=2),
+    )
+    scale = np.where(scale > 0, scale, 1.0)[:, :, None]
+    return float((np.abs(a - b).reshape(shape) / scale).max(initial=0.0))
+
+
+def _relative(before, a, b):
+    """Largest ``|a - b|`` over the larger magnitude before or after."""
+    scale = np.maximum(np.abs(before), np.abs(b))
+    return float((np.abs(a - b) / np.where(scale > 0, scale, 1.0)).max(initial=0.0))
+
+
+def _segments(sizes):
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+class TestCompiledCondensation:
+    @given(
+        sizes=st.lists(st.integers(0, 16), min_size=1, max_size=4),
+        seed=st.integers(0, 10_000),
+        dt=st.floats(1.0, 20.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_numpy_engine(self, sizes, seed, dt):
+        state = _micro_points(max(sum(sizes), 1), seed)
+        state = tuple(a[: sum(sizes)] for a in state)
+        segments = _segments(sizes)
+        got, s_got = _condense(state, dt, segments)
+        want, s_want = _condense(state, dt, segments, engine="numpy")
+        assert _bins_deviation(state[0], got[0], want[0]) <= 1e-12
+        for before, a, b in zip((state[1], state[3], state[5]), got[1:], want[1:]):
+            assert _relative(before, a, b) <= 1e-14
+        for a, b in zip(s_got, s_want):
+            assert (a.points, a.bin_updates) == (b.points, b.bin_updates)
+            assert {a.engine, b.engine} <= {"compiled", "numpy", "none"}
+            assert a.engine in ("compiled", "none") and b.engine in ("numpy", "none")
+
+    @given(
+        sizes=st.lists(st.integers(0, 12), min_size=1, max_size=4),
+        seed=st.integers(0, 10_000),
+        dt=st.floats(1.0, 20.0),
+        data=st.data(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_member_call_equals_solo_calls_bitwise(self, sizes, seed, dt, data):
+        npts = sum(sizes)
+        state = tuple(a[:npts].copy() for a in _micro_points(max(npts, 1), seed))
+        segments = _segments(sizes)
+        # Per-member species gates: a species can be absent from a
+        # member, or hold only sub-threshold rows there (skipped, and
+        # its rows must not move).
+        faint = []
+        dists = species_columns(state[0])
+        for s, e in segments:
+            for sp in SPLIST:
+                mode = data.draw(st.sampled_from(["keep", "absent", "faint"]))
+                if e == s or mode == "keep":
+                    continue
+                dists[sp][s:e] = 0.0
+                if mode == "faint":
+                    dists[sp][s:e, 3] = 0.2 * N_EPS
+                    faint.append((sp, s, e))
+        batched, stats = _condense(state, dt, segments)
+        for m, (s, e) in enumerate(segments):
+            solo_state = tuple(a[s:e] for a in state)
+            solo, (solo_stats,) = _condense(solo_state, dt, [(0, e - s)])
+            for a, b in zip(batched, solo):
+                np.testing.assert_array_equal(a[s:e], b)
+            assert stats[m] == solo_stats
+        for sp, s, e in faint:
+            np.testing.assert_array_equal(
+                species_columns(batched[0])[sp][s:e], dists[sp][s:e]
             )
 
-    def test_disable_env_matches_native_results(self, monkeypatch):
-        grid, n, new_mass = self._workload(seed=5)
-        n_nat, e_nat = _remap_spectrum(n, new_mass, grid)
-        monkeypatch.setenv(ckernels.DISABLE_ENV, "1")
-        n_off, e_off = _remap_spectrum(n, new_mass, grid)
-        np.testing.assert_array_equal(n_nat, n_off)
-        np.testing.assert_array_equal(e_nat, e_off)
+    def _one_point(self, liquid, t, supersat):
+        packed = np.zeros((1, len(SPLIST) * NKR))
+        species_columns(packed)[Species.LIQUID][0] = liquid
+        p = np.array([800.0])
+        t = np.array([t])
+        qv = saturation_mixing_ratio(t, p) * (1.0 + supersat)
+        return packed, t, p, qv, np.array([1.0e-3]), np.array([100.0])
 
+    def _both(self, state, dt=5.0):
+        got, stats = _condense(state, dt, [(0, 1)])
+        want, _ = _condense(state, dt, [(0, 1)], engine="numpy")
+        assert _bins_deviation(state[0], got[0], want[0]) <= 1e-12
+        for before, a, b in zip((state[1], state[3], state[5]), got[1:], want[1:]):
+            assert _relative(before, a, b) <= 1e-14
+        assert stats[0].engine == "compiled"
+        return got
+
+    def _spectrum(self, lo, hi, mass=1.0e-6):
+        x = species_bins()[Species.LIQUID].masses
+        n = np.zeros(NKR)
+        n[lo:hi] = 1.0
+        return n * (mass / (n @ x))
+
+    def test_binding_limiter_stops_at_saturation(self):
+        # A dense cloud of small drops in 0.5 % supersaturation would
+        # condense more vapor than the excess: the limiter takes qv to
+        # the saturation of the step's entry temperature.
+        state = self._one_point(self._spectrum(0, 10, 3e-6), T_0 + 10.0, 0.005)
+        _, _, qv, _ = self._both(state)
+        qs = saturation_mixing_ratio(state[1], state[2])
+        assert qv[0] == pytest.approx(qs[0], rel=1e-12)
+
+    def test_evaporation_below_half_the_smallest_mass_credits_ccn(self):
+        state = self._one_point(self._spectrum(0, 6, 1e-8), T_0 + 10.0, -0.5)
+        packed, _, _, ccn = self._both(state)
+        assert ccn[0] > state[5][0]
+        assert species_columns(packed)[Species.LIQUID][0, 0] < state[0][0, 0]
+
+    def test_evaporation_boundary_is_strict(self):
+        """The evaporation cut is ``new_mass < 0.5 * x[0]``: a particle
+        landing exactly at half the smallest bin mass survives (clipped
+        onto the ladder); one ULP below it evaporates — on both
+        engines."""
+        grid = species_bins()[Species.LIQUID]
+        x0 = grid.masses[0]
+        lib = ckernels.load_kernels()
+        # With G = 1, S = qv / qs - 1 = -0.5 and dt = 1, the growth of
+        # bin 0 is exactly -0.5 * prefactor.
+        for prefactor, evaporates in ((x0, False), (np.nextafter(x0, 1.0), True)):
+            cr = np.zeros(NKR)
+            cr[0] = prefactor
+            n = np.zeros((1, NKR))
+            n[0, 0] = 1.0
+            qs = np.array([0.01])
+            qv, t, ccn = np.array([0.005]), np.array([T_0 + 10.0]), np.array([100.0])
+            assert ckernels.onecond(
+                lib, n, np.array([0]), np.ones(1), qs, np.array([1e-3]), qv, t,
+                ccn, cr, grid.masses, 1.0, 0.5 * x0, 1.0, True,
+            )
+            new_mass = grid.masses[None, :].copy()
+            new_mass[0, 0] = x0 - 0.5 * prefactor
+            n_ref, evap_ref = _remap_spectrum(
+                np.array([[1.0] + [0.0] * (NKR - 1)]), new_mass, grid
+            )
+            assert evap_ref[0] == (1.0 if evaporates else 0.0)
+            assert ccn[0] == (101.0 if evaporates else 100.0)
+            assert n[0, 0] == n_ref[0, 0] == (0.0 if evaporates else 1.0)
+
+    def test_top_bin_clips_growth(self):
+        state = self._one_point(self._spectrum(NKR - 3, NKR, 1e-7), T_0 + 10.0, 0.05)
+        packed, *_ = self._both(state)
+        liquid = species_columns(packed)[Species.LIQUID][0]
+        assert liquid[-1] > state[0][0, NKR - 1]
+
+    def test_all_zero_rows_stay_untouched(self):
+        state = _micro_points(12, seed=3)
+        state[0][4:9] = 0.0
+        got, _ = _condense(state, 5.0, [(0, 12)])
+        np.testing.assert_array_equal(got[0][4:9], 0.0)
+        empty = slice(4, 9)
+        np.testing.assert_array_equal(got[1][empty], state[1][empty])
+
+    def test_kill_switch_falls_back_to_numpy(self):
+        state = _micro_points(20, seed=8)
+        _, stats = _condense(state, 5.0, [(0, 20)], engine="numpy")
+        assert stats[0].engine == "numpy"
+        _, stats = _condense(state, 5.0, [(0, 20)])
+        assert stats[0].engine == "compiled"
+
+    def test_malformed_rows_are_refused(self):
+        lib = ckernels.load_kernels()
+        n = np.zeros((4, NKR))
+        per_row = [np.zeros(4) for _ in range(4)]
+        masses = species_bins()[Species.LIQUID].masses
+        for rows in ([0, 4], [2, 1], [1, 1], [-1, 2]):
+            rows = np.array(rows, dtype=np.int64)
+            with pytest.raises(ValueError, match="malformed"):
+                ckernels.onecond(
+                    lib, n, rows, np.zeros(2), np.ones(2), *per_row,
+                    masses, masses, 5.0, 0.5 * masses[0], 1.0, True,
+                )
+        with pytest.raises(ValueError, match="malformed"):
+            ckernels.onecond(
+                lib, n, np.array([0, 1]), np.zeros(3), np.ones(2), *per_row,
+                masses, masses, 5.0, 0.5 * masses[0], 1.0, True,
+            )
+
+
+class TestCompiledFreezing:
+    @given(
+        npts=st.integers(1, 40),
+        seed=st.integers(0, 10_000),
+        dt=st.floats(1.0, 20.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_numpy_engine(self, npts, seed, dt):
+        state = _micro_points(npts, seed)
+        (packed, t), stats = _freeze(state, dt)
+        (ref, t_ref), ref_stats = _freeze(state, dt, engine="numpy")
+        assert _bins_deviation(state[0], packed, ref) <= 1e-12
+        assert _relative(state[1], t, t_ref) <= 1e-14
+        assert stats.bin_updates == ref_stats.bin_updates
+        assert (stats.engine, ref_stats.engine) == ("compiled", "numpy")
+
+    @given(
+        sizes=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_member_call_equals_solo_calls_bitwise(self, sizes, seed):
+        """Rows whose gate is off are untouched, so one call over every
+        member's rows gives each member's one-member values."""
+        state = _micro_points(sum(sizes), seed)
+        (packed, t), _ = _freeze(state, 5.0)
+        for s, e in _segments(sizes):
+            (solo, t_solo), _ = _freeze(tuple(a[s:e] for a in state), 5.0)
+            np.testing.assert_array_equal(packed[s:e], solo)
+            np.testing.assert_array_equal(t[s:e], t_solo)
+
+    def test_homogeneous_freezing_and_melting(self):
+        state = _micro_points(24, seed=5)
+        state[1][:12] = T_0 - 45.0  # every drop freezes
+        state[1][12:] = T_0 + 6.0  # ice melts
+        (packed, t), stats = _freeze(state, 5.0)
+        cols, before = species_columns(packed), species_columns(state[0])
+        np.testing.assert_array_equal(cols[Species.LIQUID][:12], 0.0)
+        assert (t[:12] >= state[1][:12]).all()  # latent heat of fusion
+        assert (t[12:] <= state[1][12:]).all()
+        for sp in (Species.SNOW, Species.GRAUPEL):
+            held = before[sp][12:].sum(axis=1) > 0
+            assert (cols[sp][12:].sum(axis=1) < before[sp][12:].sum(axis=1))[held].all()
+        assert stats.bin_updates > 0
+
+    def test_malformed_species_are_refused(self):
+        lib = ckernels.load_kernels()
+        dists = [np.zeros((3, NKR)) for _ in SPLIST]
+        masses = species_bins()[Species.LIQUID].masses
+        for msp in ([0, 7], [-1]):
+            with pytest.raises(ValueError, match="malformed"):
+                ckernels.freeze_melt(
+                    lib, dists, np.zeros(3), np.full(3, T_0), np.ones(3),
+                    masses, np.array(msp, dtype=np.int64), np.zeros(len(msp)),
+                    0, 2, 6, 14, T_0, 1.0,
+                )
+
+
+def test_condensation_and_freezing_are_thread_safe():
+    """Thread ranks call the kernels concurrently with the GIL
+    released: no call may see another's scratch."""
+    states = [_micro_points(31, seed=s) for s in range(6)]
+
+    def run(state):
+        grown, _ = _condense(state, 10.0, [(0, 31)])
+        frozen, _ = _freeze(state, 10.0)
+        return (*grown, *frozen)
+
+    serial = [run(s) for s in states]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(run, states * 3, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    for n, got in enumerate(threaded):
+        for a, b in zip(got, serial[n % 6]):
+            np.testing.assert_array_equal(a, b)
 
 # --- compiled collision kernel ----------------------------------------------
 
@@ -345,6 +629,17 @@ class TestCompiledCoal:
         stats = _coal_run(dists)
         assert stats.pair_entries == 0
         assert total_mass(dists) == 0.0
+
+    def test_packed_rows_match_contiguous_rows(self):
+        """The sweep's packed gather (every species a column slice at
+        row stride 7 * nkr) gives the contiguous arrays' bits."""
+        dists, t, p = _random_state(29, seed=13, boost=30.0)
+        packed = np.concatenate([dists[sp] for sp in SPLIST], axis=1)
+        columns = species_columns(packed)
+        assert _coal_run(columns, t=t, p=p).engine == "compiled"
+        assert _coal_run(dists, t=t, p=p).engine == "compiled"
+        for sp in SPLIST:
+            np.testing.assert_array_equal(columns[sp], dists[sp])
 
     def test_float32_stays_on_numpy(self):
         dists = make_liquid_dists(6, seed=1)

@@ -126,7 +126,8 @@ class TestModesRecordSameSpans:
 
 
 class TestCoalEngineAttr:
-    """The physics span names the collision engine that actually ran."""
+    """The physics span names the engines that actually ran the
+    collisions, the condensation and the freezing/melting."""
 
     def _engines(self, members: int) -> set:
         from repro.wrf.ensemble import EnsembleModel
@@ -143,7 +144,12 @@ class TestCoalEngineAttr:
         events = tracer.drain()
         spans = [e for e in events if e.ph == "X" and e.name == "physics"]
         assert any(e.attrs.get("coal_points") for e in spans), "no collisions"
-        return {e.attrs["coal_engine"] for e in spans if e.attrs.get("coal_points")}
+        return {
+            e.attrs[f"{layer}_engine"]
+            for e in spans
+            if e.attrs.get("coal_points")
+            for layer in ("coal", "cond", "freeze")
+        }
 
     @pytest.mark.parametrize("members", [1, 2])
     def test_compiled_when_kernels_load(self, members):

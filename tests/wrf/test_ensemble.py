@@ -13,11 +13,15 @@ in-process ranks; process ranks are held to the same bar in
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.fsbm import ckernels
 from repro.wrf.ensemble import EnsembleModel
 from repro.wrf.model import WrfModel
 from repro.wrf.namelist import conus12km_namelist, member_namelist
@@ -41,6 +45,22 @@ MEMBER_DELTA = st.lists(
     max_size=3,
     unique_by=lambda pair: pair[0],
 ).map(tuple)
+
+
+@contextmanager
+def _physics_engine(engine: str):
+    """Run a block on the compiled physics kernels or, with the kill
+    switch set, on their numpy fallback."""
+    old = os.environ.get(ckernels.DISABLE_ENV)
+    if engine == "numpy":
+        os.environ[ckernels.DISABLE_ENV] = "1"
+    try:
+        yield
+    finally:
+        if old is None:
+            os.environ.pop(ckernels.DISABLE_ENV, None)
+        else:
+            os.environ[ckernels.DISABLE_ENV] = old
 
 
 def _namelist(members: int, num_ranks: int = 1, **kw):
@@ -98,6 +118,9 @@ def _assert_member_exact(ens_res, solo_res, member: int):
 
 
 class TestMembersEqualSoloRuns:
+    # The numpy fallback is held to the same bar: its physics reduce
+    # within rows too, so batching members cannot move a bit.
+    @pytest.mark.parametrize("engine", ["compiled", "numpy"])
     @settings(
         max_examples=20,
         deadline=None,
@@ -111,7 +134,7 @@ class TestMembersEqualSoloRuns:
         deltas=st.lists(MEMBER_DELTA, max_size=3),
     )
     def test_every_member_equals_its_solo_run(
-        self, num_ranks, members, scale, seed, deltas
+        self, engine, num_ranks, members, scale, seed, deltas
     ):
         nl = _namelist(
             members,
@@ -121,20 +144,21 @@ class TestMembersEqualSoloRuns:
             member_deltas=tuple(deltas[:members]),
             history_interval=10.0,
         )
-        model = EnsembleModel(nl)
-        try:
-            results = model.run(num_steps=2, final_history=True)
-            frames = [model.gather_output(m) for m in range(members)]
-        finally:
-            model.close()
-        assert len(results) == members
-        for m in range(members):
-            solo = _solo_result(nl, m, 2)
-            _assert_member_exact(results[m], solo, m)
-            for name, arr in frames[m].items():
-                assert np.array_equal(arr, solo.history[-1][name]), (
-                    f"member {m} gathered field {name} differs"
-                )
+        with _physics_engine(engine):
+            model = EnsembleModel(nl)
+            try:
+                results = model.run(num_steps=2, final_history=True)
+                frames = [model.gather_output(m) for m in range(members)]
+            finally:
+                model.close()
+            assert len(results) == members
+            for m in range(members):
+                solo = _solo_result(nl, m, 2)
+                _assert_member_exact(results[m], solo, m)
+                for name, arr in frames[m].items():
+                    assert np.array_equal(arr, solo.history[-1][name]), (
+                        f"member {m} gathered field {name} differs"
+                    )
 
 
 class TestMembersOneDegenerates:

@@ -117,6 +117,19 @@ class TestDeterminism:
         for name in o1:
             np.testing.assert_array_equal(o1[name], o2[name])
 
+    def test_pressure_levels_do_not_depend_on_the_decomposition(self):
+        """Sedimentation's fall speeds read one base-state column: the
+        same bits on every rank of 1-, 2- and 4-rank runs of a case."""
+        columns = []
+        for num_ranks in (1, 2, 4):
+            model = WrfModel(conus12km_namelist(scale=0.05, num_ranks=num_ranks))
+            try:
+                columns += [rs.pressure_levels for rs in model.ranks]
+            finally:
+                model.close()
+        for col in columns[1:]:
+            np.testing.assert_array_equal(col, columns[0])
+
 
 class TestSuperblockFields:
     """Persistent superblock residency: same physics, no per-step pack."""
@@ -130,8 +143,8 @@ class TestSuperblockFields:
 
     def test_native_physics_off_matches_default(self, monkeypatch):
         """The compiled physics kernels must not change the model's
-        answer: distributions are bit-identical, so gathered moments
-        agree to reduction-order level."""
+        answer: they differ from the numpy engines only in the order of
+        their sums, so the gathered fields agree to rounding level."""
         from repro.fsbm import ckernels
 
         nl = conus12km_namelist(scale=0.05, num_ranks=2, seed=29)
