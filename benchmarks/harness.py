@@ -412,6 +412,44 @@ def bench_model_step_members(
     return bench
 
 
+def _transport_layout(nkr: int):
+    """The model's scalar packing: t, qv, w, then every species' bins."""
+    from repro.fsbm.species import Species
+    from repro.wrf.transport import ScalarLayout
+
+    return ScalarLayout(
+        entries=(
+            ("t", 1),
+            ("qv", 1),
+            ("w", 1),
+            *((f"bin_{sp.value}", nkr) for sp in Species),
+        )
+    )
+
+
+def _scalar_masses(layout) -> np.ndarray:
+    """Per-scalar bin masses of ``layout`` (0 for t, qv and w)."""
+    from repro.fsbm.species import Species, species_bins
+
+    grids = species_bins()
+    mass = np.zeros(layout.nscalars)
+    for sp in Species:
+        mass[layout.slices()[f"bin_{sp.value}"]] = grids[sp].masses
+    return mass
+
+
+def _euler_step(block, split, dt, ws, floors, mass):
+    """The model's transport advection: one in-place Euler call, and
+    each cell's condensate (which the numpy fallback contracts per
+    member afterwards, as the model does)."""
+    from repro.wrf.transport import fused_euler_advect
+
+    cond = fused_euler_advect(block, split, dt, ws, floors, mass)
+    if cond is None:
+        cond = [block[m] @ mass for m in range(block.shape[0])]
+    return cond
+
+
 def bench_transport_members(
     members: int = 4,
     shape: tuple[int, int, int] = (36, 50, 26),
@@ -422,9 +460,10 @@ def bench_transport_members(
     """Time the advection kernel on a member stack against a member loop.
 
     One stacked ``(N, ni, nk, nj, nscalar)`` superblock advected by one
-    ``fused_euler_advect`` call (the members' rows folded into the
-    compiled stencil's row loop) versus the same work issued as ``N``
-    one-member calls. Fixed shape regardless of ``--quick``.
+    in-place ``fused_euler_advect`` call, condensate included (the
+    members' rows folded into the compiled stencil's row loop), versus
+    the same work issued as ``N`` one-member calls. Fixed shape
+    regardless of ``--quick``.
     """
     from repro.fsbm.species import Species
     from repro.wrf.dynamics import (
@@ -432,23 +471,12 @@ def bench_transport_members(
         FLOPS_PER_CELL_UPDATE,
         WindSplit,
     )
-    from repro.wrf.transport import (
-        ScalarLayout,
-        fused_euler_advect,
-        get_workspace,
-    )
+    from repro.wrf.transport import get_workspace
 
     nkr = 33
     ni, nk, nj = shape
     rng = np.random.default_rng(seed)
-    layout = ScalarLayout(
-        entries=(
-            ("t", 1),
-            ("qv", 1),
-            ("w", 1),
-            *((f"bin_{sp.value}", nkr) for sp in Species),
-        )
-    )
+    layout = _transport_layout(nkr)
     ns = layout.nscalars
     slices = layout.slices()
     block = np.zeros((members, *shape, ns))
@@ -469,7 +497,8 @@ def bench_transport_members(
     v = rng.uniform(-20.0, 20.0, (members, *shape))
     w = np.ascontiguousarray(block[..., slices["w"].start])
     dt = 30.0
-    clip_slices = layout.clip_slices(no_clip=("t", "w"))
+    floors = layout.floors(no_clip=("t", "w"))
+    mass = _scalar_masses(layout)
     split = WindSplit.build(u, v, w, 12000.0, 500.0)
     member_splits = [
         WindSplit.build(u[m : m + 1], v[m : m + 1], w[m : m + 1], 12000.0, 500.0)
@@ -487,20 +516,16 @@ def bench_transport_members(
 
     def run_batched() -> float:
         t0 = time.perf_counter()
-        result = fused_euler_advect(batched_block, split, dt, ws, clip_slices)
-        if result is not batched_block:
-            batched_block[...] = result
+        _euler_step(batched_block, split, dt, ws, floors, mass)
         return time.perf_counter() - t0
 
     def run_solo() -> float:
         t0 = time.perf_counter()
         for m in range(members):
-            one = solo_block[m : m + 1]
-            result = fused_euler_advect(
-                one, member_splits[m], dt, member_ws, clip_slices
+            _euler_step(
+                solo_block[m : m + 1], member_splits[m], dt, member_ws,
+                floors, mass,
             )
-            if result is not one:
-                one[...] = result
         return time.perf_counter() - t0
 
     run_batched()  # warmup: compiled stencil, workspace pools
@@ -520,6 +545,7 @@ def bench_transport_members(
         "compiled_stencil": load_stencil() is not None,
         "ir_kernel": "advect_stage",
         "ir_registered": _ir_registered("advect_stage"),
+        "workspace_bytes": ws.nbytes,
         "per_member_ms": bench.median_s / members * 1e3,
         "solo_per_member_ms": solo_median / members * 1e3,
         "speedup_vs_solo": (
@@ -578,8 +604,8 @@ def bench_transport(
     """Time the scalar-transport engine in isolation at a fixed shape.
 
     ``mode="fused"`` measures what the model's one-member path pays —
-    one fused Euler advection of the resident ``(1, ni, nk, nj, 234)``
-    superblock and the copy back into it — while ``mode="per_field"``
+    one in-place Euler advection of the resident ``(1, ni, nk, nj, 234)``
+    superblock, condensate included — while ``mode="per_field"``
     measures the reference loop (one ``rk_scalar_tend`` + update per
     field). The shape is fixed regardless of ``--quick`` so quick and
     full runs of the gate compare like with like.
@@ -591,23 +617,12 @@ def bench_transport(
         WindSplit,
         rk_scalar_tend,
     )
-    from repro.wrf.transport import (
-        ScalarLayout,
-        fused_euler_advect,
-        get_workspace,
-    )
+    from repro.wrf.transport import get_workspace
 
     nkr = 33
     ni, nk, nj = shape
     rng = np.random.default_rng(seed)
-    layout = ScalarLayout(
-        entries=(
-            ("t", 1),
-            ("qv", 1),
-            ("w", 1),
-            *((f"bin_{sp.value}", nkr) for sp in Species),
-        )
-    )
+    layout = _transport_layout(nkr)
     fields = {
         "t": rng.uniform(230.0, 300.0, shape),
         "qv": rng.uniform(0.0, 0.02, shape),
@@ -628,14 +643,13 @@ def bench_transport(
     )
     dt = 30.0
     ws = get_workspace((1, *shape), layout.nscalars, owner="bench_transport")
-    clip_slices = layout.clip_slices(no_clip=("t", "w"))
+    floors = layout.floors(no_clip=("t", "w"))
+    mass = _scalar_masses(layout)
 
     def run_once() -> float:
         if mode == "fused":
             t0 = time.perf_counter()
-            result = fused_euler_advect(block, stacked, dt, ws, clip_slices)
-            if result is not block:
-                block[...] = result
+            _euler_step(block, stacked, dt, ws, floors, mass)
             return time.perf_counter() - t0
         t0 = time.perf_counter()
         for name, arr in fields.items():
@@ -665,6 +679,7 @@ def bench_transport(
             * (FLOPS_PER_CELL_TEND + FLOPS_PER_CELL_UPDATE),
             "superblock_bytes": int(cell_scalars * 8),
             "min_traffic_bytes": int(cell_scalars * 8 * 2),  # 1R + 1W
+            "workspace_bytes": ws.nbytes,
         },
     )
 

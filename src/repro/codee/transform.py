@@ -22,6 +22,9 @@ pass                        stage whose transformation it mechanizes
 ``hoist_automatic_arrays``  ``offload_collapse3`` (Listing 8 temp_arrays)
 ``simd_innermost``          ``offload_collapse2`` (inner ``!$omp simd``)
 ``simd_lanes``              ``offload_collapse2`` (lane loops of serial nests)
+``ring_rows``               ``offload_collapse3`` (scratch allocated once:
+                            a two-row ring instead of a second array;
+                            host plan only)
 ==========================  =============================================
 
 :func:`plan_offload` drives the sequence under a
@@ -39,12 +42,16 @@ launch-overhead floor.
 The host compiles every production kernel under :func:`plan_host`,
 the same derivation with parallel annotations off: the model's ranks
 own the cores, as the paper's CPU runs keep one OpenMP tile per MPI
-rank and save ``parallel`` for the GPU.
+rank and save ``parallel`` for the GPU. With its row loops serial, the
+host plan adds :func:`ring_rows`, which turns the out-of-place stencil
+into an in-place one through a two-row ring wherever the analysis
+bounds every input read to the neighbouring rows; the offload
+derivation keeps the out-of-place ``collapse(2)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.codee.loopir import (
     ArrayParam,
@@ -920,6 +927,251 @@ def simd_lanes(policy: TransformPolicy, inner: list[NestReport]) -> PassResult:
     )
 
 
+def _row_offsets(expr: Expr, var: str) -> set[int] | None:
+    """The constants ``c`` with ``expr == var + c``, or ``None``.
+
+    A :class:`Select` may take either arm, so it contributes both
+    arms' offsets (the clamped-edge ``i > 0 ? r - 1 : r``); anything
+    else that is not ``var`` plus or minus an integer literal is not a
+    provable row offset.
+    """
+    if expr == Sym(var):
+        return {0}
+    if (
+        isinstance(expr, Bin)
+        and expr.op in ("+", "-")
+        and expr.left == Sym(var)
+        and isinstance(expr.right, Const)
+        and isinstance(expr.right.value, int)
+    ):
+        return {expr.right.value if expr.op == "+" else -expr.right.value}
+    if isinstance(expr, Select):
+        a = _row_offsets(expr.if_true, var)
+        b = _row_offsets(expr.if_false, var)
+        return None if a is None or b is None else a | b
+    return None
+
+
+def _product(exprs: list[Expr]) -> Expr:
+    if not exprs:
+        return Const(1)
+    out = exprs[0]
+    for e in exprs[1:]:
+        out = Bin("*", out, e)
+    return out
+
+
+def _covering_loops(nest: Loop, store: Store) -> list[Loop] | None:
+    """The loops whose variables index ``store`` past its row, or None.
+
+    The store must sit under nothing but loops (no guard) and index
+    each trailing position by the plain variable of an enclosing
+    0-based loop whose extents multiply out to the array's strides —
+    then every iteration of the row loop writes its whole row.
+    """
+
+    def path(stmts: list[Stmt], trail: list[Loop]) -> list[Loop] | None:
+        for s in stmts:
+            if s is store:
+                return trail
+            if isinstance(s, Loop):
+                found = path(s.body, [*trail, s])
+                if found is not None:
+                    return found
+        return None
+
+    loops = path(nest.body, [])
+    if loops is None:
+        return None  # under an If: not every iteration writes it
+    by_var = {lp.var: lp for lp in loops}
+    covering = []
+    for e in store.index[1:]:
+        lp = by_var.get(e.name) if isinstance(e, Sym) else None
+        if lp is None or lp.start != Const(0):
+            return None
+        covering.append(lp)
+    return covering
+
+
+def ring_rows(kernel: Kernel, nest: Loop) -> PassResult:
+    """Write a serial row loop's output back one row late, through a ring.
+
+    The in-place rewrite of a row stencil ``out[r] = F(a[r-1..r+1])``:
+    iteration ``r`` computes its row from unmodified rows of the inputs
+    into slot ``r % 2`` of a two-row scratch ring, then writes slot
+    ``(r - 1) % 2`` back to row ``r - 1``; the last row goes back after
+    the loop. It is legal when the dependence analysis resolves every
+    read of an input that shares the output's layout to rows
+    ``r - 1 .. r + 1`` and every store to row ``r``, covering it: while
+    row ``r`` is computed, rows ``r - 1 .. r + 1`` still hold their old
+    values, and row ``r - 1`` is needed by no later row. The output and
+    those inputs then join one alias group (no ``restrict``), so a
+    caller may pass the same storage for all of them. The paper's stage
+    3 trade: storage allocated once (two rows) in place of a second
+    full-size array. The output must be ``intent(out)``; its own loads
+    must be of row ``r``, and read the ring.
+    """
+    stage = Stage.OFFLOAD_COLLAPSE3.value
+    if nest.parallel or nest.start != Const(0):
+        return PassResult(
+            "ring_rows", stage, False,
+            f"loop over {nest.var} is parallel or not 0-based: rows "
+            "0, 1, ... do not run in order",
+        )
+    r = nest.var
+    arrays = kernel.arrays()
+    lets = _let_bindings(nest.body)
+    stores = [s for s in walk_ir_stmts(nest.body) if isinstance(s, Store)]
+    loads = [
+        ld
+        for stmt in walk_ir_stmts(nest.body)
+        for expr in stmt_exprs(stmt)
+        for ld in expr_loads(expr)
+    ]
+    written = {s.array for s in stores}
+
+    def rows_of(array: str, accesses: list) -> set[int] | None:
+        """Row offsets of ``array``'s accesses; None if one is unresolved."""
+        rows: set[int] = set()
+        for acc in accesses:
+            if acc.array == array:
+                got = _row_offsets(_resolve(acc.index[0], lets), r)
+                if got is None:
+                    return None
+                rows |= got
+        return rows
+
+    def fmt(rows: set[int] | None) -> str:
+        if rows is None:
+            return "an unresolved row"
+        return "rows " + ", ".join(
+            r if c == 0 else f"{r} {'+' if c > 0 else '-'} {abs(c)}"
+            for c in sorted(rows)
+        )
+
+    def refusal(out: ArrayParam, inputs: dict) -> str | None:
+        stored = rows_of(out.name, stores)
+        if stored != {0}:
+            return f"{out.name} is stored at {fmt(stored)}, not at row {r} alone"
+        far = {
+            a: rows
+            for a, rows in inputs.items()
+            if rows is None or rows - {-1, 0, 1}
+        }
+        if far:
+            return "; ".join(
+                f"{a} is read at {fmt(rows)}, outside {r} - 1 .. {r} + 1"
+                for a, rows in sorted(far.items())
+            )
+        if rows_of(out.name, loads) not in (set(), {0}):
+            return f"{out.name} is read off row {r}: the ring holds one row"
+        if out.intent != "out":
+            return f"{out.name} is intent({out.intent}), not intent(out)"
+        covers = [_covering_loops(nest, s) for s in stores if s.array == out.name]
+        extents = [None if c is None else [lp.stop for lp in c] for c in covers]
+        if (
+            extents[0] is None
+            or any(e != extents[0] for e in extents)
+            or any(
+                stride != _product(extents[0][d:])
+                for d, stride in enumerate(out.strides)
+            )
+        ):
+            return f"the stores to {out.name} do not provably cover its whole row"
+        return None
+
+    rings: list[tuple[ArrayParam, list[str], list[Loop]]] = []
+    refused: list[str] = []
+    for name in sorted(written):
+        out = arrays.get(name)
+        if out is None or out.ptr_table:
+            continue
+        # Inputs that could share the output's storage, by the rows they
+        # are read at (unread ones cannot conflict).
+        inputs = {
+            p.name: rows
+            for p in arrays.values()
+            if p.name not in written
+            and not p.ptr_table
+            and (p.strides, p.ctype) == (out.strides, out.ctype)
+            and (rows := rows_of(p.name, loads)) != set()
+        }
+        if all(rows == {0} for rows in inputs.values()):
+            continue  # no input read off-row: nothing to delay
+        why = refusal(out, inputs)
+        if why:
+            refused.append(why)
+            continue
+        cover = _covering_loops(nest, next(s for s in stores if s.array == name))
+        rings.append((out, list(inputs), cover))
+
+    if not rings:
+        return PassResult(
+            "ring_rows", stage, False,
+            "; ".join(refused)
+            or f"no output of the loop over {r} shares a layout with an "
+            "input read at a neighbouring row",
+        )
+
+    proofs = []
+    for out, inputs, cover in rings:
+        ring = f"{out.name}_ring"
+        slot = Bin("%", Sym(r), Const(2))
+
+        def retarget(e: Expr, _out=out.name, _ring=ring, _slot=slot) -> Expr:
+            if isinstance(e, Load) and e.array == _out:
+                return Load(_ring, (_slot, *e.index[1:]))
+            if isinstance(e, Load):
+                return Load(e.array, tuple(retarget(x) for x in e.index))
+            if isinstance(e, Bin):
+                return Bin(e.op, retarget(e.left), retarget(e.right))
+            if isinstance(e, Un):
+                return Un(e.op, retarget(e.operand))
+            if isinstance(e, Select):
+                return Select(
+                    retarget(e.cond), retarget(e.if_true), retarget(e.if_false)
+                )
+            return e
+
+        for s in walk_ir_stmts(nest.body):
+            if isinstance(s, Store) and s.array == out.name:
+                s.array = ring
+                s.index = (slot, *s.index[1:])
+        _rewrite_stmt_exprs(nest.body, retarget)
+
+        def write_back(row: Expr, _out=out.name, _ring=ring, _cover=cover) -> Stmt:
+            idx = tuple(Sym(lp.var) for lp in _cover)
+            body: Stmt = Store(
+                _out, (row, *idx), Load(_ring, (Bin("%", row, Const(2)), *idx))
+            )
+            for lp in reversed(_cover):
+                body = Loop(lp.var, Const(0), lp.stop, [body])
+            return body
+
+        nest.body.append(
+            If(Sym(r).gt(Const(0)), [write_back(Bin("-", Sym(r), Const(1)))])
+        )
+        kernel.body.insert(
+            kernel.body.index(nest) + 1,
+            If(nest.stop.gt(Const(0)), [write_back(Bin("-", nest.stop, Const(1)))]),
+        )
+        group = {out.name, *inputs}
+        kernel.params = (
+            *(
+                replace(p, alias_group=out.name, restrict=False)
+                if p.name in group else p
+                for p in kernel.params
+            ),
+            ArrayParam(ring, strides=out.strides, intent="scratch"),
+        )
+        proofs.append(
+            f"{out.name} written back one row late through 2-row {ring}; "
+            f"{', '.join(inputs)} read only at rows {r} - 1 .. {r} + 1, "
+            f"so {out.name} may alias them (alias group {out.name!r})"
+        )
+    return PassResult("ring_rows", stage, True, "; ".join(proofs))
+
+
 def plan_offload(
     kernel: Kernel, policy: TransformPolicy | None = None
 ) -> TransformPlan:
@@ -959,8 +1211,13 @@ def plan_host(kernel: Kernel) -> TransformPlan:
     so an ``omp parallel`` region inside a rank would oversubscribe the
     cores the ranks own, and a thread pool started in the parent
     process does not survive the fork of process ranks. The analysis
-    still runs in full — the reports keep every proven parallel depth —
-    and the fixed-width lane loops of serial nests still get
-    ``omp simd``.
+    still runs in full — the reports keep every proven parallel depth,
+    taken before any rewrite — and the fixed-width lane loops of serial
+    nests still get ``omp simd``. Because the row loops stay serial,
+    :func:`ring_rows` can then turn an out-of-place row stencil into an
+    in-place one; the offload derivation keeps it out of place.
     """
-    return plan_offload(kernel, TransformPolicy(parallel=False))
+    plan = plan_offload(kernel, TransformPolicy(parallel=False))
+    for nest in list(kernel.loops()):
+        plan.passes.append(ring_rows(kernel, nest))
+    return plan

@@ -192,6 +192,7 @@ def write_jsonl(events: Iterable[Event], path: str | Path) -> Path:
                         "cat": e.cat,
                         "ph": e.ph,
                         "rank": e.rank,
+                        "pid": e.pid,
                         "tid": e.tid,
                         "ts_ns": e.ts,
                         "dur_ns": e.dur,
@@ -207,14 +208,19 @@ def self_times(events: Iterable[Event]) -> dict[str, dict]:
     """Aggregate span totals and self-times by span name.
 
     Self-time is a span's duration minus the duration of its direct
-    children, reconstructed per ``(rank, tid)`` from the timestamps
-    (context-manager spans nest properly per thread). Returns
+    children, reconstructed per OS thread — ``(pid, tid)`` — from the
+    timestamps (context-manager spans nest properly per thread). A
+    span nests under its parent on the same thread whatever rank it is
+    credited to: a serial run's rank spans sit inside the driver's
+    ``solve_em``, whose self time excludes them. The process id keeps
+    forked rank workers apart from the driver, since a worker's main
+    thread can carry the driver's thread ident. Returns
     ``{name: {count, total_ns, self_ns}}``.
     """
     groups: dict[tuple[int, int], list[Event]] = defaultdict(list)
     for e in events:
         if e.ph == "X":
-            groups[(e.rank, e.tid)].append(e)
+            groups[(e.pid, e.tid)].append(e)
 
     agg: dict[str, dict] = defaultdict(
         lambda: {"count": 0, "total_ns": 0, "self_ns": 0}

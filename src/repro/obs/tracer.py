@@ -55,6 +55,18 @@ DEFAULT_CAPACITY = 65536
 #: orchestration: halo copies in serial mode, history I/O, JIT builds).
 DRIVER_RANK = -1
 
+#: The recording process, stamped on every event (refreshed in forked
+#: children, which would otherwise stamp their parent's).
+_pid = os.getpid()
+
+
+def _refresh_pid() -> None:
+    global _pid
+    _pid = os.getpid()
+
+
+os.register_at_fork(after_in_child=_refresh_pid)
+
 
 def _env_capacity() -> int:
     raw = os.environ.get(CAPACITY_ENV, "")
@@ -74,7 +86,7 @@ class Event:
     instant.
     """
 
-    __slots__ = ("name", "cat", "ph", "rank", "tid", "ts", "dur", "attrs")
+    __slots__ = ("name", "cat", "ph", "rank", "tid", "ts", "dur", "attrs", "pid")
 
     def __init__(
         self,
@@ -86,6 +98,7 @@ class Event:
         ts: int,
         dur: int,
         attrs: dict | None,
+        pid: int = 0,
     ):
         self.name = name
         self.cat = cat
@@ -95,12 +108,16 @@ class Event:
         self.ts = ts
         self.dur = dur
         self.attrs = attrs
+        #: The recording process. ``tid`` is a thread ident, unique only
+        #: within one process: a forked worker's main thread can carry
+        #: the driver's.
+        self.pid = pid
 
     def to_tuple(self) -> tuple:
         """Pickle-friendly form for shipping over the procpool pipes."""
         return (
             self.name, self.cat, self.ph, self.rank,
-            self.tid, self.ts, self.dur, self.attrs,
+            self.tid, self.ts, self.dur, self.attrs, self.pid,
         )
 
     @classmethod
@@ -164,6 +181,7 @@ class _Span:
                 ts,
                 time.monotonic_ns() - ts,
                 self.attrs,
+                _pid,
             )
         )
         return False
@@ -311,6 +329,7 @@ def instant(
             time.monotonic_ns(),
             0,
             attrs,
+            _pid,
         )
     )
 
@@ -333,6 +352,7 @@ def counter(name: str, values: dict, rank: int | None = None) -> None:
             time.monotonic_ns(),
             0,
             dict(values),
+            _pid,
         )
     )
 

@@ -17,7 +17,11 @@ derives the paper's ``parallel for collapse(2)`` + inner ``simd``
 (``codee transform advect_stage`` shows it). The host compiles it
 under :func:`repro.codee.transform.plan_host`, serial like every other
 production kernel: the ranks own the cores, and the compiler
-auto-vectorizes the scalar loops. The arithmetic is expressed in the
+auto-vectorizes the scalar loops. With the row loop serial, the host
+plan's :func:`~repro.codee.transform.ring_rows` pass makes the sweep in
+place: each row is computed into a two-row ring and stored once the
+next row is done, so ``s``, ``base`` and ``out`` may be one block and
+a step needs no second block. The arithmetic is expressed in the
 IR with the reference's exact operation grouping and emitted fully
 parenthesized, which — together with the shared ``-ffp-contract=off``
 flag — keeps the compiled kernel bitwise identical to the per-field
@@ -42,11 +46,13 @@ import numpy as np
 from repro.codee import cgen, loopir, transform
 from repro.codee.loopir import (
     ArrayParam,
+    Assign,
     Const,
-    If,
+    Decl,
     Kernel,
     Let,
     Load,
+    LocalArray,
     Loop,
     ScalarParam,
     Store,
@@ -57,6 +63,12 @@ from repro.obs import tracer
 #: Environment switch forcing the numpy fallback (used by the
 #: equivalence tests to exercise both paths, and as an escape hatch).
 DISABLE_ENV = "REPRO_DISABLE_CSTENCIL"
+
+
+#: Lanes of the condensate sum: bin ``n`` adds into lane ``n % 8`` in
+#: ascending ``n``, then the lanes add up in order. Fixed, so a cell's
+#: sum depends only on its own bins.
+CONDENSATE_LANES = 8
 
 
 def build_advect_ir() -> Kernel:
@@ -75,21 +87,27 @@ def build_advect_ir() -> Kernel:
     and member ``m`` of the result equals a one-member sweep of that
     member bit for bit. Euler passes ``base == s`` and
     ``f == dt``; an RK3 stage passes ``base == phi0`` and
-    ``f == dt * frac``. ``clip[n]`` marks scalars clamped at zero after
-    the update (only on the stage that ``do_clip`` enables).
+    ``f == dt * frac``. The store clamps each scalar at ``floors[n]``:
+    0.0 for clipped scalars, -inf (never taken) for the rest — the
+    same bits as the reference's ``if (clip && out < 0) out = 0``.
 
     The tendency accumulates axis i, then k, then j with the same
     expression grouping as the numpy reference (three negated upwind
     pairs summed left to right), so results match it bit for bit
-    modulo signed zeros. The loop nest is defined *bare* — every
-    annotation is derived by `repro.codee.transform` from its
-    dependence analysis.
+    modulo signed zeros. The same sweep writes each cell's condensate
+    ``cond = sum_n out[n] * mass[n]`` (``mass`` is 0 for scalars that
+    are not bins) from the values just stored, in the fixed lane order
+    of :data:`CONDENSATE_LANES`. The loop nest is defined *bare* —
+    every annotation, and the host's in-place ring
+    (:func:`repro.codee.transform.ring_rows`), is derived by
+    `repro.codee.transform` from its dependence analysis.
     """
     nm, ni, nk, nj, ns = (
         Sym("nm"), Sym("ni"), Sym("nk"), Sym("nj"), Sym("ns")
     )
     r, i, k, j, n = Sym("r"), Sym("i"), Sym("k"), Sym("j"), Sym("n")
-    sv = Sym("sv")
+    sv, v, lane, nb = Sym("sv"), Sym("v"), Sym("l"), Sym("nb")
+    lanes = Const(CONDENSATE_LANES)
 
     s4 = (nk * nj * ns, nj * ns, ns, Const(1))
     c3 = (nk * nj, nj, Const(1))
@@ -107,6 +125,15 @@ def build_advect_ir() -> Kernel:
     ):
         pair = -(Sym(pos) * (sv - lo) + Sym(neg) * (hi - sv))
         tend = pair if tend is None else tend + pair
+
+    def add_lane(at):
+        """acc[l] += out[at] * mass[at] for the bin ``at`` of lane l."""
+        return Store(
+            "acc",
+            (lane,),
+            Load("out", (r, k, j, at)) * Load("mass", (at,)),
+            "+=",
+        )
 
     clamp = loopir.Select
     body_j = [
@@ -130,31 +157,26 @@ def build_advect_ir() -> Kernel:
             [
                 Let("sv", s_at(r, k, j)),
                 Let("t", tend),
-                Store(
-                    "out",
-                    (r, k, j, n),
-                    Sym("f") * Sym("t") + Load("base", (r, k, j, n)),
-                ),
+                Let("v", Sym("f") * Sym("t") + Load("base", (r, k, j, n))),
+                Let("lo", Load("floors", (n,))),
+                Store("out", (r, k, j, n), clamp(v.lt(Sym("lo")), Sym("lo"), v)),
             ],
         ),
-        If(
-            Sym("do_clip"),
-            [
-                Loop(
-                    "n",
-                    Const(0),
-                    ns,
-                    [
-                        If(
-                            Load("clip", (n,)).logical_and(
-                                Load("out", (r, k, j, n)).lt(Const(0.0))
-                            ),
-                            [Store("out", (r, k, j, n), Const(0.0))],
-                        )
-                    ],
-                )
-            ],
-        ),
+        # The cell's condensate from the values just stored: lane l
+        # sums bins l, l + 8, ... in order, then the lanes add up in order.
+        LocalArray("acc", CONDENSATE_LANES),
+        Loop("l", Const(0), lanes, [Store("acc", (lane,), Const(0.0))]),
+        Loop("nb", Const(0), ns / lanes, [
+            Loop("l", Const(0), lanes, [add_lane(nb * lanes + lane)]),
+        ]),
+        Loop("l", Const(0), ns - (ns / lanes) * lanes, [
+            add_lane((ns / lanes) * lanes + lane),
+        ]),
+        Decl("c", "double", Load("acc", (Const(0),))),
+        Loop("l", Const(0), Const(CONDENSATE_LANES - 1), [
+            Assign("c", Sym("c") + Load("acc", (lane + 1,))),
+        ]),
+        Store("cond", (r, k, j), Sym("c")),
     ]
 
     nest = Loop(
@@ -182,16 +204,18 @@ def build_advect_ir() -> Kernel:
             ScalarParam("nk", "long"),
             ScalarParam("nj", "long"),
             ScalarParam("ns", "long"),
-            ArrayParam("clip", strides=(Const(1),), ctype="unsigned char"),
-            ScalarParam("do_clip", "int"),
+            ArrayParam("floors", strides=(Const(1),)),
+            ArrayParam("mass", strides=(Const(1),)),
+            ArrayParam("cond", strides=c3, intent="out"),
         ),
         body=[nest],
         doc=(
-            "One donor-cell stage out = base + f * tend(s) over the "
-            "member-stacked (nm, ni, nk, nj, ns) superblock, its members' "
-            "rows folded into nm * ni rows, with zero-gradient edges "
-            "clamped at each member's own rows; tendency accumulated "
-            "axis i, then k, then j in the reference's grouping."
+            "One donor-cell stage out = max-floor(base + f * tend(s)) over "
+            "the member-stacked (nm, ni, nk, nj, ns) superblock, its "
+            "members' rows folded into nm * ni rows, with zero-gradient "
+            "edges clamped at each member's own rows; tendency accumulated "
+            "axis i, then k, then j in the reference's grouping; each "
+            "cell's condensate summed in 8 lanes from the stored values."
         ),
     )
 
@@ -210,15 +234,16 @@ load_error: str = ""
 
 def _declare(lib: ctypes.CDLL) -> None:
     dp = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-    bp = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
     lib.advect_stage.restype = None
     lib.advect_stage.argtypes = [
-        dp, dp, dp,  # s, base, out (member-stacked)
+        dp, dp, dp,  # s, base, out (member-stacked; may be one block)
         dp, dp, dp, dp, dp, dp,  # pos/neg per axis (member-stacked)
         ctypes.c_double,
         ctypes.c_long,  # nm
         ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-        bp, ctypes.c_int,
+        dp, dp,  # floors, mass (per scalar)
+        dp,  # cond (member-stacked cells)
+        dp,  # out_ring (two rows)
     ]
 
 
@@ -268,6 +293,11 @@ def load_stencil() -> ctypes.CDLL | None:
     return lib
 
 
+def ring_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The two-row ring one stage of an ``(nm, ni, nk, nj, ns)`` block needs."""
+    return (2, *shape[2:])
+
+
 def advect_stage(
     lib: ctypes.CDLL,
     s: np.ndarray,
@@ -276,19 +306,35 @@ def advect_stage(
     pos: tuple[np.ndarray, np.ndarray, np.ndarray],
     neg: tuple[np.ndarray, np.ndarray, np.ndarray],
     f: float,
-    clip_mask: np.ndarray,
-    do_clip: bool,
+    floors: np.ndarray,
+    mass: np.ndarray,
+    cond: np.ndarray,
+    ring: np.ndarray,
 ) -> None:
-    """One fused stage ``out = base + f * tend(s)`` on the member stack.
+    """One fused stage ``out = max(base + f * tend(s), floors)`` on the stack.
 
-    ``s``/``base``/``out`` are ``(nm, ni, nk, nj, ns)`` and
-    ``pos``/``neg`` the member-stacked ``(nm, ni, nk, nj)`` wind
-    decompositions; one C call advances every member.
+    ``s``/``base``/``out`` are ``(nm, ni, nk, nj, ns)`` and may all be
+    the same block: the kernel computes each row into ``ring`` (of
+    :func:`ring_shape`) and stores it once the next row is done.
+    ``pos``/``neg`` are the member-stacked ``(nm, ni, nk, nj)`` wind
+    decompositions, ``floors``/``mass`` per-scalar, and ``cond`` the
+    ``(nm, ni, nk, nj)`` condensate ``sum_n out[n] * mass[n]`` the
+    sweep writes; one C call advances every member.
     """
     nm, ni, nk, nj, ns = s.shape
+    if (
+        base.shape != s.shape
+        or out.shape != s.shape
+        or floors.shape != (ns,)
+        or mass.shape != (ns,)
+        or cond.shape != s.shape[:4]
+        or ring.shape != ring_shape(s.shape)
+        or any(w.shape != s.shape[:4] for w in (*pos, *neg))
+    ):
+        raise ValueError("advect_stage: operand shapes do not match the block")
     lib.advect_stage(
         s, base, out,
         pos[0], neg[0], pos[1], neg[1], pos[2], neg[2],
         float(f), nm, ni, nk, nj, ns,
-        clip_mask, 1 if do_clip else 0,
+        floors, mass, cond, ring,
     )

@@ -188,7 +188,10 @@ class RankState:
     #: rank of every decomposition.
     pressure_levels: np.ndarray
     w_start: int
-    clip_slices: tuple
+    #: Per-scalar clamp after each transport step (0.0, or -inf for t/w).
+    floors: np.ndarray
+    #: Per-scalar bin mass for the condensate sum (0 for t, qv and w).
+    scalar_masses: np.ndarray
 
 
 def build_rank_state(
@@ -235,6 +238,8 @@ def build_rank_state(
     bins = [slices[f"bin_{sp.value}"] for sp in Species]
     p_one = fields[0].pressure_mb[sl]
     rho_one = fields[0].rho[sl]
+    scalar_masses = np.zeros(fields[0].scalar_count())
+    scalar_masses[bins[0].start : bins[-1].stop] = fields[0].micro.packed_masses
     return RankState(
         rank=rank,
         block=block,
@@ -256,7 +261,8 @@ def build_rank_state(
         rho_o=np.broadcast_to(rho_one[None], (nm, *rho_one.shape)),
         pressure_levels=fields[0].p_mb_col[sl[1]],
         w_start=slices["w"].start,
-        clip_slices=fields[0].layout.clip_slices(no_clip=("t", "w")),
+        floors=fields[0].layout.floors(no_clip=("t", "w")),
+        scalar_masses=scalar_masses,
     )
 
 
@@ -400,13 +406,18 @@ def transport_charges(
 def transport_numerics(namelist: Namelist, rs: RankState) -> None:
     """Advect every member's scalars; apply the buoyancy updates.
 
-    Numerics: one donor-cell sweep of the whole stacked block — single
-    Euler stage (default) or full RK3 (``use_rk3_numerics``) — over one
-    stacked wind decomposition, hoisted out of the scalar loop. Both
-    are elementwise in the member axis, so member ``m``'s result is
-    bitwise a one-member sweep's. The trailing buoyancy update stays
-    per member: it contracts each member's packed bins (a BLAS call,
-    which must not see other members' rows).
+    Numerics: one donor-cell sweep of the whole stacked block, in place
+    — single Euler stage (default) or full RK3 (``use_rk3_numerics``) —
+    over one stacked wind decomposition, hoisted out of the scalar
+    loop. Both are elementwise in the member axis, so member ``m``'s
+    result is bitwise a one-member sweep's. On the compiled path the
+    sweep also returns each cell's condensate, summed from the cell's
+    own bins in a fixed order, which feeds the per-member buoyancy
+    update: no block copy and no second read of the block, and the
+    buoyancy input does not depend on BLAS call shapes, the member
+    count or the decomposition. The numpy fallback contracts each
+    member's packed bins instead (a BLAS call per member, which must
+    not see other members' rows).
 
     The span mirrors the ``rk_scalar_tend``/``rk_update_scalar`` clock
     regions' work under one measured name; ``flops`` counts the stages
@@ -423,13 +434,13 @@ def transport_numerics(namelist: Namelist, rs: RankState) -> None:
             namelist.domain.dx, namelist.domain.dz,
         )
         advect = fused_rk3_advect if namelist.use_rk3_numerics else fused_euler_advect
-        result = advect(block, split, dt, rs.workspace, rs.clip_slices)
-        if result is not block:
-            # One block-to-block copy (the numpy fallback already
-            # advected the block in place).
-            block[...] = result
-        for f in rs.fields:
-            condensate = f.micro.total_condensate_mass()
+        cond = advect(
+            block, split, dt, rs.workspace, rs.floors, rs.scalar_masses
+        )
+        for m, f in enumerate(rs.fields):
+            condensate = (
+                f.micro.total_condensate_mass() if cond is None else cond[m]
+            )
             buoyancy_w_update(f.w, f.t, f.t_base_col, condensate, f.rho, dt)
         if sp is not None:
             cell_scalars = float(block.size)

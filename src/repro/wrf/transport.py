@@ -10,7 +10,7 @@ plus the intermediate products), reallocated on every call.
 This module is the Python analog of the paper's stage-3 transformation:
 
 * :class:`TransportWorkspace` plays the role of the ``temp_arrays``
-  module — every tendency/stage buffer is preallocated once per
+  module — every scratch buffer is preallocated once per
   ``(shape, nscalars, dtype)`` and reused for the life of the run, the
   host-side ``target enter data map(alloc:)``;
 * the fused kernels below play the role of the fully ``collapse``d
@@ -18,10 +18,12 @@ This module is the Python analog of the paper's stage-3 transformation:
   contiguous ``(nm, ni, nk, nj, nscalar)`` superblock per rank (the
   resident fields of :meth:`repro.wrf.state.WrfFields.bind_block`)
   and is advected in a single sweep. When the system C compiler is
-  available the sweep is one truly fused loop nest
-  (:mod:`repro.wrf.cstencil`): every value read once, written once, no
-  temporaries — otherwise a sliced in-place numpy stencil runs through
-  preallocated buffers instead of rolled copies.
+  available the Euler step is one compiled pass over the block
+  (:mod:`repro.wrf.cstencil`): every value read once and written back
+  in place through a two-row ring, clipped in the store, with each
+  cell's condensate summed on the way — otherwise a sliced in-place
+  numpy stencil runs through preallocated buffers instead of rolled
+  copies.
 
 Workspaces are registered in the :mod:`repro.core.cache` registry
 (cache ``"wrf.transport_workspace"``), so tests and the benchmark
@@ -45,12 +47,6 @@ from repro.core.cache import get_cache
 from repro.obs import tracer
 from repro.wrf import cstencil
 from repro.wrf.dynamics import RK3_FRACTIONS, WindSplit
-
-#: Buffers a full fused RK3 step needs; Euler uses fewer. ``tend``
-#: accumulates the tendency, ``diff``/``hi``/``lo`` hold the numpy
-#: path's per-axis stencil pieces, ``phi0``/``stage`` the RK3 stage
-#: state.
-WORKSPACE_BUFFERS = ("tend", "diff", "hi", "lo", "phi0", "stage")
 
 
 @dataclass(frozen=True)
@@ -83,46 +79,38 @@ class ScalarLayout:
             offset += width
         return out
 
-    def clip_slices(self, no_clip: tuple[str, ...] = ("t", "w")) -> tuple[slice, ...]:
-        """Trailing-axis slices covering every clipped scalar.
-
-        Adjacent clipped fields are merged into one slice so the
-        vectorized ``np.maximum`` touches as few regions as possible
-        (two for the standard layout: ``qv`` and all bins).
-        """
-        runs: list[list[int]] = []
-        offset = 0
-        for name, width in self.entries:
-            if name not in no_clip:
-                if runs and runs[-1][1] == offset:
-                    runs[-1][1] = offset + width
-                else:
-                    runs.append([offset, offset + width])
-            offset += width
-        return tuple(slice(lo, hi) for lo, hi in runs)
-
     @lru_cache(maxsize=None)
-    def clip_mask(self, no_clip: tuple[str, ...] = ("t", "w")) -> np.ndarray:
-        """Per-scalar uint8 mask (1 = clamp at zero), for the C kernel."""
-        mask = np.ones(self.nscalars, dtype=np.uint8)
+    def floors(self, no_clip: tuple[str, ...] = ("t", "w")) -> np.ndarray:
+        """Per-scalar lower bound applied after each update (read-only).
+
+        0.0 clamps a scalar at zero; -inf (the ``no_clip`` fields)
+        never binds, since no value compares below it.
+        """
+        floors = np.zeros(self.nscalars)
         for name in no_clip:
             sl = self.slices().get(name)
             if sl is not None:
-                mask[sl] = 0
-        return mask
+                floors[sl] = -np.inf
+        floors.flags.writeable = False
+        return floors
 
 
 class TransportWorkspace:
     """Preallocated per-rank buffers for the fused transport kernels.
 
     The Python analog of the paper's Listing-8 ``temp_arrays`` module:
-    one flat float pool per buffer name, allocated on first use at the
-    superblock size and handed out as shaped views, so repeated steps
-    perform zero heap allocations. ``allocations`` counts pool
-    (re)allocations — a reuse test can assert it stays flat across
-    steps the same way the paper checks ``map(alloc:)`` happens once.
-    ``shape`` is the block's grid shape without the scalar axis — the
-    model's ``(nm, ni, nk, nj)`` member stack.
+    one flat float pool per buffer name, sized by the largest request
+    and handed out as shaped views, so repeated steps perform zero heap
+    allocations. Pools are sized by request, not rounded up to a block:
+    the compiled Euler step's ``ring`` is two rows and its ``cond`` one
+    value per cell (RK3 adds the block-sized ``stage``/``tend`` for its
+    first two stages; the numpy path uses ``tend``, the per-axis
+    stencil pieces ``diff``/``hi``/``lo`` and RK3's ``phi0``/``stage``).
+    ``allocations`` counts pool (re)allocations — a
+    reuse test can assert it stays flat across steps the same way the
+    paper checks ``map(alloc:)`` happens once. ``shape`` is the block's
+    grid shape without the scalar axis — the model's ``(nm, ni, nk,
+    nj)`` member stack.
     """
 
     def __init__(
@@ -137,27 +125,18 @@ class TransportWorkspace:
         self._pools: dict[str, np.ndarray] = {}
         self.allocations = 0
 
-    @property
-    def block_elems(self) -> int:
-        """Elements in one full superblock-shaped buffer."""
-        n = self.nscalars
-        for s in self.shape:
-            n *= s
-        return n
-
     def buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """A shaped view of the named pool (allocated on first use).
+        """A shaped view of the named pool (grown on a larger request).
 
-        Contents are unspecified — callers fully overwrite the view.
-        Requests never exceed the superblock size for this workspace's
-        ``(shape, nscalars)``, so each pool is allocated exactly once.
+        Contents are unspecified — callers fully overwrite the view. A
+        pool grows only while the first step issues its largest request
+        (the numpy stencil's per-axis pieces differ in shape); later
+        steps reuse it.
         """
         n = int(np.prod(shape, dtype=np.int64))
         pool = self._pools.get(name)
         if pool is None or pool.size < n:
-            self._pools[name] = pool = np.empty(
-                max(n, self.block_elems), dtype=self.dtype
-            )
+            self._pools[name] = pool = np.empty(n, dtype=self.dtype)
             self.allocations += 1
         return pool[:n].reshape(shape)
 
@@ -278,40 +257,32 @@ def fused_upwind_tend(
     return out
 
 
-def _clip(block: np.ndarray, clip_slices: tuple[slice, ...]) -> None:
-    for sl in clip_slices:
-        view = block[..., sl]
-        np.maximum(view, 0.0, out=view)
-
-
-def _mask_from_slices(
-    nscalars: int, clip_slices: tuple[slice, ...]
-) -> np.ndarray:
-    mask = np.zeros(nscalars, dtype=np.uint8)
-    for sl in clip_slices:
-        mask[sl] = 1
-    return mask
-
-
 def fused_euler_advect(
     block: np.ndarray,
     split: WindSplit,
     dt: float,
     ws: TransportWorkspace,
-    clip_slices: tuple[slice, ...] = (),
-) -> np.ndarray:
-    """Single-Euler-stage donor-cell update of the member stack.
+    floors: np.ndarray,
+    mass: np.ndarray,
+) -> np.ndarray | None:
+    """Single-Euler-stage donor-cell update of the member stack, in place.
 
     ``block`` is the ``(nm, ni, nk, nj, ns)`` superblock and ``split``
     the member-stacked ``(nm, ni, nk, nj)`` wind decomposition
     (``WindSplit.build`` is elementwise, so building it on stacked
     winds equals the per-member builds bit for bit). Mirrors the
-    per-field ``arr += dt * rk_scalar_tend(arr, split)`` (then
-    per-field clipping) for every packed scalar of every member at
-    once, and returns the advected block. With the compiled stencil
-    available the update is one fused out-of-place loop nest and the
-    returned array is the workspace's ``tend`` buffer; the numpy
-    fallback updates ``block`` in place and returns it.
+    per-field ``arr += dt * rk_scalar_tend(arr, split)``, then the
+    clamp at ``floors`` (:meth:`ScalarLayout.floors`), for every
+    packed scalar of every member at once.
+
+    With the compiled stencil available the update is one pass over
+    the block: each row is computed from unmodified rows into the
+    workspace's two-row ring and written back once the next row is
+    done, and the same sweep sums each cell's condensate
+    ``sum_n block[..., n] * mass[n]`` in a fixed lane order. That
+    ``(nm, ni, nk, nj)`` condensate (a workspace buffer) is returned;
+    no block-sized buffer is touched. The numpy fallback returns
+    ``None`` and leaves the condensate to the caller.
     """
     lib = cstencil.load_stencil()
     with tracer.span("advect_euler", cat="kernel") as sp:
@@ -322,19 +293,19 @@ def fused_euler_advect(
                 members=block.shape[0],
             )
         if lib is not None:
-            out = ws.buffer("tend", block.shape)
-            mask = _mask_from_slices(block.shape[-1], clip_slices)
+            cond = ws.buffer("cond", block.shape[:4])
             cstencil.advect_stage(
-                lib, block, block, out, split.pos, split.neg, dt, mask,
-                do_clip=bool(clip_slices),
+                lib, block, block, block, split.pos, split.neg, dt,
+                floors, mass, cond,
+                ws.buffer("ring", cstencil.ring_shape(block.shape)),
             )
-            return out
+            return cond
         tend = ws.buffer("tend", block.shape)
         fused_upwind_tend(block, split, tend, ws)
         np.multiply(tend, dt, out=tend)
         block += tend
-        _clip(block, clip_slices)
-        return block
+        np.maximum(block, floors, out=block)
+        return None
 
 
 def fused_rk3_advect(
@@ -342,16 +313,19 @@ def fused_rk3_advect(
     split: WindSplit,
     dt: float,
     ws: TransportWorkspace,
-    clip_slices: tuple[slice, ...] = (),
-) -> np.ndarray:
-    """WRF-ARW's three-stage RK3 update of the member stack.
+    floors: np.ndarray,
+    mass: np.ndarray,
+) -> np.ndarray | None:
+    """WRF-ARW's three-stage RK3 update of the member stack, in place.
 
     The stage recurrence ``phi* = phi0 + (dt*frac) L(stage)`` runs on
     the workspace's buffers — no per-stage allocations — with the same
     stage fractions and operation order as
-    :func:`repro.wrf.dynamics.rk3_advect`, returning the advected
-    block (a workspace buffer on the compiled path, ``block`` itself
-    on the numpy fallback). Shapes as in :func:`fused_euler_advect`.
+    :func:`repro.wrf.dynamics.rk3_advect`, clamping at ``floors``
+    after the last stage. Shapes and the return value as in
+    :func:`fused_euler_advect`: on the compiled path the first two
+    stages go to two workspace buffers, the last stage writes ``block``
+    itself (through the same ring), and its condensate is returned.
     """
     lib = cstencil.load_stencil()
     with tracer.span("advect_rk3", cat="kernel") as sp:
@@ -362,23 +336,24 @@ def fused_rk3_advect(
                 members=block.shape[0],
             )
         if lib is not None:
-            # `block` stays untouched and serves as phi0; the two stage
-            # outputs ping-pong between the stage/tend buffers.
-            mask = _mask_from_slices(block.shape[-1], clip_slices)
+            # `block` is phi0 for every stage and receives the last one.
+            cond = ws.buffer("cond", block.shape[:4])
+            ring = ws.buffer("ring", cstencil.ring_shape(block.shape))
+            unclamped = np.full_like(floors, -np.inf)
             bufs = (
                 ws.buffer("stage", block.shape),
                 ws.buffer("tend", block.shape),
             )
             stage: np.ndarray = block
             for idx, frac in enumerate(RK3_FRACTIONS):
-                out = bufs[idx % 2]
                 last = idx == len(RK3_FRACTIONS) - 1
+                out = block if last else bufs[idx]
                 cstencil.advect_stage(
                     lib, stage, block, out, split.pos, split.neg, dt * frac,
-                    mask, do_clip=last and bool(clip_slices),
+                    floors if last else unclamped, mass, cond, ring,
                 )
                 stage = out
-            return stage
+            return cond
         phi0 = ws.buffer("phi0", block.shape)
         phi0[...] = block
         stage_buf = ws.buffer("stage", block.shape)
@@ -390,5 +365,5 @@ def fused_rk3_advect(
             stage_buf += phi0
             stage = stage_buf
         block[...] = stage
-        _clip(block, clip_slices)
-        return block
+        np.maximum(block, floors, out=block)
+        return None

@@ -8,12 +8,14 @@ from repro.codee.loopir import (
     Assign,
     Const,
     Decl,
+    If,
     Kernel,
     Let,
     Load,
     LocalArray,
     Loop,
     ScalarParam,
+    Select,
     Store,
     Sym,
 )
@@ -395,6 +397,123 @@ class TestInnerLoops:
     def test_parallel_nests_get_no_inner_report(self):
         plan = plan_offload(_copy2d())
         assert plan.inner == {}
+
+
+def _row_stencil(lo=Sym("rm"), store_row=Sym("r"), guard=False):
+    """out[r, k] = src[lo, k] + src[rp, k] over rows r of nr.
+
+    ``rm``/``rp`` are the edge-clamped rows r - 1 and r + 1. ``lo`` is
+    the low-side row read, ``store_row`` the row written; ``guard`` puts
+    the store under a condition, so some rows would keep stale values.
+    """
+    r, k = Sym("r"), Sym("k")
+    nr, nk = Sym("nr"), Sym("nk")
+    store = Store(
+        "out",
+        (store_row, k),
+        Load("src", (lo, k)) + Load("src", (Sym("rp"), k)),
+    )
+    body = [
+        Let("rm", Select(r.gt(0), r - 1, r), "long"),
+        Let("rp", Select(r.lt(nr - 1), r + 1, r), "long"),
+        Loop("k", Const(0), nk, [
+            If(Load("src", (r, k)).gt(Const(0.0)), [store]) if guard else store
+        ]),
+    ]
+    return Kernel(
+        name="row_stencil",
+        params=(
+            ArrayParam("src", strides=(nk, Const(1))),
+            ArrayParam("out", strides=(nk, Const(1)), intent="out"),
+            ScalarParam("nr", "long"),
+            ScalarParam("nk", "long"),
+        ),
+        body=[Loop("r", Const(0), nr, body)],
+    )
+
+
+class TestRingRows:
+    def test_host_plan_rings_the_advect_stencil(self):
+        from repro.wrf.cstencil import build_advect_ir
+
+        plan = transform.plan_host(build_advect_ir())
+        assert [lp.var for lp in plan.kernel.loops()] == ["r"]
+        assert not any(lp.parallel for lp in plan.kernel.loops())
+        arrays = plan.kernel.arrays()
+        # s, base and out may be one block: one alias group, no restrict.
+        group = {n for n, p in arrays.items() if p.alias_group}
+        assert group == {"s", "base", "out"}
+        assert len({arrays[n].alias_group for n in group}) == 1
+        assert not any(arrays[n].restrict for n in group)
+        # The scratch is two rows of out's layout.
+        ring = arrays["out_ring"]
+        assert ring.intent == "scratch"
+        assert ring.strides == arrays["out"].strides
+        ring_pass = next(p for p in plan.passes if p.name == "ring_rows")
+        assert ring_pass.applied
+        assert "s, base read only at rows r - 1 .. r + 1" in ring_pass.detail
+        assert "2-row out_ring" in ring_pass.detail
+        # The proof is the pre-rewrite analysis: depth 3, kept.
+        assert plan.reports["r"].parallel_depth == 3
+
+    def test_offload_plan_stays_out_of_place(self):
+        from repro.wrf.cstencil import build_advect_ir
+
+        plan = plan_offload(build_advect_ir())
+        assert not any(p.name == "ring_rows" for p in plan.passes)
+        assert not any(p.alias_group for p in plan.kernel.arrays().values())
+
+    def test_refuses_a_read_two_rows_back(self):
+        k = _row_stencil(lo=Sym("r") - 2)
+        res = transform.ring_rows(k, k.body[0])
+        assert not res.applied
+        assert res.detail == (
+            "src is read at rows r - 2, r, r + 1, outside r - 1 .. r + 1"
+        )
+        assert "out_ring" not in k.arrays()
+
+    def test_refuses_a_store_off_the_row(self):
+        k = _row_stencil(store_row=Sym("r") + 1)
+        res = transform.ring_rows(k, k.body[0])
+        assert not res.applied
+        assert res.detail == "out is stored at rows r + 1, not at row r alone"
+
+    def test_refuses_a_store_that_may_skip_part_of_the_row(self):
+        k = _row_stencil(guard=True)
+        res = transform.ring_rows(k, k.body[0])
+        assert not res.applied
+        assert "do not provably cover its whole row" in res.detail
+
+    def test_refuses_a_parallel_row_loop(self):
+        k = _row_stencil()
+        k.body[0].parallel = True
+        assert not transform.ring_rows(k, k.body[0]).applied
+
+    def test_ringed_fixture_runs_in_place(self, tmp_path):
+        """The rewritten kernel called with out == src gives the
+        out-of-place result, for every row count including 1."""
+        import ctypes
+
+        import numpy as np
+
+        from repro.codee import cgen
+
+        k = _row_stencil()
+        assert transform.ring_rows(k, k.body[0]).applied
+        module = cgen.build_module("ring_fixture", [k], build_dir=tmp_path)
+        lib = module.load()
+        if lib is None:
+            pytest.skip(module.load_error)
+        dp = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
+        lib.row_stencil.argtypes = [dp, dp, ctypes.c_long, ctypes.c_long, dp]
+        rng = np.random.default_rng(1)
+        for nr in (1, 2, 3, 7):
+            src = rng.standard_normal((nr, 5))
+            rows = np.arange(nr)
+            want = src[np.maximum(rows - 1, 0)] + src[np.minimum(rows + 1, nr - 1)]
+            block = src.copy()
+            lib.row_stencil(block, block, nr, 5, np.full((2, 5), np.nan))
+            assert np.array_equal(block, want)
 
 
 class TestProductionDerivations:

@@ -33,8 +33,8 @@ def _load_trace_check():
 trace_check = _load_trace_check()
 
 
-def span(name, rank, ts, dur, tid=1, attrs=None, cat="model"):
-    return Event(name, cat, "X", rank, tid, ts, dur, attrs)
+def span(name, rank, ts, dur, tid=1, attrs=None, cat="model", pid=100):
+    return Event(name, cat, "X", rank, tid, ts, dur, attrs, pid)
 
 
 class TestTraceEvents:
@@ -126,13 +126,26 @@ class TestSelfTimes:
         assert agg["outer"]["self_ns"] == 50
         assert agg["child"] == {"count": 2, "total_ns": 50, "self_ns": 50}
 
-    def test_tracks_do_not_cross_ranks(self):
-        # Same thread id but different ranks = different timelines:
-        # rank 1's span is not a child of rank 0's.
-        evs = [span("a", 0, 0, 100), span("b", 1, 10, 30)]
+    def test_spans_on_one_thread_nest_across_ranks(self):
+        # One thread of one process is one timeline, whatever rank a
+        # span is credited to: a serial run steps rank 0 inside the
+        # driver's (rank -1) solve_em.
+        evs = [span("a", -1, 0, 100), span("b", 0, 10, 30)]
+        agg = export.self_times(evs)
+        assert agg["a"]["self_ns"] == 70
+        assert agg["b"]["self_ns"] == 30
+
+    def test_tracks_do_not_cross_processes(self):
+        # A forked worker's main thread can carry the driver's thread
+        # ident: the process id keeps their timelines apart.
+        evs = [span("a", -1, 0, 100, pid=100), span("b", 0, 10, 30, pid=101)]
         agg = export.self_times(evs)
         assert agg["a"]["self_ns"] == 100
         assert agg["b"]["self_ns"] == 30
+
+    def test_events_round_trip_with_their_pid(self):
+        e = span("a", 0, 0, 1, pid=4242)
+        assert Event.from_tuple(e.to_tuple()).pid == 4242
 
     def test_table_renders_top_n(self):
         evs = [span("hot", 0, 0, 100), span("cold", 0, 200, 10)]

@@ -125,6 +125,46 @@ class TestModesRecordSameSpans:
         assert halos and all("bw_pct" in e.attrs for e in halos)
 
 
+def _wall(events) -> int:
+    spans = [e for e in events if e.ph == "X"]
+    return max(e.ts + e.dur for e in spans) - min(e.ts for e in spans)
+
+
+class TestSelfTimesAddUp:
+    def test_serial_self_times_fit_the_wall(self):
+        """One rank steps on the driver's thread, inside solve_em: the
+        rank's spans are solve_em's children, so the self times add up
+        to at most the wall time instead of counting it twice."""
+        nl = conus12km_namelist(scale=0.02, num_ranks=1, trace=True)
+        model = WrfModel(nl)
+        try:
+            model.run(num_steps=3)
+        finally:
+            model.close()
+        events = tracer.drain()
+        agg = export.self_times(events)
+        total = sum(a["self_ns"] for a in agg.values())
+        assert total <= _wall(events) * 1.001
+        assert agg["solve_em"]["self_ns"] < 0.5 * agg["solve_em"]["total_ns"]
+
+    def test_process_ranks_keep_worker_spans_apart(self):
+        """Worker spans are credited to their ranks, stamped with their
+        own pid, and never nest under the driver's spans."""
+        events = [e for e in _traced_run(use_process_ranks=True) if e.ph == "X"]
+        driver = {e.pid for e in events if e.name == "solve_em"}
+        assert len(driver) == 1
+        by_rank = {e.rank: e.pid for e in events if e.name == "physics"}
+        assert sorted(by_rank) == [0, 1]
+        assert len(set(by_rank.values()) | driver) == 3
+        alone = export.self_times([e for e in events if e.pid in driver])
+        assert export.self_times(events)["solve_em"] == alone["solve_em"]
+        for rank, pid in by_rank.items():
+            own = [e for e in events if e.pid == pid]
+            assert {e.rank for e in own} == {rank}
+            total = sum(a["self_ns"] for a in export.self_times(own).values())
+            assert total <= _wall(own) * 1.001
+
+
 class TestCoalEngineAttr:
     """The physics span names the engines that actually ran the
     collisions, the condensation and the freezing/melting."""

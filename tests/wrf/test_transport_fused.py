@@ -3,9 +3,11 @@
 The contract under test: the fused kernels (sliced numpy stencil or
 compiled C stencil) on a member-stacked superblock reproduce the
 per-field ``rk_scalar_tend``/``rk3_advect`` numerics of every member to
-~1e-14 — the per-field loop lives here, as the oracle — and the model
+~1e-14 — the per-field loop lives here, as the oracle — the compiled
+in-place sweep equals the numpy path bit for bit (modulo signed zeros)
+and sums each cell's condensate in a fixed lane order, and the model
 performs zero heap allocations after warmup (the ``map(alloc:)``
-analogy).
+analogy) while pinning no block-sized buffer.
 """
 
 from __future__ import annotations
@@ -67,6 +69,25 @@ def _reference_tend(block, split):
     )
 
 
+def _floors(clipped):
+    """Per-scalar floors: 0.0 where clipped, -inf elsewhere."""
+    return np.where(np.asarray(clipped, dtype=bool), 0.0, -np.inf)
+
+
+def _lane_condensate(block, mass, lanes=cstencil.CONDENSATE_LANES):
+    """The kernel's fixed-order condensate: lane ``n % lanes`` sums
+    ``block[..., n] * mass[n]`` over ascending ``n`` from 0.0, then the
+    lanes add up in order."""
+    prod = block * mass
+    acc = np.zeros((*block.shape[:-1], lanes))
+    for n in range(block.shape[-1]):
+        acc[..., n % lanes] += prod[..., n]
+    total = acc[..., 0].copy()
+    for lane in range(1, lanes):
+        total += acc[..., lane]
+    return total
+
+
 def _per_field_advect(block, split, dt, clipped, rk3):
     """The per-field oracle: every scalar of every member advected on
     its own through ``rk_scalar_tend``/``rk3_advect``."""
@@ -116,14 +137,51 @@ class TestFusedTendProperty:
             entries=tuple((f"s{n}", 1) for n in range(ns))
         )
         no_clip = tuple(f"s{n}" for n in range(0, ns, 2))
-        clip_slices = layout.clip_slices(no_clip=no_clip)
+        floors = layout.floors(no_clip=no_clip)
         dt = 3.0
         clipped = [f"s{n}" not in no_clip for n in range(ns)]
         ref = _per_field_advect(block, split, dt, clipped, rk3)
         ws = TransportWorkspace(block.shape[:4], ns)
         advect = fused_rk3_advect if rk3 else fused_euler_advect
-        result = advect(block, split, dt, ws, clip_slices)
-        np.testing.assert_allclose(result, ref, rtol=0.0, atol=1e-13)
+        advect(block, split, dt, ws, floors, np.ones(ns))
+        np.testing.assert_allclose(block, ref, rtol=0.0, atol=1e-13)
+
+
+def _numpy_advect(advect, block, split, dt, floors, mass):
+    """``advect`` on a copy of ``block`` with the stencil switched off."""
+    import os
+
+    got = block.copy()
+    os.environ[cstencil.DISABLE_ENV] = "1"
+    try:
+        ws = TransportWorkspace(block.shape[:4], block.shape[-1])
+        assert advect(got, split, dt, ws, floors, mass) is None
+    finally:
+        os.environ.pop(cstencil.DISABLE_ENV, None)
+    return got
+
+
+#: Draws for the in-place sweep: 1-3 members, extents including 1 (a
+#: one-row member makes every row both a first and a last row of the
+#: ring), and a clip flag per scalar.
+SWEEPS = dict(
+    shape4=st.tuples(
+        st.integers(1, 7), st.integers(1, 6), st.integers(1, 5),
+        st.integers(1, 3 * cstencil.CONDENSATE_LANES + 3),
+    ),
+    members=st.integers(1, 3),
+    seed=st.integers(0, 2**31 - 1),
+    clip_bits=st.integers(0, 2**27 - 1),
+)
+
+
+def _sweep_problem(shape4, members, seed, clip_bits):
+    rng = np.random.default_rng(seed)
+    split, block = _random_problem(rng, shape4, members)
+    ns = shape4[3]
+    floors = _floors([(clip_bits >> n) & 1 for n in range(ns)])
+    mass = rng.uniform(0.0, 1.0, ns) * (rng.random(ns) < 0.8)
+    return split, block, floors, mass
 
 
 @pytest.mark.skipif(
@@ -131,65 +189,76 @@ class TestFusedTendProperty:
     reason=f"compiled stencil unavailable: {cstencil.load_error}",
 )
 class TestCompiledStencil:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        shape4=SHAPES,
-        members=st.integers(1, 3),
-        seed=st.integers(0, 2**31 - 1),
-        rk3=st.booleans(),
-    )
-    def test_c_path_matches_numpy_path(self, shape4, members, seed, rk3):
-        import os
-
-        rng = np.random.default_rng(seed)
-        split, block = _random_problem(rng, shape4, members)
-        ns = shape4[3]
-        clip_slices = (slice(1, ns),) if ns > 1 else ()
-        dt = 3.0
+    @settings(max_examples=60, deadline=None)
+    @given(**SWEEPS, rk3=st.booleans())
+    def test_c_path_matches_numpy_path(
+        self, shape4, members, seed, clip_bits, rk3
+    ):
+        """One compiled pass, in place through the ring, gives the numpy
+        fused path's values (== treats -0.0 and 0.0 as equal) and the
+        fixed-lane-order condensate of the values it stored. RK3 runs
+        its stages through the same ring kernel with the output apart
+        from the stage input (the last stage writes the block that is
+        also ``phi0``) and returns the last stage's condensate."""
+        split, block, floors, mass = _sweep_problem(
+            shape4, members, seed, clip_bits
+        )
         advect = fused_rk3_advect if rk3 else fused_euler_advect
-
-        ws_c = TransportWorkspace(block.shape[:4], ns)
-        got_c = advect(block.copy(), split, dt, ws_c, clip_slices).copy()
-
-        os.environ[cstencil.DISABLE_ENV] = "1"
-        try:
-            ws_np = TransportWorkspace(block.shape[:4], ns)
-            got_np = advect(block.copy(), split, dt, ws_np, clip_slices).copy()
-        finally:
-            os.environ.pop(cstencil.DISABLE_ENV, None)
-        np.testing.assert_allclose(got_c, got_np, rtol=0.0, atol=1e-13)
+        want = _numpy_advect(advect, block, split, 3.0, floors, mass)
+        ws = TransportWorkspace(block.shape[:4], shape4[3])
+        cond = advect(block, split, 3.0, ws, floors, mass)
+        assert np.array_equal(block, want)
+        assert np.array_equal(cond, _lane_condensate(block, mass))
 
     @settings(max_examples=15, deadline=None)
-    @given(
-        shape4=SHAPES,
-        members=st.integers(2, 4),
-        seed=st.integers(0, 2**31 - 1),
-    )
+    @given(**{**SWEEPS, "members": st.integers(2, 4)})
     def test_member_stack_equals_one_member_calls_bitwise(
-        self, shape4, members, seed
+        self, shape4, members, seed, clip_bits
     ):
         """The stencil folds the members' rows into one row loop; each
-        member's slice must equal a one-member call exactly."""
-        rng = np.random.default_rng(seed)
-        split, block = _random_problem(rng, shape4, members)
+        member's slice, and its condensate, must equal a one-member call
+        exactly."""
+        split, block, floors, mass = _sweep_problem(
+            shape4, members, seed, clip_bits
+        )
         ns = shape4[3]
-        clip_slices = (slice(1, ns),) if ns > 1 else ()
-        stacked = fused_euler_advect(
-            block.copy(), split, 3.0,
-            TransportWorkspace(block.shape[:4], ns), clip_slices,
+        stacked = block.copy()
+        cond = fused_euler_advect(
+            stacked, split, 3.0, TransportWorkspace(block.shape[:4], ns),
+            floors, mass,
         ).copy()
         for m in range(members):
-            one = fused_euler_advect(
-                block[m : m + 1].copy(),
+            one = block[m : m + 1].copy()
+            one_cond = fused_euler_advect(
+                one,
                 WindSplit(
                     pos=tuple(p[m : m + 1] for p in split.pos),
                     neg=tuple(n[m : m + 1] for n in split.neg),
                 ),
                 3.0,
                 TransportWorkspace((1, *shape4[:3]), ns),
-                clip_slices,
+                floors,
+                mass,
             )
             assert np.array_equal(stacked[m], one[0])
+            assert np.array_equal(cond[m], one_cond[0])
+
+    def test_mismatched_operands_are_refused(self):
+        rng = np.random.default_rng(0)
+        split, block = _random_problem(rng, (3, 2, 2, 4), 1)
+        ring = np.empty(cstencil.ring_shape(block.shape))
+        cond = np.empty(block.shape[:4])
+        with pytest.raises(ValueError):
+            cstencil.advect_stage(
+                cstencil.load_stencil(), block, block, block,
+                split.pos, split.neg, 1.0, np.zeros(3), np.zeros(4), cond, ring,
+            )
+        with pytest.raises(ValueError):
+            cstencil.advect_stage(
+                cstencil.load_stencil(), block, block, block,
+                split.pos, split.neg, 1.0, np.zeros(4), np.zeros(4), cond,
+                np.empty((1, *block.shape[2:])),
+            )
 
     def test_disable_env_forces_fallback(self, monkeypatch):
         monkeypatch.setenv(cstencil.DISABLE_ENV, "1")
@@ -205,13 +274,11 @@ class TestScalarLayout:
         sls = layout.slices()
         assert sls["t"] == slice(0, 1)
         assert sls["bin_b"] == slice(6, 8)
-        # t and w unclipped -> two merged runs: qv, then both bin blocks.
-        assert layout.clip_slices(no_clip=("t", "w")) == (
-            slice(1, 2),
-            slice(3, 8),
-        )
-        mask = layout.clip_mask(no_clip=("t", "w"))
-        assert mask.tolist() == [0, 1, 0, 1, 1, 1, 1, 1]
+        # t and w are never clamped: their floor is -inf.
+        floors = layout.floors(no_clip=("t", "w"))
+        inf = float("inf")
+        assert floors.tolist() == [-inf, 0, -inf, 0, 0, 0, 0, 0]
+        assert not floors.flags.writeable  # cached and shared
 
 
 def _model_blocks(nl, steps=1):
@@ -228,8 +295,8 @@ def _model_blocks(nl, steps=1):
                     rs.u, rs.v, rs.block[..., rs.w_start],
                     nl.domain.dx, nl.domain.dz,
                 ),
-                rs.clip_slices,
-                rs.fields[0].layout,
+                rs.floors,
+                rs.scalar_masses,
             )
             for rs in model.ranks
         ]
@@ -239,12 +306,11 @@ def _model_blocks(nl, steps=1):
 
 def _assert_kernels_match_per_field(nl, rk3):
     advect = fused_rk3_advect if rk3 else fused_euler_advect
-    for block, split, clip_slices, layout in _model_blocks(nl):
-        clipped = layout.clip_mask().astype(bool)
-        ref = _per_field_advect(block, split, nl.dt, clipped, rk3)
+    for block, split, floors, mass in _model_blocks(nl):
+        ref = _per_field_advect(block, split, nl.dt, floors == 0.0, rk3)
         ws = TransportWorkspace(block.shape[:4], block.shape[-1])
-        got = advect(block, split, nl.dt, ws, clip_slices)
-        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+        advect(block, split, nl.dt, ws, floors, mass)
+        np.testing.assert_allclose(block, ref, rtol=0.0, atol=1e-12)
 
 
 class TestModelEquivalence:
@@ -271,6 +337,57 @@ class TestModelEquivalence:
         probe.close()
         assert narrow
         _assert_kernels_match_per_field(nl, rk3=False)
+
+
+@pytest.mark.skipif(
+    cstencil.load_stencil() is None,
+    reason=f"compiled stencil unavailable: {cstencil.load_error}",
+)
+class TestCompiledModelTransport:
+    def test_condensate_matches_total_condensate_mass(self):
+        """The sweep's condensate is each cell's bins times their masses
+        (t, qv and w weigh 0), within rounding of the BLAS contraction."""
+        nl = conus12km_namelist(scale=0.04, num_ranks=1, members=2, seed=7)
+        model = WrfModel(nl)
+        try:
+            for _ in range(2):
+                model.step()
+            rs = model.ranks[0]
+            split = WindSplit.build(
+                rs.u, rs.v, rs.block[..., rs.w_start],
+                nl.domain.dx, nl.domain.dz,
+            )
+            cond = fused_euler_advect(
+                rs.block, split, nl.dt, rs.workspace, rs.floors,
+                rs.scalar_masses,
+            )
+            for m, f in enumerate(rs.fields):
+                blas = f.micro.total_condensate_mass()
+                assert (blas > 0).sum() > 100  # the storm has cloud
+                # Every term is non-negative after the clamp, so the two
+                # summation orders agree to a few ulps of the total.
+                assert np.all(np.abs(cond[m] - blas) <= 1e-15 * blas)
+                assert np.array_equal(
+                    cond[m], _lane_condensate(rs.block[m], rs.scalar_masses)
+                )
+        finally:
+            model.close()
+
+    def test_euler_path_pins_no_block_sized_pool(self):
+        """The in-place sweep needs the two-row ring and one condensate
+        value per cell: no tendency pool, no block copy."""
+        nl = conus12km_namelist(scale=0.04, num_ranks=1, seed=11)
+        model = WrfModel(nl)
+        try:
+            for _ in range(2):
+                model.step()
+            rs = model.ranks[0]
+            nm, ni, nk, nj, ns = rs.block.shape
+            ring = 2 * nk * nj * ns
+            assert rs.workspace.nbytes == 8 * (ring + nm * ni * nk * nj)
+            assert rs.workspace.nbytes < rs.block.nbytes / 4
+        finally:
+            model.close()
 
 
 class TestWorkspaceReuse:
