@@ -22,12 +22,19 @@ Two properties the emitter guarantees:
   raises :class:`~repro.errors.IRVerificationError` on any blocking
   finding — an illegal annotation is refused before a single line of
   C exists, which is the pipeline's whole point.
+
+The ctypes ABI of every emitted function comes from the same
+parameters as its C signature (:func:`ctypes_argtypes`), so nobody
+keeps a hand-written twin of it.
 """
 
 from __future__ import annotations
 
+import ctypes
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
+
+import numpy as np
 
 from repro.codee import irverify
 from repro.codee.loopir import (
@@ -55,6 +62,13 @@ from repro.core import cjit
 from repro.errors import IRVerificationError
 
 _INDENT = "    "
+
+#: The ctypes type of each IR element type.
+_CTYPES = {
+    "double": ctypes.c_double,
+    "long": ctypes.c_long,
+    "unsigned char": ctypes.c_ubyte,
+}
 
 
 def _lit(value: int | float) -> str:
@@ -217,6 +231,35 @@ def emit_module(kernels: Iterable[Kernel], banner: str = "") -> str:
     return "\n".join(parts)
 
 
+def ctypes_argtypes(kernel: Kernel) -> list:
+    """The ctypes argument types of one kernel, one per parameter.
+
+    Scalars pass by value as their ctypes type. Plain arrays pass as a
+    dtype-checked :func:`numpy.ctypeslib.ndpointer` with no layout
+    flag, because the kernel addresses them through its declared
+    element strides. ``ptr_table`` arrays pass as pointer-to-pointer (a
+    ctypes array of row pointers).
+    """
+    argtypes = []
+    for p in kernel.params:
+        ctype = _CTYPES[p.ctype]
+        if isinstance(p, ScalarParam):
+            argtypes.append(ctype)
+        elif p.ptr_table:
+            argtypes.append(ctypes.POINTER(ctypes.POINTER(ctype)))
+        else:
+            argtypes.append(np.ctypeslib.ndpointer(dtype=np.dtype(ctype)))
+    return argtypes
+
+
+def declare(lib: ctypes.CDLL, kernels: Iterable[Kernel]) -> None:
+    """Set every kernel function's ``argtypes`` and ``restype``."""
+    for kernel in kernels:
+        fn = getattr(lib, kernel.name)
+        fn.argtypes = ctypes_argtypes(kernel)
+        fn.restype = None
+
+
 def verify_kernels(
     kernels: Iterable[Kernel], config: VerifierConfig | None = None
 ) -> None:
@@ -238,7 +281,6 @@ def build_module(
     cflags: tuple[str, ...] = cjit.DEFAULT_CFLAGS,
     disable_env: str | None = None,
     build_dir: str | Path | None = None,
-    setup: Callable | None = None,
     config: VerifierConfig | None = None,
     banner: str = "",
 ) -> cjit.CJitModule:
@@ -247,7 +289,9 @@ def build_module(
     The returned :class:`~repro.core.cjit.CJitModule` behaves exactly
     like one wrapping a hand-written source string — same lazy
     compile, on-disk cache, kill switches, and ``load_error``
-    reporting — but its source has passed VFY006–VFY010 first.
+    reporting — but its source has passed VFY006–VFY010 first, and
+    the loaded library's functions carry the ctypes ABI derived from
+    the kernels' parameters (:func:`declare`).
     """
     kernels = list(kernels)
     verify_kernels(kernels, config)
@@ -257,5 +301,5 @@ def build_module(
         cflags=cflags,
         disable_env=disable_env,
         build_dir=build_dir,
-        setup=setup,
+        setup=lambda lib: declare(lib, kernels),
     )

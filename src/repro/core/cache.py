@@ -113,8 +113,8 @@ class CountingCache:
         """Drop one entry if present; returns whether it existed.
 
         Used by registries whose values own external resources (e.g.
-        the shared-memory superblock segments) and must leave the cache
-        when the resource is released, without clearing unrelated
+        the process-rank pool's shared superblocks) and must leave the
+        cache when the resource is released, without clearing unrelated
         entries. Not counted as an eviction.
         """
         with self._lock:

@@ -88,7 +88,8 @@ class CJitModule:
     :class:`ctypes.CDLL` to declare argument/return types. ``load``
     returns the library, or ``None`` with :attr:`load_error` explaining
     why (disabled via environment, no compiler, compile failure) —
-    callers treat ``None`` as "take the numpy path".
+    callers treat ``None`` as "take the numpy path". The first load
+    while tracing records one ``<name>.path`` instant saying which.
     """
 
     def __init__(
@@ -112,6 +113,7 @@ class CJitModule:
         self._lock = threading.Lock()
         self._lib: ctypes.CDLL | None = None
         self._attempted = False
+        self._path_traced = False
         #: Why the library is unavailable ("" while it is loaded).
         self.load_error: str = ""
         _registry[name] = self
@@ -170,14 +172,15 @@ class CJitModule:
         Compilation happens once per process (and the shared object is
         cached on disk across processes). The kill switches are checked
         on every call, so disabling a module mid-process sticks even if
-        the library loaded earlier.
+        the library loaded earlier. The first call while tracing is on
+        records a ``<name>.path`` instant: ``compiled`` (whether callers
+        get the library) and ``error`` (why not).
         """
         reason = self.disabled_reason()
-        if reason is not None:
-            self.load_error = reason
-            return None
         with self._lock:
-            if not self._attempted:
+            if reason is not None:
+                self.load_error = reason
+            elif not self._attempted:
                 self._attempted = True
                 # The one-time build/dlopen is the only load() call worth
                 # a span; the steady-state calls return the cached lib.
@@ -194,4 +197,9 @@ class CJitModule:
                             ok=self._lib is not None,
                             error=self.load_error,
                         )
-            return self._lib
+            lib = None if reason is not None else self._lib
+            if not self._path_traced and tracer.enabled():
+                self._path_traced = True
+                attrs = {"compiled": lib is not None, "error": self.load_error}
+                tracer.instant(f"{self.name}.path", cat="jit", attrs=attrs)
+            return lib

@@ -65,9 +65,9 @@ class ProcPoolError(ReproError):
 
     Raised by :mod:`repro.wrf.procpool` when a worker process dies or
     stops responding mid-step, or when the pool is driven after close.
-    The pool tears down every worker and unlinks all shared-memory
-    segments before raising, so a crashed run never leaks ``/dev/shm``
-    space.
+    The pool terminates and joins every worker and drops its shared
+    blocks before raising. The blocks are anonymous mappings, so even a
+    killed driver leaves nothing behind in ``/dev/shm``.
     """
 
 

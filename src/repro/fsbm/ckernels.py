@@ -103,7 +103,6 @@ from repro.codee.loopir import (
     Sym,
 )
 from repro.core import cjit
-from repro.obs import tracer
 
 #: Environment switch forcing the numpy physics fallback.
 DISABLE_ENV = "REPRO_DISABLE_CPHYS"
@@ -948,66 +947,6 @@ _specs = [
     )
 ]
 
-_c_double_p = ctypes.POINTER(ctypes.c_double)
-_c_long_p = ctypes.POINTER(ctypes.c_long)
-
-
-def _declare(lib: ctypes.CDLL) -> None:
-    lib.sed_sweep.restype = None
-    lib.sed_sweep.argtypes = [
-        ctypes.POINTER(_c_double_p),  # dists
-        _c_double_p,  # courant
-        _c_double_p,  # masses
-        _c_double_p,  # precip
-        ctypes.c_long, ctypes.c_long,  # nm, nsp
-        ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-        # ni, nk, nj, nkr
-        ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-        # sm, si, sk, sj
-        ctypes.c_long, ctypes.c_long, ctypes.c_long,  # pm, psi, psj
-        ctypes.POINTER(ctypes.c_ubyte),  # active
-    ]
-    lib.onecond.restype = None
-    lib.onecond.argtypes = [
-        _c_double_p,  # n
-        _c_long_p,  # rows
-        _c_double_p, _c_double_p,  # gc, qs
-        _c_double_p, _c_double_p, _c_double_p, _c_double_p,
-        # rho, qv, t, ccn
-        _c_double_p, _c_double_p,  # cr, masses
-        ctypes.c_long, ctypes.c_long, ctypes.c_long,  # nq, nkr, rs
-        ctypes.c_double, ctypes.c_double, ctypes.c_double,  # dt, xcut, lcp
-        ctypes.c_long,  # credit
-    ]
-    lib.freeze_melt.restype = None
-    lib.freeze_melt.argtypes = [
-        ctypes.POINTER(_c_double_p),  # dists
-        _c_double_p, _c_double_p, _c_double_p, _c_double_p,
-        # frac, t, rho, masses
-        _c_long_p, _c_double_p,  # msp, mfrac
-        ctypes.POINTER(ctypes.c_ubyte),  # melted
-        ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-        # npts, nkr, rs, nmelt
-        ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-        # liq, pla, hail, hail_bin
-        ctypes.c_double, ctypes.c_double,  # t0, lcp
-    ]
-    lib.coal_bott_new.restype = None
-    lib.coal_bott_new.argtypes = [
-        ctypes.POINTER(_c_double_p),  # dists
-        _c_double_p,  # sums
-        _c_long_p,  # occ
-        ctypes.POINTER(ctypes.c_ubyte),  # gate
-        _c_double_p,  # ws
-        _c_double_p, _c_double_p,  # k500, kdel
-        _c_double_p, _c_double_p,  # w_lo, w_hi
-        _c_long_p, _c_long_p, _c_long_p,  # ixinfo, seg, pts
-        ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-        ctypes.c_long,  # nix, nseg, npts, nkr, rs
-        ctypes.c_double, ctypes.c_double,  # dt, nmin
-    ]
-
-
 # Derive annotations, verify, and emit the C source; an illegal
 # transformation raises IRVerificationError here, at import, before
 # any C exists — loud by design.
@@ -1016,7 +955,6 @@ _module = cgen.build_module(
     [spec.final_kernel() for spec in _specs],
     disable_env=DISABLE_ENV,
     build_dir=Path(__file__).resolve().parent / "_cbuild",
-    setup=_declare,
     banner=(
         "Generated by repro.codee.cgen from the sed_sweep/onecond/"
         "freeze_melt/coal_bott_new loop IR; annotations derived by "
@@ -1030,32 +968,26 @@ C_SOURCE = _module.source
 #: Why the kernels are unavailable ("" while they are); diagnostics.
 load_error: str = ""
 
-_path_traced = False
-
 
 def load_kernels() -> ctypes.CDLL | None:
     """The compiled physics kernels, or ``None`` (use numpy).
 
     The underlying :class:`~repro.core.cjit.CJitModule` records the
-    one-time ``cjit.compile``/``cjit.load`` spans; this wrapper adds a
-    single instant event marking which path (compiled vs numpy
-    fallback) the physics resolved to, so traces are self-describing.
+    one-time ``cjit.compile``/``cjit.load`` spans and the
+    ``fsbm_kernels.path`` instant that marks which path (compiled vs
+    numpy fallback) the physics resolved to.
     """
-    global load_error, _path_traced
+    global load_error
     lib = _module.load()
     load_error = _module.load_error
-    if not _path_traced and tracer.enabled():
-        _path_traced = True
-        tracer.instant(
-            "fsbm_kernels.path",
-            cat="jit",
-            attrs={"compiled": lib is not None, "error": load_error},
-        )
     return lib
 
 
-def _dptr(arr: np.ndarray) -> ctypes.POINTER(ctypes.c_double):
-    return arr.ctypes.data_as(_c_double_p)
+def _ptr_table(arrays: list[np.ndarray]) -> ctypes.Array:
+    """One data pointer per array: what a ``ptr_table`` parameter takes."""
+    double_p = ctypes.POINTER(ctypes.c_double)
+    pointers = [a.ctypes.data_as(double_p) for a in arrays]
+    return (double_p * len(arrays))(*pointers)
 
 
 def sed_sweep(
@@ -1089,15 +1021,14 @@ def sed_sweep(
         or any(d.shape != ref.shape or d.strides != ref.strides for d in dists)
     ):
         return None
-    ptrs = (_c_double_p * nsp)(*[_dptr(d) for d in dists])
     active = np.zeros((nm, nsp), dtype=np.uint8)
     # Serial emission (transform.plan_host) keeps the per-row flux
     # LocalArray on the stack — no hoisted scratch param.
     lib.sed_sweep(
-        ptrs,
-        _dptr(courant),
-        _dptr(masses),
-        _dptr(precip),
+        _ptr_table(dists),
+        courant,
+        masses,
+        precip,
         nm, nsp, ni, nk, nj, nkr,
         ref.strides[0] // itemsize,
         ref.strides[1] // itemsize,
@@ -1106,7 +1037,7 @@ def sed_sweep(
         precip.strides[0] // itemsize,
         precip.strides[1] // itemsize,
         precip.strides[2] // itemsize,
-        active.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
+        active,
     )
     return active
 
@@ -1188,16 +1119,7 @@ def onecond(
     ):
         raise ValueError("onecond: malformed kernel inputs")
     lib.onecond(
-        _dptr(n),
-        rows.ctypes.data_as(_c_long_p),
-        _dptr(gc),
-        _dptr(qs),
-        _dptr(rho),
-        _dptr(qv),
-        _dptr(t),
-        _dptr(ccn),
-        _dptr(cr),
-        _dptr(masses),
+        n, rows, gc, qs, rho, qv, t, ccn, cr, masses,
         nq, nkr, rs,
         dt, xcut, lcp,
         int(credit),
@@ -1249,16 +1171,9 @@ def freeze_melt(
     ):
         raise ValueError("freeze_melt: malformed kernel inputs")
     melted = np.zeros((npts, nmelt), dtype=np.uint8)
-    ptrs = (_c_double_p * nsp)(*[_dptr(d) for d in dists])
     lib.freeze_melt(
-        ptrs,
-        _dptr(frac),
-        _dptr(t),
-        _dptr(rho),
-        _dptr(masses),
-        msp.ctypes.data_as(_c_long_p),
-        _dptr(mfrac),
-        melted.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
+        _ptr_table(dists),
+        frac, t, rho, masses, msp, mfrac, melted,
         npts, nkr, rs, nmelt,
         liq, pla, hail, hail_bin,
         t0, lcp,
@@ -1325,26 +1240,11 @@ def coal_bott_new(
              and (seg[1:, 0] >= seg[:-1, 1]).all())
     ):
         raise ValueError("coal_bott_new: malformed kernel inputs")
-    ptrs = (_c_double_p * len(dists))(*[_dptr(d) for d in dists])
     # Per-call scratch: concurrent callers (thread ranks) never share it.
     pts = np.empty(max(npts, 1), dtype=np.int64)
-
-    def lptr(arr: np.ndarray):
-        return arr.ctypes.data_as(_c_long_p)
-
     lib.coal_bott_new(
-        ptrs,
-        _dptr(sums),
-        lptr(occ),
-        gate.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
-        _dptr(ws),
-        _dptr(k500),
-        _dptr(kdel),
-        _dptr(w_lo),
-        _dptr(w_hi),
-        lptr(ixinfo),
-        lptr(seg),
-        lptr(pts),
+        _ptr_table(dists),
+        sums, occ, gate, ws, k500, kdel, w_lo, w_hi, ixinfo, seg, pts,
         nix, nseg, npts, nkr, rs,
         dt, nmin,
     )

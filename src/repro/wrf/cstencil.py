@@ -58,7 +58,6 @@ from repro.codee.loopir import (
     Store,
     Sym,
 )
-from repro.obs import tracer
 
 #: Environment switch forcing the numpy fallback (used by the
 #: equivalence tests to exercise both paths, and as an escape hatch).
@@ -232,21 +231,6 @@ _spec = loopir.register_kernel(
 load_error: str = ""
 
 
-def _declare(lib: ctypes.CDLL) -> None:
-    dp = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-    lib.advect_stage.restype = None
-    lib.advect_stage.argtypes = [
-        dp, dp, dp,  # s, base, out (member-stacked; may be one block)
-        dp, dp, dp, dp, dp, dp,  # pos/neg per axis (member-stacked)
-        ctypes.c_double,
-        ctypes.c_long,  # nm
-        ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-        dp, dp,  # floors, mass (per scalar)
-        dp,  # cond (member-stacked cells)
-        dp,  # out_ring (two rows)
-    ]
-
-
 # Derive the annotations, verify them, and emit the C source. An
 # illegal transformation raises IRVerificationError here, at import,
 # before any C exists — loud by design.
@@ -255,7 +239,6 @@ _module = cgen.build_module(
     [_spec.final_kernel()],
     disable_env=DISABLE_ENV,
     build_dir=Path(__file__).resolve().parent / "_cbuild",
-    setup=_declare,
     banner=(
         "Generated by repro.codee.cgen from the advect_stage loop IR; "
         "annotations derived by repro.codee.transform. Do not edit."
@@ -266,9 +249,6 @@ _module = cgen.build_module(
 C_SOURCE = _module.source
 
 
-_path_traced = False
-
-
 def load_stencil() -> ctypes.CDLL | None:
     """The compiled stencil library, or ``None`` when unavailable.
 
@@ -277,19 +257,12 @@ def load_stencil() -> ctypes.CDLL | None:
     compiler, sandboxed filesystem, a kill switch — degrades to
     ``None`` so callers take the numpy path. The underlying
     :class:`~repro.core.cjit.CJitModule` records the one-time
-    ``cjit.compile``/``cjit.load`` spans; a single instant event here
-    marks which path (compiled vs numpy) the transport resolved to.
+    ``cjit.compile``/``cjit.load`` spans and the ``stencil.path``
+    instant that marks which path (compiled vs numpy) resolved.
     """
-    global load_error, _path_traced
+    global load_error
     lib = _module.load()
     load_error = _module.load_error
-    if not _path_traced and tracer.enabled():
-        _path_traced = True
-        tracer.instant(
-            "advect_stencil.path",
-            cat="jit",
-            attrs={"compiled": lib is not None, "error": load_error},
-        )
     return lib
 
 
@@ -319,11 +292,14 @@ def advect_stage(
     ``pos``/``neg`` are the member-stacked ``(nm, ni, nk, nj)`` wind
     decompositions, ``floors``/``mass`` per-scalar, and ``cond`` the
     ``(nm, ni, nk, nj)`` condensate ``sum_n out[n] * mass[n]`` the
-    sweep writes; one C call advances every member.
+    sweep writes; one C call advances every member. Every operand must
+    be C-contiguous float64: the kernel addresses them as dense arrays.
     """
     nm, ni, nk, nj, ns = s.shape
+    operands = (s, base, out, *pos, *neg, floors, mass, cond, ring)
     if (
-        base.shape != s.shape
+        not all(a.flags.c_contiguous for a in operands)
+        or base.shape != s.shape
         or out.shape != s.shape
         or floors.shape != (ns,)
         or mass.shape != (ns,)
@@ -331,7 +307,9 @@ def advect_stage(
         or ring.shape != ring_shape(s.shape)
         or any(w.shape != s.shape[:4] for w in (*pos, *neg))
     ):
-        raise ValueError("advect_stage: operand shapes do not match the block")
+        raise ValueError(
+            "advect_stage: operands must be C-contiguous and match the block"
+        )
     lib.advect_stage(
         s, base, out,
         pos[0], neg[0], pos[1], neg[1], pos[2], neg[2],

@@ -1,12 +1,13 @@
 """The WRF model driver: ranks, members, time loop, transport, physics.
 
 One :class:`WrfModel` owns the whole simulated job: the decomposition,
-one resident member-stacked superblock + FSBM drivers per rank, the
-per-(member, rank) clocks, devices for offloaded stages, and the BSP
-step scheduler. ``namelist.members`` ensemble members step together —
-each rank holds one ``(N, ni, nk, nj, nscalar)`` block, and a plain run
-is ``N = 1`` — through the same kernels, and member ``m`` of an
-``N``-member run is bit-identical to a one-member run of that member
+one resident member-stacked superblock + FSBM drivers per rank (held
+by the worker processes under process ranks), the per-(member, rank)
+clocks, devices for offloaded stages, and the BSP step scheduler.
+``namelist.members`` ensemble members step together — each rank holds
+one ``(N, ni, nk, nj, nscalar)`` block, and a plain run is ``N = 1`` —
+through the same kernels, and member ``m`` of an ``N``-member run is
+bit-identical to a one-member run of that member
 (:func:`repro.wrf.namelist.member_namelist`).
 
 Within a step, the per-rank CPU stages (physics, transport) are
@@ -206,10 +207,10 @@ def build_rank_state(
     """Construct one rank's member-stacked state inside ``block``.
 
     ``block`` is the rank's ``(N, ni, nk, nj, nscalar)`` superblock
-    (driver-allocated, or a view over the rank's shared-memory segment
-    under process ranks) and ``clocks[m]`` member ``m``'s clock. Member
-    ``m``'s fields are built from its perturbed case and bound into
-    ``block[m]``.
+    (driver-allocated, or the rank's shared block inside its worker
+    process under process ranks) and ``clocks[m]`` member ``m``'s
+    clock. Member ``m``'s fields are built from its perturbed case and
+    bound into ``block[m]``.
     """
     nm = namelist.members
     shape = patch.shape
@@ -542,6 +543,11 @@ class WrfModel:
     ``schedulers[m]`` hold every member's. :meth:`step` and :meth:`run`
     report member 0; :class:`repro.wrf.ensemble.EnsembleModel` is the
     view that returns every member's.
+
+    Under process ranks (:mod:`repro.wrf.procpool`) the worker processes
+    own the rank state: ``ranks``, ``fields`` and ``workspaces`` are
+    empty, the clocks are mirrors of the workers' clocks, and
+    :meth:`gather_output` is the way to read fields.
     """
 
     def __init__(self, namelist: Namelist):
@@ -598,26 +604,23 @@ class WrfModel:
         # Resident fields: the advected scalars of every member live in
         # one persistent per-rank superblock (the host analog of keeping
         # data mapped on the device between kernels). Under process
-        # ranks the block is the rank's shared-memory segment, so the
-        # driver's views stay live mirrors of worker state.
-        nscalars = superblock_scalar_count()
+        # ranks the workers build and own every rank's state in their
+        # shared blocks, so the driver holds none.
         self.ranks: list[RankState] = []
-        for rank, patch in enumerate(self.decomposition.patches):
-            if self._pool is not None:
-                block = self._pool.block_view(rank)
-            else:
-                block = np.empty((nm, *patch.shape, nscalars))
-            self.ranks.append(
-                build_rank_state(
-                    namelist,
-                    rank,
-                    patch,
-                    block,
-                    [row[rank] for row in self.member_clocks],
-                    self.cpu_cost,
-                    self.engines[rank],
+        if self._pool is None:
+            nscalars = superblock_scalar_count()
+            for rank, patch in enumerate(self.decomposition.patches):
+                self.ranks.append(
+                    build_rank_state(
+                        namelist,
+                        rank,
+                        patch,
+                        np.empty((nm, *patch.shape, nscalars)),
+                        [row[rank] for row in self.member_clocks],
+                        self.cpu_cost,
+                        self.engines[rank],
+                    )
                 )
-            )
         self.fields: list[WrfFields] = [rs.fields[0] for rs in self.ranks]
         # Transport workspaces: preallocated once per rank (the host
         # analog of `target enter data map(alloc:)`), keyed by (shape,

@@ -47,11 +47,13 @@ class Namelist:
     #: cost is RK3 either way; this flag affects only the numerics.
     use_rk3_numerics: bool = False
     #: Promote ranks to real OS processes: each rank becomes a
-    #: persistent forked worker owning its patch of a shared-memory
-    #: superblock pool (:mod:`repro.wrf.procpool`), stepped in lockstep
-    #: over a command-pipe/barrier protocol, with halo exchange
-    #: performed as strided copies directly between neighboring ranks'
-    #: shared blocks. Numerics and per-rank simulated-clock charges are
+    #: persistent forked worker that builds and owns its rank's state
+    #: in an anonymous shared superblock inherited through fork
+    #: (:mod:`repro.wrf.procpool`), stepped in lockstep over a
+    #: command-pipe/barrier protocol, with halo exchange performed as
+    #: strided copies directly between neighboring ranks' shared
+    #: blocks. The driver keeps only mirror clocks and reads fields
+    #: through ``WrfModel.gather_output``. Numerics and per-rank simulated-clock charges are
     #: bit-identical to the thread-pool path (``False``); only host
     #: wall-clock changes (CPU stages actually run concurrently across
     #: cores instead of time-slicing one interpreter). Either way the

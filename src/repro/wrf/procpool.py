@@ -1,22 +1,27 @@
-"""True multiprocess rank execution over shared-memory superblocks.
+"""True multiprocess rank execution over shared superblocks.
 
 The in-process rank threads of :mod:`repro.wrf.model` time-slice one
 interpreter: numpy releases the GIL in the hot kernels, but the pure-
 Python glue between them serializes, so host wall-clock barely improves
 past two ranks. This module promotes ranks to real OS processes:
 
-* each rank's member-stacked transport superblock lives in a
-  ``multiprocessing.shared_memory`` segment created (and later
-  unlinked) by the driver — one ``(members, ni, nk, nj, nscalar)``
-  float64 block per rank, registered with the
-  ``"wrf.shared_superblocks"`` :class:`~repro.core.cache.CountingCache`
-  so its footprint is observable like every other pinned buffer;
+* each rank's member-stacked transport superblock is an anonymous
+  shared mapping (``mmap.mmap(-1, nbytes)``: ``MAP_SHARED |
+  MAP_ANONYMOUS``, zero-filled) that the pool creates before it forks —
+  one ``(members, ni, nk, nj, nscalar)`` float64 block per rank,
+  registered with the ``"wrf.shared_superblocks"``
+  :class:`~repro.core.cache.CountingCache` so its footprint is
+  observable like every other pinned buffer. The workers inherit every
+  rank's block through fork (``Process(args=...)``, which the fork
+  context does not pickle): nothing has a name, nothing is attached or
+  unlinked, no resource-tracker process runs, and the kernel frees the
+  pages when the last process that maps them exits — a killed process
+  group strands nothing;
 * each rank is a persistent worker process (forked before any
-  heavyweight driver state exists) that builds its own fields, FSBM
-  drivers, and authoritative clocks (one
-  :class:`~repro.core.clock.SimClock` per member), binds its resident
-  fields directly into its shared segment, and then steps all its
-  members in lockstep with its peers;
+  heavyweight driver state exists) that builds and owns its rank's
+  state: its fields bound directly into its block, FSBM drivers, and
+  authoritative clocks (one :class:`~repro.core.clock.SimClock` per
+  member). It steps all its members in lockstep with its peers;
 * the per-step halo exchange is the pull half of the
   :class:`~repro.grid.halo.HaloExchangePlan` executed as direct strided
   copies between neighboring ranks' shared blocks — no serialization,
@@ -26,7 +31,9 @@ past two ranks. This module promotes ranks to real OS processes:
   (``step`` / ``charge_io`` / ``gather`` / ``close``; the last two
   name a member) and mirrors each worker's clock totals wholesale
   after every command, so scheduler charges, profilers, and history
-  I/O see simulated time bit-identical to in-process ranks.
+  I/O see simulated time bit-identical to in-process ranks. The driver
+  builds no rank state of its own: it keeps the mirror clocks, the
+  schedulers and the halo plan, and reads fields through ``gather``.
 
 Bit-exactness: workers run the *same* module-level per-rank stage
 functions as in-process ranks (physics, halo exchange, halo-MPI
@@ -42,29 +49,27 @@ in-process ranks holds no OpenMP thread pool a child could deadlock
 on.
 
 Failure containment: any worker crash, timeout, or protocol error
-tears down the whole pool — remaining workers are terminated and every
-shared segment is unlinked — before :class:`~repro.errors.ProcPoolError`
-reaches the caller. Segments that somehow survive (e.g. the driver was
-SIGKILLed between create and unlink) are reaped by an ``atexit`` hook.
+tears down the whole pool — remaining workers are terminated and
+joined, and the driver drops its mappings — before
+:class:`~repro.errors.ProcPoolError` reaches the caller.
 """
 
 from __future__ import annotations
 
-import atexit
 import math
+import mmap
 import os
 import time
 import traceback
 from contextlib import ExitStack
 from multiprocessing import get_context
-from multiprocessing.shared_memory import SharedMemory
 from threading import BrokenBarrierError
 
 import numpy as np
 
 from repro.core.cache import get_cache
 from repro.core.clock import SimClock, TimeBucket
-from repro.errors import ProcPoolError
+from repro.errors import ConfigurationError, ProcPoolError
 from repro.fsbm import ckernels
 from repro.fsbm.collision_kernels import get_tables
 from repro.grid.decomposition import Decomposition
@@ -91,117 +96,56 @@ from repro.wrf.state import superblock_scalar_count
 #: before declaring the step dead (``REPRO_PROCPOOL_TIMEOUT`` overrides).
 DEFAULT_TIMEOUT = 120.0
 
-#: Cache registering the live shared segments (value = SharedMemory, so
-#: ``cache_stats()`` reports the pool's /dev/shm footprint in bytes).
+#: Cache registering the live shared blocks (value = the block, so
+#: ``cache_stats()`` reports the pool's shared footprint in bytes).
 SEGMENT_CACHE = "wrf.shared_superblocks"
 
 
 def _pool_timeout() -> float:
+    """``REPRO_PROCPOOL_TIMEOUT`` in seconds, or :data:`DEFAULT_TIMEOUT`.
+
+    Anything but a finite positive number is refused: a typo must not
+    quietly become the default, ``nan`` would make every deadline test
+    false (a hung worker waited on forever), and zero or less would
+    fail every start-up as unresponsive.
+    """
     raw = os.environ.get("REPRO_PROCPOOL_TIMEOUT", "")
-    try:
-        return float(raw) if raw else DEFAULT_TIMEOUT
-    except ValueError:
+    if not raw:
         return DEFAULT_TIMEOUT
-
-
-# --- leak protection ---------------------------------------------------------
-#
-# Every segment the driver creates is recorded here until it is
-# unlinked. Normal teardown (pool.close(), or any pool failure) empties
-# the registry; the atexit hook is the last line of defense for drivers
-# that die between create and unlink, so a crashed run never strands
-# blocks in /dev/shm.
-
-_live_segments: dict[str, SharedMemory] = {}
+    try:
+        seconds = float(raw)
+    except ValueError:
+        seconds = math.nan
+    if not (math.isfinite(seconds) and seconds > 0.0):
+        raise ConfigurationError(
+            f"REPRO_PROCPOOL_TIMEOUT={raw!r}: expected a finite positive "
+            "number of seconds"
+        )
+    return seconds
 
 
 def leaked_segments() -> list[str]:
-    """Names of shared segments created but not yet unlinked."""
-    return sorted(_live_segments)
+    """Always empty: the blocks are anonymous, so none can outlive the
+    processes that map them (kept for the benchmark's post-run check)."""
+    return []
 
 
-def _reap_leaked() -> None:
-    """Unlink every still-live segment (atexit; also test-invokable)."""
-    for name in list(_live_segments):
-        shm = _live_segments.pop(name)
-        get_cache(SEGMENT_CACHE).discard(name)
-        try:
-            shm.close()
-        except BufferError:
-            pass  # live numpy views keep the mapping; unlink still works
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass
+def _shared_blocks(
+    decomposition: Decomposition, nscalars: int, members: int
+) -> list[np.ndarray]:
+    """One zero-filled anonymous shared float64 block per rank.
 
-
-atexit.register(_reap_leaked)
-
-
-class SharedSuperblocks:
-    """Driver-owned pool of per-rank shared-memory superblock segments.
-
-    One float64 ``(members, ni, nk, nj, nscalar)`` segment per rank,
-    created at construction and destroyed by :meth:`unlink`
-    (idempotent — double unlink and unlink-after-reap are no-ops).
-    Workers attach by name and only ever ``close()`` their mapping; the
-    driver is the sole owner of segment lifetime.
+    Each array views its own ``mmap.mmap(-1, nbytes)`` and keeps it
+    alive; processes forked afterwards share the pages, and each
+    process unmaps them when its last view goes (or it exits).
     """
-
-    def __init__(
-        self,
-        decomposition: Decomposition,
-        nscalars: int,
-        dtype=np.float64,
-        members: int = 1,
-    ):
-        self.nscalars = nscalars
-        self.members = members
-        self.dtype = np.dtype(dtype)
-        self.names: list[str] = []
-        self._shms: list[SharedMemory] = []
-        self._views: list[np.ndarray] = []
-        cache = get_cache(SEGMENT_CACHE, sizeof=lambda shm: shm.size)
-        try:
-            for patch in decomposition.patches:
-                shape = (members, *patch.shape, nscalars)
-                size = math.prod(shape) * self.dtype.itemsize
-                shm = SharedMemory(create=True, size=size)
-                self._shms.append(shm)
-                self.names.append(shm.name)
-                _live_segments[shm.name] = shm
-                cache.get_or_build(shm.name, lambda s=shm: s)
-                view = np.ndarray(shape, dtype=self.dtype, buffer=shm.buf)
-                view[...] = 0.0
-                self._views.append(view)
-        except Exception:
-            self.unlink()
-            raise
-
-    def view(self, rank: int) -> np.ndarray:
-        """The driver-side numpy view over one rank's segment."""
-        return self._views[rank]
-
-    def unlink(self) -> None:
-        """Destroy every segment (idempotent)."""
-        cache = get_cache(SEGMENT_CACHE)
-        self._views = []
-        shms, self._shms = self._shms, []
-        self.names = []
-        for shm in shms:
-            _live_segments.pop(shm.name, None)
-            cache.discard(shm.name)
-            try:
-                shm.close()
-            except BufferError:
-                # Model fields may still view the block; the mapping
-                # stays valid until they are garbage collected, and
-                # unlink below removes the name regardless.
-                pass
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
+    blocks = []
+    for patch in decomposition.patches:
+        shape = (members, *patch.shape, nscalars)
+        nbytes = math.prod(shape) * np.dtype(np.float64).itemsize
+        buffer = mmap.mmap(-1, nbytes)
+        blocks.append(np.ndarray(shape, dtype=np.float64, buffer=buffer))
+    return blocks
 
 
 def _preload_compiled() -> None:
@@ -222,8 +166,9 @@ def _preload_compiled() -> None:
 class _RankContext:
     """Everything one worker process owns for its rank's members.
 
-    The rank's shared segment holds the stacked ``(N, ni, nk, nj,
-    nscalar)`` block, all members step together through the shared
+    ``blocks`` holds every rank's stacked ``(N, ni, nk, nj, nscalar)``
+    shared block, inherited through fork; this rank's state lives in
+    ``blocks[rank]``, all members step together through the shared
     stage functions, and the gather/charge commands name one member.
     """
 
@@ -232,8 +177,7 @@ class _RankContext:
         rank: int,
         namelist: Namelist,
         decomposition: Decomposition,
-        seg_names: list[str],
-        nscalars: int,
+        blocks: list[np.ndarray],
         barrier,
         timeout: float,
     ):
@@ -248,22 +192,13 @@ class _RankContext:
         self.clocks = [SimClock() for _ in range(namelist.members)]
         self.comm_cost, self.cpu_cost = cost_models(namelist)
         self.plan = build_halo_plan(decomposition)
-        # Attach (never create, never unlink) every rank's segment: the
-        # pull-model exchange reads neighbors' owned boxes directly.
-        self._shms = [SharedMemory(name=n) for n in seg_names]
-        self.blocks = [
-            np.ndarray(
-                (namelist.members, *patch.shape, nscalars),
-                dtype=np.float64,
-                buffer=shm.buf,
-            )
-            for patch, shm in zip(decomposition.patches, self._shms)
-        ]
+        # The pull-model exchange reads neighbors' owned boxes directly.
+        self.blocks = blocks
         self.state = build_rank_state(
             namelist,
             rank,
             decomposition.patches[rank],
-            self.blocks[rank],
+            blocks[rank],
             self.clocks,
             self.cpu_cost,
         )
@@ -305,20 +240,12 @@ class _RankContext:
         """One member's owned output frame."""
         return rank_output_frame(self.state.fields[member])
 
-    def close(self) -> None:
-        for shm in self._shms:
-            try:
-                shm.close()
-            except BufferError:  # views die with the process anyway
-                pass
-
 
 def _worker_main(
     rank: int,
     namelist: Namelist,
     decomposition: Decomposition,
-    seg_names: list[str],
-    nscalars: int,
+    blocks: list[np.ndarray],
     barrier,
     conn,
     timeout: float,
@@ -334,10 +261,9 @@ def _worker_main(
     broken halo barrier when a peer died) is fatal to the worker — the
     driver treats it as a pool failure and tears everything down.
     """
-    ctx = None
     try:
         ctx = _RankContext(
-            rank, namelist, decomposition, seg_names, nscalars, barrier, timeout
+            rank, namelist, decomposition, blocks, barrier, timeout
         )
         conn.send(("ready", rank, tracer.drain_state()))
         while True:
@@ -375,8 +301,6 @@ def _worker_main(
     except BaseException:
         _try_send(conn, ("error", traceback.format_exc(), tracer.drain_state()))
     finally:
-        if ctx is not None:
-            ctx.close()
         conn.close()
 
 
@@ -394,10 +318,11 @@ class ProcRankPool:
     """Persistent worker processes, one per rank, stepped in lockstep.
 
     Created by :class:`~repro.wrf.model.WrfModel` when
-    ``namelist.use_process_ranks`` holds (CPU stages only). Fork happens
-    at construction — before the driver builds its own heavyweight
-    state — so workers start lean and inherit the preloaded compiled
-    kernels and lookup tables.
+    ``namelist.use_process_ranks`` holds (CPU stages only). The shared
+    blocks are mapped and the workers forked at construction, so workers
+    start lean and inherit the blocks, the preloaded compiled kernels
+    and the lookup tables. ``blocks`` keeps the driver's views of the
+    blocks (the footprint) until the workers are joined.
     """
 
     def __init__(
@@ -412,11 +337,13 @@ class ProcRankPool:
         self._closed = False
         self._procs: list = []
         self._conns: list = []
-        nscalars = superblock_scalar_count()
         _preload_compiled()
-        self.blocks = SharedSuperblocks(
-            decomposition, nscalars, members=namelist.members
+        self.blocks = _shared_blocks(
+            decomposition, superblock_scalar_count(), namelist.members
         )
+        cache = get_cache(SEGMENT_CACHE, sizeof=lambda block: block.nbytes)
+        for rank, block in enumerate(self.blocks):
+            cache.get_or_build((id(self), rank), lambda b=block: b)
         ctx = get_context("fork")
         self._barrier = ctx.Barrier(self.num_ranks)
         try:
@@ -428,8 +355,7 @@ class ProcRankPool:
                         rank,
                         namelist,
                         decomposition,
-                        self.blocks.names,
-                        nscalars,
+                        self.blocks,
                         self._barrier,
                         child_conn,
                         self.timeout,
@@ -453,10 +379,6 @@ class ProcRankPool:
             raise
 
     # -- plumbing --
-
-    def block_view(self, rank: int) -> np.ndarray:
-        """Driver-side live view over one rank's shared superblock."""
-        return self.blocks.view(rank)
 
     def _recv(self, rank: int):
         """One reply from one worker, with liveness + timeout checks."""
@@ -492,8 +414,8 @@ class ProcRankPool:
         """Broadcast one command per rank; collect replies in rank order.
 
         Any failure — dead worker, timeout, error reply, broken pipe —
-        tears the whole pool down (workers terminated, segments
-        unlinked) before the :class:`ProcPoolError` propagates.
+        tears the whole pool down (workers terminated and joined,
+        blocks released) before the :class:`ProcPoolError` propagates.
         """
         if self._closed:
             raise ProcPoolError("pool is closed")
@@ -552,13 +474,12 @@ class ProcRankPool:
     # -- lifecycle --
 
     def close(self) -> None:
-        """Orderly shutdown: drain workers, join, unlink segments.
+        """Orderly shutdown: drain workers, join, release the blocks.
 
         Idempotent; also safe after a failure already tore the pool
         down.
         """
         if self._closed:
-            self.blocks.unlink()  # double-close/unlink stays a no-op
             return
         self._closed = True
         for conn in self._conns:
@@ -566,17 +487,17 @@ class ProcRankPool:
                 conn.send(("close",))
             except OSError:
                 pass
-        self._join_and_unlink(grace=5.0)
+        self._join_and_release(grace=5.0)
 
     def _teardown(self) -> None:
-        """Failure-path shutdown: terminate everything, unlink segments."""
+        """Failure-path shutdown: terminate everything, release blocks."""
         self._closed = True
         for proc in self._procs:
             if proc.is_alive():
                 proc.terminate()
-        self._join_and_unlink(grace=5.0)
+        self._join_and_release(grace=5.0)
 
-    def _join_and_unlink(self, grace: float) -> None:
+    def _join_and_release(self, grace: float) -> None:
         for proc in self._procs:
             proc.join(timeout=grace)
             if proc.is_alive():
@@ -587,4 +508,9 @@ class ProcRankPool:
                 conn.close()
             except OSError:
                 pass
-        self.blocks.unlink()
+        # The workers are gone; dropping the driver's views unmaps the
+        # blocks here, which frees them.
+        cache = get_cache(SEGMENT_CACHE)
+        for rank in range(len(self.blocks)):
+            cache.discard((id(self), rank))
+        self.blocks = []

@@ -34,8 +34,8 @@ def superblock_scalar_count(nkr: int = NKR) -> int:
     """Scalars in one transport superblock (t, qv, w + all species bins).
 
     Matches ``WrfFields.layout.nscalars`` without constructing fields —
-    the multiprocess rank engine sizes its shared-memory segments from
-    this before any rank state exists.
+    the multiprocess rank engine sizes its shared blocks from this
+    before any rank state exists.
     """
     return 3 + len(Species) * nkr
 
@@ -151,8 +151,8 @@ class WrfFields:
 
         ``buffer`` is the float64 ``(ni, nk, nj, nscalar)`` slab the
         fields will live in — this member's slice of the rank's
-        member-stacked block, itself a view over the rank's
-        ``multiprocessing.shared_memory`` segment under process ranks.
+        member-stacked block, itself the rank's anonymous shared block
+        inside its worker process under process ranks.
         The current field values are copied in and ``t``/``qv``/``w``/
         all bin distributions rebound as views into it, so the fields
         *are* the superblock columns: physics writes land directly in

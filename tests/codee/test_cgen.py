@@ -141,12 +141,7 @@ class TestBuildModule:
             pytest.skip(module.load_error or "no compiler")
         src = np.arange(8, dtype=np.float64)
         out = np.empty_like(src)
-        dbl = ctypes.POINTER(ctypes.c_double)
-        lib.scale1d(
-            src.ctypes.data_as(dbl),
-            out.ctypes.data_as(dbl),
-            ctypes.c_long(8),
-        )
+        lib.scale1d(src, out, 8)
         np.testing.assert_array_equal(out, src * 2.0 + 1.0)
 
     def test_verification_precedes_compilation(self, tmp_path):
@@ -174,3 +169,75 @@ class TestProductionSources:
         for name in ("sed_sweep", "onecond", "freeze_melt", "coal_bott_new"):
             assert f"void {name}(" in ckernels.C_SOURCE
         assert "#pragma omp parallel" not in ckernels.C_SOURCE
+
+
+#: The ctypes type of each IR element type.
+_ELEMENT = {
+    "double": ctypes.c_double,
+    "long": ctypes.c_long,
+    "unsigned char": ctypes.c_ubyte,
+}
+
+
+def _production_functions():
+    """Every gated kernel's final IR and its loaded C function."""
+    from repro.codee.loopir import gate_kernels
+    from repro.fsbm import ckernels
+    from repro.wrf import cstencil
+
+    libs = [cstencil.load_stencil(), ckernels.load_kernels()]
+    if None in libs:
+        pytest.skip(cstencil.load_error or ckernels.load_error)
+    out = []
+    for name, spec in gate_kernels().items():
+        owners = [lib for lib in libs if hasattr(lib, name)]
+        assert len(owners) == 1, f"{name} is not in exactly one library"
+        out.append((spec.final_kernel(), getattr(owners[0], name)))
+    return out
+
+
+def _dummy_args(kernel: Kernel, float32_at: int | None = None) -> list:
+    """One harmless value per parameter; a float32 array at ``float32_at``."""
+    args = []
+    for pos, p in enumerate(kernel.params):
+        if isinstance(p, ScalarParam):
+            args.append(_ELEMENT[p.ctype](0))
+        elif p.ptr_table:
+            args.append((ctypes.POINTER(_ELEMENT[p.ctype]) * 1)())
+        else:
+            dtype = np.float32 if pos == float32_at else _ELEMENT[p.ctype]
+            args.append(np.zeros(1, dtype=dtype))
+    return args
+
+
+class TestDerivedAbi:
+    def test_every_kernel_takes_one_argtype_per_ir_parameter(self):
+        for kernel, fn in _production_functions():
+            assert fn.restype is None
+            assert len(fn.argtypes) == len(kernel.params), kernel.name
+            for p, argtype in zip(kernel.params, fn.argtypes):
+                element = _ELEMENT[p.ctype]
+                where = f"{kernel.name}({p.name})"
+                if isinstance(p, ScalarParam):
+                    assert argtype is element, where
+                elif p.ptr_table:
+                    assert argtype is ctypes.POINTER(
+                        ctypes.POINTER(element)
+                    ), where
+                else:
+                    # A dtype-checked pointer that takes any strides.
+                    strided = np.zeros(4, dtype=element)[::2]
+                    argtype.from_param(strided)
+                    with pytest.raises(TypeError):
+                        argtype.from_param(np.zeros(2, dtype=np.int8))
+
+    def test_float32_where_the_ir_declares_double_is_refused(self):
+        for kernel, fn in _production_functions():
+            pos = next(
+                i for i, p in enumerate(kernel.params)
+                if isinstance(p, ArrayParam)
+                and not p.ptr_table
+                and p.ctype == "double"
+            )
+            with pytest.raises(ctypes.ArgumentError):
+                fn(*_dummy_args(kernel, float32_at=pos))

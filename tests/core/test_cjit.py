@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import cjit
+from repro.obs import tracer
 
 ADD_SOURCE = r"""
 void add_scaled(double *x, double s, long n)
@@ -107,3 +108,35 @@ class TestRegistry:
     def test_compiler_candidates_prefers_cc_env(self, monkeypatch):
         monkeypatch.setenv("CC", "/custom/cc")
         assert cjit.compiler_candidates()[0] == "/custom/cc"
+
+
+def _path_instants(mod, loads: int) -> list:
+    """The ``<name>.path`` instants ``loads`` traced loads record."""
+    was = tracer.enabled()
+    tracer.configure(enabled=True, clear=True)
+    try:
+        for _ in range(loads):
+            mod.load()
+        return [e for e in tracer.drain() if e.name == f"{mod.name}.path"]
+    finally:
+        tracer.configure(enabled=was, clear=True)
+
+
+class TestPathInstant:
+    def test_first_traced_load_records_one_instant(self, tmp_path):
+        mod = _make(tmp_path, name="path_probe")
+        (event,) = _path_instants(mod, loads=3)
+        assert event.ph == "I" and event.cat == "jit"
+        assert event.attrs == {"compiled": True, "error": ""}
+        assert _path_instants(mod, loads=2) == []
+
+    def test_disabled_load_records_why(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_DISABLE_PATH_PROBE", "1")
+        mod = _make(
+            tmp_path, name="path_off", disable_env="REPRO_DISABLE_PATH_PROBE"
+        )
+        (event,) = _path_instants(mod, loads=2)
+        assert event.attrs == {
+            "compiled": False,
+            "error": "disabled via REPRO_DISABLE_PATH_PROBE",
+        }

@@ -259,6 +259,14 @@ class TestCompiledStencil:
                 split.pos, split.neg, 1.0, np.zeros(4), np.zeros(4), cond,
                 np.empty((1, *block.shape[2:])),
             )
+        # Right shapes, but a strided condensate: the kernel would write
+        # it as a dense array.
+        with pytest.raises(ValueError):
+            cstencil.advect_stage(
+                cstencil.load_stencil(), block, block, block,
+                split.pos, split.neg, 1.0, np.zeros(4), np.zeros(4),
+                np.empty((*block.shape[:4], 2))[..., 0], ring,
+            )
 
     def test_disable_env_forces_fallback(self, monkeypatch):
         monkeypatch.setenv(cstencil.DISABLE_ENV, "1")
