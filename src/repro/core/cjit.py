@@ -113,8 +113,11 @@ class CJitModule:
         self._lock = threading.Lock()
         self._lib: ctypes.CDLL | None = None
         self._attempted = False
+        self._compile_error = ""
         self._path_traced = False
-        #: Why the library is unavailable ("" while it is loaded).
+        #: Why the last :meth:`load` returned ``None`` ("" when it
+        #: returned the library): the active kill switch, else the
+        #: build's failure.
         self.load_error: str = ""
         _registry[name] = self
 
@@ -178,25 +181,25 @@ class CJitModule:
         """
         reason = self.disabled_reason()
         with self._lock:
-            if reason is not None:
-                self.load_error = reason
-            elif not self._attempted:
+            if reason is None and not self._attempted:
                 self._attempted = True
                 # The one-time build/dlopen is the only load() call worth
                 # a span; the steady-state calls return the cached lib.
                 with tracer.span("cjit.load", cat="jit") as sp:
                     try:
                         self._lib = self._compile()
-                        self.load_error = ""
                     except Exception as exc:  # noqa: BLE001 - use numpy
                         self._lib = None
-                        self.load_error = str(exc)
+                        self._compile_error = str(exc)
                     if sp is not None:
                         sp.set(
                             module=self.name,
                             ok=self._lib is not None,
-                            error=self.load_error,
+                            error=self._compile_error,
                         )
+            # Derived from the current state on every call: a kill
+            # switch set and then cleared leaves no stale reason behind.
+            self.load_error = reason or self._compile_error
             lib = None if reason is not None else self._lib
             if not self._path_traced and tracer.enabled():
                 self._path_traced = True

@@ -13,11 +13,13 @@ module is their host-side analog, built on the shared
 
 Every kernel here is defined as a `repro.codee.loopir` kernel
 (:func:`build_sed_sweep_ir`, :func:`build_onecond_ir`,
-:func:`build_freeze_melt_ir`, :func:`build_coal_bott_new_ir`) rather
-than a hand-written C string: the transformation engine
-(`repro.codee.transform`) analyzes them, the static verifier
-(`repro.codee.irverify`) checks the result, and `repro.codee.cgen`
-emits the C that :mod:`repro.core.cjit` compiles. The analysis is
+:func:`build_freeze_melt_ir`, :func:`build_gather_rows_ir`,
+:func:`build_scatter_rows_ir`, :func:`build_row_stats_ir`,
+:func:`build_coal_bott_new_ir`) rather than a hand-written C string:
+the transformation engine (`repro.codee.transform`) analyzes them,
+the static verifier (`repro.codee.irverify`) checks the result, and
+`repro.codee.cgen` emits the C that :mod:`repro.core.cjit` compiles.
+The analysis is
 honest about these loops — within one ensemble member the
 sedimentation nest's ``k``-carried flux recurrence and its
 ``active``/``precip`` accumulations make it provably
@@ -62,8 +64,16 @@ point-major buffer). Equivalence to the numpy references (asserted by
   (:func:`build_freeze_melt_ir`); a row whose gate is off is left
   untouched, and only the latent-heat sums' order differs from the
   numpy engine of `repro.fsbm.freezing`.
+* ``gather_rows``/``scatter_rows`` — the sweep's packed row gather
+  and its scatter: one contiguous copy per listed row, bit for bit the
+  fancy index they replace.
+* ``row_stats`` — per-species sums of packed rows, serial in ascending
+  bin order, and the occupied-bin counts above ``N_EPS``, in one read
+  of each row; the counts equal numpy's, the sums differ from its
+  pairwise ones by rounding.
 * ``coal_bott_new`` — every collision interaction of a step in one
-  call (:func:`build_coal_bott_new_ir`). The interaction loop is
+  call (:func:`build_coal_bott_new_ir`), on the listed rows of the
+  packed gather in place. The interaction loop is
   serial; the points inside it run in lane blocks whose ``(bin,
   lane)`` tiles put the loop over grid points innermost, where the
   transformation engine proves it independent and marks it ``simd``.
@@ -551,6 +561,112 @@ def build_freeze_melt_ir() -> Kernel:
         ),
     )
 
+def build_gather_rows_ir() -> Kernel:
+    """The sweep's packed row gather as loop IR.
+
+    ``src`` is addressed from its first element; row ``p`` of ``dst``
+    (``(npts, nc)``, contiguous) is the ``nc`` unit-stride elements of
+    ``src`` starting at element offset ``offs[p]``. Each row is one
+    contiguous copy, the memcpy the fancy index performs per point.
+    """
+    p, c = Sym("p"), Sym("c")
+    return Kernel(
+        name="gather_rows",
+        params=(
+            ArrayParam("src", strides=(Const(1),)),
+            ArrayParam("dst", strides=(Sym("nc"), Const(1)), intent="out"),
+            ArrayParam("offs", strides=(Const(1),), ctype="long"),
+            ScalarParam("npts", "long"),
+            ScalarParam("nc", "long"),
+        ),
+        body=[Loop("p", Const(0), Sym("npts"), [
+            Let("o", Load("offs", (p,)), ctype="long"),
+            Loop("c", Const(0), Sym("nc"), [
+                Store("dst", (p, c), Load("src", (Sym("o") + c,))),
+            ]),
+        ])],
+        doc=(
+            "gather_rows: copy nc unit-stride elements at each listed "
+            "element offset of src into consecutive rows of dst."
+        ),
+    )
+
+
+def build_scatter_rows_ir() -> Kernel:
+    """The inverse of :func:`build_gather_rows_ir`: row ``p`` of ``src``
+    goes back to the ``nc`` elements of ``dst`` at offset ``offs[p]``.
+    The offsets are distinct rows, so no element is written twice."""
+    p, c = Sym("p"), Sym("c")
+    return Kernel(
+        name="scatter_rows",
+        params=(
+            ArrayParam("dst", strides=(Const(1),), intent="inout"),
+            ArrayParam("src", strides=(Sym("nc"), Const(1))),
+            ArrayParam("offs", strides=(Const(1),), ctype="long"),
+            ScalarParam("npts", "long"),
+            ScalarParam("nc", "long"),
+        ),
+        body=[Loop("p", Const(0), Sym("npts"), [
+            Let("o", Load("offs", (p,)), ctype="long"),
+            Loop("c", Const(0), Sym("nc"), [
+                Store("dst", (Sym("o") + c,), Load("src", (p, c))),
+            ]),
+        ])],
+        doc=(
+            "scatter_rows: copy each row of src back to nc unit-stride "
+            "elements at its element offset of dst."
+        ),
+    )
+
+
+def build_row_stats_ir() -> Kernel:
+    """Per-species row sums and occupancy of packed rows as loop IR.
+
+    ``bins`` holds ``(npts, nsp * nkr)`` rows at row stride ``rs``,
+    species in order. Per row and species: ``sums[p, s]``, the bins
+    summed serially in ascending order from 0.0, and ``occ[p, s]``,
+    one past the highest bin above ``eps`` (0 when none is) — the
+    occupied-bin bound of the collision rectangles. Both come out of
+    one read of the row.
+    """
+    p, s, b = Sym("p"), Sym("s"), Sym("b")
+    nkr = Sym("nkr")
+    per_species = [
+        Decl("acc", "double", Const(0.0)),
+        Decl("top", "long", Const(0)),
+        Loop("b", Const(0), nkr, [
+            Let("v", Load("bins", (p, s * nkr + b))),
+            Assign("acc", Sym("acc") + Sym("v")),
+            Assign("top", Select(Sym("v").gt(Sym("eps")), b + 1, Sym("top"))),
+        ]),
+        Store("sums", (p, s), Sym("acc")),
+        Store("occ", (p, s), Sym("top")),
+    ]
+    nsp = Sym("nsp")
+    return Kernel(
+        name="row_stats",
+        params=(
+            ArrayParam("bins", strides=(Sym("rs"), Const(1))),
+            ArrayParam("sums", strides=(nsp, Const(1)), intent="out"),
+            ArrayParam(
+                "occ", strides=(nsp, Const(1)), ctype="long", intent="out"
+            ),
+            ScalarParam("npts", "long"),
+            ScalarParam("nsp", "long"),
+            ScalarParam("nkr", "long"),
+            ScalarParam("rs", "long"),
+            ScalarParam("eps"),
+        ),
+        body=[Loop("p", Const(0), Sym("npts"), [
+            Loop("s", Const(0), nsp, per_species),
+        ])],
+        doc=(
+            "row_stats: per-row, per-species serial bin sums and the "
+            "occupied-bin count above eps of packed rows."
+        ),
+    )
+
+
 #: Grid points per lane block of ``coal_bott_new``: every tile sweep's
 #: innermost loop runs over this many points side by side.
 COAL_LANES = 8
@@ -559,9 +675,12 @@ COAL_LANES = 8
 def build_coal_bott_new_ir() -> Kernel:
     """The whole collision step, all interactions, as loop IR.
 
-    ``dists[sp]`` points at species ``sp``'s gathered ``(npts, nkr)``
-    rows, all at row stride ``rs`` (the packed gather's ``nsp * nkr``,
-    or ``nkr`` for contiguous arrays). The interaction loop is outermost and serial: interaction
+    ``dists[sp]`` points at species ``sp``'s rows, all at row stride
+    ``rs`` (the packed gather's ``nsp * nkr``, or ``nkr`` for
+    contiguous arrays); point ``p`` of the call lives in row
+    ``rows[p]``, so the called points are selected in place, and every
+    per-point array (``sums``, ``occ``, ``gate``, ``ws``) is indexed by
+    ``p``. The interaction loop is outermost and serial: interaction
     ``ix`` selects the points where its temperature gate (``gate[ix]``)
     holds and both species' running sums (``sums``) exceed ``nmin``,
     and the rows it updates change the sums later interactions test —
@@ -758,7 +877,7 @@ def build_coal_bott_new_ir() -> Kernel:
             ),
             Decl("acc", "double", Const(0.0)),
             Loop("k", Const(0), nkr, [
-                Assign("acc", Sym("acc") + Load("dists", (Sym("sp"), p, k)))
+                Assign("acc", Sym("acc") + Load("dists", (Sym("sp"), pr, k)))
             ]),
             Store("sums", (Sym("sp"), p), Sym("acc")),
         ])
@@ -766,13 +885,15 @@ def build_coal_bott_new_ir() -> Kernel:
     def scatter(row_body: list) -> Loop:
         return Loop("lane", Const(0), nl, [
             Let("p", Load("pts", (Sym("base") + ln,)), ctype="long"),
+            Let("pr", Load("rows", (p,)), ctype="long"),
             Loop("k", Const(0), nkr, row_body),
             refresh_sums(),
         ])
 
+    pr = Sym("pr")
     g_k = at("G", k)
     scatter_self = scatter([
-        Let("a_old", Load("dists", (ca, p, k))),
+        Let("a_old", Load("dists", (ca, pr, k))),
         Let(
             "a_new",
             Select(
@@ -783,16 +904,16 @@ def build_coal_bott_new_ir() -> Kernel:
         ),
         If(
             cp.eq(ca),
-            [Store("dists", (ca, p, k), _nonneg(Sym("a_new") + g_k))],
+            [Store("dists", (ca, pr, k), _nonneg(Sym("a_new") + g_k))],
             [
-                Store("dists", (ca, p, k), Sym("a_new")),
-                Store("dists", (cp, p, k), g_k, "+="),
+                Store("dists", (ca, pr, k), Sym("a_new")),
+                Store("dists", (cp, pr, k), g_k, "+="),
             ],
         ),
     ])
     scatter_pair = scatter([
-        Let("a_old", Load("dists", (ca, p, k))),
-        Let("b_old", Load("dists", (cb, p, k))),
+        Let("a_old", Load("dists", (ca, pr, k))),
+        Let("b_old", Load("dists", (cb, pr, k))),
         Let(
             "a_new",
             Select(k.lt(na), _nonneg(Sym("a_old") - at("RS", k)), Sym("a_old")),
@@ -801,9 +922,9 @@ def build_coal_bott_new_ir() -> Kernel:
             "b_new",
             Select(k.lt(nb), _nonneg(Sym("b_old") - at("CS", k)), Sym("b_old")),
         ),
-        Store("dists", (ca, p, k), Select(cp.eq(ca), Sym("a_new") + g_k, Sym("a_new"))),
-        Store("dists", (cb, p, k), Select(cp.eq(cb), Sym("b_new") + g_k, Sym("b_new"))),
-        If(cp.ne(ca).logical_and(cp.ne(cb)), [Store("dists", (cp, p, k), g_k, "+=")]),
+        Store("dists", (ca, pr, k), Select(cp.eq(ca), Sym("a_new") + g_k, Sym("a_new"))),
+        Store("dists", (cb, pr, k), Select(cp.eq(cb), Sym("b_new") + g_k, Sym("b_new"))),
+        If(cp.ne(ca).logical_and(cp.ne(cb)), [Store("dists", (cp, pr, k), g_k, "+=")]),
     ])
 
     block = [
@@ -816,12 +937,13 @@ def build_coal_bott_new_ir() -> Kernel:
         # lanes, which compute but are never scattered.
         lanes([
             Let("q", Load("pts", (Sym("base") + smin(ln, nl - 1),)), ctype="long"),
+            Let("qr", Load("rows", (Sym("q"),)), ctype="long"),
             Store("W", (ln,), Load("ws", (Sym("q"),))),
             Loop("i", Const(0), na, [
-                Store("A", (i, ln), Load("dists", (ca, Sym("q"), i)))
+                Store("A", (i, ln), Load("dists", (ca, Sym("qr"), i)))
             ]),
             Loop("j", Const(0), nb, [
-                Store("B", (j, ln), Load("dists", (cb, Sym("q"), j)))
+                Store("B", (j, ln), Load("dists", (cb, Sym("qr"), j)))
             ]),
         ]),
         *losses(),
@@ -914,6 +1036,7 @@ def build_coal_bott_new_ir() -> Kernel:
             ArrayParam("w_hi", strides=(nkr, Const(1))),
             ArrayParam("ixinfo", strides=(Const(4), Const(1)), ctype="long"),
             ArrayParam("seg", strides=(Const(2), Const(1)), ctype="long"),
+            ArrayParam("rows", strides=(Const(1),), ctype="long"),
             ArrayParam("pts", strides=(Const(1),), ctype="long", intent="scratch"),
             ScalarParam("nix", "long"),
             ScalarParam("nseg", "long"),
@@ -925,10 +1048,10 @@ def build_coal_bott_new_ir() -> Kernel:
         ),
         body=[interaction],
         doc=(
-            "coal_bott_new: every interaction over the gathered collision "
-            "points, interactions serial (selection cascade), points in "
-            "lane blocks held as (bin, lane) tiles so the innermost loop "
-            "runs over grid points."
+            "coal_bott_new: every interaction over the listed rows of the "
+            "collision points, interactions serial (selection cascade), "
+            "points in lane blocks held as (bin, lane) tiles so the "
+            "innermost loop runs over grid points."
         ),
     )
 
@@ -943,6 +1066,9 @@ _specs = [
         ("sed_sweep", build_sed_sweep_ir),
         ("onecond", build_onecond_ir),
         ("freeze_melt", build_freeze_melt_ir),
+        ("gather_rows", build_gather_rows_ir),
+        ("scatter_rows", build_scatter_rows_ir),
+        ("row_stats", build_row_stats_ir),
         ("coal_bott_new", build_coal_bott_new_ir),
     )
 ]
@@ -957,8 +1083,9 @@ _module = cgen.build_module(
     build_dir=Path(__file__).resolve().parent / "_cbuild",
     banner=(
         "Generated by repro.codee.cgen from the sed_sweep/onecond/"
-        "freeze_melt/coal_bott_new loop IR; annotations derived by "
-        "repro.codee.transform. Do not edit."
+        "freeze_melt/gather_rows/scatter_rows/row_stats/coal_bott_new "
+        "loop IR; annotations derived by repro.codee.transform. Do not "
+        "edit."
     ),
 )
 
@@ -1046,16 +1173,31 @@ def _fits(arr: np.ndarray, shape: tuple, dtype) -> bool:
     return arr.shape == shape and arr.dtype == dtype and arr.flags.c_contiguous
 
 
-def _row_stride(rows: list[np.ndarray], shape: tuple) -> int | None:
+def rows_ok(rows: np.ndarray, limit: int) -> bool:
+    """Whether ``rows`` is a contiguous int64 row list, strictly
+    increasing, within ``[0, limit)``: what a kernel that updates the
+    listed rows in place may be given."""
+    n = len(rows)
+    return (
+        _fits(rows, (n,), np.int64)
+        and (n == 0 or (0 <= rows[0] and rows[-1] < limit))
+        and (n < 2 or bool((rows[1:] > rows[:-1]).all()))
+    )
+
+
+def _row_stride(
+    rows: list[np.ndarray], shape: tuple, max_width: int | None = MAX_NKR
+) -> int | None:
     """The row stride, in elements, that every array of ``rows`` shares.
 
     Each array must be a float64 ``(npts, nkr)`` view with unit-stride
     bins: a contiguous array (stride ``nkr``) or a species' column slice
     of the packed gather (stride ``nsp * nkr``). ``None`` when they are
-    not, or when ``nkr`` exceeds the kernels' stack buffers.
+    not, or when ``nkr`` exceeds ``max_width`` (the kernels' stack
+    buffers; ``None`` for a kernel that keeps no row on the stack).
     """
     npts, nkr = shape
-    if nkr > MAX_NKR:
+    if max_width is not None and nkr > max_width:
         return None
     strides = set()
     for arr in rows:
@@ -1111,11 +1253,9 @@ def onecond(
         return False
     nq = len(rows)
     if not (
-        _fits(rows, (nq,), np.int64)
+        rows_ok(rows, npts)
         and all(_fits(a, (nq,), np.float64) for a in (gc, qs))
         and all(_fits(a, (nkr,), np.float64) for a in (cr, masses))
-        and (nq == 0 or (0 <= rows[0] and rows[-1] < npts))
-        and (nq < 2 or bool((rows[1:] > rows[:-1]).all()))
     ):
         raise ValueError("onecond: malformed kernel inputs")
     lib.onecond(
@@ -1181,9 +1321,112 @@ def freeze_melt(
     return melted
 
 
+def _row_offsets(
+    view: np.ndarray, cells: tuple[np.ndarray, ...]
+) -> np.ndarray | None:
+    """Each listed cell's row start in ``view``, as an element offset.
+
+    ``view`` is float64 with a unit-stride trailing (row) axis;
+    ``cells`` holds one index array per leading axis (what
+    ``np.nonzero`` returns). ``None`` when the view's layout is
+    unsupported; ``ValueError`` when a cell lies outside the view.
+    """
+    itemsize = view.itemsize
+    if (
+        view.dtype != np.float64
+        or view.ndim < 2
+        or view.strides[-1] != itemsize
+        or any(s < 0 or s % itemsize for s in view.strides)
+    ):
+        return None
+    npts = len(cells[0]) if cells else -1
+    if len(cells) != view.ndim - 1 or not all(
+        idx.shape == (npts,)
+        and idx.dtype.kind in "iu"
+        and (npts == 0 or (idx.min() >= 0 and idx.max() < extent))
+        for idx, extent in zip(cells, view.shape)
+    ):
+        raise ValueError("row gather/scatter: cells outside the view")
+    offs = np.zeros(npts, dtype=np.int64)
+    for idx, stride in zip(cells, view.strides):
+        offs += idx * np.int64(stride // itemsize)
+    return offs
+
+
+def gather_rows(
+    lib: ctypes.CDLL, src: np.ndarray, cells: tuple[np.ndarray, ...]
+) -> np.ndarray | None:
+    """``src[cells]`` as a new contiguous ``(npts, nc)`` array.
+
+    ``src`` is any float64 view with a unit-stride trailing axis of
+    ``nc`` values (the sweep's packed bins of every member) and
+    ``cells`` indexes its leading axes, as ``np.nonzero`` does. Returns
+    ``None`` when the layout is unsupported and the caller must use
+    numpy's fancy index; raises ``ValueError`` on cells outside
+    ``src``.
+    """
+    offs = _row_offsets(src, cells)
+    if offs is None:
+        return None
+    nc = src.shape[-1]
+    out = np.empty((len(offs), nc))
+    lib.gather_rows(src, out, offs, len(offs), nc)
+    return out
+
+
+def scatter_rows(
+    lib: ctypes.CDLL,
+    dst: np.ndarray,
+    cells: tuple[np.ndarray, ...],
+    rows: np.ndarray,
+) -> bool:
+    """``dst[cells] = rows``, the inverse of :func:`gather_rows`.
+
+    Returns ``False`` (nothing written) when ``dst``'s layout is
+    unsupported; raises ``ValueError`` on cells outside ``dst`` or
+    ``rows`` that are not a contiguous float64 ``(npts, nc)`` array.
+    """
+    offs = _row_offsets(dst, cells)
+    if offs is None:
+        return False
+    nc = dst.shape[-1]
+    if not _fits(rows, (len(offs), nc), np.float64):
+        raise ValueError("scatter_rows: rows do not match the cells")
+    lib.scatter_rows(dst, rows, offs, len(offs), nc)
+    return True
+
+
+def row_stats(
+    lib: ctypes.CDLL, bins: np.ndarray, nsp: int, eps: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per-species sums and occupancy of packed rows (``row_stats``).
+
+    ``bins`` is a float64 ``(npts, nsp * nkr)`` array with unit-stride
+    bins at any row stride. Returns ``(sums, occ)``, both ``(npts,
+    nsp)`` (float64 and int64): each species' bins summed serially in
+    ascending order, and one past its highest bin above ``eps``.
+    ``None`` when the layout is unsupported and the caller must use
+    numpy; ``ValueError`` when the row width is not a multiple of
+    ``nsp``.
+    """
+    npts, width = bins.shape
+    if nsp < 1 or width % nsp:
+        raise ValueError("row_stats: row width is not nsp whole species")
+    sums = np.empty((npts, nsp))
+    occ = np.empty((npts, nsp), dtype=np.int64)
+    if npts == 0:
+        return sums, occ
+    rs = _row_stride([bins], (npts, width), max_width=None)
+    if rs is None:
+        return None
+    lib.row_stats(bins, sums, occ, npts, nsp, width // nsp, rs, eps)
+    return sums, occ
+
+
 def coal_bott_new(
     lib: ctypes.CDLL,
     dists: list[np.ndarray],
+    rows: np.ndarray,
     sums: np.ndarray,
     occ: np.ndarray,
     gate: np.ndarray,
@@ -1199,24 +1442,27 @@ def coal_bott_new(
 ) -> bool:
     """Run every interaction of one collision step in place.
 
-    ``dists`` holds each species' float64 ``(npts, nkr)`` rows, all at
-    one row stride with unit-stride bins; ``sums`` (``(nsp, npts)``, updated in place) the running
-    species sums the selection tests; ``occ`` the pre-step occupied-bin
-    counts (``(nsp, npts)`` int64); ``gate`` the ``(nix, npts)``
-    temperature gates; ``ws`` the pressure weights; ``k500``/``kdel``
-    the ``(nix, nkr, nkr)`` kernel tables; ``w_lo``/``w_hi`` the
+    ``dists`` holds each species' float64 ``(nrows, nkr)`` rows, all at
+    one row stride with unit-stride bins, and ``rows`` (strictly
+    increasing int64) the row of each of the call's ``npts`` points,
+    which the kernel updates in place. Per point: ``sums``
+    (``(nsp, npts)``, updated in place) the running species sums the
+    selection tests; ``occ`` the pre-step occupied-bin counts
+    (``(nsp, npts)`` int64); ``gate`` the ``(nix, npts)`` temperature
+    gates; ``ws`` the pressure weights. ``k500``/``kdel`` are the
+    ``(nix, nkr, nkr)`` kernel tables; ``w_lo``/``w_hi`` the
     ``(nkr, nkr)`` split tables; ``ixinfo`` rows ``(collector,
     collected, product, self)`` as species indices; ``seg`` the
-    ``(nseg, 2)`` member segments, ordered and disjoint. Returns
-    ``False`` (nothing touched) when the distributions' layout is
-    unsupported and the caller must use numpy; raises ``ValueError``
-    on malformed tables, indices or segments.
+    ``(nseg, 2)`` member segments of the points, ordered and disjoint.
+    Returns ``False`` (nothing touched) when the distributions' layout
+    is unsupported and the caller must use numpy; raises
+    ``ValueError`` on malformed rows, tables, indices or segments.
     """
-    npts, nkr = dists[0].shape
-    rs = _row_stride(dists, (npts, nkr))
+    nrows, nkr = dists[0].shape
+    rs = _row_stride(dists, (nrows, nkr))
     if rs is None:
         return False
-    nsp, nix, nseg = len(dists), len(ixinfo), len(seg)
+    npts, nsp, nix, nseg = len(rows), len(dists), len(ixinfo), len(seg)
     expected = (
         (sums, (nsp, npts), np.float64),
         (occ, (nsp, npts), np.int64),
@@ -1229,10 +1475,12 @@ def coal_bott_new(
         (ixinfo, (nix, 4), np.int64),
         (seg, (nseg, 2), np.int64),
     )
-    # The kernel indexes its stack tiles by occupancy and the species
+    # The kernel updates the listed rows in place (distinct, in
+    # range), indexes its stack tiles by occupancy and the species
     # table by ixinfo, and compacts each segment's points in place.
     if not (
-        all(_fits(*e) for e in expected)
+        rows_ok(rows, nrows)
+        and all(_fits(*e) for e in expected)
         and (npts == 0 or 0 <= occ.min() and occ.max() <= nkr)
         and (nix == 0 or 0 <= ixinfo[:, :3].min() and ixinfo[:, :3].max() < nsp)
         and (nseg == 0 or (0 <= seg[:, 0]).all() and (seg[:, 0] <= seg[:, 1]).all()
@@ -1244,7 +1492,7 @@ def coal_bott_new(
     pts = np.empty(max(npts, 1), dtype=np.int64)
     lib.coal_bott_new(
         _ptr_table(dists),
-        sums, occ, gate, ws, k500, kdel, w_lo, w_hi, ixinfo, seg, pts,
+        sums, occ, gate, ws, k500, kdel, w_lo, w_hi, ixinfo, seg, rows, pts,
         nix, nseg, npts, nkr, rs,
         dt, nmin,
     )

@@ -321,15 +321,19 @@ class CoalSelection:
         self,
         dists: dict[Species, np.ndarray],
         species: set[Species],
-        rows: np.ndarray,
+        points: np.ndarray,
+        rows: np.ndarray | None = None,
     ) -> None:
-        """Recompute sums of ``species`` at ``rows`` after a mutation.
+        """Recompute sums of ``species`` at ``points`` after a mutation.
 
-        Row sums are independent, so refreshing only the touched rows
-        is bitwise identical to a full recompute.
+        ``rows`` are the points' rows of ``dists`` (the points
+        themselves when omitted). Row sums are independent, so
+        refreshing only the touched points is bitwise identical to a
+        full recompute.
         """
+        rows = points if rows is None else rows
         for sp in species:
-            self._sums[sp][rows] = dists[sp][rows].sum(axis=1)
+            self._sums[sp][points] = dists[sp][rows].sum(axis=1)
 
 
 def predict_coal_work(
@@ -560,6 +564,7 @@ def _coal_table_block(
 def _apply_compiled(
     lib,
     dists: dict[Species, np.ndarray],
+    rows: np.ndarray,
     selection: CoalSelection,
     interactions: tuple[Interaction, ...],
     occupied: dict[Species, np.ndarray] | None,
@@ -571,10 +576,11 @@ def _apply_compiled(
 ) -> bool:
     """Every interaction through the compiled ``coal_bott_new`` kernel.
 
-    The kernel works on a copy of the selection's sums (the
-    :meth:`CoalSelection.fork` of the numpy loop), so ``selection``
-    stays pristine. Returns ``False`` without touching ``dists`` when
-    the kernel refuses the layout.
+    Point ``p`` lives in row ``rows[p]`` of ``dists``. The kernel works
+    on a copy of the selection's sums (the :meth:`CoalSelection.fork`
+    of the numpy loop), so ``selection`` stays pristine. Returns
+    ``False`` without touching ``dists`` when the kernel refuses the
+    layout.
     """
     species = list(dists)
     slot = {sp: n for n, sp in enumerate(species)}
@@ -596,6 +602,7 @@ def _apply_compiled(
     return ckernels.coal_bott_new(
         lib,
         [dists[sp] for sp in species],
+        rows,
         selection.stacked_sums(species),
         occ,
         gate,
@@ -630,13 +637,14 @@ def coal_bott_step(
     on_demand: bool = False,
     dtype: np.dtype | type = np.float64,
     selection: CoalSelection | None = None,
+    rows: np.ndarray | None = None,
 ) -> CoalWorkStats:
     """One member's collision step, in place (see
     :func:`coal_bott_step_members`)."""
     return coal_bott_step_members(
         dists, temperature, pressure_mb, dt, tables, interactions,
         [(0, temperature.shape[0])], occupied=occupied, on_demand=on_demand,
-        dtype=dtype, selection=selection,
+        dtype=dtype, selection=selection, rows=rows,
     )[0]
 
 
@@ -652,14 +660,22 @@ def coal_bott_step_members(
     on_demand: bool = False,
     dtype: np.dtype | type = np.float64,
     selection: CoalSelection | None = None,
+    rows: np.ndarray | None = None,
 ) -> list[CoalWorkStats]:
     """Advance all distributions by one collision step, in place.
 
-    ``dists`` maps species to ``(npts, nkr)`` arrays, every member's
-    active points concatenated member-major — contiguous arrays, or
-    the column slices of one packed point-major buffer, which the
-    compiled kernel updates in place through their shared row stride;
-    ``segments[m]`` is member ``m``'s row range. ``dtype`` selects the arithmetic precision: the
+    The call's points are every member's active points concatenated
+    member-major; ``segments[m]`` is member ``m``'s range of them, and
+    ``temperature``, ``pressure_mb``, ``occupied`` and ``selection``
+    hold one entry per point. ``dists`` maps species to ``(nrows,
+    nkr)`` arrays — contiguous arrays, or the column slices of one
+    packed point-major buffer, which the compiled kernel updates in
+    place through their shared row stride. Point ``p`` lives in row
+    ``rows[p]`` of ``dists`` (strictly increasing int64; row ``p``
+    when omitted), so a caller selects the called rows of a larger
+    gather in place instead of copying them out and back; the result
+    is bitwise that of a call on the copied rows, on either engine.
+    ``dtype`` selects the arithmetic precision: the
     offloaded stages pass ``float32`` to reproduce device arithmetic,
     which is what the Sec. VII-B digit comparison measures.
     ``selection`` shares a pre-built :class:`CoalSelection` (the
@@ -689,19 +705,33 @@ def coal_bott_step_members(
 
     Both engines need the mass-doubling ladder's triangular pair
     destinations; a grid without them raises
-    :class:`~repro.errors.ConfigurationError`.
+    :class:`~repro.errors.ConfigurationError`. Malformed ``rows``
+    (unsorted, repeated or out of range) raise ``ValueError``.
     """
     npts = temperature.shape[0]
+    nrows, nkr = next(iter(dists.values())).shape
+    if rows is not None and not (
+        len(rows) == npts and ckernels.rows_ok(rows, nrows)
+    ):
+        raise ValueError(
+            "coal_bott_step: rows must list one strictly increasing row "
+            "of dists per point"
+        )
     if selection is None and npts:
-        selection = CoalSelection.build(dists, temperature)
+        if rows is not None:
+            dists_called = {sp: d[rows] for sp, d in dists.items()}
+        else:
+            dists_called = dists
+        selection = CoalSelection.build(dists_called, temperature)
     stats = predict_coal_work_members(
         dists, temperature, tables, interactions, occupied, on_demand,
         segments, selection=selection,
     )
     if npts == 0:
         return stats
+    if rows is None:
+        rows = np.arange(npts)
 
-    nkr = next(iter(dists.values())).shape[1]
     if not _pair_split(nkr).triangular:
         raise ConfigurationError(
             f"the {nkr}-bin grid is off the mass-doubling ladder: its pair "
@@ -714,8 +744,8 @@ def coal_bott_step_members(
     lib = ckernels.load_kernels() if dtype == np.float64 else None
     engine = "numpy"
     if lib is not None and _apply_compiled(
-        lib, dists, selection, interactions, occupied, w_full, dt, tables,
-        nkr, segments,
+        lib, dists, rows, selection, interactions, occupied, w_full, dt,
+        tables, nkr, segments,
     ):
         engine = "compiled"
     for st in stats:
@@ -740,22 +770,25 @@ def coal_bott_step_members(
         for lo, hi in zip(los, his):
             if hi == lo:
                 continue
-            rows = idx[lo:hi]
+            pts = idx[lo:hi]
             # Restrict the pair loops to occupied bins: empty bins
             # contribute exact zeros, so the result is bitwise identical
             # while the work shrinks to what the scalar code's
             # occupied-bin bounds would do.
             if occ_a is not None:
-                na = max(1, int(occ_a[rows].max()))
-                nb = max(1, int(occ_b[rows].max()))
+                na = max(1, int(occ_a[pts].max()))
+                nb = max(1, int(occ_b[pts].max()))
             else:
                 na = nb = nkr
-            a_full = dists[ix.collector][rows]
-            b_full = dists[ix.collected][rows]
+            at = rows[pts]
+            a_full = dists[ix.collector][at]
+            b_full = dists[ix.collected][at]
             _apply_sparse(
-                dists, ix, rows, a_full, b_full, na, nb, w_full[rows], dt,
+                dists, ix, at, a_full, b_full, na, nb, w_full[pts], dt,
                 dtype, tables, nkr,
             )
-        live.refresh(dists, {ix.collector, ix.collected, ix.product}, idx)
+        live.refresh(
+            dists, {ix.collector, ix.collected, ix.product}, idx, rows[idx]
+        )
 
     return stats

@@ -34,6 +34,7 @@ from repro.core.directives import (
 from repro.core.engine import KernelRecord, OffloadEngine
 from repro.core.kernel import Kernel, KernelResources, estimate_registers
 from repro.errors import ConfigurationError
+from repro.fsbm import ckernels
 from repro.fsbm.coal_bott import (
     CoalSelection,
     CoalWorkStats,
@@ -150,9 +151,10 @@ class FastSBM:
         """Advance the patch microphysics by ``dt`` (all arrays in place).
 
         The one-member case of :func:`step_members`; the sedimentation
-        fall speeds see the patch's mean pressure per level. A state
-        without a packed view (:meth:`MicroState.bind_packed`) steps on
-        a packed copy of its bins, copied back afterwards.
+        fall speeds see the patch's mean pressure per level, and the
+        predicate the state's :meth:`MicroState.total_condensate_mass`.
+        A state without a packed view (:meth:`MicroState.bind_packed`)
+        steps on a packed copy of its bins, copied back afterwards.
         """
         bins = state.packed
         if bins is None:
@@ -167,6 +169,7 @@ class FastSBM:
             pressure_mb[None],
             qv[None],
             rho_air[None],
+            state.total_condensate_mass()[None],
             dz_cm,
             pressure_mb.mean(axis=(0, 2)),
         )
@@ -432,15 +435,17 @@ def coal_kernel_resources(
 #
 # One fused microphysics sweep over N members resident in one stacked
 # block (N = 1 for a plain run). The active points' bins are gathered
-# once, with one fancy index on the packed all-species view, into a
+# once, one contiguous row copy per point of the packed all-species
+# view (the compiled ``gather_rows``; a fancy index on numpy), into a
 # point-major buffer in which each species is a column slice at row
-# stride ``nsp * nkr``; every layer works on that buffer, and one
-# scatter writes it back. The batching discipline is that a member's
-# rows never depend on the other rows of a call:
+# stride ``nsp * nkr``; every layer works on that buffer, collisions
+# included (they select their rows of it in place), and one scatter
+# writes it back. The batching discipline is that a member's rows
+# never depend on the other rows of a call:
 #
 # * elementwise ufuncs, integer-tuple gathers/scatters in C order, and
-#   row-local reductions (``sum(axis=1)``) run once over the member
-#   concatenation;
+#   row-local reductions (the compiled ``row_stats``, ``sum(axis=1)``)
+#   run once over the member concatenation;
 # * the compiled kernels (condensation, freezing/melting, collisions,
 #   sedimentation) sum each row serially in a fixed order and take
 #   every member in one call, with member-local segments where a gate
@@ -470,15 +475,51 @@ def species_columns(bins: np.ndarray) -> dict[Species, np.ndarray]:
 
 def _species_axis(bins: np.ndarray) -> np.ndarray:
     """Packed ``(npts, nsp * nkr)`` rows viewed as ``(npts, nsp, nkr)``."""
-    return bins.reshape(bins.shape[0], len(Species), -1)
+    nsp = len(Species)
+    return bins.reshape(bins.shape[0], nsp, bins.shape[1] // nsp)
 
 
-def _occupied(bins: np.ndarray) -> dict[Species, np.ndarray]:
-    """Occupied-bin counts per species of packed rows (row-local)."""
+def _occupied(bins: np.ndarray) -> np.ndarray:
+    """Occupied-bin counts ``(npts, nsp)`` of packed rows (row-local):
+    one past each species' highest bin above ``N_EPS``, 0 when none is."""
     present = _species_axis(bins) > N_EPS
     last = np.argmax(present[:, :, ::-1], axis=2)
-    occ = np.where(present.any(axis=2), present.shape[2] - last, 0)
-    return {sp: occ[:, n] for n, sp in enumerate(Species)}
+    return np.where(present.any(axis=2), present.shape[2] - last, 0)
+
+
+def _row_stats(bins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-species row sums and occupied-bin counts of packed rows.
+
+    Both ``(npts, nsp)``, from one read of the rows in the compiled
+    ``row_stats`` kernel, which sums each species serially in ascending
+    bin order; the numpy fallback reduces ``(npts, nsp, nkr)`` and
+    runs :func:`_occupied`.
+    """
+    lib = ckernels.load_kernels()
+    if lib is not None:
+        got = ckernels.row_stats(lib, bins, len(Species), N_EPS)
+        if got is not None:
+            return got
+    return _species_axis(bins).sum(axis=2), _occupied(bins)
+
+
+def _gather_rows(src: np.ndarray, cells: tuple[np.ndarray, ...]) -> np.ndarray:
+    """``src[cells]``: one contiguous row per cell (``gather_rows``)."""
+    lib = ckernels.load_kernels()
+    if lib is not None:
+        rows = ckernels.gather_rows(lib, src, cells)
+        if rows is not None:
+            return rows
+    return src[cells]
+
+
+def _scatter_rows(
+    dst: np.ndarray, cells: tuple[np.ndarray, ...], rows: np.ndarray
+) -> None:
+    """``dst[cells] = rows``, the inverse of :func:`_gather_rows`."""
+    lib = ckernels.load_kernels()
+    if lib is None or not ckernels.scatter_rows(lib, dst, cells, rows):
+        dst[cells] = rows
 
 
 def _condensation(
@@ -530,18 +571,19 @@ def _collisions(
 ) -> None:
     """coal_bott_new per the active stage, over every member's points.
 
-    The called points' rows are one packed gather of ``g_bins``,
-    scattered back once. CPU stages apply every member in one call and
-    charge the scalar-loop work to each member's clock; GPU stages (one
-    member) launch the fissioned loop on the device, which charges the
-    clock itself.
+    CPU stages apply every member in one call, which selects the
+    called points' rows of ``g_bins`` in place, and charge the
+    scalar-loop work to each member's clock; GPU stages (one member)
+    launch the fissioned loop on the device, which charges the clock
+    itself, on a packed copy of the called rows (the one the ``map``
+    clauses move), scattered back once.
     """
     lead = sbms[0]
     # Per-species row sums serve both the condensate predicate and the
-    # interaction selection below — row sums are row-independent, so
-    # slicing them to the called points is bitwise identical to
-    # CoalSelection.build on the gathered copies.
-    rowsums = _species_axis(g_bins).sum(axis=2)
+    # interaction selection below, and the occupancy the rectangles —
+    # all row-local, so slicing them to the called points is bitwise
+    # identical to computing them on a copy of those rows.
+    rowsums, rowocc = _row_stats(g_bins)
     sums = {sp: rowsums[:, n] for n, sp in enumerate(Species)}
     condensate = np.zeros(g_t.shape)
     for s_arr in sums.values():
@@ -553,23 +595,30 @@ def _collisions(
     chis = np.searchsorted(cidx, [e for _, e in segments])
     coal_segments = [(int(lo), int(hi)) for lo, hi in zip(clos, chis)]
     works = None
+    c_bins = None
     if cidx.size:
-        c_bins = g_bins[cidx]
-        c_dists = species_columns(c_bins)
         c_t = g_t[cidx]
         c_p = g_p[cidx]
-        occupied = _occupied(c_bins)
+        occ = rowocc[cidx]
+        occupied = {sp: occ[:, n] for n, sp in enumerate(Species)}
         # One selection for the whole step: the work prediction and the
         # update (and its fp64 shadow) all test the same pre-step state.
         selection = CoalSelection(
             c_t, {sp: s_arr[cidx] for sp, s_arr in sums.items()}, {}
         )
-        if not lead.stage.uses_gpu:
-            args = (c_dists, c_t, c_p, lead.dt, lead.tables, INTERACTIONS)
+        if lead.stage.uses_gpu:
+            c_bins = g_bins[cidx]
+            c_dists = species_columns(c_bins)
+        else:
+            args = (
+                species_columns(g_bins), c_t, c_p, lead.dt, lead.tables,
+                INTERACTIONS,
+            )
             kwargs = dict(
                 occupied=occupied,
                 on_demand=lead.stage.on_demand_kernels,
                 selection=selection,
+                rows=cidx,
             )
             if len(segments) == 1:
                 # A plain run enters through the one-member name (the
@@ -598,7 +647,7 @@ def _collisions(
                         states[m], c_dists, c_t, c_p, occupied, selection
                     )
             stats.coal_seconds = sbm.clock.total - before
-    if cidx.size:
+    if c_bins is not None:
         g_bins[cidx] = c_bins
 
 
@@ -612,6 +661,7 @@ def step_members(
     pressure_mb: np.ndarray,
     qv: np.ndarray,
     rho_air: np.ndarray,
+    condensate: np.ndarray,
     dz_cm: float,
     pressure_levels: np.ndarray,
 ) -> list[SbmStepStats]:
@@ -622,9 +672,12 @@ def step_members(
     views whose slice ``[m]`` aliases that member's patch arrays (all
     updated in place). ``bins_stacked`` is the packed ``(nm, ni, nk,
     nj, nsp * nkr)`` view of every species' bins, species in
-    :class:`Species` order (:func:`species_columns`). ``pressure_levels``
-    is the ``(nk,)`` base-state pressure column the members share
-    (sedimentation fall speeds).
+    :class:`Species` order (:func:`species_columns`). ``condensate``
+    is each cell's condensate mass on entry (read only: the model
+    passes the field its transport sweep summed), which decides with
+    the temperature and saturation which cells the sweep visits.
+    ``pressure_levels`` is the ``(nk,)`` base-state pressure column the
+    members share (sedimentation fall speeds).
 
     Member ``m``'s fields, work stats, and clock charges are
     bit-identical to a one-member step of that member alone. GPU
@@ -653,9 +706,6 @@ def step_members(
         # Fortran scans every cell — charged above — but only these do
         # real work inside the conditionals.)
         qs = saturation_mixing_ratio(temperature, pressure_mb)
-        condensate = np.empty(temperature.shape)
-        for m, state in enumerate(states):
-            condensate[m] = state.total_condensate_mass()
         mp_mask = (temperature > T_FREEZE_CUTOFF) & (
             (condensate > N_EPS) | (qv > 0.98 * qs)
         )
@@ -674,7 +724,7 @@ def step_members(
             # packed gather (every species of a point in one contiguous
             # run) and come back as one scatter.
             midx = np.nonzero(mp_mask)
-            g_bins = bins_stacked[midx]
+            g_bins = _gather_rows(bins_stacked, midx)
             g_dists = species_columns(g_bins)
             g_t = temperature[midx]
             g_p = pressure_mb[midx]
@@ -695,13 +745,13 @@ def step_members(
                     )
 
             # --- condensation (onecond1 / onecond2) ---------------------
-            # Every species' post-nucleation row sums, in one reduction
-            # over the packed rows. A species none of whose rows in a
+            # Every species' post-nucleation row sums, in one pass over
+            # the packed rows. A species none of whose rows in a
             # member has a nonzero sum can pass no N_EPS gate there, so
             # the condensation core skips it for that member without
             # probing its rows; a point with an ice species above
             # N_EPS is mixed-phase.
-            rowsums = _species_axis(g_bins).sum(axis=2)
+            rowsums, _ = _row_stats(g_bins)
             sp_present = [
                 dict(zip(Species, (rowsums[s:e] != 0.0).any(axis=0).tolist()))
                 for (s, e) in segments
@@ -746,7 +796,7 @@ def step_members(
             # --- collision–coalescence (coal_bott_new) -----------------
             _collisions(sbms, states, g_bins, g_t, g_p, segments, stats_list)
 
-            bins_stacked[midx] = g_bins
+            _scatter_rows(bins_stacked, midx, g_bins)
             temperature[midx] = g_t
             qv[midx] = g_qv
             ccn_stacked[midx] = g_ccn

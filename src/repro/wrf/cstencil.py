@@ -70,6 +70,44 @@ DISABLE_ENV = "REPRO_DISABLE_CSTENCIL"
 CONDENSATE_LANES = 8
 
 
+def lane_condensate(src: str, cell: tuple) -> list:
+    """Statements storing ``cond[cell] = sum_n src[cell, n] * mass[n]``.
+
+    The one definition of the condensate's summation order, shared by
+    every kernel that writes ``cond``: lane ``l`` sums the scalars
+    ``l, l + 8, ...`` in ascending order from 0.0 (the lane loop is
+    where the vector unit works), then the :data:`CONDENSATE_LANES`
+    lanes add up in order. ``ns`` is the scalar count.
+    """
+    ns, lane, nb = Sym("ns"), Sym("l"), Sym("nb")
+    lanes = Const(CONDENSATE_LANES)
+
+    def add_lane(at):
+        """acc[l] += src[cell, at] * mass[at], ``at`` a scalar of lane l."""
+        return Store(
+            "acc",
+            (lane,),
+            Load(src, (*cell, at)) * Load("mass", (at,)),
+            "+=",
+        )
+
+    return [
+        LocalArray("acc", CONDENSATE_LANES),
+        Loop("l", Const(0), lanes, [Store("acc", (lane,), Const(0.0))]),
+        Loop("nb", Const(0), ns / lanes, [
+            Loop("l", Const(0), lanes, [add_lane(nb * lanes + lane)]),
+        ]),
+        Loop("l", Const(0), ns - (ns / lanes) * lanes, [
+            add_lane((ns / lanes) * lanes + lane),
+        ]),
+        Decl("c", "double", Load("acc", (Const(0),))),
+        Loop("l", Const(0), Const(CONDENSATE_LANES - 1), [
+            Assign("c", Sym("c") + Load("acc", (lane + 1,))),
+        ]),
+        Store("cond", cell, Sym("c")),
+    ]
+
+
 def build_advect_ir() -> Kernel:
     """The donor-cell stage ``out = base + f * tend(s)`` as loop IR.
 
@@ -105,8 +143,7 @@ def build_advect_ir() -> Kernel:
         Sym("nm"), Sym("ni"), Sym("nk"), Sym("nj"), Sym("ns")
     )
     r, i, k, j, n = Sym("r"), Sym("i"), Sym("k"), Sym("j"), Sym("n")
-    sv, v, lane, nb = Sym("sv"), Sym("v"), Sym("l"), Sym("nb")
-    lanes = Const(CONDENSATE_LANES)
+    sv, v = Sym("sv"), Sym("v")
 
     s4 = (nk * nj * ns, nj * ns, ns, Const(1))
     c3 = (nk * nj, nj, Const(1))
@@ -124,15 +161,6 @@ def build_advect_ir() -> Kernel:
     ):
         pair = -(Sym(pos) * (sv - lo) + Sym(neg) * (hi - sv))
         tend = pair if tend is None else tend + pair
-
-    def add_lane(at):
-        """acc[l] += out[at] * mass[at] for the bin ``at`` of lane l."""
-        return Store(
-            "acc",
-            (lane,),
-            Load("out", (r, k, j, at)) * Load("mass", (at,)),
-            "+=",
-        )
 
     clamp = loopir.Select
     body_j = [
@@ -161,21 +189,8 @@ def build_advect_ir() -> Kernel:
                 Store("out", (r, k, j, n), clamp(v.lt(Sym("lo")), Sym("lo"), v)),
             ],
         ),
-        # The cell's condensate from the values just stored: lane l
-        # sums bins l, l + 8, ... in order, then the lanes add up in order.
-        LocalArray("acc", CONDENSATE_LANES),
-        Loop("l", Const(0), lanes, [Store("acc", (lane,), Const(0.0))]),
-        Loop("nb", Const(0), ns / lanes, [
-            Loop("l", Const(0), lanes, [add_lane(nb * lanes + lane)]),
-        ]),
-        Loop("l", Const(0), ns - (ns / lanes) * lanes, [
-            add_lane((ns / lanes) * lanes + lane),
-        ]),
-        Decl("c", "double", Load("acc", (Const(0),))),
-        Loop("l", Const(0), Const(CONDENSATE_LANES - 1), [
-            Assign("c", Sym("c") + Load("acc", (lane + 1,))),
-        ]),
-        Store("cond", (r, k, j), Sym("c")),
+        # The cell's condensate from the values just stored.
+        *lane_condensate("out", (r, k, j)),
     ]
 
     nest = Loop(
@@ -219,13 +234,56 @@ def build_advect_ir() -> Kernel:
     )
 
 
-_spec = loopir.register_kernel(
-    loopir.KernelSpec(
-        name="advect_stage",
-        build=build_advect_ir,
-        transform=transform.plan_host,
+def build_condensate_ir() -> Kernel:
+    """Each cell's condensate of the member-stacked block as loop IR.
+
+    ``cond[r, k, j] = sum_n s[r, k, j, n] * mass[n]`` over the
+    ``(nm, ni, nk, nj, ns)`` block, its members' rows folded into
+    ``nm * ni`` rows as in :func:`build_advect_ir`, in the lane order of
+    :func:`lane_condensate` — the sum ``advect_stage`` writes with each
+    sweep, for a block no sweep has written yet.
+    """
+    nm, ni, nk, nj, ns = (
+        Sym("nm"), Sym("ni"), Sym("nk"), Sym("nj"), Sym("ns")
     )
-)
+    r, k, j = Sym("r"), Sym("k"), Sym("j")
+    nest = Loop("r", Const(0), nm * ni, [
+        Loop("k", Const(0), nk, [
+            Loop("j", Const(0), nj, lane_condensate("s", (r, k, j))),
+        ]),
+    ])
+    return Kernel(
+        name="condensate",
+        params=(
+            ArrayParam("s", strides=(nk * nj * ns, nj * ns, ns, Const(1))),
+            ArrayParam("mass", strides=(Const(1),)),
+            ArrayParam("cond", strides=(nk * nj, nj, Const(1)), intent="out"),
+            ScalarParam("nm", "long"),
+            ScalarParam("ni", "long"),
+            ScalarParam("nk", "long"),
+            ScalarParam("nj", "long"),
+            ScalarParam("ns", "long"),
+        ),
+        body=[nest],
+        doc=(
+            "Each cell's condensate sum_n s[n] * mass[n] over the "
+            "member-stacked (nm, ni, nk, nj, ns) superblock, summed in 8 "
+            "lanes as advect_stage sums it."
+        ),
+    )
+
+
+_specs = [
+    loopir.register_kernel(
+        loopir.KernelSpec(
+            name=name, build=build, transform=transform.plan_host
+        )
+    )
+    for name, build in (
+        ("advect_stage", build_advect_ir),
+        ("condensate", build_condensate_ir),
+    )
+]
 
 #: Why the stencil is unavailable ("" while it is); for diagnostics.
 load_error: str = ""
@@ -236,12 +294,13 @@ load_error: str = ""
 # before any C exists — loud by design.
 _module = cgen.build_module(
     "stencil",
-    [_spec.final_kernel()],
+    [spec.final_kernel() for spec in _specs],
     disable_env=DISABLE_ENV,
     build_dir=Path(__file__).resolve().parent / "_cbuild",
     banner=(
-        "Generated by repro.codee.cgen from the advect_stage loop IR; "
-        "annotations derived by repro.codee.transform. Do not edit."
+        "Generated by repro.codee.cgen from the advect_stage/condensate "
+        "loop IR; annotations derived by repro.codee.transform. Do not "
+        "edit."
     ),
 )
 
@@ -316,3 +375,25 @@ def advect_stage(
         float(f), nm, ni, nk, nj, ns,
         floors, mass, cond, ring,
     )
+
+
+def condensate(
+    lib: ctypes.CDLL, block: np.ndarray, mass: np.ndarray, cond: np.ndarray
+) -> None:
+    """Write each cell's condensate ``sum_n block[..., n] * mass[n]``.
+
+    ``block`` is the ``(nm, ni, nk, nj, ns)`` superblock, ``mass`` the
+    per-scalar masses and ``cond`` the ``(nm, ni, nk, nj)`` output, all
+    C-contiguous float64; the sum runs in the order ``advect_stage``
+    uses (:func:`lane_condensate`), so the two agree bit for bit.
+    """
+    nm, ni, nk, nj, ns = block.shape
+    if (
+        not all(a.flags.c_contiguous for a in (block, mass, cond))
+        or mass.shape != (ns,)
+        or cond.shape != block.shape[:4]
+    ):
+        raise ValueError(
+            "condensate: operands must be C-contiguous and match the block"
+        )
+    lib.condensate(block, mass, cond, nm, ni, nk, nj, ns)

@@ -64,6 +64,7 @@ from repro.wrf.transport import (
     fused_euler_advect,
     fused_rk3_advect,
     get_workspace,
+    sum_condensate,
 )
 
 #: Acoustic substeps per RK3 stage in WRF's split-explicit solver —
@@ -165,6 +166,11 @@ class RankState:
     one stacked :class:`~repro.wrf.dynamics.WindSplit` and microphysics
     gather all members with one mask. The ``*_o`` arrays are the
     owned-region (halo-free) views the physics sweep works on.
+
+    ``condensate`` is every cell's condensate mass, kept current with
+    the bins: filled once here, then written by each transport sweep
+    (:func:`transport_numerics`). The physics predicate and the output
+    frames read it, so no step re-reads the bins for it.
     """
 
     rank: int
@@ -193,6 +199,17 @@ class RankState:
     floors: np.ndarray
     #: Per-scalar bin mass for the condensate sum (0 for t, qv and w).
     scalar_masses: np.ndarray
+    #: Each cell's condensate ``(N, ni, nk, nj)`` (memory extents) and
+    #: its owned view.
+    condensate: np.ndarray
+    condensate_o: np.ndarray
+
+
+def _blas_condensate(fields: list[WrfFields], cond: np.ndarray) -> None:
+    """The numpy fallback's condensate: one BLAS contraction per member
+    (a call must not see other members' rows)."""
+    for m, f in enumerate(fields):
+        cond[m] = f.micro.total_condensate_mass()
 
 
 def build_rank_state(
@@ -241,6 +258,11 @@ def build_rank_state(
     rho_one = fields[0].rho[sl]
     scalar_masses = np.zeros(fields[0].scalar_count())
     scalar_masses[bins[0].start : bins[-1].stop] = fields[0].micro.packed_masses
+    # Summed as the transport sweep sums it, so the first step's
+    # predicate sees what every later one does.
+    condensate = np.empty((nm, *shape))
+    if not sum_condensate(block, scalar_masses, condensate):
+        _blas_condensate(fields, condensate)
     return RankState(
         rank=rank,
         block=block,
@@ -264,6 +286,8 @@ def build_rank_state(
         w_start=slices["w"].start,
         floors=fields[0].layout.floors(no_clip=("t", "w")),
         scalar_masses=scalar_masses,
+        condensate=condensate,
+        condensate_o=condensate[every],
     )
 
 
@@ -289,6 +313,7 @@ def physics_rank(namelist: Namelist, rs: RankState) -> list[SbmStepStats]:
             rs.p_o,
             rs.qv_o,
             rs.rho_o,
+            rs.condensate_o,
             namelist.domain.dz * 100.0,
             rs.pressure_levels,
         )
@@ -412,13 +437,14 @@ def transport_numerics(namelist: Namelist, rs: RankState) -> None:
     over one stacked wind decomposition, hoisted out of the scalar
     loop. Both are elementwise in the member axis, so member ``m``'s
     result is bitwise a one-member sweep's. On the compiled path the
-    sweep also returns each cell's condensate, summed from the cell's
-    own bins in a fixed order, which feeds the per-member buoyancy
-    update: no block copy and no second read of the block, and the
-    buoyancy input does not depend on BLAS call shapes, the member
-    count or the decomposition. The numpy fallback contracts each
-    member's packed bins instead (a BLAS call per member, which must
-    not see other members' rows).
+    sweep also writes each cell's condensate into ``rs.condensate``,
+    summed from the cell's own bins in a fixed order; it feeds the
+    per-member buoyancy update now and the next step's physics
+    predicate and output frames: no block copy and no second read of
+    the block, and the condensate does not depend on BLAS call shapes,
+    the member count or the decomposition. The numpy fallback contracts
+    each member's packed bins into it instead (a BLAS call per member,
+    which must not see other members' rows).
 
     The span mirrors the ``rk_scalar_tend``/``rk_update_scalar`` clock
     regions' work under one measured name; ``flops`` counts the stages
@@ -435,14 +461,15 @@ def transport_numerics(namelist: Namelist, rs: RankState) -> None:
             namelist.domain.dx, namelist.domain.dz,
         )
         advect = fused_rk3_advect if namelist.use_rk3_numerics else fused_euler_advect
-        cond = advect(
-            block, split, dt, rs.workspace, rs.floors, rs.scalar_masses
-        )
+        if not advect(
+            block, split, dt, rs.workspace, rs.floors, rs.scalar_masses,
+            rs.condensate,
+        ):
+            _blas_condensate(rs.fields, rs.condensate)
         for m, f in enumerate(rs.fields):
-            condensate = (
-                f.micro.total_condensate_mass() if cond is None else cond[m]
+            buoyancy_w_update(
+                f.w, f.t, f.t_base_col, rs.condensate[m], f.rho, dt
             )
-            buoyancy_w_update(f.w, f.t, f.t_base_col, condensate, f.rho, dt)
         if sp is not None:
             cell_scalars = float(block.size)
             stages = len(RK3_FRACTIONS) if namelist.use_rk3_numerics else 1
@@ -464,13 +491,14 @@ def transport_rank(
     transport_numerics(namelist, rs)
 
 
-def rank_output_frame(fields: WrfFields) -> dict[str, np.ndarray]:
-    """One rank's owned contribution to the domain-wide output frame.
+def rank_output_frame(rs: RankState, member: int) -> dict[str, np.ndarray]:
+    """One rank's owned contribution to member ``member``'s output frame.
 
-    Contiguous copies, so worker processes can ship frames over the
-    command pipe without dragging whole memory-extent arrays along.
+    ``QCLOUD_TOTAL`` is the rank's condensate field. Contiguous copies,
+    so worker processes can ship frames over the command pipe without
+    dragging whole memory-extent arrays along.
     """
-    f = fields
+    f = rs.fields[member]
     patch = f.patch
     precip_owned = f.micro.precip[
         patch.i.to_slice(patch.im.start), patch.j.to_slice(patch.jm.start)
@@ -479,9 +507,7 @@ def rank_output_frame(fields: WrfFields) -> dict[str, np.ndarray]:
         "T": np.ascontiguousarray(f.owned(f.t)),
         "QVAPOR": np.ascontiguousarray(f.owned(f.qv)),
         "W": np.ascontiguousarray(f.owned(f.w)),
-        "QCLOUD_TOTAL": np.ascontiguousarray(
-            f.owned(f.micro.total_condensate_mass())
-        ),
+        "QCLOUD_TOTAL": np.ascontiguousarray(rs.condensate_o[member]),
         "RAINNC": np.ascontiguousarray(precip_owned),
     }
 
@@ -830,7 +856,7 @@ class WrfModel:
             # their address space); they ship owned-region frames back.
             frames = self._pool.gather(member)
         else:
-            frames = [rank_output_frame(rs.fields[member]) for rs in self.ranks]
+            frames = [rank_output_frame(rs, member) for rs in self.ranks]
         for patch, frame in zip(self.decomposition.patches, frames):
             sl = (
                 patch.i.to_slice(1),

@@ -238,7 +238,7 @@ class _RankContext:
 
     def gather(self, member: int) -> dict[str, np.ndarray]:
         """One member's owned output frame."""
-        return rank_output_frame(self.state.fields[member])
+        return rank_output_frame(self.state, member)
 
 
 def _worker_main(

@@ -21,9 +21,9 @@ This module is the Python analog of the paper's stage-3 transformation:
   available the Euler step is one compiled pass over the block
   (:mod:`repro.wrf.cstencil`): every value read once and written back
   in place through a two-row ring, clipped in the store, with each
-  cell's condensate summed on the way — otherwise a sliced in-place
-  numpy stencil runs through preallocated buffers instead of rolled
-  copies.
+  cell's condensate summed on the way into the caller's condensate
+  field — otherwise a sliced in-place numpy stencil runs through
+  preallocated buffers instead of rolled copies.
 
 Workspaces are registered in the :mod:`repro.core.cache` registry
 (cache ``"wrf.transport_workspace"``), so tests and the benchmark
@@ -102,10 +102,10 @@ class TransportWorkspace:
     one flat float pool per buffer name, sized by the largest request
     and handed out as shaped views, so repeated steps perform zero heap
     allocations. Pools are sized by request, not rounded up to a block:
-    the compiled Euler step's ``ring`` is two rows and its ``cond`` one
-    value per cell (RK3 adds the block-sized ``stage``/``tend`` for its
-    first two stages; the numpy path uses ``tend``, the per-axis
-    stencil pieces ``diff``/``hi``/``lo`` and RK3's ``phi0``/``stage``).
+    the compiled Euler step's only pool is the two-row ``ring`` (RK3
+    adds the block-sized ``stage``/``tend`` for its first two stages;
+    the numpy path uses ``tend``, the per-axis stencil pieces
+    ``diff``/``hi``/``lo`` and RK3's ``phi0``/``stage``).
     ``allocations`` counts pool (re)allocations — a
     reuse test can assert it stays flat across steps the same way the
     paper checks ``map(alloc:)`` happens once. ``shape`` is the block's
@@ -264,7 +264,8 @@ def fused_euler_advect(
     ws: TransportWorkspace,
     floors: np.ndarray,
     mass: np.ndarray,
-) -> np.ndarray | None:
+    cond: np.ndarray,
+) -> bool:
     """Single-Euler-stage donor-cell update of the member stack, in place.
 
     ``block`` is the ``(nm, ni, nk, nj, ns)`` superblock and ``split``
@@ -278,11 +279,11 @@ def fused_euler_advect(
     With the compiled stencil available the update is one pass over
     the block: each row is computed from unmodified rows into the
     workspace's two-row ring and written back once the next row is
-    done, and the same sweep sums each cell's condensate
-    ``sum_n block[..., n] * mass[n]`` in a fixed lane order. That
-    ``(nm, ni, nk, nj)`` condensate (a workspace buffer) is returned;
-    no block-sized buffer is touched. The numpy fallback returns
-    ``None`` and leaves the condensate to the caller.
+    done, and the same sweep writes each cell's condensate
+    ``sum_n block[..., n] * mass[n]`` into ``cond`` (``(nm, ni, nk,
+    nj)``) in a fixed lane order; no block-sized buffer is touched.
+    Returns whether it did: the numpy fallback leaves ``cond`` to the
+    caller and returns ``False``.
     """
     lib = cstencil.load_stencil()
     with tracer.span("advect_euler", cat="kernel") as sp:
@@ -293,19 +294,18 @@ def fused_euler_advect(
                 members=block.shape[0],
             )
         if lib is not None:
-            cond = ws.buffer("cond", block.shape[:4])
             cstencil.advect_stage(
                 lib, block, block, block, split.pos, split.neg, dt,
                 floors, mass, cond,
                 ws.buffer("ring", cstencil.ring_shape(block.shape)),
             )
-            return cond
+            return True
         tend = ws.buffer("tend", block.shape)
         fused_upwind_tend(block, split, tend, ws)
         np.multiply(tend, dt, out=tend)
         block += tend
         np.maximum(block, floors, out=block)
-        return None
+        return False
 
 
 def fused_rk3_advect(
@@ -315,7 +315,8 @@ def fused_rk3_advect(
     ws: TransportWorkspace,
     floors: np.ndarray,
     mass: np.ndarray,
-) -> np.ndarray | None:
+    cond: np.ndarray,
+) -> bool:
     """WRF-ARW's three-stage RK3 update of the member stack, in place.
 
     The stage recurrence ``phi* = phi0 + (dt*frac) L(stage)`` runs on
@@ -325,7 +326,8 @@ def fused_rk3_advect(
     after the last stage. Shapes and the return value as in
     :func:`fused_euler_advect`: on the compiled path the first two
     stages go to two workspace buffers, the last stage writes ``block``
-    itself (through the same ring), and its condensate is returned.
+    itself (through the same ring), and its condensate is the one left
+    in ``cond``.
     """
     lib = cstencil.load_stencil()
     with tracer.span("advect_rk3", cat="kernel") as sp:
@@ -337,7 +339,6 @@ def fused_rk3_advect(
             )
         if lib is not None:
             # `block` is phi0 for every stage and receives the last one.
-            cond = ws.buffer("cond", block.shape[:4])
             ring = ws.buffer("ring", cstencil.ring_shape(block.shape))
             unclamped = np.full_like(floors, -np.inf)
             bufs = (
@@ -353,7 +354,7 @@ def fused_rk3_advect(
                     floors if last else unclamped, mass, cond, ring,
                 )
                 stage = out
-            return cond
+            return True
         phi0 = ws.buffer("phi0", block.shape)
         phi0[...] = block
         stage_buf = ws.buffer("stage", block.shape)
@@ -366,4 +367,22 @@ def fused_rk3_advect(
             stage = stage_buf
         block[...] = stage
         np.maximum(block, floors, out=block)
-        return None
+        return False
+
+
+def sum_condensate(
+    block: np.ndarray, mass: np.ndarray, cond: np.ndarray
+) -> bool:
+    """Each cell's condensate of ``block`` into ``cond``, as a sweep sums it.
+
+    The compiled stencil module's ``condensate`` kernel, in the lane
+    order :func:`fused_euler_advect` writes (shapes as there); for a
+    block no sweep has written yet. Returns ``False`` without touching
+    ``cond`` when the stencil is unavailable, like the advection
+    fallbacks.
+    """
+    lib = cstencil.load_stencil()
+    if lib is None:
+        return False
+    cstencil.condensate(lib, block, mass, cond)
+    return True

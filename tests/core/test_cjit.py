@@ -91,6 +91,19 @@ class TestFailureModes:
         assert mod.load() is None
         assert "REPRO_DISABLE_TINY" in mod.load_error
 
+    def test_cleared_switch_leaves_no_stale_error(self, monkeypatch):
+        """Set and clear the stencil's kill switch in one process: once
+        the library is back, nothing may still say it is disabled."""
+        from repro.wrf import cstencil
+
+        assert cstencil.load_stencil() is not None, cstencil.load_error
+        monkeypatch.setenv(cstencil.DISABLE_ENV, "1")
+        assert cstencil.load_stencil() is None
+        assert cstencil.DISABLE_ENV in cstencil.load_error
+        monkeypatch.delenv(cstencil.DISABLE_ENV)
+        assert cstencil.load_stencil() is not None
+        assert cstencil.load_error == ""
+
 
 class TestRegistry:
     def test_modules_are_registered(self, tmp_path):
@@ -129,6 +142,19 @@ class TestPathInstant:
         assert event.ph == "I" and event.cat == "jit"
         assert event.attrs == {"compiled": True, "error": ""}
         assert _path_instants(mod, loads=2) == []
+
+    def test_first_traced_load_after_a_cleared_switch(self, tmp_path, monkeypatch):
+        """The instant reads the state of the load it marks: a switch
+        set and cleared before it leaves no error behind."""
+        mod = _make(
+            tmp_path, name="path_cleared", disable_env="REPRO_DISABLE_CLEARED"
+        )
+        assert mod.load() is not None
+        monkeypatch.setenv("REPRO_DISABLE_CLEARED", "1")
+        assert mod.load() is None
+        monkeypatch.delenv("REPRO_DISABLE_CLEARED")
+        (event,) = _path_instants(mod, loads=1)
+        assert event.attrs == {"compiled": True, "error": ""}
 
     def test_disabled_load_records_why(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_PATH_PROBE", "1")

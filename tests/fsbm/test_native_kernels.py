@@ -24,7 +24,12 @@ from repro.fsbm import ckernels
 from repro.fsbm.coal_bott import coal_bott_step, coal_bott_step_members
 from repro.fsbm.collision_kernels import get_tables
 from repro.fsbm.condensation import _remap_spectrum
-from repro.fsbm.fast_sbm import _condensation, species_columns
+from repro.fsbm.fast_sbm import (
+    _condensation,
+    _occupied as _packed_occupied,
+    _species_axis,
+    species_columns,
+)
 from repro.fsbm.freezing import freezing_melting_step
 from repro.fsbm.reference import coal_bott_reference_point
 from repro.fsbm.sedimentation import _courant_tables, sedimentation_step
@@ -41,7 +46,10 @@ def test_kernels_compile_in_ci():
     """The compiled path must actually be exercised by this suite."""
     lib = ckernels.load_kernels()
     assert lib is not None, ckernels.load_error
-    for name in ("sed_sweep", "onecond", "freeze_melt", "coal_bott_new"):
+    for name in (
+        "sed_sweep", "onecond", "freeze_melt", "gather_rows", "scatter_rows",
+        "row_stats", "coal_bott_new",
+    ):
         assert hasattr(lib, name), name
 
 
@@ -765,10 +773,221 @@ def test_kernel_refuses_overlapping_segments():
     zeros = np.zeros((len(dists), npts))
     with pytest.raises(ValueError, match="malformed"):
         ckernels.coal_bott_new(
-            lib, dists, zeros, zeros.astype(np.int64),
+            lib, dists, np.arange(npts), zeros, zeros.astype(np.int64),
             np.zeros((nix, npts), dtype=np.uint8), np.zeros(npts),
             np.zeros((nix, NKR, NKR)), np.zeros((nix, NKR, NKR)),
             np.zeros((NKR, NKR)), np.zeros((NKR, NKR)),
             np.zeros((nix, 4), dtype=np.int64),
             np.array([[0, 3], [2, 4]], dtype=np.int64), 5.0, 1e-8,
         )
+
+
+class _NoC:
+    """A stand-in library: any kernel call means a pointer reached C."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"{name} reached C")
+
+
+def _called_subset(sizes, seed, boost=30.0):
+    """Packed rows of 1-3 member segments, a random called subset of
+    them (``rows``, strictly increasing) and the called points' member
+    segments, temperatures, pressures and occupancies."""
+    nrows = sum(sizes)
+    dists, t, p = _random_state(max(nrows, 1), seed, boost)
+    packed = np.concatenate([dists[sp][:nrows] for sp in SPLIST], axis=1)
+    rng = np.random.default_rng(seed + 1)
+    rows = np.flatnonzero(rng.random(nrows) < rng.uniform(0.2, 1.0))
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    los = np.searchsorted(rows, bounds[:-1])
+    his = np.searchsorted(rows, bounds[1:])
+    segments = [(int(a), int(b)) for a, b in zip(los, his)]
+    return packed, rows, segments, t[rows], p[rows]
+
+
+class TestRowKernels:
+    """The sweep's packed row gather/scatter and row statistics."""
+
+    @pytest.fixture(autouse=True)
+    def _lib(self):
+        self.lib = ckernels.load_kernels()
+        if self.lib is None:
+            pytest.skip(ckernels.load_error)
+
+    @staticmethod
+    def _edge_rows(npts, seed, pad=0):
+        """Packed ``(npts, 7 * nkr)`` rows at row stride ``7 * nkr + pad``
+        whose species are all-zero, sub-``N_EPS`` tails above occupied
+        bins, exactly ``N_EPS``, top-bin-only, or dense."""
+        rng = np.random.default_rng(seed)
+        buf = np.full((npts, len(SPLIST) * NKR + pad), np.nan)
+        rows = buf[:, : len(SPLIST) * NKR]
+        rows[...] = 0.0
+        sp_rows = rows.reshape(npts, len(SPLIST), NKR)
+        for p in range(npts):
+            for s in range(len(SPLIST)):
+                kind = rng.integers(0, 6)
+                lo = int(rng.integers(0, NKR))
+                hi = int(rng.integers(lo + 1, NKR + 1))
+                scale = 10.0 ** rng.uniform(-6, 4)
+                if kind == 1:
+                    sp_rows[p, s, lo:hi] = rng.uniform(0, 1, hi - lo) * scale
+                elif kind == 2:
+                    sp_rows[p, s, lo:hi] = rng.uniform(0, 1, hi - lo) * scale
+                    sp_rows[p, s, hi:] = rng.uniform(0, N_EPS, NKR - hi)
+                elif kind == 3:
+                    sp_rows[p, s, lo:hi] = N_EPS
+                elif kind == 4:
+                    sp_rows[p, s, NKR - 1] = rng.uniform(0, 1) * scale
+                elif kind == 5:
+                    sp_rows[p, s] = rng.uniform(0, 1, NKR) * scale
+        if npts:
+            rows[0] = 0.0  # one all-zero row
+        return rows
+
+    @settings(max_examples=40, deadline=None)
+    @given(npts=st.integers(0, 40), seed=st.integers(0, 10_000),
+           pad=st.sampled_from([0, 5]))
+    def test_row_stats_match_numpy(self, npts, seed, pad):
+        rows = self._edge_rows(npts, seed, pad)
+        sums, occ = ckernels.row_stats(self.lib, rows, len(SPLIST), N_EPS)
+        np.testing.assert_array_equal(occ, _packed_occupied(rows))
+        # The kernel's order exactly: each species from 0.0, bins ascending.
+        species = _species_axis(np.ascontiguousarray(rows))
+        serial = np.zeros(species.shape[:2])
+        for b in range(NKR):
+            serial += species[:, :, b]
+        assert np.array_equal(sums, serial)
+        # Against numpy's pairwise rows: the a priori bound of the two
+        # orders on non-negative bins, (nkr - 1 + log2 nkr) ulps of the
+        # sum. Typical differences are below 1e-15 relative, but about
+        # 6 in 100,000 random sums exceed it (the largest seen: 1.4e-15).
+        want = _species_axis(np.ascontiguousarray(rows)).sum(axis=2)
+        bound = (NKR + np.log2(NKR)) * np.finfo(float).eps / 2
+        assert np.all(np.abs(sums - want) <= bound * np.abs(want))
+
+    def test_row_stats_concurrent_calls_match_serial_calls(self):
+        batches = [self._edge_rows(300, seed) for seed in range(6)]
+
+        def run(rows):
+            return ckernels.row_stats(self.lib, rows, len(SPLIST), N_EPS)
+
+        serial = [run(b) for b in batches]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(run, batches * 3, timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        for n, (sums, occ) in enumerate(threaded):
+            assert np.array_equal(sums, serial[n % 6][0])
+            assert np.array_equal(occ, serial[n % 6][1])
+
+    def test_row_stats_refuse_a_partial_species(self):
+        with pytest.raises(ValueError):
+            ckernels.row_stats(_NoC(), np.zeros((3, 2 * NKR + 1)), 2, N_EPS)
+
+    @settings(max_examples=25, deadline=None)
+    @given(shape=st.tuples(*(st.integers(1, 5) for _ in range(4))),
+           width=st.integers(1, 12), seed=st.integers(0, 10_000))
+    def test_gather_and_scatter_match_the_fancy_index(self, shape, width, seed):
+        """On a strided view of a larger block, as the sweep uses them:
+        the gather equals ``view[cells]``, and the scatter writes exactly
+        ``view[cells] = rows``, touching nothing else of the block."""
+        rng = np.random.default_rng(seed)
+        block = rng.random((*(n + 2 for n in shape), width + 3))
+        view = block[:, 1:-1, :-2, 2:, 1 : width + 1]
+        cells = np.nonzero(rng.random(view.shape[:-1]) < 0.5)
+        got = ckernels.gather_rows(self.lib, view, cells)
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got, view[cells])
+        new = rng.random(got.shape)
+        want = block.copy()
+        want[:, 1:-1, :-2, 2:, 1 : width + 1][cells] = new
+        assert ckernels.scatter_rows(self.lib, view, cells, new)
+        np.testing.assert_array_equal(block, want)
+
+    def test_cells_outside_the_view_are_refused(self):
+        view = np.zeros((2, 3, 4, 5))[:, :, :, 1:]
+        inside = (np.array([1]), np.array([2]), np.array([3]))
+        for bad in (
+            (np.array([2]), inside[1], inside[2]),
+            (inside[0], np.array([-1]), inside[2]),
+            inside[:2],
+            (inside[0], inside[1], np.array([0, 1])),
+        ):
+            with pytest.raises(ValueError):
+                ckernels.gather_rows(_NoC(), view, bad)
+            with pytest.raises(ValueError):
+                ckernels.scatter_rows(_NoC(), view, bad, np.zeros((1, 4)))
+        with pytest.raises(ValueError):
+            ckernels.scatter_rows(_NoC(), view, inside, np.zeros((1, 3)))
+
+
+class TestCoalRows:
+    """``coal_bott_step_members(..., rows=)`` selects the called rows
+    of a packed gather in place, bitwise as the gathered-copy call."""
+
+    @pytest.mark.parametrize("engine", ["compiled", "numpy"])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(0, 17), min_size=1, max_size=3),
+        seed=st.integers(0, 10_000),
+    )
+    def test_rows_equal_the_gathered_copy_bitwise(self, engine, sizes, seed):
+        packed, rows, segments, t, p = _called_subset(sizes, seed)
+        occupied = {
+            sp: occ
+            for sp, occ in zip(SPLIST, _packed_occupied(packed[rows]).T)
+        }
+        kw = dict(occupied=occupied, on_demand=True)
+        in_place = packed.copy()
+        copied = packed.copy()
+        ctx = _numpy_engine() if engine == "numpy" else nullcontext()
+        with ctx:
+            got = coal_bott_step_members(
+                species_columns(in_place), t, p, 5.0, get_tables(),
+                INTERACTIONS, segments, rows=rows, **kw,
+            )
+            gathered = copied[rows]
+            want = coal_bott_step_members(
+                species_columns(gathered), t, p, 5.0, get_tables(),
+                INTERACTIONS, segments, **kw,
+            )
+            copied[rows] = gathered
+        np.testing.assert_array_equal(in_place, copied)
+        for a, b in zip(got, want):
+            assert (a.pair_entries, a.kernel_entries, a.engine) == (
+                b.pair_entries, b.kernel_entries, b.engine,
+            )
+        if len(rows):
+            assert {s.engine for s in got} == {engine}
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[3, 1, 5], [1, 1, 5], [-1, 2, 5], [1, 2, 9], [0, 1]],
+        ids=["unsorted", "repeated", "negative", "past-the-end", "short"],
+    )
+    def test_malformed_rows_are_refused_before_c(self, bad, monkeypatch):
+        packed, _, _, _, _ = _called_subset([9], seed=3)
+        t, p = np.full(3, 280.0), np.full(3, 700.0)
+        rows = np.asarray(bad, dtype=np.int64)
+        monkeypatch.setattr(ckernels, "load_kernels", lambda: _NoC())
+        with pytest.raises(ValueError, match="rows"):
+            coal_bott_step(
+                species_columns(packed), t, p, 5.0, get_tables(),
+                INTERACTIONS, rows=rows,
+            )
+        npts, nix = 3, len(INTERACTIONS)
+        zeros = np.zeros((len(SPLIST), npts))
+        with pytest.raises(ValueError, match="malformed"):
+            ckernels.coal_bott_new(
+                _NoC(), list(species_columns(packed).values()), rows,
+                zeros, zeros.astype(np.int64),
+                np.zeros((nix, npts), dtype=np.uint8), np.zeros(npts),
+                np.zeros((nix, NKR, NKR)), np.zeros((nix, NKR, NKR)),
+                np.zeros((NKR, NKR)), np.zeros((NKR, NKR)),
+                np.zeros((nix, 4), dtype=np.int64),
+                np.array([[0, npts]], dtype=np.int64), 5.0, 1e-8,
+            )

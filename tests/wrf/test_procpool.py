@@ -274,7 +274,13 @@ class TestForkSafety:
         assert "both models stepped" in proc.stdout
 
     def test_no_production_kernel_has_a_parallel_loop(self):
-        for name, spec in loopir.gate_kernels().items():
+        gated = loopir.gate_kernels()
+        assert {
+            "advect_stage", "condensate", "sed_sweep", "onecond",
+            "freeze_melt", "gather_rows", "scatter_rows", "row_stats",
+            "coal_bott_new",
+        } <= set(gated)
+        for name, spec in gated.items():
             kernel = spec.final_kernel()
             parallel = [
                 s.var for s in walk_ir_stmts(kernel.body)

@@ -35,6 +35,7 @@ from repro.wrf.transport import (
     fused_rk3_advect,
     fused_upwind_tend,
     get_workspace,
+    sum_condensate,
 )
 
 #: Shapes exercising interior stencils and every 1-cell-wide edge case.
@@ -143,7 +144,7 @@ class TestFusedTendProperty:
         ref = _per_field_advect(block, split, dt, clipped, rk3)
         ws = TransportWorkspace(block.shape[:4], ns)
         advect = fused_rk3_advect if rk3 else fused_euler_advect
-        advect(block, split, dt, ws, floors, np.ones(ns))
+        advect(block, split, dt, ws, floors, np.ones(ns), np.empty(block.shape[:4]))
         np.testing.assert_allclose(block, ref, rtol=0.0, atol=1e-13)
 
 
@@ -155,7 +156,10 @@ def _numpy_advect(advect, block, split, dt, floors, mass):
     os.environ[cstencil.DISABLE_ENV] = "1"
     try:
         ws = TransportWorkspace(block.shape[:4], block.shape[-1])
-        assert advect(got, split, dt, ws, floors, mass) is None
+        cond = np.full(block.shape[:4], np.nan)
+        assert not advect(got, split, dt, ws, floors, mass, cond)
+        # The fallback leaves the condensate to its caller.
+        assert np.isnan(cond).all()
     finally:
         os.environ.pop(cstencil.DISABLE_ENV, None)
     return got
@@ -206,7 +210,8 @@ class TestCompiledStencil:
         advect = fused_rk3_advect if rk3 else fused_euler_advect
         want = _numpy_advect(advect, block, split, 3.0, floors, mass)
         ws = TransportWorkspace(block.shape[:4], shape4[3])
-        cond = advect(block, split, 3.0, ws, floors, mass)
+        cond = np.empty(block.shape[:4])
+        assert advect(block, split, 3.0, ws, floors, mass, cond)
         assert np.array_equal(block, want)
         assert np.array_equal(cond, _lane_condensate(block, mass))
 
@@ -223,13 +228,15 @@ class TestCompiledStencil:
         )
         ns = shape4[3]
         stacked = block.copy()
-        cond = fused_euler_advect(
+        cond = np.empty(block.shape[:4])
+        fused_euler_advect(
             stacked, split, 3.0, TransportWorkspace(block.shape[:4], ns),
-            floors, mass,
-        ).copy()
+            floors, mass, cond,
+        )
         for m in range(members):
             one = block[m : m + 1].copy()
-            one_cond = fused_euler_advect(
+            one_cond = np.empty(one.shape[:4])
+            fused_euler_advect(
                 one,
                 WindSplit(
                     pos=tuple(p[m : m + 1] for p in split.pos),
@@ -239,9 +246,42 @@ class TestCompiledStencil:
                 TransportWorkspace((1, *shape4[:3]), ns),
                 floors,
                 mass,
+                one_cond,
             )
             assert np.array_equal(stacked[m], one[0])
             assert np.array_equal(cond[m], one_cond[0])
+
+    @settings(max_examples=30, deadline=None)
+    @given(**SWEEPS)
+    def test_condensate_kernel_sums_in_the_sweeps_order(
+        self, shape4, members, seed, clip_bits
+    ):
+        """The build-time fill (``sum_condensate``, the stencil module's
+        ``condensate`` kernel) and the sweep write the same bits for the
+        same block: the lane order has one source."""
+        split, block, floors, mass = _sweep_problem(
+            shape4, members, seed, clip_bits
+        )
+        filled = np.empty(block.shape[:4])
+        assert sum_condensate(block, mass, filled)
+        assert np.array_equal(filled, _lane_condensate(block, mass))
+        swept = np.empty(block.shape[:4])
+        ws = TransportWorkspace(block.shape[:4], shape4[3])
+        assert fused_euler_advect(block, split, 3.0, ws, floors, mass, swept)
+        assert sum_condensate(block, mass, filled)
+        assert np.array_equal(swept, filled)
+
+    def test_condensate_kernel_refuses_mismatched_operands(self):
+        lib = cstencil.load_stencil()
+        assert hasattr(lib, "condensate")
+        block = np.zeros((1, 3, 2, 2, 4))
+        for mass, cond in (
+            (np.zeros(3), np.empty((1, 3, 2, 2))),
+            (np.zeros(4), np.empty((1, 3, 2, 3))),
+            (np.zeros(4), np.empty((1, 3, 2, 2, 2))[..., 0]),
+        ):
+            with pytest.raises(ValueError):
+                cstencil.condensate(lib, block, mass, cond)
 
     def test_mismatched_operands_are_refused(self):
         rng = np.random.default_rng(0)
@@ -317,7 +357,7 @@ def _assert_kernels_match_per_field(nl, rk3):
     for block, split, floors, mass in _model_blocks(nl):
         ref = _per_field_advect(block, split, nl.dt, floors == 0.0, rk3)
         ws = TransportWorkspace(block.shape[:4], block.shape[-1])
-        advect(block, split, nl.dt, ws, floors, mass)
+        advect(block, split, nl.dt, ws, floors, mass, np.empty(block.shape[:4]))
         np.testing.assert_allclose(block, ref, rtol=0.0, atol=1e-12)
 
 
@@ -365,10 +405,11 @@ class TestCompiledModelTransport:
                 rs.u, rs.v, rs.block[..., rs.w_start],
                 nl.domain.dx, nl.domain.dz,
             )
-            cond = fused_euler_advect(
+            assert fused_euler_advect(
                 rs.block, split, nl.dt, rs.workspace, rs.floors,
-                rs.scalar_masses,
+                rs.scalar_masses, rs.condensate,
             )
+            cond = rs.condensate
             for m, f in enumerate(rs.fields):
                 blas = f.micro.total_condensate_mass()
                 assert (blas > 0).sum() > 100  # the storm has cloud
@@ -382,8 +423,9 @@ class TestCompiledModelTransport:
             model.close()
 
     def test_euler_path_pins_no_block_sized_pool(self):
-        """The in-place sweep needs the two-row ring and one condensate
-        value per cell: no tendency pool, no block copy."""
+        """The in-place sweep needs the two-row ring: no tendency pool,
+        no block copy; the condensate it writes is the rank state's
+        field, one value per cell."""
         nl = conus12km_namelist(scale=0.04, num_ranks=1, seed=11)
         model = WrfModel(nl)
         try:
@@ -392,8 +434,9 @@ class TestCompiledModelTransport:
             rs = model.ranks[0]
             nm, ni, nk, nj, ns = rs.block.shape
             ring = 2 * nk * nj * ns
-            assert rs.workspace.nbytes == 8 * (ring + nm * ni * nk * nj)
+            assert rs.workspace.nbytes == 8 * ring
             assert rs.workspace.nbytes < rs.block.nbytes / 4
+            assert rs.condensate.shape == (nm, ni, nk, nj)
         finally:
             model.close()
 
