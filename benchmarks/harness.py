@@ -438,14 +438,18 @@ def _scalar_masses(layout) -> np.ndarray:
     return mass
 
 
-def _euler_step(block, split, dt, ws, floors, mass, cond):
+def _euler_step(block, split, dt, ws, floors, mass, bits, cond, occ):
     """The model's transport advection: one in-place Euler call that
-    writes each cell's condensate into ``cond`` (the rank state's
-    field), which the numpy fallback contracts per member afterwards,
-    as the model does."""
+    writes each cell's condensate into ``cond`` and its occupancy bits
+    into ``occ`` (the rank state's fields), the condensate of which the
+    numpy fallback contracts per member afterwards, as the model does.
+    The benches pass an all-set ``occ`` over dense blocks, so the sweep
+    skips nothing: they time the full sweep, bits included."""
     from repro.wrf.transport import fused_euler_advect
 
-    if not fused_euler_advect(block, split, dt, ws, floors, mass, cond):
+    if fused_euler_advect(
+        block, split, dt, ws, floors, mass, bits, cond, occ
+    ) is None:
         for m in range(block.shape[0]):
             cond[m] = block[m] @ mass
 
@@ -466,6 +470,7 @@ def bench_transport_members(
     regardless of ``--quick``.
     """
     from repro.fsbm.species import Species
+    from repro.fsbm.state import all_occupied
     from repro.wrf.dynamics import (
         FLOPS_PER_CELL_TEND,
         FLOPS_PER_CELL_UPDATE,
@@ -513,13 +518,20 @@ def bench_transport_members(
 
     batched_block = block.copy()
     solo_block = block.copy()
-    # The condensate fields, allocated once like the rank state's.
+    # The condensate and occupancy fields, allocated once like the rank
+    # state's; all set, so nothing is skipped.
+    bits = layout.masks()
     batched_cond = np.empty(block.shape[:4])
     solo_cond = np.empty(block.shape[:4])
+    batched_occ = all_occupied(block.shape[:4])
+    solo_occ = all_occupied(block.shape[:4])
 
     def run_batched() -> float:
         t0 = time.perf_counter()
-        _euler_step(batched_block, split, dt, ws, floors, mass, batched_cond)
+        _euler_step(
+            batched_block, split, dt, ws, floors, mass, bits, batched_cond,
+            batched_occ,
+        )
         return time.perf_counter() - t0
 
     def run_solo() -> float:
@@ -527,7 +539,8 @@ def bench_transport_members(
         for m in range(members):
             _euler_step(
                 solo_block[m : m + 1], member_splits[m], dt, member_ws,
-                floors, mass, solo_cond[m : m + 1],
+                floors, mass, bits, solo_cond[m : m + 1],
+                solo_occ[m : m + 1],
             )
         return time.perf_counter() - t0
 
@@ -614,6 +627,7 @@ def bench_transport(
     full runs of the gate compare like with like.
     """
     from repro.fsbm.species import Species
+    from repro.fsbm.state import all_occupied
     from repro.wrf.dynamics import (
         FLOPS_PER_CELL_TEND,
         FLOPS_PER_CELL_UPDATE,
@@ -648,12 +662,14 @@ def bench_transport(
     ws = get_workspace((1, *shape), layout.nscalars, owner="bench_transport")
     floors = layout.floors(no_clip=("t", "w"))
     mass = _scalar_masses(layout)
+    bits = layout.masks()
     cond = np.empty(block.shape[:4])
+    occ = all_occupied(block.shape[:4])
 
     def run_once() -> float:
         if mode == "fused":
             t0 = time.perf_counter()
-            _euler_step(block, stacked, dt, ws, floors, mass, cond)
+            _euler_step(block, stacked, dt, ws, floors, mass, bits, cond, occ)
             return time.perf_counter() - t0
         t0 = time.perf_counter()
         for name, arr in fields.items():
@@ -697,9 +713,11 @@ def bench_sedimentation(
     """Time one full-state sedimentation step at a fixed shape.
 
     Every species is seeded so the sweep has no absent-species
-    shortcuts; the shape is fixed regardless of ``--quick`` so quick
-    and full gate runs compare like with like. Records whether the
-    compiled ``sed_sweep`` kernel (vs the numpy fallback) ran.
+    shortcuts, and ``sedimentation_step`` passes the kernel an all-set
+    occupancy field, so it reads every row; the shape is fixed
+    regardless of ``--quick`` so quick and full gate runs compare like
+    with like. Records whether the compiled ``sed_sweep`` kernel (vs
+    the numpy fallback) ran.
     """
     from repro.fsbm import ckernels
     from repro.fsbm.sedimentation import sedimentation_step

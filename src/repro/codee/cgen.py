@@ -67,6 +67,7 @@ _INDENT = "    "
 _CTYPES = {
     "double": ctypes.c_double,
     "long": ctypes.c_long,
+    "int": ctypes.c_int,
     "unsigned char": ctypes.c_ubyte,
 }
 

@@ -347,19 +347,22 @@ def analyze_nest(kernel: Kernel, nest: Loop) -> NestReport:
     reported: set[tuple[str, str, str]] = set()
     for st in stores:
         resolved = tuple(_resolve(e, lets) for e in st.index)
-        if any(expr_loads(e) for e in resolved):
-            key = ("indirect", st.array, "")
-            if key not in reported:
-                reported.add(key)
-                block_all(
-                    f"store to {st.array}{_fmt_index(st.index)} is "
-                    "indirectly indexed: iterations cannot be proven disjoint"
-                )
-            continue
         for v in chain_vars:
+            # A subscript that is plainly ``v`` keeps different ``v``
+            # iterations apart, whatever the other subscripts read.
             if any(_is_plain(e, v) for e in resolved):
                 continue
-            if st.op in ("+=", "-="):
+            if any(expr_loads(e) for e in resolved):
+                key = ("indirect", st.array, v)
+                if key not in reported:
+                    reported.add(key)
+                    block(
+                        v,
+                        f"store to {st.array}{_fmt_index(st.index)} is "
+                        "indirectly indexed: iterations cannot be proven "
+                        "disjoint",
+                    )
+            elif st.op in ("+=", "-="):
                 reductions.add(("+", st.array))
                 key = ("accum", st.array, v)
                 if key not in reported:
@@ -952,6 +955,24 @@ def _row_offsets(expr: Expr, var: str) -> set[int] | None:
     return None
 
 
+def _paths(stmts: list[Stmt], trail: tuple = ()):
+    """Every statement under ``stmts`` with the ``(Loop or If, branch)``
+    pairs enclosing it, outermost first (``branch`` is ``"body"`` or,
+    for an If's else branch, ``"orelse"``)."""
+    for s in stmts:
+        yield s, trail
+        if isinstance(s, Loop):
+            yield from _paths(s.body, (*trail, (s, "body")))
+        elif isinstance(s, If):
+            yield from _paths(s.body, (*trail, (s, "body")))
+            yield from _paths(s.orelse, (*trail, (s, "orelse")))
+
+
+def _extents_before(trail: tuple, at: int) -> list[Loop]:
+    """The loops of ``trail`` enclosing position ``at``."""
+    return [s for s, _ in trail[:at] if isinstance(s, Loop)]
+
+
 def _product(exprs: list[Expr]) -> Expr:
     if not exprs:
         return Const(1)
@@ -961,36 +982,24 @@ def _product(exprs: list[Expr]) -> Expr:
     return out
 
 
-def _covering_loops(nest: Loop, store: Store) -> list[Loop] | None:
-    """The loops whose variables index ``store`` past its row, or None.
+def _strides(extents: list[Expr]) -> tuple[Expr, ...]:
+    """Row-major element strides of a ``(2, *extents)`` ring."""
+    return tuple(_product(list(extents[d:])) for d in range(len(extents) + 1))
 
-    The store must sit under nothing but loops (no guard) and index
-    each trailing position by the plain variable of an enclosing
-    0-based loop whose extents multiply out to the array's strides —
-    then every iteration of the row loop writes its whole row.
-    """
 
-    def path(stmts: list[Stmt], trail: list[Loop]) -> list[Loop] | None:
-        for s in stmts:
-            if s is store:
-                return trail
-            if isinstance(s, Loop):
-                found = path(s.body, [*trail, s])
-                if found is not None:
-                    return found
-        return None
+@dataclass
+class _Ring:
+    """One output the ring pass rewrites, with what its proof found."""
 
-    loops = path(nest.body, [])
-    if loops is None:
-        return None  # under an If: not every iteration writes it
-    by_var = {lp.var: lp for lp in loops}
-    covering = []
-    for e in store.index[1:]:
-        lp = by_var.get(e.name) if isinstance(e, Sym) else None
-        if lp is None or lp.start != Const(0):
-            return None
-        covering.append(lp)
-    return covering
+    out: ArrayParam
+    #: Inputs that may share the output's storage.
+    inputs: list[str]
+    #: Each place the output is stored: the loops and guards enclosing
+    #: the store (outermost first) and its subscripts past the row.
+    places: list[tuple[tuple, tuple[Expr, ...]]]
+    #: The loop over planes inside which the write-back can run (its
+    #: variable indexes the plane), or None for the whole-row write-back.
+    plane: Loop | None
 
 
 def ring_rows(kernel: Kernel, nest: Loop) -> PassResult:
@@ -1002,14 +1011,31 @@ def ring_rows(kernel: Kernel, nest: Loop) -> PassResult:
     ``(r - 1) % 2`` back to row ``r - 1``; the last row goes back after
     the loop. It is legal when the dependence analysis resolves every
     read of an input that shares the output's layout to rows
-    ``r - 1 .. r + 1`` and every store to row ``r``, covering it: while
-    row ``r`` is computed, rows ``r - 1 .. r + 1`` still hold their old
-    values, and row ``r - 1`` is needed by no later row. The output and
-    those inputs then join one alias group (no ``restrict``), so a
-    caller may pass the same storage for all of them. The paper's stage
-    3 trade: storage allocated once (two rows) in place of a second
-    full-size array. The output must be ``intent(out)``; its own loads
-    must be of row ``r``, and read the ring.
+    ``r - 1 .. r + 1`` and every store to row ``r``: while row ``r`` is
+    computed, rows ``r - 1 .. r + 1`` still hold their old values, and
+    row ``r - 1`` is needed by no later row. The output and those
+    inputs then join one alias group (no ``restrict``), so a caller may
+    pass the same storage for all of them. The paper's stage 3 trade:
+    storage allocated once (two rows) in place of a second full-size
+    array. The output must be ``intent(out)``; its own loads must be of
+    row ``r`` and sit under every guard of its store, and read the ring.
+
+    The write-back copies exactly what the stores wrote: it walks the
+    store's own loops and guards again, with the store replaced by the
+    copy. So the loop bounds and subscripts around the store may depend
+    only on those loops' variables, scalar parameters and arrays the
+    loop does not write. Each guard is evaluated once, where the kernel
+    evaluates it, into a two-row guard ring beside the values
+    (``<out>_guard``, one byte per evaluation, indexed by the loops
+    around the guard, whose extents must be scalar). Elements a guard
+    skips are neither computed nor copied, so the block keeps them.
+
+    Where every read of row ``r - 1`` happens at row ``r``'s own plane
+    (the plane subscript of each such read is the variable of the
+    outermost loop around the store, which indexes the store's plane),
+    row ``r - 1``'s plane goes back right after row ``r``'s plane is
+    computed, while it is still in cache; otherwise the whole row goes
+    back at the end of iteration ``r``.
     """
     stage = Stage.OFFLOAD_COLLAPSE3.value
     if nest.parallel or nest.start != Const(0):
@@ -1020,20 +1046,22 @@ def ring_rows(kernel: Kernel, nest: Loop) -> PassResult:
         )
     r = nest.var
     arrays = kernel.arrays()
+    scalars = set(kernel.scalars())
     lets = _let_bindings(nest.body)
-    stores = [s for s in walk_ir_stmts(nest.body) if isinstance(s, Store)]
+    where = list(_paths(nest.body))
+    stores = [(s, t) for s, t in where if isinstance(s, Store)]
     loads = [
-        ld
-        for stmt in walk_ir_stmts(nest.body)
-        for expr in stmt_exprs(stmt)
+        (ld, t)
+        for s, t in where
+        for expr in stmt_exprs(s)
         for ld in expr_loads(expr)
     ]
-    written = {s.array for s in stores}
+    written = {s.array for s, _ in stores}
 
-    def rows_of(array: str, accesses: list) -> set[int] | None:
+    def rows_of(array: str, accesses) -> set[int] | None:
         """Row offsets of ``array``'s accesses; None if one is unresolved."""
         rows: set[int] = set()
-        for acc in accesses:
+        for acc, _ in accesses:
             if acc.array == array:
                 got = _row_offsets(_resolve(acc.index[0], lets), r)
                 if got is None:
@@ -1049,7 +1077,39 @@ def ring_rows(kernel: Kernel, nest: Loop) -> PassResult:
             for c in sorted(rows)
         )
 
-    def refusal(out: ArrayParam, inputs: dict) -> str | None:
+    def rewalkable(expr: Expr, names: set[str]) -> bool:
+        """Whether the write-back can evaluate ``expr`` again."""
+        return expr_syms(expr) <= names and not any(
+            ld.array in written for ld in expr_loads(expr)
+        )
+
+    def plane_loop(inputs: list[str], places) -> Loop | None:
+        """The stores' outermost loop if it indexes their plane and
+        every read of row r - 1 happens at that loop's own plane (the
+        output itself is read at row r alone)."""
+        heads = {id(t[0][0]) if t else None for t, _ in places}
+        plane = places[0][0][0][0] if places[0][0] else None
+        if (
+            len(heads) != 1
+            or not isinstance(plane, Loop)
+            or plane.start != Const(0)
+            or not all(ix and _is_plain(ix[0], plane.var) for _, ix in places)
+        ):
+            return None
+        for ld, t in loads:
+            if ld.array not in inputs:
+                continue
+            if -1 not in (_row_offsets(_resolve(ld.index[0], lets), r) or {-1}):
+                continue
+            inside = any(s is plane for s, _ in t)
+            if not inside or len(ld.index) < 2 or _row_offsets(
+                _resolve(ld.index[1], lets), plane.var
+            ) != {0}:
+                return None
+        return plane
+
+    def analyze(out: ArrayParam, inputs: dict) -> _Ring | str:
+        """The proof for one output, or why it fails."""
         stored = rows_of(out.name, stores)
         if stored != {0}:
             return f"{out.name} is stored at {fmt(stored)}, not at row {r} alone"
@@ -1067,20 +1127,50 @@ def ring_rows(kernel: Kernel, nest: Loop) -> PassResult:
             return f"{out.name} is read off row {r}: the ring holds one row"
         if out.intent != "out":
             return f"{out.name} is intent({out.intent}), not intent(out)"
-        covers = [_covering_loops(nest, s) for s in stores if s.array == out.name]
-        extents = [None if c is None else [lp.stop for lp in c] for c in covers]
-        if (
-            extents[0] is None
-            or any(e != extents[0] for e in extents)
-            or any(
-                stride != _product(extents[0][d:])
-                for d, stride in enumerate(out.strides)
-            )
-        ):
-            return f"the stores to {out.name} do not provably cover its whole row"
-        return None
+        places = []
+        for st, trail in stores:
+            if st.array != out.name:
+                continue
+            index = st.index[1:]
+            names = set(scalars)
+            for s, _ in trail:
+                if isinstance(s, Loop):
+                    if not (rewalkable(s.start, names) and rewalkable(s.stop, names)):
+                        return (
+                            f"the loop over {s.var} around a store to "
+                            f"{out.name} has bounds the write-back cannot "
+                            "recompute"
+                        )
+                    names.add(s.var)
+            if not all(rewalkable(e, names) for e in index):
+                return (
+                    f"a store to {out.name} is indexed through values the "
+                    "write-back cannot recompute"
+                )
+            for at, (s, _) in enumerate(trail):
+                if isinstance(s, If) and not all(
+                    lp.start == Const(0) and expr_syms(lp.stop) <= scalars
+                    and not expr_loads(lp.stop)
+                    for lp in _extents_before(trail, at)
+                ):
+                    return (
+                        f"a guard of a store to {out.name} sits in a loop "
+                        "whose extent is not a scalar: no ring can hold it"
+                    )
+            places.append((trail, index))
+        guard_sets = [
+            {(id(s), b) for s, b in t if isinstance(s, If)} for t, _ in places
+        ]
+        for ld, t in loads:
+            seen = {(id(s), b) for s, b in t}
+            if ld.array == out.name and not any(g <= seen for g in guard_sets):
+                return (
+                    f"{out.name} is read outside the guards of its stores: "
+                    "the ring holds only what a store computed"
+                )
+        return _Ring(out, list(inputs), places, plane_loop(list(inputs), places))
 
-    rings: list[tuple[ArrayParam, list[str], list[Loop]]] = []
+    rings: list[_Ring] = []
     refused: list[str] = []
     for name in sorted(written):
         out = arrays.get(name)
@@ -1098,12 +1188,11 @@ def ring_rows(kernel: Kernel, nest: Loop) -> PassResult:
         }
         if all(rows == {0} for rows in inputs.values()):
             continue  # no input read off-row: nothing to delay
-        why = refusal(out, inputs)
-        if why:
-            refused.append(why)
-            continue
-        cover = _covering_loops(nest, next(s for s in stores if s.array == name))
-        rings.append((out, list(inputs), cover))
+        got = analyze(out, inputs)
+        if isinstance(got, str):
+            refused.append(got)
+        else:
+            rings.append(got)
 
     if not rings:
         return PassResult(
@@ -1113,63 +1202,132 @@ def ring_rows(kernel: Kernel, nest: Loop) -> PassResult:
             "input read at a neighbouring row",
         )
 
-    proofs = []
-    for out, inputs, cover in rings:
-        ring = f"{out.name}_ring"
-        slot = Bin("%", Sym(r), Const(2))
-
-        def retarget(e: Expr, _out=out.name, _ring=ring, _slot=slot) -> Expr:
-            if isinstance(e, Load) and e.array == _out:
-                return Load(_ring, (_slot, *e.index[1:]))
-            if isinstance(e, Load):
-                return Load(e.array, tuple(retarget(x) for x in e.index))
-            if isinstance(e, Bin):
-                return Bin(e.op, retarget(e.left), retarget(e.right))
-            if isinstance(e, Un):
-                return Un(e.op, retarget(e.operand))
-            if isinstance(e, Select):
-                return Select(
-                    retarget(e.cond), retarget(e.if_true), retarget(e.if_false)
-                )
-            return e
-
-        for s in walk_ir_stmts(nest.body):
-            if isinstance(s, Store) and s.array == out.name:
-                s.array = ring
-                s.index = (slot, *s.index[1:])
-        _rewrite_stmt_exprs(nest.body, retarget)
-
-        def write_back(row: Expr, _out=out.name, _ring=ring, _cover=cover) -> Stmt:
-            idx = tuple(Sym(lp.var) for lp in _cover)
-            body: Stmt = Store(
-                _out, (row, *idx), Load(_ring, (Bin("%", row, Const(2)), *idx))
-            )
-            for lp in reversed(_cover):
-                body = Loop(lp.var, Const(0), lp.stop, [body])
-            return body
-
-        nest.body.append(
-            If(Sym(r).gt(Const(0)), [write_back(Bin("-", Sym(r), Const(1)))])
-        )
-        kernel.body.insert(
-            kernel.body.index(nest) + 1,
-            If(nest.stop.gt(Const(0)), [write_back(Bin("-", nest.stop, Const(1)))]),
-        )
-        group = {out.name, *inputs}
-        kernel.params = (
-            *(
-                replace(p, alias_group=out.name, restrict=False)
-                if p.name in group else p
-                for p in kernel.params
-            ),
-            ArrayParam(ring, strides=out.strides, intent="scratch"),
-        )
-        proofs.append(
-            f"{out.name} written back one row late through 2-row {ring}; "
-            f"{', '.join(inputs)} read only at rows {r} - 1 .. {r} + 1, "
-            f"so {out.name} may alias them (alias group {out.name!r})"
-        )
+    proofs = [_rewrite_ring(kernel, nest, ring) for ring in rings]
     return PassResult("ring_rows", stage, True, "; ".join(proofs))
+
+
+def _rewrite_ring(kernel: Kernel, nest: Loop, ring: _Ring) -> str:
+    """Apply one proven ring to the kernel; the proof's text."""
+    r = nest.var
+    out = ring.out.name
+    ring_name = f"{out}_ring"
+    slot = Bin("%", Sym(r), Const(2))
+
+    def retarget(e: Expr) -> Expr:
+        if isinstance(e, Load) and e.array == out:
+            return Load(ring_name, (slot, *e.index[1:]))
+        if isinstance(e, Load):
+            return Load(e.array, tuple(retarget(x) for x in e.index))
+        if isinstance(e, Bin):
+            return Bin(e.op, retarget(e.left), retarget(e.right))
+        if isinstance(e, Un):
+            return Un(e.op, retarget(e.operand))
+        if isinstance(e, Select):
+            return Select(
+                retarget(e.cond), retarget(e.if_true), retarget(e.if_false)
+            )
+        return e
+
+    for s in walk_ir_stmts(nest.body):
+        if isinstance(s, Store) and s.array == out:
+            s.array = ring_name
+            s.index = (slot, *s.index[1:])
+    _rewrite_stmt_exprs(nest.body, retarget)
+
+    # Each guard's value, evaluated once into a two-row guard ring.
+    guard_rings: dict[int, tuple[str, tuple[Expr, ...]]] = {}
+    new_params: list[ArrayParam] = [
+        ArrayParam(
+            ring_name,
+            strides=ring.out.strides,
+            ctype=ring.out.ctype,
+            intent="scratch",
+        )
+    ]
+    for trail, _ in ring.places:
+        for at, (s, _) in enumerate(trail):
+            if not isinstance(s, If) or id(s) in guard_rings:
+                continue
+            name = f"{out}_guard" + (str(len(guard_rings)) if guard_rings else "")
+            loops = _extents_before(trail, at)
+            idx = tuple(Sym(lp.var) for lp in loops)
+            guard_rings[id(s)] = (name, idx)
+            new_params.append(
+                ArrayParam(
+                    name,
+                    strides=_strides([lp.stop for lp in loops]),
+                    ctype="unsigned char",
+                    intent="scratch",
+                )
+            )
+            parent = nest.body if at == 0 else (
+                trail[at - 1][0].body
+                if trail[at - 1][1] == "body"
+                else trail[at - 1][0].orelse
+            )
+            parent.insert(parent.index(s), Store(name, (slot, *idx), s.cond))
+            s.cond = Load(name, (slot, *idx))
+
+    def write_back(row: Expr, skip: int) -> list[Stmt]:
+        """The stores' loops and guards again (past the first ``skip``
+        of each trail), each store copying the ring to ``out``."""
+        at_row = Bin("%", row, Const(2))
+        roots: list[Stmt] = []
+        clones: dict[int, Stmt] = {}
+        for trail, index in ring.places:
+            into = roots
+            for s, branch in trail[skip:]:
+                c = clones.get(id(s))
+                if c is None:
+                    if isinstance(s, Loop):
+                        c = Loop(s.var, s.start, s.stop, [])
+                    else:
+                        name, idx = guard_rings[id(s)]
+                        c = If(Load(name, (at_row, *idx)), [])
+                    clones[id(s)] = c
+                    into.append(c)
+                into = c.orelse if branch == "orelse" else c.body
+            into.append(
+                Store(out, (row, *index), Load(ring_name, (at_row, *index)))
+            )
+        return roots
+
+    previous = Bin("-", Sym(r), Const(1))
+    if ring.plane is not None:
+        ring.plane.body.append(If(Sym(r).gt(Const(0)), write_back(previous, 1)))
+    else:
+        nest.body.append(If(Sym(r).gt(Const(0)), write_back(previous, 0)))
+    kernel.body.insert(
+        kernel.body.index(nest) + 1,
+        If(nest.stop.gt(Const(0)), write_back(Bin("-", nest.stop, Const(1)), 0)),
+    )
+    group = {out, *ring.inputs}
+    kernel.params = (
+        *(
+            replace(p, alias_group=out, restrict=False)
+            if p.name in group else p
+            for p in kernel.params
+        ),
+        *new_params,
+    )
+    how = (
+        f"plane by plane: {', '.join(ring.inputs)} read at row {r} - 1 only "
+        f"at plane {ring.plane.var}"
+        if ring.plane is not None
+        else "row by row"
+    )
+    guards = [name for name, _ in guard_rings.values()]
+    kept = (
+        f"; guard ring{'s' if len(guards) > 1 else ''} {', '.join(guards)} "
+        f"keep{'' if len(guards) > 1 else 's'} each evaluated guard of a "
+        "store, so only what was computed goes back"
+        if guards else ""
+    )
+    return (
+        f"{out} written back one row late through 2-row {ring_name}, {how}"
+        f"{kept}; {', '.join(ring.inputs)} read only at rows {r} - 1 .. "
+        f"{r} + 1, so {out} may alias them (alias group {out!r})"
+    )
 
 
 def plan_offload(

@@ -50,7 +50,9 @@ point-major buffer). Equivalence to the numpy references (asserted by
   entirely zero skip their writes, so absent species cost one read
   pass and no stores — this is what lets the caller drop its
   per-species ``n.any()`` prescan on the compiled path (the kernel
-  reports per-species presence in ``active``).
+  reports per-species presence in ``active``). It reads a (cell,
+  species) row only when the cell's occupancy bit for the species is
+  set, and sets the bit of each cell a row deposits into.
 * ``onecond`` — one species' condensational growth over a list of
   rows (:func:`build_onecond_ir`): growth, a comparison search on the
   doubling ladder, the Kovetz–Olund deposit, the saturation limiter
@@ -66,7 +68,8 @@ point-major buffer). Equivalence to the numpy references (asserted by
   numpy engine of `repro.fsbm.freezing`.
 * ``gather_rows``/``scatter_rows`` — the sweep's packed row gather
   and its scatter: one contiguous copy per listed row, bit for bit the
-  fancy index they replace.
+  fancy index they replace; the scatter also writes each cell's
+  occupancy bits from the row it copies.
 * ``row_stats`` — per-species sums of packed rows, serial in ascending
   bin order, and the occupied-bin counts above ``N_EPS``, in one read
   of each row; the counts equal numpy's, the sums differ from its
@@ -99,6 +102,7 @@ from repro.codee import cgen, loopir, transform
 from repro.codee.loopir import (
     ArrayParam,
     Assign,
+    Bin,
     Const,
     Decl,
     If,
@@ -112,6 +116,7 @@ from repro.codee.loopir import (
     Store,
     Sym,
 )
+from repro.constants import NKR
 from repro.core import cjit
 
 #: Environment switch forcing the numpy physics fallback.
@@ -130,7 +135,9 @@ def build_sed_sweep_ir() -> Kernel:
     stride. ``courant`` is ``(nsp, nk, nkr)`` and ``masses``
     ``(nsp, nkr)``, both contiguous and shared by every member;
     ``precip`` is a strided ``(nm, ni, nj)`` view with element strides
-    ``(pm, psi, psj)``.
+    ``(pm, psi, psj)``. The bin count is the model's ``NKR``, a
+    constant of the emitted source, so the compiler knows every bin
+    loop's trip count; the wrapper sends any other bin count to numpy.
 
     Each member's rows run in memory-layout order (i, k, j, species):
     when the species views are slices of one (i, k, j, scalar)
@@ -145,7 +152,10 @@ def build_sed_sweep_ir() -> Kernel:
     species are read-only; ``active[m, sp]`` reports whether any
     pre-update value of the species was nonzero in member ``m``, which
     is what keeps each member's work stats (and so its clock charges)
-    those of a one-member run.
+    those of a one-member run. ``occ`` is the cells' occupancy field
+    (strides ``(om, oi, ok, oj)``): a row whose bit is clear is exact
+    zeros and is not read at all, and the cell below a row that
+    deposits gets the species' bit, once per cell.
 
     That recurrence is precisely what the dependence analysis sees
     inside a member: the ``k - 1`` accumulation, the ``active`` and
@@ -157,46 +167,55 @@ def build_sed_sweep_ir() -> Kernel:
     memory order rather than threads.
     """
     m, i, k, j, sp, b = Sym("m"), Sym("i"), Sym("k"), Sym("j"), Sym("sp"), Sym("b")
-    nkr = Sym("nkr")
+    nkr = Const(NKR)
 
     def dist_at(kk):
         return (sp, m, i, kk, j, b)
 
     bin_loop = lambda body: Loop("b", Const(0), nkr, body)
 
-    flux_fill = bin_loop(
+    # An or-reduction, not a guarded assignment, so the presence scan
+    # vectorizes.
+    scan = bin_loop(
         [
-            Let("nv", Load("dists", dist_at(k))),
-            Store("flux", (b,), Sym("nv") * Load("courant", (sp, k, b))),
-            If(Sym("nv").ne(Const(0.0)), [Assign("rownz", Const(1))]),
+            Assign(
+                "rownz",
+                Bin("|", Sym("rownz"), Load("dists", dist_at(k)).ne(Const(0.0))),
+            )
         ]
     )
-    subtract = bin_loop([Store("dists", dist_at(k), Load("flux", (b,)), "-=")])
+
+    def update(carry) -> Loop:
+        """One pass over the row: its flux from the pre-update value,
+        subtracted in place, then ``carry`` takes it on."""
+        return bin_loop(
+            [
+                Let("f", Load("dists", dist_at(k)) * Load("courant", (sp, k, b))),
+                Store("dists", dist_at(k), Sym("f"), "-="),
+                carry,
+            ]
+        )
+
     to_precip = [
         Decl("acc", "double", Const(0.0)),
-        bin_loop(
-            [
-                Assign(
-                    "acc",
-                    Sym("acc") + Load("flux", (b,)) * Load("masses", (sp, b)),
-                )
-            ]
-        ),
+        update(Assign("acc", Sym("acc") + Sym("f") * Load("masses", (sp, b)))),
         Store("precip", (m, i, j), Sym("acc"), "+="),
     ]
     to_below = [
-        bin_loop([Store("dists", dist_at(k - 1), Load("flux", (b,)), "+=")])
+        update(Store("dists", dist_at(k - 1), Sym("f"), "+=")),
+        # The cell below now holds this species.
+        Assign("dbits", Bin("|", Sym("dbits"), Bin("<<", Const(1), sp))),
     ]
+    below = (m, i, k - 1, j)
+    present = Bin("&", Bin(">>", Sym("bits"), sp), Const(1))
 
     per_row = [
-        LocalArray("flux", MAX_NKR),
         Decl("rownz", "int", Const(0)),
-        flux_fill,
+        scan,
         If(
             Sym("rownz"),
             [
                 Store("active", (m, sp), Const(1)),
-                subtract,
                 If(k.eq(Const(0)), to_precip, to_below),
             ],
         ),
@@ -221,7 +240,19 @@ def build_sed_sweep_ir() -> Kernel:
                                 "j",
                                 Const(0),
                                 Sym("nj"),
-                                [Loop("sp", Const(0), Sym("nsp"), per_row)],
+                                [
+                                    Let("bits", Load("occ", (m, i, k, j)), ctype="long"),
+                                    Decl("dbits", "long", Const(0)),
+                                    Loop("sp", Const(0), Sym("nsp"), [
+                                        If(present, per_row),
+                                    ]),
+                                    If(Sym("dbits").ne(Const(0)), [
+                                        Store(
+                                            "occ", below,
+                                            Bin("|", Load("occ", below), Sym("dbits")),
+                                        ),
+                                    ]),
+                                ],
                             )
                         ],
                     )
@@ -251,7 +282,6 @@ def build_sed_sweep_ir() -> Kernel:
             ScalarParam("ni", "long"),
             ScalarParam("nk", "long"),
             ScalarParam("nj", "long"),
-            ScalarParam("nkr", "long"),
             ScalarParam("sm", "long"),
             ScalarParam("si", "long"),
             ScalarParam("sk", "long"),
@@ -265,6 +295,16 @@ def build_sed_sweep_ir() -> Kernel:
                 ctype="unsigned char",
                 intent="out",
             ),
+            ArrayParam(
+                "occ",
+                strides=(Sym("om"), Sym("oi"), Sym("ok"), Sym("oj")),
+                ctype="unsigned char",
+                intent="inout",
+            ),
+            ScalarParam("om", "long"),
+            ScalarParam("oi", "long"),
+            ScalarParam("ok", "long"),
+            ScalarParam("oj", "long"),
         ),
         body=[
             Loop(
@@ -288,7 +328,8 @@ def build_sed_sweep_ir() -> Kernel:
             "(i, k, j, species); level k's flux is subtracted from its row "
             "then carried to k - 1 (or precip at the surface), the "
             "reference's exact operation order, with per-member active "
-            "flags."
+            "flags; rows whose occupancy bit is clear are skipped, and "
+            "each cell a row deposits into gets its bit."
         ),
     )
 
@@ -595,8 +636,13 @@ def build_gather_rows_ir() -> Kernel:
 def build_scatter_rows_ir() -> Kernel:
     """The inverse of :func:`build_gather_rows_ir`: row ``p`` of ``src``
     goes back to the ``nc`` elements of ``dst`` at offset ``offs[p]``.
-    The offsets are distinct rows, so no element is written twice."""
-    p, c = Sym("p"), Sym("c")
+    The offsets are distinct rows, so no element is written twice.
+
+    The row holds ``nsp`` species of ``nc / nsp`` bins; the cell's
+    occupancy byte ``occ[ooffs[p]]`` gets exactly the bits of the
+    species with a nonzero value in the row."""
+    p, s, b = Sym("p"), Sym("s"), Sym("b")
+    nkr = Sym("nkr")
     return Kernel(
         name="scatter_rows",
         params=(
@@ -605,16 +651,31 @@ def build_scatter_rows_ir() -> Kernel:
             ArrayParam("offs", strides=(Const(1),), ctype="long"),
             ScalarParam("npts", "long"),
             ScalarParam("nc", "long"),
+            ArrayParam(
+                "occ", strides=(Const(1),), ctype="unsigned char", intent="inout"
+            ),
+            ArrayParam("ooffs", strides=(Const(1),), ctype="long"),
+            ScalarParam("nsp", "long"),
         ),
         body=[Loop("p", Const(0), Sym("npts"), [
             Let("o", Load("offs", (p,)), ctype="long"),
-            Loop("c", Const(0), Sym("nc"), [
-                Store("dst", (Sym("o") + c,), Load("src", (p, c))),
+            Let("nkr", Sym("nc") / Sym("nsp"), ctype="long"),
+            Decl("bits", "long", Const(0)),
+            Loop("s", Const(0), Sym("nsp"), [
+                Decl("nz", "long", Const(0)),
+                Loop("b", Const(0), nkr, [
+                    Let("v", Load("src", (p, s * nkr + b))),
+                    Store("dst", (Sym("o") + s * nkr + b,), Sym("v")),
+                    Assign("nz", Bin("|", Sym("nz"), Sym("v").ne(Const(0.0)))),
+                ]),
+                Assign("bits", Bin("|", Sym("bits"), Bin("<<", Sym("nz"), s))),
             ]),
+            Store("occ", (Load("ooffs", (p,)),), Sym("bits")),
         ])],
         doc=(
             "scatter_rows: copy each row of src back to nc unit-stride "
-            "elements at its element offset of dst."
+            "elements at its element offset of dst, and write the cell's "
+            "occupancy bits from the row."
         ),
     )
 
@@ -1123,6 +1184,7 @@ def sed_sweep(
     courant: np.ndarray,
     masses: np.ndarray,
     precip: np.ndarray,
+    occ: np.ndarray,
 ) -> np.ndarray | None:
     """Run the fused sedimentation sweep in place; per-member presence.
 
@@ -1131,32 +1193,38 @@ def sed_sweep(
     and all species share shapes and strides); ``precip`` is the
     ``(nm, ni, nj)`` float64 surface accumulator; ``courant`` is
     ``(nsp, nk, nkr)`` and ``masses`` ``(nsp, nkr)``, both C-contiguous
-    float64 and shared by every member. Returns the ``(nm, nsp)``
-    ``active`` flags, or ``None`` when the layout is unsupported and
-    the caller must take the numpy path.
+    float64 and shared by every member. ``occ`` is the uint8 ``(nm,
+    ni, nk, nj)`` occupancy view of the same cells (any strides): a
+    (cell, species) row is read only when its bit is set, and each cell
+    a row deposits into gets the species' bit. Returns the ``(nm,
+    nsp)`` ``active`` flags, or ``None`` when the layout or the bin
+    count (not ``NKR``) is unsupported and the caller must take the
+    numpy path.
     """
     nsp = len(dists)
     ref = dists[0]
     nm, ni, nk, nj, nkr = ref.shape
     itemsize = ref.itemsize
     if (
-        nkr > MAX_NKR
+        nkr != NKR
+        or nsp > 8
         or ref.dtype != np.float64
         or precip.dtype != np.float64
         or precip.shape != (nm, ni, nj)
         or ref.strides[4] != itemsize
         or any(d.shape != ref.shape or d.strides != ref.strides for d in dists)
+        or occ.dtype != np.uint8
+        or occ.shape != (nm, ni, nk, nj)
+        or any(st < 0 for st in occ.strides)
     ):
         return None
     active = np.zeros((nm, nsp), dtype=np.uint8)
-    # Serial emission (transform.plan_host) keeps the per-row flux
-    # LocalArray on the stack — no hoisted scratch param.
     lib.sed_sweep(
         _ptr_table(dists),
         courant,
         masses,
         precip,
-        nm, nsp, ni, nk, nj, nkr,
+        nm, nsp, ni, nk, nj,
         ref.strides[0] // itemsize,
         ref.strides[1] // itemsize,
         ref.strides[2] // itemsize,
@@ -1165,6 +1233,8 @@ def sed_sweep(
         precip.strides[1] // itemsize,
         precip.strides[2] // itemsize,
         active,
+        occ,
+        *occ.strides,
     )
     return active
 
@@ -1321,26 +1391,21 @@ def freeze_melt(
     return melted
 
 
-def _row_offsets(
-    view: np.ndarray, cells: tuple[np.ndarray, ...]
+def _cell_offsets(
+    view: np.ndarray, cells: tuple[np.ndarray, ...], ndim: int
 ) -> np.ndarray | None:
-    """Each listed cell's row start in ``view``, as an element offset.
+    """Each listed cell's element offset in ``view``.
 
-    ``view`` is float64 with a unit-stride trailing (row) axis;
-    ``cells`` holds one index array per leading axis (what
-    ``np.nonzero`` returns). ``None`` when the view's layout is
-    unsupported; ``ValueError`` when a cell lies outside the view.
+    ``cells`` holds one index array per leading axis of ``view``
+    (what ``np.nonzero`` returns), ``ndim`` of them. ``None`` when the
+    view's strides are negative or not whole elements; ``ValueError``
+    when a cell lies outside the view.
     """
     itemsize = view.itemsize
-    if (
-        view.dtype != np.float64
-        or view.ndim < 2
-        or view.strides[-1] != itemsize
-        or any(s < 0 or s % itemsize for s in view.strides)
-    ):
+    if any(s < 0 or s % itemsize for s in view.strides):
         return None
     npts = len(cells[0]) if cells else -1
-    if len(cells) != view.ndim - 1 or not all(
+    if len(cells) != ndim or not all(
         idx.shape == (npts,)
         and idx.dtype.kind in "iu"
         and (npts == 0 or (idx.min() >= 0 and idx.max() < extent))
@@ -1351,6 +1416,25 @@ def _row_offsets(
     for idx, stride in zip(cells, view.strides):
         offs += idx * np.int64(stride // itemsize)
     return offs
+
+
+def _row_offsets(
+    view: np.ndarray, cells: tuple[np.ndarray, ...]
+) -> np.ndarray | None:
+    """Each listed cell's row start in ``view``, as an element offset.
+
+    ``view`` is float64 with a unit-stride trailing (row) axis;
+    ``cells`` indexes every leading axis. ``None`` when the view's
+    layout is unsupported; ``ValueError`` when a cell lies outside the
+    view.
+    """
+    if (
+        view.dtype != np.float64
+        or view.ndim < 2
+        or view.strides[-1] != view.itemsize
+    ):
+        return None
+    return _cell_offsets(view, cells, view.ndim - 1)
 
 
 def gather_rows(
@@ -1379,20 +1463,34 @@ def scatter_rows(
     dst: np.ndarray,
     cells: tuple[np.ndarray, ...],
     rows: np.ndarray,
+    occ: np.ndarray,
+    nsp: int,
 ) -> bool:
-    """``dst[cells] = rows``, the inverse of :func:`gather_rows`.
+    """``dst[cells] = rows``, the inverse of :func:`gather_rows`, and
+    ``occ[cells]`` = the bits of the species with a nonzero value in
+    each row (``nsp`` species of equal width, in order).
 
-    Returns ``False`` (nothing written) when ``dst``'s layout is
-    unsupported; raises ``ValueError`` on cells outside ``dst`` or
-    ``rows`` that are not a contiguous float64 ``(npts, nc)`` array.
+    ``occ`` is a uint8 view shaped like ``dst`` without its row axis.
+    Returns ``False`` (nothing written) when a layout is unsupported;
+    raises ``ValueError`` on cells outside ``dst``, ``rows`` that are
+    not a contiguous float64 ``(npts, nc)`` array, or a row width that
+    is not ``nsp`` whole species.
     """
     offs = _row_offsets(dst, cells)
-    if offs is None:
+    if (
+        offs is None
+        or occ.dtype != np.uint8
+        or occ.shape != dst.shape[:-1]
+        or not 0 < nsp <= 8
+    ):
+        return False
+    ooffs = _cell_offsets(occ, cells, occ.ndim)
+    if ooffs is None:
         return False
     nc = dst.shape[-1]
-    if not _fits(rows, (len(offs), nc), np.float64):
+    if not _fits(rows, (len(offs), nc), np.float64) or nc % nsp:
         raise ValueError("scatter_rows: rows do not match the cells")
-    lib.scatter_rows(dst, rows, offs, len(offs), nc)
+    lib.scatter_rows(dst, rows, offs, len(offs), nc, occ, ooffs, nsp)
     return True
 
 

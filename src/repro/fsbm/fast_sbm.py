@@ -62,7 +62,7 @@ from repro.fsbm.sedimentation import (  # noqa: F401
     sedimentation_step_members,
 )
 from repro.fsbm.species import INTERACTIONS, Species
-from repro.fsbm.state import MicroState, N_EPS
+from repro.fsbm.state import ALL_OCCUPIED, MicroState, N_EPS, all_occupied
 from repro.fsbm.thermo import saturation_mixing_ratio
 from repro.fsbm.temp_arrays import (
     FRAME_SWEEPS,
@@ -151,8 +151,9 @@ class FastSBM:
         """Advance the patch microphysics by ``dt`` (all arrays in place).
 
         The one-member case of :func:`step_members`; the sedimentation
-        fall speeds see the patch's mean pressure per level, and the
-        predicate the state's :meth:`MicroState.total_condensate_mass`.
+        fall speeds see the patch's mean pressure per level, the
+        predicate the state's :meth:`MicroState.total_condensate_mass`,
+        and the kernels an all-set occupancy field (nothing skipped).
         A state without a packed view (:meth:`MicroState.bind_packed`)
         steps on a packed copy of its bins, copied back afterwards.
         """
@@ -170,6 +171,7 @@ class FastSBM:
             qv[None],
             rho_air[None],
             state.total_condensate_mass()[None],
+            all_occupied((1, *state.shape)),
             dz_cm,
             pressure_mb.mean(axis=(0, 2)),
         )
@@ -514,12 +516,20 @@ def _gather_rows(src: np.ndarray, cells: tuple[np.ndarray, ...]) -> np.ndarray:
 
 
 def _scatter_rows(
-    dst: np.ndarray, cells: tuple[np.ndarray, ...], rows: np.ndarray
+    dst: np.ndarray,
+    cells: tuple[np.ndarray, ...],
+    rows: np.ndarray,
+    occupancy: np.ndarray,
 ) -> None:
-    """``dst[cells] = rows``, the inverse of :func:`_gather_rows`."""
+    """``dst[cells] = rows``, the inverse of :func:`_gather_rows`, and
+    each written cell's occupancy bits: exact from the compiled
+    ``scatter_rows``, all set on the numpy fallback."""
     lib = ckernels.load_kernels()
-    if lib is None or not ckernels.scatter_rows(lib, dst, cells, rows):
+    if lib is None or not ckernels.scatter_rows(
+        lib, dst, cells, rows, occupancy, len(Species)
+    ):
         dst[cells] = rows
+        occupancy[cells] = ALL_OCCUPIED
 
 
 def _condensation(
@@ -662,6 +672,7 @@ def step_members(
     qv: np.ndarray,
     rho_air: np.ndarray,
     condensate: np.ndarray,
+    occupancy: np.ndarray,
     dz_cm: float,
     pressure_levels: np.ndarray,
 ) -> list[SbmStepStats]:
@@ -676,8 +687,12 @@ def step_members(
     is each cell's condensate mass on entry (read only: the model
     passes the field its transport sweep summed), which decides with
     the temperature and saturation which cells the sweep visits.
-    ``pressure_levels`` is the ``(nk,)`` base-state pressure column the
-    members share (sedimentation fall speeds).
+    ``occupancy`` is each cell's ``(nm, ni, nk, nj)`` uint8 occupancy
+    field (bit ``sp`` clear: every bin of species ``sp`` is an exact
+    zero); the scatter and sedimentation keep it so, and sedimentation
+    skips the species it marks empty. ``pressure_levels`` is the
+    ``(nk,)`` base-state pressure column the members share
+    (sedimentation fall speeds).
 
     Member ``m``'s fields, work stats, and clock charges are
     bit-identical to a one-member step of that member alone. GPU
@@ -796,7 +811,7 @@ def step_members(
             # --- collision–coalescence (coal_bott_new) -----------------
             _collisions(sbms, states, g_bins, g_t, g_p, segments, stats_list)
 
-            _scatter_rows(bins_stacked, midx, g_bins)
+            _scatter_rows(bins_stacked, midx, g_bins, occupancy)
             temperature[midx] = g_t
             qv[midx] = g_qv
             ccn_stacked[midx] = g_ccn
@@ -807,7 +822,7 @@ def step_members(
                 sed_stack.enter_context(sbm.clock.region("sedimentation"))
             sed_list = sedimentation_step_members(
                 species_columns(bins_stacked), precip_stacked,
-                pressure_levels, dz_cm, dt,
+                pressure_levels, dz_cm, dt, occupancy,
             )
             for m, sbm in enumerate(sbms):
                 stats_list[m].sed = sed_list[m]

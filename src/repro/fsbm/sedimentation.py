@@ -33,7 +33,7 @@ from repro.core.cache import get_cache
 from repro.fsbm import ckernels
 from repro.fsbm.fallspeeds import terminal_velocity
 from repro.fsbm.species import Species, species_bins
-from repro.fsbm.state import MicroState
+from repro.fsbm.state import MicroState, all_occupied
 
 #: FLOPs per (cell, bin) of the upwind update (flux build, two
 #: updates, precipitation accumulation).
@@ -114,10 +114,12 @@ def sedimentation_step(
     dt: float,
 ) -> SedWorkStats:
     """One member's sedimentation step, in place (see
-    :func:`sedimentation_step_members`)."""
+    :func:`sedimentation_step_members`), skipping nothing: the state
+    keeps no occupancy field, so the sweep reads an all-set one."""
     dists = {sp: d[None] for sp, d in state.dists.items()}
     (stats,) = sedimentation_step_members(
-        dists, state.precip[None], pressure_mb_levels, dz_cm, dt
+        dists, state.precip[None], pressure_mb_levels, dz_cm, dt,
+        all_occupied((1, *state.shape)),
     )
     return stats
 
@@ -128,6 +130,7 @@ def sedimentation_step_members(
     pressure_mb_levels: np.ndarray,
     dz_cm: float,
     dt: float,
+    occupancy: np.ndarray,
 ) -> list[SedWorkStats]:
     """Advance every member's species by one upwind step, in place.
 
@@ -138,10 +141,16 @@ def sedimentation_step_members(
     base-state column every member shares) and sets the fall-speed
     density correction per level; the courant tables built from it are
     step-invariant and cached in ``fsbm.sed_courant``, so N members pay
-    for one build. The compiled sweep takes every member in one call;
-    the numpy path (kill switch, no compiler, unsupported layout) runs
-    member by member. Either way member ``m``'s update and stats are
-    those of a one-member call on its own arrays.
+    for one build. ``occupancy`` is the ``(nm, ni, nk, nj)`` uint8
+    occupancy field of the same cells (bit ``sp`` clear: every bin of
+    species ``sp`` is an exact zero). The compiled sweep takes every
+    member in one call, reads a (cell, species) row only when its bit
+    is set and sets the bit of every cell it deposits into; the numpy
+    path (kill switch, no compiler, unsupported layout) runs member by
+    member and sets a present species' bit in every cell of the member.
+    Either way member ``m``'s update and stats are those of a one-member
+    call on its own arrays: a skipped row is zeros, which would move
+    nothing and count no work.
     """
     tables = _courant_tables(pressure_mb_levels, dz_cm, dt)
     species = tables["species"]
@@ -162,6 +171,7 @@ def sedimentation_step_members(
             tables["stack"],
             tables["masses"],
             precip_stacked,
+            occupancy,
         )
         if active is not None:
             for m, st in enumerate(stats):
@@ -185,5 +195,6 @@ def sedimentation_step_members(
             n[:, :-1, :, :] += flux[:, 1:, :, :]
             # Lowest level's flux reaches the ground as precipitation mass.
             precip_stacked[m] += flux[:, 0, :, :] @ species_bins()[sp].masses
+            occupancy[m] |= np.uint8(1 << species.index(sp))
             st.cell_bins += float(n.size)
     return stats

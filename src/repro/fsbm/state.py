@@ -21,6 +21,17 @@ from repro.fsbm.species import Species, species_bins
 #: Number concentrations below this are treated as empty bins [cm^-3].
 N_EPS = 1.0e-12
 
+#: A cell's occupancy byte with every bit set. Bit ``sp`` (the index in
+#: :class:`~repro.fsbm.species.Species` order) clear promises that every
+#: bin of that species is an exact zero; a set bit promises nothing, so
+#: an all-set field is always valid and makes every kernel sweep all.
+ALL_OCCUPIED = 0xFF
+
+
+def all_occupied(shape: tuple[int, ...]) -> np.ndarray:
+    """An occupancy field (uint8) that skips nothing."""
+    return np.full(shape, ALL_OCCUPIED, dtype=np.uint8)
+
 
 @dataclass
 class MicroState:
@@ -104,20 +115,6 @@ class MicroState:
         for sp in Species:
             out += self.mass(sp, grids[sp])
         return out
-
-    def occupied_bins(self, sp: Species) -> np.ndarray:
-        """Highest occupied bin index + 1 per cell (0 = species absent).
-
-        This is the loop bound a scalar implementation would discover,
-        and it drives the on-demand kernel-entry count of the lookup
-        optimization.
-        """
-        present = self.dists[sp] > N_EPS
-        # Highest True along the bin axis, +1; 0 when none.
-        rev = present[..., ::-1]
-        first = np.argmax(rev, axis=-1)
-        any_present = present.any(axis=-1)
-        return np.where(any_present, self.nkr - first, 0)
 
     # --- bookkeeping ----------------------------------------------------------
 

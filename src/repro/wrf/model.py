@@ -40,7 +40,7 @@ from repro.core.engine import OffloadEngine
 from repro.obs import tracer
 from repro.fsbm.fast_sbm import FastSBM, SbmStepStats, step_members
 from repro.fsbm.species import Species
-from repro.fsbm.state import MicroState
+from repro.fsbm.state import ALL_OCCUPIED, MicroState
 from repro.grid.decomposition import Decomposition, decompose_domain
 from repro.grid.halo import HaloExchangePlan, build_halo_plan
 from repro.grid.indexing import owned_slice
@@ -171,6 +171,15 @@ class RankState:
     the bins: filled once here, then written by each transport sweep
     (:func:`transport_numerics`). The physics predicate and the output
     frames read it, so no step re-reads the bins for it.
+
+    ``occupancy`` holds one byte per cell: bit ``sp`` clear promises
+    that every bin of species ``sp`` (``Species`` order) in that cell
+    is an exact zero, and a set bit promises nothing. The build fills
+    it with the condensate; then the transport sweep (from the values
+    it stores), the physics scatter (from the rows it writes back),
+    sedimentation (for the cells it deposits into) and the halo
+    exchange (with the bins) keep it so, and the transport and
+    sedimentation kernels skip the species it marks empty.
     """
 
     rank: int
@@ -203,6 +212,13 @@ class RankState:
     #: its owned view.
     condensate: np.ndarray
     condensate_o: np.ndarray
+    #: Which occupancy bit describes each scalar
+    #: (:meth:`~repro.wrf.transport.ScalarLayout.masks`).
+    scalar_bits: tuple[np.ndarray, np.ndarray]
+    #: Each cell's occupancy bits ``(N, ni, nk, nj)`` uint8 (memory
+    #: extents) and its owned view.
+    occupancy: np.ndarray
+    occupancy_o: np.ndarray
 
 
 def _blas_condensate(fields: list[WrfFields], cond: np.ndarray) -> None:
@@ -217,15 +233,17 @@ def build_rank_state(
     rank: int,
     patch,
     block: np.ndarray,
+    occupancy: np.ndarray,
     clocks: list[SimClock],
     cpu_cost: CpuCostModel,
     engine: OffloadEngine | None = None,
 ) -> RankState:
     """Construct one rank's member-stacked state inside ``block``.
 
-    ``block`` is the rank's ``(N, ni, nk, nj, nscalar)`` superblock
-    (driver-allocated, or the rank's shared block inside its worker
-    process under process ranks) and ``clocks[m]`` member ``m``'s
+    ``block`` is the rank's ``(N, ni, nk, nj, nscalar)`` superblock and
+    ``occupancy`` its ``(N, ni, nk, nj)`` uint8 occupancy field (both
+    driver-allocated, or the rank's shared mappings inside its worker
+    process under process ranks), and ``clocks[m]`` member ``m``'s
     clock. Member ``m``'s fields are built from its perturbed case and
     bound into ``block[m]``.
     """
@@ -259,10 +277,13 @@ def build_rank_state(
     scalar_masses = np.zeros(fields[0].scalar_count())
     scalar_masses[bins[0].start : bins[-1].stop] = fields[0].micro.packed_masses
     # Summed as the transport sweep sums it, so the first step's
-    # predicate sees what every later one does.
+    # predicate sees what every later one does; the bits in the same
+    # read (the numpy fallback sets them all).
+    bits = fields[0].layout.masks()
     condensate = np.empty((nm, *shape))
-    if not sum_condensate(block, scalar_masses, condensate):
+    if not sum_condensate(block, scalar_masses, bits, condensate, occupancy):
         _blas_condensate(fields, condensate)
+        occupancy[...] = ALL_OCCUPIED
     return RankState(
         rank=rank,
         block=block,
@@ -288,6 +309,9 @@ def build_rank_state(
         scalar_masses=scalar_masses,
         condensate=condensate,
         condensate_o=condensate[every],
+        scalar_bits=bits,
+        occupancy=occupancy,
+        occupancy_o=occupancy[every],
     )
 
 
@@ -314,6 +338,7 @@ def physics_rank(namelist: Namelist, rs: RankState) -> list[SbmStepStats]:
             rs.qv_o,
             rs.rho_o,
             rs.condensate_o,
+            rs.occupancy_o,
             namelist.domain.dz * 100.0,
             rs.pressure_levels,
         )
@@ -332,13 +357,18 @@ def physics_rank(namelist: Namelist, rs: RankState) -> list[SbmStepStats]:
 
 
 def exchange_halos_rank(
-    plan: HaloExchangePlan, rank: int, blocks: list[np.ndarray]
+    plan: HaloExchangePlan,
+    rank: int,
+    blocks: list[np.ndarray],
+    occupancies: list[np.ndarray],
 ) -> None:
     """Fill one rank's halos from its neighbors' owned cells.
 
     ``blocks[r]`` is rank ``r``'s stacked ``(N, ni, nk, nj, nscalar)``
-    superblock; each incoming segment is one strided copy that moves
-    every member and every scalar at once. Halo writes are disjoint
+    superblock and ``occupancies[r]`` its occupancy field; each
+    incoming segment is one strided copy that moves every member and
+    every scalar at once, and one that moves the same cells' occupancy
+    bytes, so a halo cell's bits describe its bins. Halo writes are disjoint
     (owned regions partition the domain, so each halo point has exactly
     one source) and reads touch only owned regions, so ranks may pull
     concurrently — between two barriers in the worker processes — and
@@ -347,16 +377,19 @@ def exchange_halos_rank(
     patches = plan.decomposition.patches
     incoming = plan.segments_to(rank)
     dst = blocks[rank]
+    occ = occupancies[rank]
     with tracer.span("halo_exchange", cat="mpi") as sp:
         for seg in incoming:
-            src_sl = seg.src_slices(patches[seg.src])
-            dst_sl = seg.dst_slices(patches[rank])
-            dst[(slice(None), *dst_sl)] = blocks[seg.src][(slice(None), *src_sl)]
+            src_sl = (slice(None), *seg.src_slices(patches[seg.src]))
+            dst_sl = (slice(None), *seg.dst_slices(patches[rank]))
+            dst[dst_sl] = blocks[seg.src][src_sl]
+            occ[dst_sl] = occupancies[seg.src][src_sl]
         if sp is not None:
             nm, *_, nscalars = dst.shape
+            points = nm * sum(s.num_points for s in incoming)
             sp.set(
-                bytes=nm
-                * sum(s.num_points * nscalars * dst.itemsize for s in incoming),
+                bytes=points * nscalars * dst.itemsize,
+                occupancy_bytes=points * occ.itemsize,
                 segments=len(incoming),
                 members=nm,
             )
@@ -446,10 +479,17 @@ def transport_numerics(namelist: Namelist, rs: RankState) -> None:
     each member's packed bins into it instead (a BLAS call per member,
     which must not see other members' rows).
 
+    The compiled sweep skips every species that ``rs.occupancy`` marks
+    empty across a cell's stencil and writes the cells' new bits; the
+    numpy fallback sweeps every species and sets every bit.
+
     The span mirrors the ``rk_scalar_tend``/``rk_update_scalar`` clock
     regions' work under one measured name; ``flops`` counts the stages
-    actually executed (tendency + update per cell-scalar) and ``bytes``
-    the superblock's minimum traffic (one read + one write per stage).
+    executed over the whole block (tendency + update per cell-scalar)
+    and ``bytes`` the superblock's minimum traffic (one read + one
+    write per stage), whatever the sweep skipped, so its rate compares
+    with a full sweep's. ``swept`` and ``skipped`` count the (cell,
+    species) pairs the stages computed and skipped.
     """
     block = rs.block
     dt = namelist.dt
@@ -461,10 +501,11 @@ def transport_numerics(namelist: Namelist, rs: RankState) -> None:
             namelist.domain.dx, namelist.domain.dz,
         )
         advect = fused_rk3_advect if namelist.use_rk3_numerics else fused_euler_advect
-        if not advect(
+        swept = advect(
             block, split, dt, rs.workspace, rs.floors, rs.scalar_masses,
-            rs.condensate,
-        ):
+            rs.scalar_bits, rs.condensate, rs.occupancy,
+        )
+        if swept is None:
             _blas_condensate(rs.fields, rs.condensate)
         for m, f in enumerate(rs.fields):
             buoyancy_w_update(
@@ -473,11 +514,16 @@ def transport_numerics(namelist: Namelist, rs: RankState) -> None:
         if sp is not None:
             cell_scalars = float(block.size)
             stages = len(RK3_FRACTIONS) if namelist.use_rk3_numerics else 1
+            smask, glo = rs.scalar_bits
+            pairs = rs.occupancy.size * int((smask[glo[:-1]] != 0).sum())
+            done = pairs if swept is None else int(swept.sum())
             sp.set(
                 flops=cell_scalars
                 * stages
                 * (FLOPS_PER_CELL_TEND + FLOPS_PER_CELL_UPDATE),
                 bytes=2.0 * stages * cell_scalars * block.itemsize,
+                swept=stages * done,
+                skipped=stages * (pairs - done),
                 members=block.shape[0],
             )
 
@@ -642,6 +688,7 @@ class WrfModel:
                         rank,
                         patch,
                         np.empty((nm, *patch.shape, nscalars)),
+                        np.empty((nm, *patch.shape), dtype=np.uint8),
                         [row[rank] for row in self.member_clocks],
                         self.cpu_cost,
                         self.engines[rank],
@@ -689,9 +736,10 @@ class WrfModel:
         substep traffic WRF's split-explicit solver would add.
         """
         blocks = [rs.block for rs in self.ranks]
+        occupancies = [rs.occupancy for rs in self.ranks]
         for rank in range(self.namelist.num_ranks):
             with tracer.rank_scope(rank):
-                exchange_halos_rank(self.halo_plan, rank, blocks)
+                exchange_halos_rank(self.halo_plan, rank, blocks, occupancies)
         for rs in self.ranks:
             charge_halos_rank(
                 self.halo_plan, self.comm_cost, rs, self.namelist.num_ranks

@@ -11,9 +11,11 @@ past two ranks. This module promotes ranks to real OS processes:
   one ``(members, ni, nk, nj, nscalar)`` float64 block per rank,
   registered with the ``"wrf.shared_superblocks"``
   :class:`~repro.core.cache.CountingCache` so its footprint is
-  observable like every other pinned buffer. The workers inherit every
-  rank's block through fork (``Process(args=...)``, which the fork
-  context does not pickle): nothing has a name, nothing is attached or
+  observable like every other pinned buffer, and beside it, made the
+  same way, the rank's ``(members, ni, nk, nj)`` uint8 occupancy
+  field. The workers inherit every rank's block and field through
+  fork (``Process(args=...)``, which the fork context does not
+  pickle): nothing has a name, nothing is attached or
   unlinked, no resource-tracker process runs, and the kernel frees the
   pages when the last process that maps them exits — a killed process
   group strands nothing;
@@ -24,7 +26,8 @@ past two ranks. This module promotes ranks to real OS processes:
   member). It steps all its members in lockstep with its peers;
 * the per-step halo exchange is the pull half of the
   :class:`~repro.grid.halo.HaloExchangePlan` executed as direct strided
-  copies between neighboring ranks' shared blocks — no serialization,
+  copies between neighboring ranks' shared blocks and occupancy fields
+  — no serialization,
   no driver round-trip — barriered before (all owners done with
   physics) and after (all halos filled);
 * the driver talks to workers over one command pipe per rank
@@ -130,22 +133,15 @@ def leaked_segments() -> list[str]:
     return []
 
 
-def _shared_blocks(
-    decomposition: Decomposition, nscalars: int, members: int
-) -> list[np.ndarray]:
-    """One zero-filled anonymous shared float64 block per rank.
+def _shared_array(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A zero-filled array in its own anonymous shared mapping.
 
-    Each array views its own ``mmap.mmap(-1, nbytes)`` and keeps it
-    alive; processes forked afterwards share the pages, and each
-    process unmaps them when its last view goes (or it exits).
+    The array views an ``mmap.mmap(-1, nbytes)`` and keeps it alive;
+    processes forked afterwards share the pages, and each process
+    unmaps them when its last view goes (or it exits).
     """
-    blocks = []
-    for patch in decomposition.patches:
-        shape = (members, *patch.shape, nscalars)
-        nbytes = math.prod(shape) * np.dtype(np.float64).itemsize
-        buffer = mmap.mmap(-1, nbytes)
-        blocks.append(np.ndarray(shape, dtype=np.float64, buffer=buffer))
-    return blocks
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    return np.ndarray(shape, dtype=dtype, buffer=mmap.mmap(-1, nbytes))
 
 
 def _preload_compiled() -> None:
@@ -167,9 +163,11 @@ class _RankContext:
     """Everything one worker process owns for its rank's members.
 
     ``blocks`` holds every rank's stacked ``(N, ni, nk, nj, nscalar)``
-    shared block, inherited through fork; this rank's state lives in
-    ``blocks[rank]``, all members step together through the shared
-    stage functions, and the gather/charge commands name one member.
+    shared block and ``occupancies`` every rank's shared occupancy
+    field, both inherited through fork; this rank's state lives in
+    ``blocks[rank]`` and ``occupancies[rank]``, all members step
+    together through the shared stage functions, and the gather/charge
+    commands name one member.
     """
 
     def __init__(
@@ -178,6 +176,7 @@ class _RankContext:
         namelist: Namelist,
         decomposition: Decomposition,
         blocks: list[np.ndarray],
+        occupancies: list[np.ndarray],
         barrier,
         timeout: float,
     ):
@@ -194,11 +193,13 @@ class _RankContext:
         self.plan = build_halo_plan(decomposition)
         # The pull-model exchange reads neighbors' owned boxes directly.
         self.blocks = blocks
+        self.occupancies = occupancies
         self.state = build_rank_state(
             namelist,
             rank,
             decomposition.patches[rank],
             blocks[rank],
+            occupancies[rank],
             self.clocks,
             self.cpu_cost,
         )
@@ -218,7 +219,9 @@ class _RankContext:
                 stack.enter_context(clock.region("solve_em"))
             stats = physics_rank(self.namelist, self.state)
             self.barrier.wait(self.timeout)
-            exchange_halos_rank(self.plan, self.rank, self.blocks)
+            exchange_halos_rank(
+                self.plan, self.rank, self.blocks, self.occupancies
+            )
             charge_halos_rank(
                 self.plan, self.comm_cost, self.state, self.num_ranks
             )
@@ -246,6 +249,7 @@ def _worker_main(
     namelist: Namelist,
     decomposition: Decomposition,
     blocks: list[np.ndarray],
+    occupancies: list[np.ndarray],
     barrier,
     conn,
     timeout: float,
@@ -263,7 +267,8 @@ def _worker_main(
     """
     try:
         ctx = _RankContext(
-            rank, namelist, decomposition, blocks, barrier, timeout
+            rank, namelist, decomposition, blocks, occupancies, barrier,
+            timeout,
         )
         conn.send(("ready", rank, tracer.drain_state()))
         while True:
@@ -321,8 +326,9 @@ class ProcRankPool:
     ``namelist.use_process_ranks`` holds (CPU stages only). The shared
     blocks are mapped and the workers forked at construction, so workers
     start lean and inherit the blocks, the preloaded compiled kernels
-    and the lookup tables. ``blocks`` keeps the driver's views of the
-    blocks (the footprint) until the workers are joined.
+    and the lookup tables. ``blocks`` and ``occupancy`` keep the
+    driver's views of the blocks and of the occupancy fields (the
+    footprint) until the workers are joined.
     """
 
     def __init__(
@@ -338,9 +344,16 @@ class ProcRankPool:
         self._procs: list = []
         self._conns: list = []
         _preload_compiled()
-        self.blocks = _shared_blocks(
-            decomposition, superblock_scalar_count(), namelist.members
-        )
+        # Per rank, its block and, beside it, its occupancy field.
+        nm, nscalars = namelist.members, superblock_scalar_count()
+        self.blocks = [
+            _shared_array((nm, *patch.shape, nscalars), np.float64)
+            for patch in decomposition.patches
+        ]
+        self.occupancy = [
+            _shared_array((nm, *patch.shape), np.uint8)
+            for patch in decomposition.patches
+        ]
         cache = get_cache(SEGMENT_CACHE, sizeof=lambda block: block.nbytes)
         for rank, block in enumerate(self.blocks):
             cache.get_or_build((id(self), rank), lambda b=block: b)
@@ -356,6 +369,7 @@ class ProcRankPool:
                         namelist,
                         decomposition,
                         self.blocks,
+                        self.occupancy,
                         self._barrier,
                         child_conn,
                         self.timeout,
@@ -514,3 +528,4 @@ class ProcRankPool:
         for rank in range(len(self.blocks)):
             cache.discard((id(self), rank))
         self.blocks = []
+        self.occupancy = []

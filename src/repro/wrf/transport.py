@@ -22,7 +22,9 @@ This module is the Python analog of the paper's stage-3 transformation:
   (:mod:`repro.wrf.cstencil`): every value read once and written back
   in place through a two-row ring, clipped in the store, with each
   cell's condensate summed on the way into the caller's condensate
-  field — otherwise a sliced in-place numpy stencil runs through
+  field and its occupancy bits into the caller's occupancy field, and
+  every species those bits mark empty across a cell's stencil skipped
+  — otherwise a sliced in-place numpy stencil runs through
   preallocated buffers instead of rolled copies.
 
 Workspaces are registered in the :mod:`repro.core.cache` registry
@@ -44,6 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.core.cache import get_cache
+from repro.fsbm.state import ALL_OCCUPIED
 from repro.obs import tracer
 from repro.wrf import cstencil
 from repro.wrf.dynamics import RK3_FRACTIONS, WindSplit
@@ -94,18 +97,45 @@ class ScalarLayout:
         floors.flags.writeable = False
         return floors
 
+    @lru_cache(maxsize=None)
+    def masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Which occupancy bit describes each scalar, as the stencil reads it.
+
+        ``(smask, glo)``, read-only int64: ``smask[n]`` is ``1 << b`` for
+        a scalar of the ``b``-th ``bin_*`` field (the species order) and
+        0 for the others (t, qv and w), which the stencil always sweeps;
+        ``glo`` splits the scalars into groups that share one mask —
+        group ``g`` holds ``glo[g] <= n < glo[g + 1]``.
+        """
+        smask, glo = [], [0]
+        nbin = 0
+        for name, width in self.entries:
+            mask = 0
+            if name.startswith("bin_"):
+                mask, nbin = 1 << nbin, nbin + 1
+            if not smask or smask[-1] != mask:
+                glo.append(glo[-1])
+            smask.extend([mask] * width)
+            glo[-1] += width
+        out = np.array(smask, dtype=np.int64), np.array(glo, dtype=np.int64)
+        for a in out:
+            a.flags.writeable = False
+        return out
+
 
 class TransportWorkspace:
     """Preallocated per-rank buffers for the fused transport kernels.
 
     The Python analog of the paper's Listing-8 ``temp_arrays`` module:
-    one flat float pool per buffer name, sized by the largest request
-    and handed out as shaped views, so repeated steps perform zero heap
+    one flat pool per buffer name, sized by the largest request and
+    handed out as shaped views, so repeated steps perform zero heap
     allocations. Pools are sized by request, not rounded up to a block:
-    the compiled Euler step's only pool is the two-row ``ring`` (RK3
-    adds the block-sized ``stage``/``tend`` for its first two stages;
-    the numpy path uses ``tend``, the per-axis stencil pieces
-    ``diff``/``hi``/``lo`` and RK3's ``phi0``/``stage``).
+    the compiled Euler step's pools are its two-row rings
+    (:meth:`rings`: the values, the evaluated species guards and the
+    new occupancy bits) and one ``swept`` count per cell (RK3 adds the
+    block-sized ``stage``/``tend`` for its first two stages and two
+    occupancy fields; the numpy path uses ``tend``, the per-axis
+    stencil pieces ``diff``/``hi``/``lo`` and RK3's ``phi0``/``stage``).
     ``allocations`` counts pool (re)allocations — a
     reuse test can assert it stays flat across steps the same way the
     paper checks ``map(alloc:)`` happens once. ``shape`` is the block's
@@ -125,20 +155,32 @@ class TransportWorkspace:
         self._pools: dict[str, np.ndarray] = {}
         self.allocations = 0
 
-    def buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    def buffer(
+        self, name: str, shape: tuple[int, ...], dtype: np.dtype | type | None = None
+    ) -> np.ndarray:
         """A shaped view of the named pool (grown on a larger request).
 
         Contents are unspecified — callers fully overwrite the view. A
         pool grows only while the first step issues its largest request
         (the numpy stencil's per-axis pieces differ in shape); later
-        steps reuse it.
+        steps reuse it. ``dtype`` defaults to the workspace's (the rings
+        of occupancy bits and the swept counts are integers).
         """
+        dtype = self.dtype if dtype is None else np.dtype(dtype)
         n = int(np.prod(shape, dtype=np.int64))
         pool = self._pools.get(name)
-        if pool is None or pool.size < n:
-            self._pools[name] = pool = np.empty(n, dtype=self.dtype)
+        if pool is None or pool.size < n or pool.dtype != dtype:
+            self._pools[name] = pool = np.empty(n, dtype=dtype)
             self.allocations += 1
         return pool[:n].reshape(shape)
+
+    def rings(self, shape: tuple[int, ...], ngroups: int) -> dict[str, np.ndarray]:
+        """The rings one compiled stage of an ``(nm, ni, nk, nj, ns)``
+        block needs (:func:`repro.wrf.cstencil.ring_shapes`)."""
+        return {
+            name: self.buffer(name, ring, dtype)
+            for name, (ring, dtype) in cstencil.ring_shapes(shape, ngroups).items()
+        }
 
     @property
     def nbytes(self) -> int:
@@ -264,8 +306,10 @@ def fused_euler_advect(
     ws: TransportWorkspace,
     floors: np.ndarray,
     mass: np.ndarray,
+    masks: tuple[np.ndarray, np.ndarray],
     cond: np.ndarray,
-) -> bool:
+    occ: np.ndarray,
+) -> np.ndarray | None:
     """Single-Euler-stage donor-cell update of the member stack, in place.
 
     ``block`` is the ``(nm, ni, nk, nj, ns)`` superblock and ``split``
@@ -276,14 +320,20 @@ def fused_euler_advect(
     clamp at ``floors`` (:meth:`ScalarLayout.floors`), for every
     packed scalar of every member at once.
 
+    ``occ`` is the block's ``(nm, ni, nk, nj)`` uint8 occupancy field
+    (bit ``sp`` clear: every bin of species ``sp`` in that cell is an
+    exact zero) and ``masks`` the layout's :meth:`ScalarLayout.masks`.
     With the compiled stencil available the update is one pass over
-    the block: each row is computed from unmodified rows into the
-    workspace's two-row ring and written back once the next row is
-    done, and the same sweep writes each cell's condensate
-    ``sum_n block[..., n] * mass[n]`` into ``cond`` (``(nm, ni, nk,
-    nj)``) in a fixed lane order; no block-sized buffer is touched.
-    Returns whether it did: the numpy fallback leaves ``cond`` to the
-    caller and returns ``False``.
+    the block: each cell skips every species whose bit is clear across
+    its 7-point stencil (those bins are zeros and stay zeros), each
+    row is computed from unmodified rows into the workspace's rings and
+    written back once the next row's plane is done, and the same sweep
+    writes each cell's condensate ``sum_n block[..., n] * mass[n]``
+    into ``cond`` (``(nm, ni, nk, nj)``) in a fixed lane order and its
+    new bits into ``occ``; no block-sized buffer is touched. Returns
+    each cell's count of swept species (a workspace view, valid until
+    the next sweep). The numpy fallback sweeps everything, sets every
+    bit of ``occ``, leaves ``cond`` to the caller and returns ``None``.
     """
     lib = cstencil.load_stencil()
     with tracer.span("advect_euler", cat="kernel") as sp:
@@ -294,18 +344,20 @@ def fused_euler_advect(
                 members=block.shape[0],
             )
         if lib is not None:
+            swept = ws.buffer("swept", block.shape[:4], np.int32)
             cstencil.advect_stage(
                 lib, block, block, block, split.pos, split.neg, dt,
-                floors, mass, cond,
-                ws.buffer("ring", cstencil.ring_shape(block.shape)),
+                floors, mass, cond, masks, occ, occ, swept,
+                ws.rings(block.shape, len(masks[1]) - 1),
             )
-            return True
+            return swept
         tend = ws.buffer("tend", block.shape)
         fused_upwind_tend(block, split, tend, ws)
         np.multiply(tend, dt, out=tend)
         block += tend
         np.maximum(block, floors, out=block)
-        return False
+        occ[...] = ALL_OCCUPIED
+        return None
 
 
 def fused_rk3_advect(
@@ -315,8 +367,10 @@ def fused_rk3_advect(
     ws: TransportWorkspace,
     floors: np.ndarray,
     mass: np.ndarray,
+    masks: tuple[np.ndarray, np.ndarray],
     cond: np.ndarray,
-) -> bool:
+    occ: np.ndarray,
+) -> np.ndarray | None:
     """WRF-ARW's three-stage RK3 update of the member stack, in place.
 
     The stage recurrence ``phi* = phi0 + (dt*frac) L(stage)`` runs on
@@ -326,8 +380,10 @@ def fused_rk3_advect(
     after the last stage. Shapes and the return value as in
     :func:`fused_euler_advect`: on the compiled path the first two
     stages go to two workspace buffers, the last stage writes ``block``
-    itself (through the same ring), and its condensate is the one left
-    in ``cond``.
+    itself (through the same rings), and its condensate and bits are
+    the ones left in ``cond`` and ``occ``. Every stage sweeps every
+    species (it reads an all-set field): the intermediate stages' bits
+    would need fields of their own.
     """
     lib = cstencil.load_stencil()
     with tracer.span("advect_rk3", cat="kernel") as sp:
@@ -339,7 +395,12 @@ def fused_rk3_advect(
             )
         if lib is not None:
             # `block` is phi0 for every stage and receives the last one.
-            ring = ws.buffer("ring", cstencil.ring_shape(block.shape))
+            cells = block.shape[:4]
+            rings = ws.rings(block.shape, len(masks[1]) - 1)
+            every = ws.buffer("occ_all", cells, np.uint8)
+            every[...] = ALL_OCCUPIED
+            staged = ws.buffer("occ_stage", cells, np.uint8)
+            swept = ws.buffer("swept", cells, np.int32)
             unclamped = np.full_like(floors, -np.inf)
             bufs = (
                 ws.buffer("stage", block.shape),
@@ -351,10 +412,11 @@ def fused_rk3_advect(
                 out = block if last else bufs[idx]
                 cstencil.advect_stage(
                     lib, stage, block, out, split.pos, split.neg, dt * frac,
-                    floors if last else unclamped, mass, cond, ring,
+                    floors if last else unclamped, mass, cond, masks,
+                    every, occ if last else staged, swept, rings,
                 )
                 stage = out
-            return True
+            return swept
         phi0 = ws.buffer("phi0", block.shape)
         phi0[...] = block
         stage_buf = ws.buffer("stage", block.shape)
@@ -367,22 +429,28 @@ def fused_rk3_advect(
             stage = stage_buf
         block[...] = stage
         np.maximum(block, floors, out=block)
-        return False
+        occ[...] = ALL_OCCUPIED
+        return None
 
 
 def sum_condensate(
-    block: np.ndarray, mass: np.ndarray, cond: np.ndarray
+    block: np.ndarray,
+    mass: np.ndarray,
+    masks: tuple[np.ndarray, np.ndarray],
+    cond: np.ndarray,
+    occ: np.ndarray,
 ) -> bool:
-    """Each cell's condensate of ``block`` into ``cond``, as a sweep sums it.
+    """Each cell's condensate and occupancy bits of ``block``, as a sweep
+    writes them.
 
     The compiled stencil module's ``condensate`` kernel, in the lane
-    order :func:`fused_euler_advect` writes (shapes as there); for a
-    block no sweep has written yet. Returns ``False`` without touching
-    ``cond`` when the stencil is unavailable, like the advection
-    fallbacks.
+    order :func:`fused_euler_advect` writes (shapes as there), in one
+    read of the block; for a block no sweep has written yet. Returns
+    ``False`` without touching ``cond`` or ``occ`` when the stencil is
+    unavailable, like the advection fallbacks.
     """
     lib = cstencil.load_stencil()
     if lib is None:
         return False
-    cstencil.condensate(lib, block, mass, cond)
+    cstencil.condensate(lib, block, mass, cond, masks, occ)
     return True

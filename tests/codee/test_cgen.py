@@ -175,6 +175,7 @@ class TestProductionSources:
 _ELEMENT = {
     "double": ctypes.c_double,
     "long": ctypes.c_long,
+    "int": ctypes.c_int,
     "unsigned char": ctypes.c_ubyte,
 }
 

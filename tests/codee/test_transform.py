@@ -399,25 +399,32 @@ class TestInnerLoops:
         assert plan.inner == {}
 
 
-def _row_stencil(lo=Sym("rm"), store_row=Sym("r"), guard=False):
-    """out[r, k] = src[lo, k] + src[rp, k] over rows r of nr.
+def _row_stencil(
+    lo=Sym("rm"), store_row=Sym("r"), guard=None, lo_plane=Sym("k")
+):
+    """out[r, k] = src[lo, lo_plane] + src[rp, k] over rows r of nr.
 
     ``rm``/``rp`` are the edge-clamped rows r - 1 and r + 1. ``lo`` is
-    the low-side row read, ``store_row`` the row written; ``guard`` puts
-    the store under a condition, so some rows would keep stale values.
+    the low-side row read (at plane ``lo_plane``), ``store_row`` the row
+    written; ``guard`` puts the store under that condition, so the
+    elements it fails keep their values (``"src"``: the element's own
+    input is positive).
     """
     r, k = Sym("r"), Sym("k")
     nr, nk = Sym("nr"), Sym("nk")
     store = Store(
         "out",
         (store_row, k),
-        Load("src", (lo, k)) + Load("src", (Sym("rp"), k)),
+        Load("src", (lo, lo_plane)) + Load("src", (Sym("rp"), k)),
     )
+    if guard == "src":
+        guard = Load("src", (r, k)).gt(Const(0.0))
     body = [
         Let("rm", Select(r.gt(0), r - 1, r), "long"),
         Let("rp", Select(r.lt(nr - 1), r + 1, r), "long"),
         Loop("k", Const(0), nk, [
-            If(Load("src", (r, k)).gt(Const(0.0)), [store]) if guard else store
+            Let("kp", Select(k.lt(nk - 1), k + 1, k), "long"),
+            If(guard, [store]) if guard is not None else store,
         ]),
     ]
     return Kernel(
@@ -432,6 +439,37 @@ def _row_stencil(lo=Sym("rm"), store_row=Sym("r"), guard=False):
     )
 
 
+def _run_in_place(kernel, tmp_path, name):
+    """Compile the ringed ``kernel`` and run it with ``out == src`` on
+    1, 2, 3 and 7 rows; yields ``(src, result)`` pairs."""
+    import ctypes
+
+    import numpy as np
+
+    from repro.codee import cgen
+
+    module = cgen.build_module(name, [kernel], build_dir=tmp_path)
+    lib = module.load()
+    if lib is None:
+        pytest.skip(module.load_error)
+    fn = getattr(lib, kernel.name)
+    scratch = [
+        p for p in kernel.params
+        if isinstance(p, ArrayParam) and p.intent == "scratch"
+    ]
+    rng = np.random.default_rng(1)
+    for nr in (1, 2, 3, 7):
+        src = rng.standard_normal((nr, 5))
+        block = src.copy()
+        rings = [
+            np.full((2, 5), np.nan) if p.ctype == "double"
+            else np.zeros((2, 5), dtype=np.uint8)
+            for p in scratch
+        ]
+        fn(block, block, ctypes.c_long(nr), ctypes.c_long(5), *rings)
+        yield src, block
+
+
 class TestRingRows:
     def test_host_plan_rings_the_advect_stencil(self):
         from repro.wrf.cstencil import build_advect_ir
@@ -440,19 +478,34 @@ class TestRingRows:
         assert [lp.var for lp in plan.kernel.loops()] == ["r"]
         assert not any(lp.parallel for lp in plan.kernel.loops())
         arrays = plan.kernel.arrays()
-        # s, base and out may be one block: one alias group, no restrict.
-        group = {n for n, p in arrays.items() if p.alias_group}
-        assert group == {"s", "base", "out"}
-        assert len({arrays[n].alias_group for n in group}) == 1
-        assert not any(arrays[n].restrict for n in group)
-        # The scratch is two rows of out's layout.
-        ring = arrays["out_ring"]
-        assert ring.intent == "scratch"
-        assert ring.strides == arrays["out"].strides
+        # s, base and out may be one block, occ and occ_out one field:
+        # two alias groups, no restrict.
+        groups: dict[str, set] = {}
+        for name, p in arrays.items():
+            if p.alias_group:
+                groups.setdefault(p.alias_group, set()).add(name)
+        assert groups == {"out": {"s", "base", "out"}, "occ_out": {"occ", "occ_out"}}
+        assert not any(arrays[n].restrict for g in groups.values() for n in g)
+        # The scratch: two rows of each output's layout, and two rows of
+        # each evaluated guard (the whole-cell one and the group one).
+        for out in ("out", "occ_out"):
+            ring = arrays[f"{out}_ring"]
+            assert ring.intent == "scratch"
+            assert (ring.strides, ring.ctype) == (
+                arrays[out].strides, arrays[out].ctype
+            )
+        for guard, vars_ in (("out_guard", 3), ("out_guard1", 4)):
+            assert arrays[guard].ctype == "unsigned char"
+            assert len(arrays[guard].strides) == vars_
         ring_pass = next(p for p in plan.passes if p.name == "ring_rows")
         assert ring_pass.applied
         assert "s, base read only at rows r - 1 .. r + 1" in ring_pass.detail
         assert "2-row out_ring" in ring_pass.detail
+        assert "guard rings out_guard, out_guard1" in ring_pass.detail
+        assert "plane by plane: s, base read at row r - 1 only at plane k" in (
+            ring_pass.detail
+        )
+        assert "2-row occ_out_ring, plane by plane" in ring_pass.detail
         # The proof is the pre-rewrite analysis: depth 3, kept.
         assert plan.reports["r"].parallel_depth == 3
 
@@ -478,11 +531,34 @@ class TestRingRows:
         assert not res.applied
         assert res.detail == "out is stored at rows r + 1, not at row r alone"
 
-    def test_refuses_a_store_that_may_skip_part_of_the_row(self):
-        k = _row_stencil(guard=True)
+    def test_rings_a_guarded_store(self):
+        k = _row_stencil(guard="src")
+        res = transform.ring_rows(k, k.body[0])
+        assert res.applied
+        assert "guard ring out_guard keeps each evaluated guard of a store" in res.detail
+        guard = k.arrays()["out_guard"]
+        assert (guard.intent, guard.ctype) == ("scratch", "unsigned char")
+
+    def test_refuses_a_guard_that_reads_the_output_off_row(self):
+        k = _row_stencil(guard=Load("out", (Sym("rm"), Sym("k"))).gt(Const(0.0)))
         res = transform.ring_rows(k, k.body[0])
         assert not res.applied
-        assert "do not provably cover its whole row" in res.detail
+        assert res.detail == "out is read off row r: the ring holds one row"
+
+    def test_refuses_a_guard_that_reads_an_input_far_off(self):
+        k = _row_stencil(guard=Load("src", (Sym("r") + 2, Sym("k"))).gt(Const(0.0)))
+        res = transform.ring_rows(k, k.body[0])
+        assert not res.applied
+        assert res.detail == (
+            "src is read at rows r - 1, r, r + 1, r + 2, outside r - 1 .. r + 1"
+        )
+
+    def test_a_read_of_row_r_minus_1_off_its_plane_keeps_the_whole_row(self):
+        k = _row_stencil(lo_plane=Sym("kp"))
+        res = transform.ring_rows(k, k.body[0])
+        assert res.applied
+        assert "row by row" in res.detail
+        assert "plane by plane" not in res.detail
 
     def test_refuses_a_parallel_row_loop(self):
         k = _row_stencil()
@@ -491,29 +567,46 @@ class TestRingRows:
 
     def test_ringed_fixture_runs_in_place(self, tmp_path):
         """The rewritten kernel called with out == src gives the
-        out-of-place result, for every row count including 1."""
-        import ctypes
-
+        out-of-place result, for every row count including 1, written
+        back plane by plane."""
         import numpy as np
 
-        from repro.codee import cgen
-
         k = _row_stencil()
-        assert transform.ring_rows(k, k.body[0]).applied
-        module = cgen.build_module("ring_fixture", [k], build_dir=tmp_path)
-        lib = module.load()
-        if lib is None:
-            pytest.skip(module.load_error)
-        dp = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-        lib.row_stencil.argtypes = [dp, dp, ctypes.c_long, ctypes.c_long, dp]
-        rng = np.random.default_rng(1)
-        for nr in (1, 2, 3, 7):
-            src = rng.standard_normal((nr, 5))
+        res = transform.ring_rows(k, k.body[0])
+        assert "plane by plane" in res.detail
+        for src, got in _run_in_place(k, tmp_path, "ring_fixture"):
+            nr = len(src)
             rows = np.arange(nr)
             want = src[np.maximum(rows - 1, 0)] + src[np.minimum(rows + 1, nr - 1)]
-            block = src.copy()
-            lib.row_stencil(block, block, nr, 5, np.full((2, 5), np.nan))
-            assert np.array_equal(block, want)
+            assert np.array_equal(got, want)
+
+    def test_ringed_fixture_reading_another_plane_runs_in_place(self, tmp_path):
+        """Row r reads row r - 1 at plane k + 1: the ring writes whole
+        rows back, and the in-place result is still the out-of-place one."""
+        import numpy as np
+
+        k = _row_stencil(lo_plane=Sym("kp"))
+        assert transform.ring_rows(k, k.body[0]).applied
+        for src, got in _run_in_place(k, tmp_path, "ring_fixture_rows"):
+            nr = len(src)
+            rows = np.arange(nr)
+            planes = np.minimum(np.arange(5) + 1, 4)
+            lo = src[np.maximum(rows - 1, 0)][:, planes]
+            assert np.array_equal(got, lo + src[np.minimum(rows + 1, nr - 1)])
+
+    def test_guarded_fixture_leaves_the_skipped_elements(self, tmp_path):
+        """In place, the guarded store computes the elements whose own
+        input is positive and leaves every other element as it was."""
+        import numpy as np
+
+        k = _row_stencil(guard="src")
+        assert transform.ring_rows(k, k.body[0]).applied
+        for src, got in _run_in_place(k, tmp_path, "ring_fixture_guarded"):
+            nr = len(src)
+            rows = np.arange(nr)
+            sums = src[np.maximum(rows - 1, 0)] + src[np.minimum(rows + 1, nr - 1)]
+            want = np.where(src > 0.0, sums, src)
+            assert np.array_equal(got, want)
 
 
 class TestProductionDerivations:

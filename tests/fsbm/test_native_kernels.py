@@ -94,6 +94,49 @@ class TestSedimentation:
         np.testing.assert_allclose(state.precip, ref.precip, rtol=1e-12)
         assert stats_nat.cell_bins == stats_ref.cell_bins > 0
 
+    @settings(max_examples=20, deadline=None)
+    @given(members=st.integers(1, 3), seed=st.integers(0, 10_000))
+    def test_sweep_with_bits_equals_the_all_set_sweep(self, members, seed):
+        """``sed_sweep`` reading only the rows whose bit is set (a valid,
+        sparse field: exact bits plus random extra ones) equals the
+        all-set call in dists, precip and ``active``, and sets the bit
+        of every cell a row deposits into, so no clear bit ends up over
+        a nonzero row."""
+        rng = np.random.default_rng(seed)
+        shape = (members, 3, 6, 4)
+        block = np.zeros((*shape, len(SPLIST) * NKR))
+        for isp in range(len(SPLIST)):
+            rows = rng.random(shape) < 0.3
+            block[rows, isp * NKR : (isp + 1) * NKR] = rng.uniform(
+                0.0, 5.0, (int(rows.sum()), NKR)
+            )
+        species = block.reshape(*shape, len(SPLIST), NKR)
+        nonzero = (species != 0.0).any(axis=-1)
+        exact = (nonzero << np.arange(len(SPLIST))).sum(axis=-1).astype(np.uint8)
+        extra = ((rng.random((*shape, 8)) < 0.1) << np.arange(8)).sum(axis=-1)
+        tables = _courant_tables(P_LEVELS, 50_000.0, 5.0)
+        runs = []
+        for occ in (exact | extra.astype(np.uint8), np.full(shape, 0xFF, np.uint8)):
+            got = block.copy()
+            precip = np.zeros((members, shape[1], shape[3]))
+            active = ckernels.sed_sweep(
+                _compiled_kernels(),
+                [got[..., n * NKR : (n + 1) * NKR] for n in range(len(SPLIST))],
+                tables["stack"], tables["masses"], precip, occ,
+            )
+            runs.append((got, precip, active, occ))
+        (got, precip, active, occ), (want, want_precip, want_active, _) = runs
+        assert np.array_equal(got, want)
+        assert np.array_equal(precip, want_precip)
+        assert np.array_equal(active, want_active)
+        # Row k held the species, so it deposited into row k - 1.
+        deposited = np.zeros_like(nonzero)
+        deposited[:, :, :-1] = nonzero[:, :, 1:]
+        bits = (occ[..., None] >> np.arange(len(SPLIST))) & 1
+        assert bits[deposited].all()
+        after = (got.reshape(*shape, len(SPLIST), NKR) != 0.0).any(axis=-1)
+        assert bits[after].all()
+
     def test_multi_step_stays_bitwise(self, monkeypatch):
         state = _superblock_state(seed=7)
         ref = state.copy()
@@ -124,6 +167,25 @@ class TestSedimentation:
         assert not np.array_equal(
             state.dists[Species.LIQUID], ref.dists[Species.LIQUID]
         )
+
+    def test_other_bin_counts_take_the_numpy_path(self):
+        # The sweep is compiled for NKR bins; any other count is refused
+        # before the kernel runs, leaving every array as it was.
+        nkr = NKR - 1
+        dists = [np.ones((1, 2, 3, 2, nkr)) for _ in SPLIST]
+        precip = np.zeros((1, 2, 2))
+        occ = np.full((1, 2, 3, 2), 0xFF, np.uint8)
+        active = ckernels.sed_sweep(
+            _compiled_kernels(),
+            dists,
+            np.zeros((len(SPLIST), 3, nkr)),
+            np.zeros((len(SPLIST), nkr)),
+            precip,
+            occ,
+        )
+        assert active is None
+        assert all((d == 1.0).all() for d in dists)
+        assert not precip.any() and (occ == 0xFF).all()
 
     def test_courant_tables_are_cached(self):
         a = _courant_tables(P_LEVELS, 50_000.0, 5.0)
@@ -782,6 +844,14 @@ def test_kernel_refuses_overlapping_segments():
         )
 
 
+def _compiled_kernels():
+    """The compiled physics kernels, or a skip."""
+    lib = ckernels.load_kernels()
+    if lib is None:
+        pytest.skip(f"compiled kernels unavailable: {ckernels.load_error}")
+    return lib
+
+
 class _NoC:
     """A stand-in library: any kernel call means a pointer reached C."""
 
@@ -890,26 +960,39 @@ class TestRowKernels:
 
     @settings(max_examples=25, deadline=None)
     @given(shape=st.tuples(*(st.integers(1, 5) for _ in range(4))),
-           width=st.integers(1, 12), seed=st.integers(0, 10_000))
-    def test_gather_and_scatter_match_the_fancy_index(self, shape, width, seed):
+           nsp=st.integers(1, 7), nkr=st.integers(1, 4),
+           seed=st.integers(0, 10_000))
+    def test_gather_and_scatter_match_the_fancy_index(self, shape, nsp, nkr, seed):
         """On a strided view of a larger block, as the sweep uses them:
         the gather equals ``view[cells]``, and the scatter writes exactly
-        ``view[cells] = rows``, touching nothing else of the block."""
+        ``view[cells] = rows``, touching nothing else of the block, and
+        exactly the bits of the species each row holds into the cells'
+        occupancy bytes, touching no other byte."""
         rng = np.random.default_rng(seed)
+        width = nsp * nkr
         block = rng.random((*(n + 2 for n in shape), width + 3))
         view = block[:, 1:-1, :-2, 2:, 1 : width + 1]
+        field = rng.integers(0, 256, block.shape[:-1], dtype=np.uint8)
+        occ = field[:, 1:-1, :-2, 2:]
         cells = np.nonzero(rng.random(view.shape[:-1]) < 0.5)
         got = ckernels.gather_rows(self.lib, view, cells)
         assert got.flags.c_contiguous
         np.testing.assert_array_equal(got, view[cells])
-        new = rng.random(got.shape)
+        present = rng.random((len(got), nsp, 1)) < 0.5
+        new = (rng.random((len(got), nsp, nkr)) * present).reshape(got.shape)
         want = block.copy()
         want[:, 1:-1, :-2, 2:, 1 : width + 1][cells] = new
-        assert ckernels.scatter_rows(self.lib, view, cells, new)
+        bits = field.copy()
+        bits[:, 1:-1, :-2, 2:][cells] = (
+            present[..., 0] << np.arange(nsp)
+        ).sum(axis=1)
+        assert ckernels.scatter_rows(self.lib, view, cells, new, occ, nsp)
         np.testing.assert_array_equal(block, want)
+        np.testing.assert_array_equal(field, bits)
 
     def test_cells_outside_the_view_are_refused(self):
         view = np.zeros((2, 3, 4, 5))[:, :, :, 1:]
+        occ = np.zeros((2, 3, 4), dtype=np.uint8)
         inside = (np.array([1]), np.array([2]), np.array([3]))
         for bad in (
             (np.array([2]), inside[1], inside[2]),
@@ -920,9 +1003,14 @@ class TestRowKernels:
             with pytest.raises(ValueError):
                 ckernels.gather_rows(_NoC(), view, bad)
             with pytest.raises(ValueError):
-                ckernels.scatter_rows(_NoC(), view, bad, np.zeros((1, 4)))
-        with pytest.raises(ValueError):
-            ckernels.scatter_rows(_NoC(), view, inside, np.zeros((1, 3)))
+                ckernels.scatter_rows(_NoC(), view, bad, np.zeros((1, 4)), occ, 2)
+        for rows, nsp in ((np.zeros((1, 3)), 1), (np.zeros((1, 4)), 3)):
+            with pytest.raises(ValueError):
+                ckernels.scatter_rows(_NoC(), view, inside, rows, occ, nsp)
+        # An occupancy field that does not fit the view: the numpy path.
+        assert not ckernels.scatter_rows(
+            _NoC(), view, inside, np.zeros((1, 4)), occ[:, :, :3], 2
+        )
 
 
 class TestCoalRows:

@@ -35,16 +35,6 @@ def test_moments():
     )
 
 
-def test_occupied_bins():
-    s = MicroState(shape=(1, 1, 2))
-    s.dists[Species.SNOW][0, 0, 0, 7] = 1.0
-    s.dists[Species.SNOW][0, 0, 1, 12] = 1.0
-    occ = s.occupied_bins(Species.SNOW)
-    assert occ[0, 0, 0] == 8
-    assert occ[0, 0, 1] == 13
-    assert s.occupied_bins(Species.HAIL).max() == 0
-
-
 def test_copy_is_deep():
     s = MicroState(shape=(2, 2, 2))
     c = s.copy()

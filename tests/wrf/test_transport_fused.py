@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.cache import cache_stats
 from repro.fsbm.species import Species
+from repro.fsbm.state import all_occupied
 from repro.wrf import cstencil
 from repro.wrf.dynamics import (
     RK3_FRACTIONS,
@@ -68,6 +69,11 @@ def _reference_tend(block, split):
         [rk_scalar_tend(block[..., n], split) for n in range(block.shape[-1])],
         axis=-1,
     )
+
+
+def _one_group(ns):
+    """Masks that make every scalar one always-swept group (no bits)."""
+    return np.zeros(ns, dtype=np.int64), np.array([0, ns], dtype=np.int64)
 
 
 def _floors(clipped):
@@ -144,7 +150,11 @@ class TestFusedTendProperty:
         ref = _per_field_advect(block, split, dt, clipped, rk3)
         ws = TransportWorkspace(block.shape[:4], ns)
         advect = fused_rk3_advect if rk3 else fused_euler_advect
-        advect(block, split, dt, ws, floors, np.ones(ns), np.empty(block.shape[:4]))
+        cells = block.shape[:4]
+        advect(
+            block, split, dt, ws, floors, np.ones(ns), layout.masks(),
+            np.empty(cells), all_occupied(cells),
+        )
         np.testing.assert_allclose(block, ref, rtol=0.0, atol=1e-13)
 
 
@@ -157,9 +167,15 @@ def _numpy_advect(advect, block, split, dt, floors, mass):
     try:
         ws = TransportWorkspace(block.shape[:4], block.shape[-1])
         cond = np.full(block.shape[:4], np.nan)
-        assert not advect(got, split, dt, ws, floors, mass, cond)
-        # The fallback leaves the condensate to its caller.
+        occ = np.zeros(block.shape[:4], dtype=np.uint8)
+        assert advect(
+            got, split, dt, ws, floors, mass, _one_group(block.shape[-1]),
+            cond, occ,
+        ) is None
+        # The fallback leaves the condensate to its caller and sets
+        # every occupancy bit.
         assert np.isnan(cond).all()
+        assert (occ == 0xFF).all()
     finally:
         os.environ.pop(cstencil.DISABLE_ENV, None)
     return got
@@ -188,6 +204,106 @@ def _sweep_problem(shape4, members, seed, clip_bits):
     return split, block, floors, mass
 
 
+#: Draws for the sparse sweep: three always-swept scalars, then 1-7
+#: species of any width, most of them absent from most cells.
+SPARSE = dict(
+    shape3=st.tuples(st.integers(1, 7), st.integers(1, 6), st.integers(1, 5)),
+    members=st.integers(1, 3),
+    nsp=st.integers(1, 7),
+    width=st.integers(1, 10),
+    seed=st.integers(0, 2**31 - 1),
+)
+
+
+def _bits_of(block, masks):
+    """Each cell's exact occupancy bits: the mask of every scalar with
+    a nonzero value."""
+    smask, _ = masks
+    bits = np.zeros(block.shape[:-1], dtype=np.uint8)
+    for n, mask in enumerate(smask):
+        bits |= np.where(block[..., n] != 0.0, mask, 0).astype(np.uint8)
+    return bits
+
+
+def _sparse_problem(shape3, members, nsp, width, seed):
+    """A grouped block in which each (cell, species) is absent (exact
+    zeros) with probability 0.7, and a valid occupancy field for it:
+    its exact bits plus random extra set bits."""
+    rng = np.random.default_rng(seed)
+    layout = ScalarLayout(
+        entries=(
+            ("t", 1), ("qv", 1), ("w", 1),
+            *((f"bin_{n}", width) for n in range(nsp)),
+        )
+    )
+    ns = layout.nscalars
+    split, block = _random_problem(rng, (*shape3, ns), members)
+    masks = layout.masks()
+    glo = masks[1]
+    cells = block.shape[:4]
+    for g in range(1, nsp + 1):
+        present = rng.random((*cells, 1)) < 0.3
+        block[..., glo[g]:glo[g + 1]] = np.where(
+            present, rng.uniform(0.0, 2.0, (*cells, width)), 0.0
+        )
+    extra = (rng.random((*cells, 8)) < 0.1) << np.arange(8)
+    occ = _bits_of(block, masks) | extra.sum(axis=-1).astype(np.uint8)
+    mass = np.concatenate([np.zeros(3), rng.uniform(0.1, 1.0, ns - 3)])
+    floors = layout.floors(no_clip=("t", "w"))
+    return split, block, masks, occ, mass, floors
+
+
+def _stencil_or(occ):
+    """Each cell's bits ORed over its 7-point stencil, edges clamped at
+    each member's own rows (as the kernel clamps them)."""
+    out = occ.copy()
+    for ax in (1, 2, 3):
+        n = occ.shape[ax]
+        pad = np.pad(occ, [(1, 1) if a == ax else (0, 0) for a in range(4)], "edge")
+        out |= np.take(pad, range(n), axis=ax) | np.take(pad, range(2, n + 2), axis=ax)
+    return out
+
+
+@pytest.mark.skipif(
+    cstencil.load_stencil() is None,
+    reason=f"compiled stencil unavailable: {cstencil.load_error}",
+)
+class TestSparseSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(**SPARSE)
+    def test_sparse_occupancy_equals_the_all_set_sweep(
+        self, shape3, members, nsp, width, seed
+    ):
+        """In place, a sweep that skips the species its (valid, sparse)
+        occupancy marks empty gives the all-set sweep's block,
+        condensate and new bits exactly; the bits are exact, and each
+        cell counts the species set in its stencil's OR as swept."""
+        split, block, masks, occ, mass, floors = _sparse_problem(
+            shape3, members, nsp, width, seed
+        )
+        cells = block.shape[:4]
+        ns = block.shape[-1]
+        runs = []
+        for bits in (occ.copy(), all_occupied(cells)):
+            got, cond = block.copy(), np.empty(cells)
+            swept = fused_euler_advect(
+                got, split, 3.0, TransportWorkspace(cells, ns), floors, mass,
+                masks, cond, bits,
+            )
+            runs.append((got, cond, bits, swept.copy()))
+        (sparse, cond, bits, swept), (dense, want_cond, want_bits, all_swept) = runs
+        assert np.array_equal(sparse, dense)
+        assert np.array_equal(cond, want_cond)
+        assert np.array_equal(bits, want_bits)
+        assert np.array_equal(bits, _bits_of(dense, masks))
+        species = np.uint8((1 << nsp) - 1)
+        live = _stencil_or(occ) & species
+        assert np.array_equal(
+            swept, np.unpackbits(live[..., None], axis=-1).sum(axis=-1)
+        )
+        assert (all_swept == nsp).all()
+
+
 @pytest.mark.skipif(
     cstencil.load_stencil() is None,
     reason=f"compiled stencil unavailable: {cstencil.load_error}",
@@ -211,7 +327,10 @@ class TestCompiledStencil:
         want = _numpy_advect(advect, block, split, 3.0, floors, mass)
         ws = TransportWorkspace(block.shape[:4], shape4[3])
         cond = np.empty(block.shape[:4])
-        assert advect(block, split, 3.0, ws, floors, mass, cond)
+        occ = all_occupied(block.shape[:4])
+        assert advect(
+            block, split, 3.0, ws, floors, mass, _one_group(shape4[3]), cond, occ
+        ) is not None
         assert np.array_equal(block, want)
         assert np.array_equal(cond, _lane_condensate(block, mass))
 
@@ -231,7 +350,7 @@ class TestCompiledStencil:
         cond = np.empty(block.shape[:4])
         fused_euler_advect(
             stacked, split, 3.0, TransportWorkspace(block.shape[:4], ns),
-            floors, mass, cond,
+            floors, mass, _one_group(ns), cond, all_occupied(block.shape[:4]),
         )
         for m in range(members):
             one = block[m : m + 1].copy()
@@ -246,7 +365,9 @@ class TestCompiledStencil:
                 TransportWorkspace((1, *shape4[:3]), ns),
                 floors,
                 mass,
+                _one_group(ns),
                 one_cond,
+                all_occupied(one.shape[:4]),
             )
             assert np.array_equal(stacked[m], one[0])
             assert np.array_equal(cond[m], one_cond[0])
@@ -262,51 +383,75 @@ class TestCompiledStencil:
         split, block, floors, mass = _sweep_problem(
             shape4, members, seed, clip_bits
         )
-        filled = np.empty(block.shape[:4])
-        assert sum_condensate(block, mass, filled)
+        cells = block.shape[:4]
+        masks = _one_group(shape4[3])
+        filled = np.empty(cells)
+        occ = np.zeros(cells, dtype=np.uint8)
+        assert sum_condensate(block, mass, masks, filled, occ)
         assert np.array_equal(filled, _lane_condensate(block, mass))
-        swept = np.empty(block.shape[:4])
-        ws = TransportWorkspace(block.shape[:4], shape4[3])
-        assert fused_euler_advect(block, split, 3.0, ws, floors, mass, swept)
-        assert sum_condensate(block, mass, filled)
+        swept = np.empty(cells)
+        ws = TransportWorkspace(cells, shape4[3])
+        assert fused_euler_advect(
+            block, split, 3.0, ws, floors, mass, masks, swept, occ
+        ) is not None
+        assert sum_condensate(block, mass, masks, filled, occ)
         assert np.array_equal(swept, filled)
 
     def test_condensate_kernel_refuses_mismatched_operands(self):
         lib = cstencil.load_stencil()
         assert hasattr(lib, "condensate")
         block = np.zeros((1, 3, 2, 2, 4))
-        for mass, cond in (
-            (np.zeros(3), np.empty((1, 3, 2, 2))),
-            (np.zeros(4), np.empty((1, 3, 2, 3))),
-            (np.zeros(4), np.empty((1, 3, 2, 2, 2))[..., 0]),
+        occ = np.zeros((1, 3, 2, 2), dtype=np.uint8)
+        masks = _one_group(4)
+        for mass, cond, bits, masked in (
+            (np.zeros(3), np.empty((1, 3, 2, 2)), occ, masks),
+            (np.zeros(4), np.empty((1, 3, 2, 3)), occ, masks),
+            (np.zeros(4), np.empty((1, 3, 2, 2, 2))[..., 0], occ, masks),
+            (np.zeros(4), np.empty((1, 3, 2, 2)), occ.astype(np.int64), masks),
+            (np.zeros(4), np.empty((1, 3, 2, 2)), occ, _one_group(3)),
         ):
             with pytest.raises(ValueError):
-                cstencil.condensate(lib, block, mass, cond)
+                cstencil.condensate(lib, block, mass, cond, masked, bits)
 
     def test_mismatched_operands_are_refused(self):
         rng = np.random.default_rng(0)
         split, block = _random_problem(rng, (3, 2, 2, 4), 1)
-        ring = np.empty(cstencil.ring_shape(block.shape))
-        cond = np.empty(block.shape[:4])
-        with pytest.raises(ValueError):
+        cells = block.shape[:4]
+        ws = TransportWorkspace(cells, 4)
+        rings = ws.rings(block.shape, 1)
+        cond = np.empty(cells)
+        occ = all_occupied(cells)
+        swept = np.empty(cells, dtype=np.int32)
+
+        def call(floors=np.zeros(4), cond=cond, masks=_one_group(4),
+                 occ=occ, swept=swept, rings=rings):
             cstencil.advect_stage(
                 cstencil.load_stencil(), block, block, block,
-                split.pos, split.neg, 1.0, np.zeros(3), np.zeros(4), cond, ring,
+                split.pos, split.neg, 1.0, floors, np.zeros(4), cond,
+                masks, occ, occ, swept, rings,
             )
-        with pytest.raises(ValueError):
-            cstencil.advect_stage(
-                cstencil.load_stencil(), block, block, block,
-                split.pos, split.neg, 1.0, np.zeros(4), np.zeros(4), cond,
-                np.empty((1, *block.shape[2:])),
-            )
-        # Right shapes, but a strided condensate: the kernel would write
-        # it as a dense array.
-        with pytest.raises(ValueError):
-            cstencil.advect_stage(
-                cstencil.load_stencil(), block, block, block,
-                split.pos, split.neg, 1.0, np.zeros(4), np.zeros(4),
-                np.empty((*block.shape[:4], 2))[..., 0], ring,
-            )
+
+        call()  # the right operands pass
+        for bad in (
+            dict(floors=np.zeros(3)),
+            dict(rings={**rings, "out_ring": np.empty((1, *block.shape[2:]))}),
+            dict(rings={k: v for k, v in rings.items() if k != "out_guard"}),
+            # Right shapes, but a strided condensate: the kernel would
+            # write it as a dense array.
+            dict(cond=np.empty((*cells, 2))[..., 0]),
+            dict(occ=occ.astype(np.int64)),
+            dict(swept=swept.astype(np.int64)),
+            # Masks that do not fit the scalars, groups that do not split
+            # them in order or mix masks, or a mask that is not one bit.
+            dict(masks=_one_group(3)),
+            dict(masks=(np.zeros(4, dtype=np.int64), np.array([0, 3, 2, 4]))),
+            dict(masks=(np.zeros(4, dtype=np.int64), np.array([0, 4, 4]))),
+            dict(masks=(np.array([0, 0, 1, 2]), np.array([0, 2, 4]))),
+            dict(masks=(np.array([0, 0, 3, 3]), np.array([0, 2, 4]))),
+            dict(masks=(np.array([0, 0, 256, 256]), np.array([0, 2, 4]))),
+        ):
+            with pytest.raises(ValueError):
+                call(**bad)
 
     def test_disable_env_forces_fallback(self, monkeypatch):
         monkeypatch.setenv(cstencil.DISABLE_ENV, "1")
@@ -345,6 +490,7 @@ def _model_blocks(nl, steps=1):
                 ),
                 rs.floors,
                 rs.scalar_masses,
+                rs.scalar_bits,
             )
             for rs in model.ranks
         ]
@@ -354,10 +500,13 @@ def _model_blocks(nl, steps=1):
 
 def _assert_kernels_match_per_field(nl, rk3):
     advect = fused_rk3_advect if rk3 else fused_euler_advect
-    for block, split, floors, mass in _model_blocks(nl):
+    for block, split, floors, mass, bits in _model_blocks(nl):
         ref = _per_field_advect(block, split, nl.dt, floors == 0.0, rk3)
         ws = TransportWorkspace(block.shape[:4], block.shape[-1])
-        advect(block, split, nl.dt, ws, floors, mass, np.empty(block.shape[:4]))
+        advect(
+            block, split, nl.dt, ws, floors, mass, bits,
+            np.empty(block.shape[:4]), all_occupied(block.shape[:4]),
+        )
         np.testing.assert_allclose(block, ref, rtol=0.0, atol=1e-12)
 
 
@@ -407,8 +556,9 @@ class TestCompiledModelTransport:
             )
             assert fused_euler_advect(
                 rs.block, split, nl.dt, rs.workspace, rs.floors,
-                rs.scalar_masses, rs.condensate,
-            )
+                rs.scalar_masses, rs.scalar_bits, rs.condensate,
+                rs.occupancy,
+            ) is not None
             cond = rs.condensate
             for m, f in enumerate(rs.fields):
                 blas = f.micro.total_condensate_mass()
@@ -423,9 +573,10 @@ class TestCompiledModelTransport:
             model.close()
 
     def test_euler_path_pins_no_block_sized_pool(self):
-        """The in-place sweep needs the two-row ring: no tendency pool,
-        no block copy; the condensate it writes is the rank state's
-        field, one value per cell."""
+        """The in-place sweep needs the two-row rings (values, evaluated
+        species guards, new bits) and one swept count per cell: no
+        tendency pool, no block copy; the condensate and bits it writes
+        are the rank state's fields, one value per cell."""
         nl = conus12km_namelist(scale=0.04, num_ranks=1, seed=11)
         model = WrfModel(nl)
         try:
@@ -433,10 +584,12 @@ class TestCompiledModelTransport:
                 model.step()
             rs = model.ranks[0]
             nm, ni, nk, nj, ns = rs.block.shape
-            ring = 2 * nk * nj * ns
-            assert rs.workspace.nbytes == 8 * ring
+            ng = len(rs.scalar_bits[1]) - 1
+            rings = 8 * 2 * nk * nj * ns + 2 * nk * nj * (ng + 2)
+            assert rs.workspace.nbytes == rings + 4 * nm * ni * nk * nj
             assert rs.workspace.nbytes < rs.block.nbytes / 4
             assert rs.condensate.shape == (nm, ni, nk, nj)
+            assert rs.occupancy.shape == (nm, ni, nk, nj)
         finally:
             model.close()
 
