@@ -950,12 +950,23 @@ def _recorded_at(path: Path) -> float:
     return float(out) if out else path.stat().st_mtime
 
 
+def _tracked_count(path: Path) -> int:
+    """How many of :data:`TRACKED_KERNELS` a baseline file holds."""
+    try:
+        kernels = load_payload(path).get("kernels", {})
+    except (OSError, ValueError):
+        return 0
+    return sum(name in kernels for name in TRACKED_KERNELS)
+
+
 def find_baseline(exclude: Path | None = None) -> Path | None:
     """The committed baseline to gate against.
 
     Prefers the most recently recorded non-seed ``BENCH_*.json`` at the
     repo root (see :func:`_recorded_at`) and falls back to
-    ``BENCH_seed.json``.
+    ``BENCH_seed.json``. Outside git every file has the same mtime, so
+    ties go to the file that holds the most tracked kernels, then to
+    the last name.
     """
     candidates = [
         p
@@ -966,7 +977,9 @@ def find_baseline(exclude: Path | None = None) -> Path | None:
         return None
     non_seed = [p for p in candidates if p.name != "BENCH_seed.json"]
     if non_seed:
-        return max(non_seed, key=_recorded_at)
+        return max(
+            non_seed, key=lambda p: (_recorded_at(p), _tracked_count(p), p.name)
+        )
     return candidates[0]
 
 

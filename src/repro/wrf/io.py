@@ -1,8 +1,11 @@
 """wrfout-style history files.
 
 Real WRF writes netCDF through its I/O API; offline we serialize the
-same field dictionary as a compressed ``.npz`` with a small attribute
-header. ``diffwrf`` (Sec. VII-B) compares two of these files.
+same field dictionary as an uncompressed ``.npz`` (zip members
+``ZIP_STORED``) with a small attribute header. Classic netCDF, one of
+WRF's history formats, does not compress either, and zlib took about
+90 % of a frame's write time. :func:`read_wrfout` reads compressed
+files as well. ``diffwrf`` (Sec. VII-B) compares two of these files.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ def write_wrfout(
         json.dumps(attrs or {}).encode(), dtype=np.uint8
     )
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, **payload)
+    np.savez(path, **payload)
     return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
 
 

@@ -42,6 +42,7 @@ from repro.fsbm.fast_sbm import FastSBM, SbmStepStats, step_members
 from repro.fsbm.species import Species
 from repro.fsbm.state import ALL_OCCUPIED, MicroState
 from repro.grid.decomposition import Decomposition, decompose_domain
+from repro.grid.domain import DomainSpec
 from repro.grid.halo import HaloExchangePlan, build_halo_plan
 from repro.grid.indexing import owned_slice
 from repro.hardware.specs import EPYC_MILAN, PERLMUTTER_CPU_NODE
@@ -537,25 +538,43 @@ def transport_rank(
     transport_numerics(namelist, rs)
 
 
-def rank_output_frame(rs: RankState, member: int) -> dict[str, np.ndarray]:
-    """One rank's owned contribution to member ``member``'s output frame.
+def output_frame(domain: DomainSpec, alloc=np.zeros) -> dict[str, np.ndarray]:
+    """A domain-wide output frame: ``T``, ``QVAPOR``, ``W`` and
+    ``QCLOUD_TOTAL`` over ``(nx, nz, ny)``, ``RAINNC`` over ``(nx, ny)``.
 
-    ``QCLOUD_TOTAL`` is the rank's condensate field. Contiguous copies,
-    so worker processes can ship frames over the command pipe without
-    dragging whole memory-extent arrays along.
+    ``alloc(shape)`` makes each zeroed float64 field (the process-rank
+    pool passes its shared-mapping allocator).
+    """
+    cube = (domain.nx, domain.nz, domain.ny)
+    return {
+        "T": alloc(cube),
+        "QVAPOR": alloc(cube),
+        "W": alloc(cube),
+        "QCLOUD_TOTAL": alloc(cube),
+        "RAINNC": alloc((domain.nx, domain.ny)),
+    }
+
+
+def rank_output_frame(
+    rs: RankState, member: int, out: dict[str, np.ndarray]
+) -> None:
+    """Write one rank's owned cells of member ``member`` into the
+    domain-wide frame ``out`` (see :func:`output_frame`).
+
+    The ranks' owned boxes tile the domain, so once every rank has
+    written, every cell of ``out`` holds the member's current state.
+    ``QCLOUD_TOTAL`` is the rank's condensate field.
     """
     f = rs.fields[member]
     patch = f.patch
-    precip_owned = f.micro.precip[
+    i, k, j = patch.i.to_slice(1), patch.k.to_slice(1), patch.j.to_slice(1)
+    out["T"][i, k, j] = f.owned(f.t)
+    out["QVAPOR"][i, k, j] = f.owned(f.qv)
+    out["W"][i, k, j] = f.owned(f.w)
+    out["QCLOUD_TOTAL"][i, k, j] = rs.condensate_o[member]
+    out["RAINNC"][i, j] = f.micro.precip[
         patch.i.to_slice(patch.im.start), patch.j.to_slice(patch.jm.start)
     ]
-    return {
-        "T": np.ascontiguousarray(f.owned(f.t)),
-        "QVAPOR": np.ascontiguousarray(f.owned(f.qv)),
-        "W": np.ascontiguousarray(f.owned(f.w)),
-        "QCLOUD_TOTAL": np.ascontiguousarray(rs.condensate_o[member]),
-        "RAINNC": np.ascontiguousarray(precip_owned),
-    }
 
 
 @dataclass
@@ -855,6 +874,7 @@ class WrfModel:
         for m in range(nm):
             with tracer.span("history_io", cat="io") as sp:
                 frame = self.gather_output(m)
+                file_bytes = 0
                 if self.namelist.history_path is not None:
                     from repro.wrf.io import write_wrfout
 
@@ -868,13 +888,17 @@ class WrfModel:
                     if nm > 1:
                         name += f"_mem{m:02d}"
                         attrs["member"] = m
-                    write_wrfout(
+                    path = write_wrfout(
                         f"{self.namelist.history_path}/{name}", frame, attrs=attrs
                     )
+                    file_bytes = path.stat().st_size
+                # ``bytes`` is the frame in memory, which the simulated
+                # I/O charges below use; ``file_bytes`` is the file.
                 nbytes = sum(a.nbytes for a in frame.values())
                 if sp is not None:
                     sp.set(
                         bytes=nbytes,
+                        file_bytes=file_bytes,
                         on_disk=self.namelist.history_path is not None,
                         member=m,
                     )
@@ -890,32 +914,20 @@ class WrfModel:
         return frames
 
     def gather_output(self, member: int = 0) -> dict[str, np.ndarray]:
-        """Assemble one member's domain-wide output fields."""
-        dom = self.namelist.domain
-        out = {
-            "T": np.zeros((dom.nx, dom.nz, dom.ny)),
-            "QVAPOR": np.zeros((dom.nx, dom.nz, dom.ny)),
-            "W": np.zeros((dom.nx, dom.nz, dom.ny)),
-            "QCLOUD_TOTAL": np.zeros((dom.nx, dom.nz, dom.ny)),
-            "RAINNC": np.zeros((dom.nx, dom.ny)),
-        }
+        """One member's domain-wide output fields, in arrays the caller owns.
+
+        Every rank writes its owned cells into one frame
+        (:func:`rank_output_frame`). In-process ranks write into a new
+        frame; worker processes write into the pool's shared frame,
+        which is copied out because the next gather overwrites it.
+        """
         if self._pool is not None:
-            # Workers own the authoritative state (precip accumulates in
-            # their address space); they ship owned-region frames back.
-            frames = self._pool.gather(member)
-        else:
-            frames = [rank_output_frame(rs, member) for rs in self.ranks]
-        for patch, frame in zip(self.decomposition.patches, frames):
-            sl = (
-                patch.i.to_slice(1),
-                patch.k.to_slice(1),
-                patch.j.to_slice(1),
-            )
-            for name in ("T", "QVAPOR", "W", "QCLOUD_TOTAL"):
-                out[name][sl] = frame[name]
-            out["RAINNC"][patch.i.to_slice(1), patch.j.to_slice(1)] = frame[
-                "RAINNC"
-            ]
+            frame = self._pool.gather(member)
+            return {name: field.copy() for name, field in frame.items()}
+        out = output_frame(self.namelist.domain)
+        self._run_ranks(
+            lambda rank: rank_output_frame(self.ranks[rank], member, out)
+        )
         return out
 
     # --- the loop -------------------------------------------------------------

@@ -19,6 +19,15 @@ past two ranks. This module promotes ranks to real OS processes:
   unlinked, no resource-tracker process runs, and the kernel frees the
   pages when the last process that maps them exits — a killed process
   group strands nothing;
+* one domain-wide output frame (``T``, ``QVAPOR``, ``W``,
+  ``QCLOUD_TOTAL``, ``RAINNC``; :func:`repro.wrf.model.output_frame`)
+  is mapped the same way. The ``gather`` command makes each worker
+  write one member's owned cells into it
+  (:func:`repro.wrf.model.rank_output_frame`, as in-process ranks do),
+  and the replies carry no arrays. The frame is the only shared memory
+  the driver reads: it never touches a rank block, whose pages it
+  would otherwise fault in (a block's scalars share each page, so
+  reading one field reads the whole block);
 * each rank is a persistent worker process (forked before any
   heavyweight driver state exists) that builds and owns its rank's
   state: its fields bound directly into its block, FSBM drivers, and
@@ -31,12 +40,13 @@ past two ranks. This module promotes ranks to real OS processes:
   no driver round-trip — barriered before (all owners done with
   physics) and after (all halos filled);
 * the driver talks to workers over one command pipe per rank
-  (``step`` / ``charge_io`` / ``gather`` / ``close``; the last two
-  name a member) and mirrors each worker's clock totals wholesale
-  after every command, so scheduler charges, profilers, and history
-  I/O see simulated time bit-identical to in-process ranks. The driver
-  builds no rank state of its own: it keeps the mirror clocks, the
-  schedulers and the halo plan, and reads fields through ``gather``.
+  (``step`` / ``charge_io`` / ``gather`` / ``close``; ``charge_io``
+  and ``gather`` name a member) and mirrors each worker's clock totals
+  wholesale after every command, so scheduler charges, profilers, and
+  history I/O see simulated time bit-identical to in-process ranks.
+  The driver builds no rank state of its own: it keeps the mirror
+  clocks, the schedulers and the halo plan, and reads fields from the
+  output frame that ``gather`` fills.
 
 Bit-exactness: workers run the *same* module-level per-rank stage
 functions as in-process ranks (physics, halo exchange, halo-MPI
@@ -88,6 +98,7 @@ from repro.wrf.model import (
     charge_halos_rank,
     cost_models,
     exchange_halos_rank,
+    output_frame,
     physics_rank,
     rank_output_frame,
     transport_rank,
@@ -133,7 +144,7 @@ def leaked_segments() -> list[str]:
     return []
 
 
-def _shared_array(shape: tuple[int, ...], dtype) -> np.ndarray:
+def _shared_array(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     """A zero-filled array in its own anonymous shared mapping.
 
     The array views an ``mmap.mmap(-1, nbytes)`` and keeps it alive;
@@ -167,7 +178,9 @@ class _RankContext:
     field, both inherited through fork; this rank's state lives in
     ``blocks[rank]`` and ``occupancies[rank]``, all members step
     together through the shared stage functions, and the gather/charge
-    commands name one member.
+    commands name one member. ``frame`` is the pool's shared
+    domain-wide output frame, into which ``gather`` writes this rank's
+    owned cells.
     """
 
     def __init__(
@@ -177,6 +190,7 @@ class _RankContext:
         decomposition: Decomposition,
         blocks: list[np.ndarray],
         occupancies: list[np.ndarray],
+        frame: dict[str, np.ndarray],
         barrier,
         timeout: float,
     ):
@@ -194,6 +208,7 @@ class _RankContext:
         # The pull-model exchange reads neighbors' owned boxes directly.
         self.blocks = blocks
         self.occupancies = occupancies
+        self.frame = frame
         self.state = build_rank_state(
             namelist,
             rank,
@@ -239,9 +254,9 @@ class _RankContext:
             clock.advance(TimeBucket.IO, seconds)
         return clock.state()
 
-    def gather(self, member: int) -> dict[str, np.ndarray]:
-        """One member's owned output frame."""
-        return rank_output_frame(self.state, member)
+    def gather(self, member: int) -> None:
+        """Write one member's owned cells into the shared frame."""
+        rank_output_frame(self.state, member, self.frame)
 
 
 def _worker_main(
@@ -250,6 +265,7 @@ def _worker_main(
     decomposition: Decomposition,
     blocks: list[np.ndarray],
     occupancies: list[np.ndarray],
+    frame: dict[str, np.ndarray],
     barrier,
     conn,
     timeout: float,
@@ -267,8 +283,8 @@ def _worker_main(
     """
     try:
         ctx = _RankContext(
-            rank, namelist, decomposition, blocks, occupancies, barrier,
-            timeout,
+            rank, namelist, decomposition, blocks, occupancies, frame,
+            barrier, timeout,
         )
         conn.send(("ready", rank, tracer.drain_state()))
         while True:
@@ -328,7 +344,8 @@ class ProcRankPool:
     start lean and inherit the blocks, the preloaded compiled kernels
     and the lookup tables. ``blocks`` and ``occupancy`` keep the
     driver's views of the blocks and of the occupancy fields (the
-    footprint) until the workers are joined.
+    footprint), and ``frame`` the shared output frame, until the
+    workers are joined. The driver reads only ``frame``.
     """
 
     def __init__(
@@ -354,6 +371,8 @@ class ProcRankPool:
             _shared_array((nm, *patch.shape), np.uint8)
             for patch in decomposition.patches
         ]
+        # One member's domain-wide output frame, which ``gather`` fills.
+        self.frame = output_frame(namelist.domain, _shared_array)
         cache = get_cache(SEGMENT_CACHE, sizeof=lambda block: block.nbytes)
         for rank, block in enumerate(self.blocks):
             cache.get_or_build((id(self), rank), lambda b=block: b)
@@ -370,6 +389,7 @@ class ProcRankPool:
                         decomposition,
                         self.blocks,
                         self.occupancy,
+                        self.frame,
                         self._barrier,
                         child_conn,
                         self.timeout,
@@ -460,11 +480,14 @@ class ProcRankPool:
         )
         return [r[1] for r in replies]
 
-    def gather(self, member: int = 0) -> list[dict[str, np.ndarray]]:
-        """One member's owned-region output frame from every rank, in
-        rank order."""
-        replies = self._command([("gather", member)] * self.num_ranks)
-        return [r[1] for r in replies]
+    def gather(self, member: int = 0) -> dict[str, np.ndarray]:
+        """Fill the shared frame with one member's output; return it.
+
+        Every worker writes its owned cells and replies without arrays.
+        The frame is the pool's: the next ``gather`` overwrites it.
+        """
+        self._command([("gather", member)] * self.num_ranks)
+        return self.frame
 
     def crash(self, rank: int) -> None:
         """Test hook: make one worker exit hard mid-protocol."""
@@ -529,3 +552,4 @@ class ProcRankPool:
             cache.discard((id(self), rank))
         self.blocks = []
         self.occupancy = []
+        self.frame = {}

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.constants import CONUS12KM_DT
 from repro.errors import ProcPoolError
 from repro.fsbm import ckernels
 from repro.obs import export, metrics, tracer
@@ -123,6 +124,22 @@ class TestModesRecordSameSpans:
             assert "roofline_pct" in e.attrs and "gb_s" in e.attrs
         halos = [e for e in events if e.name == "halo_exchange"]
         assert halos and all("bw_pct" in e.attrs for e in halos)
+
+
+class TestHistorySpan:
+    def test_records_frame_and_file_bytes(self, tmp_path):
+        events = _traced_run(
+            use_process_ranks=True,
+            history_interval=CONUS12KM_DT,
+            history_path=str(tmp_path),
+        )
+        spans = [e for e in events if e.name == "history_io"]
+        files = sorted(tmp_path.glob("wrfout_d01_*.npz"))
+        assert len(spans) == len(files) == 2
+        for span, path in zip(spans, files):
+            assert span.attrs["file_bytes"] == path.stat().st_size
+            # Stored uncompressed: the file is the frame plus headers.
+            assert span.attrs["bytes"] < span.attrs["file_bytes"]
 
 
 def _wall(events) -> int:

@@ -124,6 +124,20 @@ class TestHarness:
             os.utime(path, (1.0e9, 1.0e9))
         assert harness.find_baseline().name == "BENCH_bbb.json"
 
+    def test_find_baseline_outside_git(self, tmp_path, monkeypatch):
+        """A copy without git history (a ``git archive``) gives every
+        baseline the same mtime; the pick must still be the checkout's,
+        not the first name, which lacks kernels tracked since."""
+        checkout = harness.find_baseline()
+        for path in harness.REPO_ROOT.glob("BENCH_*.json"):
+            shutil.copy(path, tmp_path / path.name)
+            os.utime(tmp_path / path.name, (1.0e9, 1.0e9))
+        # Keep git from finding a repository above the copy.
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+        monkeypatch.setattr(harness, "REPO_ROOT", tmp_path)
+        picked = harness.find_baseline()
+        assert picked.name == checkout.name == "BENCH_cdb9fe5.json"
+
 
 def _payload_from(bench: harness.KernelBench, name: str) -> dict:
     return {

@@ -1,10 +1,13 @@
 """wrfout files and the diffwrf comparison tool."""
 
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.wrf.diffwrf import diff_field, diffwrf, format_diff_report
+from repro.wrf.diffwrf import diff_field, diffwrf, format_diff_report, main
 from repro.wrf.io import read_wrfout, write_wrfout
 
 
@@ -26,6 +29,34 @@ class TestWrfoutIO:
     def test_empty_write_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             write_wrfout(tmp_path / "x", {})
+
+    def test_members_are_stored_uncompressed(self, tmp_path):
+        fields = {"T": np.ones((4, 3, 4)), "RAINNC": np.zeros((4, 4))}
+        path = write_wrfout(tmp_path / "wrfout_d01", fields, {"dx": 1.0})
+        with zipfile.ZipFile(path) as archive:
+            infos = archive.infolist()
+        assert sorted(i.filename for i in infos) == [
+            "RAINNC.npy", "T.npy", "__attrs__.npy"
+        ]
+        assert all(i.compress_type == zipfile.ZIP_STORED for i in infos)
+
+    def test_compressed_frames_still_read(self, tmp_path, capsys):
+        """Files written before frames were stored uncompressed:
+        ``np.savez_compressed`` with the same ``__attrs__`` member."""
+        fields = {"T": np.random.default_rng(1).normal(size=(4, 3, 4))}
+        attrs = {"title": "old run", "sim_seconds": 30.0}
+        old = tmp_path / "wrfout_d01_000006.npz"
+        np.savez_compressed(
+            old,
+            **fields,
+            __attrs__=np.frombuffer(json.dumps(attrs).encode(), dtype=np.uint8),
+        )
+        back, back_attrs = read_wrfout(old)
+        np.testing.assert_array_equal(back["T"], fields["T"])
+        assert back_attrs == attrs
+        new = write_wrfout(tmp_path / "wrfout_d01_000012", back, back_attrs)
+        assert main([str(old), str(new)]) == 0
+        assert "bitwise identical" in capsys.readouterr().out
 
 
 class TestDiffwrf:

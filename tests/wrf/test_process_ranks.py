@@ -14,7 +14,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.constants import CONUS12KM_DT
 from repro.optim.stages import Stage
+from repro.wrf.io import read_wrfout
 from repro.wrf.model import WrfModel
 from repro.wrf.namelist import conus12km_namelist
 
@@ -72,6 +74,42 @@ class TestProcessRankEquivalence:
         io_p = [buckets.get("io", 0.0) for buckets, _ in p[1]]
         assert io_t == io_p
         assert any(v > 0 for v in io_t)
+
+    @pytest.mark.parametrize("members", [1, 2])
+    def test_history_files_match(self, tmp_path, members):
+        # Process ranks write their cells into the pool's shared frame;
+        # the files on disk must equal the thread path's, member files
+        # included.
+        written = {}
+        for procs in (False, True):
+            out = tmp_path / f"procs{int(procs)}"
+            nl = conus12km_namelist(
+                scale=0.05, num_ranks=2, seed=17, members=members,
+                use_process_ranks=procs, history_interval=2 * CONUS12KM_DT,
+                history_path=str(out),
+            )
+            model = WrfModel(nl)
+            try:
+                model.run_members(num_steps=5, final_history=True)
+            finally:
+                model.close()
+            written[procs] = {
+                p.name: read_wrfout(p)
+                for p in sorted(out.glob("wrfout_d01_*"))
+            }
+        threads, procs = written[False], written[True]
+        # Steps 2 and 4 on the interval, step 5 forced at the end.
+        assert len(threads) == 3 * members
+        assert sum("_mem01" in name for name in threads) == (members > 1) * 3
+        assert procs.keys() == threads.keys()
+        for name, (fields_t, attrs_t) in threads.items():
+            fields_p, attrs_p = procs[name]
+            assert attrs_p == attrs_t, name
+            assert fields_p.keys() == fields_t.keys(), name
+            for field, value in fields_t.items():
+                np.testing.assert_array_equal(
+                    fields_p[field], value, err_msg=f"{name}:{field}"
+                )
 
 
 class TestProcessRankFallbacks:

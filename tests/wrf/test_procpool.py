@@ -25,6 +25,7 @@ import pytest
 import repro
 from repro.codee import loopir
 from repro.codee.loopir import Loop, walk_ir_stmts
+from repro.constants import CONUS12KM_DT
 from repro.core.cache import cache_stats
 from repro.errors import ConfigurationError, ProcPoolError
 from repro.grid.decomposition import decompose_domain
@@ -42,6 +43,19 @@ def _pool(num_ranks: int = 2, timeout: float = 30.0):
     nl = _namelist(num_ranks)
     decomp = decompose_domain(nl.domain, nl.num_ranks)
     return procpool.ProcRankPool(nl, decomp, timeout=timeout)
+
+
+def _rss_shmem_bytes() -> int | None:
+    """This process's resident shared memory (``RssShmem`` in
+    ``/proc/self/status``), or None where it is not reported."""
+    try:
+        status = Path("/proc/self/status").read_text()
+    except OSError:
+        return None
+    for line in status.splitlines():
+        if line.startswith("RssShmem:"):
+            return int(line.split()[1]) * 1024
+    return None
 
 
 def _src_env(**extra) -> dict:
@@ -110,6 +124,35 @@ class TestWorkersOwnTheState:
             assert model.gather_output()["T"].shape == (dom.nx, dom.nz, dom.ny)
         finally:
             model.close()
+
+    @pytest.mark.skipif(
+        _rss_shmem_bytes() is None, reason="RssShmem is not reported here"
+    )
+    def test_driver_never_faults_in_the_blocks(self, tmp_path):
+        """Output and history go through the pool's shared frame only.
+
+        Reading one field out of a rank block touches every page of it
+        (the 234 scalars of a cell share a page), so a driver that read
+        the blocks would hold at least one block's bytes as shared
+        resident memory; the frame is a few percent of a block.
+        """
+        from repro.wrf.model import WrfModel
+
+        nl = conus12km_namelist(
+            scale=0.05, num_ranks=2, use_process_ranks=True,
+            history_interval=CONUS12KM_DT, history_path=str(tmp_path),
+        )
+        before = _rss_shmem_bytes()
+        model = WrfModel(nl)
+        try:
+            model.step()  # the history write falls due after the step
+            model.gather_output()
+            grown = _rss_shmem_bytes() - before
+            block = model._pool.blocks[0].nbytes
+        finally:
+            model.close()
+        assert [p.name for p in tmp_path.iterdir()] == ["wrfout_d01_000001.npz"]
+        assert grown < block / 4, (grown, block)
 
 
 class TestPoolTimeout:
