@@ -413,22 +413,17 @@ def bench_model_step_members(
 
 
 def _transport_layout(nkr: int):
-    """The model's scalar packing: t, qv, w, then every species' bins."""
+    """The model's bins packing: every species' bins, species in order."""
     from repro.fsbm.species import Species
     from repro.wrf.transport import ScalarLayout
 
     return ScalarLayout(
-        entries=(
-            ("t", 1),
-            ("qv", 1),
-            ("w", 1),
-            *((f"bin_{sp.value}", nkr) for sp in Species),
-        )
+        entries=tuple((f"bin_{sp.value}", nkr) for sp in Species)
     )
 
 
 def _scalar_masses(layout) -> np.ndarray:
-    """Per-scalar bin masses of ``layout`` (0 for t, qv and w)."""
+    """Per-bin masses of ``layout``."""
     from repro.fsbm.species import Species, species_bins
 
     grids = species_bins()
@@ -438,7 +433,20 @@ def _scalar_masses(layout) -> np.ndarray:
     return mass
 
 
-def _euler_step(block, split, dt, ws, floors, mass, bits, cond, occ):
+def _transport_blocks(rng, members: int, shape, nkr: int):
+    """A rank's two blocks filled like a dense storm: the planar
+    ``(members, ni, 3, nk, nj)`` state block (t, qv, w) and the ``(members,
+    ni, nk, nj, nbins)`` bins block, every bin drawn."""
+    from repro.wrf.state import rank_blocks
+
+    _, state, bins = rank_blocks(members, shape, nkr=nkr)
+    for q, (lo, hi) in enumerate(((230.0, 300.0), (0.0, 0.02), (-8.0, 8.0))):
+        state[:, :, q] = rng.uniform(lo, hi, (members, *shape))
+    bins[...] = rng.uniform(0.0, 2.0, bins.shape)
+    return state, bins
+
+
+def _euler_step(state, bins, split, dt, ws, floors, mass, bits, cond, occ):
     """The model's transport advection: one in-place Euler call that
     writes each cell's condensate into ``cond`` and its occupancy bits
     into ``occ`` (the rank state's fields), the condensate of which the
@@ -448,10 +456,10 @@ def _euler_step(block, split, dt, ws, floors, mass, bits, cond, occ):
     from repro.wrf.transport import fused_euler_advect
 
     if fused_euler_advect(
-        block, split, dt, ws, floors, mass, bits, cond, occ
+        state, bins, split, dt, ws, floors, mass, bits, cond, occ
     ) is None:
-        for m in range(block.shape[0]):
-            cond[m] = block[m] @ mass
+        for m in range(bins.shape[0]):
+            cond[m] = bins[m] @ mass
 
 
 def bench_transport_members(
@@ -463,13 +471,13 @@ def bench_transport_members(
 ) -> KernelBench:
     """Time the advection kernel on a member stack against a member loop.
 
-    One stacked ``(N, ni, nk, nj, nscalar)`` superblock advected by one
+    One rank's stacked state and bins blocks (``N`` members, 234 scalars
+    per cell) advected by one
     in-place ``fused_euler_advect`` call, condensate included (the
     members' rows folded into the compiled stencil's row loop), versus
     the same work issued as ``N`` one-member calls. Fixed shape
     regardless of ``--quick``.
     """
-    from repro.fsbm.species import Species
     from repro.fsbm.state import all_occupied
     from repro.wrf.dynamics import (
         FLOPS_PER_CELL_TEND,
@@ -482,27 +490,13 @@ def bench_transport_members(
     ni, nk, nj = shape
     rng = np.random.default_rng(seed)
     layout = _transport_layout(nkr)
-    ns = layout.nscalars
-    slices = layout.slices()
-    block = np.zeros((members, *shape, ns))
-    block[..., slices["t"]] = rng.uniform(
-        230.0, 300.0, (members, *shape, 1)
-    )
-    block[..., slices["qv"]] = rng.uniform(
-        0.0, 0.02, (members, *shape, 1)
-    )
-    block[..., slices["w"]] = rng.uniform(
-        -8.0, 8.0, (members, *shape, 1)
-    )
-    for sp in Species:
-        block[..., slices[f"bin_{sp.value}"]] = rng.uniform(
-            0.0, 2.0, (members, *shape, nkr)
-        )
+    ns = 3 + layout.nscalars
+    state, bins = _transport_blocks(rng, members, shape, nkr)
     u = rng.uniform(-20.0, 20.0, (members, *shape))
     v = rng.uniform(-20.0, 20.0, (members, *shape))
-    w = np.ascontiguousarray(block[..., slices["w"].start])
+    w = np.ascontiguousarray(state[:, :, 2])
     dt = 30.0
-    floors = layout.floors(no_clip=("t", "w"))
+    floors = layout.floors()
     mass = _scalar_masses(layout)
     split = WindSplit.build(u, v, w, 12000.0, 500.0)
     member_splits = [
@@ -516,20 +510,21 @@ def bench_transport_members(
         (1, *shape), ns, owner="bench_transport_members_solo"
     )
 
-    batched_block = block.copy()
-    solo_block = block.copy()
+    batched = (state.copy(), bins.copy())
+    solo = (state.copy(), bins.copy())
     # The condensate and occupancy fields, allocated once like the rank
     # state's; all set, so nothing is skipped.
     bits = layout.masks()
-    batched_cond = np.empty(block.shape[:4])
-    solo_cond = np.empty(block.shape[:4])
-    batched_occ = all_occupied(block.shape[:4])
-    solo_occ = all_occupied(block.shape[:4])
+    cells = bins.shape[:4]
+    batched_cond = np.empty(cells)
+    solo_cond = np.empty(cells)
+    batched_occ = all_occupied(cells)
+    solo_occ = all_occupied(cells)
 
     def run_batched() -> float:
         t0 = time.perf_counter()
         _euler_step(
-            batched_block, split, dt, ws, floors, mass, bits, batched_cond,
+            *batched, split, dt, ws, floors, mass, bits, batched_cond,
             batched_occ,
         )
         return time.perf_counter() - t0
@@ -538,8 +533,8 @@ def bench_transport_members(
         t0 = time.perf_counter()
         for m in range(members):
             _euler_step(
-                solo_block[m : m + 1], member_splits[m], dt, member_ws,
-                floors, mass, bits, solo_cond[m : m + 1],
+                solo[0][m : m + 1], solo[1][m : m + 1], member_splits[m], dt,
+                member_ws, floors, mass, bits, solo_cond[m : m + 1],
                 solo_occ[m : m + 1],
             )
         return time.perf_counter() - t0
@@ -620,13 +615,12 @@ def bench_transport(
     """Time the scalar-transport engine in isolation at a fixed shape.
 
     ``mode="fused"`` measures what the model's one-member path pays —
-    one in-place Euler advection of the resident ``(1, ni, nk, nj, 234)``
-    superblock, condensate included — while ``mode="per_field"``
+    one in-place Euler advection of the resident state and bins blocks
+    (234 scalars per cell), condensate included — while ``mode="per_field"``
     measures the reference loop (one ``rk_scalar_tend`` + update per
     field). The shape is fixed regardless of ``--quick`` so quick and
     full runs of the gate compare like with like.
     """
-    from repro.fsbm.species import Species
     from repro.fsbm.state import all_occupied
     from repro.wrf.dynamics import (
         FLOPS_PER_CELL_TEND,
@@ -640,36 +634,35 @@ def bench_transport(
     ni, nk, nj = shape
     rng = np.random.default_rng(seed)
     layout = _transport_layout(nkr)
-    fields = {
-        "t": rng.uniform(230.0, 300.0, shape),
-        "qv": rng.uniform(0.0, 0.02, shape),
-        "w": rng.uniform(-8.0, 8.0, shape),
-    }
-    for sp in Species:
-        fields[f"bin_{sp.value}"] = rng.uniform(0.0, 2.0, (*shape, nkr))
+    ns = 3 + layout.nscalars
+    state, bins = _transport_blocks(rng, 1, shape, nkr)
     u = rng.uniform(-20.0, 20.0, shape)
     v = rng.uniform(-20.0, 20.0, shape)
-    split = WindSplit.build(u, v, fields["w"], 12000.0, 500.0)
-    # The model's resident layout: a one-member stack of every field.
-    block = np.empty((1, *shape, layout.nscalars))
+    # The reference loop's fields: copies of the blocks' planes and bins.
+    fields = {
+        name: state[0, :, q].copy() for q, name in enumerate(("t", "qv", "w"))
+    }
     for name, sl in layout.slices().items():
-        block[0, ..., sl] = fields[name].reshape(*shape, -1)
+        fields[name] = bins[0, ..., sl].copy()
+    split = WindSplit.build(u, v, fields["w"], 12000.0, 500.0)
     stacked = WindSplit(
         pos=tuple(p[None] for p in split.pos),
         neg=tuple(n[None] for n in split.neg),
     )
     dt = 30.0
-    ws = get_workspace((1, *shape), layout.nscalars, owner="bench_transport")
-    floors = layout.floors(no_clip=("t", "w"))
+    ws = get_workspace((1, *shape), ns, owner="bench_transport")
+    floors = layout.floors()
     mass = _scalar_masses(layout)
     bits = layout.masks()
-    cond = np.empty(block.shape[:4])
-    occ = all_occupied(block.shape[:4])
+    cond = np.empty(bins.shape[:4])
+    occ = all_occupied(bins.shape[:4])
 
     def run_once() -> float:
         if mode == "fused":
             t0 = time.perf_counter()
-            _euler_step(block, stacked, dt, ws, floors, mass, bits, cond, occ)
+            _euler_step(
+                state, bins, stacked, dt, ws, floors, mass, bits, cond, occ
+            )
             return time.perf_counter() - t0
         t0 = time.perf_counter()
         for name, arr in fields.items():
@@ -681,7 +674,7 @@ def bench_transport(
 
     run_once()  # warmup: workspace pools, compiled stencil, caches
     samples = [run_once() for _ in range(reps)]
-    cell_scalars = float(ni * nk * nj * layout.nscalars)
+    cell_scalars = float(ni * nk * nj * ns)
     from repro.wrf.cstencil import load_stencil
 
     return _summarize(
@@ -689,7 +682,7 @@ def bench_transport(
         samples,
         extra={
             "shape": list(shape),
-            "nscalars": layout.nscalars,
+            "nscalars": ns,
             "mode": mode,
             "compiled_stencil": load_stencil() is not None,
             "ir_kernel": "advect_stage",

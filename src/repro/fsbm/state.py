@@ -46,7 +46,7 @@ class MicroState:
     precip: np.ndarray = field(default=None)  # type: ignore[assignment]
     #: Optional ``(ni, nk, nj, nsp * nkr)`` view covering every species'
     #: bins contiguously (set by :meth:`bind_packed` when the dists live
-    #: in a superblock); lets moment reductions run as one contraction.
+    #: in a rank's bins block); lets moment reductions run as one contraction.
     packed: np.ndarray | None = None
     #: Concatenated per-species bin masses matching ``packed``'s layout.
     packed_masses: np.ndarray | None = None
@@ -80,12 +80,12 @@ class MicroState:
         return self.dists[sp] @ grid.masses
 
     def bind_packed(self, packed: np.ndarray) -> None:
-        """Register a packed all-species bin view (superblock storage).
+        """Register a packed all-species bin view (bins-block storage).
 
         ``packed`` must cover exactly the species distributions in
         :class:`Species` order, each ``dists[sp]`` being the matching
         ``nkr``-wide slice of it. Callers that lay the dists out inside
-        a superblock (:meth:`repro.wrf.state.WrfFields.bind_block`) call
+        a bins block (:meth:`repro.wrf.state.WrfFields.bind_block`) call
         this so :meth:`total_condensate_mass` can contract all species
         in one pass.
         """

@@ -1,4 +1,4 @@
-"""Runtime-compiled C stencil for the fused transport superblock.
+"""Runtime-compiled C stencil for a rank's two transport blocks.
 
 The fused numpy path (:func:`repro.wrf.transport.fused_upwind_tend`)
 still materializes every stencil intermediate — about forty full-block
@@ -19,12 +19,14 @@ under :func:`repro.codee.transform.plan_host`, serial like every other
 production kernel: the ranks own the cores, and the compiler
 auto-vectorizes the scalar loops. With the row loop serial, the host
 plan's :func:`~repro.codee.transform.ring_rows` pass makes the sweep in
-place: each row is computed into a two-row ring and each of its planes
-stored once the next row's plane is done, so ``s``, ``base`` and
-``out`` may be one block and a step needs no second block. The sweep
-skips every species that the occupancy field marks empty across a
-cell's stencil; the pass rings the guards that skip them too, so only
-what was computed goes back. The arithmetic is expressed in the
+place: each row is computed into two-row rings and each of its planes
+stored once the next row's plane is done, so the planar state block
+(t, qv, w) and the bins block are each input and output of the stage
+and a step needs no second copy of either. The sweep skips every
+species that the occupancy field marks empty across a cell's stencil,
+and every bin of a cell whose stencil holds none; the pass rings the
+guards that skip them too, so only what was computed goes back. The
+arithmetic is expressed in the
 IR with the reference's exact operation grouping and emitted fully
 parenthesized, which — together with the shared ``-ffp-contract=off``
 flag — keeps the compiled kernel bitwise identical to the per-field
@@ -41,6 +43,7 @@ this module needs to know which path ran.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 from pathlib import Path
 
@@ -70,31 +73,40 @@ from repro.codee.loopir import (
 DISABLE_ENV = "REPRO_DISABLE_CSTENCIL"
 
 
-#: Lanes of the condensate sum: bin ``n`` adds into lane ``n % 8`` in
-#: ascending ``n``, then the lanes add up in order. Fixed, so a cell's
-#: sum depends only on its own bins.
+#: Lanes of the condensate sum: bin ``n`` adds into lane ``(n +
+#: LANE_OFFSET) % 8`` in ascending ``n``, then the lanes add up in order.
+#: Fixed, so a cell's sum depends only on its own bins.
 CONDENSATE_LANES = 8
+
+#: The lane offset of bin 0: the lane it took when t, qv and w led each
+#: cell's row of one 234-wide block, so the two-block sweep sums every
+#: cell's condensate to the same bits.
+LANE_OFFSET = 3
 
 
 def lane_condensate(src: str, cell: tuple, lo=None, hi=None) -> tuple[list, list, list]:
     """The condensate ``cond[cell] = sum_n src[cell, n] * mass[n]``.
 
     The one definition of the condensate's summation order, shared by
-    every kernel that writes ``cond``: lane ``l`` sums the scalars
-    ``l, l + 8, ...`` in ascending order from 0.0 (the lane loop is
-    where the vector unit works), then the :data:`CONDENSATE_LANES`
-    lanes add up in order. ``ns`` is the scalar count. Returned in
-    three parts, so a kernel can add the scalars a range at a time:
-    ``init`` clears the lanes, ``add`` adds the scalars ``lo <= n <
-    hi`` (default: all of them) and ``store`` adds the lanes up into
-    ``cond``. A range is added by its 8-scalar blocks, masked to the
-    range; a masked lane adds +0.0, which leaves it as it is (no lane
-    holds -0.0). So adding disjoint ranges in ascending order gives the
-    whole cell's bits, and leaving out a range of exact zeros changes
-    no bit.
+    every kernel that writes ``cond``: bin ``n`` sits at position ``e =
+    n + LANE_OFFSET`` of a row of 8-wide blocks, and lane ``l`` sums
+    the bins at ``e = l, l + 8, ...`` in ascending order from 0.0 (the
+    lane loop is where the vector unit works), then the
+    :data:`CONDENSATE_LANES` lanes add up in order. ``ns`` is the bin
+    count. Returned in three parts, so a kernel can add the bins a
+    range at a time: ``init`` clears the lanes, ``add`` adds the bins
+    ``lo <= n < hi`` (default: all of them) and ``store`` adds the lanes
+    up into ``cond``. A range is added by its 8-wide blocks, masked to
+    the range; a masked lane adds +0.0, which leaves it as it is (no
+    lane holds -0.0). So adding disjoint ranges in ascending order gives
+    the whole cell's bits, and leaving out a range of exact zeros
+    changes no bit. The whole row runs unmasked but for its first and
+    last block.
     """
     lane, nb, e = Sym("l"), Sym("nb"), Sym("e")
     lanes = Const(CONDENSATE_LANES)
+    off = Const(LANE_OFFSET)
+    clamp = loopir.Select
     init = [
         LocalArray("acc", CONDENSATE_LANES),
         Loop("l", Const(0), lanes, [Store("acc", (lane,), Const(0.0))]),
@@ -103,35 +115,44 @@ def lane_condensate(src: str, cell: tuple, lo=None, hi=None) -> tuple[list, list
     def term(at):
         return Load(src, (*cell, at)) * Load("mass", (at,))
 
+    def masked(block, lo, hi) -> Loop:
+        """Add the bins ``lo <= e < hi`` of 8-wide block ``block``."""
+        return Loop("l", Const(0), lanes, [
+            Let("e", block * lanes + lane - off, ctype="long"),
+            Store(
+                "acc",
+                (lane,),
+                clamp(
+                    e.ge(lo).logical_and(e.lt(hi)),
+                    term(clamp(e.lt(lo), lo, clamp(e.lt(hi), e, hi - 1))),
+                    Const(0.0),
+                ),
+                "+=",
+            ),
+        ])
+
     if lo is None:
+        # Block 0, blocks 1 .. top - 1 (no lane masked), and block top,
+        # which holds the last bins unless block 0 already did.
         ns = Sym("ns")
+        top = (ns + off) / lanes
         add = [
-            Loop("nb", Const(0), ns / lanes, [
+            masked(Const(0), Const(0), ns),
+            Loop("nb", Const(1), top, [
                 Loop("l", Const(0), lanes, [
-                    Store("acc", (lane,), term(nb * lanes + lane), "+="),
+                    Store("acc", (lane,), term(nb * lanes + lane - off), "+="),
                 ]),
             ]),
-            Loop("l", Const(0), ns - (ns / lanes) * lanes, [
-                Store("acc", (lane,), term((ns / lanes) * lanes + lane), "+="),
-            ]),
+            masked(top, lanes - off, ns),
         ]
     else:
         add = [
-            Loop("nb", lo / lanes, (hi + (CONDENSATE_LANES - 1)) / lanes, [
-                Loop("l", Const(0), lanes, [
-                    Let("e", nb * lanes + lane, ctype="long"),
-                    Store(
-                        "acc",
-                        (lane,),
-                        loopir.Select(
-                            e.ge(lo).logical_and(e.lt(hi)),
-                            term(loopir.Select(e.lt(hi), e, hi - 1)),
-                            Const(0.0),
-                        ),
-                        "+=",
-                    ),
-                ]),
-            ]),
+            Loop(
+                "nb",
+                (lo + off) / lanes,
+                (hi + off + (CONDENSATE_LANES - 1)) / lanes,
+                [masked(nb, lo, hi)],
+            ),
         ]
     store = [
         Decl("c", "double", Load("acc", (Const(0),))),
@@ -144,9 +165,9 @@ def lane_condensate(src: str, cell: tuple, lo=None, hi=None) -> tuple[list, list
 
 
 def _mask_params() -> tuple[ArrayParam, ScalarParam, ArrayParam]:
-    """Each scalar's species mask ``smask[n]`` (``1 << sp`` for a bin of
-    species ``sp``, 0 for t, qv and w, which no bit describes) and the
-    groups ``glo[g] <= n < glo[g + 1]`` of scalars that share a mask."""
+    """Each bin's species mask ``smask[n]`` (``1 << sp`` for a bin of
+    species ``sp``) and the groups ``glo[g] <= n < glo[g + 1]`` of bins
+    that share a mask."""
     return (
         ArrayParam("smask", strides=(Const(1),), ctype="long"),
         ScalarParam("ng", "long"),
@@ -154,96 +175,131 @@ def _mask_params() -> tuple[ArrayParam, ScalarParam, ArrayParam]:
     )
 
 
-def _note_bit(value) -> Assign:
-    """``nbits |= smask[n]`` when ``value`` is not zero."""
-    n = Sym("n")
+def _note_bit(value, at=Sym("n")) -> Assign:
+    """``nbits |= smask[at]`` when ``value`` is not zero."""
     return Assign(
         "nbits",
         Bin("|", Sym("nbits"), loopir.Select(
-            value.ne(Const(0.0)), Load("smask", (n,)), Const(0)
+            value.ne(Const(0.0)), Load("smask", (at,)), Const(0)
         )),
     )
+
+
+#: The planes of the state block, in order: t, qv, w.
+NSTATE = 3
+
+#: Doubles per vector the bin sweeps are blocked by (256-bit lanes).
+SWEEP_VECTOR = 4
 
 
 def build_advect_ir() -> Kernel:
     """The donor-cell stage ``out = base + f * tend(s)`` as loop IR.
 
-    One stage over the member-stacked ``(nm, ni, nk, nj, ns)``
-    superblock with zero-gradient edges. The stack is C-contiguous, so
-    its members' i-rows line up as ``nm * ni`` consecutive rows: the
-    nest runs over rows ``r = m * ni + i``, exactly a one-member stencil's
-    ``(i, k, j)`` nest with ``ni`` replaced by ``nm * ni``, and
+    One stage over a rank's two member-stacked blocks with
+    zero-gradient edges: the planar state block ``(nm, ni, 3, nk, nj)``
+    (``ss``/``sbase``/``sout``: t, qv and w, each field's ``(k, j)``
+    planes contiguous) and the bins block ``(nm, ni, nk, nj, ns)``
+    (``s``/``base``/``out``). Both are C-contiguous, so their members'
+    i-rows line up as ``nm * ni`` consecutive rows: the nest runs over
+    rows ``r = m * ni + i``, exactly a one-member stencil's ``(i, k,
+    j)`` nest with ``ni`` replaced by ``nm * ni``, and
     `repro.codee.transform` proves the same depth-3 independence
     (``collapse(2)`` over ``(r, k)`` under the default policy). The
-    member-local row ``i = r % ni`` drives the i-edge clamp, so no
-    neighbor read crosses a member boundary: each clamped term is
-    ``s - s = 0``, reproducing the reference's edge handling exactly,
-    and member ``m`` of the result equals a one-member sweep of that
-    member bit for bit. Euler passes ``base == s`` and
-    ``f == dt``; an RK3 stage passes ``base == phi0`` and
-    ``f == dt * frac``. The store clamps each scalar at ``floors[n]``:
-    0.0 for clipped scalars, -inf (never taken) for the rest — the
-    same bits as the reference's ``if (clip && out < 0) out = 0``.
+    state block is addressed ``(r, k, q, j)``, plane ``k`` second like
+    the bins, through its own strides. The member-local row ``i = r %
+    ni`` drives the i-edge clamp, so no neighbor read crosses a member
+    boundary: each clamped term is ``s - s = 0``, reproducing the
+    reference's edge handling exactly, and member ``m`` of the result
+    equals a one-member sweep of that member bit for bit. Euler passes
+    ``base == s`` and ``f == dt``; an RK3 stage passes ``base == phi0``
+    and ``f == dt * frac``. The store clamps each value at its floor
+    (``sfloors[q]`` for the state, ``floors[n]`` for the bins): 0.0 for
+    clipped scalars, -inf (never taken) for the rest — the same bits as
+    the reference's ``if (clip && out < 0) out = 0``.
 
-    ``occ`` holds each cell's occupancy bits (bit ``sp`` clear: every
-    bin of species ``sp`` is an exact zero) and ``smask``/``glo`` say
-    which scalars each bit describes (:func:`_mask_params`). Each cell
-    ORs the bits of its 7-point stencil. A species whose bit is clear
-    there is neither read, nor computed, nor stored — its bins are
-    exact zeros and stay so: the cell is swept group by group. A cell
-    whose stencil holds every species is swept whole, in one loop, as
-    a dense block is. Either way the sweep writes the cell's new bits
-    into ``occ_out`` from the values it stores, and how many species it
-    swept into ``swept``.
+    Each cell advects its three state values, then its bins. ``occ``
+    holds each cell's occupancy bits (bit ``sp`` clear: every bin of
+    species ``sp`` is an exact zero) and ``smask``/``glo`` say which
+    bins each bit describes (:func:`_mask_params`). Each cell ORs the
+    bits of its 7-point stencil. A cell whose stencil holds no species
+    (every cell of an empty ``(row, plane)`` among them) reads, computes
+    and stores none of its bins and writes condensate 0.0, bits 0 and
+    swept 0. A species whose bit is clear in the stencil is neither
+    read, nor computed, nor stored — its bins are exact zeros and stay
+    so: the cell is swept group by group. A cell whose stencil holds
+    every species is swept whole, in one loop, as a dense block is.
+    Either way the sweep writes the cell's new bits into ``occ_out``
+    from the values it stores, and how many species it swept into
+    ``swept``.
 
     The tendency accumulates axis i, then k, then j with the same
     expression grouping as the numpy reference (three negated upwind
     pairs summed left to right), so results match it bit for bit
     modulo signed zeros. The same sweep writes each cell's condensate
-    ``cond = sum_n out[n] * mass[n]`` (``mass`` is 0 for scalars that
-    are not bins) from the values just stored, in the fixed lane order
-    of :func:`lane_condensate`; a skipped species adds only zeros, so
-    its terms drop out without changing a bit. The loop nest is defined
-    *bare* — every annotation, and the host's in-place rings for ``out``
-    and ``occ_out`` with the guards of the skipped species
-    (:func:`repro.codee.transform.ring_rows`), is derived by
-    `repro.codee.transform` from its dependence analysis.
+    ``cond = sum_n out[n] * mass[n]`` from the bins just stored, in the
+    fixed lane order of :func:`lane_condensate`; a skipped species adds
+    only zeros, so its terms drop out without changing a bit. The loop
+    nest is defined *bare* — every annotation, and the host's in-place
+    rings for ``sout``, ``out`` and ``occ_out`` with the guards of the
+    skipped bins (:func:`repro.codee.transform.ring_rows`), is derived
+    by `repro.codee.transform` from its dependence analysis.
     """
     nm, ni, nk, nj, ns = (
         Sym("nm"), Sym("ni"), Sym("nk"), Sym("nj"), Sym("ns")
     )
-    r, i, k, j, n, g = Sym("r"), Sym("i"), Sym("k"), Sym("j"), Sym("n"), Sym("g")
-    sv, v, m = Sym("sv"), Sym("v"), Sym("m")
+    r, k, j, n, g, q = Sym("r"), Sym("k"), Sym("j"), Sym("n"), Sym("g"), Sym("q")
+    i, sv, v, m = Sym("i"), Sym("sv"), Sym("v"), Sym("m")
 
     s4 = (nk * nj * ns, nj * ns, ns, Const(1))
+    st = (Const(NSTATE) * nk * nj, nj, nk * nj, Const(1))
     c3 = (nk * nj, nj, Const(1))
-
-    def s_at(rr, kk, jj):
-        return Load("s", (rr, kk, jj, n))
-
-    # One negated upwind pair per axis: -(pos*(sv - s[lo]) + neg*(s[hi] - sv)),
-    # accumulated i, then k, then j — the reference's grouping.
-    tend = None
-    for pos, neg, lo, hi in (
-        ("up", "un", s_at(Sym("im"), k, j), s_at(Sym("ip"), k, j)),
-        ("wp", "wn", s_at(r, Sym("km"), j), s_at(r, Sym("kp"), j)),
-        ("vp", "vn", s_at(r, k, Sym("jm")), s_at(r, k, Sym("jp"))),
-    ):
-        pair = -(Sym(pos) * (sv - lo) + Sym(neg) * (hi - sv))
-        tend = pair if tend is None else tend + pair
-
     clamp = loopir.Select
 
-    def sweep(lo, hi) -> Loop:
-        """Advect the scalars ``lo <= n < hi`` of the cell."""
-        return Loop("n", lo, hi, [
-            Let("sv", s_at(r, k, j)),
+    def update(src, base, out, floor, at, last):
+        """Advect ``src`` at the cell's subscript ``at(rr, kk, jj)`` into
+        ``out``: one negated upwind pair per axis, -(pos*(sv - s[lo]) +
+        neg*(s[hi] - sv)), accumulated i, then k, then j — the
+        reference's grouping — then the clamped update."""
+        tend = None
+        for pos, neg, lo, hi in (
+            ("up", "un", at(Sym("im"), k, j), at(Sym("ip"), k, j)),
+            ("wp", "wn", at(r, Sym("km"), j), at(r, Sym("kp"), j)),
+            ("vp", "vn", at(r, k, Sym("jm")), at(r, k, Sym("jp"))),
+        ):
+            pair = -(Sym(pos) * (sv - Load(src, lo)) + Sym(neg) * (Load(src, hi) - sv))
+            tend = pair if tend is None else tend + pair
+        here = at(r, k, j)
+        return [
+            Let("sv", Load(src, here)),
             Let("t", tend),
-            Let("v", Sym("f") * Sym("t") + Load("base", (r, k, j, n))),
-            Let("lo", Load("floors", (n,))),
+            Let("v", Sym("f") * Sym("t") + Load(base, here)),
+            Let("lo", floor),
             Let("o", clamp(v.lt(Sym("lo")), Sym("lo"), v)),
-            Store("out", (r, k, j, n), Sym("o")),
-            _note_bit(Sym("o")),
+            Store(out, here, Sym("o")),
+            *last,
+        ]
+
+    def bins_at(at) -> list:
+        """Advect bin ``at`` of the cell."""
+        return update(
+            "s", "base", "out", Load("floors", (at,)),
+            lambda rr, kk, jj: (rr, kk, jj, at), [_note_bit(Sym("o"), at)],
+        )
+
+    def sweep(lo, hi, then: list) -> If:
+        """Advect the bins ``lo <= n < hi`` of the cell, then run
+        ``then`` (which reads them): whole vectors of
+        :data:`SWEEP_VECTOR` bins, then the range's last vector again,
+        so no scalar remainder runs. A bin computed twice stores the same
+        value from the same inputs: the overlap changes no bit."""
+        vec = Const(SWEEP_VECTOR)
+        return If((hi - lo).ge(vec), [
+            Loop("n", lo, lo + ((hi - lo) / vec) * vec, bins_at(n)),
+            Loop("p", Const(0), vec, bins_at(hi - vec + Sym("p"))),
+            *then,
+        ], [
+            Loop("n", lo, hi, bins_at(n)),
+            *copy.deepcopy(then),
         ])
 
     # The species present anywhere in the cell's 7-point stencil.
@@ -274,32 +330,37 @@ def build_advect_ir() -> Kernel:
         Let("kp", clamp(k.lt(nk - 1), k + 1, k), ctype="long"),
         Let("jm", clamp(j.gt(0), j - 1, j), ctype="long"),
         Let("jp", clamp(j.lt(nj - 1), j + 1, j), ctype="long"),
+        # The cell's t, qv and w.
+        Loop("q", Const(0), Const(NSTATE), update(
+            "ss", "sbase", "sout", Load("sfloors", (q,)),
+            lambda rr, kk, jj: (rr, kk, q, jj), [],
+        )),
         Let("live", live, ctype="long"),
-        # Count the species groups, and those present in the stencil.
-        Decl("nsg", "long", Const(0)),
         Decl("nsw", "long", Const(0)),
-        Loop("g", Const(0), Sym("ng"), [
-            Let("gm", Load("smask", (lo,)), ctype="long"),
-            Assign("nsg", Sym("nsg") + Sym("gm").ne(Const(0))),
-            Assign("nsw", Sym("nsw") + Bin("&", Sym("gm").ne(Const(0)), has(Sym("gm")))),
-        ]),
-        *init,
         Decl("nbits", "long", Const(0)),
-        If(Sym("nsw").eq(Sym("nsg")), [
-            # Every species is present: the whole cell in one loop.
-            sweep(Const(0), ns),
-            *add_all,
+        If(Sym("live").eq(Const(0)), [
+            # No species anywhere in the stencil: no bin to sweep.
+            Store("cond", (r, k, j), Const(0.0)),
         ], [
+            # Count the species groups present in the stencil.
             Loop("g", Const(0), Sym("ng"), [
-                Let("m", Load("smask", (lo,)), ctype="long"),
-                If(m.eq(Const(0)).logical_or(has(m)), [
-                    sweep(lo, hi),
-                    # The group's condensate from the values just stored.
-                    *add_group,
+                Assign("nsw", Sym("nsw") + has(Load("smask", (lo,)))),
+            ]),
+            *init,
+            If(Sym("nsw").eq(Sym("ng")), [
+                # Every species is present: the whole cell at once.
+                sweep(Const(0), ns, add_all),
+            ], [
+                Loop("g", Const(0), Sym("ng"), [
+                    Let("m", Load("smask", (lo,)), ctype="long"),
+                    If(has(m), [
+                        # The group's condensate from the values just stored.
+                        sweep(lo, hi, add_group),
+                    ]),
                 ]),
             ]),
+            *store,
         ]),
-        *store,
         Store("occ_out", (r, k, j), Sym("nbits")),
         Store("swept", (r, k, j), Sym("nsw")),
     ]
@@ -314,6 +375,9 @@ def build_advect_ir() -> Kernel:
     return Kernel(
         name="advect_stage",
         params=(
+            ArrayParam("ss", strides=st),
+            ArrayParam("sbase", strides=st),
+            ArrayParam("sout", strides=st, intent="out"),
             ArrayParam("s", strides=s4),
             ArrayParam("base", strides=s4),
             ArrayParam("out", strides=s4, intent="out"),
@@ -329,6 +393,7 @@ def build_advect_ir() -> Kernel:
             ScalarParam("nk", "long"),
             ScalarParam("nj", "long"),
             ScalarParam("ns", "long"),
+            ArrayParam("sfloors", strides=(Const(1),)),
             ArrayParam("floors", strides=(Const(1),)),
             ArrayParam("mass", strides=(Const(1),)),
             ArrayParam("cond", strides=c3, intent="out"),
@@ -342,22 +407,23 @@ def build_advect_ir() -> Kernel:
         body=[nest],
         doc=(
             "One donor-cell stage out = max-floor(base + f * tend(s)) over "
-            "the member-stacked (nm, ni, nk, nj, ns) superblock, its "
-            "members' rows folded into nm * ni rows, with zero-gradient "
-            "edges clamped at each member's own rows; tendency accumulated "
-            "axis i, then k, then j in the reference's grouping; species "
-            "whose occupancy bit is clear across the 7-point stencil "
-            "skipped; each cell's condensate summed in 8 lanes from the "
-            "stored values, and its new occupancy bits written."
+            "a rank's planar (nm, ni, 3, nk, nj) state block and its "
+            "(nm, ni, nk, nj, ns) bins block, their members' rows folded "
+            "into nm * ni rows, with zero-gradient edges clamped at each "
+            "member's own rows; tendency accumulated axis i, then k, then "
+            "j in the reference's grouping; bins of species whose "
+            "occupancy bit is clear across the 7-point stencil skipped; "
+            "each cell's condensate summed in 8 lanes from the stored "
+            "bins, and its new occupancy bits written."
         ),
     )
 
 
 def build_condensate_ir() -> Kernel:
-    """Each cell's condensate and occupancy bits of a block as loop IR.
+    """Each cell's condensate and occupancy bits of a bins block as loop IR.
 
     ``cond[r, k, j] = sum_n s[r, k, j, n] * mass[n]`` over the
-    ``(nm, ni, nk, nj, ns)`` block, its members' rows folded into
+    ``(nm, ni, nk, nj, ns)`` bins block, its members' rows folded into
     ``nm * ni`` rows as in :func:`build_advect_ir`, in the lane order of
     :func:`lane_condensate`, and ``occ[r, k, j]`` with the bit of every
     species that has a nonzero bin (``smask``, as there) — what
@@ -398,7 +464,7 @@ def build_condensate_ir() -> Kernel:
         body=[nest],
         doc=(
             "Each cell's condensate sum_n s[n] * mass[n] over the "
-            "member-stacked (nm, ni, nk, nj, ns) superblock, summed in 8 "
+            "member-stacked (nm, ni, nk, nj, ns) bins block, summed in 8 "
             "lanes as advect_stage sums it, and its occupancy bits."
         ),
     )
@@ -469,14 +535,19 @@ def load_stencil() -> ctypes.CDLL | None:
 
 def ring_shapes(shape: tuple[int, ...], ngroups: int) -> dict[str, tuple]:
     """The ``(shape, dtype)`` of each ring one stage of an ``(nm, ni, nk,
-    nj, ns)`` block in ``ngroups`` scalar groups needs: two rows of the
-    values, of each cell's whole-cell guard, of each group's guard, and
-    of the new bits."""
+    nj, ns)`` bins block in ``ngroups`` groups and its state block
+    needs: two rows of the state values, of the bins, of each cell's
+    three guards (empty stencil, whole cell, whole vectors), of each
+    group's two (present, whole vectors), and of the new bits."""
     nk, nj, ns = shape[2:]
     return {
+        "sout_ring": ((2, NSTATE, nk, nj), np.float64),
         "out_ring": ((2, nk, nj, ns), np.float64),
         "out_guard": ((2, nk, nj), np.uint8),
-        "out_guard1": ((2, nk, nj, ngroups), np.uint8),
+        "out_guard1": ((2, nk, nj), np.uint8),
+        "out_guard2": ((2, nk, nj), np.uint8),
+        "out_guard3": ((2, nk, nj, ngroups), np.uint8),
+        "out_guard4": ((2, nk, nj, ngroups), np.uint8),
         "occ_out_ring": ((2, nk, nj), np.uint8),
     }
 
@@ -485,9 +556,9 @@ assert set(ring_shapes((1, 1, 1, 1, 1), 1)) == set(RINGS), RINGS
 
 
 def _masks_ok(smask: np.ndarray, glo: np.ndarray, ns: int) -> bool:
-    """Whether ``smask``/``glo`` give each of the ``ns`` scalars one bit
-    of a byte (or 0) and split them in order into nonempty groups of one
-    mask (the kernel reads a group's mask at its first scalar)."""
+    """Whether ``smask``/``glo`` give each of the ``ns`` bins one bit of
+    a byte and split them in order into nonempty groups of one mask
+    (the kernel reads a group's mask at its first bin)."""
     if not (
         smask.dtype == glo.dtype == np.int64
         and smask.shape == (ns,)
@@ -498,7 +569,7 @@ def _masks_ok(smask: np.ndarray, glo: np.ndarray, ns: int) -> bool:
         and glo[0] == 0
         and glo[-1] == ns
         and bool((np.diff(glo) > 0).all())
-        and bool(np.isin(smask, [0, *(1 << np.arange(8))]).all())
+        and bool(np.isin(smask, 1 << np.arange(8)).all())
     ):
         return False
     return all((smask[a:b] == smask[a]).all() for a, b in zip(glo[:-1], glo[1:]))
@@ -506,12 +577,16 @@ def _masks_ok(smask: np.ndarray, glo: np.ndarray, ns: int) -> bool:
 
 def advect_stage(
     lib: ctypes.CDLL,
+    ss: np.ndarray,
+    sbase: np.ndarray,
+    sout: np.ndarray,
     s: np.ndarray,
     base: np.ndarray,
     out: np.ndarray,
     pos: tuple[np.ndarray, np.ndarray, np.ndarray],
     neg: tuple[np.ndarray, np.ndarray, np.ndarray],
     f: float,
+    sfloors: np.ndarray,
     floors: np.ndarray,
     mass: np.ndarray,
     cond: np.ndarray,
@@ -521,29 +596,34 @@ def advect_stage(
     swept: np.ndarray,
     rings: dict[str, np.ndarray],
 ) -> None:
-    """One fused stage ``out = max(base + f * tend(s), floors)`` on the stack.
+    """One fused stage ``out = max(base + f * tend(s), floors)`` on both blocks.
 
-    ``s``/``base``/``out`` are ``(nm, ni, nk, nj, ns)`` and may all be
-    the same block: the kernel computes each row into the rings (of
-    :func:`ring_shapes`) and stores it once the next row's plane is
-    done. ``pos``/``neg`` are the member-stacked ``(nm, ni, nk, nj)``
-    wind decompositions, ``floors``/``mass`` per-scalar, and ``cond``
-    the ``(nm, ni, nk, nj)`` condensate ``sum_n out[n] * mass[n]`` the
-    sweep writes; one C call advances every member. ``masks`` is the
-    layout's ``(smask, glo)``
-    (:meth:`repro.wrf.transport.ScalarLayout.masks`), ``occ`` the uint8
-    ``(nm, ni, nk, nj)`` occupancy bits the sweep skips by and
-    ``occ_out`` (which may be ``occ``) the bits it writes; ``swept``
-    receives each cell's count of swept species (int32). Every operand
-    must be C-contiguous: the kernel addresses them as dense arrays.
+    ``ss``/``sbase``/``sout`` are the ``(nm, ni, 3, nk, nj)`` state
+    blocks and ``s``/``base``/``out`` the ``(nm, ni, nk, nj, ns)`` bins
+    blocks; each triple may be one block: the kernel computes each row
+    into the rings (of :func:`ring_shapes`) and stores it once the next
+    row's plane is done. ``pos``/``neg`` are the member-stacked ``(nm,
+    ni, nk, nj)`` wind decompositions, ``sfloors`` the three state
+    fields' floors, ``floors``/``mass`` per bin, and ``cond`` the ``(nm,
+    ni, nk, nj)`` condensate ``sum_n out[n] * mass[n]`` the sweep
+    writes; one C call advances every member. ``masks`` is the layout's
+    ``(smask, glo)`` (:meth:`repro.wrf.transport.ScalarLayout.masks`),
+    ``occ`` the uint8 ``(nm, ni, nk, nj)`` occupancy bits the sweep
+    skips by and ``occ_out`` (which may be ``occ``) the bits it writes;
+    ``swept`` receives each cell's count of swept species (int32).
+    Every operand must be C-contiguous: the kernel addresses them as
+    dense arrays.
     """
     nm, ni, nk, nj, ns = s.shape
     smask, glo = masks
     ng = len(glo) - 1
     cells = s.shape[:4]
+    planes = (nm, ni, NSTATE, nk, nj)
     typed = (
+        *((a, planes, np.float64) for a in (ss, sbase, sout)),
         *((a, s.shape, np.float64) for a in (s, base, out)),
         *((w, cells, np.float64) for w in (*pos, *neg, cond)),
+        (sfloors, (NSTATE,), np.float64),
         *((a, (ns,), np.float64) for a in (floors, mass)),
         (occ, cells, np.uint8),
         (occ_out, cells, np.uint8),
@@ -559,46 +639,46 @@ def advect_stage(
         for a, shape, dtype in typed
     ) or not _masks_ok(smask, glo, ns):
         raise ValueError(
-            "advect_stage: operands must be C-contiguous and match the block"
+            "advect_stage: operands must be C-contiguous and match the blocks"
         )
     lib.advect_stage(
-        s, base, out,
+        ss, sbase, sout, s, base, out,
         pos[0], neg[0], pos[1], neg[1], pos[2], neg[2],
         float(f), nm, ni, nk, nj, ns,
-        floors, mass, cond, smask, ng, glo, occ, occ_out, swept,
+        sfloors, floors, mass, cond, smask, ng, glo, occ, occ_out, swept,
         *(rings[name] for name in RINGS),
     )
 
 
 def condensate(
     lib: ctypes.CDLL,
-    block: np.ndarray,
+    bins: np.ndarray,
     mass: np.ndarray,
     cond: np.ndarray,
     masks: tuple[np.ndarray, np.ndarray],
     occ: np.ndarray,
 ) -> None:
-    """Write each cell's condensate ``sum_n block[..., n] * mass[n]``
+    """Write each cell's condensate ``sum_n bins[..., n] * mass[n]``
     and its occupancy bits.
 
-    ``block`` is the ``(nm, ni, nk, nj, ns)`` superblock, ``mass`` the
-    per-scalar masses and ``cond`` the ``(nm, ni, nk, nj)`` output, all
+    ``bins`` is the ``(nm, ni, nk, nj, ns)`` bins block, ``mass`` the
+    per-bin masses and ``cond`` the ``(nm, ni, nk, nj)`` output, all
     C-contiguous float64; the sum runs in the order ``advect_stage``
     uses (:func:`lane_condensate`), so the two agree bit for bit.
     ``masks`` and ``occ`` (uint8, shaped like ``cond``) as there: each
     cell gets the bit of every species with a nonzero bin.
     """
-    nm, ni, nk, nj, ns = block.shape
+    nm, ni, nk, nj, ns = bins.shape
     smask, glo = masks
     if (
-        not all(a.flags.c_contiguous for a in (block, mass, cond, occ))
+        not all(a.flags.c_contiguous for a in (bins, mass, cond, occ))
         or mass.shape != (ns,)
-        or cond.shape != block.shape[:4]
-        or occ.shape != block.shape[:4]
+        or cond.shape != bins.shape[:4]
+        or occ.shape != bins.shape[:4]
         or occ.dtype != np.uint8
         or not _masks_ok(smask, glo, ns)
     ):
         raise ValueError(
             "condensate: operands must be C-contiguous and match the block"
         )
-    lib.condensate(block, mass, cond, nm, ni, nk, nj, ns, smask, occ)
+    lib.condensate(bins, mass, cond, nm, ni, nk, nj, ns, smask, occ)

@@ -45,12 +45,28 @@ class WindSplit:
 
     @classmethod
     def build(
-        cls, u: np.ndarray, v: np.ndarray, w: np.ndarray, dx: float, dz: float
+        cls,
+        u: np.ndarray,
+        v: np.ndarray,
+        w: np.ndarray,
+        dx: float,
+        dz: float,
+        out: list[np.ndarray] | None = None,
     ) -> "WindSplit":
+        """The split of winds ``u``, ``v``, ``w``; with ``out``, written
+        into its six arrays (``pos`` i, k, j, then ``neg`` i, k, j) by
+        the same ufuncs, so the bits are the same."""
         vels = (u, w, v)  # axis order: i, k, j
         spacings = (dx, dz, dx)
-        pos = tuple(np.maximum(vel, 0.0) / sp for vel, sp in zip(vels, spacings))
-        neg = tuple(np.minimum(vel, 0.0) / sp for vel, sp in zip(vels, spacings))
+        out = out or [None] * 6
+        pos = tuple(
+            np.divide(np.maximum(vel, 0.0, out=o), sp, out=o)
+            for vel, sp, o in zip(vels, spacings, out[:3])
+        )
+        neg = tuple(
+            np.divide(np.minimum(vel, 0.0, out=o), sp, out=o)
+            for vel, sp, o in zip(vels, spacings, out[3:])
+        )
         return cls(pos=pos, neg=neg)  # type: ignore[arg-type]
 
 

@@ -1,11 +1,12 @@
 """The WRF model driver: ranks, members, time loop, transport, physics.
 
 One :class:`WrfModel` owns the whole simulated job: the decomposition,
-one resident member-stacked superblock + FSBM drivers per rank (held
-by the worker processes under process ranks), the per-(member, rank)
+two resident member-stacked blocks + FSBM drivers per rank (held by
+the worker processes under process ranks), the per-(member, rank)
 clocks, devices for offloaded stages, and the BSP step scheduler.
 ``namelist.members`` ensemble members step together — each rank holds
-one ``(N, ni, nk, nj, nscalar)`` block, and a plain run is ``N = 1`` —
+one planar ``(N, ni, 3, nk, nj)`` state block (t, qv, w) and one
+``(N, ni, nk, nj, nbins)`` bins block, and a plain run is ``N = 1`` —
 through the same kernels, and member ``m`` of an ``N``-member run is
 bit-identical to a one-member run of that member
 (:func:`repro.wrf.namelist.member_namelist`).
@@ -31,15 +32,16 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.clock import SimClock, TimeBucket
 from repro.core.costmodel import CpuCostModel
 from repro.core.engine import OffloadEngine
+from repro.errors import ProcPoolError
 from repro.obs import tracer
 from repro.fsbm.fast_sbm import FastSBM, SbmStepStats, step_members
-from repro.fsbm.species import Species
 from repro.fsbm.state import ALL_OCCUPIED, MicroState
 from repro.grid.decomposition import Decomposition, decompose_domain
 from repro.grid.domain import DomainSpec
@@ -55,12 +57,12 @@ from repro.wrf.dynamics import (
     FLOPS_PER_CELL_TEND,
     FLOPS_PER_CELL_UPDATE,
     RK3_FRACTIONS,
-    WindSplit,
     buoyancy_w_update,
 )
 from repro.wrf.namelist import Namelist, member_namelist
-from repro.wrf.state import WrfFields, superblock_scalar_count
+from repro.wrf.state import WrfFields, rank_blocks
 from repro.wrf.transport import (
+    STATE_FIELDS,
     TransportWorkspace,
     fused_euler_advect,
     fused_rk3_advect,
@@ -154,19 +156,32 @@ def build_rank_sbm(
     )
 
 
+class RankBlocks(NamedTuple):
+    """One rank's resident storage, as the halo exchange reads it: the
+    planar ``(N, ni, 3, nk, nj)`` state block, the ``(N, ni, nk, nj,
+    nbins)`` bins block and the ``(N, ni, nk, nj)`` uint8 occupancy
+    field."""
+
+    state: np.ndarray
+    bins: np.ndarray
+    occupancy: np.ndarray
+
+
 @dataclass
 class RankState:
-    """One rank's ensemble members, resident in one stacked superblock.
+    """One rank's ensemble members, resident in two stacked blocks.
 
-    The stacked ``block`` is the only storage for the advected scalars;
-    each member's :class:`~repro.wrf.state.WrfFields` is bound into its
-    ``block[m]`` slab, so the per-member views a one-member run would
-    see are exactly the slab's columns. Non-advected per-member arrays
-    (winds, CCN, precip) live in member-stacked side arrays with the
-    member fields rebound as views, which is what lets transport build
-    one stacked :class:`~repro.wrf.dynamics.WindSplit` and microphysics
-    gather all members with one mask. The ``*_o`` arrays are the
-    owned-region (halo-free) views the physics sweep works on.
+    The stacked ``state`` (t, qv and w, each field's ``(k, j)`` planes
+    contiguous) and ``bins`` blocks are the only storage for the
+    advected scalars; each member's :class:`~repro.wrf.state.WrfFields`
+    is bound into its ``state[m]`` and ``bins[m]`` slabs, so the
+    per-member views a one-member run would see are exactly the slabs'
+    planes and columns. Non-advected per-member arrays (winds, CCN,
+    precip) live in member-stacked side arrays with the member fields
+    rebound as views, which is what lets transport build one stacked
+    :class:`~repro.wrf.dynamics.WindSplit` and microphysics gather all
+    members with one mask. The ``*_o`` arrays are the owned-region
+    (halo-free) views the physics sweep works on.
 
     ``condensate`` is every cell's condensate mass, kept current with
     the bins: filled once here, then written by each transport sweep
@@ -184,13 +199,16 @@ class RankState:
     """
 
     rank: int
-    block: np.ndarray
+    state: np.ndarray
+    bins: np.ndarray
     fields: list[WrfFields]
     clocks: list[SimClock]
     sbms: list[FastSBM]
     workspace: TransportWorkspace
     u: np.ndarray
     v: np.ndarray
+    #: The stacked w plane of the state block.
+    w: np.ndarray
     states: list[MicroState]
     #: Every species' bins, packed ``(nm, ni, nk, nj, nsp * nkr)``.
     bins_o: np.ndarray
@@ -204,16 +222,15 @@ class RankState:
     #: members share (sedimentation fall speeds): the same bits on every
     #: rank of every decomposition.
     pressure_levels: np.ndarray
-    w_start: int
-    #: Per-scalar clamp after each transport step (0.0, or -inf for t/w).
+    #: Per-bin clamp after each transport step (0.0: every bin clips).
     floors: np.ndarray
-    #: Per-scalar bin mass for the condensate sum (0 for t, qv and w).
+    #: Per-bin mass for the condensate sum.
     scalar_masses: np.ndarray
     #: Each cell's condensate ``(N, ni, nk, nj)`` (memory extents) and
     #: its owned view.
     condensate: np.ndarray
     condensate_o: np.ndarray
-    #: Which occupancy bit describes each scalar
+    #: Which occupancy bit describes each bin
     #: (:meth:`~repro.wrf.transport.ScalarLayout.masks`).
     scalar_bits: tuple[np.ndarray, np.ndarray]
     #: Each cell's occupancy bits ``(N, ni, nk, nj)`` uint8 (memory
@@ -233,23 +250,22 @@ def build_rank_state(
     namelist: Namelist,
     rank: int,
     patch,
-    block: np.ndarray,
-    occupancy: np.ndarray,
+    blocks: RankBlocks,
     clocks: list[SimClock],
     cpu_cost: CpuCostModel,
     engine: OffloadEngine | None = None,
 ) -> RankState:
-    """Construct one rank's member-stacked state inside ``block``.
+    """Construct one rank's member-stacked state inside ``blocks``.
 
-    ``block`` is the rank's ``(N, ni, nk, nj, nscalar)`` superblock and
-    ``occupancy`` its ``(N, ni, nk, nj)`` uint8 occupancy field (both
-    driver-allocated, or the rank's shared mappings inside its worker
-    process under process ranks), and ``clocks[m]`` member ``m``'s
-    clock. Member ``m``'s fields are built from its perturbed case and
-    bound into ``block[m]``.
+    ``blocks`` holds the rank's state and bins blocks and its occupancy
+    field (driver-allocated, or the rank's shared mappings inside its
+    worker process under process ranks), and ``clocks[m]`` member
+    ``m``'s clock. Member ``m``'s fields are built from its perturbed
+    case and bound into ``blocks.state[m]`` and ``blocks.bins[m]``.
     """
     nm = namelist.members
     shape = patch.shape
+    state, bins, occupancy = blocks
     fields: list[WrfFields] = []
     u = np.empty((nm, *shape))
     v = np.empty((nm, *shape))
@@ -257,7 +273,7 @@ def build_rank_state(
     precip = np.empty((nm, shape[0], shape[2]))
     for m in range(nm):
         f = build_rank_fields(namelist, rank, patch, member=m)
-        f.bind_block(buffer=block[m])
+        f.bind_block(state[m], bins[m])
         # Rebind the non-advected per-member arrays as views into the
         # member-stacked side arrays (values unchanged — plain copies).
         u[m] = f.u
@@ -271,23 +287,22 @@ def build_rank_state(
         fields.append(f)
     sl = owned_slice(patch)
     every = (slice(None), *sl)
-    slices = fields[0].layout.slices()
-    bins = [slices[f"bin_{sp.value}"] for sp in Species]
+    planes = {name: state[:, :, q] for q, name in enumerate(STATE_FIELDS)}
     p_one = fields[0].pressure_mb[sl]
     rho_one = fields[0].rho[sl]
-    scalar_masses = np.zeros(fields[0].scalar_count())
-    scalar_masses[bins[0].start : bins[-1].stop] = fields[0].micro.packed_masses
+    scalar_masses = fields[0].micro.packed_masses
     # Summed as the transport sweep sums it, so the first step's
     # predicate sees what every later one does; the bits in the same
     # read (the numpy fallback sets them all).
     bits = fields[0].layout.masks()
     condensate = np.empty((nm, *shape))
-    if not sum_condensate(block, scalar_masses, bits, condensate, occupancy):
+    if not sum_condensate(bins, scalar_masses, bits, condensate, occupancy):
         _blas_condensate(fields, condensate)
         occupancy[...] = ALL_OCCUPIED
     return RankState(
         rank=rank,
-        block=block,
+        state=state,
+        bins=bins,
         fields=fields,
         clocks=clocks,
         sbms=[build_rank_sbm(namelist, clock, cpu_cost, engine) for clock in clocks],
@@ -296,17 +311,17 @@ def build_rank_state(
         ),
         u=u,
         v=v,
+        w=planes["w"],
         states=[f.micro.view(sl) for f in fields],
-        bins_o=block[(*every, slice(bins[0].start, bins[-1].stop))],
-        t_o=block[(*every, slices["t"].start)],
-        qv_o=block[(*every, slices["qv"].start)],
+        bins_o=bins[every],
+        t_o=planes["t"][every],
+        qv_o=planes["qv"][every],
         ccn_o=ccn[every],
         precip_o=precip[:, sl[0], sl[2]],
         p_o=np.broadcast_to(p_one[None], (nm, *p_one.shape)),
         rho_o=np.broadcast_to(rho_one[None], (nm, *rho_one.shape)),
         pressure_levels=fields[0].p_mb_col[sl[1]],
-        w_start=slices["w"].start,
-        floors=fields[0].layout.floors(no_clip=("t", "w")),
+        floors=fields[0].layout.floors(),
         scalar_masses=scalar_masses,
         condensate=condensate,
         condensate_o=condensate[every],
@@ -360,40 +375,46 @@ def physics_rank(namelist: Namelist, rs: RankState) -> list[SbmStepStats]:
 def exchange_halos_rank(
     plan: HaloExchangePlan,
     rank: int,
-    blocks: list[np.ndarray],
-    occupancies: list[np.ndarray],
+    blocks: list[RankBlocks],
 ) -> None:
     """Fill one rank's halos from its neighbors' owned cells.
 
-    ``blocks[r]`` is rank ``r``'s stacked ``(N, ni, nk, nj, nscalar)``
-    superblock and ``occupancies[r]`` its occupancy field; each
-    incoming segment is one strided copy that moves every member and
-    every scalar at once, and one that moves the same cells' occupancy
-    bytes, so a halo cell's bits describe its bins. Halo writes are disjoint
-    (owned regions partition the domain, so each halo point has exactly
-    one source) and reads touch only owned regions, so ranks may pull
-    concurrently — between two barriers in the worker processes — and
-    the result never depends on the order.
+    ``blocks[r]`` is rank ``r``'s stacked state and bins blocks and its
+    occupancy field; each incoming segment is one strided copy per
+    block that moves every member and every scalar at once, and one
+    that moves the same cells' occupancy bytes, so a halo cell's bits
+    describe its bins. Halo writes are disjoint (owned regions
+    partition the domain, so each halo point has exactly one source)
+    and reads touch only owned regions, so ranks may pull concurrently
+    — between two barriers in the worker processes — and the result
+    never depends on the order.
     """
     patches = plan.decomposition.patches
     incoming = plan.segments_to(rank)
     dst = blocks[rank]
-    occ = occupancies[rank]
     with tracer.span("halo_exchange", cat="mpi") as sp:
         for seg in incoming:
-            src_sl = (slice(None), *seg.src_slices(patches[seg.src]))
-            dst_sl = (slice(None), *seg.dst_slices(patches[rank]))
-            dst[dst_sl] = blocks[seg.src][src_sl]
-            occ[dst_sl] = occupancies[seg.src][src_sl]
+            src = blocks[seg.src]
+            i, k, j = seg.src_slices(patches[seg.src])
+            di, dk, dj = seg.dst_slices(patches[rank])
+            dst.state[:, di, :, dk, dj] = src.state[:, i, :, k, j]
+            dst.bins[:, di, dk, dj] = src.bins[:, i, k, j]
+            dst.occupancy[:, di, dk, dj] = src.occupancy[:, i, k, j]
         if sp is not None:
-            nm, *_, nscalars = dst.shape
+            nm = dst.bins.shape[0]
             points = nm * sum(s.num_points for s in incoming)
             sp.set(
-                bytes=points * nscalars * dst.itemsize,
-                occupancy_bytes=points * occ.itemsize,
+                bytes=points * _cell_scalars(dst.state, dst.bins)
+                * dst.bins.itemsize,
+                occupancy_bytes=points * dst.occupancy.itemsize,
                 segments=len(incoming),
                 members=nm,
             )
+
+
+def _cell_scalars(state: np.ndarray, bins: np.ndarray) -> int:
+    """The scalars of one cell across both blocks (234)."""
+    return state.shape[2] + bins.shape[-1]
 
 
 def charge_halos_rank(
@@ -413,8 +434,8 @@ def charge_halos_rank(
     process charges only itself, so the accumulated floats are
     bit-equal across execution modes.
     """
-    nscalars = rs.block.shape[-1]
-    itemsize = rs.block.itemsize
+    nscalars = _cell_scalars(rs.state, rs.bins)
+    itemsize = rs.bins.itemsize
     for clock in rs.clocks:
         for seg in plan.segments:
             if seg.src != rs.rank and seg.dst != rs.rank:
@@ -466,7 +487,7 @@ def transport_charges(
 def transport_numerics(namelist: Namelist, rs: RankState) -> None:
     """Advect every member's scalars; apply the buoyancy updates.
 
-    Numerics: one donor-cell sweep of the whole stacked block, in place
+    Numerics: one donor-cell sweep of both stacked blocks, in place
     — single Euler stage (default) or full RK3 (``use_rk3_numerics``) —
     over one stacked wind decomposition, hoisted out of the scalar
     loop. Both are elementwise in the member axis, so member ``m``'s
@@ -486,25 +507,23 @@ def transport_numerics(namelist: Namelist, rs: RankState) -> None:
 
     The span mirrors the ``rk_scalar_tend``/``rk_update_scalar`` clock
     regions' work under one measured name; ``flops`` counts the stages
-    executed over the whole block (tendency + update per cell-scalar)
-    and ``bytes`` the superblock's minimum traffic (one read + one
-    write per stage), whatever the sweep skipped, so its rate compares
-    with a full sweep's. ``swept`` and ``skipped`` count the (cell,
-    species) pairs the stages computed and skipped.
+    executed over both blocks (tendency + update per cell-scalar)
+    and ``bytes`` the blocks' minimum traffic (one read + one write per
+    stage), whatever the sweep skipped, so its rate compares with a
+    full sweep's. ``swept`` and ``skipped`` count the (cell, species)
+    pairs the stages computed and skipped.
     """
-    block = rs.block
     dt = namelist.dt
     with tracer.span("transport", cat="transport") as sp:
-        # The freshly exchanged w halo lives in the block; advect with
-        # that wind.
-        split = WindSplit.build(
-            rs.u, rs.v, block[..., rs.w_start],
-            namelist.domain.dx, namelist.domain.dz,
+        # The freshly exchanged w halo lives in the state block; advect
+        # with that wind.
+        split = rs.workspace.wind_split(
+            rs.u, rs.v, rs.w, namelist.domain.dx, namelist.domain.dz
         )
         advect = fused_rk3_advect if namelist.use_rk3_numerics else fused_euler_advect
         swept = advect(
-            block, split, dt, rs.workspace, rs.floors, rs.scalar_masses,
-            rs.scalar_bits, rs.condensate, rs.occupancy,
+            rs.state, rs.bins, split, dt, rs.workspace, rs.floors,
+            rs.scalar_masses, rs.scalar_bits, rs.condensate, rs.occupancy,
         )
         if swept is None:
             _blas_condensate(rs.fields, rs.condensate)
@@ -513,19 +532,18 @@ def transport_numerics(namelist: Namelist, rs: RankState) -> None:
                 f.w, f.t, f.t_base_col, rs.condensate[m], f.rho, dt
             )
         if sp is not None:
-            cell_scalars = float(block.size)
+            cell_scalars = float(rs.state.size + rs.bins.size)
             stages = len(RK3_FRACTIONS) if namelist.use_rk3_numerics else 1
-            smask, glo = rs.scalar_bits
-            pairs = rs.occupancy.size * int((smask[glo[:-1]] != 0).sum())
+            pairs = rs.occupancy.size * (len(rs.scalar_bits[1]) - 1)
             done = pairs if swept is None else int(swept.sum())
             sp.set(
                 flops=cell_scalars
                 * stages
                 * (FLOPS_PER_CELL_TEND + FLOPS_PER_CELL_UPDATE),
-                bytes=2.0 * stages * cell_scalars * block.itemsize,
+                bytes=2.0 * stages * cell_scalars * rs.bins.itemsize,
                 swept=stages * done,
                 skipped=stages * (pairs - done),
-                members=block.shape[0],
+                members=rs.bins.shape[0],
             )
 
 
@@ -693,26 +711,30 @@ class WrfModel:
         self.scheduler = self.schedulers[0]
 
         # Resident fields: the advected scalars of every member live in
-        # one persistent per-rank superblock (the host analog of keeping
+        # two persistent per-rank blocks (the host analog of keeping
         # data mapped on the device between kernels). Under process
         # ranks the workers build and own every rank's state in their
-        # shared blocks, so the driver holds none.
+        # shared storage, so the driver holds none.
         self.ranks: list[RankState] = []
         if self._pool is None:
-            nscalars = superblock_scalar_count()
             for rank, patch in enumerate(self.decomposition.patches):
+                _, state, bins = rank_blocks(nm, patch.shape)
+                occupancy = np.empty((nm, *patch.shape), dtype=np.uint8)
                 self.ranks.append(
                     build_rank_state(
                         namelist,
                         rank,
                         patch,
-                        np.empty((nm, *patch.shape, nscalars)),
-                        np.empty((nm, *patch.shape), dtype=np.uint8),
+                        RankBlocks(state, bins, occupancy),
                         [row[rank] for row in self.member_clocks],
                         self.cpu_cost,
                         self.engines[rank],
                     )
                 )
+        #: Every rank's blocks, as the in-process halo exchange reads them.
+        self._blocks = [
+            RankBlocks(rs.state, rs.bins, rs.occupancy) for rs in self.ranks
+        ]
         self.fields: list[WrfFields] = [rs.fields[0] for rs in self.ranks]
         # Transport workspaces: preallocated once per rank (the host
         # analog of `target enter data map(alloc:)`), keyed by (shape,
@@ -736,6 +758,11 @@ class WrfModel:
         self.steps_done = 0
         self._sim_time = 0.0
         self._last_history = 0.0
+        #: The step whose frames the last history write produced.
+        self._history_step: int | None = None
+        #: Whether close() stopped a worker pool, which took the rank
+        #: state with it.
+        self._pool_closed = False
 
     # --- pieces of one step ------------------------------------------------------
 
@@ -754,11 +781,9 @@ class WrfModel:
         p2p time of the segments it takes part in plus the acoustic-
         substep traffic WRF's split-explicit solver would add.
         """
-        blocks = [rs.block for rs in self.ranks]
-        occupancies = [rs.occupancy for rs in self.ranks]
         for rank in range(self.namelist.num_ranks):
             with tracer.rank_scope(rank):
-                exchange_halos_rank(self.halo_plan, rank, blocks, occupancies)
+                exchange_halos_rank(self.halo_plan, rank, self._blocks)
         for rs in self.ranks:
             charge_halos_rank(
                 self.halo_plan, self.comm_cost, rs, self.namelist.num_ranks
@@ -859,8 +884,13 @@ class WrfModel:
         """Write every member's history if due; charges per-member I/O.
 
         Files are ``wrfout_d01_<step>``, with a ``_mem<m>`` suffix when
-        the run has more than one member.
+        the run has more than one member. A forced call right after a
+        step that wrote its history returns that step's frames without
+        writing or charging them again.
         """
+        nm = self.namelist.members
+        if force and self._history_step == self.steps_done:
+            return [self.gather_output(m) for m in range(nm)]
         interval = self.namelist.history_interval
         due = force or (
             interval > 0.0 and self._sim_time - self._last_history >= interval
@@ -868,7 +898,7 @@ class WrfModel:
         if not due:
             return None
         self._last_history = self._sim_time
-        nm = self.namelist.members
+        self._history_step = self.steps_done
         num_ranks = self.namelist.num_ranks
         frames: list[dict[str, np.ndarray]] = []
         for m in range(nm):
@@ -937,8 +967,12 @@ class WrfModel:
 
         Results come back in rank order either way, and each stage call
         touches only its own rank's state, so serial and pooled
-        execution are interchangeable.
+        execution are interchangeable. After :meth:`close` has stopped
+        the worker pool there is no rank state left to run on, and the
+        call raises the pool's own :class:`~repro.errors.ProcPoolError`.
         """
+        if self._pool_closed:
+            raise ProcPoolError("pool is closed")
         ranks = range(self.namelist.num_ranks)
         if self._executor is None:
             return [stage_fn(rank) for rank in ranks]
@@ -992,7 +1026,7 @@ class WrfModel:
 
         Each worker runs the identical per-rank stage sequence
         (physics, pull-model halo exchange through the shared
-        superblocks, transport) under its authoritative clocks, then
+        blocks, transport) under its authoritative clocks, then
         ships back every member's step stats and clock totals; the
         driver-side mirror clocks adopt the totals verbatim, so every
         downstream consumer (scheduler charges, profilers, history I/O)
@@ -1057,6 +1091,7 @@ class WrfModel:
         if self._pool is not None:
             self._pool.close()
             self._pool = None
+            self._pool_closed = True
         for e in self.engines:
             if e is not None:
                 e.close()

@@ -1,19 +1,21 @@
-"""True multiprocess rank execution over shared superblocks.
+"""True multiprocess rank execution over shared rank blocks.
 
 The in-process rank threads of :mod:`repro.wrf.model` time-slice one
 interpreter: numpy releases the GIL in the hot kernels, but the pure-
 Python glue between them serializes, so host wall-clock barely improves
 past two ranks. This module promotes ranks to real OS processes:
 
-* each rank's member-stacked transport superblock is an anonymous
-  shared mapping (``mmap.mmap(-1, nbytes)``: ``MAP_SHARED |
-  MAP_ANONYMOUS``, zero-filled) that the pool creates before it forks —
-  one ``(members, ni, nk, nj, nscalar)`` float64 block per rank,
+* each rank's storage is an anonymous shared mapping
+  (``mmap.mmap(-1, nbytes)``: ``MAP_SHARED | MAP_ANONYMOUS``,
+  zero-filled) that the pool creates before it forks — one float64
+  array per rank holding its member-stacked planar state block
+  ``(members, ni, 3, nk, nj)`` and its bins block ``(members, ni, nk,
+  nj, nbins)`` one after the other (:func:`repro.wrf.state.rank_blocks`),
   registered with the ``"wrf.shared_superblocks"``
   :class:`~repro.core.cache.CountingCache` so its footprint is
   observable like every other pinned buffer, and beside it, made the
   same way, the rank's ``(members, ni, nk, nj)`` uint8 occupancy
-  field. The workers inherit every rank's block and field through
+  field. The workers inherit every rank's blocks and field through
   fork (``Process(args=...)``, which the fork context does not
   pickle): nothing has a name, nothing is attached or
   unlinked, no resource-tracker process runs, and the kernel frees the
@@ -25,12 +27,11 @@ past two ranks. This module promotes ranks to real OS processes:
   write one member's owned cells into it
   (:func:`repro.wrf.model.rank_output_frame`, as in-process ranks do),
   and the replies carry no arrays. The frame is the only shared memory
-  the driver reads: it never touches a rank block, whose pages it
-  would otherwise fault in (a block's scalars share each page, so
-  reading one field reads the whole block);
+  the driver reads: it never touches a rank's blocks, whose pages it
+  would otherwise fault in;
 * each rank is a persistent worker process (forked before any
   heavyweight driver state exists) that builds and owns its rank's
-  state: its fields bound directly into its block, FSBM drivers, and
+  state: its fields bound directly into its blocks, FSBM drivers, and
   authoritative clocks (one :class:`~repro.core.clock.SimClock` per
   member). It steps all its members in lockstep with its peers;
 * the per-step halo exchange is the pull half of the
@@ -94,6 +95,7 @@ from repro.wrf import cstencil
 # module's name as well; workers build it through repro.wrf.model.
 from repro.wrf.model import build_rank_fields  # noqa: F401
 from repro.wrf.model import (
+    RankBlocks,
     build_rank_state,
     charge_halos_rank,
     cost_models,
@@ -104,7 +106,7 @@ from repro.wrf.model import (
     transport_rank,
 )
 from repro.wrf.namelist import Namelist
-from repro.wrf.state import superblock_scalar_count
+from repro.wrf.state import rank_blocks
 
 #: Default seconds a pool waits on a worker reply or a halo barrier
 #: before declaring the step dead (``REPRO_PROCPOOL_TIMEOUT`` overrides).
@@ -173,14 +175,13 @@ def _preload_compiled() -> None:
 class _RankContext:
     """Everything one worker process owns for its rank's members.
 
-    ``blocks`` holds every rank's stacked ``(N, ni, nk, nj, nscalar)``
-    shared block and ``occupancies`` every rank's shared occupancy
-    field, both inherited through fork; this rank's state lives in
-    ``blocks[rank]`` and ``occupancies[rank]``, all members step
-    together through the shared stage functions, and the gather/charge
-    commands name one member. ``frame`` is the pool's shared
-    domain-wide output frame, into which ``gather`` writes this rank's
-    owned cells.
+    ``blocks`` holds every rank's shared state and bins blocks and
+    occupancy field (:class:`~repro.wrf.model.RankBlocks`), inherited
+    through fork; this rank's state lives in ``blocks[rank]``, all
+    members step together through the shared stage functions, and the
+    gather/charge commands name one member. ``frame`` is the pool's
+    shared domain-wide output frame, into which ``gather`` writes this
+    rank's owned cells.
     """
 
     def __init__(
@@ -188,8 +189,7 @@ class _RankContext:
         rank: int,
         namelist: Namelist,
         decomposition: Decomposition,
-        blocks: list[np.ndarray],
-        occupancies: list[np.ndarray],
+        blocks: list[RankBlocks],
         frame: dict[str, np.ndarray],
         barrier,
         timeout: float,
@@ -207,14 +207,12 @@ class _RankContext:
         self.plan = build_halo_plan(decomposition)
         # The pull-model exchange reads neighbors' owned boxes directly.
         self.blocks = blocks
-        self.occupancies = occupancies
         self.frame = frame
         self.state = build_rank_state(
             namelist,
             rank,
             decomposition.patches[rank],
             blocks[rank],
-            occupancies[rank],
             self.clocks,
             self.cpu_cost,
         )
@@ -234,9 +232,7 @@ class _RankContext:
                 stack.enter_context(clock.region("solve_em"))
             stats = physics_rank(self.namelist, self.state)
             self.barrier.wait(self.timeout)
-            exchange_halos_rank(
-                self.plan, self.rank, self.blocks, self.occupancies
-            )
+            exchange_halos_rank(self.plan, self.rank, self.blocks)
             charge_halos_rank(
                 self.plan, self.comm_cost, self.state, self.num_ranks
             )
@@ -263,8 +259,7 @@ def _worker_main(
     rank: int,
     namelist: Namelist,
     decomposition: Decomposition,
-    blocks: list[np.ndarray],
-    occupancies: list[np.ndarray],
+    blocks: list[RankBlocks],
     frame: dict[str, np.ndarray],
     barrier,
     conn,
@@ -283,8 +278,7 @@ def _worker_main(
     """
     try:
         ctx = _RankContext(
-            rank, namelist, decomposition, blocks, occupancies, frame,
-            barrier, timeout,
+            rank, namelist, decomposition, blocks, frame, barrier, timeout,
         )
         conn.send(("ready", rank, tracer.drain_state()))
         while True:
@@ -342,10 +336,11 @@ class ProcRankPool:
     ``namelist.use_process_ranks`` holds (CPU stages only). The shared
     blocks are mapped and the workers forked at construction, so workers
     start lean and inherit the blocks, the preloaded compiled kernels
-    and the lookup tables. ``blocks`` and ``occupancy`` keep the
-    driver's views of the blocks and of the occupancy fields (the
-    footprint), and ``frame`` the shared output frame, until the
-    workers are joined. The driver reads only ``frame``.
+    and the lookup tables. ``blocks`` keeps the driver's view of each
+    rank's storage (the footprint: its state and bins blocks, one
+    mapping per rank) and ``occupancy`` of its occupancy field, and
+    ``frame`` the shared output frame, until the workers are joined.
+    The driver reads only ``frame``.
     """
 
     def __init__(
@@ -361,16 +356,18 @@ class ProcRankPool:
         self._procs: list = []
         self._conns: list = []
         _preload_compiled()
-        # Per rank, its block and, beside it, its occupancy field.
-        nm, nscalars = namelist.members, superblock_scalar_count()
-        self.blocks = [
-            _shared_array((nm, *patch.shape, nscalars), np.float64)
-            for patch in decomposition.patches
-        ]
-        self.occupancy = [
-            _shared_array((nm, *patch.shape), np.uint8)
-            for patch in decomposition.patches
-        ]
+        # Per rank, its storage (both blocks) and, beside it, its
+        # occupancy field.
+        nm = namelist.members
+        self.blocks = []
+        self.occupancy = []
+        rank_views = []
+        for patch in decomposition.patches:
+            storage, state, bins = rank_blocks(nm, patch.shape, _shared_array)
+            occupancy = _shared_array((nm, *patch.shape), np.uint8)
+            self.blocks.append(storage)
+            self.occupancy.append(occupancy)
+            rank_views.append(RankBlocks(state, bins, occupancy))
         # One member's domain-wide output frame, which ``gather`` fills.
         self.frame = output_frame(namelist.domain, _shared_array)
         cache = get_cache(SEGMENT_CACHE, sizeof=lambda block: block.nbytes)
@@ -387,8 +384,7 @@ class ProcRankPool:
                         rank,
                         namelist,
                         decomposition,
-                        self.blocks,
-                        self.occupancy,
+                        rank_views,
                         self.frame,
                         self._barrier,
                         child_conn,

@@ -6,13 +6,16 @@ fields. Scalar advection reads the halo; microphysics operates on the
 owned interior through views.
 
 The case builders fill each named field as its own array; the model
-then moves every advected field into its member's slab of the rank's
-resident ``(N, ni, nk, nj, nscalar)`` *superblock*
-(:meth:`WrfFields.bind_block`), where the halo exchange and the fused
-transport kernels (see :mod:`repro.wrf.transport`) see all scalars as
-one block. :attr:`WrfFields.layout` records the trailing-axis packing,
-and :meth:`advected_fields` hands out a dict built once at construction
-— the entries are the live arrays, never rebuilt.
+then moves every advected field into its member's slabs of the rank's
+two resident blocks (:meth:`WrfFields.bind_block`, :func:`rank_blocks`):
+t, qv and w into the planar ``(N, ni, 3, nk, nj)`` *state block*, each
+field's ``(k, j)`` planes contiguous as WRF stores them, and every
+species' bins into the ``(N, ni, nk, nj, nsp * nkr)`` *bins block*,
+where the halo exchange and the fused transport kernels (see
+:mod:`repro.wrf.transport`) see all scalars as two blocks.
+:attr:`WrfFields.layout` records the bins block's trailing-axis
+packing, and :meth:`advected_fields` hands out a dict built once at
+construction — the entries are the live arrays, never rebuilt.
 """
 
 from __future__ import annotations
@@ -27,17 +30,33 @@ from repro.fsbm.species import Species
 from repro.fsbm.state import MicroState
 from repro.grid.domain import Patch
 from repro.grid.indexing import owned_slice
-from repro.wrf.transport import ScalarLayout
+from repro.wrf.transport import STATE_FIELDS, ScalarLayout
 
 
-def superblock_scalar_count(nkr: int = NKR) -> int:
-    """Scalars in one transport superblock (t, qv, w + all species bins).
+def rank_blocks(
+    members: int, shape: tuple[int, int, int], alloc=np.empty, nkr: int = NKR
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One rank's storage and its two member-stacked blocks.
 
-    Matches ``WrfFields.layout.nscalars`` without constructing fields —
-    the multiprocess rank engine sizes its shared blocks from this
-    before any rank state exists.
+    ``alloc((n,))`` makes one flat float64 array of ``n`` elements (the
+    process-rank pool passes its shared-mapping allocator); returned as
+    ``(storage, state, bins)``, where ``state`` is the planar ``(members,
+    ni, 3, nk, nj)`` state block and ``bins`` the ``(members, ni, nk, nj,
+    nsp * nkr)`` bins block, C-contiguous views of ``storage`` one after
+    the other: 234 scalars per cell. Sized without constructing fields,
+    so the pool can map every rank's storage before any rank state
+    exists.
     """
-    return 3 + len(Species) * nkr
+    ni, nk, nj = shape
+    planes = (members, ni, len(STATE_FIELDS), nk, nj)
+    bins = (members, *shape, len(Species) * nkr)
+    nstate = int(np.prod(planes))
+    storage = alloc((nstate + int(np.prod(bins)),))
+    return (
+        storage,
+        storage[:nstate].reshape(planes),
+        storage[nstate:].reshape(bins),
+    )
 
 
 def base_state_column(nz: int, dz: float) -> dict[str, np.ndarray]:
@@ -99,11 +118,12 @@ class WrfFields:
     t_base_col: np.ndarray = field(default=None)  # type: ignore[assignment]
     #: Binned microphysics state at memory extents.
     micro: MicroState = field(default=None)  # type: ignore[assignment]
-    #: Trailing-axis packing of the transport superblock.
+    #: Trailing-axis packing of the bins block.
     layout: ScalarLayout = field(init=False, repr=False, default=None)  # type: ignore[assignment]
-    #: Persistent superblock slab the advected fields live in after
+    #: The state and bins slabs the advected fields live in after
     #: :meth:`bind_block` (``None`` until bound).
-    block: np.ndarray = field(init=False, repr=False, default=None)  # type: ignore[assignment]
+    state_block: np.ndarray = field(init=False, repr=False, default=None)  # type: ignore[assignment]
+    bins_block: np.ndarray = field(init=False, repr=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         shape = self.patch.shape
@@ -124,19 +144,14 @@ class WrfFields:
             self.micro = MicroState(shape=shape)
 
         self.layout = ScalarLayout(
-            entries=(
-                ("t", 1),
-                ("qv", 1),
-                ("w", 1),
-                *(
-                    (f"bin_{sp.value}", d.shape[-1])
-                    for sp, d in self.micro.dists.items()
-                ),
+            entries=tuple(
+                (f"bin_{sp.value}", d.shape[-1])
+                for sp, d in self.micro.dists.items()
             )
         )
         # Built once; the entries are the live arrays (physics mutates
         # them in place; only bind_block rebinds them, into the
-        # superblock), so consumers walk this same dict instead of
+        # blocks), so consumers walk this same dict instead of
         # rebuilding it per call.
         self._advected: dict[str, np.ndarray] = {
             "t": self.t,
@@ -146,50 +161,51 @@ class WrfFields:
         for sp, dist in self.micro.dists.items():
             self._advected[f"bin_{sp.value}"] = dist
 
-    def bind_block(self, buffer: np.ndarray) -> np.ndarray:
-        """Move the advected fields into one persistent superblock.
+    def bind_block(self, state: np.ndarray, bins: np.ndarray) -> None:
+        """Move the advected fields into the rank's two persistent blocks.
 
-        ``buffer`` is the float64 ``(ni, nk, nj, nscalar)`` slab the
-        fields will live in — this member's slice of the rank's
-        member-stacked block, itself the rank's anonymous shared block
-        inside its worker process under process ranks.
-        The current field values are copied in and ``t``/``qv``/``w``/
-        all bin distributions rebound as views into it, so the fields
-        *are* the superblock columns: physics writes land directly in
-        transport's input (the resident-data analog of keeping fields
-        mapped on the device between kernels), and neighboring worker
-        processes pull halos straight out of it without any
-        serialization. The contiguous bin region is also registered
+        ``state`` is the float64 ``(ni, 3, nk, nj)`` slab t, qv and w
+        will live in (plane ``q`` is ``STATE_FIELDS[q]``) and ``bins``
+        the float64 ``(ni, nk, nj, nscalar)`` slab of every species'
+        bins — this member's slices of the rank's member-stacked blocks
+        (:func:`rank_blocks`), themselves the rank's anonymous shared
+        storage inside its worker process under process ranks. The
+        current field values are copied in and ``t``/``qv``/``w``/all
+        bin distributions rebound as views into them, so the fields
+        *are* the blocks' planes and columns: physics writes land
+        directly in transport's input (the resident-data analog of
+        keeping fields mapped on the device between kernels), and
+        neighboring worker processes pull halos straight out of them
+        without any serialization. The bins slab is also registered
         with :meth:`MicroState.bind_packed` so moment reductions
         contract all species at once.
         """
-        expected = (*self.patch.shape, self.layout.nscalars)
-        if self.block is not None:
-            raise ConfigurationError("fields are already bound to a superblock")
-        if buffer.shape != expected or buffer.dtype != np.float64:
-            raise ConfigurationError(
-                f"superblock buffer must be float64 {expected}, got "
-                f"{buffer.dtype} {buffer.shape}"
-            )
-        slices = self.layout.slices()
+        ni, nk, nj = self.patch.shape
+        expected = {
+            "state": (ni, len(STATE_FIELDS), nk, nj),
+            "bins": (ni, nk, nj, self.layout.nscalars),
+        }
+        if self.state_block is not None:
+            raise ConfigurationError("fields are already bound to their blocks")
+        for name, buffer in (("state", state), ("bins", bins)):
+            if buffer.shape != expected[name] or buffer.dtype != np.float64:
+                raise ConfigurationError(
+                    f"{name} block must be float64 {expected[name]}, got "
+                    f"{buffer.dtype} {buffer.shape}"
+                )
+        views = {name: state[:, q] for q, name in enumerate(STATE_FIELDS)}
+        views.update({name: bins[..., sl] for name, sl in self.layout.slices().items()})
         for name, arr in list(self._advected.items()):
-            sl = slices[name]
-            view = buffer[..., sl.start] if arr.ndim == 3 else buffer[..., sl]
-            view[...] = arr
-            self._advected[name] = view
+            views[name][...] = arr
+            self._advected[name] = views[name]
         self.t = self._advected["t"]
         self.qv = self._advected["qv"]
         self.w = self._advected["w"]
-        bin_names = []
         for sp in self.micro.dists:
-            name = f"bin_{sp.value}"
-            self.micro.dists[sp] = self._advected[name]
-            bin_names.append(name)
-        start = slices[bin_names[0]].start
-        stop = slices[bin_names[-1]].stop
-        self.micro.bind_packed(buffer[..., start:stop])
-        self.block = buffer
-        return buffer
+            self.micro.dists[sp] = self._advected[f"bin_{sp.value}"]
+        self.micro.bind_packed(bins)
+        self.state_block = state
+        self.bins_block = bins
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -221,4 +237,4 @@ class WrfFields:
 
     def scalar_count(self) -> int:
         """Number of advected 3D scalars (bins count individually)."""
-        return self.layout.nscalars
+        return len(STATE_FIELDS) + self.layout.nscalars

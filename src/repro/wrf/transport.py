@@ -14,11 +14,14 @@ This module is the Python analog of the paper's stage-3 transformation:
   ``(shape, nscalars, dtype)`` and reused for the life of the run, the
   host-side ``target enter data map(alloc:)``;
 * the fused kernels below play the role of the fully ``collapse``d
-  device loop — every scalar of every ensemble member lives in one
-  contiguous ``(nm, ni, nk, nj, nscalar)`` superblock per rank (the
-  resident fields of :meth:`repro.wrf.state.WrfFields.bind_block`)
-  and is advected in a single sweep. When the system C compiler is
-  available the Euler step is one compiled pass over the block
+  device loop — every scalar of every ensemble member lives in one of
+  two contiguous member-stacked blocks per rank (the resident fields of
+  :meth:`repro.wrf.state.WrfFields.bind_block`): t, qv and w in the
+  planar ``(nm, ni, 3, nk, nj)`` state block, the way WRF stores ``t``,
+  ``moist`` and ``w`` as 3D arrays of their own, and every species' bins
+  in the ``(nm, ni, nk, nj, nbins)`` bins block — and all of them are
+  advected in a single sweep. When the system C compiler is
+  available the Euler step is one compiled pass over both blocks
   (:mod:`repro.wrf.cstencil`): every value read once and written back
   in place through a two-row ring, clipped in the store, with each
   cell's condensate summed on the way into the caller's condensate
@@ -52,13 +55,25 @@ from repro.wrf import cstencil
 from repro.wrf.dynamics import RK3_FRACTIONS, WindSplit
 
 
+#: The fields of the planar state block, in plane order.
+STATE_FIELDS = ("t", "qv", "w")
+assert len(STATE_FIELDS) == cstencil.NSTATE
+
+#: Their floors after each update: t and w are never clamped (-inf never
+#: binds), qv clamps at zero.
+STATE_FLOORS = np.array([-np.inf, 0.0, -np.inf])
+STATE_FLOORS.flags.writeable = False
+
+_STATE_UNCLAMPED = np.full(len(STATE_FIELDS), -np.inf)
+_STATE_UNCLAMPED.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class ScalarLayout:
-    """Packing of named scalars into the superblock's trailing axis.
+    """Packing of the binned species into the bins block's trailing axis.
 
-    ``entries`` is an ordered ``(name, width)`` tuple — width 1 for
-    plain 3D scalars, ``nkr`` for a binned species distribution, whose
-    bins occupy consecutive slots so each field view keeps a
+    ``entries`` is an ordered ``(name, width)`` tuple, one per species:
+    ``nkr`` bins in consecutive slots, so each field view keeps a
     contiguous trailing axis.
     """
 
@@ -83,7 +98,7 @@ class ScalarLayout:
         return out
 
     @lru_cache(maxsize=None)
-    def floors(self, no_clip: tuple[str, ...] = ("t", "w")) -> np.ndarray:
+    def floors(self, no_clip: tuple[str, ...] = ()) -> np.ndarray:
         """Per-scalar lower bound applied after each update (read-only).
 
         0.0 clamps a scalar at zero; -inf (the ``no_clip`` fields)
@@ -102,25 +117,24 @@ class ScalarLayout:
         """Which occupancy bit describes each scalar, as the stencil reads it.
 
         ``(smask, glo)``, read-only int64: ``smask[n]`` is ``1 << b`` for
-        a scalar of the ``b``-th ``bin_*`` field (the species order) and
-        0 for the others (t, qv and w), which the stencil always sweeps;
-        ``glo`` splits the scalars into groups that share one mask —
-        group ``g`` holds ``glo[g] <= n < glo[g + 1]``.
+        a scalar of the ``b``-th entry (the species order), and ``glo``
+        splits the scalars into one group per entry — group ``g`` holds
+        ``glo[g] <= n < glo[g + 1]``.
         """
-        smask, glo = [], [0]
-        nbin = 0
-        for name, width in self.entries:
-            mask = 0
-            if name.startswith("bin_"):
-                mask, nbin = 1 << nbin, nbin + 1
-            if not smask or smask[-1] != mask:
-                glo.append(glo[-1])
-            smask.extend([mask] * width)
-            glo[-1] += width
-        out = np.array(smask, dtype=np.int64), np.array(glo, dtype=np.int64)
+        smask = np.concatenate(
+            [np.full(width, 1 << b, dtype=np.int64)
+             for b, (_, width) in enumerate(self.entries)]
+        )
+        glo = np.cumsum([0, *(width for _, width in self.entries)])
+        out = smask, glo.astype(np.int64)
         for a in out:
             a.flags.writeable = False
         return out
+
+
+#: The pools :meth:`TransportWorkspace.wind_split` builds into, in
+#: ``WindSplit.build``'s ``out`` order.
+_WIND_POOLS = ("pos_i", "pos_k", "pos_j", "neg_i", "neg_k", "neg_j")
 
 
 class TransportWorkspace:
@@ -130,13 +144,15 @@ class TransportWorkspace:
     one flat pool per buffer name, sized by the largest request and
     handed out as shaped views, so repeated steps perform zero heap
     allocations. Pools are sized by request, not rounded up to a block:
-    the compiled Euler step's pools are its two-row rings
-    (:meth:`rings`: the values, the evaluated species guards and the
-    new occupancy bits) and one ``swept`` count per cell (RK3 adds the
-    block-sized ``stage``/``tend`` for its first two stages and two
-    occupancy fields; the numpy path uses ``tend``, the per-axis
-    stencil pieces ``diff``/``hi``/``lo`` and RK3's ``phi0``/``stage``).
-    ``allocations`` counts pool (re)allocations — a
+    every step's pools are the six wind pieces of :meth:`wind_split`;
+    the compiled Euler step adds its two-row rings (:meth:`rings`: the
+    values of both blocks, the evaluated guards and the new occupancy
+    bits) and one ``swept`` count per cell (RK3 adds the block-sized
+    ``stage``/``tend`` and ``state_stage``/``state_tend`` for its first
+    two stages, two occupancy fields and the unclamped floors; the
+    numpy path uses ``tend``, the per-axis stencil pieces
+    ``diff``/``hi``/``lo`` and RK3's ``phi0``/``stage``, one block after
+    the other). ``allocations`` counts pool (re)allocations — a
     reuse test can assert it stays flat across steps the same way the
     paper checks ``map(alloc:)`` happens once. ``shape`` is the block's
     grid shape without the scalar axis — the model's ``(nm, ni, nk,
@@ -176,11 +192,28 @@ class TransportWorkspace:
 
     def rings(self, shape: tuple[int, ...], ngroups: int) -> dict[str, np.ndarray]:
         """The rings one compiled stage of an ``(nm, ni, nk, nj, ns)``
-        block needs (:func:`repro.wrf.cstencil.ring_shapes`)."""
+        bins block and its state block needs
+        (:func:`repro.wrf.cstencil.ring_shapes`)."""
         return {
             name: self.buffer(name, ring, dtype)
             for name, (ring, dtype) in cstencil.ring_shapes(shape, ngroups).items()
         }
+
+    def wind_split(
+        self,
+        u: np.ndarray,
+        v: np.ndarray,
+        w: np.ndarray,
+        dx: float,
+        dz: float,
+    ) -> WindSplit:
+        """:meth:`WindSplit.build` into six of this workspace's pools.
+
+        The same ufuncs in the same order, so the same bits; the pieces
+        are valid until the next call.
+        """
+        out = [self.buffer(name, u.shape) for name in _WIND_POOLS]
+        return WindSplit.build(u, v, w, dx, dz, out=out)
 
     @property
     def nbytes(self) -> int:
@@ -231,8 +264,9 @@ def fused_upwind_tend(
     ``block`` is ``(ni, nk, nj, nscalar)``, or a member stack of them
     (``(nm, ni, nk, nj, nscalar)`` with member-stacked winds); the wind
     decomposition broadcasts over the trailing scalar axis, so one
-    sweep covers all 234 scalars — the host-side ``collapse`` of the
-    per-scalar loop.
+    sweep covers every scalar of the block — the host-side ``collapse``
+    of the per-scalar loop (the state block is swept as an ``(nm, ni,
+    nk, nj, 3)`` view).
 
     The stencil is evaluated through sliced differences into workspace
     buffers (no rolled copies): along each axis, with
@@ -299,8 +333,16 @@ def fused_upwind_tend(
     return out
 
 
+def _numpy_blocks(state, bins, floors):
+    """Each block with its floors, as the numpy stencil sweeps them: the
+    ``(nm, ni, 3, nk, nj)`` state block viewed ``(nm, ni, nk, nj, 3)``,
+    the cell axes where :func:`fused_upwind_tend` expects them."""
+    return ((bins, floors), (state.transpose(0, 1, 3, 4, 2), STATE_FLOORS))
+
+
 def fused_euler_advect(
-    block: np.ndarray,
+    state: np.ndarray,
+    bins: np.ndarray,
     split: WindSplit,
     dt: float,
     ws: TransportWorkspace,
@@ -310,25 +352,27 @@ def fused_euler_advect(
     cond: np.ndarray,
     occ: np.ndarray,
 ) -> np.ndarray | None:
-    """Single-Euler-stage donor-cell update of the member stack, in place.
+    """Single-Euler-stage donor-cell update of a rank's blocks, in place.
 
-    ``block`` is the ``(nm, ni, nk, nj, ns)`` superblock and ``split``
+    ``state`` is the planar ``(nm, ni, 3, nk, nj)`` state block (t, qv,
+    w), ``bins`` the ``(nm, ni, nk, nj, ns)`` bins block and ``split``
     the member-stacked ``(nm, ni, nk, nj)`` wind decomposition
     (``WindSplit.build`` is elementwise, so building it on stacked
     winds equals the per-member builds bit for bit). Mirrors the
     per-field ``arr += dt * rk_scalar_tend(arr, split)``, then the
-    clamp at ``floors`` (:meth:`ScalarLayout.floors`), for every
-    packed scalar of every member at once.
+    clamp at the floors (:data:`STATE_FLOORS`, and ``floors`` per bin,
+    :meth:`ScalarLayout.floors`), for every field of every member at
+    once.
 
-    ``occ`` is the block's ``(nm, ni, nk, nj)`` uint8 occupancy field
-    (bit ``sp`` clear: every bin of species ``sp`` in that cell is an
-    exact zero) and ``masks`` the layout's :meth:`ScalarLayout.masks`.
-    With the compiled stencil available the update is one pass over
-    the block: each cell skips every species whose bit is clear across
+    ``occ`` is the ``(nm, ni, nk, nj)`` uint8 occupancy field (bit
+    ``sp`` clear: every bin of species ``sp`` in that cell is an exact
+    zero) and ``masks`` the layout's :meth:`ScalarLayout.masks`. With
+    the compiled stencil available the update is one pass over both
+    blocks: each cell skips every species whose bit is clear across
     its 7-point stencil (those bins are zeros and stay zeros), each
     row is computed from unmodified rows into the workspace's rings and
     written back once the next row's plane is done, and the same sweep
-    writes each cell's condensate ``sum_n block[..., n] * mass[n]``
+    writes each cell's condensate ``sum_n bins[..., n] * mass[n]``
     into ``cond`` (``(nm, ni, nk, nj)``) in a fixed lane order and its
     new bits into ``occ``; no block-sized buffer is touched. Returns
     each cell's count of swept species (a workspace view, valid until
@@ -340,28 +384,31 @@ def fused_euler_advect(
         if sp is not None:
             sp.set(
                 compiled=lib is not None,
-                nscalars=block.shape[-1],
-                members=block.shape[0],
+                nscalars=len(STATE_FIELDS) + bins.shape[-1],
+                members=bins.shape[0],
             )
         if lib is not None:
-            swept = ws.buffer("swept", block.shape[:4], np.int32)
+            swept = ws.buffer("swept", bins.shape[:4], np.int32)
             cstencil.advect_stage(
-                lib, block, block, block, split.pos, split.neg, dt,
-                floors, mass, cond, masks, occ, occ, swept,
-                ws.rings(block.shape, len(masks[1]) - 1),
+                lib, state, state, state, bins, bins, bins,
+                split.pos, split.neg, dt, STATE_FLOORS, floors, mass, cond,
+                masks, occ, occ, swept,
+                ws.rings(bins.shape, len(masks[1]) - 1),
             )
             return swept
-        tend = ws.buffer("tend", block.shape)
-        fused_upwind_tend(block, split, tend, ws)
-        np.multiply(tend, dt, out=tend)
-        block += tend
-        np.maximum(block, floors, out=block)
+        for block, lower in _numpy_blocks(state, bins, floors):
+            tend = ws.buffer("tend", block.shape)
+            fused_upwind_tend(block, split, tend, ws)
+            np.multiply(tend, dt, out=tend)
+            block += tend
+            np.maximum(block, lower, out=block)
         occ[...] = ALL_OCCUPIED
         return None
 
 
 def fused_rk3_advect(
-    block: np.ndarray,
+    state: np.ndarray,
+    bins: np.ndarray,
     split: WindSplit,
     dt: float,
     ws: TransportWorkspace,
@@ -371,17 +418,17 @@ def fused_rk3_advect(
     cond: np.ndarray,
     occ: np.ndarray,
 ) -> np.ndarray | None:
-    """WRF-ARW's three-stage RK3 update of the member stack, in place.
+    """WRF-ARW's three-stage RK3 update of a rank's blocks, in place.
 
     The stage recurrence ``phi* = phi0 + (dt*frac) L(stage)`` runs on
     the workspace's buffers — no per-stage allocations — with the same
     stage fractions and operation order as
-    :func:`repro.wrf.dynamics.rk3_advect`, clamping at ``floors``
+    :func:`repro.wrf.dynamics.rk3_advect`, clamping at the floors
     after the last stage. Shapes and the return value as in
     :func:`fused_euler_advect`: on the compiled path the first two
-    stages go to two workspace buffers, the last stage writes ``block``
-    itself (through the same rings), and its condensate and bits are
-    the ones left in ``cond`` and ``occ``. Every stage sweeps every
+    stages go to workspace buffers, the last stage writes the blocks
+    themselves (through the same rings), and its condensate and bits
+    are the ones left in ``cond`` and ``occ``. Every stage sweeps every
     species (it reads an all-set field): the intermediate stages' bits
     would need fields of their own.
     """
@@ -390,58 +437,62 @@ def fused_rk3_advect(
         if sp is not None:
             sp.set(
                 compiled=lib is not None,
-                nscalars=block.shape[-1],
-                members=block.shape[0],
+                nscalars=len(STATE_FIELDS) + bins.shape[-1],
+                members=bins.shape[0],
             )
         if lib is not None:
-            # `block` is phi0 for every stage and receives the last one.
-            cells = block.shape[:4]
-            rings = ws.rings(block.shape, len(masks[1]) - 1)
+            # The blocks are phi0 for every stage and receive the last one.
+            cells = bins.shape[:4]
+            rings = ws.rings(bins.shape, len(masks[1]) - 1)
             every = ws.buffer("occ_all", cells, np.uint8)
             every[...] = ALL_OCCUPIED
             staged = ws.buffer("occ_stage", cells, np.uint8)
             swept = ws.buffer("swept", cells, np.int32)
-            unclamped = np.full_like(floors, -np.inf)
-            bufs = (
-                ws.buffer("stage", block.shape),
-                ws.buffer("tend", block.shape),
-            )
-            stage: np.ndarray = block
+            unclamped = ws.buffer("unclamped", floors.shape)
+            unclamped.fill(-np.inf)
+            bufs = [
+                (ws.buffer(f"state_{name}", state.shape), ws.buffer(name, bins.shape))
+                for name in ("stage", "tend")
+            ]
+            stage = (state, bins)
             for idx, frac in enumerate(RK3_FRACTIONS):
                 last = idx == len(RK3_FRACTIONS) - 1
-                out = block if last else bufs[idx]
+                out = (state, bins) if last else bufs[idx]
                 cstencil.advect_stage(
-                    lib, stage, block, out, split.pos, split.neg, dt * frac,
+                    lib, stage[0], state, out[0], stage[1], bins, out[1],
+                    split.pos, split.neg, dt * frac,
+                    STATE_FLOORS if last else _STATE_UNCLAMPED,
                     floors if last else unclamped, mass, cond, masks,
                     every, occ if last else staged, swept, rings,
                 )
                 stage = out
             return swept
-        phi0 = ws.buffer("phi0", block.shape)
-        phi0[...] = block
-        stage_buf = ws.buffer("stage", block.shape)
-        tend = ws.buffer("tend", block.shape)
-        stage = block
-        for frac in RK3_FRACTIONS:
-            fused_upwind_tend(stage, split, tend, ws)
-            np.multiply(tend, dt * frac, out=stage_buf)
-            stage_buf += phi0
-            stage = stage_buf
-        block[...] = stage
-        np.maximum(block, floors, out=block)
+        for block, lower in _numpy_blocks(state, bins, floors):
+            phi0 = ws.buffer("phi0", block.shape)
+            phi0[...] = block
+            stage_buf = ws.buffer("stage", block.shape)
+            tend = ws.buffer("tend", block.shape)
+            stage = block
+            for frac in RK3_FRACTIONS:
+                fused_upwind_tend(stage, split, tend, ws)
+                np.multiply(tend, dt * frac, out=stage_buf)
+                stage_buf += phi0
+                stage = stage_buf
+            block[...] = stage
+            np.maximum(block, lower, out=block)
         occ[...] = ALL_OCCUPIED
         return None
 
 
 def sum_condensate(
-    block: np.ndarray,
+    bins: np.ndarray,
     mass: np.ndarray,
     masks: tuple[np.ndarray, np.ndarray],
     cond: np.ndarray,
     occ: np.ndarray,
 ) -> bool:
-    """Each cell's condensate and occupancy bits of ``block``, as a sweep
-    writes them.
+    """Each cell's condensate and occupancy bits of the bins block, as a
+    sweep writes them.
 
     The compiled stencil module's ``condensate`` kernel, in the lane
     order :func:`fused_euler_advect` writes (shapes as there), in one
@@ -452,5 +503,5 @@ def sum_condensate(
     lib = cstencil.load_stencil()
     if lib is None:
         return False
-    cstencil.condensate(lib, block, mass, cond, masks, occ)
+    cstencil.condensate(lib, bins, mass, cond, masks, occ)
     return True

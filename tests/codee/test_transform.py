@@ -478,34 +478,53 @@ class TestRingRows:
         assert [lp.var for lp in plan.kernel.loops()] == ["r"]
         assert not any(lp.parallel for lp in plan.kernel.loops())
         arrays = plan.kernel.arrays()
-        # s, base and out may be one block, occ and occ_out one field:
-        # two alias groups, no restrict.
+        # ss, sbase and sout may be one state block, s, base and out one
+        # bins block, occ and occ_out one field: three alias groups, no
+        # restrict.
         groups: dict[str, set] = {}
         for name, p in arrays.items():
             if p.alias_group:
                 groups.setdefault(p.alias_group, set()).add(name)
-        assert groups == {"out": {"s", "base", "out"}, "occ_out": {"occ", "occ_out"}}
+        assert groups == {
+            "sout": {"ss", "sbase", "sout"},
+            "out": {"s", "base", "out"},
+            "occ_out": {"occ", "occ_out"},
+        }
         assert not any(arrays[n].restrict for g in groups.values() for n in g)
         # The scratch: two rows of each output's layout, and two rows of
-        # each evaluated guard (the whole-cell one and the group one).
-        for out in ("out", "occ_out"):
+        # each evaluated guard (the empty-stencil, whole-cell and
+        # whole-vector ones per cell, the group and its whole-vector one
+        # per cell and group).
+        for out in ("sout", "out", "occ_out"):
             ring = arrays[f"{out}_ring"]
             assert ring.intent == "scratch"
             assert (ring.strides, ring.ctype) == (
                 arrays[out].strides, arrays[out].ctype
             )
-        for guard, vars_ in (("out_guard", 3), ("out_guard1", 4)):
+        for guard, vars_ in (
+            ("out_guard", 3), ("out_guard1", 3), ("out_guard2", 3),
+            ("out_guard3", 4), ("out_guard4", 4),
+        ):
             assert arrays[guard].ctype == "unsigned char"
             assert len(arrays[guard].strides) == vars_
         ring_pass = next(p for p in plan.passes if p.name == "ring_rows")
         assert ring_pass.applied
         assert "s, base read only at rows r - 1 .. r + 1" in ring_pass.detail
         assert "2-row out_ring" in ring_pass.detail
-        assert "guard rings out_guard, out_guard1" in ring_pass.detail
+        assert (
+            "guard rings out_guard, out_guard1, out_guard2, out_guard3, "
+            "out_guard4 keep each evaluated guard"
+        ) in ring_pass.detail
         assert "plane by plane: s, base read at row r - 1 only at plane k" in (
             ring_pass.detail
         )
         assert "2-row occ_out_ring, plane by plane" in ring_pass.detail
+        # The state block's planes go back plane by plane too, unguarded.
+        assert (
+            "sout written back one row late through 2-row sout_ring, plane "
+            "by plane: ss, sbase read at row r - 1 only at plane k; ss, "
+            "sbase read only at rows r - 1 .. r + 1"
+        ) in ring_pass.detail
         # The proof is the pre-rewrite analysis: depth 3, kept.
         assert plan.reports["r"].parallel_depth == 3
 

@@ -21,6 +21,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.constants import CONUS12KM_DT
@@ -140,6 +141,44 @@ class TestHistorySpan:
             assert span.attrs["file_bytes"] == path.stat().st_size
             # Stored uncompressed: the file is the frame plus headers.
             assert span.attrs["bytes"] < span.attrs["file_bytes"]
+
+
+    def test_forced_final_frame_is_written_and_charged_once(self, tmp_path):
+        """Two steps with a frame due at step 2 (2 process ranks): a
+        forced final frame returns that frame without writing, tracing
+        or charging it again — one file, one span, and the I/O clocks
+        of a run that forces nothing."""
+        from repro.core.clock import TimeBucket
+
+        runs = {}
+        for final in (False, True):
+            out = tmp_path / f"final{int(final)}"
+            nl = conus12km_namelist(
+                scale=0.05, num_ranks=2, seed=19, use_process_ranks=True,
+                history_interval=2 * CONUS12KM_DT, history_path=str(out),
+                trace=True,
+            )
+            model = WrfModel(nl)
+            try:
+                result = model.run(num_steps=2, final_history=final)
+                frame = model.gather_output()
+            finally:
+                model.close()
+            spans = [e for e in tracer.drain() if e.name == "history_io"]
+            files = sorted(p.name for p in out.iterdir())
+            runs[final] = result, frame, files, len(spans)
+        plain, _, files, nspans = runs[False]
+        forced, frame, forced_files, forced_spans = runs[True]
+        assert files == forced_files == ["wrfout_d01_000002.npz"]
+        assert nspans == forced_spans == 1
+        io = [c.bucket(TimeBucket.IO) for c in plain.rank_clocks]
+        assert io[0] > 0
+        assert [c.bucket(TimeBucket.IO) for c in forced.rank_clocks] == io
+        assert plain.history == []
+        (last,) = forced.history
+        assert last.keys() == frame.keys()
+        for name, value in frame.items():
+            assert np.array_equal(last[name], value), name
 
 
 def _wall(events) -> int:

@@ -33,7 +33,7 @@ from repro.optim.stages import Stage
 from repro.wrf import cstencil
 from repro.wrf.model import WrfModel
 from repro.wrf.namelist import Namelist
-from repro.wrf.state import superblock_scalar_count
+from repro.wrf.state import rank_blocks
 from tests.wrf.test_transport_fused import _lane_condensate
 
 #: ``(ranks, nx, ny, process ranks)``: the domain's aspect ratio picks
@@ -72,11 +72,9 @@ def _namelist(layout, members, rk3, seed) -> Namelist:
 
 
 def _scalar_masses() -> np.ndarray:
-    """Per-scalar masses of the superblock layout (0 for t, qv and w)."""
+    """Per-bin masses of the bins block."""
     grids = species_bins()
-    return np.concatenate(
-        [np.zeros(3), *(grids[sp].masses for sp in Species)]
-    )
+    return np.concatenate([grids[sp].masses for sp in Species])
 
 
 @contextmanager
@@ -98,11 +96,10 @@ def _stencil(engine: str):
 def _assert_field_is_current(model: WrfModel, engine: str, when: str) -> None:
     """Each rank's condensate equals the sum of its current bins."""
     mass = _scalar_masses()
-    bins = slice(3, superblock_scalar_count())
     if model._pool is None:
         for rs in model.ranks:
             if engine == "compiled":
-                want = _lane_condensate(rs.block, mass)
+                want = _lane_condensate(rs.bins, mass)
             else:
                 want = np.stack(
                     [f.micro.total_condensate_mass() for f in rs.fields]
@@ -113,13 +110,15 @@ def _assert_field_is_current(model: WrfModel, engine: str, when: str) -> None:
         return
     # Process ranks: the workers own the field; the model reads it
     # through the output frames, and the bins through the shared blocks.
-    for m in range(model.namelist.members):
+    nm = model.namelist.members
+    for m in range(nm):
         got = model.gather_output(m)["QCLOUD_TOTAL"]
-        for patch, block in zip(model.decomposition.patches, model._pool.blocks):
+        for patch, storage in zip(model.decomposition.patches, model._pool.blocks):
+            _, _, bins = rank_blocks(nm, patch.shape, lambda _: storage)
             if engine == "compiled":
-                full = _lane_condensate(block[m], mass)
+                full = _lane_condensate(bins[m], mass)
             else:
-                full = block[m][..., bins] @ mass[bins]
+                full = bins[m] @ mass
             sl = (patch.i.to_slice(1), patch.k.to_slice(1), patch.j.to_slice(1))
             assert np.array_equal(got[sl], full[owned_slice(patch)]), (
                 f"rank {patch.rank} member {m} condensate is stale {when}"

@@ -163,23 +163,26 @@ class TestMembersEqualSoloRuns:
 
 class TestMembersOneDegenerates:
     def test_single_member_layout_is_solo_layout(self):
-        """members=1 keeps today's resident-superblock field binding."""
+        """members=1 keeps today's resident-block field binding."""
         nl = _namelist(1)
         ens = EnsembleModel(nl)
         try:
             (rank,) = ens.ranks
-            assert rank.block.shape[0] == 1
+            assert rank.state.shape[0] == 1
+            assert rank.bins.shape[0] == 1
             (fields,) = rank.fields
-            # The member's advected scalars are views into the slab —
-            # the same aliasing a solo WrfModel's superblock binding
+            # The member's advected scalars are views into the slabs —
+            # the same aliasing a solo WrfModel's block binding
             # produces, so members=1 adds a leading axis and nothing
             # else.
-            assert fields.block.base is rank.block or np.shares_memory(
-                fields.block, rank.block
-            )
+            for mine, stacked in (
+                (fields.state_block, rank.state), (fields.bins_block, rank.bins)
+            ):
+                assert mine.base is stacked or np.shares_memory(mine, stacked)
             solo = WrfModel(member_namelist(nl, 0))
             try:
-                assert fields.block.shape == solo.fields[0].block.shape
+                assert fields.state_block.shape == solo.fields[0].state_block.shape
+                assert fields.bins_block.shape == solo.fields[0].bins_block.shape
             finally:
                 solo.close()
         finally:

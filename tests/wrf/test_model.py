@@ -132,14 +132,40 @@ class TestDeterminism:
 
 
 class TestSuperblockFields:
-    """Persistent superblock residency: same physics, no per-step pack."""
+    """Persistent block residency: same physics, no per-step pack."""
 
     def test_fields_are_views_into_block(self, baseline_result):
         model, _ = baseline_result
         for f in model.fields:
-            assert f.block is not None
+            assert f.state_block is not None and f.bins_block is not None
             assert f.t.base is not None  # a view, not its own storage
-            assert np.shares_memory(f.t, f.block)
+            assert np.shares_memory(f.t, f.state_block)
+            assert np.shares_memory(f.micro.packed, f.bins_block)
+
+    def test_every_member_views_the_two_blocks(self):
+        """Each member's t, qv and w are planes of the state block with
+        unit stride along j, and each species' bins are columns of the
+        bins block: views, never copies."""
+        nl = conus12km_namelist(scale=0.04, num_ranks=2, members=2, seed=3)
+        model = WrfModel(nl)
+        try:
+            for rs in model.ranks:
+                assert rs.state.shape[2] == 3
+                for m, f in enumerate(rs.fields):
+                    for q, name in enumerate(("t", "qv", "w")):
+                        plane = getattr(f, name)
+                        assert plane.strides[-1] == plane.itemsize
+                        assert np.shares_memory(plane, rs.state)
+                        assert plane.__array_interface__["data"][0] == (
+                            rs.state[m, :, q].__array_interface__["data"][0]
+                        )
+                        assert not np.shares_memory(plane, rs.bins)
+                    for dist in f.micro.dists.values():
+                        assert np.shares_memory(dist, rs.bins[m])
+                        assert not np.shares_memory(dist, rs.state)
+                    assert np.shares_memory(rs.w[m], f.w)
+        finally:
+            model.close()
 
     def test_native_physics_off_matches_default(self, monkeypatch):
         """The compiled physics kernels must not change the model's

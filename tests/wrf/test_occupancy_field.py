@@ -38,6 +38,7 @@ from repro.fsbm.state import ALL_OCCUPIED
 from repro.wrf import cstencil
 from repro.wrf import model as wrf_model
 from repro.wrf.model import WrfModel
+from repro.wrf.state import rank_blocks
 from tests.wrf.test_condensate_field import LAYOUTS, _namelist
 
 #: Engine name -> the kill switch that selects it ("" = compiled).
@@ -65,27 +66,33 @@ def _engine(name: str):
                 os.environ[env] = old
 
 
-def _hidden(block: np.ndarray, occ: np.ndarray) -> int:
+def _hidden(bins: np.ndarray, occ: np.ndarray) -> int:
     """How many (cell, species) pairs hold a nonzero bin under a clear
-    bit, over every memory-extent cell of a rank's block."""
+    bit, over every memory-extent cell of a rank's bins block."""
     nsp = len(Species)
-    bins = block[..., 3 : 3 + nsp * NKR].reshape(*block.shape[:4], nsp, NKR)
+    bins = bins.reshape(*bins.shape[:4], nsp, NKR)
     nonzero = (bins != 0.0).any(axis=-1)
     clear = ((occ[..., None] >> np.arange(nsp)) & 1) == 0
     return int((nonzero & clear).sum())
 
 
 def _rank_fields(model: WrfModel):
-    """Every rank's ``(block, occupancy)``: the rank states in process,
+    """Every rank's ``(bins, occupancy)``: the rank states in process,
     the shared mappings under process ranks."""
     if model._pool is None:
-        return [(rs.block, rs.occupancy) for rs in model.ranks]
-    return list(zip(model._pool.blocks, model._pool.occupancy))
+        return [(rs.bins, rs.occupancy) for rs in model.ranks]
+    nm = model.namelist.members
+    return [
+        (rank_blocks(nm, patch.shape, lambda _, s=storage: s)[2], occ)
+        for patch, storage, occ in zip(
+            model.decomposition.patches, model._pool.blocks, model._pool.occupancy
+        )
+    ]
 
 
 def _assert_no_hidden_bins(model: WrfModel, when: str) -> None:
-    for rank, (block, occ) in enumerate(_rank_fields(model)):
-        hidden = _hidden(block, occ)
+    for rank, (bins, occ) in enumerate(_rank_fields(model)):
+        hidden = _hidden(bins, occ)
         assert hidden == 0, (
             f"rank {rank}: {hidden} (cell, species) pairs hold bins under a "
             f"clear bit {when}"
@@ -107,7 +114,7 @@ class TestOccupancyField:
         original = wrf_model.transport_numerics
 
         def checked(namelist, rs):
-            hidden = _hidden(rs.block, rs.occupancy)
+            hidden = _hidden(rs.bins, rs.occupancy)
             assert hidden == 0, (
                 f"rank {rs.rank}: {hidden} (cell, species) pairs hold bins "
                 "under a clear bit before transport"
@@ -163,7 +170,7 @@ def _outputs(model: WrfModel, timings) -> dict:
     """Everything a step leaves: fields, frames, stats, clocks."""
     nm = model.namelist.members
     return {
-        "blocks": [rs.block.copy() for rs in model.ranks],
+        "blocks": [b.copy() for rs in model.ranks for b in (rs.state, rs.bins)],
         "condensate": [rs.condensate.copy() for rs in model.ranks],
         "frames": [model.gather_output(m) for m in range(nm)],
         "stats": [repr(t.sbm_stats) for t in timings],

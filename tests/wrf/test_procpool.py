@@ -95,6 +95,19 @@ class TestPoolLifecycle:
         with pytest.raises(ProcPoolError, match="closed"):
             pool.step()
 
+    def test_closed_model_raises_the_pools_error(self):
+        """After close() the workers, and the rank state they owned, are
+        gone: reading fields or stepping says so, in the pool's words."""
+        from repro.wrf.model import WrfModel
+
+        model = WrfModel(_namelist())
+        model.step()
+        model.close()
+        with pytest.raises(ProcPoolError, match="pool is closed"):
+            model.gather_output()
+        with pytest.raises(ProcPoolError, match="pool is closed"):
+            model.step()
+
     def test_worker_crash_mid_step_raises_and_tears_down(self):
         pool = _pool(timeout=15.0)
         mappings = [weakref.ref(b.base) for b in pool.blocks]

@@ -1,13 +1,13 @@
-"""The fused superblock transport engine vs. the per-field reference.
+"""The fused two-block transport engine vs. the per-field reference.
 
 The contract under test: the fused kernels (sliced numpy stencil or
-compiled C stencil) on a member-stacked superblock reproduce the
-per-field ``rk_scalar_tend``/``rk3_advect`` numerics of every member to
-~1e-14 — the per-field loop lives here, as the oracle — the compiled
-in-place sweep equals the numpy path bit for bit (modulo signed zeros)
-and sums each cell's condensate in a fixed lane order, and the model
-performs zero heap allocations after warmup (the ``map(alloc:)``
-analogy) while pinning no block-sized buffer.
+compiled C stencil) on a rank's member-stacked planar state block and
+bins block reproduce the per-field ``rk_scalar_tend``/``rk3_advect``
+numerics of every member to ~1e-14 — the per-field loop lives here, as
+the oracle — the compiled in-place sweep equals the numpy path bit for
+bit (modulo signed zeros) and sums each cell's condensate in a fixed
+lane order, and the model performs zero heap allocations after warmup
+(the ``map(alloc:)`` analogy) while pinning no block-sized buffer.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from repro.wrf.dynamics import (
 from repro.wrf.model import WrfModel
 from repro.wrf.namelist import conus12km_namelist
 from repro.wrf.transport import (
+    STATE_FLOORS,
     ScalarLayout,
     TransportWorkspace,
     fused_euler_advect,
@@ -58,6 +59,18 @@ def _random_problem(rng, shape4, members=None):
     return split, block
 
 
+def _random_blocks(rng, shape4, members):
+    """Winds and a member stack of both blocks: the planar ``(members,
+    ni, 3, nk, nj)`` state block and the ``(members, ni, nk, nj, ns)``
+    bins block of ``shape4 = (ni, nk, nj, ns)``."""
+    ni, nk, nj, ns = shape4
+    split, bins = _random_problem(rng, shape4, members)
+    state = np.ascontiguousarray(
+        rng.uniform(-1.0, 2.0, size=(members, ni, 3, nk, nj))
+    )
+    return split, state, bins
+
+
 def _member_split(split, m):
     return WindSplit(
         pos=tuple(p[m] for p in split.pos), neg=tuple(n[m] for n in split.neg)
@@ -72,8 +85,8 @@ def _reference_tend(block, split):
 
 
 def _one_group(ns):
-    """Masks that make every scalar one always-swept group (no bits)."""
-    return np.zeros(ns, dtype=np.int64), np.array([0, ns], dtype=np.int64)
+    """Masks that make every bin one group of species bit 0."""
+    return np.ones(ns, dtype=np.int64), np.array([0, ns], dtype=np.int64)
 
 
 def _floors(clipped):
@@ -81,36 +94,42 @@ def _floors(clipped):
     return np.where(np.asarray(clipped, dtype=bool), 0.0, -np.inf)
 
 
-def _lane_condensate(block, mass, lanes=cstencil.CONDENSATE_LANES):
-    """The kernel's fixed-order condensate: lane ``n % lanes`` sums
-    ``block[..., n] * mass[n]`` over ascending ``n`` from 0.0, then the
-    lanes add up in order."""
-    prod = block * mass
-    acc = np.zeros((*block.shape[:-1], lanes))
-    for n in range(block.shape[-1]):
-        acc[..., n % lanes] += prod[..., n]
+def _lane_condensate(bins, mass, lanes=cstencil.CONDENSATE_LANES):
+    """The kernel's fixed-order condensate: lane ``(n + LANE_OFFSET) %
+    lanes`` sums ``bins[..., n] * mass[n]`` over ascending ``n`` from
+    0.0, then the lanes add up in order."""
+    prod = bins * mass
+    acc = np.zeros((*bins.shape[:-1], lanes))
+    for n in range(bins.shape[-1]):
+        acc[..., (n + cstencil.LANE_OFFSET) % lanes] += prod[..., n]
     total = acc[..., 0].copy()
     for lane in range(1, lanes):
         total += acc[..., lane]
     return total
 
 
-def _per_field_advect(block, split, dt, clipped, rk3):
-    """The per-field oracle: every scalar of every member advected on
-    its own through ``rk_scalar_tend``/``rk3_advect``."""
-    ref = block.copy()
-    for m in range(block.shape[0]):
-        msplit = _member_split(split, m)
-        for n in range(block.shape[-1]):
-            col = np.ascontiguousarray(ref[m, ..., n])
+def _per_field_advect(state, bins, split, dt, clipped, rk3):
+    """The per-field oracle: every field of every member advected on
+    its own through ``rk_scalar_tend``/``rk3_advect`` — the state
+    planes clipped as :data:`STATE_FLOORS` says, the bins as
+    ``clipped`` says."""
+    fields = [(state[:, :, q], STATE_FLOORS[q] == 0.0) for q in range(3)]
+    fields += [(bins[..., n], clipped[n]) for n in range(bins.shape[-1])]
+    out = []
+    for arr, clip in fields:
+        ref = arr.copy()
+        for m in range(ref.shape[0]):
+            msplit = _member_split(split, m)
+            col = np.ascontiguousarray(ref[m])
             if rk3:
-                rk3_advect(col, msplit, dt, clip_negative=clipped[n])
+                rk3_advect(col, msplit, dt, clip_negative=clip)
             else:
                 col += dt * rk_scalar_tend(col, msplit)
-                if clipped[n]:
+                if clip:
                     np.maximum(col, 0.0, out=col)
-            ref[m, ..., n] = col
-    return ref
+            ref[m] = col
+        out.append(ref)
+    return np.stack(out[:3], axis=2), np.stack(out[3:], axis=-1)
 
 
 class TestFusedTendProperty:
@@ -134,11 +153,11 @@ class TestFusedTendProperty:
     )
     def test_fused_advect_matches_per_field(self, shape4, members, seed, rk3):
         """Fused Euler/RK3 (whichever stencil backend is active) on a
-        member stack vs. the per-field reference of each member,
-        including the per-scalar clip mask — so no stencil reads across
-        a member boundary."""
+        member stack of both blocks vs. the per-field reference of each
+        member, including the per-scalar clip mask — so no stencil reads
+        across a member boundary."""
         rng = np.random.default_rng(seed)
-        split, block = _random_problem(rng, shape4, members)
+        split, state, bins = _random_blocks(rng, shape4, members)
         ns = shape4[3]
         layout = ScalarLayout(
             entries=tuple((f"s{n}", 1) for n in range(ns))
@@ -147,30 +166,34 @@ class TestFusedTendProperty:
         floors = layout.floors(no_clip=no_clip)
         dt = 3.0
         clipped = [f"s{n}" not in no_clip for n in range(ns)]
-        ref = _per_field_advect(block, split, dt, clipped, rk3)
-        ws = TransportWorkspace(block.shape[:4], ns)
+        want_state, want_bins = _per_field_advect(
+            state, bins, split, dt, clipped, rk3
+        )
+        ws = TransportWorkspace(bins.shape[:4], ns)
         advect = fused_rk3_advect if rk3 else fused_euler_advect
-        cells = block.shape[:4]
+        cells = bins.shape[:4]
         advect(
-            block, split, dt, ws, floors, np.ones(ns), layout.masks(),
+            state, bins, split, dt, ws, floors, np.ones(ns), layout.masks(),
             np.empty(cells), all_occupied(cells),
         )
-        np.testing.assert_allclose(block, ref, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(state, want_state, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(bins, want_bins, rtol=0.0, atol=1e-13)
 
 
-def _numpy_advect(advect, block, split, dt, floors, mass):
-    """``advect`` on a copy of ``block`` with the stencil switched off."""
+def _numpy_advect(advect, state, bins, split, dt, floors, mass, masks=None):
+    """``advect`` on copies of both blocks with the stencil switched off."""
     import os
 
-    got = block.copy()
+    got = state.copy(), bins.copy()
     os.environ[cstencil.DISABLE_ENV] = "1"
     try:
-        ws = TransportWorkspace(block.shape[:4], block.shape[-1])
-        cond = np.full(block.shape[:4], np.nan)
-        occ = np.zeros(block.shape[:4], dtype=np.uint8)
+        cells = bins.shape[:4]
+        ws = TransportWorkspace(cells, bins.shape[-1])
+        cond = np.full(cells, np.nan)
+        occ = np.zeros(cells, dtype=np.uint8)
         assert advect(
-            got, split, dt, ws, floors, mass, _one_group(block.shape[-1]),
-            cond, occ,
+            *got, split, dt, ws, floors, mass,
+            _one_group(bins.shape[-1]) if masks is None else masks, cond, occ,
         ) is None
         # The fallback leaves the condensate to its caller and sets
         # every occupancy bit.
@@ -183,7 +206,8 @@ def _numpy_advect(advect, block, split, dt, floors, mass):
 
 #: Draws for the in-place sweep: 1-3 members, extents including 1 (a
 #: one-row member makes every row both a first and a last row of the
-#: ring), and a clip flag per scalar.
+#: ring), bin counts around the 8-lane blocks of the condensate, and a
+#: clip flag per bin.
 SWEEPS = dict(
     shape4=st.tuples(
         st.integers(1, 7), st.integers(1, 6), st.integers(1, 5),
@@ -197,15 +221,15 @@ SWEEPS = dict(
 
 def _sweep_problem(shape4, members, seed, clip_bits):
     rng = np.random.default_rng(seed)
-    split, block = _random_problem(rng, shape4, members)
+    split, state, bins = _random_blocks(rng, shape4, members)
     ns = shape4[3]
     floors = _floors([(clip_bits >> n) & 1 for n in range(ns)])
     mass = rng.uniform(0.0, 1.0, ns) * (rng.random(ns) < 0.8)
-    return split, block, floors, mass
+    return split, state, bins, floors, mass
 
 
-#: Draws for the sparse sweep: three always-swept scalars, then 1-7
-#: species of any width, most of them absent from most cells.
+#: Draws for the sparse sweep: 1-7 species of any width, most of them
+#: absent from most cells.
 SPARSE = dict(
     shape3=st.tuples(st.integers(1, 7), st.integers(1, 6), st.integers(1, 5)),
     members=st.integers(1, 3),
@@ -215,42 +239,36 @@ SPARSE = dict(
 )
 
 
-def _bits_of(block, masks):
-    """Each cell's exact occupancy bits: the mask of every scalar with
-    a nonzero value."""
+def _bits_of(bins, masks):
+    """Each cell's exact occupancy bits: the mask of every bin with a
+    nonzero value."""
     smask, _ = masks
-    bits = np.zeros(block.shape[:-1], dtype=np.uint8)
+    bits = np.zeros(bins.shape[:-1], dtype=np.uint8)
     for n, mask in enumerate(smask):
-        bits |= np.where(block[..., n] != 0.0, mask, 0).astype(np.uint8)
+        bits |= np.where(bins[..., n] != 0.0, mask, 0).astype(np.uint8)
     return bits
 
 
-def _sparse_problem(shape3, members, nsp, width, seed):
-    """A grouped block in which each (cell, species) is absent (exact
-    zeros) with probability 0.7, and a valid occupancy field for it:
-    its exact bits plus random extra set bits."""
+def _sparse_problem(shape3, members, nsp, width, seed, density=0.3):
+    """A bins block in which each (cell, species) is present with
+    probability ``density`` (absent: exact zeros), and a valid occupancy
+    field for it: its exact bits plus random extra set bits."""
     rng = np.random.default_rng(seed)
-    layout = ScalarLayout(
-        entries=(
-            ("t", 1), ("qv", 1), ("w", 1),
-            *((f"bin_{n}", width) for n in range(nsp)),
-        )
-    )
+    layout = ScalarLayout(entries=tuple((f"bin_{n}", width) for n in range(nsp)))
     ns = layout.nscalars
-    split, block = _random_problem(rng, (*shape3, ns), members)
+    split, state, bins = _random_blocks(rng, (*shape3, ns), members)
     masks = layout.masks()
     glo = masks[1]
-    cells = block.shape[:4]
-    for g in range(1, nsp + 1):
-        present = rng.random((*cells, 1)) < 0.3
-        block[..., glo[g]:glo[g + 1]] = np.where(
+    cells = bins.shape[:4]
+    for g in range(nsp):
+        present = rng.random((*cells, 1)) < density
+        bins[..., glo[g]:glo[g + 1]] = np.where(
             present, rng.uniform(0.0, 2.0, (*cells, width)), 0.0
         )
-    extra = (rng.random((*cells, 8)) < 0.1) << np.arange(8)
-    occ = _bits_of(block, masks) | extra.sum(axis=-1).astype(np.uint8)
-    mass = np.concatenate([np.zeros(3), rng.uniform(0.1, 1.0, ns - 3)])
-    floors = layout.floors(no_clip=("t", "w"))
-    return split, block, masks, occ, mass, floors
+    extra = (rng.random((*cells, 8)) < 0.1 * (density > 0)) << np.arange(8)
+    occ = _bits_of(bins, masks) | extra.sum(axis=-1).astype(np.uint8)
+    mass = rng.uniform(0.1, 1.0, ns)
+    return split, state, bins, masks, occ, mass, layout.floors(), rng
 
 
 def _stencil_or(occ):
@@ -264,6 +282,18 @@ def _stencil_or(occ):
     return out
 
 
+def _edge_cells(rng, cells, count):
+    """``count`` random cells on a patch face of a random member: first
+    or last row, plane or column, so a member boundary too."""
+    picked = []
+    for _ in range(count):
+        at = [int(rng.integers(0, n)) for n in cells]
+        axis = int(rng.integers(1, 4))
+        at[axis] = int(rng.choice([0, cells[axis] - 1]))
+        picked.append(tuple(at))
+    return picked
+
+
 @pytest.mark.skipif(
     cstencil.load_stencil() is None,
     reason=f"compiled stencil unavailable: {cstencil.load_error}",
@@ -275,33 +305,81 @@ class TestSparseSweep:
         self, shape3, members, nsp, width, seed
     ):
         """In place, a sweep that skips the species its (valid, sparse)
-        occupancy marks empty gives the all-set sweep's block,
+        occupancy marks empty gives the all-set sweep's blocks,
         condensate and new bits exactly; the bits are exact, and each
         cell counts the species set in its stencil's OR as swept."""
-        split, block, masks, occ, mass, floors = _sparse_problem(
+        split, state, bins, masks, occ, mass, floors, _ = _sparse_problem(
             shape3, members, nsp, width, seed
         )
-        cells = block.shape[:4]
-        ns = block.shape[-1]
+        cells = bins.shape[:4]
+        ns = bins.shape[-1]
         runs = []
         for bits in (occ.copy(), all_occupied(cells)):
-            got, cond = block.copy(), np.empty(cells)
+            got, cond = (state.copy(), bins.copy()), np.empty(cells)
             swept = fused_euler_advect(
-                got, split, 3.0, TransportWorkspace(cells, ns), floors, mass,
+                *got, split, 3.0, TransportWorkspace(cells, ns), floors, mass,
                 masks, cond, bits,
             )
             runs.append((got, cond, bits, swept.copy()))
         (sparse, cond, bits, swept), (dense, want_cond, want_bits, all_swept) = runs
-        assert np.array_equal(sparse, dense)
+        assert np.array_equal(sparse[0], dense[0])
+        assert np.array_equal(sparse[1], dense[1])
         assert np.array_equal(cond, want_cond)
         assert np.array_equal(bits, want_bits)
-        assert np.array_equal(bits, _bits_of(dense, masks))
+        assert np.array_equal(bits, _bits_of(dense[1], masks))
         species = np.uint8((1 << nsp) - 1)
         live = _stencil_or(occ) & species
         assert np.array_equal(
             swept, np.unpackbits(live[..., None], axis=-1).sum(axis=-1)
         )
         assert (all_swept == nsp).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        **SPARSE,
+        density=st.sampled_from([0.0, 0.02, 0.3]),
+        empty_planes=st.integers(0, 6),
+        lone=st.integers(0, 4),
+        rk3=st.booleans(),
+    )
+    def test_empty_planes_and_lone_cells_match_the_numpy_path(
+        self, shape3, members, nsp, width, seed, density, empty_planes,
+        lone, rk3,
+    ):
+        """Sparse blocks with whole empty ``(row, plane)``s and lone live
+        cells on patch faces and member boundaries: the compiled sweep
+        (Euler, or RK3) equals the numpy fallback's blocks (== treats
+        -0.0 and 0.0 as equal), and the condensate and bits it leaves
+        are what the ``condensate`` kernel computes from the result."""
+        split, state, bins, masks, occ, mass, floors, rng = _sparse_problem(
+            shape3, members, nsp, width, seed, density
+        )
+        cells = bins.shape[:4]
+        glo = masks[1]
+        for _ in range(empty_planes):
+            m, i, k = (int(rng.integers(0, n)) for n in cells[:3])
+            bins[m, i, k] = 0.0
+            occ[m, i, k] = 0
+        for at in _edge_cells(rng, cells, lone):
+            g = int(rng.integers(0, nsp))
+            bins[(*at, slice(glo[g], glo[g + 1]))] = rng.uniform(0.5, 2.0, width)
+            occ[at] |= np.uint8(1 << g)
+        assert not (_bits_of(bins, masks) & ~occ).any()  # a valid field
+        advect = fused_rk3_advect if rk3 else fused_euler_advect
+        want = _numpy_advect(advect, state, bins, split, 3.0, floors, mass, masks)
+        cond = np.empty(cells)
+        assert advect(
+            state, bins, split, 3.0, TransportWorkspace(cells, bins.shape[-1]),
+            floors, mass, masks, cond, occ,
+        ) is not None
+        assert np.array_equal(state, want[0])
+        assert np.array_equal(bins, want[1])
+        filled = np.empty(cells)
+        exact = np.zeros(cells, dtype=np.uint8)
+        assert sum_condensate(bins, mass, masks, filled, exact)
+        assert np.array_equal(cond, filled)
+        assert np.array_equal(occ, exact)
+        assert np.array_equal(cond, _lane_condensate(bins, mass))
 
 
 @pytest.mark.skipif(
@@ -314,25 +392,28 @@ class TestCompiledStencil:
     def test_c_path_matches_numpy_path(
         self, shape4, members, seed, clip_bits, rk3
     ):
-        """One compiled pass, in place through the ring, gives the numpy
-        fused path's values (== treats -0.0 and 0.0 as equal) and the
-        fixed-lane-order condensate of the values it stored. RK3 runs
-        its stages through the same ring kernel with the output apart
-        from the stage input (the last stage writes the block that is
-        also ``phi0``) and returns the last stage's condensate."""
-        split, block, floors, mass = _sweep_problem(
+        """One compiled pass, in place through the rings, gives the numpy
+        fused path's values (== treats -0.0 and 0.0 as equal) in both
+        blocks and the fixed-lane-order condensate of the bins it
+        stored. RK3 runs its stages through the same ring kernel with
+        the outputs apart from the stage inputs (the last stage writes
+        the blocks that are also ``phi0``) and returns the last stage's
+        condensate."""
+        split, state, bins, floors, mass = _sweep_problem(
             shape4, members, seed, clip_bits
         )
         advect = fused_rk3_advect if rk3 else fused_euler_advect
-        want = _numpy_advect(advect, block, split, 3.0, floors, mass)
-        ws = TransportWorkspace(block.shape[:4], shape4[3])
-        cond = np.empty(block.shape[:4])
-        occ = all_occupied(block.shape[:4])
+        want = _numpy_advect(advect, state, bins, split, 3.0, floors, mass)
+        ws = TransportWorkspace(bins.shape[:4], shape4[3])
+        cond = np.empty(bins.shape[:4])
+        occ = all_occupied(bins.shape[:4])
         assert advect(
-            block, split, 3.0, ws, floors, mass, _one_group(shape4[3]), cond, occ
+            state, bins, split, 3.0, ws, floors, mass, _one_group(shape4[3]),
+            cond, occ,
         ) is not None
-        assert np.array_equal(block, want)
-        assert np.array_equal(cond, _lane_condensate(block, mass))
+        assert np.array_equal(state, want[0])
+        assert np.array_equal(bins, want[1])
+        assert np.array_equal(cond, _lane_condensate(bins, mass))
 
     @settings(max_examples=15, deadline=None)
     @given(**{**SWEEPS, "members": st.integers(2, 4)})
@@ -340,23 +421,23 @@ class TestCompiledStencil:
         self, shape4, members, seed, clip_bits
     ):
         """The stencil folds the members' rows into one row loop; each
-        member's slice, and its condensate, must equal a one-member call
+        member's slices, and its condensate, must equal a one-member call
         exactly."""
-        split, block, floors, mass = _sweep_problem(
+        split, state, bins, floors, mass = _sweep_problem(
             shape4, members, seed, clip_bits
         )
         ns = shape4[3]
-        stacked = block.copy()
-        cond = np.empty(block.shape[:4])
+        stacked = state.copy(), bins.copy()
+        cond = np.empty(bins.shape[:4])
         fused_euler_advect(
-            stacked, split, 3.0, TransportWorkspace(block.shape[:4], ns),
-            floors, mass, _one_group(ns), cond, all_occupied(block.shape[:4]),
+            *stacked, split, 3.0, TransportWorkspace(bins.shape[:4], ns),
+            floors, mass, _one_group(ns), cond, all_occupied(bins.shape[:4]),
         )
         for m in range(members):
-            one = block[m : m + 1].copy()
-            one_cond = np.empty(one.shape[:4])
+            one = state[m : m + 1].copy(), bins[m : m + 1].copy()
+            one_cond = np.empty(one[1].shape[:4])
             fused_euler_advect(
-                one,
+                *one,
                 WindSplit(
                     pos=tuple(p[m : m + 1] for p in split.pos),
                     neg=tuple(n[m : m + 1] for n in split.neg),
@@ -367,9 +448,10 @@ class TestCompiledStencil:
                 mass,
                 _one_group(ns),
                 one_cond,
-                all_occupied(one.shape[:4]),
+                all_occupied(one[1].shape[:4]),
             )
-            assert np.array_equal(stacked[m], one[0])
+            assert np.array_equal(stacked[0][m], one[0][0])
+            assert np.array_equal(stacked[1][m], one[1][0])
             assert np.array_equal(cond[m], one_cond[0])
 
     @settings(max_examples=30, deadline=None)
@@ -379,22 +461,22 @@ class TestCompiledStencil:
     ):
         """The build-time fill (``sum_condensate``, the stencil module's
         ``condensate`` kernel) and the sweep write the same bits for the
-        same block: the lane order has one source."""
-        split, block, floors, mass = _sweep_problem(
+        same bins block: the lane order has one source."""
+        split, state, bins, floors, mass = _sweep_problem(
             shape4, members, seed, clip_bits
         )
-        cells = block.shape[:4]
+        cells = bins.shape[:4]
         masks = _one_group(shape4[3])
         filled = np.empty(cells)
         occ = np.zeros(cells, dtype=np.uint8)
-        assert sum_condensate(block, mass, masks, filled, occ)
-        assert np.array_equal(filled, _lane_condensate(block, mass))
+        assert sum_condensate(bins, mass, masks, filled, occ)
+        assert np.array_equal(filled, _lane_condensate(bins, mass))
         swept = np.empty(cells)
         ws = TransportWorkspace(cells, shape4[3])
         assert fused_euler_advect(
-            block, split, 3.0, ws, floors, mass, masks, swept, occ
+            state, bins, split, 3.0, ws, floors, mass, masks, swept, occ
         ) is not None
-        assert sum_condensate(block, mass, masks, filled, occ)
+        assert sum_condensate(bins, mass, masks, filled, occ)
         assert np.array_equal(swept, filled)
 
     def test_condensate_kernel_refuses_mismatched_operands(self):
@@ -415,40 +497,49 @@ class TestCompiledStencil:
 
     def test_mismatched_operands_are_refused(self):
         rng = np.random.default_rng(0)
-        split, block = _random_problem(rng, (3, 2, 2, 4), 1)
-        cells = block.shape[:4]
+        split, state, bins = _random_blocks(rng, (3, 2, 2, 4), 1)
+        cells = bins.shape[:4]
         ws = TransportWorkspace(cells, 4)
-        rings = ws.rings(block.shape, 1)
+        rings = ws.rings(bins.shape, 1)
         cond = np.empty(cells)
         occ = all_occupied(cells)
         swept = np.empty(cells, dtype=np.int32)
 
         def call(floors=np.zeros(4), cond=cond, masks=_one_group(4),
-                 occ=occ, swept=swept, rings=rings):
+                 occ=occ, swept=swept, rings=rings, state=state,
+                 sfloors=STATE_FLOORS):
             cstencil.advect_stage(
-                cstencil.load_stencil(), block, block, block,
-                split.pos, split.neg, 1.0, floors, np.zeros(4), cond,
-                masks, occ, occ, swept, rings,
+                cstencil.load_stencil(), state, state, state, bins, bins,
+                bins, split.pos, split.neg, 1.0, sfloors, floors,
+                np.zeros(4), cond, masks, occ, occ, swept, rings,
             )
 
         call()  # the right operands pass
         for bad in (
             dict(floors=np.zeros(3)),
-            dict(rings={**rings, "out_ring": np.empty((1, *block.shape[2:]))}),
+            dict(sfloors=np.zeros(2)),
+            # A state block laid out like the bins, or with its planes
+            # strided.
+            dict(state=np.zeros((1, 3, 2, 2, 3))),
+            dict(state=np.zeros((1, 3, 3, 2, 2, 2))[..., 0]),
+            dict(rings={**rings, "out_ring": np.empty((1, *bins.shape[2:]))}),
             dict(rings={k: v for k, v in rings.items() if k != "out_guard"}),
+            dict(rings={k: v for k, v in rings.items() if k != "sout_ring"}),
             # Right shapes, but a strided condensate: the kernel would
             # write it as a dense array.
             dict(cond=np.empty((*cells, 2))[..., 0]),
             dict(occ=occ.astype(np.int64)),
             dict(swept=swept.astype(np.int64)),
-            # Masks that do not fit the scalars, groups that do not split
-            # them in order or mix masks, or a mask that is not one bit.
+            # Masks that do not fit the bins, groups that do not split
+            # them in order or mix masks, or a mask that is not one bit
+            # (0 included: every bin belongs to a species).
             dict(masks=_one_group(3)),
-            dict(masks=(np.zeros(4, dtype=np.int64), np.array([0, 3, 2, 4]))),
-            dict(masks=(np.zeros(4, dtype=np.int64), np.array([0, 4, 4]))),
-            dict(masks=(np.array([0, 0, 1, 2]), np.array([0, 2, 4]))),
-            dict(masks=(np.array([0, 0, 3, 3]), np.array([0, 2, 4]))),
-            dict(masks=(np.array([0, 0, 256, 256]), np.array([0, 2, 4]))),
+            dict(masks=(np.ones(4, dtype=np.int64), np.array([0, 3, 2, 4]))),
+            dict(masks=(np.ones(4, dtype=np.int64), np.array([0, 4, 4]))),
+            dict(masks=(np.array([1, 1, 1, 2]), np.array([0, 2, 4]))),
+            dict(masks=(np.array([1, 1, 3, 3]), np.array([0, 2, 4]))),
+            dict(masks=(np.array([1, 1, 256, 256]), np.array([0, 2, 4]))),
+            dict(masks=(np.array([0, 0, 1, 1]), np.array([0, 2, 4]))),
         ):
             with pytest.raises(ValueError):
                 call(**bad)
@@ -460,22 +551,28 @@ class TestCompiledStencil:
 
 class TestScalarLayout:
     def test_layout_slices_and_masks(self):
-        layout = ScalarLayout(
-            entries=(("t", 1), ("qv", 1), ("w", 1), ("bin_a", 3), ("bin_b", 2))
-        )
-        assert layout.nscalars == 8
+        layout = ScalarLayout(entries=(("bin_a", 3), ("bin_b", 2)))
+        assert layout.nscalars == 5
         sls = layout.slices()
-        assert sls["t"] == slice(0, 1)
-        assert sls["bin_b"] == slice(6, 8)
-        # t and w are never clamped: their floor is -inf.
-        floors = layout.floors(no_clip=("t", "w"))
+        assert sls["bin_a"] == slice(0, 3)
+        assert sls["bin_b"] == slice(3, 5)
+        # Every bin is clipped unless its field is named.
         inf = float("inf")
-        assert floors.tolist() == [-inf, 0, -inf, 0, 0, 0, 0, 0]
+        assert layout.floors().tolist() == [0, 0, 0, 0, 0]
+        floors = layout.floors(no_clip=("bin_b",))
+        assert floors.tolist() == [0, 0, 0, -inf, -inf]
         assert not floors.flags.writeable  # cached and shared
+        # One group per species, each with its own bit.
+        smask, glo = layout.masks()
+        assert smask.tolist() == [1, 1, 1, 2, 2]
+        assert glo.tolist() == [0, 3, 5]
+        # t and w are never clamped: their floor is -inf; qv clips at 0.
+        assert STATE_FLOORS.tolist() == [-inf, 0, -inf]
+        assert not STATE_FLOORS.flags.writeable
 
 
 def _model_blocks(nl, steps=1):
-    """Each rank's resident block, wind split and layout after a few
+    """Each rank's resident blocks, wind split and layout after a few
     model steps — the real transport inputs."""
     model = WrfModel(nl)
     try:
@@ -483,10 +580,10 @@ def _model_blocks(nl, steps=1):
             model.step()
         return [
             (
-                rs.block.copy(),
+                rs.state.copy(),
+                rs.bins.copy(),
                 WindSplit.build(
-                    rs.u, rs.v, rs.block[..., rs.w_start],
-                    nl.domain.dx, nl.domain.dz,
+                    rs.u, rs.v, rs.w, nl.domain.dx, nl.domain.dz,
                 ),
                 rs.floors,
                 rs.scalar_masses,
@@ -500,14 +597,17 @@ def _model_blocks(nl, steps=1):
 
 def _assert_kernels_match_per_field(nl, rk3):
     advect = fused_rk3_advect if rk3 else fused_euler_advect
-    for block, split, floors, mass, bits in _model_blocks(nl):
-        ref = _per_field_advect(block, split, nl.dt, floors == 0.0, rk3)
-        ws = TransportWorkspace(block.shape[:4], block.shape[-1])
-        advect(
-            block, split, nl.dt, ws, floors, mass, bits,
-            np.empty(block.shape[:4]), all_occupied(block.shape[:4]),
+    for state, bins, split, floors, mass, bits in _model_blocks(nl):
+        want_state, want_bins = _per_field_advect(
+            state, bins, split, nl.dt, floors == 0.0, rk3
         )
-        np.testing.assert_allclose(block, ref, rtol=0.0, atol=1e-12)
+        ws = TransportWorkspace(bins.shape[:4], bins.shape[-1])
+        advect(
+            state, bins, split, nl.dt, ws, floors, mass, bits,
+            np.empty(bins.shape[:4]), all_occupied(bins.shape[:4]),
+        )
+        np.testing.assert_allclose(state, want_state, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(bins, want_bins, rtol=0.0, atol=1e-12)
 
 
 class TestModelEquivalence:
@@ -542,8 +642,8 @@ class TestModelEquivalence:
 )
 class TestCompiledModelTransport:
     def test_condensate_matches_total_condensate_mass(self):
-        """The sweep's condensate is each cell's bins times their masses
-        (t, qv and w weigh 0), within rounding of the BLAS contraction."""
+        """The sweep's condensate is each cell's bins times their masses,
+        within rounding of the BLAS contraction."""
         nl = conus12km_namelist(scale=0.04, num_ranks=1, members=2, seed=7)
         model = WrfModel(nl)
         try:
@@ -551,11 +651,10 @@ class TestCompiledModelTransport:
                 model.step()
             rs = model.ranks[0]
             split = WindSplit.build(
-                rs.u, rs.v, rs.block[..., rs.w_start],
-                nl.domain.dx, nl.domain.dz,
+                rs.u, rs.v, rs.w, nl.domain.dx, nl.domain.dz,
             )
             assert fused_euler_advect(
-                rs.block, split, nl.dt, rs.workspace, rs.floors,
+                rs.state, rs.bins, split, nl.dt, rs.workspace, rs.floors,
                 rs.scalar_masses, rs.scalar_bits, rs.condensate,
                 rs.occupancy,
             ) is not None
@@ -567,27 +666,30 @@ class TestCompiledModelTransport:
                 # summation orders agree to a few ulps of the total.
                 assert np.all(np.abs(cond[m] - blas) <= 1e-15 * blas)
                 assert np.array_equal(
-                    cond[m], _lane_condensate(rs.block[m], rs.scalar_masses)
+                    cond[m], _lane_condensate(rs.bins[m], rs.scalar_masses)
                 )
         finally:
             model.close()
 
     def test_euler_path_pins_no_block_sized_pool(self):
-        """The in-place sweep needs the two-row rings (values, evaluated
-        species guards, new bits) and one swept count per cell: no
-        tendency pool, no block copy; the condensate and bits it writes
-        are the rank state's fields, one value per cell."""
+        """The in-place sweep needs the two-row rings (both blocks'
+        values, the evaluated guards, new bits), one swept count per
+        cell and the six wind pieces: no tendency pool, no block copy;
+        the condensate and bits it writes are the rank state's fields,
+        one value per cell."""
         nl = conus12km_namelist(scale=0.04, num_ranks=1, seed=11)
         model = WrfModel(nl)
         try:
             for _ in range(2):
                 model.step()
             rs = model.ranks[0]
-            nm, ni, nk, nj, ns = rs.block.shape
+            nm, ni, nk, nj, ns = rs.bins.shape
             ng = len(rs.scalar_bits[1]) - 1
-            rings = 8 * 2 * nk * nj * ns + 2 * nk * nj * (ng + 2)
-            assert rs.workspace.nbytes == rings + 4 * nm * ni * nk * nj
-            assert rs.workspace.nbytes < rs.block.nbytes / 4
+            cells = nm * ni * nk * nj
+            # Three guards per cell, two per (cell, group), the new bits.
+            rings = 8 * 2 * nk * nj * (ns + 3) + 2 * nk * nj * (2 * ng + 4)
+            assert rs.workspace.nbytes == rings + 4 * cells + 6 * 8 * cells
+            assert rs.workspace.nbytes < (rs.state.nbytes + rs.bins.nbytes) / 4
             assert rs.condensate.shape == (nm, ni, nk, nj)
             assert rs.occupancy.shape == (nm, ni, nk, nj)
         finally:
@@ -596,22 +698,43 @@ class TestCompiledModelTransport:
 
 class TestWorkspaceReuse:
     def test_steps_reuse_buffers_without_allocating(self):
-        nl = conus12km_namelist(scale=0.04, num_ranks=1, seed=11)
-        model = WrfModel(nl)
-        try:
-            model.step()  # warmup allocates every pool once
-            ws = model.workspaces[0]
-            allocs = ws.allocations
-            before = cache_stats()["wrf.transport_workspace"]
-            for _ in range(3):
-                model.step()
-            after = cache_stats()["wrf.transport_workspace"]
-        finally:
-            model.close()
-        assert ws.allocations == allocs  # zero new pool allocations
-        assert after.misses == before.misses  # no new workspace builds
-        assert after.currsize == before.currsize
-        assert after.nbytes >= ws.nbytes > 0  # sizer reports pinned bytes
+        """After a warm-up step, Euler and RK3 steps allocate no pool,
+        the wind split's six pieces included, and build no workspace."""
+        for rk3 in (False, True):
+            nl = conus12km_namelist(
+                scale=0.04, num_ranks=1, seed=11, use_rk3_numerics=rk3
+            )
+            model = WrfModel(nl)
+            try:
+                model.step()  # warmup allocates every pool once
+                ws = model.workspaces[0]
+                allocs = ws.allocations
+                before = cache_stats()["wrf.transport_workspace"]
+                for _ in range(3):
+                    model.step()
+                after = cache_stats()["wrf.transport_workspace"]
+            finally:
+                model.close()
+            assert ws.allocations == allocs  # zero new pool allocations
+            assert after.misses == before.misses  # no new workspace builds
+            assert after.currsize == before.currsize
+            assert after.nbytes >= ws.nbytes > 0  # sizer reports pinned bytes
+
+    def test_wind_split_lands_in_the_pools_bitwise(self):
+        """The split built into the workspace's pools equals a fresh
+        ``WindSplit.build`` bit for bit, and a second build reuses them."""
+        rng = np.random.default_rng(5)
+        u, v, w = (rng.standard_normal((2, 4, 3, 5)) * 10.0 for _ in range(3))
+        ws = TransportWorkspace((2, 4, 3, 5), 7)
+        got = ws.wind_split(u, v, w, 12000.0, 500.0)
+        want = WindSplit.build(u, v, w, 12000.0, 500.0)
+        for a, b in zip(got.pos + got.neg, want.pos + want.neg):
+            assert a.tobytes() == b.tobytes()
+        allocs = ws.allocations
+        again = ws.wind_split(u, v, w, 12000.0, 500.0)
+        assert ws.allocations == allocs == 6
+        assert all(a is not b and np.shares_memory(a, b)
+                   for a, b in zip(got.pos, again.pos))
 
     def test_workspace_registry_keys_by_owner(self):
         a = get_workspace((4, 3, 2), 5, owner=0)
