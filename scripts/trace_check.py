@@ -20,6 +20,8 @@ will actually load and that its event stream is internally consistent:
   non-negative integer, and ``members`` (how many members a batched
   span covered, e.g. ``solve_em``/``physics``/``transport``) must be a
   positive integer.
+* a span's ``engine`` arg (which path ran a layer, e.g.
+  ``transport``/``halo_exchange``) is one of :data:`ENGINES`.
 
 Exit codes (the ``bench_gate``/``codee verify`` contract):
 
@@ -39,6 +41,11 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+
+#: The values a span's ``engine`` arg may take: the compiled kernel
+#: ran, its numpy fallback ran, or the layer had nothing to do.
+ENGINES = ("compiled", "numpy", "none")
 
 
 def validate_events(events: list[dict]) -> list[str]:
@@ -92,6 +99,12 @@ def validate_events(events: list[dict]) -> list[str]:
                 errors.append(
                     f"event {i}: span {e.get('name')!r} has invalid "
                     f"members attr {members!r} (want int >= 1)"
+                )
+            engine = args_.get("engine")
+            if engine is not None and engine not in ENGINES:
+                errors.append(
+                    f"event {i}: span {e.get('name')!r} has engine attr "
+                    f"{engine!r} (want one of {', '.join(ENGINES)})"
                 )
             stacks.setdefault(key, []).append(e)
         elif ph == "E":

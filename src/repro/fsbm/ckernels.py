@@ -154,8 +154,9 @@ def build_sed_sweep_ir() -> Kernel:
     is what keeps each member's work stats (and so its clock charges)
     those of a one-member run. ``occ`` is the cells' occupancy field
     (strides ``(om, oi, ok, oj)``): a row whose bit is clear is exact
-    zeros and is not read at all, and the cell below a row that
-    deposits gets the species' bit, once per cell.
+    zeros and is not read at all (a cell with no bit set costs one
+    test), and the cell below a row that deposits gets the species'
+    bit, once per cell.
 
     That recurrence is precisely what the dependence analysis sees
     inside a member: the ``k - 1`` accumulation, the ``active`` and
@@ -242,15 +243,18 @@ def build_sed_sweep_ir() -> Kernel:
                                 Sym("nj"),
                                 [
                                     Let("bits", Load("occ", (m, i, k, j)), ctype="long"),
-                                    Decl("dbits", "long", Const(0)),
-                                    Loop("sp", Const(0), Sym("nsp"), [
-                                        If(present, per_row),
-                                    ]),
-                                    If(Sym("dbits").ne(Const(0)), [
-                                        Store(
-                                            "occ", below,
-                                            Bin("|", Load("occ", below), Sym("dbits")),
-                                        ),
+                                    # An empty cell: one test.
+                                    If(Sym("bits").ne(Const(0)), [
+                                        Decl("dbits", "long", Const(0)),
+                                        Loop("sp", Const(0), Sym("nsp"), [
+                                            If(present, per_row),
+                                        ]),
+                                        If(Sym("dbits").ne(Const(0)), [
+                                            Store(
+                                                "occ", below,
+                                                Bin("|", Load("occ", below), Sym("dbits")),
+                                            ),
+                                        ]),
                                     ]),
                                 ],
                             )

@@ -39,6 +39,13 @@ The generated source goes through :mod:`repro.core.cjit`
 (every compiled kernel) is set — :func:`load_stencil` returns ``None``
 and callers fall back to the sliced numpy kernels. Nothing outside
 this module needs to know which path ran.
+
+Beside the stencil sits the halo exchange's pull
+(:func:`build_halo_pull_ir`, :class:`HaloPull`): one segment's bins
+and occupancy bits, moving a species only where its bit says it is
+there. It is loop IR under the same host plan and kill switch, built
+into a library of its own (:func:`load_halo`) because its dense rows
+want the memcpy calls the stencil's flags forbid.
 """
 
 from __future__ import annotations
@@ -470,6 +477,135 @@ def build_condensate_ir() -> Kernel:
     )
 
 
+def build_halo_pull_ir() -> Kernel:
+    """One halo segment's bins and occupancy bits as loop IR.
+
+    Copies a source box of a bins block and its occupancy bits into a
+    destination box of the same shape ``(nm, ni, nk, nj)`` cells of
+    ``ns`` bins, moving only what the bits say is there. Each box is
+    addressed through its block's cell strides (``sm``, ``si``, ``sk``
+    and ``dm``, ``di``, ``dk``; unit along j), the bins with those
+    strides times ``ns`` and a unit bin stride, so the ``nj`` cells of
+    an ``(m, i, k)`` row are one run of ``nj * ns`` bins in each box.
+
+    For each cell, with source bits ``s`` and destination bits ``d``,
+    and each species group (``smask``/``glo``, as in
+    :func:`build_advect_ir`): a group whose bit is set in ``s`` is
+    copied, one clear in ``s`` but set in ``d`` is zero-filled, and
+    one clear in both is left alone (a clear ``d`` bit already promises
+    exact zeros); then ``d = s``. A cell with every species bit set in
+    ``s`` is copied whole, and a row whose every cell has every bit
+    set is copied as one run, as the slab copy does. So the result
+    equals a plain copy of the box's bins and bits, while an empty
+    cell over an empty cell costs one test. ``moved[m, i, k]``
+    receives the count of bins the row copied or zero-filled.
+    """
+    nm, ni, nk, nj, ns = (
+        Sym("nm"), Sym("ni"), Sym("nk"), Sym("nj"), Sym("ns")
+    )
+    m, i, k, j, n, g, e = (
+        Sym("m"), Sym("i"), Sym("k"), Sym("j"), Sym("n"), Sym("g"), Sym("e")
+    )
+    s, d, full, moved = Sym("sb"), Sym("db"), Sym("full"), Sym("nmoved")
+    lo, hi = Load("glo", (g,)), Load("glo", (g + 1,))
+
+    def every(bits):
+        return Bin("&", bits, full).eq(full)
+
+    def run(start, stop, value) -> list:
+        """Write the cell's bins ``start <= n < stop`` and count them."""
+        count = stop if start == Const(0) else stop - start
+        return [
+            Loop("n", start, stop, [Store("dst", (m, i, k, j, n), value)]),
+            Assign("nmoved", moved + count),
+        ]
+
+    src_bin = Load("src", (m, i, k, j, n))
+    cell = [
+        Let("sb", Load("socc", (m, i, k, j)), ctype="long"),
+        Let("db", Load("docc", (m, i, k, j)), ctype="long"),
+        If(Bin("|", s, d).ne(Const(0)), [
+            If(every(s), run(Const(0), ns, src_bin), [
+                Loop("g", Const(0), Sym("ng"), [
+                    Let("mk", Load("smask", (lo,)), ctype="long"),
+                    If(Bin("&", s, Sym("mk")).ne(Const(0)), run(lo, hi, src_bin), [
+                        If(Bin("&", d, Sym("mk")).ne(Const(0)), run(lo, hi, Const(0.0))),
+                    ]),
+                ]),
+            ]),
+            Store("docc", (m, i, k, j), s),
+        ]),
+    ]
+    body_k = [
+        # Whether every cell of the row holds every species.
+        Decl("dense", "long", Const(1)),
+        Loop("j", Const(0), nj, [
+            Assign("dense", Bin("&", Sym("dense"), every(Load("socc", (m, i, k, j))))),
+        ]),
+        Decl("nmoved", "long", Const(0)),
+        If(Sym("dense").ne(Const(0)), [
+            # The row's cells are one run in both boxes.
+            Loop("e", Const(0), nj * ns, [
+                Store("dst", (m, i, k, Const(0), e), Load("src", (m, i, k, Const(0), e))),
+            ]),
+            Loop("j", Const(0), nj, [
+                Store("docc", (m, i, k, j), Load("socc", (m, i, k, j))),
+            ]),
+            Assign("nmoved", nj * ns),
+        ], [
+            Loop("j", Const(0), nj, cell),
+        ]),
+        Store("moved", (m, i, k), moved),
+    ]
+    nest = Loop("m", Const(0), nm, [
+        Loop("i", Const(0), ni, [Loop("k", Const(0), nk, body_k)]),
+    ])
+
+    def box(pre: str, scale=None) -> tuple:
+        """A box's m, i and k strides: its block's cell strides, or
+        those times ``scale``."""
+        cells = tuple(Sym(pre + axis) for axis in "mik")
+        return cells if scale is None else tuple(c * scale for c in cells)
+
+    return Kernel(
+        name="halo_pull",
+        params=(
+            ArrayParam("src", strides=(*box("s", ns), ns, Const(1))),
+            ArrayParam("dst", strides=(*box("d", ns), ns, Const(1)), intent="out"),
+            ArrayParam("socc", strides=(*box("s"), Const(1)), ctype="unsigned char"),
+            ArrayParam(
+                "docc", strides=(*box("d"), Const(1)), ctype="unsigned char",
+                intent="inout",
+            ),
+            ScalarParam("nm", "long"),
+            ScalarParam("ni", "long"),
+            ScalarParam("nk", "long"),
+            ScalarParam("nj", "long"),
+            ScalarParam("ns", "long"),
+            *(ScalarParam(pre + axis, "long") for pre in "sd" for axis in "mik"),
+            *_mask_params(),
+            ArrayParam(
+                "moved", strides=(ni * nk, nk, Const(1)), ctype="long", intent="out"
+            ),
+        ),
+        body=[
+            # Every species bit.
+            Decl("full", "long", Const(0)),
+            Loop("g", Const(0), Sym("ng"), [
+                Assign("full", Bin("|", full, Load("smask", (lo,)))),
+            ]),
+            nest,
+        ],
+        doc=(
+            "One halo segment: copy a strided (nm, ni, nk, nj) box of "
+            "cells of ns bins and their occupancy bits into another, "
+            "moving a species group only where its source bit is set, "
+            "zero-filling it where only the destination bit is set, and "
+            "copying rows whose cells hold every species as one run."
+        ),
+    )
+
+
 _specs = [
     loopir.register_kernel(
         loopir.KernelSpec(
@@ -479,6 +615,7 @@ _specs = [
     for name, build in (
         ("advect_stage", build_advect_ir),
         ("condensate", build_condensate_ir),
+        ("halo_pull", build_halo_pull_ir),
     )
 ]
 
@@ -490,20 +627,32 @@ load_error: str = ""
 # illegal transformation raises IRVerificationError here, at import,
 # before any C exists — loud by design.
 _kernels = [spec.final_kernel() for spec in _specs]
+_build_dir = Path(__file__).resolve().parent / "_cbuild"
+_banner = (
+    "Generated by repro.codee.cgen from the {} loop IR; annotations "
+    "derived by repro.codee.transform. Do not edit."
+)
 # The rings go back a cell (or a group of scalars) at a time: runs of at
 # most one cell's scalars, which gcc would otherwise turn into a memmove
 # call each; as inline vector loops they cost less.
 _module = cgen.build_module(
     "stencil",
-    _kernels,
+    _kernels[:2],
     cflags=(*cjit.DEFAULT_CFLAGS, "-fno-tree-loop-distribute-patterns"),
     disable_env=DISABLE_ENV,
-    build_dir=Path(__file__).resolve().parent / "_cbuild",
-    banner=(
-        "Generated by repro.codee.cgen from the advect_stage/condensate "
-        "loop IR; annotations derived by repro.codee.transform. Do not "
-        "edit."
-    ),
+    build_dir=_build_dir,
+    banner=_banner.format("advect_stage/condensate"),
+)
+# The halo pull builds apart, under the default flags: a dense row is
+# one copy loop, which gcc emits as a memcpy call. As an inline loop it
+# moved an all-set halo box 6-9 % slower than the slab copy does.
+_HALO_PULL = _kernels[2]
+_halo_module = cgen.build_module(
+    "halo",
+    [_HALO_PULL],
+    disable_env=DISABLE_ENV,
+    build_dir=_build_dir,
+    banner=_banner.format("halo_pull"),
 )
 
 #: The scratch rings ``advect_stage`` takes, in its parameter order —
@@ -512,8 +661,9 @@ RINGS = tuple(
     p.name for p in _kernels[0].params if getattr(p, "intent", "") == "scratch"
 )
 
-#: The generated translation unit (kept for introspection/diagnostics).
+#: The generated translation units (kept for introspection/diagnostics).
 C_SOURCE = _module.source
+HALO_C_SOURCE = _halo_module.source
 
 
 def load_stencil() -> ctypes.CDLL | None:
@@ -525,12 +675,22 @@ def load_stencil() -> ctypes.CDLL | None:
     ``None`` so callers take the numpy path. The underlying
     :class:`~repro.core.cjit.CJitModule` records the one-time
     ``cjit.compile``/``cjit.load`` spans and the ``stencil.path``
-    instant that marks which path (compiled vs numpy) resolved.
+    instant that marks which path (compiled vs numpy) resolved. The
+    halo pull's library (:func:`load_halo`) loads with it, so whoever
+    loads the stencil ahead of time (the process-rank pool before it
+    forks, a benchmark's set-up) has both.
     """
     global load_error
     lib = _module.load()
+    _halo_module.load()
     load_error = _module.load_error
     return lib
+
+
+def load_halo() -> ctypes.CDLL | None:
+    """The compiled halo pull's library (:class:`HaloPull`), or ``None``
+    when unavailable; under the stencil's kill switch, like it."""
+    return _halo_module.load()
 
 
 def ring_shapes(shape: tuple[int, ...], ngroups: int) -> dict[str, tuple]:
@@ -682,3 +842,63 @@ def condensate(
             "condensate: operands must be C-contiguous and match the block"
         )
     lib.condensate(bins, mass, cond, nm, ni, nk, nj, ns, smask, occ)
+
+
+class HaloPull:
+    """One halo segment's compiled pull (:func:`build_halo_pull_ir`),
+    bound to its boxes once.
+
+    ``src``/``dst`` are ``(nm, ni, nk, nj, ns)`` float64 boxes of two
+    bins blocks and ``socc``/``docc`` the same cells' uint8 ``(nm, ni,
+    nk, nj)`` boxes of their occupancy fields: strided views, a box's
+    bins with its bits' strides times ``ns`` doubles, as the boxes of
+    one rank's bins block and occupancy field have. ``masks`` is the
+    layout's ``(smask, glo)``. The boxes are checked and the arguments
+    converted here (:func:`repro.codee.cgen.bind`), so a call costs the
+    pull and one C call: a halo segment's views never move, and the
+    per-call conversion of its seven arrays cost about as much as
+    pulling an empty segment.
+
+    A call leaves ``dst`` and ``docc`` equal, as values, to the plain
+    copies ``dst[...] = src`` and ``docc[...] = socc``, provided every
+    clear bit of ``socc`` and ``docc`` covers bins that are exact zeros;
+    ``moved[m, i, k]`` then holds the count of bins each row copied or
+    zero-filled.
+    """
+
+    def __init__(
+        self,
+        lib: ctypes.CDLL,
+        src: np.ndarray,
+        dst: np.ndarray,
+        socc: np.ndarray,
+        docc: np.ndarray,
+        masks: tuple[np.ndarray, np.ndarray],
+    ):
+        nm, ni, nk, nj, ns = src.shape
+        smask, glo = masks
+        strides = []
+        for bins, occ in ((src, socc), (dst, docc)):
+            cell = occ.strides[:3]
+            if not (
+                bins.shape == src.shape
+                and occ.shape == src.shape[:4]
+                and bins.dtype == np.float64
+                and occ.dtype == np.uint8
+                and occ.strides[3] == 1
+                and bins.strides == (*(c * ns * 8 for c in cell), ns * 8, 8)
+            ):
+                raise ValueError(
+                    "halo_pull: each box's bins must match its bits' cells"
+                )
+            strides.extend(cell)
+        if not _masks_ok(smask, glo, ns):
+            raise ValueError("halo_pull: masks must split the bins into groups")
+        self.moved = np.zeros((nm, ni, nk), np.int64)
+        self._call = cgen.bind(
+            lib, _HALO_PULL, src, dst, socc, docc, nm, ni, nk, nj, ns,
+            *strides, smask, len(glo) - 1, glo, self.moved,
+        )
+
+    def __call__(self) -> None:
+        self._call()

@@ -59,6 +59,7 @@ from repro.wrf.dynamics import (
     RK3_FRACTIONS,
     buoyancy_w_update,
 )
+from repro.wrf import cstencil
 from repro.wrf.namelist import Namelist, member_namelist
 from repro.wrf.state import WrfFields, rank_blocks
 from repro.wrf.transport import (
@@ -372,43 +373,101 @@ def physics_rank(namelist: Namelist, rs: RankState) -> list[SbmStepStats]:
     return stats
 
 
-def exchange_halos_rank(
+@dataclass
+class RankHalo:
+    """One rank's incoming halo segments, resolved once.
+
+    ``boxes`` holds, per segment, the boxes it copies from and into:
+    ``(src state, dst state, src bins, dst bins, src bits, dst bits)``,
+    views into the ranks' :class:`RankBlocks`, which never move.
+    ``masks`` is the bins layout's ``(smask, glo)``
+    (:attr:`RankState.scalar_bits`). ``pulls`` are the segments'
+    compiled pulls (:class:`repro.wrf.cstencil.HaloPull`), bound to
+    the boxes the first time the compiled path runs.
+    """
+
+    members: int
+    boxes: list[tuple[np.ndarray, ...]]
+    masks: tuple[np.ndarray, np.ndarray]
+    pulls: list[cstencil.HaloPull] | None = None
+
+
+def rank_halo(
     plan: HaloExchangePlan,
     rank: int,
     blocks: list[RankBlocks],
-) -> None:
+    masks: tuple[np.ndarray, np.ndarray],
+) -> RankHalo:
+    """``rank``'s incoming segments of ``plan``, as boxes of ``blocks``
+    (every rank's, ``blocks[r]`` rank ``r``'s), each moving every
+    member at once."""
+    patches = plan.decomposition.patches
+    dst = blocks[rank]
+    boxes = []
+    for seg in plan.segments_to(rank):
+        src = blocks[seg.src]
+        i, k, j = seg.src_slices(patches[seg.src])
+        di, dk, dj = seg.dst_slices(patches[rank])
+        boxes.append((
+            src.state[:, i, :, k, j], dst.state[:, di, :, dk, dj],
+            src.bins[:, i, k, j], dst.bins[:, di, dk, dj],
+            src.occupancy[:, i, k, j], dst.occupancy[:, di, dk, dj],
+        ))
+    return RankHalo(dst.bins.shape[0], boxes, masks)
+
+
+def exchange_halos_rank(halo: RankHalo) -> None:
     """Fill one rank's halos from its neighbors' owned cells.
 
-    ``blocks[r]`` is rank ``r``'s stacked state and bins blocks and its
-    occupancy field; each incoming segment is one strided copy per
-    block that moves every member and every scalar at once, and one
-    that moves the same cells' occupancy bytes, so a halo cell's bits
-    describe its bins. Halo writes are disjoint (owned regions
-    partition the domain, so each halo point has exactly one source)
-    and reads touch only owned regions, so ranks may pull concurrently
-    — between two barriers in the worker processes — and the result
-    never depends on the order.
+    Each incoming segment copies its state planes in one strided copy,
+    then its bins and occupancy bytes in one compiled pull
+    (:class:`repro.wrf.cstencil.HaloPull`): a cell's species move only
+    where the source bit is set, and those only the old destination bit
+    marks are zero-filled, so a halo cell's bins equal its source's and
+    its bits describe them. Without the compiled stencil the bins and
+    the bits go in strided copies of the whole box. Halo writes are
+    disjoint (owned regions partition the domain, so each halo point
+    has exactly one source) and reads touch only owned regions, so
+    ranks may pull concurrently — between two barriers in the worker
+    processes — and the result never depends on the order.
+
+    The span's ``bytes`` counts the full exchange, every scalar of
+    every halo cell, as the MPI charges do (:func:`charge_halos_rank`);
+    ``moved_bytes`` the scalars written: the state planes and the bins
+    copied or zero-filled (so it equals ``bytes`` when every bin moves).
+    ``occupancy_bytes`` counts the bits, which always move. ``engine``
+    names the path that moved the bins (``"none"`` without segments).
     """
-    patches = plan.decomposition.patches
-    incoming = plan.segments_to(rank)
-    dst = blocks[rank]
+    lib = cstencil.load_halo()
     with tracer.span("halo_exchange", cat="mpi") as sp:
-        for seg in incoming:
-            src = blocks[seg.src]
-            i, k, j = seg.src_slices(patches[seg.src])
-            di, dk, dj = seg.dst_slices(patches[rank])
-            dst.state[:, di, :, dk, dj] = src.state[:, i, :, k, j]
-            dst.bins[:, di, dk, dj] = src.bins[:, i, k, j]
-            dst.occupancy[:, di, dk, dj] = src.occupancy[:, i, k, j]
+        if lib is not None and halo.pulls is None:
+            halo.pulls = [
+                cstencil.HaloPull(lib, *box[2:], halo.masks)
+                for box in halo.boxes
+            ]
+        for n, (ss, ds, sb, db, so, do) in enumerate(halo.boxes):
+            ds[...] = ss
+            if lib is None:
+                db[...] = sb
+                do[...] = so
+            else:
+                halo.pulls[n]()
         if sp is not None:
-            nm = dst.bins.shape[0]
-            points = nm * sum(s.num_points for s in incoming)
+            state, bins, cells = (
+                sum(box[q].size for box in halo.boxes) for q in (0, 2, 4)
+            )
+            moved = bins if lib is None else sum(
+                int(pull.moved.sum()) for pull in halo.pulls
+            )
+            itemsize = np.dtype(np.float64).itemsize  # both blocks' scalars
             sp.set(
-                bytes=points * _cell_scalars(dst.state, dst.bins)
-                * dst.bins.itemsize,
-                occupancy_bytes=points * dst.occupancy.itemsize,
-                segments=len(incoming),
-                members=nm,
+                bytes=(state + bins) * itemsize,
+                moved_bytes=(state + moved) * itemsize,
+                occupancy_bytes=cells,
+                segments=len(halo.boxes),
+                members=halo.members,
+                engine="none" if not halo.boxes
+                else "numpy" if lib is None else "compiled",
             )
 
 
@@ -511,7 +570,8 @@ def transport_numerics(namelist: Namelist, rs: RankState) -> None:
     and ``bytes`` the blocks' minimum traffic (one read + one write per
     stage), whatever the sweep skipped, so its rate compares with a
     full sweep's. ``swept`` and ``skipped`` count the (cell, species)
-    pairs the stages computed and skipped.
+    pairs the stages computed and skipped, and ``engine`` names the
+    sweep that ran (``"compiled"`` or ``"numpy"``).
     """
     dt = namelist.dt
     with tracer.span("transport", cat="transport") as sp:
@@ -544,6 +604,7 @@ def transport_numerics(namelist: Namelist, rs: RankState) -> None:
                 swept=stages * done,
                 skipped=stages * (pairs - done),
                 members=rs.bins.shape[0],
+                engine="numpy" if swept is None else "compiled",
             )
 
 
@@ -731,9 +792,14 @@ class WrfModel:
                         self.engines[rank],
                     )
                 )
-        #: Every rank's blocks, as the in-process halo exchange reads them.
-        self._blocks = [
+        #: Every rank's incoming halo segments, as the in-process exchange
+        #: reads them.
+        blocks = [
             RankBlocks(rs.state, rs.bins, rs.occupancy) for rs in self.ranks
+        ]
+        self._halos = [
+            rank_halo(self.halo_plan, rs.rank, blocks, rs.scalar_bits)
+            for rs in self.ranks
         ]
         self.fields: list[WrfFields] = [rs.fields[0] for rs in self.ranks]
         # Transport workspaces: preallocated once per rank (the host
@@ -783,7 +849,7 @@ class WrfModel:
         """
         for rank in range(self.namelist.num_ranks):
             with tracer.rank_scope(rank):
-                exchange_halos_rank(self.halo_plan, rank, self._blocks)
+                exchange_halos_rank(self._halos[rank])
         for rs in self.ranks:
             charge_halos_rank(
                 self.halo_plan, self.comm_cost, rs, self.namelist.num_ranks

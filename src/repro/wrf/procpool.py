@@ -102,6 +102,7 @@ from repro.wrf.model import (
     exchange_halos_rank,
     output_frame,
     physics_rank,
+    rank_halo,
     rank_output_frame,
     transport_rank,
 )
@@ -205,8 +206,6 @@ class _RankContext:
         self.clocks = [SimClock() for _ in range(namelist.members)]
         self.comm_cost, self.cpu_cost = cost_models(namelist)
         self.plan = build_halo_plan(decomposition)
-        # The pull-model exchange reads neighbors' owned boxes directly.
-        self.blocks = blocks
         self.frame = frame
         self.state = build_rank_state(
             namelist,
@@ -216,6 +215,8 @@ class _RankContext:
             self.clocks,
             self.cpu_cost,
         )
+        # The pull-model exchange reads neighbors' owned boxes directly.
+        self.halo = rank_halo(self.plan, rank, blocks, self.state.scalar_bits)
 
     def step(self):
         """One step of every member on this rank; peers step concurrently.
@@ -232,7 +233,7 @@ class _RankContext:
                 stack.enter_context(clock.region("solve_em"))
             stats = physics_rank(self.namelist, self.state)
             self.barrier.wait(self.timeout)
-            exchange_halos_rank(self.plan, self.rank, self.blocks)
+            exchange_halos_rank(self.halo)
             charge_halos_rank(
                 self.plan, self.comm_cost, self.state, self.num_ranks
             )

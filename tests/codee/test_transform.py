@@ -659,6 +659,21 @@ class TestProductionDerivations:
         assert plan.reports["r"].parallel_depth == 3
         assert "nest over 'r': parallel depth 3" in plan.summary()
 
+    def test_halo_pull_rows_are_independent(self):
+        from repro.codee import loopir
+        from repro.wrf.cstencil import build_halo_pull_ir
+
+        # Each (member, i, k) row of a segment writes only its own cells
+        # and its own count: the offload derivation collapses the row
+        # nest, and the host plan keeps it serial with the same proof.
+        plan = plan_offload(build_halo_pull_ir())
+        rows = plan.kernel.loops()[-1]
+        assert rows.var == "m" and rows.parallel and rows.collapse == 2
+        host = loopir.registered_kernels()["halo_pull"].plan()
+        assert not any(lp.parallel for lp in host.kernel.loops())
+        assert host.reports["m"].parallel_depth == 3
+        assert "nest over 'm': parallel depth 3" in host.summary()
+
     def test_sed_sweep_parallel_only_across_members(self):
         from repro.codee import loopir
         from repro.fsbm.ckernels import build_sed_sweep_ir

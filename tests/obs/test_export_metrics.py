@@ -65,6 +65,19 @@ class TestTraceEvents:
         ]
         assert trace_check.validate_events(export.to_trace_events(evs)) == []
 
+    def test_engine_attr_takes_the_known_engines_only(self):
+        ok = [
+            span(name, 0, 100 * n, 50, attrs={"engine": engine})
+            for n, (name, engine) in enumerate(
+                (("transport", "compiled"), ("halo_exchange", "numpy"),
+                 ("halo_exchange", "none"))
+            )
+        ]
+        assert trace_check.validate_events(export.to_trace_events(ok)) == []
+        bad = [span("transport", 0, 0, 50, attrs={"engine": "gpu"})]
+        errors = trace_check.validate_events(export.to_trace_events(bad))
+        assert len(errors) == 1 and "engine" in errors[0]
+
     def test_ranks_map_to_pids_with_metadata(self):
         evs = [
             span("a", 0, 0, 10),

@@ -259,6 +259,55 @@ class TestCoalEngineAttr:
         assert self._engines(members=members) == {"numpy"}
 
 
+#: Case overrides under which no cell ever holds a hydrometeor.
+CLEAR_SKY = (
+    ("bubbles_per_1e4_cells", 0.0),
+    ("bubble_dtheta", 0.0),
+    ("moisture_boost", 1.0),
+    ("cloud_threshold", 1.0e9),
+)
+
+
+class TestHaloAndTransportSpans:
+    """The halo span says what it moved beside what it counts, and the
+    halo and transport spans name the engine that ran."""
+
+    def _spans(self, **overrides) -> dict[str, list]:
+        events = _traced_run(member_deltas=(CLEAR_SKY,), **overrides)
+        return {
+            name: [e for e in events if e.ph == "X" and e.name == name]
+            for name in ("halo_exchange", "transport")
+        }
+
+    @pytest.mark.parametrize("use_process_ranks", [False, True])
+    def test_a_clear_sky_halo_moves_less_than_it_counts(self, use_process_ranks):
+        from repro.wrf import cstencil
+
+        if cstencil.load_halo() is None:
+            pytest.skip(f"stencil unavailable: {cstencil.load_error}")
+        spans = self._spans(use_process_ranks=use_process_ranks)
+        assert len(spans["halo_exchange"]) == 4  # 2 ranks x 2 steps
+        for e in spans["halo_exchange"]:
+            assert e.attrs["engine"] == "compiled"
+            # Only the state planes: no bin.
+            cells = e.attrs["occupancy_bytes"]
+            assert e.attrs["moved_bytes"] == cells * 3 * 8
+            assert e.attrs["moved_bytes"] < e.attrs["bytes"]
+            assert e.attrs["bytes"] == cells * 234 * 8
+        assert {e.attrs["engine"] for e in spans["transport"]} == {"compiled"}
+
+    def test_the_numpy_halo_moves_what_it_counts(self, monkeypatch):
+        from repro.wrf import cstencil
+
+        monkeypatch.setenv(cstencil.DISABLE_ENV, "1")
+        spans = self._spans(use_process_ranks=False)
+        assert spans["halo_exchange"]
+        for e in spans["halo_exchange"]:
+            assert e.attrs["engine"] == "numpy"
+            assert e.attrs["moved_bytes"] == e.attrs["bytes"]
+        assert {e.attrs["engine"] for e in spans["transport"]} == {"numpy"}
+
+
 class TestTracingIsInert:
     def _run(self, trace: bool, **overrides):
         nl = conus12km_namelist(

@@ -16,9 +16,11 @@ sweep and the halo exchange. The contracts under test:
   RK3, with the compiled kernels and with each numpy fallback
   (``REPRO_DISABLE_CSTENCIL``, ``REPRO_DISABLE_CPHYS``);
 * the oracle: a run whose field is forced all set before every step
-  computes what a run that skips nothing computes, so it must give the
-  default run's fields, frames, precipitation and condensate bit for
-  bit, and the same step stats and simulated clocks.
+  computes what a run that skips nothing computes (the halo pull then
+  moves every bin), so it must give the default run's fields, frames,
+  precipitation and condensate bit for bit, and the same step stats and
+  simulated clocks — with thread ranks and with process ranks, whose
+  shared fields the driver forces.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.fsbm.species import Species
 from repro.fsbm.state import ALL_OCCUPIED
 from repro.wrf import cstencil
 from repro.wrf import model as wrf_model
-from repro.wrf.model import WrfModel
+from repro.wrf.model import RankBlocks, WrfModel
 from repro.wrf.state import rank_blocks
 from tests.wrf.test_condensate_field import LAYOUTS, _namelist
 
@@ -76,14 +78,14 @@ def _hidden(bins: np.ndarray, occ: np.ndarray) -> int:
     return int((nonzero & clear).sum())
 
 
-def _rank_fields(model: WrfModel):
-    """Every rank's ``(bins, occupancy)``: the rank states in process,
-    the shared mappings under process ranks."""
+def _rank_fields(model: WrfModel) -> list[RankBlocks]:
+    """Every rank's state and bins blocks and occupancy field: the rank
+    states in process, the shared mappings under process ranks."""
     if model._pool is None:
-        return [(rs.bins, rs.occupancy) for rs in model.ranks]
+        return [RankBlocks(rs.state, rs.bins, rs.occupancy) for rs in model.ranks]
     nm = model.namelist.members
     return [
-        (rank_blocks(nm, patch.shape, lambda _, s=storage: s)[2], occ)
+        RankBlocks(*rank_blocks(nm, patch.shape, lambda _, s=storage: s)[1:], occ)
         for patch, storage, occ in zip(
             model.decomposition.patches, model._pool.blocks, model._pool.occupancy
         )
@@ -91,7 +93,7 @@ def _rank_fields(model: WrfModel):
 
 
 def _assert_no_hidden_bins(model: WrfModel, when: str) -> None:
-    for rank, (bins, occ) in enumerate(_rank_fields(model)):
+    for rank, (_, bins, occ) in enumerate(_rank_fields(model)):
         hidden = _hidden(bins, occ)
         assert hidden == 0, (
             f"rank {rank}: {hidden} (cell, species) pairs hold bins under a "
@@ -167,10 +169,11 @@ class TestOccupancyField:
 
 
 def _outputs(model: WrfModel, timings) -> dict:
-    """Everything a step leaves: fields, frames, stats, clocks."""
+    """Everything a step leaves: fields, frames, stats, clocks (the
+    condensate field only in process: a worker keeps its own)."""
     nm = model.namelist.members
     return {
-        "blocks": [b.copy() for rs in model.ranks for b in (rs.state, rs.bins)],
+        "blocks": [b.copy() for rb in _rank_fields(model) for b in rb[:2]],
         "condensate": [rs.condensate.copy() for rs in model.ranks],
         "frames": [model.gather_output(m) for m in range(nm)],
         "stats": [repr(t.sbm_stats) for t in timings],
@@ -184,20 +187,23 @@ def _outputs(model: WrfModel, timings) -> dict:
     reason="compiled kernels unavailable",
 )
 class TestAllSetOracle:
-    @pytest.mark.parametrize("layout", [lay for lay in LAYOUTS if not lay[3]])
+    @pytest.mark.parametrize("layout", LAYOUTS)
     def test_skipping_changes_nothing(self, layout):
         """A run forced to skip nothing (its field set to all ones before
-        every step: what a sweep of every bin computes) and the default
-        run agree bit for bit, stats and clocks included."""
+        every step: what a sweep of every bin computes, and a halo pull
+        that moves every bin) and the default run agree bit for bit,
+        stats and clocks included. Under process ranks the driver sets
+        the workers' shared fields."""
         runs = []
         for forced in (False, True):
             model = WrfModel(_namelist(layout, 2, False, 17))
             try:
+                assert (model._pool is not None) == layout[3]
                 steps = []
                 for _ in range(3):
                     if forced:
-                        for rs in model.ranks:
-                            rs.occupancy[...] = ALL_OCCUPIED
+                        for rb in _rank_fields(model):
+                            rb.occupancy[...] = ALL_OCCUPIED
                     steps.append(_outputs(model, model.step_members()))
                 runs.append(steps)
             finally:
