@@ -31,9 +31,8 @@ keeps a hand-written twin of it.
 from __future__ import annotations
 
 import ctypes
-import functools
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -252,40 +251,6 @@ def ctypes_argtypes(kernel: Kernel) -> list:
         else:
             argtypes.append(np.ctypeslib.ndpointer(dtype=np.dtype(ctype)))
     return argtypes
-
-
-def bind(lib: ctypes.CDLL, kernel: Kernel, *args) -> Callable[[], None]:
-    """One call of ``kernel``'s function in ``lib``, its arguments
-    converted once; the returned function makes the call.
-
-    For a call repeated on the same arrays: each array is checked
-    against its parameter's element type here, as the pointers of
-    :func:`ctypes_argtypes` check it on every call, and passed by its
-    address. That conversion costs microseconds per array per call,
-    which a kernel moving little data notices. The returned function
-    holds the arrays, so their addresses stay valid while it lives.
-    """
-    fn = lib[kernel.name]  # its own function object, apart from declare's
-    fn.restype = None
-    argtypes, values = [], []
-    for p, arg in zip(kernel.params, args, strict=True):
-        ctype = _CTYPES[p.ctype]
-        if isinstance(p, ScalarParam):
-            argtypes.append(ctype)
-            values.append(ctype(arg))
-            continue
-        if p.ptr_table or not (
-            isinstance(arg, np.ndarray) and arg.dtype == np.dtype(ctype)
-        ):
-            raise TypeError(
-                f"{kernel.name}: {p.name} must be an array of {p.ctype}"
-            )
-        argtypes.append(ctypes.c_void_p)
-        values.append(ctypes.c_void_p(arg.ctypes.data))
-    fn.argtypes = argtypes
-    call = functools.partial(fn, *values)
-    call.arrays = args
-    return call
 
 
 def declare(lib: ctypes.CDLL, kernels: Iterable[Kernel]) -> None:

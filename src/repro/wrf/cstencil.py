@@ -41,11 +41,10 @@ and callers fall back to the sliced numpy kernels. Nothing outside
 this module needs to know which path ran.
 
 Beside the stencil sits the halo exchange's pull
-(:func:`build_halo_pull_ir`, :class:`HaloPull`): one segment's bins
-and occupancy bits, moving a species only where its bit says it is
-there. It is loop IR under the same host plan and kill switch, built
-into a library of its own (:func:`load_halo`) because its dense rows
-want the memcpy calls the stencil's flags forbid.
+(:func:`build_halo_pull_ir`, :func:`halo_pull_args`): one segment's
+bins and occupancy bits, moving a species only where its bit says it
+is there. It is loop IR in the same library, under the same host plan
+and kill switch.
 """
 
 from __future__ import annotations
@@ -493,12 +492,11 @@ def build_halo_pull_ir() -> Kernel:
     :func:`build_advect_ir`): a group whose bit is set in ``s`` is
     copied, one clear in ``s`` but set in ``d`` is zero-filled, and
     one clear in both is left alone (a clear ``d`` bit already promises
-    exact zeros); then ``d = s``. A cell with every species bit set in
-    ``s`` is copied whole, and a row whose every cell has every bit
-    set is copied as one run, as the slab copy does. So the result
-    equals a plain copy of the box's bins and bits, while an empty
-    cell over an empty cell costs one test. ``moved[m, i, k]``
-    receives the count of bins the row copied or zero-filled.
+    exact zeros); then ``d = s``. A row whose every cell has every
+    species bit set is copied as one run, as the slab copy does. So
+    the result equals a plain copy of the box's bins and bits, while
+    an empty cell over an empty cell costs one test. ``moved[m, i,
+    k]`` receives the count of bins the row copied or zero-filled.
     """
     nm, ni, nk, nj, ns = (
         Sym("nm"), Sym("ni"), Sym("nk"), Sym("nj"), Sym("ns")
@@ -512,25 +510,21 @@ def build_halo_pull_ir() -> Kernel:
     def every(bits):
         return Bin("&", bits, full).eq(full)
 
-    def run(start, stop, value) -> list:
-        """Write the cell's bins ``start <= n < stop`` and count them."""
-        count = stop if start == Const(0) else stop - start
+    def run(value) -> list:
+        """Write the cell's bins of group ``g`` and count them."""
         return [
-            Loop("n", start, stop, [Store("dst", (m, i, k, j, n), value)]),
-            Assign("nmoved", moved + count),
+            Loop("n", lo, hi, [Store("dst", (m, i, k, j, n), value)]),
+            Assign("nmoved", moved + (hi - lo)),
         ]
 
-    src_bin = Load("src", (m, i, k, j, n))
     cell = [
         Let("sb", Load("socc", (m, i, k, j)), ctype="long"),
         Let("db", Load("docc", (m, i, k, j)), ctype="long"),
         If(Bin("|", s, d).ne(Const(0)), [
-            If(every(s), run(Const(0), ns, src_bin), [
-                Loop("g", Const(0), Sym("ng"), [
-                    Let("mk", Load("smask", (lo,)), ctype="long"),
-                    If(Bin("&", s, Sym("mk")).ne(Const(0)), run(lo, hi, src_bin), [
-                        If(Bin("&", d, Sym("mk")).ne(Const(0)), run(lo, hi, Const(0.0))),
-                    ]),
+            Loop("g", Const(0), Sym("ng"), [
+                Let("mk", Load("smask", (lo,)), ctype="long"),
+                If(Bin("&", s, Sym("mk")).ne(Const(0)), run(Load("src", (m, i, k, j, n))), [
+                    If(Bin("&", d, Sym("mk")).ne(Const(0)), run(Const(0.0))),
                 ]),
             ]),
             Store("docc", (m, i, k, j), s),
@@ -627,32 +621,20 @@ load_error: str = ""
 # illegal transformation raises IRVerificationError here, at import,
 # before any C exists — loud by design.
 _kernels = [spec.final_kernel() for spec in _specs]
-_build_dir = Path(__file__).resolve().parent / "_cbuild"
-_banner = (
-    "Generated by repro.codee.cgen from the {} loop IR; annotations "
-    "derived by repro.codee.transform. Do not edit."
-)
 # The rings go back a cell (or a group of scalars) at a time: runs of at
 # most one cell's scalars, which gcc would otherwise turn into a memmove
 # call each; as inline vector loops they cost less.
 _module = cgen.build_module(
     "stencil",
-    _kernels[:2],
+    _kernels,
     cflags=(*cjit.DEFAULT_CFLAGS, "-fno-tree-loop-distribute-patterns"),
     disable_env=DISABLE_ENV,
-    build_dir=_build_dir,
-    banner=_banner.format("advect_stage/condensate"),
-)
-# The halo pull builds apart, under the default flags: a dense row is
-# one copy loop, which gcc emits as a memcpy call. As an inline loop it
-# moved an all-set halo box 6-9 % slower than the slab copy does.
-_HALO_PULL = _kernels[2]
-_halo_module = cgen.build_module(
-    "halo",
-    [_HALO_PULL],
-    disable_env=DISABLE_ENV,
-    build_dir=_build_dir,
-    banner=_banner.format("halo_pull"),
+    build_dir=Path(__file__).resolve().parent / "_cbuild",
+    banner=(
+        "Generated by repro.codee.cgen from the advect_stage/condensate/"
+        "halo_pull loop IR; annotations derived by repro.codee.transform. "
+        "Do not edit."
+    ),
 )
 
 #: The scratch rings ``advect_stage`` takes, in its parameter order —
@@ -661,9 +643,8 @@ RINGS = tuple(
     p.name for p in _kernels[0].params if getattr(p, "intent", "") == "scratch"
 )
 
-#: The generated translation units (kept for introspection/diagnostics).
+#: The generated translation unit (kept for introspection/diagnostics).
 C_SOURCE = _module.source
-HALO_C_SOURCE = _halo_module.source
 
 
 def load_stencil() -> ctypes.CDLL | None:
@@ -675,22 +656,12 @@ def load_stencil() -> ctypes.CDLL | None:
     ``None`` so callers take the numpy path. The underlying
     :class:`~repro.core.cjit.CJitModule` records the one-time
     ``cjit.compile``/``cjit.load`` spans and the ``stencil.path``
-    instant that marks which path (compiled vs numpy) resolved. The
-    halo pull's library (:func:`load_halo`) loads with it, so whoever
-    loads the stencil ahead of time (the process-rank pool before it
-    forks, a benchmark's set-up) has both.
+    instant that marks which path (compiled vs numpy) resolved.
     """
     global load_error
     lib = _module.load()
-    _halo_module.load()
     load_error = _module.load_error
     return lib
-
-
-def load_halo() -> ctypes.CDLL | None:
-    """The compiled halo pull's library (:class:`HaloPull`), or ``None``
-    when unavailable; under the stencil's kill switch, like it."""
-    return _halo_module.load()
 
 
 def ring_shapes(shape: tuple[int, ...], ngroups: int) -> dict[str, tuple]:
@@ -844,61 +815,52 @@ def condensate(
     lib.condensate(bins, mass, cond, nm, ni, nk, nj, ns, smask, occ)
 
 
-class HaloPull:
-    """One halo segment's compiled pull (:func:`build_halo_pull_ir`),
-    bound to its boxes once.
+def halo_pull_args(
+    src: np.ndarray,
+    dst: np.ndarray,
+    socc: np.ndarray,
+    docc: np.ndarray,
+    masks: tuple[np.ndarray, np.ndarray],
+) -> tuple:
+    """The arguments of one halo segment's ``halo_pull`` call
+    (:func:`build_halo_pull_ir`), checked.
 
     ``src``/``dst`` are ``(nm, ni, nk, nj, ns)`` float64 boxes of two
     bins blocks and ``socc``/``docc`` the same cells' uint8 ``(nm, ni,
     nk, nj)`` boxes of their occupancy fields: strided views, a box's
     bins with its bits' strides times ``ns`` doubles, as the boxes of
     one rank's bins block and occupancy field have. ``masks`` is the
-    layout's ``(smask, glo)``. The boxes are checked and the arguments
-    converted here (:func:`repro.codee.cgen.bind`), so a call costs the
-    pull and one C call: a halo segment's views never move, and the
-    per-call conversion of its seven arrays cost about as much as
-    pulling an empty segment.
+    layout's ``(smask, glo)``. A segment's boxes never move, so its
+    arguments are built once and every exchange passes them to
+    ``lib.halo_pull``.
 
     A call leaves ``dst`` and ``docc`` equal, as values, to the plain
     copies ``dst[...] = src`` and ``docc[...] = socc``, provided every
-    clear bit of ``socc`` and ``docc`` covers bins that are exact zeros;
-    ``moved[m, i, k]`` then holds the count of bins each row copied or
-    zero-filled.
+    clear bit of ``socc`` and ``docc`` covers bins that are exact zeros.
+    The last argument, ``moved``, then holds the count of bins each
+    ``(m, i, k)`` row copied or zero-filled.
     """
-
-    def __init__(
-        self,
-        lib: ctypes.CDLL,
-        src: np.ndarray,
-        dst: np.ndarray,
-        socc: np.ndarray,
-        docc: np.ndarray,
-        masks: tuple[np.ndarray, np.ndarray],
-    ):
-        nm, ni, nk, nj, ns = src.shape
-        smask, glo = masks
-        strides = []
-        for bins, occ in ((src, socc), (dst, docc)):
-            cell = occ.strides[:3]
-            if not (
-                bins.shape == src.shape
-                and occ.shape == src.shape[:4]
-                and bins.dtype == np.float64
-                and occ.dtype == np.uint8
-                and occ.strides[3] == 1
-                and bins.strides == (*(c * ns * 8 for c in cell), ns * 8, 8)
-            ):
-                raise ValueError(
-                    "halo_pull: each box's bins must match its bits' cells"
-                )
-            strides.extend(cell)
-        if not _masks_ok(smask, glo, ns):
-            raise ValueError("halo_pull: masks must split the bins into groups")
-        self.moved = np.zeros((nm, ni, nk), np.int64)
-        self._call = cgen.bind(
-            lib, _HALO_PULL, src, dst, socc, docc, nm, ni, nk, nj, ns,
-            *strides, smask, len(glo) - 1, glo, self.moved,
-        )
-
-    def __call__(self) -> None:
-        self._call()
+    nm, ni, nk, nj, ns = src.shape
+    smask, glo = masks
+    strides = []
+    for bins, occ in ((src, socc), (dst, docc)):
+        cell = occ.strides[:3]
+        if not (
+            bins.shape == src.shape
+            and occ.shape == src.shape[:4]
+            and bins.dtype == np.float64
+            and occ.dtype == np.uint8
+            and occ.strides[3] == 1
+            and bins.strides == (*(c * ns * 8 for c in cell), ns * 8, 8)
+        ):
+            raise ValueError(
+                "halo_pull: each box's bins must match its bits' cells"
+            )
+        strides.extend(cell)
+    if not _masks_ok(smask, glo, ns):
+        raise ValueError("halo_pull: masks must split the bins into groups")
+    moved = np.zeros((nm, ni, nk), np.int64)
+    return (
+        src, dst, socc, docc, nm, ni, nk, nj, ns,
+        *strides, smask, len(glo) - 1, glo, moved,
+    )

@@ -380,16 +380,14 @@ class RankHalo:
     ``boxes`` holds, per segment, the boxes it copies from and into:
     ``(src state, dst state, src bins, dst bins, src bits, dst bits)``,
     views into the ranks' :class:`RankBlocks`, which never move.
-    ``masks`` is the bins layout's ``(smask, glo)``
-    (:attr:`RankState.scalar_bits`). ``pulls`` are the segments'
-    compiled pulls (:class:`repro.wrf.cstencil.HaloPull`), bound to
-    the boxes the first time the compiled path runs.
+    ``pulls`` holds each segment's compiled pull arguments
+    (:func:`repro.wrf.cstencil.halo_pull_args`), the last of them the
+    per-row counts of the bins a pull wrote.
     """
 
     members: int
     boxes: list[tuple[np.ndarray, ...]]
-    masks: tuple[np.ndarray, np.ndarray]
-    pulls: list[cstencil.HaloPull] | None = None
+    pulls: list[tuple]
 
 
 def rank_halo(
@@ -400,7 +398,8 @@ def rank_halo(
 ) -> RankHalo:
     """``rank``'s incoming segments of ``plan``, as boxes of ``blocks``
     (every rank's, ``blocks[r]`` rank ``r``'s), each moving every
-    member at once."""
+    member at once; ``masks`` is the bins layout's ``(smask, glo)``
+    (:attr:`RankState.scalar_bits`)."""
     patches = plan.decomposition.patches
     dst = blocks[rank]
     boxes = []
@@ -413,7 +412,8 @@ def rank_halo(
             src.bins[:, i, k, j], dst.bins[:, di, dk, dj],
             src.occupancy[:, i, k, j], dst.occupancy[:, di, dk, dj],
         ))
-    return RankHalo(dst.bins.shape[0], boxes, masks)
+    pulls = [cstencil.halo_pull_args(*box[2:], masks) for box in boxes]
+    return RankHalo(dst.bins.shape[0], boxes, pulls)
 
 
 def exchange_halos_rank(halo: RankHalo) -> None:
@@ -421,15 +421,16 @@ def exchange_halos_rank(halo: RankHalo) -> None:
 
     Each incoming segment copies its state planes in one strided copy,
     then its bins and occupancy bytes in one compiled pull
-    (:class:`repro.wrf.cstencil.HaloPull`): a cell's species move only
-    where the source bit is set, and those only the old destination bit
-    marks are zero-filled, so a halo cell's bins equal its source's and
-    its bits describe them. Without the compiled stencil the bins and
-    the bits go in strided copies of the whole box. Halo writes are
-    disjoint (owned regions partition the domain, so each halo point
-    has exactly one source) and reads touch only owned regions, so
-    ranks may pull concurrently — between two barriers in the worker
-    processes — and the result never depends on the order.
+    (:func:`repro.wrf.cstencil.build_halo_pull_ir`): a cell's species
+    move only where the source bit is set, and those only the old
+    destination bit marks are zero-filled, so a halo cell's bins equal
+    its source's and its bits describe them. Without the compiled
+    stencil the bins and the bits go in strided copies of the whole
+    box. Halo writes are disjoint (owned regions partition the domain,
+    so each halo point has exactly one source) and reads touch only
+    owned regions, so ranks may pull concurrently — between two
+    barriers in the worker processes — and the result never depends on
+    the order.
 
     The span's ``bytes`` counts the full exchange, every scalar of
     every halo cell, as the MPI charges do (:func:`charge_halos_rank`);
@@ -438,26 +439,21 @@ def exchange_halos_rank(halo: RankHalo) -> None:
     ``occupancy_bytes`` counts the bits, which always move. ``engine``
     names the path that moved the bins (``"none"`` without segments).
     """
-    lib = cstencil.load_halo()
+    lib = cstencil.load_stencil()
     with tracer.span("halo_exchange", cat="mpi") as sp:
-        if lib is not None and halo.pulls is None:
-            halo.pulls = [
-                cstencil.HaloPull(lib, *box[2:], halo.masks)
-                for box in halo.boxes
-            ]
-        for n, (ss, ds, sb, db, so, do) in enumerate(halo.boxes):
+        for (ss, ds, sb, db, so, do), pull in zip(halo.boxes, halo.pulls):
             ds[...] = ss
             if lib is None:
                 db[...] = sb
                 do[...] = so
             else:
-                halo.pulls[n]()
+                lib.halo_pull(*pull)
         if sp is not None:
             state, bins, cells = (
                 sum(box[q].size for box in halo.boxes) for q in (0, 2, 4)
             )
             moved = bins if lib is None else sum(
-                int(pull.moved.sum()) for pull in halo.pulls
+                int(pull[-1].sum()) for pull in halo.pulls
             )
             itemsize = np.dtype(np.float64).itemsize  # both blocks' scalars
             sp.set(

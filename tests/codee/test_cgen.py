@@ -161,9 +161,7 @@ class TestProductionSources:
         from repro.wrf import cstencil
 
         assert "advect_stage" in cstencil.C_SOURCE
-        assert "void halo_pull(" in cstencil.HALO_C_SOURCE
-        for source in (cstencil.C_SOURCE, cstencil.HALO_C_SOURCE):
-            assert "#pragma omp parallel" not in source
+        assert "#pragma omp parallel" not in cstencil.C_SOURCE
 
     def test_fsbm_source_is_ir_emitted_and_serial(self):
         from repro.fsbm import ckernels
@@ -188,7 +186,7 @@ def _production_functions():
     from repro.fsbm import ckernels
     from repro.wrf import cstencil
 
-    libs = [cstencil.load_stencil(), cstencil.load_halo(), ckernels.load_kernels()]
+    libs = [cstencil.load_stencil(), ckernels.load_kernels()]
     if None in libs:
         pytest.skip(cstencil.load_error or ckernels.load_error)
     out = []

@@ -283,7 +283,7 @@ class TestHaloAndTransportSpans:
     def test_a_clear_sky_halo_moves_less_than_it_counts(self, use_process_ranks):
         from repro.wrf import cstencil
 
-        if cstencil.load_halo() is None:
+        if cstencil.load_stencil() is None:
             pytest.skip(f"stencil unavailable: {cstencil.load_error}")
         spans = self._spans(use_process_ranks=use_process_ranks)
         assert len(spans["halo_exchange"]) == 4  # 2 ranks x 2 steps
