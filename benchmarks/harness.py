@@ -446,20 +446,21 @@ def _transport_blocks(rng, members: int, shape, nkr: int):
     return state, bins
 
 
-def _euler_step(state, bins, split, dt, ws, floors, mass, bits, cond, occ):
-    """The model's transport advection: one in-place Euler call that
-    writes each cell's condensate into ``cond`` and its occupancy bits
-    into ``occ`` (the rank state's fields), the condensate of which the
-    numpy fallback contracts per member afterwards, as the model does.
-    The benches pass an all-set ``occ`` over dense blocks, so the sweep
-    skips nothing: they time the full sweep, bits included."""
-    from repro.wrf.transport import fused_euler_advect
+def _euler_advection(state, bins, winds, dt, ws, floors, mass, bits, cond, occ):
+    """The model's transport advection of ``state`` and ``bins``, built
+    once like a rank's: its Euler :meth:`~Advection.advect` splits the
+    winds, sweeps both blocks in place and writes each cell's condensate
+    into ``cond`` and its occupancy bits into ``occ`` (the rank state's
+    fields). The benches pass an all-set ``occ`` over dense blocks, so
+    the sweep skips nothing: they time the full sweep, bits included."""
+    from repro.wrf.state import base_state_column
+    from repro.wrf.transport import Advection
 
-    if fused_euler_advect(
-        state, bins, split, dt, ws, floors, mass, bits, cond, occ
-    ) is None:
-        for m in range(bins.shape[0]):
-            cond[m] = bins[m] @ mass
+    base = base_state_column(state.shape[3], winds.dz)
+    return Advection(
+        state, bins, winds, dt, ws, floors, mass, bits, cond, occ,
+        base["temperature"], base["rho"],
+    )
 
 
 def bench_transport_members(
@@ -472,18 +473,18 @@ def bench_transport_members(
     """Time the advection kernel on a member stack against a member loop.
 
     One rank's stacked state and bins blocks (``N`` members, 234 scalars
-    per cell) advected by one
-    in-place ``fused_euler_advect`` call, condensate included (the
-    members' rows folded into the compiled stencil's row loop), versus
-    the same work issued as ``N`` one-member calls. Fixed shape
-    regardless of ``--quick``.
+    per cell) advected by one in-place ``Advection.advect`` call,
+    condensate included (the members' rows folded into the compiled
+    stencil's row loop), versus the same work issued as ``N`` one-member
+    calls. Fixed shape regardless of ``--quick``.
     """
     from repro.fsbm.state import all_occupied
     from repro.wrf.dynamics import (
         FLOPS_PER_CELL_TEND,
         FLOPS_PER_CELL_UPDATE,
-        WindSplit,
+        Winds,
     )
+    from repro.wrf.cstencil import load_stencil
     from repro.wrf.transport import get_workspace
 
     nkr = 33
@@ -494,14 +495,12 @@ def bench_transport_members(
     state, bins = _transport_blocks(rng, members, shape, nkr)
     u = rng.uniform(-20.0, 20.0, (members, *shape))
     v = rng.uniform(-20.0, 20.0, (members, *shape))
-    w = np.ascontiguousarray(state[:, :, 2])
     dt = 30.0
     floors = layout.floors()
     mass = _scalar_masses(layout)
-    split = WindSplit.build(u, v, w, 12000.0, 500.0)
-    member_splits = [
-        WindSplit.build(u[m : m + 1], v[m : m + 1], w[m : m + 1], 12000.0, 500.0)
-        for m in range(members)
+    winds = Winds(u, v, 12000.0, 500.0)
+    member_winds = [
+        Winds(u[m : m + 1], v[m : m + 1], 12000.0, 500.0) for m in range(members)
     ]
     ws = get_workspace(
         (members, *shape), ns, owner="bench_transport_members"
@@ -520,23 +519,28 @@ def bench_transport_members(
     solo_cond = np.empty(cells)
     batched_occ = all_occupied(cells)
     solo_occ = all_occupied(cells)
+    lib = load_stencil()
+    batched_step = _euler_advection(
+        *batched, winds, dt, ws, floors, mass, bits, batched_cond, batched_occ
+    )
+    solo_steps = [
+        _euler_advection(
+            solo[0][m : m + 1], solo[1][m : m + 1], member_winds[m], dt,
+            member_ws, floors, mass, bits, solo_cond[m : m + 1],
+            solo_occ[m : m + 1],
+        )
+        for m in range(members)
+    ]
 
     def run_batched() -> float:
         t0 = time.perf_counter()
-        _euler_step(
-            *batched, split, dt, ws, floors, mass, bits, batched_cond,
-            batched_occ,
-        )
+        batched_step.advect(lib)
         return time.perf_counter() - t0
 
     def run_solo() -> float:
         t0 = time.perf_counter()
-        for m in range(members):
-            _euler_step(
-                solo[0][m : m + 1], solo[1][m : m + 1], member_splits[m], dt,
-                member_ws, floors, mass, bits, solo_cond[m : m + 1],
-                solo_occ[m : m + 1],
-            )
+        for step in solo_steps:
+            step.advect(lib)
         return time.perf_counter() - t0
 
     run_batched()  # warmup: compiled stencil, workspace pools
@@ -545,15 +549,13 @@ def bench_transport_members(
     solo_samples = [run_solo() for _ in range(reps)]
     solo_median = statistics.median(solo_samples)
 
-    from repro.wrf.cstencil import load_stencil
-
     cell_scalars = float(members * ni * nk * nj * ns)
     bench = _summarize(name or f"transport_members{members}", samples, {})
     bench.extra = {
         "members": members,
         "shape": list(shape),
         "nscalars": ns,
-        "compiled_stencil": load_stencil() is not None,
+        "compiled_stencil": lib is not None,
         "ir_kernel": "advect_stage",
         "ir_registered": _ir_registered("advect_stage"),
         "workspace_bytes": ws.nbytes,
@@ -626,8 +628,10 @@ def bench_transport(
         FLOPS_PER_CELL_TEND,
         FLOPS_PER_CELL_UPDATE,
         WindSplit,
+        Winds,
         rk_scalar_tend,
     )
+    from repro.wrf.cstencil import load_stencil
     from repro.wrf.transport import get_workspace
 
     nkr = 33
@@ -645,10 +649,7 @@ def bench_transport(
     for name, sl in layout.slices().items():
         fields[name] = bins[0, ..., sl].copy()
     split = WindSplit.build(u, v, fields["w"], 12000.0, 500.0)
-    stacked = WindSplit(
-        pos=tuple(p[None] for p in split.pos),
-        neg=tuple(n[None] for n in split.neg),
-    )
+    stacked = Winds(u[None], v[None], 12000.0, 500.0)
     dt = 30.0
     ws = get_workspace((1, *shape), ns, owner="bench_transport")
     floors = layout.floors()
@@ -656,13 +657,15 @@ def bench_transport(
     bits = layout.masks()
     cond = np.empty(bins.shape[:4])
     occ = all_occupied(bins.shape[:4])
+    lib = load_stencil()
+    fused = _euler_advection(
+        state, bins, stacked, dt, ws, floors, mass, bits, cond, occ
+    )
 
     def run_once() -> float:
         if mode == "fused":
             t0 = time.perf_counter()
-            _euler_step(
-                state, bins, stacked, dt, ws, floors, mass, bits, cond, occ
-            )
+            fused.advect(lib)
             return time.perf_counter() - t0
         t0 = time.perf_counter()
         for name, arr in fields.items():
@@ -675,8 +678,6 @@ def bench_transport(
     run_once()  # warmup: workspace pools, compiled stencil, caches
     samples = [run_once() for _ in range(reps)]
     cell_scalars = float(ni * nk * nj * ns)
-    from repro.wrf.cstencil import load_stencil
-
     return _summarize(
         f"transport_{mode}",
         samples,
@@ -684,7 +685,7 @@ def bench_transport(
             "shape": list(shape),
             "nscalars": ns,
             "mode": mode,
-            "compiled_stencil": load_stencil() is not None,
+            "compiled_stencil": lib is not None,
             "ir_kernel": "advect_stage",
             "ir_registered": _ir_registered("advect_stage"),
             # One Euler stage of donor-cell tendency + update.

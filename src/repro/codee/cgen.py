@@ -170,7 +170,8 @@ class _Emitter:
                 pragma += f" reduction({op}:{', '.join(names)})"
             self.lines.append(f"{pad}{pragma}")
         if loop.simd:
-            self.lines.append(f"{pad}#pragma omp simd")
+            simdlen = f" simdlen({loop.simdlen})" if loop.simdlen else ""
+            self.lines.append(f"{pad}#pragma omp simd{simdlen}")
         self.lines.append(
             f"{pad}for (long {loop.var} = {self.expr(loop.start)}; "
             f"{loop.var} < {self.expr(loop.stop)}; {loop.var}++) {{"

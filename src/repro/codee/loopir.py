@@ -308,6 +308,9 @@ class Loop:
     parallel: bool = False
     collapse: int = 1
     simd: bool = False
+    #: The ``simdlen`` clause of a ``simd`` loop (0: none): its constant
+    #: trip count, when that is a power of two.
+    simdlen: int = 0
     schedule: str = "static"
     #: Approved ``(op, name)`` reduction clauses for this nest; an
     #: accumulation not covered here is a VFY009 finding.

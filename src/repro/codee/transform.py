@@ -909,22 +909,36 @@ def simd_lanes(policy: TransformPolicy, inner: list[NestReport]) -> PassResult:
     vectorizing an enclosing bin loop instead (which would turn each
     lane's sum into an in-order vector reduction). Loops with runtime
     bounds are left to the compiler, as in every other serial kernel.
+
+    A lane loop whose trip count is a power of two also gets it as its
+    ``simdlen``: the whole tile row is one vector, so the compiler does
+    not split it by its preferred width (gcc targets 256-bit vectors on
+    hosts that have 512-bit ones, issuing an 8-lane double statement as
+    two instructions). Each lane still computes alone, so the results do
+    not change. Other widths keep a bare ``simd``.
     """
     stage = Stage.OFFLOAD_COLLAPSE2.value
     if not policy.simd:
         return PassResult("simd_lanes", stage, False, "policy: no simd")
-    marked = 0
+    marked = widths = 0
     for rep in inner:
         loop = rep.nest
         leaf = not any(isinstance(s, Loop) for s in walk_ir_stmts(loop.body))
         if isinstance(loop.stop, Const) and rep.parallel_depth and leaf:
             loop.simd = True
             marked += 1
+            trip = loop.stop.value - (
+                loop.start.value if isinstance(loop.start, Const) else loop.stop.value
+            )
+            if trip > 1 and trip & (trip - 1) == 0:
+                loop.simdlen = trip
+                widths += 1
     return PassResult(
         "simd_lanes",
         stage,
         bool(marked),
-        f"simd on {marked} fixed-width lane loop(s)"
+        f"simd on {marked} fixed-width lane loop(s), {widths} with "
+        "simdlen(trip count)"
         if marked
         else "no fixed-width independent leaf loops",
     )

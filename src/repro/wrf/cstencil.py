@@ -40,11 +40,15 @@ The generated source goes through :mod:`repro.core.cjit`
 and callers fall back to the sliced numpy kernels. Nothing outside
 this module needs to know which path ran.
 
-Beside the stencil sits the halo exchange's pull
+The sweep splits each cell's upwind winds itself, and the buoyancy
+update of w that follows it is loop IR too (:func:`build_buoyancy_ir`),
+so a transport step runs compiled end to end; a rank builds and checks
+the calls' arguments once (:func:`advect_stage_args`,
+:func:`buoyancy_args`). Beside them sits the halo exchange's pull
 (:func:`build_halo_pull_ir`, :func:`halo_pull_args`): one segment's
 bins and occupancy bits, moving a species only where its bit says it
-is there. It is loop IR in the same library, under the same host plan
-and kill switch.
+is there. All of them are loop IR in the same library, under the same
+host plan and kill switch.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.codee import cgen, loopir, transform
+from repro.constants import GRAVITY
 from repro.core import cjit
 from repro.codee.loopir import (
     ArrayParam,
@@ -73,6 +78,7 @@ from repro.codee.loopir import (
     Store,
     Sym,
 )
+from repro.wrf.dynamics import DRAG, W_MAX
 
 #: Environment switch forcing the numpy fallback (used by the
 #: equivalence tests to exercise both paths, and as an escape hatch).
@@ -194,6 +200,9 @@ def _note_bit(value, at=Sym("n")) -> Assign:
 #: The planes of the state block, in order: t, qv, w.
 NSTATE = 3
 
+#: The state block's t and w planes.
+T_PLANE, W_PLANE = 0, 2
+
 #: Doubles per vector the bin sweeps are blocked by (256-bit lanes).
 SWEEP_VECTOR = 4
 
@@ -222,6 +231,15 @@ def build_advect_ir() -> Kernel:
     (``sfloors[q]`` for the state, ``floors[n]`` for the bins): 0.0 for
     clipped scalars, -inf (never taken) for the rest — the same bits as
     the reference's ``if (clip && out < 0) out = 0``.
+
+    Each cell derives its donor-cell winds itself: ``max(vel, 0) /
+    spacing`` and ``min(vel, 0) / spacing`` per axis from the
+    member-stacked ``u`` and ``v`` (``(nm, ni, nk, nj)``, spacing
+    ``dx``) and from the ``sbase`` w plane (spacing ``dz``), one divide
+    per axis, equal to :meth:`repro.wrf.dynamics.WindSplit.build` bit
+    for bit. ``sbase`` holds the step's start in every stage (Euler's
+    is the block itself, whose row ``r`` goes back only after row ``r +
+    1``), so every stage advects with the step-start w.
 
     Each cell advects its three state values, then its bins. ``occ``
     holds each cell's occupancy bits (bit ``sp`` clear: every bin of
@@ -319,16 +337,28 @@ def build_advect_ir() -> Kernel:
     def has(mask):
         return Bin("&", Sym("live"), mask).ne(Const(0))
 
+    def split(pos, neg, vel, spacing) -> list:
+        """The cell's upwind pair of one axis, ``max(vel, 0) / spacing``
+        and ``min(vel, 0) / spacing`` as ``WindSplit.build`` computes
+        them: one divide, and +0.0 (numpy's maximum and minimum of -0.0
+        and 0.0) wherever the wind is not of the pair's sign."""
+        x, d = Sym(pos + "x"), Sym(pos + "d")
+        return [
+            Let(x.name, vel),
+            Let(d.name, x / Sym(spacing)),
+            Let(pos, clamp(x.gt(Const(0.0)), d, Const(0.0))),
+            Let(neg, clamp(x.lt(Const(0.0)), d, Const(0.0))),
+        ]
+
     init, add_all, store = lane_condensate("out", (r, k, j))
     lo, hi = Load("glo", (g,)), Load("glo", (g + 1,))
     _, add_group, _ = lane_condensate("out", (r, k, j), lo, hi)
     body_j = [
-        Let("up", Load("pos_i", (r, k, j))),
-        Let("un", Load("neg_i", (r, k, j))),
-        Let("wp", Load("pos_k", (r, k, j))),
-        Let("wn", Load("neg_k", (r, k, j))),
-        Let("vp", Load("pos_j", (r, k, j))),
-        Let("vn", Load("neg_j", (r, k, j))),
+        # The winds the stage advects with: u, v and the step-start w,
+        # which is the base state's w plane.
+        *split("up", "un", Load("u", (r, k, j)), "dx"),
+        *split("wp", "wn", Load("sbase", (r, k, Const(W_PLANE), j)), "dz"),
+        *split("vp", "vn", Load("v", (r, k, j)), "dx"),
         Let("i", r - (r / ni) * ni, ctype="long"),
         Let("im", clamp(i.gt(0), r - 1, r), ctype="long"),
         Let("ip", clamp(i.lt(ni - 1), r + 1, r), ctype="long"),
@@ -387,12 +417,10 @@ def build_advect_ir() -> Kernel:
             ArrayParam("s", strides=s4),
             ArrayParam("base", strides=s4),
             ArrayParam("out", strides=s4, intent="out"),
-            ArrayParam("pos_i", strides=c3),
-            ArrayParam("neg_i", strides=c3),
-            ArrayParam("pos_k", strides=c3),
-            ArrayParam("neg_k", strides=c3),
-            ArrayParam("pos_j", strides=c3),
-            ArrayParam("neg_j", strides=c3),
+            ArrayParam("u", strides=c3),
+            ArrayParam("v", strides=c3),
+            ScalarParam("dx", "double"),
+            ScalarParam("dz", "double"),
             ScalarParam("f", "double"),
             ScalarParam("nm", "long"),
             ScalarParam("ni", "long"),
@@ -416,7 +444,8 @@ def build_advect_ir() -> Kernel:
             "a rank's planar (nm, ni, 3, nk, nj) state block and its "
             "(nm, ni, nk, nj, ns) bins block, their members' rows folded "
             "into nm * ni rows, with zero-gradient edges clamped at each "
-            "member's own rows; tendency accumulated axis i, then k, then "
+            "member's own rows; upwind winds split per cell from u, v and "
+            "the base w plane; tendency accumulated axis i, then k, then "
             "j in the reference's grouping; bins of species whose "
             "occupancy bit is clear across the 7-point stencil skipped; "
             "each cell's condensate summed in 8 lanes from the stored "
@@ -472,6 +501,68 @@ def build_condensate_ir() -> Kernel:
             "Each cell's condensate sum_n s[n] * mass[n] over the "
             "member-stacked (nm, ni, nk, nj, ns) bins block, summed in 8 "
             "lanes as advect_stage sums it, and its occupancy bits."
+        ),
+    )
+
+
+def build_buoyancy_ir() -> Kernel:
+    """The buoyancy update of a state block's w plane as loop IR.
+
+    :func:`repro.wrf.dynamics.buoyancy_w_update` of every member at
+    once, over the planar ``(nm, ni, 3, nk, nj)`` state block ``s``
+    (rows folded into ``nm * ni`` as in :func:`build_advect_ir`) and the
+    ``(nm, ni, nk, nj)`` condensate ``cond``: ``w += dt * (accel - DRAG
+    * w)`` with ``accel = g * ((t - tbase[k]) / tbase[k] - cond /
+    rho[k])``, the operations grouped as numpy evaluates them; then
+    levels 0 and ``nk - 1`` take +0.0 and the result is clipped to
+    ``±W_MAX`` as ``np.clip`` clips, so the plane equals the numpy
+    update's bit for bit. The j loop runs over contiguous planes.
+    """
+    nm, ni, nk, nj = Sym("nm"), Sym("ni"), Sym("nk"), Sym("nj")
+    r, k, j = Sym("r"), Sym("k"), Sym("j")
+    w, tb, rk = Sym("w"), Sym("tb"), Sym("rk")
+    clamp = loopir.Select
+    wmax = Const(W_MAX)
+    at_w = (r, k, Const(W_PLANE), j)
+    body_j = [
+        Let("w", Load("s", at_w)),
+        Let("q", Load("cond", (r, k, j)) / rk),
+        Let("a", Const(GRAVITY) * ((Load("s", (r, k, Const(T_PLANE), j)) - tb) / tb - Sym("q"))),
+        Let("x", w + Sym("dt") * (Sym("a") - Const(DRAG) * w)),
+        Let("y", clamp(Sym("pin").ne(Const(0)), Const(0.0), Sym("x"))),
+        Let("z", clamp(Sym("y").lt(-wmax), -wmax, Sym("y"))),
+        Store("s", at_w, clamp(Sym("z").gt(wmax), wmax, Sym("z"))),
+    ]
+    body_k = [
+        Let("tb", Load("tbase", (k,))),
+        Let("rk", Load("rho", (k,))),
+        # The rigid lid and the ground.
+        Let("pin", k.eq(Const(0)).logical_or(k.eq(nk - 1)), ctype="long"),
+        Loop("j", Const(0), nj, body_j),
+    ]
+    nest = Loop("r", Const(0), nm * ni, [Loop("k", Const(0), nk, body_k)])
+    return Kernel(
+        name="buoyancy",
+        params=(
+            ArrayParam(
+                "s", strides=(Const(NSTATE) * nk * nj, nj, nk * nj, Const(1)),
+                intent="inout",
+            ),
+            ArrayParam("cond", strides=(nk * nj, nj, Const(1))),
+            ArrayParam("tbase", strides=(Const(1),)),
+            ArrayParam("rho", strides=(Const(1),)),
+            ScalarParam("dt", "double"),
+            ScalarParam("nm", "long"),
+            ScalarParam("ni", "long"),
+            ScalarParam("nk", "long"),
+            ScalarParam("nj", "long"),
+        ),
+        body=[nest],
+        doc=(
+            "The buoyancy update of the w plane of a member-stacked planar "
+            "(nm, ni, 3, nk, nj) state block: w += dt * (g * ((t - tbase) / "
+            "tbase - cond / rho) - DRAG * w), levels 0 and nk - 1 pinned to "
+            "zero, clipped to +-W_MAX."
         ),
     )
 
@@ -609,6 +700,7 @@ _specs = [
     for name, build in (
         ("advect_stage", build_advect_ir),
         ("condensate", build_condensate_ir),
+        ("buoyancy", build_buoyancy_ir),
         ("halo_pull", build_halo_pull_ir),
     )
 ]
@@ -632,7 +724,8 @@ _module = cgen.build_module(
     build_dir=Path(__file__).resolve().parent / "_cbuild",
     banner=(
         "Generated by repro.codee.cgen from the advect_stage/condensate/"
-        "halo_pull loop IR; annotations derived by repro.codee.transform. "
+        "buoyancy/halo_pull loop IR; annotations derived by "
+        "repro.codee.transform. "
         "Do not edit."
     ),
 )
@@ -706,16 +799,14 @@ def _masks_ok(smask: np.ndarray, glo: np.ndarray, ns: int) -> bool:
     return all((smask[a:b] == smask[a]).all() for a, b in zip(glo[:-1], glo[1:]))
 
 
-def advect_stage(
-    lib: ctypes.CDLL,
+def advect_stage_args(
     ss: np.ndarray,
     sbase: np.ndarray,
     sout: np.ndarray,
     s: np.ndarray,
     base: np.ndarray,
     out: np.ndarray,
-    pos: tuple[np.ndarray, np.ndarray, np.ndarray],
-    neg: tuple[np.ndarray, np.ndarray, np.ndarray],
+    winds: tuple[np.ndarray, np.ndarray, float, float],
     f: float,
     sfloors: np.ndarray,
     floors: np.ndarray,
@@ -726,26 +817,34 @@ def advect_stage(
     occ_out: np.ndarray,
     swept: np.ndarray,
     rings: dict[str, np.ndarray],
-) -> None:
-    """One fused stage ``out = max(base + f * tend(s), floors)`` on both blocks.
+) -> tuple:
+    """The arguments of one fused stage's ``advect_stage`` call
+    (:func:`build_advect_ir`), checked: ``out = max(base + f * tend(s),
+    floors)`` on both blocks.
 
     ``ss``/``sbase``/``sout`` are the ``(nm, ni, 3, nk, nj)`` state
     blocks and ``s``/``base``/``out`` the ``(nm, ni, nk, nj, ns)`` bins
     blocks; each triple may be one block: the kernel computes each row
     into the rings (of :func:`ring_shapes`) and stores it once the next
-    row's plane is done. ``pos``/``neg`` are the member-stacked ``(nm,
-    ni, nk, nj)`` wind decompositions, ``sfloors`` the three state
-    fields' floors, ``floors``/``mass`` per bin, and ``cond`` the ``(nm,
-    ni, nk, nj)`` condensate ``sum_n out[n] * mass[n]`` the sweep
-    writes; one C call advances every member. ``masks`` is the layout's
-    ``(smask, glo)`` (:meth:`repro.wrf.transport.ScalarLayout.masks`),
-    ``occ`` the uint8 ``(nm, ni, nk, nj)`` occupancy bits the sweep
-    skips by and ``occ_out`` (which may be ``occ``) the bits it writes;
-    ``swept`` receives each cell's count of swept species (int32).
-    Every operand must be C-contiguous: the kernel addresses them as
-    dense arrays.
+    row's plane is done. ``winds`` is ``(u, v, dx, dz)``
+    (:class:`repro.wrf.dynamics.Winds`): the member-stacked ``(nm, ni,
+    nk, nj)`` horizontal winds and the spacings; the vertical wind is
+    ``sbase``'s w plane. ``sfloors`` are the three state fields' floors,
+    ``floors``/``mass`` per bin, and ``cond`` the ``(nm, ni, nk, nj)``
+    condensate ``sum_n out[n] * mass[n]`` the sweep writes; one C call
+    advances every member. ``masks`` is the layout's ``(smask, glo)``
+    (:meth:`repro.wrf.transport.ScalarLayout.masks`), ``occ`` the uint8
+    ``(nm, ni, nk, nj)`` occupancy bits the sweep skips by and
+    ``occ_out`` (which may be ``occ``) the bits it writes; ``swept``
+    receives each cell's count of swept species (int32). Every operand
+    must be C-contiguous: the kernel addresses them as dense arrays.
+
+    A rank's blocks never move, so its stages' arguments are built once
+    and every step passes them to ``lib.advect_stage``; a malformed
+    operand raises ``ValueError`` here, before any call.
     """
     nm, ni, nk, nj, ns = s.shape
+    u, v, dx, dz = winds
     smask, glo = masks
     ng = len(glo) - 1
     cells = s.shape[:4]
@@ -753,7 +852,7 @@ def advect_stage(
     typed = (
         *((a, planes, np.float64) for a in (ss, sbase, sout)),
         *((a, s.shape, np.float64) for a in (s, base, out)),
-        *((w, cells, np.float64) for w in (*pos, *neg, cond)),
+        *((a, cells, np.float64) for a in (u, v, cond)),
         (sfloors, (NSTATE,), np.float64),
         *((a, (ns,), np.float64) for a in (floors, mass)),
         (occ, cells, np.uint8),
@@ -772,13 +871,44 @@ def advect_stage(
         raise ValueError(
             "advect_stage: operands must be C-contiguous and match the blocks"
         )
-    lib.advect_stage(
-        ss, sbase, sout, s, base, out,
-        pos[0], neg[0], pos[1], neg[1], pos[2], neg[2],
+    return (
+        ss, sbase, sout, s, base, out, u, v, float(dx), float(dz),
         float(f), nm, ni, nk, nj, ns,
         sfloors, floors, mass, cond, smask, ng, glo, occ, occ_out, swept,
         *(rings[name] for name in RINGS),
     )
+
+
+def buoyancy_args(
+    state: np.ndarray,
+    cond: np.ndarray,
+    t_base: np.ndarray,
+    rho: np.ndarray,
+    dt: float,
+) -> tuple:
+    """The arguments of the ``buoyancy`` call (:func:`build_buoyancy_ir`)
+    that updates ``state``'s w plane, checked once like a stage's.
+
+    ``state`` is the C-contiguous ``(nm, ni, 3, nk, nj)`` state block,
+    ``cond`` its ``(nm, ni, nk, nj)`` condensate, ``t_base`` and ``rho``
+    the ``(nk,)`` base-state temperature and density columns the members
+    share; ``dt`` the time step.
+    """
+    nm, ni, _, nk, nj = state.shape
+    typed = (
+        (state, (nm, ni, NSTATE, nk, nj)),
+        (cond, (nm, ni, nk, nj)),
+        (t_base, (nk,)),
+        (rho, (nk,)),
+    )
+    if not all(
+        a.shape == shape and a.dtype == np.float64 and a.flags.c_contiguous
+        for a, shape in typed
+    ):
+        raise ValueError(
+            "buoyancy: operands must be C-contiguous and match the state block"
+        )
+    return (state, cond, t_base, rho, float(dt), nm, ni, nk, nj)
 
 
 def condensate(

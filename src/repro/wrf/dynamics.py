@@ -15,6 +15,7 @@ structure are the point here).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +29,12 @@ FLOPS_PER_CELL_UPDATE = 2.0
 
 #: RK3 stage fractions used by WRF's ARW solver.
 RK3_FRACTIONS = (1.0 / 3.0, 0.5, 1.0)
+
+#: Rayleigh drag of the buoyancy update [1/s].
+DRAG = 5.0e-3
+
+#: The buoyancy update clips w to +-W_MAX [m/s].
+W_MAX = 25.0
 
 
 @dataclass(frozen=True)
@@ -68,6 +75,22 @@ class WindSplit:
             for vel, sp, o in zip(vels, spacings, out[3:])
         )
         return cls(pos=pos, neg=neg)  # type: ignore[arg-type]
+
+
+class Winds(NamedTuple):
+    """The winds one transport step advects with.
+
+    The member-stacked horizontal winds ``u`` and ``v`` (``(nm, ni, nk,
+    nj)``) and the grid spacings; the vertical wind is the state
+    block's w plane at the step's start. The compiled stage splits them
+    per cell as it sweeps (:func:`repro.wrf.cstencil.build_advect_ir`);
+    the numpy fallback builds the :class:`WindSplit`.
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+    dx: float
+    dz: float
 
 
 def _upwind_tend(s: np.ndarray, axis: int, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
@@ -201,12 +224,15 @@ def buoyancy_w_update(
     condensate_mass: np.ndarray,
     rho: np.ndarray,
     dt: float,
-    drag: float = 5.0e-3,
+    drag: float = DRAG,
 ) -> None:
     """Advance vertical velocity from buoyancy and loading (in place).
 
     ``dw/dt = g (T'/T_base - q_cond) - drag * w``; the top and bottom
-    levels are pinned to zero (rigid lid / ground).
+    levels are pinned to zero (rigid lid / ground). The numpy fallback
+    and the oracle of the compiled update
+    (:func:`repro.wrf.cstencil.build_buoyancy_ir`), which the model
+    runs whenever the stencil library loads.
     """
     t_base = t_base_col[None, :, None]
     q_cond = condensate_mass / rho  # mixing ratio of condensate
@@ -214,4 +240,4 @@ def buoyancy_w_update(
     w += dt * (accel - drag * w)
     w[:, 0, :] = 0.0
     w[:, -1, :] = 0.0
-    np.clip(w, -25.0, 25.0, out=w)
+    np.clip(w, -W_MAX, W_MAX, out=w)

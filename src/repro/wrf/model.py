@@ -57,16 +57,16 @@ from repro.wrf.dynamics import (
     FLOPS_PER_CELL_TEND,
     FLOPS_PER_CELL_UPDATE,
     RK3_FRACTIONS,
-    buoyancy_w_update,
+    Winds,
 )
 from repro.wrf import cstencil
 from repro.wrf.namelist import Namelist, member_namelist
 from repro.wrf.state import WrfFields, rank_blocks
 from repro.wrf.transport import (
     STATE_FIELDS,
+    Advection,
     TransportWorkspace,
-    fused_euler_advect,
-    fused_rk3_advect,
+    blas_condensate,
     get_workspace,
     sum_condensate,
 )
@@ -179,10 +179,10 @@ class RankState:
     per-member views a one-member run would see are exactly the slabs'
     planes and columns. Non-advected per-member arrays (winds, CCN,
     precip) live in member-stacked side arrays with the member fields
-    rebound as views, which is what lets transport build one stacked
-    :class:`~repro.wrf.dynamics.WindSplit` and microphysics gather all
-    members with one mask. The ``*_o`` arrays are the owned-region
-    (halo-free) views the physics sweep works on.
+    rebound as views, which is what lets transport advect every member
+    in one sweep and microphysics gather all members with one mask. The
+    ``*_o`` arrays are the owned-region (halo-free) views the physics
+    sweep works on.
 
     ``condensate`` is every cell's condensate mass, kept current with
     the bins: filled once here, then written by each transport sweep
@@ -206,10 +206,6 @@ class RankState:
     clocks: list[SimClock]
     sbms: list[FastSBM]
     workspace: TransportWorkspace
-    u: np.ndarray
-    v: np.ndarray
-    #: The stacked w plane of the state block.
-    w: np.ndarray
     states: list[MicroState]
     #: Every species' bins, packed ``(nm, ni, nk, nj, nsp * nkr)``.
     bins_o: np.ndarray
@@ -223,10 +219,6 @@ class RankState:
     #: members share (sedimentation fall speeds): the same bits on every
     #: rank of every decomposition.
     pressure_levels: np.ndarray
-    #: Per-bin clamp after each transport step (0.0: every bin clips).
-    floors: np.ndarray
-    #: Per-bin mass for the condensate sum.
-    scalar_masses: np.ndarray
     #: Each cell's condensate ``(N, ni, nk, nj)`` (memory extents) and
     #: its owned view.
     condensate: np.ndarray
@@ -238,13 +230,10 @@ class RankState:
     #: extents) and its owned view.
     occupancy: np.ndarray
     occupancy_o: np.ndarray
-
-
-def _blas_condensate(fields: list[WrfFields], cond: np.ndarray) -> None:
-    """The numpy fallback's condensate: one BLAS contraction per member
-    (a call must not see other members' rows)."""
-    for m, f in enumerate(fields):
-        cond[m] = f.micro.total_condensate_mass()
+    #: The transport stage of both blocks (advection, then buoyancy),
+    #: its compiled calls built once
+    #: (:class:`~repro.wrf.transport.Advection`).
+    advection: Advection
 
 
 def build_rank_state(
@@ -298,8 +287,11 @@ def build_rank_state(
     bits = fields[0].layout.masks()
     condensate = np.empty((nm, *shape))
     if not sum_condensate(bins, scalar_masses, bits, condensate, occupancy):
-        _blas_condensate(fields, condensate)
+        blas_condensate(bins, scalar_masses, condensate)
         occupancy[...] = ALL_OCCUPIED
+    workspace = get_workspace(
+        (nm, *shape), fields[0].scalar_count(), fields[0].t.dtype, owner=rank
+    )
     return RankState(
         rank=rank,
         state=state,
@@ -307,12 +299,7 @@ def build_rank_state(
         fields=fields,
         clocks=clocks,
         sbms=[build_rank_sbm(namelist, clock, cpu_cost, engine) for clock in clocks],
-        workspace=get_workspace(
-            (nm, *shape), fields[0].scalar_count(), fields[0].t.dtype, owner=rank
-        ),
-        u=u,
-        v=v,
-        w=planes["w"],
+        workspace=workspace,
         states=[f.micro.view(sl) for f in fields],
         bins_o=bins[every],
         t_o=planes["t"][every],
@@ -322,13 +309,18 @@ def build_rank_state(
         p_o=np.broadcast_to(p_one[None], (nm, *p_one.shape)),
         rho_o=np.broadcast_to(rho_one[None], (nm, *rho_one.shape)),
         pressure_levels=fields[0].p_mb_col[sl[1]],
-        floors=fields[0].layout.floors(),
-        scalar_masses=scalar_masses,
         condensate=condensate,
         condensate_o=condensate[every],
         scalar_bits=bits,
         occupancy=occupancy,
         occupancy_o=occupancy[every],
+        # The members share the base-state columns.
+        advection=Advection(
+            state, bins, Winds(u, v, namelist.domain.dx, namelist.domain.dz),
+            namelist.dt, workspace, fields[0].layout.floors(), scalar_masses,
+            bits, condensate, occupancy, fields[0].t_base_col,
+            fields[0].rho_col, rk3=namelist.use_rk3_numerics,
+        ),
     )
 
 
@@ -542,23 +534,23 @@ def transport_charges(
 def transport_numerics(namelist: Namelist, rs: RankState) -> None:
     """Advect every member's scalars; apply the buoyancy updates.
 
-    Numerics: one donor-cell sweep of both stacked blocks, in place
-    — single Euler stage (default) or full RK3 (``use_rk3_numerics``) —
-    over one stacked wind decomposition, hoisted out of the scalar
-    loop. Both are elementwise in the member axis, so member ``m``'s
-    result is bitwise a one-member sweep's. On the compiled path the
-    sweep also writes each cell's condensate into ``rs.condensate``,
-    summed from the cell's own bins in a fixed order; it feeds the
-    per-member buoyancy update now and the next step's physics
-    predicate and output frames: no block copy and no second read of
-    the block, and the condensate does not depend on BLAS call shapes,
-    the member count or the decomposition. The numpy fallback contracts
-    each member's packed bins into it instead (a BLAS call per member,
-    which must not see other members' rows).
-
-    The compiled sweep skips every species that ``rs.occupancy`` marks
-    empty across a cell's stencil and writes the cells' new bits; the
-    numpy fallback sweeps every species and sets every bit.
+    Numerics: the rank's :class:`~repro.wrf.transport.Advection` runs
+    one donor-cell step of both stacked blocks in place — single Euler
+    stage (default) or full RK3 (``use_rk3_numerics``) — then the
+    buoyancy update of every member's w: compiled end to end when the
+    stencil library loads (its calls built once with the rank, each
+    sweep splitting its cells' winds as it goes), in numpy otherwise.
+    Both are elementwise in the member axis, so member ``m``'s result is
+    bitwise a one-member run's. The compiled sweep writes each cell's
+    condensate into ``rs.condensate``, summed from the cell's own bins
+    in a fixed order, and its bits into ``rs.occupancy``, skipping every
+    species the bits mark empty across a cell's stencil. The condensate
+    feeds the buoyancy update, the next step's physics predicate and
+    the output frames: no block copy and no second read of the block,
+    and it does not depend on BLAS call shapes, the member count or the
+    decomposition. The numpy fallback sweeps every species, sets every
+    bit and contracts each member's bins instead (a BLAS call per
+    member, which must not see other members' rows).
 
     The span mirrors the ``rk_scalar_tend``/``rk_update_scalar`` clock
     regions' work under one measured name; ``flops`` counts the stages
@@ -569,24 +561,8 @@ def transport_numerics(namelist: Namelist, rs: RankState) -> None:
     pairs the stages computed and skipped, and ``engine`` names the
     sweep that ran (``"compiled"`` or ``"numpy"``).
     """
-    dt = namelist.dt
     with tracer.span("transport", cat="transport") as sp:
-        # The freshly exchanged w halo lives in the state block; advect
-        # with that wind.
-        split = rs.workspace.wind_split(
-            rs.u, rs.v, rs.w, namelist.domain.dx, namelist.domain.dz
-        )
-        advect = fused_rk3_advect if namelist.use_rk3_numerics else fused_euler_advect
-        swept = advect(
-            rs.state, rs.bins, split, dt, rs.workspace, rs.floors,
-            rs.scalar_masses, rs.scalar_bits, rs.condensate, rs.occupancy,
-        )
-        if swept is None:
-            _blas_condensate(rs.fields, rs.condensate)
-        for m, f in enumerate(rs.fields):
-            buoyancy_w_update(
-                f.w, f.t, f.t_base_col, rs.condensate[m], f.rho, dt
-            )
+        swept = rs.advection.run(cstencil.load_stencil())
         if sp is not None:
             cell_scalars = float(rs.state.size + rs.bins.size)
             stages = len(RK3_FRACTIONS) if namelist.use_rk3_numerics else 1

@@ -22,13 +22,16 @@ This module is the Python analog of the paper's stage-3 transformation:
   in the ``(nm, ni, nk, nj, nbins)`` bins block — and all of them are
   advected in a single sweep. When the system C compiler is
   available the Euler step is one compiled pass over both blocks
-  (:mod:`repro.wrf.cstencil`): every value read once and written back
-  in place through a two-row ring, clipped in the store, with each
-  cell's condensate summed on the way into the caller's condensate
-  field and its occupancy bits into the caller's occupancy field, and
-  every species those bits mark empty across a cell's stencil skipped
-  — otherwise a sliced in-place numpy stencil runs through
-  preallocated buffers instead of rolled copies.
+  (:mod:`repro.wrf.cstencil`), its call arguments built once per rank
+  (:class:`Advection`): each cell's upwind winds split on the way from
+  ``u``, ``v`` and the step-start w, every value read once and written
+  back in place through a two-row ring, clipped in the store, with
+  each cell's condensate summed on the way into the caller's
+  condensate field and its occupancy bits into the caller's occupancy
+  field, and every species those bits mark empty across a cell's
+  stencil skipped — otherwise the wind split and a sliced in-place
+  numpy stencil run through preallocated buffers instead of rolled
+  copies.
 
 Workspaces are registered in the :mod:`repro.core.cache` registry
 (cache ``"wrf.transport_workspace"``), so tests and the benchmark
@@ -52,12 +55,13 @@ from repro.core.cache import get_cache
 from repro.fsbm.state import ALL_OCCUPIED
 from repro.obs import tracer
 from repro.wrf import cstencil
-from repro.wrf.dynamics import RK3_FRACTIONS, WindSplit
+from repro.wrf.dynamics import RK3_FRACTIONS, WindSplit, Winds, buoyancy_w_update
 
 
 #: The fields of the planar state block, in plane order.
 STATE_FIELDS = ("t", "qv", "w")
 assert len(STATE_FIELDS) == cstencil.NSTATE
+assert (STATE_FIELDS[cstencil.T_PLANE], STATE_FIELDS[cstencil.W_PLANE]) == ("t", "w")
 
 #: Their floors after each update: t and w are never clamped (-inf never
 #: binds), qv clamps at zero.
@@ -143,16 +147,18 @@ class TransportWorkspace:
     The Python analog of the paper's Listing-8 ``temp_arrays`` module:
     one flat pool per buffer name, sized by the largest request and
     handed out as shaped views, so repeated steps perform zero heap
-    allocations. Pools are sized by request, not rounded up to a block:
-    every step's pools are the six wind pieces of :meth:`wind_split`;
-    the compiled Euler step adds its two-row rings (:meth:`rings`: the
-    values of both blocks, the evaluated guards and the new occupancy
-    bits) and one ``swept`` count per cell (RK3 adds the block-sized
+    allocations. Pools are sized by request, not rounded up to a block.
+    The compiled Euler step pins only its two-row rings (:meth:`rings`:
+    the values of both blocks, the evaluated guards and the new
+    occupancy bits) and one ``swept`` count per cell — it splits the
+    winds per cell as it sweeps — and RK3 adds the block-sized
     ``stage``/``tend`` and ``state_stage``/``state_tend`` for its first
-    two stages, two occupancy fields and the unclamped floors; the
-    numpy path uses ``tend``, the per-axis stencil pieces
+    two stages, two occupancy fields and the unclamped floors; all of
+    them are requested once, when a rank's :class:`Advection` builds its
+    stage calls. The numpy fallback adds the six wind pieces of
+    :meth:`wind_split`, ``tend``, the per-axis stencil pieces
     ``diff``/``hi``/``lo`` and RK3's ``phi0``/``stage``, one block after
-    the other). ``allocations`` counts pool (re)allocations — a
+    the other. ``allocations`` counts pool (re)allocations — a
     reuse test can assert it stays flat across steps the same way the
     paper checks ``map(alloc:)`` happens once. ``shape`` is the block's
     grid shape without the scalar axis — the model's ``(nm, ni, nk,
@@ -207,7 +213,9 @@ class TransportWorkspace:
         dx: float,
         dz: float,
     ) -> WindSplit:
-        """:meth:`WindSplit.build` into six of this workspace's pools.
+        """:meth:`WindSplit.build` into six of this workspace's pools:
+        the numpy fallback's split (the compiled sweep splits each
+        cell's winds itself).
 
         The same ufuncs in the same order, so the same bits; the pieces
         are valid until the next call.
@@ -340,148 +348,199 @@ def _numpy_blocks(state, bins, floors):
     return ((bins, floors), (state.transpose(0, 1, 3, 4, 2), STATE_FLOORS))
 
 
-def fused_euler_advect(
-    state: np.ndarray,
-    bins: np.ndarray,
-    split: WindSplit,
-    dt: float,
-    ws: TransportWorkspace,
-    floors: np.ndarray,
-    mass: np.ndarray,
-    masks: tuple[np.ndarray, np.ndarray],
-    cond: np.ndarray,
-    occ: np.ndarray,
-) -> np.ndarray | None:
-    """Single-Euler-stage donor-cell update of a rank's blocks, in place.
+class Advection:
+    """One rank's transport stage, bound to its blocks once: the
+    donor-cell advection of both blocks (:meth:`advect`), then the
+    buoyancy update of every member's w (:meth:`run`).
 
     ``state`` is the planar ``(nm, ni, 3, nk, nj)`` state block (t, qv,
-    w), ``bins`` the ``(nm, ni, nk, nj, ns)`` bins block and ``split``
-    the member-stacked ``(nm, ni, nk, nj)`` wind decomposition
-    (``WindSplit.build`` is elementwise, so building it on stacked
-    winds equals the per-member builds bit for bit). Mirrors the
-    per-field ``arr += dt * rk_scalar_tend(arr, split)``, then the
-    clamp at the floors (:data:`STATE_FLOORS`, and ``floors`` per bin,
-    :meth:`ScalarLayout.floors`), for every field of every member at
-    once.
+    w), ``bins`` the ``(nm, ni, nk, nj, ns)`` bins block and ``winds``
+    the member-stacked horizontal winds and spacings
+    (:class:`~repro.wrf.dynamics.Winds`); the vertical wind is the state
+    block's w plane at the step's start. :meth:`advect` advances both
+    blocks in place by one donor-cell step — a single Euler stage, or
+    WRF-ARW's three-stage RK3 with ``rk3`` — clamping at the floors
+    (:data:`STATE_FLOORS`, and ``floors`` per bin,
+    :meth:`ScalarLayout.floors`), and leaves each cell's condensate
+    ``sum_n bins[..., n] * mass[n]`` in ``cond`` (``(nm, ni, nk, nj)``).
+    ``occ`` is the ``(nm, ni, nk, nj)`` uint8 occupancy field (bit ``sp``
+    clear: every bin of species ``sp`` in that cell is an exact zero)
+    and ``masks`` the layout's :meth:`ScalarLayout.masks`. ``t_base``
+    and ``rho`` are the ``(nk,)`` base-state temperature and density
+    columns the members share, which the buoyancy update reads with the
+    new t and ``cond`` (:func:`~repro.wrf.dynamics.buoyancy_w_update`).
 
-    ``occ`` is the ``(nm, ni, nk, nj)`` uint8 occupancy field (bit
-    ``sp`` clear: every bin of species ``sp`` in that cell is an exact
-    zero) and ``masks`` the layout's :meth:`ScalarLayout.masks`. With
-    the compiled stencil available the update is one pass over both
-    blocks: each cell skips every species whose bit is clear across
-    its 7-point stencil (those bins are zeros and stay zeros), each
-    row is computed from unmodified rows into the workspace's rings and
-    written back once the next row's plane is done, and the same sweep
-    writes each cell's condensate ``sum_n bins[..., n] * mass[n]``
-    into ``cond`` (``(nm, ni, nk, nj)``) in a fixed lane order and its
-    new bits into ``occ``; no block-sized buffer is touched. Returns
-    each cell's count of swept species (a workspace view, valid until
-    the next sweep). The numpy fallback sweeps everything, sets every
-    bit of ``occ``, leaves ``cond`` to the caller and returns ``None``.
+    The compiled calls are built and checked once, on the first
+    compiled run (:func:`repro.wrf.cstencil.advect_stage_args`,
+    :func:`repro.wrf.cstencil.buoyancy_args`): the blocks, winds, fields
+    and workspace pools never move, so every run passes the same
+    arguments. Each stage is one pass over both blocks that splits each
+    cell's winds as it goes, skips every species whose bit is clear
+    across the cell's 7-point stencil (those bins are zeros and stay
+    zeros), computes each row from unmodified rows into the workspace's
+    rings and writes it back once the next row's plane is done, and
+    writes each cell's condensate in a fixed lane order into ``cond``
+    and its new bits into ``occ``; no block-sized buffer is touched by
+    the Euler step. RK3 sends its first two stages to workspace buffers
+    and sweeps every species in every stage (it reads an all-set field:
+    the intermediate stages' bits would need fields of their own); the
+    last stage writes the blocks themselves through the same rings, and
+    its condensate and bits are the ones left. One ``buoyancy`` call
+    then updates the w plane. Member ``m`` of the result is a one-member
+    run of that member, bit for bit.
+
+    The numpy fallback (no stencil library) builds the
+    :class:`~repro.wrf.dynamics.WindSplit` into the workspace's pools
+    and runs :func:`fused_upwind_tend` block by block, mirroring the
+    per-field ``arr += dt * rk_scalar_tend(arr, split)`` (or
+    :func:`repro.wrf.dynamics.rk3_advect`); it sweeps everything, sets
+    every bit of ``occ``, contracts each member's bins into ``cond``
+    (:func:`blas_condensate`) and runs
+    :func:`~repro.wrf.dynamics.buoyancy_w_update` per member. It is the
+    compiled stage's oracle too.
     """
-    lib = cstencil.load_stencil()
-    with tracer.span("advect_euler", cat="kernel") as sp:
-        if sp is not None:
-            sp.set(
-                compiled=lib is not None,
-                nscalars=len(STATE_FIELDS) + bins.shape[-1],
-                members=bins.shape[0],
-            )
-        if lib is not None:
-            swept = ws.buffer("swept", bins.shape[:4], np.int32)
-            cstencil.advect_stage(
-                lib, state, state, state, bins, bins, bins,
-                split.pos, split.neg, dt, STATE_FLOORS, floors, mass, cond,
-                masks, occ, occ, swept,
-                ws.rings(bins.shape, len(masks[1]) - 1),
-            )
-            return swept
-        for block, lower in _numpy_blocks(state, bins, floors):
-            tend = ws.buffer("tend", block.shape)
-            fused_upwind_tend(block, split, tend, ws)
-            np.multiply(tend, dt, out=tend)
-            block += tend
-            np.maximum(block, lower, out=block)
-        occ[...] = ALL_OCCUPIED
-        return None
 
+    def __init__(
+        self,
+        state: np.ndarray,
+        bins: np.ndarray,
+        winds: Winds,
+        dt: float,
+        ws: TransportWorkspace,
+        floors: np.ndarray,
+        mass: np.ndarray,
+        masks: tuple[np.ndarray, np.ndarray],
+        cond: np.ndarray,
+        occ: np.ndarray,
+        t_base: np.ndarray,
+        rho: np.ndarray,
+        rk3: bool = False,
+    ):
+        self.state, self.bins, self.winds, self.dt = state, bins, winds, dt
+        self.ws, self.floors, self.occ, self.rk3 = ws, floors, occ, rk3
+        self.mass, self.masks, self.cond = mass, masks, cond
+        self.t_base, self.rho = t_base, rho
+        #: The compiled stages' argument tuples and the buoyancy
+        #: update's, built on the first compiled run (``None`` until
+        #: then).
+        self.calls: list[tuple] | None = None
+        self.buoyancy: tuple | None = None
 
-def fused_rk3_advect(
-    state: np.ndarray,
-    bins: np.ndarray,
-    split: WindSplit,
-    dt: float,
-    ws: TransportWorkspace,
-    floors: np.ndarray,
-    mass: np.ndarray,
-    masks: tuple[np.ndarray, np.ndarray],
-    cond: np.ndarray,
-    occ: np.ndarray,
-) -> np.ndarray | None:
-    """WRF-ARW's three-stage RK3 update of a rank's blocks, in place.
+    def _build_calls(self) -> tuple[list[tuple], tuple]:
+        """Every compiled stage's checked ``advect_stage`` arguments,
+        with the workspace pools they need, and the ``buoyancy``
+        call's."""
+        state, bins, winds, ws = self.state, self.bins, self.winds, self.ws
+        floors, mass, masks, cond = self.floors, self.mass, self.masks, self.cond
+        occ, dt = self.occ, self.dt
+        buoyancy = cstencil.buoyancy_args(state, cond, self.t_base, self.rho, dt)
+        cells = bins.shape[:4]
+        rings = ws.rings(bins.shape, len(masks[1]) - 1)
+        self.swept = ws.buffer("swept", cells, np.int32)
+        if not self.rk3:
+            return [cstencil.advect_stage_args(
+                state, state, state, bins, bins, bins, winds, dt,
+                STATE_FLOORS, floors, mass, cond, masks, occ, occ,
+                self.swept, rings,
+            )], buoyancy
+        # The blocks are phi0 for every stage and receive the last one.
+        every = ws.buffer("occ_all", cells, np.uint8)
+        every[...] = ALL_OCCUPIED
+        staged = ws.buffer("occ_stage", cells, np.uint8)
+        unclamped = ws.buffer("unclamped", floors.shape)
+        unclamped.fill(-np.inf)
+        bufs = [
+            (ws.buffer(f"state_{name}", state.shape), ws.buffer(name, bins.shape))
+            for name in ("stage", "tend")
+        ]
+        stage = (state, bins)
+        calls = []
+        for idx, frac in enumerate(RK3_FRACTIONS):
+            last = idx == len(RK3_FRACTIONS) - 1
+            out = (state, bins) if last else bufs[idx]
+            calls.append(cstencil.advect_stage_args(
+                stage[0], state, out[0], stage[1], bins, out[1], winds,
+                dt * frac,
+                STATE_FLOORS if last else _STATE_UNCLAMPED,
+                floors if last else unclamped, mass, cond, masks,
+                every, occ if last else staged, self.swept, rings,
+            ))
+            stage = out
+        return calls, buoyancy
 
-    The stage recurrence ``phi* = phi0 + (dt*frac) L(stage)`` runs on
-    the workspace's buffers — no per-stage allocations — with the same
-    stage fractions and operation order as
-    :func:`repro.wrf.dynamics.rk3_advect`, clamping at the floors
-    after the last stage. Shapes and the return value as in
-    :func:`fused_euler_advect`: on the compiled path the first two
-    stages go to workspace buffers, the last stage writes the blocks
-    themselves (through the same rings), and its condensate and bits
-    are the ones left in ``cond`` and ``occ``. Every stage sweeps every
-    species (it reads an all-set field): the intermediate stages' bits
-    would need fields of their own.
-    """
-    lib = cstencil.load_stencil()
-    with tracer.span("advect_rk3", cat="kernel") as sp:
-        if sp is not None:
-            sp.set(
-                compiled=lib is not None,
-                nscalars=len(STATE_FIELDS) + bins.shape[-1],
-                members=bins.shape[0],
-            )
-        if lib is not None:
-            # The blocks are phi0 for every stage and receive the last one.
-            cells = bins.shape[:4]
-            rings = ws.rings(bins.shape, len(masks[1]) - 1)
-            every = ws.buffer("occ_all", cells, np.uint8)
-            every[...] = ALL_OCCUPIED
-            staged = ws.buffer("occ_stage", cells, np.uint8)
-            swept = ws.buffer("swept", cells, np.int32)
-            unclamped = ws.buffer("unclamped", floors.shape)
-            unclamped.fill(-np.inf)
-            bufs = [
-                (ws.buffer(f"state_{name}", state.shape), ws.buffer(name, bins.shape))
-                for name in ("stage", "tend")
-            ]
-            stage = (state, bins)
-            for idx, frac in enumerate(RK3_FRACTIONS):
-                last = idx == len(RK3_FRACTIONS) - 1
-                out = (state, bins) if last else bufs[idx]
-                cstencil.advect_stage(
-                    lib, stage[0], state, out[0], stage[1], bins, out[1],
-                    split.pos, split.neg, dt * frac,
-                    STATE_FLOORS if last else _STATE_UNCLAMPED,
-                    floors if last else unclamped, mass, cond, masks,
-                    every, occ if last else staged, swept, rings,
+    def advect(self, lib) -> np.ndarray | None:
+        """Advance both blocks one step and leave their condensate in
+        ``cond`` and their bits in ``occ``, through ``lib``'s
+        ``advect_stage`` (the loaded stencil library), or the numpy
+        fallback when ``lib`` is ``None``.
+
+        Returns each cell's count of swept species (a workspace view,
+        valid until the next sweep), or ``None`` from the fallback.
+        """
+        state, bins = self.state, self.bins
+        name = "advect_rk3" if self.rk3 else "advect_euler"
+        with tracer.span(name, cat="kernel") as sp:
+            if sp is not None:
+                sp.set(
+                    compiled=lib is not None,
+                    nscalars=len(STATE_FIELDS) + bins.shape[-1],
+                    members=bins.shape[0],
                 )
-                stage = out
+            if lib is not None:
+                if self.calls is None:
+                    self.calls, self.buoyancy = self._build_calls()
+                for args in self.calls:
+                    lib.advect_stage(*args)
+                return self.swept
+            ws, dt = self.ws, self.dt
+            u, v, dx, dz = self.winds
+            split = ws.wind_split(u, v, state[:, :, cstencil.W_PLANE], dx, dz)
+            for block, lower in _numpy_blocks(state, bins, self.floors):
+                tend = ws.buffer("tend", block.shape)
+                if not self.rk3:
+                    fused_upwind_tend(block, split, tend, ws)
+                    np.multiply(tend, dt, out=tend)
+                    block += tend
+                else:
+                    phi0 = ws.buffer("phi0", block.shape)
+                    phi0[...] = block
+                    stage_buf = ws.buffer("stage", block.shape)
+                    stage = block
+                    for frac in RK3_FRACTIONS:
+                        fused_upwind_tend(stage, split, tend, ws)
+                        np.multiply(tend, dt * frac, out=stage_buf)
+                        stage_buf += phi0
+                        stage = stage_buf
+                    block[...] = stage
+                np.maximum(block, lower, out=block)
+            self.occ[...] = ALL_OCCUPIED
+            blas_condensate(bins, self.mass, self.cond)
+            return None
+
+    def run(self, lib) -> np.ndarray | None:
+        """The whole transport step: :meth:`advect`, then the buoyancy
+        update of every member's w from the new t and condensate (the
+        ``buoyancy`` kernel, or per member in numpy). Returns what
+        :meth:`advect` returns."""
+        swept = self.advect(lib)
+        if lib is not None:
+            lib.buoyancy(*self.buoyancy)
             return swept
-        for block, lower in _numpy_blocks(state, bins, floors):
-            phi0 = ws.buffer("phi0", block.shape)
-            phi0[...] = block
-            stage_buf = ws.buffer("stage", block.shape)
-            tend = ws.buffer("tend", block.shape)
-            stage = block
-            for frac in RK3_FRACTIONS:
-                fused_upwind_tend(stage, split, tend, ws)
-                np.multiply(tend, dt * frac, out=stage_buf)
-                stage_buf += phi0
-                stage = stage_buf
-            block[...] = stage
-            np.maximum(block, lower, out=block)
-        occ[...] = ALL_OCCUPIED
+        state, rho = self.state, self.rho[None, :, None]
+        for m in range(state.shape[0]):
+            buoyancy_w_update(
+                state[m, :, cstencil.W_PLANE], state[m, :, cstencil.T_PLANE],
+                self.t_base, self.cond[m], rho, self.dt,
+            )
         return None
+
+
+def blas_condensate(bins: np.ndarray, mass: np.ndarray, cond: np.ndarray) -> None:
+    """The numpy fallback's condensate: one BLAS contraction of each
+    member's bins with their masses (a call must not see other members'
+    rows)."""
+    for m in range(bins.shape[0]):
+        cond[m] = bins[m] @ mass
 
 
 def sum_condensate(
@@ -495,10 +554,10 @@ def sum_condensate(
     sweep writes them.
 
     The compiled stencil module's ``condensate`` kernel, in the lane
-    order :func:`fused_euler_advect` writes (shapes as there), in one
+    order :meth:`Advection.advect` writes (shapes as there), in one
     read of the block; for a block no sweep has written yet. Returns
     ``False`` without touching ``cond`` or ``occ`` when the stencil is
-    unavailable, like the advection fallbacks.
+    unavailable (:func:`blas_condensate` is the fallback's sum).
     """
     lib = cstencil.load_stencil()
     if lib is None:

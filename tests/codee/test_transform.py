@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.codee import transform
+from repro.codee import cgen, transform
 from repro.codee.loopir import (
     ArrayParam,
     Assign,
@@ -389,6 +389,17 @@ class TestInnerLoops:
         lanes = [r.nest for r in plan.inner["t"] if r.nest.var == "lane"]
         assert all(lp.simd for lp in lanes)
         assert not any(r.nest.simd for r in plan.inner["t"] if r.nest.var == "b")
+        # A power-of-two trip count is the loop's vector width.
+        assert [lp.simdlen for lp in lanes] == [8, 8]
+        assert "simd simdlen(8)" in cgen.emit_kernel(plan.kernel)
+        assert "simdlen(trip count)" in plan.summary()
+
+    def test_other_lane_widths_get_a_bare_simd(self):
+        plan = plan_offload(_cascade(Const(6)))
+        lanes = [r.nest for r in plan.inner["t"] if r.nest.var == "lane"]
+        assert all(lp.simd and lp.simdlen == 0 for lp in lanes)
+        text = cgen.emit_kernel(plan.kernel)
+        assert "#pragma omp simd\n" in text and "simdlen" not in text
 
     def test_runtime_bounds_are_left_to_the_compiler(self):
         plan = plan_offload(_cascade(Sym("nl")))

@@ -656,13 +656,25 @@ def _random_state(npts, seed, boost=1.0, regime="mixed"):
 
 def test_coal_kernel_is_ir_emitted_and_serial():
     """coal_bott_new is generated from loop IR, with vector lane loops
-    and no parallel region (rank threads/processes own the cores)."""
+    and no parallel region (rank threads/processes own the cores). Every
+    vector lane loop runs its 8 lanes as one vector (``simdlen(8)``)."""
     src = ckernels.C_SOURCE
     assert "void coal_bott_new(" in src
     assert "#pragma omp parallel" not in src
     body = src[src.index("void coal_bott_new(") :]
-    assert "#pragma omp simd" in body
+    body = body[: body.index("\n}\n")]
     assert "double A[64][8];" in body
+    lines = [line.strip() for line in body.splitlines()]
+    simd = [
+        (pragma, loop) for pragma, loop in zip(lines, lines[1:])
+        if pragma.startswith("#pragma omp simd")
+    ]
+    assert len(simd) >= 20
+    assert all(
+        pragma == "#pragma omp simd simdlen(8)"
+        and loop.startswith("for (long lane = 0; lane < 8;")
+        for pragma, loop in simd
+    ), simd
 
 
 class TestCompiledCoal:

@@ -163,7 +163,7 @@ class TestSuperblockFields:
                     for dist in f.micro.dists.values():
                         assert np.shares_memory(dist, rs.bins[m])
                         assert not np.shares_memory(dist, rs.state)
-                    assert np.shares_memory(rs.w[m], f.w)
+                    assert np.shares_memory(rs.state[m, :, 2], f.w)
         finally:
             model.close()
 

@@ -23,7 +23,10 @@ from repro.fsbm.state import all_occupied
 from repro.wrf import cstencil
 from repro.wrf.dynamics import (
     RK3_FRACTIONS,
+    W_MAX,
     WindSplit,
+    Winds,
+    buoyancy_w_update,
     rk3_advect,
     rk_scalar_tend,
 )
@@ -31,10 +34,9 @@ from repro.wrf.model import WrfModel
 from repro.wrf.namelist import conus12km_namelist
 from repro.wrf.transport import (
     STATE_FLOORS,
+    Advection,
     ScalarLayout,
     TransportWorkspace,
-    fused_euler_advect,
-    fused_rk3_advect,
     fused_upwind_tend,
     get_workspace,
     sum_condensate,
@@ -46,29 +48,56 @@ SHAPES = st.tuples(
 )
 
 
-def _random_problem(rng, shape4, members=None):
-    """Winds and a block of ``shape4``; with ``members``, a member stack
-    of them (leading axis) with member-stacked winds."""
-    lead = () if members is None else (members,)
+def _random_problem(rng, shape4):
+    """A wind split and a block of ``shape4``."""
     ni, nk, nj, _ = shape4
-    u, v, w = (
-        rng.standard_normal((*lead, ni, nk, nj)) * 10.0 for _ in range(3)
-    )
+    u, v, w = (rng.standard_normal((ni, nk, nj)) * 10.0 for _ in range(3))
     split = WindSplit.build(u, v, w, 12000.0, 500.0)
-    block = np.ascontiguousarray(rng.uniform(-1.0, 2.0, size=(*lead, *shape4)))
-    return split, block
+    return split, rng.uniform(-1.0, 2.0, size=shape4)
 
 
 def _random_blocks(rng, shape4, members):
     """Winds and a member stack of both blocks: the planar ``(members,
-    ni, 3, nk, nj)`` state block and the ``(members, ni, nk, nj, ns)``
-    bins block of ``shape4 = (ni, nk, nj, ns)``."""
+    ni, 3, nk, nj)`` state block, whose w plane is the vertical wind,
+    and the ``(members, ni, nk, nj, ns)`` bins block of ``shape4 = (ni,
+    nk, nj, ns)``."""
     ni, nk, nj, ns = shape4
-    split, bins = _random_problem(rng, shape4, members)
+    u, v = (rng.standard_normal((members, ni, nk, nj)) * 10.0 for _ in range(2))
+    bins = np.ascontiguousarray(rng.uniform(-1.0, 2.0, size=(members, *shape4)))
     state = np.ascontiguousarray(
         rng.uniform(-1.0, 2.0, size=(members, ni, 3, nk, nj))
     )
-    return split, state, bins
+    state[:, :, 2] = rng.standard_normal((members, ni, nk, nj)) * 10.0
+    return Winds(u, v, 12000.0, 500.0), state, bins
+
+
+def _split(winds, state):
+    """The split of ``winds`` and the state block's w plane, as the
+    numpy fallback builds it."""
+    u, v, dx, dz = winds
+    return WindSplit.build(u, v, state[:, :, 2], dx, dz)
+
+
+def _member_winds(winds, m):
+    """Member ``m``'s winds, as a one-member stack."""
+    return winds._replace(u=winds.u[m : m + 1], v=winds.v[m : m + 1])
+
+
+def _advection(
+    state, bins, winds, dt, floors, mass, masks, cond, occ, rk3=False,
+    columns=None,
+):
+    """An :class:`Advection` of both blocks with a workspace of its own;
+    ``columns`` are the buoyancy update's ``(t_base, rho)`` (base-state
+    like, by default)."""
+    nk = state.shape[3]
+    if columns is None:
+        columns = np.full(nk, 280.0), np.full(nk, 1.0e-3)
+    ws = TransportWorkspace(bins.shape[:4], bins.shape[-1])
+    return Advection(
+        state, bins, winds, dt, ws, floors, mass, masks, cond, occ, *columns,
+        rk3=rk3,
+    )
 
 
 def _member_split(split, m):
@@ -157,7 +186,8 @@ class TestFusedTendProperty:
         member, including the per-scalar clip mask — so no stencil reads
         across a member boundary."""
         rng = np.random.default_rng(seed)
-        split, state, bins = _random_blocks(rng, shape4, members)
+        winds, state, bins = _random_blocks(rng, shape4, members)
+        split = _split(winds, state)
         ns = shape4[3]
         layout = ScalarLayout(
             entries=tuple((f"s{n}", 1) for n in range(ns))
@@ -169,38 +199,30 @@ class TestFusedTendProperty:
         want_state, want_bins = _per_field_advect(
             state, bins, split, dt, clipped, rk3
         )
-        ws = TransportWorkspace(bins.shape[:4], ns)
-        advect = fused_rk3_advect if rk3 else fused_euler_advect
         cells = bins.shape[:4]
-        advect(
-            state, bins, split, dt, ws, floors, np.ones(ns), layout.masks(),
-            np.empty(cells), all_occupied(cells),
-        )
+        _advection(
+            state, bins, winds, dt, floors, np.ones(ns), layout.masks(),
+            np.empty(cells), all_occupied(cells), rk3,
+        ).advect(cstencil.load_stencil())
         np.testing.assert_allclose(state, want_state, rtol=0.0, atol=1e-13)
         np.testing.assert_allclose(bins, want_bins, rtol=0.0, atol=1e-13)
 
 
-def _numpy_advect(advect, state, bins, split, dt, floors, mass, masks=None):
-    """``advect`` on copies of both blocks with the stencil switched off."""
-    import os
-
+def _numpy_advect(rk3, state, bins, winds, dt, floors, mass, masks=None):
+    """The numpy fallback's advection of copies of both blocks."""
     got = state.copy(), bins.copy()
-    os.environ[cstencil.DISABLE_ENV] = "1"
-    try:
-        cells = bins.shape[:4]
-        ws = TransportWorkspace(cells, bins.shape[-1])
-        cond = np.full(cells, np.nan)
-        occ = np.zeros(cells, dtype=np.uint8)
-        assert advect(
-            *got, split, dt, ws, floors, mass,
-            _one_group(bins.shape[-1]) if masks is None else masks, cond, occ,
-        ) is None
-        # The fallback leaves the condensate to its caller and sets
-        # every occupancy bit.
-        assert np.isnan(cond).all()
-        assert (occ == 0xFF).all()
-    finally:
-        os.environ.pop(cstencil.DISABLE_ENV, None)
+    cells = bins.shape[:4]
+    cond = np.full(cells, np.nan)
+    occ = np.zeros(cells, dtype=np.uint8)
+    assert _advection(
+        *got, winds, dt, floors, mass,
+        _one_group(bins.shape[-1]) if masks is None else masks, cond, occ, rk3,
+    ).advect(None) is None
+    # The fallback contracts each member's bins into the condensate and
+    # sets every occupancy bit.
+    for m in range(bins.shape[0]):
+        assert np.array_equal(cond[m], got[1][m] @ mass)
+    assert (occ == 0xFF).all()
     return got
 
 
@@ -221,11 +243,11 @@ SWEEPS = dict(
 
 def _sweep_problem(shape4, members, seed, clip_bits):
     rng = np.random.default_rng(seed)
-    split, state, bins = _random_blocks(rng, shape4, members)
+    winds, state, bins = _random_blocks(rng, shape4, members)
     ns = shape4[3]
     floors = _floors([(clip_bits >> n) & 1 for n in range(ns)])
     mass = rng.uniform(0.0, 1.0, ns) * (rng.random(ns) < 0.8)
-    return split, state, bins, floors, mass
+    return winds, state, bins, floors, mass
 
 
 #: Draws for the sparse sweep: 1-7 species of any width, most of them
@@ -256,7 +278,7 @@ def _sparse_problem(shape3, members, nsp, width, seed, density=0.3):
     rng = np.random.default_rng(seed)
     layout = ScalarLayout(entries=tuple((f"bin_{n}", width) for n in range(nsp)))
     ns = layout.nscalars
-    split, state, bins = _random_blocks(rng, (*shape3, ns), members)
+    winds, state, bins = _random_blocks(rng, (*shape3, ns), members)
     masks = layout.masks()
     glo = masks[1]
     cells = bins.shape[:4]
@@ -268,7 +290,7 @@ def _sparse_problem(shape3, members, nsp, width, seed, density=0.3):
     extra = (rng.random((*cells, 8)) < 0.1 * (density > 0)) << np.arange(8)
     occ = _bits_of(bins, masks) | extra.sum(axis=-1).astype(np.uint8)
     mass = rng.uniform(0.1, 1.0, ns)
-    return split, state, bins, masks, occ, mass, layout.floors(), rng
+    return winds, state, bins, masks, occ, mass, layout.floors(), rng
 
 
 def _stencil_or(occ):
@@ -308,7 +330,7 @@ class TestSparseSweep:
         occupancy marks empty gives the all-set sweep's blocks,
         condensate and new bits exactly; the bits are exact, and each
         cell counts the species set in its stencil's OR as swept."""
-        split, state, bins, masks, occ, mass, floors, _ = _sparse_problem(
+        winds, state, bins, masks, occ, mass, floors, _ = _sparse_problem(
             shape3, members, nsp, width, seed
         )
         cells = bins.shape[:4]
@@ -316,10 +338,9 @@ class TestSparseSweep:
         runs = []
         for bits in (occ.copy(), all_occupied(cells)):
             got, cond = (state.copy(), bins.copy()), np.empty(cells)
-            swept = fused_euler_advect(
-                *got, split, 3.0, TransportWorkspace(cells, ns), floors, mass,
-                masks, cond, bits,
-            )
+            swept = _advection(
+                *got, winds, 3.0, floors, mass, masks, cond, bits,
+            ).advect(cstencil.load_stencil())
             runs.append((got, cond, bits, swept.copy()))
         (sparse, cond, bits, swept), (dense, want_cond, want_bits, all_swept) = runs
         assert np.array_equal(sparse[0], dense[0])
@@ -351,7 +372,7 @@ class TestSparseSweep:
         (Euler, or RK3) equals the numpy fallback's blocks (== treats
         -0.0 and 0.0 as equal), and the condensate and bits it leaves
         are what the ``condensate`` kernel computes from the result."""
-        split, state, bins, masks, occ, mass, floors, rng = _sparse_problem(
+        winds, state, bins, masks, occ, mass, floors, rng = _sparse_problem(
             shape3, members, nsp, width, seed, density
         )
         cells = bins.shape[:4]
@@ -365,13 +386,11 @@ class TestSparseSweep:
             bins[(*at, slice(glo[g], glo[g + 1]))] = rng.uniform(0.5, 2.0, width)
             occ[at] |= np.uint8(1 << g)
         assert not (_bits_of(bins, masks) & ~occ).any()  # a valid field
-        advect = fused_rk3_advect if rk3 else fused_euler_advect
-        want = _numpy_advect(advect, state, bins, split, 3.0, floors, mass, masks)
+        want = _numpy_advect(rk3, state, bins, winds, 3.0, floors, mass, masks)
         cond = np.empty(cells)
-        assert advect(
-            state, bins, split, 3.0, TransportWorkspace(cells, bins.shape[-1]),
-            floors, mass, masks, cond, occ,
-        ) is not None
+        assert _advection(
+            state, bins, winds, 3.0, floors, mass, masks, cond, occ, rk3,
+        ).advect(cstencil.load_stencil()) is not None
         assert np.array_equal(state, want[0])
         assert np.array_equal(bins, want[1])
         filled = np.empty(cells)
@@ -399,18 +418,16 @@ class TestCompiledStencil:
         the outputs apart from the stage inputs (the last stage writes
         the blocks that are also ``phi0``) and returns the last stage's
         condensate."""
-        split, state, bins, floors, mass = _sweep_problem(
+        winds, state, bins, floors, mass = _sweep_problem(
             shape4, members, seed, clip_bits
         )
-        advect = fused_rk3_advect if rk3 else fused_euler_advect
-        want = _numpy_advect(advect, state, bins, split, 3.0, floors, mass)
-        ws = TransportWorkspace(bins.shape[:4], shape4[3])
+        want = _numpy_advect(rk3, state, bins, winds, 3.0, floors, mass)
         cond = np.empty(bins.shape[:4])
         occ = all_occupied(bins.shape[:4])
-        assert advect(
-            state, bins, split, 3.0, ws, floors, mass, _one_group(shape4[3]),
-            cond, occ,
-        ) is not None
+        assert _advection(
+            state, bins, winds, 3.0, floors, mass, _one_group(shape4[3]),
+            cond, occ, rk3,
+        ).advect(cstencil.load_stencil()) is not None
         assert np.array_equal(state, want[0])
         assert np.array_equal(bins, want[1])
         assert np.array_equal(cond, _lane_condensate(bins, mass))
@@ -423,33 +440,24 @@ class TestCompiledStencil:
         """The stencil folds the members' rows into one row loop; each
         member's slices, and its condensate, must equal a one-member call
         exactly."""
-        split, state, bins, floors, mass = _sweep_problem(
+        winds, state, bins, floors, mass = _sweep_problem(
             shape4, members, seed, clip_bits
         )
         ns = shape4[3]
         stacked = state.copy(), bins.copy()
         cond = np.empty(bins.shape[:4])
-        fused_euler_advect(
-            *stacked, split, 3.0, TransportWorkspace(bins.shape[:4], ns),
-            floors, mass, _one_group(ns), cond, all_occupied(bins.shape[:4]),
-        )
+        lib = cstencil.load_stencil()
+        _advection(
+            *stacked, winds, 3.0, floors, mass, _one_group(ns), cond,
+            all_occupied(bins.shape[:4]),
+        ).advect(lib)
         for m in range(members):
             one = state[m : m + 1].copy(), bins[m : m + 1].copy()
             one_cond = np.empty(one[1].shape[:4])
-            fused_euler_advect(
-                *one,
-                WindSplit(
-                    pos=tuple(p[m : m + 1] for p in split.pos),
-                    neg=tuple(n[m : m + 1] for n in split.neg),
-                ),
-                3.0,
-                TransportWorkspace((1, *shape4[:3]), ns),
-                floors,
-                mass,
-                _one_group(ns),
-                one_cond,
-                all_occupied(one[1].shape[:4]),
-            )
+            _advection(
+                *one, _member_winds(winds, m), 3.0, floors, mass,
+                _one_group(ns), one_cond, all_occupied(one[1].shape[:4]),
+            ).advect(lib)
             assert np.array_equal(stacked[0][m], one[0][0])
             assert np.array_equal(stacked[1][m], one[1][0])
             assert np.array_equal(cond[m], one_cond[0])
@@ -462,7 +470,7 @@ class TestCompiledStencil:
         """The build-time fill (``sum_condensate``, the stencil module's
         ``condensate`` kernel) and the sweep write the same bits for the
         same bins block: the lane order has one source."""
-        split, state, bins, floors, mass = _sweep_problem(
+        winds, state, bins, floors, mass = _sweep_problem(
             shape4, members, seed, clip_bits
         )
         cells = bins.shape[:4]
@@ -472,10 +480,9 @@ class TestCompiledStencil:
         assert sum_condensate(bins, mass, masks, filled, occ)
         assert np.array_equal(filled, _lane_condensate(bins, mass))
         swept = np.empty(cells)
-        ws = TransportWorkspace(cells, shape4[3])
-        assert fused_euler_advect(
-            state, bins, split, 3.0, ws, floors, mass, masks, swept, occ
-        ) is not None
+        assert _advection(
+            state, bins, winds, 3.0, floors, mass, masks, swept, occ
+        ).advect(cstencil.load_stencil()) is not None
         assert sum_condensate(bins, mass, masks, filled, occ)
         assert np.array_equal(swept, filled)
 
@@ -496,8 +503,10 @@ class TestCompiledStencil:
                 cstencil.condensate(lib, block, mass, cond, masked, bits)
 
     def test_mismatched_operands_are_refused(self):
+        """Every malformed operand is refused where a stage's arguments
+        are built, before any call: a rank builds them once."""
         rng = np.random.default_rng(0)
-        split, state, bins = _random_blocks(rng, (3, 2, 2, 4), 1)
+        winds, state, bins = _random_blocks(rng, (3, 2, 2, 4), 1)
         cells = bins.shape[:4]
         ws = TransportWorkspace(cells, 4)
         rings = ws.rings(bins.shape, 1)
@@ -505,16 +514,15 @@ class TestCompiledStencil:
         occ = all_occupied(cells)
         swept = np.empty(cells, dtype=np.int32)
 
-        def call(floors=np.zeros(4), cond=cond, masks=_one_group(4),
-                 occ=occ, swept=swept, rings=rings, state=state,
-                 sfloors=STATE_FLOORS):
-            cstencil.advect_stage(
-                cstencil.load_stencil(), state, state, state, bins, bins,
-                bins, split.pos, split.neg, 1.0, sfloors, floors,
-                np.zeros(4), cond, masks, occ, occ, swept, rings,
+        def build(floors=np.zeros(4), cond=cond, masks=_one_group(4),
+                  occ=occ, swept=swept, rings=rings, state=state,
+                  sfloors=STATE_FLOORS, winds=winds):
+            return cstencil.advect_stage_args(
+                state, state, state, bins, bins, bins, winds, 1.0, sfloors,
+                floors, np.zeros(4), cond, masks, occ, occ, swept, rings,
             )
 
-        call()  # the right operands pass
+        cstencil.load_stencil().advect_stage(*build())  # the right operands pass
         for bad in (
             dict(floors=np.zeros(3)),
             dict(sfloors=np.zeros(2)),
@@ -540,13 +548,164 @@ class TestCompiledStencil:
             dict(masks=(np.array([1, 1, 3, 3]), np.array([0, 2, 4]))),
             dict(masks=(np.array([1, 1, 256, 256]), np.array([0, 2, 4]))),
             dict(masks=(np.array([0, 0, 1, 1]), np.array([0, 2, 4]))),
+            # Winds of another patch, or strided.
+            dict(winds=winds._replace(u=np.zeros((1, 3, 2, 3)))),
+            dict(winds=winds._replace(v=np.zeros((1, 3, 2, 2, 2))[..., 0])),
         ):
             with pytest.raises(ValueError):
-                call(**bad)
+                build(**bad)
+
+    def test_buoyancy_refuses_mismatched_operands(self):
+        state = np.zeros((1, 3, 3, 4, 2))
+        cond = np.zeros((1, 3, 4, 2))
+        col = np.ones(4)
+        cstencil.buoyancy_args(state, cond, col, col, 1.0)
+        for bad in (
+            (state[..., :1], cond, col, col),
+            (state, cond[..., :1], col, col),
+            (state, np.zeros((1, 3, 4, 2, 2))[..., 0], col, col),
+            (state, cond, np.ones(3), col),
+            (state, cond, col, np.ones(4, dtype=np.float32)),
+        ):
+            with pytest.raises(ValueError):
+                cstencil.buoyancy_args(*bad, 1.0)
 
     def test_disable_env_forces_fallback(self, monkeypatch):
         monkeypatch.setenv(cstencil.DISABLE_ENV, "1")
         assert cstencil.load_stencil() is None
+
+
+def _signed_zeros(rng, shape, scale):
+    """Normal draws times ``scale``, a fifth of them +0.0 and a fifth
+    -0.0."""
+    pick = rng.random(shape)
+    return np.where(
+        pick < 0.2, 0.0, np.where(pick < 0.4, -0.0, rng.standard_normal(shape) * scale)
+    )
+
+
+def _stage_problem(shape3, members, nsp, width, seed, density, lone):
+    """A transport stage's inputs as a rank holds them: winds with exact
+    ±0.0 components, a w plane partly past the ±W_MAX clip, temperatures
+    about the base column, and bins whose species are empty, present in
+    lone cells or dense (``density``), with their exact bits."""
+    rng = np.random.default_rng(seed)
+    layout = ScalarLayout(entries=tuple((f"bin_{n}", width) for n in range(nsp)))
+    ns, masks = layout.nscalars, layout.masks()
+    ni, nk, nj = shape3
+    cells = (members, *shape3)
+    t_base = rng.uniform(250.0, 300.0, nk)
+    rho = rng.uniform(0.5e-3, 1.2e-3, nk)
+    state = np.empty((members, ni, 3, nk, nj))
+    state[:, :, 0] = t_base[:, None] + rng.standard_normal(cells) * 8.0
+    state[:, :, 1] = rng.uniform(0.0, 0.02, cells)
+    state[:, :, 2] = _signed_zeros(rng, cells, 20.0)
+    bins = np.zeros((*cells, ns))
+    glo = masks[1]
+    for g in range(nsp):
+        present = rng.random((*cells, 1)) < density
+        bins[..., glo[g]:glo[g + 1]] = np.where(
+            present, rng.uniform(0.0, 2.0, (*cells, width)), 0.0
+        )
+    for at in _edge_cells(rng, cells, lone):
+        g = int(rng.integers(0, nsp))
+        bins[(*at, slice(glo[g], glo[g + 1]))] = rng.uniform(0.5, 2.0, width)
+    winds = Winds(
+        _signed_zeros(rng, cells, 10.0), _signed_zeros(rng, cells, 10.0),
+        12000.0, 500.0,
+    )
+    mass = rng.uniform(0.1, 1.0, ns) * 1e-6
+    return winds, state, bins, masks, _bits_of(bins, masks), mass, t_base, rho, layout
+
+
+@pytest.mark.skipif(
+    cstencil.load_stencil() is None,
+    reason=f"compiled stencil unavailable: {cstencil.load_error}",
+)
+class TestCompiledTransportStage:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape3=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 5)),
+        members=st.integers(1, 3),
+        nsp=st.integers(1, 4),
+        width=st.integers(1, 6),
+        seed=st.integers(0, 2**31 - 1),
+        density=st.sampled_from([0.0, 0.02, 0.3, 1.0]),
+        lone=st.integers(0, 4),
+        rk3=st.booleans(),
+    )
+    def test_compiled_stage_equals_the_numpy_stage(
+        self, shape3, members, nsp, width, seed, density, lone, rk3
+    ):
+        """The compiled stage (:meth:`Advection.run`: the sweep splitting
+        its own winds, then the ``buoyancy`` kernel) equals the numpy
+        stage bit for bit: ``WindSplit.build`` of the step-start w,
+        ``fused_upwind_tend``, the lane-order condensate and
+        ``buoyancy_w_update`` per member.
+        Both blocks, the condensate and the bits, under ``array_equal``
+        (which treats -0.0 and 0.0 as equal) and with the signs of zeros
+        compared on their own."""
+        (winds, state, bins, masks, occ, mass, t_base, rho, layout) = (
+            _stage_problem(shape3, members, nsp, width, seed, density, lone)
+        )
+        dt, cells = 3.0, bins.shape[:4]
+        floors = layout.floors()
+        # The numpy stage.
+        want = _numpy_advect(rk3, state, bins, winds, dt, floors, mass, masks)
+        want_cond = _lane_condensate(want[1], mass)
+        rho3 = np.broadcast_to(rho[None, :, None], shape3)
+        for m in range(members):
+            buoyancy_w_update(
+                want[0][m, :, 2], want[0][m, :, 0], t_base, want_cond[m], rho3, dt
+            )
+        # The compiled stage.
+        cond = np.empty(cells)
+        assert _advection(
+            state, bins, winds, dt, floors, mass, masks, cond, occ, rk3,
+            (t_base, rho),
+        ).run(cstencil.load_stencil()) is not None
+        assert np.array_equal(state, want[0])
+        assert np.array_equal(bins, want[1])
+        assert np.array_equal(cond, want_cond)
+        assert np.array_equal(occ, _bits_of(want[1], masks))
+        assert np.array_equal(np.signbit(state), np.signbit(want[0]))
+        assert np.array_equal(np.signbit(bins), np.signbit(want[1]))
+        assert (np.abs(state[:, :, 2]) <= W_MAX).all()
+
+    def test_a_compiled_model_runs_neither_numpy_stage(self, monkeypatch):
+        """A compiled model's step builds no wind split and runs no numpy
+        buoyancy update; under the stencil's kill switch it runs both."""
+        from repro.wrf import dynamics, transport
+
+        calls = {"split": 0, "buoyancy": 0}
+        build, update = WindSplit.build.__func__, transport.buoyancy_w_update
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            dynamics.WindSplit, "build", classmethod(counted("split", build))
+        )
+        monkeypatch.setattr(
+            transport, "buoyancy_w_update", counted("buoyancy", update)
+        )
+        for disabled in (False, True):
+            if disabled:
+                monkeypatch.setenv(cstencil.DISABLE_ENV, "1")
+            nl = conus12km_namelist(scale=0.04, num_ranks=2, seed=11)
+            model = WrfModel(nl)
+            try:
+                for _ in range(2):
+                    model.step()
+            finally:
+                model.close()
+            if disabled:
+                assert calls["split"] > 0 and calls["buoyancy"] > 0
+            else:
+                assert calls == {"split": 0, "buoyancy": 0}
 
 
 class TestScalarLayout:
@@ -572,40 +731,34 @@ class TestScalarLayout:
 
 
 def _model_blocks(nl, steps=1):
-    """Each rank's resident blocks, wind split and layout after a few
-    model steps — the real transport inputs."""
+    """Each rank's resident blocks, winds and layout after a few model
+    steps — the real transport inputs."""
     model = WrfModel(nl)
     try:
         for _ in range(steps):
             model.step()
-        return [
-            (
-                rs.state.copy(),
-                rs.bins.copy(),
-                WindSplit.build(
-                    rs.u, rs.v, rs.w, nl.domain.dx, nl.domain.dz,
-                ),
-                rs.floors,
-                rs.scalar_masses,
-                rs.scalar_bits,
-            )
-            for rs in model.ranks
-        ]
+        blocks = []
+        for rs in model.ranks:
+            adv = rs.advection
+            u, v, dx, dz = adv.winds
+            blocks.append((
+                rs.state.copy(), rs.bins.copy(), Winds(u.copy(), v.copy(), dx, dz),
+                adv.floors, adv.mass, rs.scalar_bits,
+            ))
+        return blocks
     finally:
         model.close()
 
 
 def _assert_kernels_match_per_field(nl, rk3):
-    advect = fused_rk3_advect if rk3 else fused_euler_advect
-    for state, bins, split, floors, mass, bits in _model_blocks(nl):
+    for state, bins, winds, floors, mass, bits in _model_blocks(nl):
         want_state, want_bins = _per_field_advect(
-            state, bins, split, nl.dt, floors == 0.0, rk3
+            state, bins, _split(winds, state), nl.dt, floors == 0.0, rk3
         )
-        ws = TransportWorkspace(bins.shape[:4], bins.shape[-1])
-        advect(
-            state, bins, split, nl.dt, ws, floors, mass, bits,
-            np.empty(bins.shape[:4]), all_occupied(bins.shape[:4]),
-        )
+        _advection(
+            state, bins, winds, nl.dt, floors, mass, bits,
+            np.empty(bins.shape[:4]), all_occupied(bins.shape[:4]), rk3,
+        ).advect(cstencil.load_stencil())
         np.testing.assert_allclose(state, want_state, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(bins, want_bins, rtol=0.0, atol=1e-12)
 
@@ -650,14 +803,7 @@ class TestCompiledModelTransport:
             for _ in range(2):
                 model.step()
             rs = model.ranks[0]
-            split = WindSplit.build(
-                rs.u, rs.v, rs.w, nl.domain.dx, nl.domain.dz,
-            )
-            assert fused_euler_advect(
-                rs.state, rs.bins, split, nl.dt, rs.workspace, rs.floors,
-                rs.scalar_masses, rs.scalar_bits, rs.condensate,
-                rs.occupancy,
-            ) is not None
+            assert rs.advection.advect(cstencil.load_stencil()) is not None
             cond = rs.condensate
             for m, f in enumerate(rs.fields):
                 blas = f.micro.total_condensate_mass()
@@ -666,17 +812,17 @@ class TestCompiledModelTransport:
                 # summation orders agree to a few ulps of the total.
                 assert np.all(np.abs(cond[m] - blas) <= 1e-15 * blas)
                 assert np.array_equal(
-                    cond[m], _lane_condensate(rs.bins[m], rs.scalar_masses)
+                    cond[m], _lane_condensate(rs.bins[m], rs.advection.mass)
                 )
         finally:
             model.close()
 
     def test_euler_path_pins_no_block_sized_pool(self):
         """The in-place sweep needs the two-row rings (both blocks'
-        values, the evaluated guards, new bits), one swept count per
-        cell and the six wind pieces: no tendency pool, no block copy;
-        the condensate and bits it writes are the rank state's fields,
-        one value per cell."""
+        values, the evaluated guards, new bits) and one swept count per
+        cell: no tendency pool, no block copy, and no wind pieces (the
+        sweep splits each cell's winds itself); the condensate and bits
+        it writes are the rank state's fields, one value per cell."""
         nl = conus12km_namelist(scale=0.04, num_ranks=1, seed=11)
         model = WrfModel(nl)
         try:
@@ -688,7 +834,7 @@ class TestCompiledModelTransport:
             cells = nm * ni * nk * nj
             # Three guards per cell, two per (cell, group), the new bits.
             rings = 8 * 2 * nk * nj * (ns + 3) + 2 * nk * nj * (2 * ng + 4)
-            assert rs.workspace.nbytes == rings + 4 * cells + 6 * 8 * cells
+            assert rs.workspace.nbytes == rings + 4 * cells
             assert rs.workspace.nbytes < (rs.state.nbytes + rs.bins.nbytes) / 4
             assert rs.condensate.shape == (nm, ni, nk, nj)
             assert rs.occupancy.shape == (nm, ni, nk, nj)
@@ -698,8 +844,9 @@ class TestCompiledModelTransport:
 
 class TestWorkspaceReuse:
     def test_steps_reuse_buffers_without_allocating(self):
-        """After a warm-up step, Euler and RK3 steps allocate no pool,
-        the wind split's six pieces included, and build no workspace."""
+        """After a warm-up step, Euler and RK3 steps allocate no pool
+        and build no workspace: the compiled path's pools are the ones
+        its stage calls were built with on the first step."""
         for rk3 in (False, True):
             nl = conus12km_namelist(
                 scale=0.04, num_ranks=1, seed=11, use_rk3_numerics=rk3
