@@ -20,8 +20,9 @@ will actually load and that its event stream is internally consistent:
   non-negative integer, and ``members`` (how many members a batched
   span covered, e.g. ``solve_em``/``physics``/``transport``) must be a
   positive integer.
-* a span's ``engine`` arg (which path ran a layer, e.g.
-  ``transport``/``halo_exchange``) is one of :data:`ENGINES`.
+* a span's ``engine`` arg and every ``*_engine`` arg (which path ran
+  a layer, e.g. ``transport``'s ``engine``, or ``physics``'s
+  ``coal_engine`` and ``scan_engine``) is one of :data:`ENGINES`.
 
 Exit codes (the ``bench_gate``/``codee verify`` contract):
 
@@ -43,8 +44,9 @@ import sys
 from pathlib import Path
 
 
-#: The values a span's ``engine`` arg may take: the compiled kernel
-#: ran, its numpy fallback ran, or the layer had nothing to do.
+#: The values a span's ``engine`` and ``*_engine`` args may take: the
+#: compiled kernel ran, its numpy fallback ran, or the layer had
+#: nothing to do.
 ENGINES = ("compiled", "numpy", "none")
 
 
@@ -100,12 +102,14 @@ def validate_events(events: list[dict]) -> list[str]:
                     f"event {i}: span {e.get('name')!r} has invalid "
                     f"members attr {members!r} (want int >= 1)"
                 )
-            engine = args_.get("engine")
-            if engine is not None and engine not in ENGINES:
-                errors.append(
-                    f"event {i}: span {e.get('name')!r} has engine attr "
-                    f"{engine!r} (want one of {', '.join(ENGINES)})"
-                )
+            for attr, engine in args_.items():
+                if (attr == "engine" or attr.endswith("_engine")) and (
+                    engine not in ENGINES
+                ):
+                    errors.append(
+                        f"event {i}: span {e.get('name')!r} has {attr} attr "
+                        f"{engine!r} (want one of {', '.join(ENGINES)})"
+                    )
             stacks.setdefault(key, []).append(e)
         elif ph == "E":
             stack = stacks.get(key, [])

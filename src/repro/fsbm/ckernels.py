@@ -12,7 +12,8 @@ module is their host-side analog, built on the shared
 ``-ffp-contract=off``, transparent numpy fallback).
 
 Every kernel here is defined as a `repro.codee.loopir` kernel
-(:func:`build_sed_sweep_ir`, :func:`build_onecond_ir`,
+(:func:`build_mp_candidates_ir`, :func:`build_sed_sweep_ir`,
+:func:`build_onecond_ir`,
 :func:`build_freeze_melt_ir`, :func:`build_gather_rows_ir`,
 :func:`build_scatter_rows_ir`, :func:`build_row_stats_ir`,
 :func:`build_coal_bott_new_ir`) rather than a hand-written C string:
@@ -39,6 +40,12 @@ sweep's packed gather (every species a column slice of one
 point-major buffer). Equivalence to the numpy references (asserted by
 ``tests/fsbm/test_native_kernels.py``):
 
+* ``mp_candidates`` — the scan that picks the cells the microphysics
+  predicate is evaluated on: it marks a superset of the cells the
+  predicate selects, against a lower bound of the saturation mixing
+  ratio read from a 1 K table instead of ``exp``, so evaluating the
+  numpy predicate on the marked cells selects exactly the cells it
+  selects on the whole patch.
 * ``sed_sweep`` — the fused all-species sedimentation loop nest over
   ``(member, i, k, j, species, bin)``. Per element it performs exactly the
   reference's ``flux = n*c``; ``n -= flux``; ``n[:, :-1] += flux[:, 1:]``
@@ -115,9 +122,12 @@ from repro.codee.loopir import (
     Select,
     Store,
     Sym,
+    Un,
 )
-from repro.constants import NKR
+from repro.constants import EPS, NKR, T_FREEZE_CUTOFF
 from repro.core import cjit
+from repro.fsbm.state import N_EPS
+from repro.fsbm.thermo import saturation_vapor_pressure_water
 
 #: Environment switch forcing the numpy physics fallback.
 DISABLE_ENV = "REPRO_DISABLE_CPHYS"
@@ -1121,6 +1131,135 @@ def build_coal_bott_new_ir() -> Kernel:
     )
 
 
+#: The saturation vapor pressure table of :func:`build_mp_candidates_ir`:
+#: ``saturation_vapor_pressure_water`` at 1 K nodes from
+#: ``ES_TABLE_T0`` to 350 K, shrunk by :data:`ES_SAFETY`, so entry ``n``
+#: is below the numpy value anywhere in ``[T0 + n, T0 + n + 1]``.
+ES_TABLE_T0 = 150.0
+ES_SAFETY = 1.0 - 1e-9
+ES_TABLE = np.ascontiguousarray(
+    saturation_vapor_pressure_water(np.arange(ES_TABLE_T0, 351.0)) * ES_SAFETY
+)
+
+#: The inputs of ``mp_candidates`` and the axes they take element
+#: strides for; j is unit-stride for all but ``p``.
+CANDIDATE_INPUTS = (
+    ("t", "mik"), ("p", "mikj"), ("qv", "mik"), ("cond", "mik")
+)
+
+
+def build_mp_candidates_ir() -> Kernel:
+    """The microphysics candidate scan as loop IR.
+
+    Marks in ``cand`` (contiguous ``(nm, ni, nk, nj)`` bytes, zero on
+    entry) every cell the microphysics predicate ``t > T_FREEZE_CUTOFF
+    and (cond > N_EPS or qv > 0.98 q_s(t, p))`` could select, and
+    counts each member's marks in ``counts``. ``t``, ``qv`` and ``cond``
+    are read through their own ``(m, i, k)`` element strides with
+    unit-stride j, ``p`` through four (any may be 0: the members share
+    it). The ``t``
+    and ``cond`` tests are the predicate's own. The ``qv`` test
+    compares against a lower bound of ``q_s`` computed without ``exp``:
+    the :data:`ES_TABLE` entry at ``t``'s lower node stands in for the
+    saturation vapor pressure, the numpy formula's ``min(e, 0.5 p)``
+    clamp and ``EPS e / (p - e)`` follow in its operation order, and
+    the result shrinks by :data:`ES_SAFETY` again. Each step is
+    monotone in ``e`` (``e < p``), so the bound never exceeds numpy's
+    ``q_s``, and a cell the predicate selects is always marked. A ``t``
+    above the table, or a ``p`` that is not positive (NaN included), is
+    marked whenever the ``t`` test holds. Each ``(m, i, k)`` row is
+    first only counted, and scanned again to store its marks only when
+    it has one.
+    """
+    m, i, k, j = Sym("m"), Sym("i"), Sym("k"), Sym("j")
+    tt, pp, x, on = Sym("tt"), Sym("pp"), Sym("x"), Sym("on")
+    es, hp, e, c = Sym("es"), Sym("hp"), Sym("e"), Sym("c")
+    cell = (m, i, k, j)
+    last = Const(float(len(ES_TABLE) - 1))
+    mark = [
+        Let("tt", Load("t", cell)),
+        Let("pp", Load("p", cell)),
+        Let("x", tt - Const(ES_TABLE_T0)),
+        # t on the table and p positive (false for NaN either way).
+        Let(
+            "on",
+            Bin(
+                "&",
+                Bin("&", x.ge(Const(0.0)), x.lt(last)),
+                pp.gt(Const(0.0)),
+            ),
+            ctype="long",
+        ),
+        # Truncation is the floor on the table.
+        Let("ix", Select(on, x, Const(0.0)), ctype="long"),
+        Let("es", Load("es_table", (Sym("ix"),))),
+        Let("hp", Const(0.5) * pp),
+        Let("e", Select(hp.lt(es), hp, es)),
+        Let("qlo", ((Const(EPS) * e) / (pp - e)) * Const(ES_SAFETY)),
+        Let(
+            "c",
+            Bin("&", tt.gt(Const(T_FREEZE_CUTOFF)), Bin(
+                "|",
+                Bin("|", Load("cond", cell).gt(Const(N_EPS)), Un("!", on)),
+                Load("qv", cell).gt(Const(0.98) * Sym("qlo")),
+            )),
+            ctype="long",
+        ),
+    ]
+    nm, ni, nk, nj = Sym("nm"), Sym("ni"), Sym("nk"), Sym("nj")
+    rc = Sym("rc")
+    row = [
+        # Count the row's marks in a loop of 8-byte values only, which
+        # vectorizes four cells wide even on short rows (a byte store
+        # would make it 32 wide); mark the cells of a row that has any.
+        Decl("rc", "long", Const(0)),
+        Loop("j", Const(0), nj, [*mark, Assign("rc", rc + c)]),
+        If(rc.ne(Const(0)), [
+            Loop("j", Const(0), nj, [*mark, Store("cand", cell, c)]),
+            Assign("n", Sym("n") + rc),
+        ]),
+    ]
+    nest = Loop("i", Const(0), ni, [Loop("k", Const(0), nk, row)])
+    return Kernel(
+        name="mp_candidates",
+        params=(
+            *(
+                ArrayParam(name, strides=tuple(
+                    Sym(name + ax) if ax in axes else Const(1) for ax in "mikj"
+                ))
+                for name, axes in CANDIDATE_INPUTS
+            ),
+            ArrayParam("es_table", strides=(Const(1),)),
+            ArrayParam(
+                "cand", strides=(ni * nk * nj, nk * nj, nj, Const(1)),
+                ctype="unsigned char", intent="out",
+            ),
+            ArrayParam(
+                "counts", strides=(Const(1),), ctype="long", intent="out"
+            ),
+            ScalarParam("nm", "long"),
+            ScalarParam("ni", "long"),
+            ScalarParam("nk", "long"),
+            ScalarParam("nj", "long"),
+            *(
+                ScalarParam(name + ax, "long")
+                for name, axes in CANDIDATE_INPUTS
+                for ax in axes
+            ),
+        ),
+        body=[Loop("m", Const(0), nm, [
+            Decl("n", "long", Const(0)),
+            nest,
+            Store("counts", (m,), Sym("n")),
+        ])],
+        doc=(
+            "mp_candidates: mark every cell the microphysics predicate "
+            "could select, against an exp-free lower bound of the "
+            "saturation mixing ratio, and count each member's marks."
+        ),
+    )
+
+
 _specs = [
     loopir.register_kernel(
         loopir.KernelSpec(
@@ -1128,6 +1267,7 @@ _specs = [
         )
     )
     for name, build in (
+        ("mp_candidates", build_mp_candidates_ir),
         ("sed_sweep", build_sed_sweep_ir),
         ("onecond", build_onecond_ir),
         ("freeze_melt", build_freeze_melt_ir),
@@ -1147,10 +1287,10 @@ _module = cgen.build_module(
     disable_env=DISABLE_ENV,
     build_dir=Path(__file__).resolve().parent / "_cbuild",
     banner=(
-        "Generated by repro.codee.cgen from the sed_sweep/onecond/"
-        "freeze_melt/gather_rows/scatter_rows/row_stats/coal_bott_new "
-        "loop IR; annotations derived by repro.codee.transform. Do not "
-        "edit."
+        "Generated by repro.codee.cgen from the mp_candidates/sed_sweep/"
+        "onecond/freeze_melt/gather_rows/scatter_rows/row_stats/"
+        "coal_bott_new loop IR; annotations derived by "
+        "repro.codee.transform. Do not edit."
     ),
 )
 
@@ -1180,6 +1320,48 @@ def _ptr_table(arrays: list[np.ndarray]) -> ctypes.Array:
     double_p = ctypes.POINTER(ctypes.c_double)
     pointers = [a.ctypes.data_as(double_p) for a in arrays]
     return (double_p * len(arrays))(*pointers)
+
+
+def mp_candidates(
+    lib: ctypes.CDLL,
+    t: np.ndarray,
+    p: np.ndarray,
+    qv: np.ndarray,
+    cond: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Mark the cells the microphysics predicate could select
+    (:func:`build_mp_candidates_ir`).
+
+    ``t``, ``p``, ``qv`` and ``cond`` are float64 ``(nm, ni, nk, nj)``
+    views at whole-element strides, unit-stride along j except ``p``
+    (which may broadcast, e.g. over the members with stride 0). Returns
+    ``(cand, counts)``: the uint8 candidate marks, shaped like ``t``,
+    and each member's count of them (int64 ``(nm,)``). ``None`` when a
+    layout is unsupported and the caller must evaluate the predicate on
+    every cell.
+    """
+    views = dict(t=t, p=p, qv=qv, cond=cond)
+    shape = t.shape
+    if len(shape) != 4 or any(
+        v.shape != shape
+        or v.dtype != np.float64
+        or any(s % v.itemsize for s in v.strides)
+        or ("j" not in axes and v.strides[3] != v.itemsize)
+        for (_, axes), v in zip(CANDIDATE_INPUTS, views.values())
+    ):
+        return None
+    cand = np.zeros(shape, dtype=np.uint8)
+    counts = np.empty(shape[0], dtype=np.int64)
+    lib.mp_candidates(
+        t, p, qv, cond, ES_TABLE, cand, counts,
+        *shape,
+        *(
+            views[name].strides["mikj".index(ax)] // 8
+            for name, axes in CANDIDATE_INPUTS
+            for ax in axes
+        ),
+    )
+    return cand, counts
 
 
 def sed_sweep(

@@ -79,6 +79,10 @@ class SbmStepStats:
     """Per-step accounting returned by :meth:`FastSBM.step`."""
 
     mp_points: int = 0
+    #: Cells the microphysics predicate was evaluated on, and the path
+    #: that chose them (the compiled candidate scan, or every cell).
+    mp_candidates: int = 0
+    scan_engine: str = "none"
     coal_points: int = 0
     coal: CoalWorkStats = field(default_factory=CoalWorkStats)
     cond: CondWorkStats = field(default_factory=CondWorkStats)
@@ -532,6 +536,69 @@ def _scatter_rows(
         occupancy[cells] = ALL_OCCUPIED
 
 
+def _mp_predicate(
+    temperature: np.ndarray,
+    pressure_mb: np.ndarray,
+    qv: np.ndarray,
+    condensate: np.ndarray,
+) -> np.ndarray:
+    """The cells the microphysics touches: warm enough, and either
+    carrying condensate or saturated enough to form some. Elementwise,
+    so a cell's answer does not depend on the other cells given."""
+    qs = saturation_mixing_ratio(temperature, pressure_mb)
+    return (temperature > T_FREEZE_CUTOFF) & (
+        (condensate > N_EPS) | (qv > 0.98 * qs)
+    )
+
+
+def _mp_candidates(
+    temperature: np.ndarray,
+    pressure_mb: np.ndarray,
+    qv: np.ndarray,
+    condensate: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The compiled ``mp_candidates`` scan's marks and per-member
+    counts, or ``None`` (evaluate :func:`_mp_predicate` everywhere)."""
+    lib = ckernels.load_kernels()
+    if lib is None:
+        return None
+    return ckernels.mp_candidates(lib, temperature, pressure_mb, qv, condensate)
+
+
+def _mp_cells(
+    temperature: np.ndarray,
+    pressure_mb: np.ndarray,
+    qv: np.ndarray,
+    condensate: np.ndarray,
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, str]:
+    """The cells :func:`_mp_predicate` selects, in ``np.nonzero``'s
+    member-major order, with each member's count of them.
+
+    The compiled scan marks a superset of them without ``exp``, and the
+    predicate runs on the marked cells only; a patch with no mark skips
+    it. Returns ``(cells, counts, candidates, engine)``: ``candidates``
+    counts each member's cells the predicate saw, and ``engine`` says
+    which path marked them. ``cells`` is empty when ``counts`` is zero.
+    """
+    nm = temperature.shape[0]
+    got = _mp_candidates(temperature, pressure_mb, qv, condensate)
+    if got is None:
+        mask = _mp_predicate(temperature, pressure_mb, qv, condensate)
+        counts = mask.reshape(nm, -1).sum(axis=1)
+        cells = np.nonzero(mask) if counts.any() else ()
+        return cells, counts, np.full(nm, mask[0].size), "numpy"
+    marks, candidates = got
+    if not candidates.any():
+        return (), candidates, candidates, "compiled"
+    # np.nonzero's coordinates, from the fast flat search of a bool view.
+    marked = np.unravel_index(np.flatnonzero(marks.view(bool)), marks.shape)
+    keep = _mp_predicate(
+        temperature[marked], pressure_mb[marked], qv[marked], condensate[marked]
+    )
+    cells = tuple(idx[keep] for idx in marked)
+    return cells, np.bincount(cells[0], minlength=nm), candidates, "compiled"
+
+
 def _condensation(
     g_dists: dict[Species, np.ndarray],
     g_t: np.ndarray,
@@ -716,29 +783,26 @@ def step_members(
         for sbm in sbms:
             sbm._charge_cpu(2.0 * npatch, 8.0 * npatch, iterations=npatch)
 
-        # Cells the microphysics touches: warm enough, and either
-        # carrying condensate or saturated enough to form some. (The
+        # Cells the microphysics touches (:func:`_mp_predicate`). The
         # Fortran scans every cell — charged above — but only these do
-        # real work inside the conditionals.)
-        qs = saturation_mixing_ratio(temperature, pressure_mb)
-        mp_mask = (temperature > T_FREEZE_CUTOFF) & (
-            (condensate > N_EPS) | (qv > 0.98 * qs)
+        # real work inside the conditionals.
+        midx, counts, candidates, scan_engine = _mp_cells(
+            temperature, pressure_mb, qv, condensate
         )
-        counts = mp_mask.reshape(nm, -1).sum(axis=1)
         offs = np.zeros(nm + 1, dtype=np.int64)
         np.cumsum(counts, out=offs[1:])
         segments = [(int(offs[m]), int(offs[m + 1])) for m in range(nm)]
         total_pts = int(offs[-1])
         for m in range(nm):
             stats_list[m].mp_points = int(counts[m])
+            stats_list[m].mp_candidates = int(candidates[m])
+            stats_list[m].scan_engine = scan_engine
 
         if total_pts:
-            # Integer-tuple indexing: one np.nonzero, then every gather
-            # and scatter fans out from the precomputed coordinate
-            # arrays, in member-major C order. The bins move as one
-            # packed gather (every species of a point in one contiguous
-            # run) and come back as one scatter.
-            midx = np.nonzero(mp_mask)
+            # Integer-tuple indexing: every gather and scatter fans out
+            # from the coordinate arrays, in member-major C order. The
+            # bins move as one packed gather (every species of a point
+            # in one contiguous run) and come back as one scatter.
             g_bins = _gather_rows(bins_stacked, midx)
             g_dists = species_columns(g_bins)
             g_t = temperature[midx]

@@ -150,12 +150,18 @@ def sedimentation_step_members(
     member and sets a present species' bit in every cell of the member.
     Either way member ``m``'s update and stats are those of a one-member
     call on its own arrays: a skipped row is zeros, which would move
-    nothing and count no work.
+    nothing and count no work. So a field with no bit set returns zero
+    stats at once, after the table lookup (whose cache counters then
+    read as they would after a sweep).
     """
     tables = _courant_tables(pressure_mb_levels, dz_cm, dt)
+    stats = [SedWorkStats() for _ in range(precip_stacked.shape[0])]
+    if not occupancy.any():
+        # Every bin is zero: the sweep would move, flag and count
+        # nothing.
+        return stats
     species = tables["species"]
     nkr = dists_stacked[species[0]].shape[-1]
-    stats = [SedWorkStats() for _ in range(precip_stacked.shape[0])]
 
     lib = ckernels.load_kernels()
     if lib is not None and tables["stack"].shape[2] == nkr:

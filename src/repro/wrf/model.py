@@ -355,6 +355,8 @@ def physics_rank(namelist: Namelist, rs: RankState) -> list[SbmStepStats]:
             sp.set(
                 members=len(stats),
                 mp_points=sum(s.mp_points for s in stats),
+                mp_candidates=sum(s.mp_candidates for s in stats),
+                scan_engine=stats[0].scan_engine,
                 coal_points=sum(s.coal_points for s in stats),
                 # One call serves every member, so they agree; "none"
                 # if no member ran the layer.

@@ -47,8 +47,8 @@ def test_kernels_compile_in_ci():
     lib = ckernels.load_kernels()
     assert lib is not None, ckernels.load_error
     for name in (
-        "sed_sweep", "onecond", "freeze_melt", "gather_rows", "scatter_rows",
-        "row_stats", "coal_bott_new",
+        "mp_candidates", "sed_sweep", "onecond", "freeze_melt", "gather_rows",
+        "scatter_rows", "row_stats", "coal_bott_new",
     ):
         assert hasattr(lib, name), name
 

@@ -78,6 +78,20 @@ class TestTraceEvents:
         errors = trace_check.validate_events(export.to_trace_events(bad))
         assert len(errors) == 1 and "engine" in errors[0]
 
+    def test_every_engine_suffixed_attr_takes_the_known_engines_only(self):
+        layers = ("coal_engine", "cond_engine", "freeze_engine", "scan_engine")
+        ok = [
+            span("physics", 0, 0, 50, attrs={
+                **dict(zip(layers, ("compiled", "numpy", "none", "compiled"))),
+                "mp_candidates": 0,
+            })
+        ]
+        assert trace_check.validate_events(export.to_trace_events(ok)) == []
+        for attr in layers:
+            bad = [span("physics", 0, 0, 50, attrs={attr: "device"})]
+            errors = trace_check.validate_events(export.to_trace_events(bad))
+            assert len(errors) == 1 and attr in errors[0], attr
+
     def test_ranks_map_to_pids_with_metadata(self):
         evs = [
             span("a", 0, 0, 10),

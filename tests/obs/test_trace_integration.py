@@ -27,6 +27,7 @@ import pytest
 from repro.constants import CONUS12KM_DT
 from repro.errors import ProcPoolError
 from repro.fsbm import ckernels
+from repro.grid.decomposition import decompose_domain
 from repro.obs import export, metrics, tracer
 from repro.wrf.model import WrfModel
 from repro.wrf.namelist import conus12km_namelist
@@ -266,6 +267,42 @@ CLEAR_SKY = (
     ("moisture_boost", 1.0),
     ("cloud_threshold", 1.0e9),
 )
+
+
+class TestCandidateScanAttrs:
+    """The physics span counts the cells the candidate scan passed to
+    the exact predicate, and names the path that chose them."""
+
+    def _physics(self, **overrides) -> list:
+        events = _traced_run(**overrides)
+        spans = [e for e in events if e.ph == "X" and e.name == "physics"]
+        assert len(spans) == 4  # 2 ranks x 2 steps
+        return spans
+
+    def test_compiled_scan_passes_a_superset_of_the_points(self):
+        if ckernels.load_kernels() is None:
+            pytest.skip(f"physics kernels unavailable: {ckernels.load_error}")
+        spans = self._physics()
+        assert {e.attrs["scan_engine"] for e in spans} == {"compiled"}
+        assert all(
+            e.attrs["mp_candidates"] >= e.attrs["mp_points"] for e in spans
+        )
+        assert sum(e.attrs["mp_points"] for e in spans) > 0
+
+    def test_a_clear_sky_scan_passes_nothing(self):
+        if ckernels.load_kernels() is None:
+            pytest.skip(f"physics kernels unavailable: {ckernels.load_error}")
+        for e in self._physics(member_deltas=(CLEAR_SKY,)):
+            assert e.attrs["scan_engine"] == "compiled"
+            assert e.attrs["mp_candidates"] == e.attrs["mp_points"] == 0
+
+    def test_the_kill_switch_predicate_sees_every_cell(self, monkeypatch):
+        monkeypatch.setenv(ckernels.DISABLE_ENV, "1")
+        domain = conus12km_namelist(scale=0.05).domain
+        owned = {p.num_points for p in decompose_domain(domain, 2).patches}
+        spans = self._physics()
+        assert {e.attrs["scan_engine"] for e in spans} == {"numpy"}
+        assert {e.attrs["mp_candidates"] for e in spans} == owned
 
 
 class TestHaloAndTransportSpans:
