@@ -172,7 +172,7 @@ class TestCandidateScan:
 
     def test_dry_cells_are_not_marked(self, lib):
         # Across the table, cells at 80 % of saturation stay unmarked:
-        # the 1 K nodes bound q_s within 17 % at the coldest cells.
+        # the 1 K nodes bound q_s within 15 % at the coldest cells.
         t = np.linspace(T_FREEZE_CUTOFF + 0.01, TABLE_TOP - 0.01, 4001)
         p = np.linspace(100.0, 1050.0, t.size)
         qv = 0.8 * saturation_mixing_ratio(t, p)
